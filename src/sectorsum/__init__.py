@@ -4,7 +4,15 @@ Contour-quadrature powers and H-infinity calculus, sector certification,
 inverses of commuting operator sums with their weighted contour
 identities, trigonometric-polynomial sectoriality tests, and
 maximal-regularity constants for the abstract parabolic problem.
+
+SECTORSUM_THREADS caps the BLAS thread pools when set before numpy loads.
 """
+
+import os as _os
+
+if _os.environ.get("SECTORSUM_THREADS"):  # OpenBLAS sizes its pools as numpy loads
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["SECTORSUM_THREADS"])
 
 from .contour import ContourSpec, QuadNode, build_nodes, dunford, pv_integral
 from .calculus import (

@@ -1,38 +1,27 @@
 """Command-line interface.
 
-Exit codes: 0 all checks passed, 1 a numerical check failed,
-2 configuration or usage error.  SECTORSUM_THREADS caps the BLAS
-thread pools used by the dense kernels.
+Each direct subcommand turns its flags into an experiment config with
+``out_prefix`` the subcommand name and ``seed`` 0, and runs it like
+``run --config``.  Exit codes: 0 all checks passed, 1 a numerical check
+failed, 2 configuration or usage error.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-import numpy as np
+from .errors import ConfigInvalid, IncompatibleReports, InvalidRecipe, SectorsumError
+from .harness import run_config, run_experiment
+from .reports import CertificateReport, report_diff
+
+# the other direct subcommands run the pipeline of their own name
+PIPELINE_OF = {"certify-sector": "certify", "sum-inverse": "sum"}
+# subcommands that print the whole report; the others print its outputs
+FULL_REPORT = {"certify-sector", "sum-inverse"}
+SAMPLING_FLAGS = {"rays": "n_boundary", "arc": "n_angles", "rmin": "r_min", "rmax": "r_max"}
 
 
-def _cap_threads() -> None:
-    cap = os.environ.get("SECTORSUM_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
-def _load_certified(path: str, theta: float):
-    from . import linops
-    from .sector import MatrixOperator, certify_sector
-
-    op = MatrixOperator(linops.read_matrix(path))
-    certify_sector(op, theta)
-    return op
-
-
-def main(argv=None) -> int:
-    _cap_threads()
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sectorsum",
         description="Sectorial-operator calculus: certification, contour powers, "
@@ -40,26 +29,24 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--out", default=".", help="output directory for reports")
     sub = parser.add_subparsers(dest="command", required=True)
+    matrix = argparse.ArgumentParser(add_help=False)
+    matrix.add_argument("--matrix", required=True)
 
-    p = sub.add_parser("certify-sector", help="sample the sector bound")
-    p.add_argument("--matrix", required=True)
+    p = sub.add_parser("certify-sector", parents=[matrix], help="sample the sector bound")
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--rays", type=int, default=96)
-    p.add_argument("--arc", type=int, default=9)
-    p.add_argument("--rmin", type=float, default=1e-6)
-    p.add_argument("--rmax", type=float, default=1e6)
+    p.add_argument("--rays", type=int)
+    p.add_argument("--arc", type=int)
+    p.add_argument("--rmin", type=float)
+    p.add_argument("--rmax", type=float)
 
-    p = sub.add_parser("power", help="complex power by contour quadrature")
-    p.add_argument("--matrix", required=True)
+    p = sub.add_parser("power", parents=[matrix], help="complex power by contour quadrature")
     p.add_argument("--re", type=float, required=True)
-    p.add_argument("--im", type=float, default=0.0)
-    p.add_argument("--theta", type=float, default=0.75 * np.pi,
-                   help="certification angle for the operator")
+    p.add_argument("--im", type=float)
+    p.add_argument("--theta", type=float, help="certification angle for the operator")
 
-    p = sub.add_parser("hinf", help="apply a builtin symbol to -A")
-    p.add_argument("--matrix", required=True)
+    p = sub.add_parser("hinf", parents=[matrix], help="apply a builtin symbol to -A")
     p.add_argument("--symbol", required=True)
-    p.add_argument("--theta", type=float, default=np.pi / 2)
+    p.add_argument("--theta", type=float)
 
     p = sub.add_parser("sum-inverse", help="inverse of a commuting sum")
     p.add_argument("--matrix-a", required=True)
@@ -69,25 +56,22 @@ def main(argv=None) -> int:
     p.add_argument("--check-identities", nargs=2, type=float, metavar=("W_RE", "W_IM"))
     p.add_argument("--certify", action="store_true")
 
-    p = sub.add_parser("t-sector", help="witness search for the majorant bound")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--family", default="pure-harmonics")
-    p.add_argument("--theta", type=float, default=0.75 * np.pi)
+    p = sub.add_parser("t-sector", parents=[matrix], help="witness search for the majorant bound")
+    p.add_argument("--phi", type=float)
+    p.add_argument("--r", type=float)
+    p.add_argument("--p", type=float)
+    p.add_argument("--n", type=int)
+    p.add_argument("--family")
+    p.add_argument("--theta", type=float)
 
-    p = sub.add_parser("rep-check", help="principal-value resolvent formulas")
-    p.add_argument("--matrix", required=True)
+    p = sub.add_parser("rep-check", parents=[matrix], help="principal-value resolvent formulas")
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--theta", type=float)
 
-    p = sub.add_parser("maxreg", help="maximal-regularity constants")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--nt", type=int, default=512)
+    p = sub.add_parser("maxreg", parents=[matrix], help="maximal-regularity constants")
+    p.add_argument("--tau", type=float)
+    p.add_argument("--p", type=float)
+    p.add_argument("--nt", type=int)
     p.add_argument("--sweep-p", action="store_true")
     p.add_argument("--refine", action="store_true")
 
@@ -98,154 +82,38 @@ def main(argv=None) -> int:
     p.add_argument("report_a")
     p.add_argument("report_b")
     p.add_argument("--tol", type=float, default=0.0)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        return _dispatch(args)
-    except Exception as exc:  # noqa: BLE001 - map to documented exit codes
-        from .errors import ConfigInvalid, IncompatibleReports, InvalidRecipe, SectorsumError
-
-        if isinstance(exc, (ConfigInvalid, InvalidRecipe, IncompatibleReports)):
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-        if isinstance(exc, (SectorsumError, ValueError)):
-            print(f"check failed: {exc}", file=sys.stderr)
-            return 1
-        raise
-
-
-def _dispatch(args) -> int:
-    from . import calculus, linops, maxreg, sums, tsector
-    from .harness import run_experiment
-    from .reports import CertificateReport, report_diff
-    from .sector import SectorSampling, certify_sector
-
-    os.makedirs(args.out, exist_ok=True)
-
-    if args.command == "certify-sector":
-        from .sector import MatrixOperator
-
-        op = MatrixOperator(linops.read_matrix(args.matrix))
-        sampling = SectorSampling(
-            n_boundary=args.rays, n_angles=args.arc,
-            r_min=args.rmin, r_max=args.rmax,
-        )
-        k_hat = certify_sector(op, args.theta, sampling)
-        report = CertificateReport(
-            operation="certify-sector",
-            inputs={"matrix": os.path.basename(args.matrix), "theta": args.theta,
-                    "sampling": sampling.to_dict()},
-            tolerances={},
-            node_counts={"samples": len(sampling.points(args.theta))},
-            outputs={"K_hat": k_hat},
-            passed=True,
-        )
-        path = os.path.join(args.out, "certify-sector.json")
-        report.save(path)
-        print(report.to_json())
-        return 0
-
-    if args.command == "power":
-        op = _load_certified(args.matrix, args.theta)
-        value = calculus.complex_power(op, complex(args.re, args.im))
-        print(json.dumps({"norm": linops.operator_norm(value),
-                          "matrix": [[repr(v) for v in row] for row in value]}, indent=2))
-        return 0
-
-    if args.command == "hinf":
-        op = _load_certified(args.matrix, min(0.95 * np.pi, args.theta + 0.3))
-        registry = calculus.builtin_symbols(args.theta)
-        if args.symbol not in registry:
-            print(f"config error: unknown symbol {args.symbol!r}; "
-                  f"builtins: {sorted(registry)}", file=sys.stderr)
-            return 2
-        value = calculus.hinf_apply(registry[args.symbol], op)
-        print(json.dumps({"norm": linops.operator_norm(value)}, indent=2))
-        return 0
-
-    if args.command == "sum-inverse":
-        A = _load_certified(args.matrix_a, args.theta_a)
-        B = _load_certified(args.matrix_b, args.theta_b)
-        pair = sums.CommutingPair(A, B)
-        K = sums.sum_inverse(pair)
-        direct = np.linalg.inv(A.matrix + B.matrix)
-        err = linops.operator_norm(K - direct) / linops.operator_norm(direct)
-        outputs = {"relative_error_vs_direct": err}
-        ok = err <= 1e-6
-        if args.check_identities:
-            w = complex(*args.check_identities)
-            _, _, dl = sums.weighted_identity_left(pair, w)
-            _, _, dr = sums.weighted_identity_right(pair, w)
-            outputs["identity_left_diff"] = dl
-            outputs["identity_right_diff"] = dr
-            ok = ok and dl <= 1e-6 and dr <= 1e-6
-        if args.certify:
-            cert = sums.closedness_certificate(pair)
-            outputs["C_AB"] = cert.C_AB
-            outputs["residual_K"] = cert.residual_K
-        report = CertificateReport(
-            operation="sum-inverse",
-            inputs={"matrix_a": os.path.basename(args.matrix_a),
-                    "matrix_b": os.path.basename(args.matrix_b),
-                    "theta_a": args.theta_a, "theta_b": args.theta_b},
-            tolerances={"relative": 1e-6},
-            node_counts={},
-            outputs=outputs,
-            passed=bool(ok),
-        )
-        report.save(os.path.join(args.out, "sum-inverse.json"))
-        print(report.to_json())
-        return 0 if ok else 1
-
-    if args.command == "t-sector":
-        op = _load_certified(args.matrix, args.theta)
-        rng = np.random.default_rng(0)
-        xs = [rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-              for _ in range(args.n + 1)]
-        fam = tsector.MultiplierFamily(kind=args.family)
-        rep = tsector.witness_search(op, args.phi, args.r, xs, args.p, fam)
-        print(json.dumps(rep.to_dict(), indent=2))
-        return 0
-
-    if args.command == "rep-check":
-        op = _load_certified(args.matrix, 0.75 * np.pi)
-        x = np.ones(op.dim, dtype=complex)
-        direct = linops.solve_shifted(
-            np.eye(op.dim) + args.rho * np.exp(1j * args.theta) * op.matrix, 0.0, x
-        )
-        via = (tsector.resolvent_rep_rotated(op, args.rho, args.theta, x)
-               if args.theta else tsector.resolvent_rep_real(op, args.rho, x))
-        err = float(np.linalg.norm(via - direct))
-        print(json.dumps({"rho": args.rho, "theta": args.theta, "error": err}, indent=2))
-        return 0 if err <= 1e-5 else 1
-
-    if args.command == "maxreg":
-        op = _load_certified(args.matrix, 0.75 * np.pi)
-        grid = maxreg.TimeGrid(args.tau, args.nt, p=args.p)
-        rep = maxreg.maxreg_constant(op, grid)
-        outputs = rep.to_dict()
-        if args.sweep_p:
-            sweep = maxreg.p_independence_probe(op, args.tau, args.nt)
-            outputs["p_sweep_constants"] = sweep["constants_fprime"]
-        if args.refine:
-            fine = maxreg.maxreg_constant(op, maxreg.TimeGrid(args.tau, 2 * args.nt, p=args.p))
-            outputs["refined_constant_fprime"] = fine.constant_fprime
-        print(json.dumps(outputs, indent=2))
-        return 0
-
-    if args.command == "run":
-        paths, ok = run_experiment(args.config, args.out)
-        print(json.dumps({"written": paths, "passed": ok}, indent=2))
-        return 0 if ok else 1
-
-    if args.command == "report-diff":
-        a = CertificateReport.load(args.report_a)
-        b = CertificateReport.load(args.report_b)
-        diff = report_diff(a, b, tol=args.tol)
-        print(json.dumps(diff, indent=2))
-        return 0 if diff["all_within_tol"] else 1
-
-    raise AssertionError(f"unhandled command {args.command}")
+        if args.command == "report-diff":
+            doc = report_diff(CertificateReport.load(args.report_a),
+                              CertificateReport.load(args.report_b), tol=args.tol)
+            print(json.dumps(doc, indent=2))
+            return 0 if doc["all_within_tol"] else 1
+        if args.command == "run":
+            paths, ok = run_experiment(args.config, args.out)
+            print(json.dumps({"written": paths, "passed": ok}, indent=2))
+            return 0 if ok else 1
+        flags = {k: v for k, v in vars(args).items()
+                 if k not in ("command", "out") and v is not None}
+        sampling = {SAMPLING_FLAGS[k]: flags.pop(k) for k in list(flags) if k in SAMPLING_FLAGS}
+        if sampling:
+            flags["sampling"] = sampling
+        cfg = {"schema_version": 1, "pipeline": PIPELINE_OF.get(args.command, args.command),
+               "seed": 0, "out_prefix": args.command, **flags}
+        _, report = run_config(cfg, args.out)
+    except (ConfigInvalid, InvalidRecipe, IncompatibleReports) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (SectorsumError, ValueError) as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 1
+    print(report.to_json() if args.command in FULL_REPORT
+          else json.dumps(report.outputs, indent=2))
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

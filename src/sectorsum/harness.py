@@ -3,7 +3,9 @@
 Recipes generate certified test operators deterministically from their
 parameters (and a seed where randomness is involved).  Experiments are
 JSON configs with a versioned schema and strict key checking: unknown
-keys are rejected so archived runs stay auditable.
+keys are rejected so archived runs stay auditable.  Every pipeline is
+one function in :data:`PIPELINES`; ``run --config`` and the direct CLI
+subcommands both go through :func:`run_config`.
 """
 
 from __future__ import annotations
@@ -21,14 +23,6 @@ from .sector import MatrixOperator, SectorSampling, certify_sector
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 0xC0FFEE
 
-RECIPE_KINDS = (
-    "diag-positive",
-    "diag-rotated",
-    "jordan",
-    "laplacian-1d",
-    "commuting-pair",
-)
-
 
 def generate(kind: str, certify_angle: float | None = None, seed: int = DEFAULT_SEED,
              **params) -> MatrixOperator:
@@ -41,6 +35,12 @@ def generate(kind: str, certify_angle: float | None = None, seed: int = DEFAULT_
       laplacian-1d    m=8  (gives (m+1)^2 tridiag(-1, 2, -1), m x m)
       commuting-pair  role="a"|"b", n=4, spread=4.0 (shared seeded basis)
     """
+    return _load_operator({"recipe": {"kind": kind, **params}}, theta=certify_angle, seed=seed)
+
+
+def _recipe_matrix(kind: str, seed: int = DEFAULT_SEED, **params) -> tuple[np.ndarray, float]:
+    """The matrix of a recipe (see :func:`generate`) and its default
+    certification angle, without certifying it."""
     rng = np.random.default_rng(seed)
     if kind == "diag-positive":
         entries = params.pop("entries", None)
@@ -52,9 +52,8 @@ def generate(kind: str, certify_angle: float | None = None, seed: int = DEFAULT_
         )
         if np.any(d <= 0):
             raise InvalidRecipe("diag-positive entries must be positive")
-        M = np.diag(d.astype(complex))
-        default_angle = 0.9 * np.pi
-    elif kind == "diag-rotated":
+        return np.diag(d.astype(complex)), 0.9 * np.pi
+    if kind == "diag-rotated":
         psi = float(params.pop("psi", np.pi / 4))
         entries = params.pop("entries", None)
         n = int(params.pop("n", 3))
@@ -62,17 +61,15 @@ def generate(kind: str, certify_angle: float | None = None, seed: int = DEFAULT_
         if not (abs(psi) < np.pi):
             raise InvalidRecipe("rotation psi must satisfy |psi| < pi")
         d = np.array(entries, dtype=float) if entries is not None else np.arange(1.0, n + 1.0)
-        M = np.diag(np.exp(1j * psi) * d)
-        default_angle = 0.95 * (np.pi - abs(psi))
-    elif kind == "jordan":
+        return np.diag(np.exp(1j * psi) * d), 0.95 * (np.pi - abs(psi))
+    if kind == "jordan":
         a = complex(params.pop("a", 2.0))
         size = int(params.pop("size", 2))
         _no_extra(kind, params)
         if size < 1 or a == 0:
             raise InvalidRecipe("jordan needs size >= 1 and a != 0")
-        M = a * np.eye(size, dtype=complex) + np.diag(np.ones(size - 1), 1)
-        default_angle = 0.75 * np.pi
-    elif kind == "laplacian-1d":
+        return a * np.eye(size, dtype=complex) + np.diag(np.ones(size - 1), 1), 0.75 * np.pi
+    if kind == "laplacian-1d":
         m = int(params.pop("m", 8))
         _no_extra(kind, params)
         if m < 1:
@@ -80,8 +77,8 @@ def generate(kind: str, certify_angle: float | None = None, seed: int = DEFAULT_
         M = (m + 1) ** 2 * (
             2 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
         ).astype(complex)
-        default_angle = 0.9 * np.pi
-    elif kind == "commuting-pair":
+        return M, 0.9 * np.pi
+    if kind == "commuting-pair":
         role = params.pop("role", "a")
         n = int(params.pop("n", 4))
         spread = float(params.pop("spread", 4.0))
@@ -94,15 +91,8 @@ def generate(kind: str, certify_angle: float | None = None, seed: int = DEFAULT_
         d = da if role == "a" else db
         if role not in ("a", "b"):
             raise InvalidRecipe(f"commuting-pair role must be 'a' or 'b', got {role!r}")
-        M = Q @ np.diag(d.astype(complex)) @ Q.conj().T
-        default_angle = 0.85 * np.pi
-    else:
-        raise InvalidRecipe(f"unknown recipe kind {kind!r}")
-
-    op = MatrixOperator(M)
-    angle = default_angle if certify_angle is None else certify_angle
-    certify_sector(op, angle, SectorSampling(n_boundary=48, interior_density=12))
-    return op
+        return Q @ np.diag(d.astype(complex)) @ Q.conj().T, 0.85 * np.pi
+    raise InvalidRecipe(f"unknown recipe kind {kind!r}")
 
 
 def _no_extra(kind, params):
@@ -118,29 +108,20 @@ def laplacian_eigenvalues(m: int) -> np.ndarray:
 
 # ----------------------------------------------------------------- configs
 
-_PIPELINES = ("certify", "power", "hinf", "sum", "t-sector", "maxreg", "sweep")
-
 _COMMON_KEYS = {"schema_version", "pipeline", "seed", "out_prefix"}
 _PIPELINE_KEYS = {
     "certify": {"matrix", "recipe", "theta", "sampling"},
-    "power": {"matrix", "recipe", "re", "im"},
+    "power": {"matrix", "recipe", "re", "im", "theta"},
     "hinf": {"matrix", "recipe", "symbol", "theta"},
     "sum": {"matrix_a", "matrix_b", "recipe_a", "recipe_b", "theta_a", "theta_b",
             "check_identities", "certify"},
-    "t-sector": {"matrix", "recipe", "phi", "r", "p", "n", "family", "N_t"},
+    "t-sector": {"matrix", "recipe", "phi", "r", "p", "n", "family", "N_t", "theta"},
+    "rep-check": {"matrix", "recipe", "rho", "theta"},
     "maxreg": {"matrix", "recipe", "tau", "p", "nt", "sweep_p", "refine"},
     "sweep": {"kind", "sizes", "tau", "p", "nt"},
 }
 
-_REQUIRED_KEYS = {
-    "certify": ({"theta"}, ({"matrix", "recipe"},)),
-    "power": (set(), ({"matrix", "recipe"},)),
-    "hinf": ({"symbol"}, ({"matrix", "recipe"},)),
-    "sum": (set(), ({"matrix_a", "recipe_a"}, {"matrix_b", "recipe_b"})),
-    "t-sector": (set(), ({"matrix", "recipe"},)),
-    "maxreg": (set(), ({"matrix", "recipe"},)),
-    "sweep": (set(), ()),
-}
+_REQUIRED_KEYS = {"certify": {"theta"}, "hinf": {"symbol"}, "rep-check": {"rho"}}
 
 
 def validate_config(cfg: dict) -> dict:
@@ -152,39 +133,253 @@ def validate_config(cfg: dict) -> dict:
             f"schema_version must be {SCHEMA_VERSION}, got {cfg.get('schema_version')!r}"
         )
     pipeline = cfg.get("pipeline")
-    if pipeline not in _PIPELINES:
-        raise ConfigInvalid(f"pipeline must be one of {_PIPELINES}, got {pipeline!r}")
+    if pipeline not in PIPELINES:
+        raise ConfigInvalid(f"pipeline must be one of {tuple(PIPELINES)}, got {pipeline!r}")
     allowed = _COMMON_KEYS | _PIPELINE_KEYS[pipeline]
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigInvalid(f"unknown config fields: {sorted(unknown)}")
-    required, one_of_groups = _REQUIRED_KEYS[pipeline]
-    missing = required - set(cfg)
+    missing = _REQUIRED_KEYS.get(pipeline, set()) - set(cfg)
     if missing:
         raise ConfigInvalid(f"missing required fields: {sorted(missing)}")
-    for group in one_of_groups:
-        if not group & set(cfg):
+    # every operator a pipeline takes comes from a matrix file or a recipe
+    for side in ("", "_a", "_b"):
+        group = {"matrix" + side, "recipe" + side}
+        if group <= allowed and not group & set(cfg):
             raise ConfigInvalid(f"config needs one of {sorted(group)}")
     return cfg
 
 
-def _load_operator(cfg: dict, key_matrix="matrix", key_recipe="recipe",
-                   theta=None, seed=DEFAULT_SEED) -> MatrixOperator:
+def _load_operator(cfg: dict, key_matrix="matrix", key_recipe="recipe", theta=None,
+                   seed=DEFAULT_SEED, sampling=None) -> MatrixOperator:
+    """The operator a config names, from a matrix file (certified by
+    default at 0.75 pi on the standard sampling) or a recipe (at its own
+    angle on a coarser one), certified once."""
     if key_matrix in cfg:
-        op = MatrixOperator(linops.read_matrix(cfg[key_matrix]))
-        certify_sector(op, theta if theta is not None else 0.75 * np.pi)
-        return op
-    if key_recipe in cfg:
+        path = cfg[key_matrix]
+        try:
+            op = MatrixOperator(linops.read_matrix(path))
+        except (OSError, ValueError) as exc:
+            raise ConfigInvalid(f"cannot read matrix {path}: {exc}") from exc
+        default_angle, default_sampling = 0.75 * np.pi, None
+    elif key_recipe in cfg:
         r = dict(cfg[key_recipe])
         kind = r.pop("kind", None)
         if kind is None:
             raise ConfigInvalid(f"recipe under {key_recipe!r} needs a 'kind'")
-        return generate(kind, certify_angle=theta, seed=seed, **r)
-    raise ConfigInvalid(f"config needs either {key_matrix!r} or {key_recipe!r}")
+        M, default_angle = _recipe_matrix(kind, seed, **r)
+        op = MatrixOperator(M)
+        default_sampling = SectorSampling(n_boundary=48, interior_density=12)
+    else:
+        raise ConfigInvalid(f"config needs either {key_matrix!r} or {key_recipe!r}")
+    certify_sector(op, default_angle if theta is None else float(theta),
+                   sampling or default_sampling)
+    return op
+
+
+def _write_csv(cfg: dict, out_dir: str, header: str, rows) -> str:
+    path = os.path.join(out_dir, f"{cfg.get('out_prefix', cfg['pipeline'])}.csv")
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    return path
+
+
+# --------------------------------------------------------------- pipelines
+# each is fn(cfg, seed, out_dir) -> (report, extra written paths)
+
+
+def _certify(cfg, seed, out_dir):
+    theta = float(cfg["theta"])
+    sampling = SectorSampling(**cfg.get("sampling", {}))
+    op = _load_operator(cfg, theta=theta, seed=seed, sampling=sampling)
+    return CertificateReport(
+        operation="certify-sector",
+        inputs={"theta": theta, "sampling": sampling.to_dict(), "seed": seed, "dim": op.dim},
+        tolerances={}, node_counts={"samples": len(sampling.points(theta))},
+        outputs={"K_hat": op.constant()},
+        passed=True,
+    ), []
+
+
+def _power(cfg, seed, out_dir):
+    op = _load_operator(cfg, theta=cfg.get("theta"), seed=seed)
+    z = complex(float(cfg.get("re", -0.5)), float(cfg.get("im", 0.0)))
+    value, info = calculus.complex_power(op, z, with_info=True)
+    return CertificateReport(
+        operation="complex-power",
+        inputs={"z": z, "theta": op.angle(), "dim": op.dim, "seed": seed},
+        tolerances={"tail": 1e-9}, node_counts={"contour": info.n_nodes if info else 0},
+        outputs={
+            "norm": linops.operator_norm(value),
+            "tail_estimate": info.tail_estimate if info else 0.0,
+            "matrix": [[repr(complex(v)) for v in row] for row in value],
+        },
+        passed=True,
+    ), []
+
+
+def _hinf(cfg, seed, out_dir):
+    theta = float(cfg.get("theta", np.pi / 2))
+    op = _load_operator(cfg, theta=min(0.95 * np.pi, theta + 0.3), seed=seed)
+    registry = calculus.builtin_symbols(theta)
+    name = cfg["symbol"]
+    if name not in registry:
+        raise ConfigInvalid(f"unknown symbol {name!r}; builtins: {sorted(registry)}")
+    value = calculus.hinf_apply(registry[name], op)
+    return CertificateReport(
+        operation="hinf-apply",
+        inputs={"symbol": name, "theta": theta, "dim": op.dim, "seed": seed},
+        tolerances={"tail": 1e-9}, node_counts={},
+        outputs={"norm": linops.operator_norm(value)},
+        passed=True,
+    ), []
+
+
+def _sum(cfg, seed, out_dir):
+    # both sides share the seed: commuting-pair recipes build A and B on
+    # one seeded basis
+    A = _load_operator(cfg, "matrix_a", "recipe_a", theta=cfg.get("theta_a"), seed=seed)
+    B = _load_operator(cfg, "matrix_b", "recipe_b", theta=cfg.get("theta_b"), seed=seed)
+    pair = sums.CommutingPair(A, B)
+    K = sums.sum_inverse(pair)
+    direct = np.linalg.inv(A.matrix + B.matrix)
+    err = linops.operator_norm(K - direct) / max(linops.operator_norm(direct), 1e-300)
+    outputs = {"relative_error_vs_direct": err}
+    passed = err <= 1e-6
+    if cfg.get("check_identities"):
+        w = complex(*cfg["check_identities"])
+        _, _, dl = sums.weighted_identity_left(pair, w)
+        _, _, dr = sums.weighted_identity_right(pair, w)
+        outputs["identity_left_diff"] = dl
+        outputs["identity_right_diff"] = dr
+        passed = passed and dl <= 1e-6 and dr <= 1e-6
+    if cfg.get("certify"):
+        cert = sums.closedness_certificate(pair)
+        outputs["C_AB"] = cert.C_AB
+        outputs["residual_K"] = cert.residual_K
+        outputs["theta_values"] = list(cert.theta_values)
+    return CertificateReport(
+        operation="sum-inverse",
+        inputs={"dim": pair.dim, "theta_a": A.angle(), "theta_b": B.angle(), "seed": seed},
+        tolerances={"relative": 1e-6}, node_counts={},
+        outputs=outputs,
+        passed=bool(passed),
+    ), []
+
+
+def _tsector(cfg, seed, out_dir):
+    op = _load_operator(cfg, theta=cfg.get("theta"), seed=seed)
+    phi = float(cfg.get("phi", 0.0))
+    r = float(cfg.get("r", 1.0))
+    p = float(cfg.get("p", 2.0))
+    n = int(cfg.get("n", 1))
+    N_t = int(cfg.get("N_t", 256))
+    rng = np.random.default_rng(seed)
+    xs = [rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+          for _ in range(n + 1)]
+    fam = tsector.MultiplierFamily(kind=cfg.get("family", "pure-harmonics"))
+    rep = tsector.witness_search(op, phi, r, xs, p, fam, N_t)
+    return CertificateReport(
+        operation="t-sector",
+        inputs={"phi": phi, "r": r, "p": p, "n": n, "N_t": N_t, "family": fam.kind,
+                "theta": op.angle(), "dim": op.dim, "seed": seed},
+        tolerances={}, node_counts={"N_t": N_t},
+        outputs=rep.to_dict(),
+        passed=True,
+    ), []
+
+
+def _rep_check(cfg, seed, out_dir):
+    op = _load_operator(cfg, seed=seed)
+    rho = float(cfg["rho"])
+    theta = float(cfg.get("theta", 0.0))
+    x = np.ones(op.dim, dtype=complex)
+    direct = linops.solve_shifted(np.eye(op.dim) + rho * np.exp(1j * theta) * op.matrix, 0.0, x)
+    via = (tsector.resolvent_rep_rotated(op, rho, theta, x)
+           if theta else tsector.resolvent_rep_real(op, rho, x))
+    err = float(np.linalg.norm(via - direct))
+    return CertificateReport(
+        operation="rep-check",
+        inputs={"rho": rho, "theta": theta, "dim": op.dim, "seed": seed},
+        tolerances={"absolute": 1e-5}, node_counts={},
+        outputs={"rho": rho, "theta": theta, "error": err},
+        passed=err <= 1e-5,
+    ), []
+
+
+def _maxreg(cfg, seed, out_dir):
+    op = _load_operator(cfg, seed=seed)
+    tau = float(cfg.get("tau", 1.0))
+    p = float(cfg.get("p", 2.0))
+    nt = int(cfg.get("nt", 512))
+    rep = maxreg.maxreg_constant(op, maxreg.TimeGrid(tau, nt, p=p))
+    outputs = rep.to_dict()
+    paths = []
+    if cfg.get("sweep_p"):
+        sweep = maxreg.p_independence_probe(op, tau, nt)
+        outputs["p_sweep"] = {k: sweep[k] for k in ("p_values", "constants_fprime", "spread")}
+    if cfg.get("refine"):
+        fine = maxreg.maxreg_constant(op, maxreg.TimeGrid(tau, 2 * nt, p=p))
+        outputs["refined_constant_fprime"] = fine.constant_fprime
+        paths.append(_write_csv(cfg, out_dir, "N_t,constant_fprime,constant_Af", [
+            (N, r.constant_fprime, r.constant_Af) for N, r in ((nt, rep), (2 * nt, fine))]))
+    return CertificateReport(
+        operation="maxreg",
+        inputs={"tau": tau, "p": p, "nt": nt, "dim": op.dim, "seed": seed},
+        tolerances={}, node_counts={"N_t": nt},
+        outputs=outputs,
+        passed=True,
+    ), paths
+
+
+def _sweep(cfg, seed, out_dir):
+    kind = cfg.get("kind", "maxreg-laplacian")
+    if kind != "maxreg-laplacian":
+        raise ConfigInvalid(f"unknown sweep kind {kind!r}")
+    sizes = [int(s) for s in cfg.get("sizes", [8, 16, 32])]
+    tau = float(cfg.get("tau", 1.0))
+    p = float(cfg.get("p", 2.0))
+    nt = int(cfg.get("nt", 256))
+    rows = []
+    for m in sizes:
+        op = generate("laplacian-1d", m=m, seed=seed)
+        rep = maxreg.maxreg_constant(op, maxreg.TimeGrid(tau, nt, p=p))
+        rows.append((m, rep.constant_fprime, rep.constant_Af))
+    csv_path = _write_csv(cfg, out_dir, "m,constant_fprime,constant_Af", rows)
+    return CertificateReport(
+        operation="maxreg-sweep",
+        inputs={"sizes": sizes, "tau": tau, "p": p, "nt": nt, "seed": seed},
+        tolerances={}, node_counts={"N_t": nt},
+        outputs={"constants_fprime": [r[1] for r in rows],
+                 "constants_Af": [r[2] for r in rows]},
+        passed=True,
+    ), [csv_path]
+
+
+PIPELINES = {"certify": _certify, "power": _power, "hinf": _hinf, "sum": _sum,
+             "t-sector": _tsector, "rep-check": _rep_check, "maxreg": _maxreg,
+             "sweep": _sweep}
+
+
+def run_config(cfg: dict, out_dir: str = ".") -> tuple[list[str], CertificateReport]:
+    """Validate a config, run its pipeline and write ``<out_prefix>.json``.
+
+    Returns (written paths, report); the report JSON comes first, then
+    any CSV the pipeline wrote.
+    """
+    cfg = validate_config(cfg)
+    seed = int(cfg.get("seed", DEFAULT_SEED))
+    os.makedirs(out_dir, exist_ok=True)
+    report, extra = PIPELINES[cfg["pipeline"]](cfg, seed, out_dir)
+    json_path = os.path.join(out_dir, f"{cfg.get('out_prefix', cfg['pipeline'])}.json")
+    report.save(json_path)
+    return [json_path, *extra], report
 
 
 def run_experiment(config_path: str, out_dir: str = ".") -> tuple[list[str], bool]:
-    """Execute a config; write report JSON (and CSV for sweeps).
+    """Execute a config file; write report JSON (and CSV for sweeps).
 
     Returns (written paths, all passed).  Config errors raise
     ConfigInvalid; numerical failures surface as passed=False.
@@ -194,177 +389,5 @@ def run_experiment(config_path: str, out_dir: str = ".") -> tuple[list[str], boo
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigInvalid(f"cannot read config {config_path}: {exc}") from exc
-    cfg = validate_config(cfg)
-    seed = int(cfg.get("seed", DEFAULT_SEED))
-    prefix = cfg.get("out_prefix", cfg["pipeline"])
-    os.makedirs(out_dir, exist_ok=True)
-    paths: list[str] = []
-
-    pipeline = cfg["pipeline"]
-    if pipeline == "certify":
-        theta = float(cfg["theta"])
-        sampling = SectorSampling(**cfg.get("sampling", {}))
-        op = _load_operator(cfg, theta=theta, seed=seed)
-        k_hat = certify_sector(op, theta, sampling)
-        report = CertificateReport(
-            operation="certify-sector",
-            inputs={"theta": theta, "sampling": sampling.to_dict(), "seed": seed,
-                    "dim": op.dim},
-            tolerances={},
-            node_counts={"samples": len(sampling.points(theta))},
-            outputs={"K_hat": k_hat},
-            passed=True,
-        )
-    elif pipeline == "power":
-        op = _load_operator(cfg, seed=seed)
-        z = complex(float(cfg.get("re", -0.5)), float(cfg.get("im", 0.0)))
-        value, info = calculus.complex_power(op, z, with_info=True)
-        report = CertificateReport(
-            operation="complex-power",
-            inputs={"z": z, "dim": op.dim, "seed": seed},
-            tolerances={"tail": 1e-9},
-            node_counts={"contour": info.n_nodes if info else 0},
-            outputs={
-                "norm": linops.operator_norm(value),
-                "tail_estimate": info.tail_estimate if info else 0.0,
-            },
-            passed=True,
-        )
-    elif pipeline == "hinf":
-        theta = float(cfg.get("theta", np.pi / 2))
-        op = _load_operator(cfg, theta=min(0.95 * np.pi, theta + 0.3), seed=seed)
-        registry = calculus.builtin_symbols(theta)
-        name = cfg.get("symbol", "cayley-squared")
-        if name not in registry:
-            raise ConfigInvalid(f"unknown symbol {name!r}; builtins: {sorted(registry)}")
-        sym = registry[name]
-        value = calculus.hinf_apply(sym, op)
-        report = CertificateReport(
-            operation="hinf-apply",
-            inputs={"symbol": name, "theta": theta, "dim": op.dim, "seed": seed},
-            tolerances={"tail": 1e-9},
-            node_counts={},
-            outputs={"norm": linops.operator_norm(value)},
-            passed=True,
-        )
-    elif pipeline == "sum":
-        theta_a = cfg.get("theta_a")
-        theta_b = cfg.get("theta_b")
-        A = _load_operator(cfg, "matrix_a", "recipe_a",
-                           theta=float(theta_a) if theta_a else None, seed=seed)
-        B = _load_operator(cfg, "matrix_b", "recipe_b",
-                           theta=float(theta_b) if theta_b else None, seed=seed + 1)
-        pair = sums.CommutingPair(A, B)
-        K = sums.sum_inverse(pair)
-        direct = np.linalg.inv(A.matrix + B.matrix)
-        err = linops.operator_norm(K - direct) / max(linops.operator_norm(direct), 1e-300)
-        outputs = {"relative_error_vs_direct": err}
-        passed = err <= 1e-6
-        if cfg.get("check_identities"):
-            wre, wim = cfg["check_identities"]
-            _, _, dl = sums.weighted_identity_left(pair, complex(wre, wim))
-            _, _, dr = sums.weighted_identity_right(pair, complex(wre, wim))
-            outputs["identity_left_diff"] = dl
-            outputs["identity_right_diff"] = dr
-            passed = passed and dl <= 1e-6 and dr <= 1e-6
-        if cfg.get("certify"):
-            cert = sums.closedness_certificate(pair)
-            outputs["C_AB"] = cert.C_AB
-            outputs["residual_K"] = cert.residual_K
-            outputs["theta_values"] = list(cert.theta_values)
-        report = CertificateReport(
-            operation="sum-inverse",
-            inputs={"dim": pair.dim, "theta_a": A.angle(), "theta_b": B.angle(),
-                    "seed": seed},
-            tolerances={"relative": 1e-6},
-            node_counts={},
-            outputs=outputs,
-            passed=bool(passed),
-        )
-    elif pipeline == "t-sector":
-        op = _load_operator(cfg, seed=seed)
-        phi = float(cfg.get("phi", 0.0))
-        r = float(cfg.get("r", 1.0))
-        p = float(cfg.get("p", 2.0))
-        n = int(cfg.get("n", 1))
-        N_t = int(cfg.get("N_t", 256))
-        rng = np.random.default_rng(seed)
-        xs = [rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-              for _ in range(n + 1)]
-        fam = tsector.MultiplierFamily(kind=cfg.get("family", "pure-harmonics"))
-        rep = tsector.witness_search(op, phi, r, xs, p, fam, N_t)
-        report = CertificateReport(
-            operation="t-sector",
-            inputs={"phi": phi, "r": r, "p": p, "n": n, "N_t": N_t,
-                    "family": fam.kind, "dim": op.dim, "seed": seed},
-            tolerances={},
-            node_counts={"N_t": N_t},
-            outputs=rep.to_dict(),
-            passed=True,
-        )
-    elif pipeline == "maxreg":
-        op = _load_operator(cfg, seed=seed)
-        tau = float(cfg.get("tau", 1.0))
-        p = float(cfg.get("p", 2.0))
-        nt = int(cfg.get("nt", 512))
-        grid = maxreg.TimeGrid(tau, nt, p=p)
-        rep = maxreg.maxreg_constant(op, grid)
-        outputs = rep.to_dict()
-        if cfg.get("sweep_p"):
-            sweep = maxreg.p_independence_probe(op, tau, nt)
-            outputs["p_sweep"] = {
-                "p_values": sweep["p_values"],
-                "constants_fprime": sweep["constants_fprime"],
-                "spread": sweep["spread"],
-            }
-        if cfg.get("refine"):
-            fine = maxreg.maxreg_constant(op, maxreg.TimeGrid(tau, 2 * nt, p=p))
-            outputs["refined_constant_fprime"] = fine.constant_fprime
-            csv_path = os.path.join(out_dir, f"{prefix}.csv")
-            with open(csv_path, "w") as fh:
-                fh.write("N_t,constant_fprime,constant_Af\n")
-                for N, r in ((nt, rep), (2 * nt, fine)):
-                    fh.write(f"{N},{format(r.constant_fprime, '.17g')},"
-                             f"{format(r.constant_Af, '.17g')}\n")
-            paths.append(csv_path)
-        report = CertificateReport(
-            operation="maxreg",
-            inputs={"tau": tau, "p": p, "nt": nt, "dim": op.dim, "seed": seed},
-            tolerances={},
-            node_counts={"N_t": nt},
-            outputs=outputs,
-            passed=True,
-        )
-    else:  # sweep
-        kind = cfg.get("kind", "maxreg-laplacian")
-        if kind != "maxreg-laplacian":
-            raise ConfigInvalid(f"unknown sweep kind {kind!r}")
-        sizes = [int(s) for s in cfg.get("sizes", [8, 16, 32])]
-        tau = float(cfg.get("tau", 1.0))
-        p = float(cfg.get("p", 2.0))
-        nt = int(cfg.get("nt", 256))
-        rows = []
-        for m in sizes:
-            op = generate("laplacian-1d", m=m, seed=seed)
-            rep = maxreg.maxreg_constant(op, maxreg.TimeGrid(tau, nt, p=p))
-            rows.append((m, rep.constant_fprime, rep.constant_Af))
-        csv_path = os.path.join(out_dir, f"{prefix}.csv")
-        with open(csv_path, "w") as fh:
-            fh.write("m,constant_fprime,constant_Af\n")
-            for m, cf, ca in rows:
-                fh.write(f"{m},{format(cf, '.17g')},{format(ca, '.17g')}\n")
-        paths.append(csv_path)
-        report = CertificateReport(
-            operation="maxreg-sweep",
-            inputs={"sizes": sizes, "tau": tau, "p": p, "nt": nt, "seed": seed},
-            tolerances={},
-            node_counts={"N_t": nt},
-            outputs={"constants_fprime": [r[1] for r in rows],
-                     "constants_Af": [r[2] for r in rows]},
-            passed=True,
-        )
-
-    json_path = os.path.join(out_dir, f"{prefix}.json")
-    report.save(json_path)
-    paths.insert(0, json_path)
+    paths, report = run_config(cfg, out_dir)
     return paths, report.passed

@@ -157,7 +157,7 @@ def matrix_exp(M) -> np.ndarray:
 def _format_entry(v: complex) -> str:
     re_s = format(v.real, ".17g")
     im = v.imag
-    sign = "+" if (im >= 0 or np.isnan(im)) else "-"
+    sign = "-" if np.signbit(im) else "+"
     return f"{re_s}{sign}{format(abs(im), '.17g')}i"
 
 

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sectorsum
 from sectorsum import CertificateReport, generate, report_diff, run_experiment
 from sectorsum.cli import main as cli_main
 from sectorsum.errors import ConfigInvalid, IncompatibleReports, InvalidRecipe
@@ -140,10 +144,13 @@ def test_cli_certify_and_power(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["outputs"]["K_hat"] >= 1.0
 
-    rc = cli_main(["power", "--matrix", str(mpath), "--re", "-0.5"])
+    rc = cli_main(["--out", str(tmp_path), "power", "--matrix", str(mpath), "--re", "-0.5"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["norm"] == pytest.approx(1.0, abs=1e-7)
+    # plain complex literals, "(a+bj)"
+    X = np.array([[complex(v) for v in row] for row in out["matrix"]])
+    assert np.allclose(X, np.diag([1.0, 0.5]), atol=1e-7)
 
 
 def test_cli_sum_inverse(tmp_path, capsys):
@@ -183,7 +190,7 @@ def test_cli_report_diff(tmp_path, capsys):
 def test_cli_hilbert_symbol_unknown(tmp_path, capsys):
     mpath = tmp_path / "m.csv"
     write_matrix(mpath, np.diag([1.0]).astype(complex))
-    rc = cli_main(["hinf", "--matrix", str(mpath), "--symbol", "nope"])
+    rc = cli_main(["--out", str(tmp_path), "hinf", "--matrix", str(mpath), "--symbol", "nope"])
     assert rc == 2
     capsys.readouterr()
 
@@ -191,18 +198,19 @@ def test_cli_hilbert_symbol_unknown(tmp_path, capsys):
 def test_cli_tsector_and_repcheck_and_maxreg(tmp_path, capsys):
     mpath = tmp_path / "m.csv"
     write_matrix(mpath, np.diag([1.0, 2.0]).astype(complex))
-    rc = cli_main(["t-sector", "--matrix", str(mpath), "--n", "1", "--p", "2"])
+    rc = cli_main(["--out", str(tmp_path), "t-sector", "--matrix", str(mpath), "--n", "1",
+                   "--p", "2"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["C_hat"] > 0
 
-    rc = cli_main(["rep-check", "--matrix", str(mpath), "--rho", "1.0",
+    rc = cli_main(["--out", str(tmp_path), "rep-check", "--matrix", str(mpath), "--rho", "1.0",
                    "--theta", "0.5"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["error"] <= 1e-5
 
-    rc = cli_main(["maxreg", "--matrix", str(mpath), "--nt", "64"])
+    rc = cli_main(["--out", str(tmp_path), "maxreg", "--matrix", str(mpath), "--nt", "64"])
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert np.isfinite(out["constant_fprime"])
@@ -217,3 +225,105 @@ def test_cli_maxreg_refine_writes_csv(tmp_path):
     assert ok
     csvs = [p for p in paths if p.endswith(".csv")]
     assert csvs and open(csvs[0]).readline().startswith("N_t,")
+
+
+def _write_config(path, cfg):
+    path.write_text(json.dumps({"schema_version": 1, **cfg}))
+    return str(path)
+
+
+def test_run_sum_commuting_pair_passes(tmp_path, capsys):
+    # A and B of a commuting-pair share the seeded basis only when both
+    # sides are built from the same seed
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "pipeline": "sum", "seed": 12345,
+        "recipe_a": {"kind": "commuting-pair", "role": "a", "n": 4},
+        "recipe_b": {"kind": "commuting-pair", "role": "b", "n": 4}})
+    assert cli_main(["--out", str(tmp_path), "run", "--config", cfg]) == 0
+    capsys.readouterr()
+    assert CertificateReport.load(tmp_path / "sum.json").passed
+
+
+def test_run_sum_honours_zero_angle(tmp_path):
+    # theta_a = 0 certifies A at angle 0, so the pair's angle sum falls
+    # below pi instead of A silently taking its recipe's default angle
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "pipeline": "sum", "theta_a": 0.0,
+        "recipe_a": {"kind": "diag-positive", "entries": [1.0, 2.0]},
+        "recipe_b": {"kind": "diag-positive", "entries": [3.0, 4.0]}})
+    with pytest.raises(ValueError, match="theta_A"):
+        run_experiment(cfg, str(tmp_path))
+
+
+@pytest.mark.parametrize("content", [None, "2\n1+0i,0+0i\n0+0i,two+0i\n"],
+                         ids=["missing", "malformed"])
+def test_cli_bad_matrix_file_exits_2(tmp_path, capsys, content):
+    mpath = tmp_path / "m.csv"
+    if content is not None:
+        mpath.write_text(content)
+    rc = cli_main(["--out", str(tmp_path), "certify-sector", "--matrix", str(mpath),
+                   "--theta", "1.0"])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+TWINS = [
+    (["certify-sector", "--matrix", "m.csv", "--theta", "1.0", "--rays", "8", "--arc", "3"],
+     {"pipeline": "certify", "matrix": "m.csv", "theta": 1.0,
+      "sampling": {"n_boundary": 8, "n_angles": 3}}),
+    (["power", "--matrix", "m.csv", "--re", "-0.5", "--im", "0.25"],
+     {"pipeline": "power", "matrix": "m.csv", "re": -0.5, "im": 0.25}),
+    (["hinf", "--matrix", "m.csv", "--symbol", "rational-eta"],
+     {"pipeline": "hinf", "matrix": "m.csv", "symbol": "rational-eta"}),
+    (["sum-inverse", "--matrix-a", "m.csv", "--matrix-b", "b.csv", "--theta-a", "2.7",
+      "--theta-b", "2.7"],
+     {"pipeline": "sum", "matrix_a": "m.csv", "matrix_b": "b.csv", "theta_a": 2.7,
+      "theta_b": 2.7}),
+    (["t-sector", "--matrix", "m.csv", "--phi", "0.3", "--n", "2"],
+     {"pipeline": "t-sector", "matrix": "m.csv", "phi": 0.3, "n": 2, "seed": 0}),
+    (["rep-check", "--matrix", "m.csv", "--rho", "1.0", "--theta", "0.5"],
+     {"pipeline": "rep-check", "matrix": "m.csv", "rho": 1.0, "theta": 0.5}),
+    (["maxreg", "--matrix", "m.csv", "--nt", "64"],
+     {"pipeline": "maxreg", "matrix": "m.csv", "nt": 64}),
+]
+
+
+@pytest.mark.parametrize("direct,cfg", TWINS, ids=[t[0][0] for t in TWINS])
+def test_cli_direct_matches_run_config(tmp_path, capsys, monkeypatch, direct, cfg):
+    monkeypatch.chdir(tmp_path)
+    write_matrix("m.csv", np.diag([1.0, 2.0]).astype(complex))
+    write_matrix("b.csv", np.diag([3.0, 4.0]).astype(complex))
+    assert cli_main(["--out", "direct", *direct]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert cli_main(["--out", "run", "run", "--config",
+                     _write_config(tmp_path / "cfg.json", cfg)]) == 0
+    capsys.readouterr()
+    mine = CertificateReport.load(os.path.join("direct", f"{direct[0]}.json"))
+    twin = CertificateReport.load(os.path.join("run", f"{cfg['pipeline']}.json"))
+    assert mine.outputs == twin.outputs
+    assert printed.get("outputs", printed) == mine.outputs
+
+
+def test_sectorsum_threads_caps_blas_on_import():
+    # numpy's OpenBLAS reports its pool size through this symbol
+    probe = (
+        "import ctypes, sectorsum\n"
+        "with open('/proc/self/maps') as fh:\n"
+        "    libs = sorted({ln.split()[-1] for ln in fh if 'openblas' in ln.lower() and '/' in ln})\n"
+        "fns = [getattr(ctypes.CDLL(p), 'scipy_openblas_get_num_threads64_', None) for p in libs]\n"
+        "fns = [f for f in fns if f is not None]\n"
+        "for f in fns:\n"
+        "    f.restype, f.argtypes = ctypes.c_int, []\n"
+        "print(fns[0]() if fns else -1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(sectorsum.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["SECTORSUM_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    threads = int(proc.stdout)
+    if threads < 0:
+        pytest.skip("numpy's OpenBLAS exposes no thread-count symbol")
+    assert threads == 1

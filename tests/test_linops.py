@@ -103,10 +103,14 @@ def test_matrix_csv_roundtrip_bit_exact(tmp_path):
     M = rng.standard_normal((5, 5)) * 10.0 ** rng.integers(-12, 12, (5, 5))
     M = M + 1j * rng.standard_normal((5, 5)) * 1e-7
     M[0, 0] = 1.5 - 0.25j
+    # signed zeros in both parts; array_equal alone treats -0.0 == 0.0
+    M[1, 1], M[2, 2], M[3, 3] = complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)
     path = tmp_path / "m.csv"
     linops.write_matrix(path, M)
     M2 = linops.read_matrix(path)
     assert np.array_equal(M, M2)
+    assert np.array_equal(np.signbit(M2.real), np.signbit(M.real))
+    assert np.array_equal(np.signbit(M2.imag), np.signbit(M.imag))
 
 
 def test_matrix_csv_rejects_bad_rows(tmp_path):
