@@ -14,7 +14,7 @@ if _os.environ.get("SECTORSUM_THREADS"):  # OpenBLAS sizes its pools as numpy lo
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _os.environ["SECTORSUM_THREADS"])
 
-from .contour import ContourSpec, QuadNode, build_nodes, dunford, pv_integral
+from .contour import ContourSpec, build_nodes, dunford, pv_integral
 from .calculus import (
     BipFit,
     HolomorphicSymbol,

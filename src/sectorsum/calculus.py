@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import linops
-from .contour import ContourSpec, dunford, tail_radius
+from .contour import ContourSpec, dunford, gauss_panels, tail_radius
 from .errors import ClassViolated
 from .sector import MatrixOperator
 
@@ -132,15 +131,7 @@ class ImaginaryPowerFamily:
         S = span or (scale + np.log(1.0 / tol) + 2.0)
         width = min(0.8, 6.0 / max(t_max, 1.0))
         n_panel = int(np.ceil(2.0 * S / width))
-        q = 10
-        xg, wg = leggauss(q)
-        edges = np.linspace(-S, S, n_panel + 1)
-        s_nodes, s_weights = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            s_nodes.append(0.5 * (b + a) + 0.5 * (b - a) * xg)
-            s_weights.append(0.5 * (b - a) * wg)
-        self.s = np.concatenate(s_nodes)
-        self.w = np.concatenate(s_weights)
+        self.s, self.w = gauss_panels(np.linspace(-S, S, n_panel + 1), 10)
         self.t_max = t_max
         lam = np.exp(self.s)
         mats = np.empty((len(self.s), A.dim, A.dim), dtype=complex)

@@ -13,13 +13,16 @@ spectral points with a + sign, which is the convention every formula
 in this package assumes.  Node weights absorb the path derivative and
 the 1/(2 pi i) prefactor.
 
-Ray quadrature uses composite Gauss-Legendre panels on a radially
-graded mesh: panel widths are uniform in log r across a caller-supplied
-"focus" window (where the integrand's poles live) and coarsen
-geometrically with ratio 2 toward both endpoints 0 and R.  Endpoint
-power behavior |lambda|^w is handled by the grading; truncation at R is
-estimated from the outermost panel mass and the integrand's configured
-decay exponent.
+Every Gauss-Legendre sum in the package (contours, principal values,
+the imaginary-power s-grid, the representation kernels and the e-adic
+panels) takes its nodes from gauss_panels(edges, q), the one place
+Legendre nodes are mapped onto panels.  Ray quadrature uses it on a
+radially graded mesh: panel widths are uniform in log r across a
+caller-supplied "focus" window (where the integrand's poles live) and
+coarsen geometrically with ratio 2 toward both endpoints 0 and R.
+Endpoint power behavior |lambda|^w is handled by the grading; truncation
+at R is estimated from the outermost panel mass and the integrand's
+configured decay exponent.
 """
 
 from __future__ import annotations
@@ -118,14 +121,6 @@ class ContourSpec:
         }
 
 
-@dataclass(frozen=True)
-class QuadNode:
-    """A contour point and its weight (path derivative and 1/(2 pi i) included)."""
-
-    lam: complex
-    weight: complex
-
-
 #: widest admitted log-radial panel; keeps exponential-in-log integrands
 #: resolvable by the default panel order
 MAX_PANEL_WIDTH = 2.8
@@ -173,8 +168,20 @@ def _graded_edges(r_inner: float, R: float, focus, breaks) -> np.ndarray:
     return r_edges
 
 
-def build_nodes(spec: ContourSpec) -> list[QuadNode]:
-    """Quadrature nodes for the contour, arc first, then the graded rays.
+def gauss_panels(edges, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite q-point Gauss-Legendre nodes and weights on the
+    consecutive panels [edges[i], edges[i+1]], panel by panel in order."""
+    xg, wg = leggauss(q)
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1, None], edges[1:, None]
+    x = 0.5 * (b + a) + 0.5 * (b - a) * xg
+    w = 0.5 * (b - a) * wg
+    return x.reshape(-1), w.reshape(-1)
+
+
+def build_nodes(spec: ContourSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda, weight) arrays for the contour: arc first, then the stub
+    panel, then per graded panel the upper ray and the lower ray.
 
     Weights carry the positive-orientation signs (lower ray inward, arc
     with decreasing angle, upper ray outward) and the 1/(2 pi i) factor;
@@ -184,13 +191,12 @@ def build_nodes(spec: ContourSpec) -> list[QuadNode]:
     w_parts: list[np.ndarray] = []
 
     if spec.rho > 0 and spec.n_arc > 0:
-        xg, wg = leggauss(spec.n_arc)
         half = np.pi - spec.theta
-        phi = np.pi + half * xg
-        lam = spec.rho * np.exp(1j * phi)
+        x, w = gauss_panels([-half, half], spec.n_arc)
+        lam = spec.rho * np.exp(1j * (np.pi + x))
         lam_parts.append(lam)
         # d lambda = i rho e^{i phi} d phi, traversed with phi decreasing
-        w_parts.append(-half * wg * 1j * lam / _TWO_PI_I)
+        w_parts.append(-w * 1j * lam / _TWO_PI_I)
 
     if spec.R > spec.rho:
         r_inner = spec.rho
@@ -199,39 +205,32 @@ def build_nodes(spec: ContourSpec) -> list[QuadNode]:
             r_inner = spec.r_floor or min(1.0, spec.R) * DEFAULT_FLOOR_EXP
             stub = (0.0, r_inner)
         edges = _graded_edges(r_inner, spec.R, spec.focus, spec.breaks)
-        panels = list(zip(edges[:-1], edges[1:]))
+        n_panels = len(edges) - 1
         q = DEFAULT_PANEL_ORDER
         if spec.n_ray:
-            q = max(2, int(round(spec.n_ray / (len(panels) + (stub is not None)))))
-        xg, wg = leggauss(q)
+            q = max(2, int(round(spec.n_ray / (n_panels + (stub is not None)))))
         up = np.exp(1j * spec.theta)
         dn = np.exp(-1j * spec.theta)
         if stub is not None:
             # innermost stub [0, r_floor], mapped linearly (integrable
             # endpoint power, tiny absolute mass)
-            a, b = stub
-            r = 0.5 * (b + a) + 0.5 * (b - a) * xg
-            w = 0.5 * (b - a) * wg
-            lam_parts.append(r * up)
-            w_parts.append(w * up / _TWO_PI_I)
-            lam_parts.append(r * dn)
-            w_parts.append(-w * dn / _TWO_PI_I)
-        for a, b in panels:
-            # Gauss nodes in log radius: dr = r ds
-            sa, sb = np.log(a), np.log(b)
-            s = 0.5 * (sb + sa) + 0.5 * (sb - sa) * xg
-            r = np.exp(s)
-            w = 0.5 * (sb - sa) * wg * r
-            lam_parts.append(r * up)
-            w_parts.append(w * up / _TWO_PI_I)       # upper ray outward
-            lam_parts.append(r * dn)
-            w_parts.append(-w * dn / _TWO_PI_I)      # lower ray inward
+            r, w = gauss_panels(stub, q)
+            lam_parts += [r * up, r * dn]
+            w_parts += [w * up / _TWO_PI_I, -w * dn / _TWO_PI_I]
+        # Gauss nodes in log radius: dr = r ds
+        s, ws = gauss_panels(np.log(edges), q)
+        r = np.exp(s).reshape(n_panels, 1, q)
+        w = ws.reshape(n_panels, 1, q) * r
+        # per panel: upper ray outward, then lower ray inward
+        lam_parts.append(np.concatenate([r * up, r * dn], axis=1).reshape(-1))
+        w_parts.append(np.concatenate([w * up / _TWO_PI_I, -w * dn / _TWO_PI_I],
+                                      axis=1).reshape(-1))
 
     lam = np.concatenate(lam_parts) + spec.delta
     w = np.concatenate(w_parts)
     if spec.orientation == "negated":
         w = -w
-    return [QuadNode(complex(l), complex(c)) for l, c in zip(lam, w)]
+    return lam, w
 
 
 @dataclass
@@ -242,14 +241,6 @@ class DunfordResult:
     tail_estimate: float
     n_nodes: int
     last_panel_mass: float
-
-
-def node_arrays(spec: ContourSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda, weight) arrays for vectorized scalar integrands."""
-    nodes = build_nodes(spec)
-    lam = np.array([n.lam for n in nodes])
-    w = np.array([n.weight for n in nodes])
-    return lam, w
 
 
 def dunford(
@@ -273,19 +264,20 @@ def dunford(
         If given, raise TruncationNotConverged when the tail estimate
         exceeds it.
     """
-    nodes = build_nodes(spec)
+    lam, w = build_nodes(spec)
     acc = None
     # outermost ray panel mass, estimated from the nodes with the largest
     # radii (one panel's worth on each ray)
-    radii = np.array([abs(n.lam - spec.delta) for n in nodes])
-    order = np.argsort(radii)
-    tail_count = min(len(nodes), 2 * DEFAULT_PANEL_ORDER)
-    tail_idx = set(order[-tail_count:].tolist())
+    order = np.argsort(np.abs(lam - spec.delta))
+    in_tail = np.zeros(len(lam), dtype=bool)
+    in_tail[order[-min(len(lam), 2 * DEFAULT_PANEL_ORDER):]] = True
     last_mass = 0.0
-    for i, nd in enumerate(nodes):
-        term = np.asarray(integrand(nd.lam), dtype=complex) * nd.weight
+    # Python complex nodes: integrands raise them to complex powers, and
+    # complex ** differs from numpy's complex128 ** in the last bits
+    for l, wt, tail in zip(lam.tolist(), w.tolist(), in_tail.tolist()):
+        term = np.asarray(integrand(l), dtype=complex) * wt
         acc = term if acc is None else acc + term
-        if i in tail_idx:
+        if tail:
             last_mass += float(np.linalg.norm(term.reshape(-1)))
     ratio = 2.0 ** max(decay_exponent, 1e-3)
     tail = last_mass / max(ratio - 1.0, 1e-3)
@@ -294,7 +286,7 @@ def dunford(
             f"tail estimate {tail:.3e} exceeds tol_tail {tol_tail:.3e} "
             f"(R={spec.R:.3e}, decay exponent {decay_exponent})"
         )
-    return DunfordResult(acc, tail, len(nodes), last_mass)
+    return DunfordResult(acc, tail, len(lam), last_mass)
 
 
 def tail_radius(decay_exponent: float, magnitude: float, tol: float) -> float:
@@ -336,7 +328,6 @@ def pv_integral(
     n_panels = max(8, int(np.ceil(cutoff)))
     edges = np.linspace(0.0, cutoff, n_panels + 1)
     q = int(np.clip(round(n_nodes / n_panels), 4, 16))
-    xg, wg = leggauss(q)
 
     # odd-part consistency: s*kernel(s) and -s*kernel(-s) must share the
     # limit at 0.  At finite s they differ by O(s) from the regular part,
@@ -354,11 +345,8 @@ def pv_integral(
         )
 
     acc = None
-    for a, b in zip(edges[:-1], edges[1:]):
-        s = 0.5 * (b + a) + 0.5 * (b - a) * xg
-        w = 0.5 * (b - a) * wg
-        for si, wi in zip(s, w):
-            term = wi * (np.asarray(kernel(si), dtype=complex)
-                         + np.asarray(kernel(-si), dtype=complex))
-            acc = term if acc is None else acc + term
+    for si, wi in zip(*gauss_panels(edges, q)):
+        term = wi * (np.asarray(kernel(si), dtype=complex)
+                     + np.asarray(kernel(-si), dtype=complex))
+        acc = term if acc is None else acc + term
     return acc

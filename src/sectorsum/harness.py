@@ -10,12 +10,14 @@ subcommands both go through :func:`run_config`.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
 import numpy as np
 
 from . import calculus, linops, maxreg, sums, tsector
+from .contour import build_nodes
 from .errors import ConfigInvalid, InvalidRecipe
 from .reports import CertificateReport
 from .sector import MatrixOperator, SectorSampling, certify_sector
@@ -190,9 +192,21 @@ def _write_csv(cfg: dict, out_dir: str, header: str, rows) -> str:
 # each is fn(cfg, seed, out_dir) -> (report, extra written paths)
 
 
+_SAMPLING_KEYS = {f.name for f in dataclasses.fields(SectorSampling)}
+
+
 def _certify(cfg, seed, out_dir):
     theta = float(cfg["theta"])
-    sampling = SectorSampling(**cfg.get("sampling", {}))
+    raw = cfg.get("sampling", {})
+    if not isinstance(raw, dict):
+        raise ConfigInvalid("sampling must be a JSON object")
+    unknown = set(raw) - _SAMPLING_KEYS
+    if unknown:
+        raise ConfigInvalid(f"unknown sampling fields: {sorted(unknown)}")
+    try:
+        sampling = SectorSampling(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"invalid sampling: {exc}") from exc
     op = _load_operator(cfg, theta=theta, seed=seed, sampling=sampling)
     return CertificateReport(
         operation="certify-sector",
@@ -227,11 +241,14 @@ def _hinf(cfg, seed, out_dir):
     name = cfg["symbol"]
     if name not in registry:
         raise ConfigInvalid(f"unknown symbol {name!r}; builtins: {sorted(registry)}")
-    value = calculus.hinf_apply(registry[name], op)
+    symbol = registry[name]
+    # hinf_apply's own default contour, built here so its size is recorded
+    spec = calculus.hinf_contour(symbol, op)
+    value = calculus.hinf_apply(symbol, op, spec=spec)
     return CertificateReport(
         operation="hinf-apply",
         inputs={"symbol": name, "theta": theta, "dim": op.dim, "seed": seed},
-        tolerances={"tail": 1e-9}, node_counts={},
+        tolerances={"tail": 1e-9}, node_counts={"contour": len(build_nodes(spec)[0])},
         outputs={"norm": linops.operator_norm(value)},
         passed=True,
     ), []
@@ -243,7 +260,10 @@ def _sum(cfg, seed, out_dir):
     A = _load_operator(cfg, "matrix_a", "recipe_a", theta=cfg.get("theta_a"), seed=seed)
     B = _load_operator(cfg, "matrix_b", "recipe_b", theta=cfg.get("theta_b"), seed=seed)
     pair = sums.CommutingPair(A, B)
-    K = sums.sum_inverse(pair)
+    # sum_inverse's own default contour, built here so its size is recorded
+    tol = 1e-6
+    spec = sums.sum_contour(pair, tol=0.01 * tol)
+    K = sums.sum_inverse(pair, spec, tol=tol)
     direct = np.linalg.inv(A.matrix + B.matrix)
     err = linops.operator_norm(K - direct) / max(linops.operator_norm(direct), 1e-300)
     outputs = {"relative_error_vs_direct": err}
@@ -263,7 +283,7 @@ def _sum(cfg, seed, out_dir):
     return CertificateReport(
         operation="sum-inverse",
         inputs={"dim": pair.dim, "theta_a": A.angle(), "theta_b": B.angle(), "seed": seed},
-        tolerances={"relative": 1e-6}, node_counts={},
+        tolerances={"relative": 1e-6}, node_counts={"contour": len(build_nodes(spec)[0])},
         outputs=outputs,
         passed=bool(passed),
     ), []

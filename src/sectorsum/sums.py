@@ -28,11 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import linops
 from .calculus import complex_power, fractional_power
-from .contour import ContourSpec, dunford, tail_radius
+from .contour import ContourSpec, build_nodes, dunford, gauss_panels, tail_radius
 from .errors import SingularShift, TruncationNotConverged
 from .sector import MatrixOperator
 
@@ -127,11 +126,8 @@ def sum_contour(
 
 def _prewalk(pair: CommutingPair, spec: ContourSpec, stride: int = 8) -> None:
     """Cheap contour walk verifying both factors resolve on sample nodes."""
-    from .contour import build_nodes
-
-    nodes = build_nodes(spec)
-    for nd in nodes[::stride]:
-        z = nd.lam
+    lam, _ = build_nodes(spec)
+    for z in lam[::stride].tolist():
         try:
             linops.ShiftedFactorization(pair.B.matrix, z)
             linops.ShiftedFactorization(pair.A.matrix, -z)  # (A - z)
@@ -256,7 +252,8 @@ def weighted_identity_right(
 
 
 def _segment_spec(base: ContourSpec, r_lo: float, r_hi: float) -> ContourSpec:
-    # rho > 0 with n_arc = 0: a radial window of the rays, no arc
+    # rho = r_lo with n_arc = 0: a radial window of the rays, no arc (from
+    # the origin when r_lo = 0; every break is positive)
     breaks = tuple(b for b in base.breaks if r_lo < b < r_hi)
     return ContourSpec(
         rho=r_lo, theta=base.theta, R=r_hi, n_arc=0,
@@ -325,13 +322,7 @@ def split_integral_eval(
         if hi <= lo:
             pieces.append(np.zeros((pair.dim, pair.dim), dtype=complex))
             continue
-        if lo == 0.0:
-            seg = ContourSpec(
-                rho=0.0, theta=base.theta, R=hi, n_arc=0,
-                focus=base.focus, breaks=tuple(b for b in base.breaks if b < hi),
-            )
-        else:
-            seg = _segment_spec(base, lo, hi)
+        seg = _segment_spec(base, lo, hi)
         pieces.append(dunford(seg, integrand, decay_exponent=sigma).value)
     return tuple(pieces)
 
@@ -367,7 +358,6 @@ def eadic_middle_eval(
     sigma = theta + phi
     Bphi = fractional_power(pair.B, phi, tol=tol)
     Am, Bm = pair.A.matrix, pair.B.matrix
-    eye = np.eye(dim)
 
     c_plus = (
         np.exp(1j * tc)
@@ -384,31 +374,27 @@ def eadic_middle_eval(
 
     n_panel = max(3, n_x // 12)
     q = max(4, int(round(n_x / n_panel)))
-    xg, wg = leggauss(q)
-    edges = np.linspace(1.0, np.e, n_panel + 1)
 
     acc_plus = np.zeros((dim, dim), dtype=complex)
     acc_minus = np.zeros((dim, dim), dtype=complex)
-    for a, b in zip(edges[:-1], edges[1:]):
-        xs = 0.5 * (b + a) + 0.5 * (b - a) * xg
-        ws = 0.5 * (b - a) * wg
-        for x, wq in zip(xs, ws):
-            for k in range(n):
-                s = np.exp(-k) / x
-                scaled = (s ** phi) * Bphi
-                B_plus = np.linalg.solve(s * Bm + np.exp(1j * tc) * eye, scaled)
-                B_minus = np.linalg.solve(s * Bm + np.exp(-1j * tc) * eye, scaled)
-                common = (
-                    x ** (1.0 - theta + 1j * t)
-                    * np.exp((1.0 - theta) * k)
-                    * np.exp(1j * k * t)
-                    / x
-                    * wq
-                )
-                rp = np.linalg.solve(Am - x * np.exp(k) * np.exp(1j * tc) * eye, B_plus)
-                rm = np.linalg.solve(Am - x * np.exp(k) * np.exp(-1j * tc) * eye, B_minus)
-                acc_plus += common * np.exp(1j * tc) * rp
-                acc_minus += common * np.exp(-1j * tc) * rm
+    for x, wq in zip(*gauss_panels(np.linspace(1.0, np.e, n_panel + 1), q)):
+        for k in range(n):
+            s = np.exp(-k) / x
+            scaled = (s ** phi) * Bphi
+            # (s B + c)^{-1} = s^{-1} (B + c/s)^{-1}
+            B_plus = linops.ShiftedFactorization(Bm, np.exp(1j * tc) / s).solve(scaled) / s
+            B_minus = linops.ShiftedFactorization(Bm, np.exp(-1j * tc) / s).solve(scaled) / s
+            common = (
+                x ** (1.0 - theta + 1j * t)
+                * np.exp((1.0 - theta) * k)
+                * np.exp(1j * k * t)
+                / x
+                * wq
+            )
+            rp = linops.ShiftedFactorization(Am, -x * np.exp(k) * np.exp(1j * tc)).solve(B_plus)
+            rm = linops.ShiftedFactorization(Am, -x * np.exp(k) * np.exp(-1j * tc)).solve(B_minus)
+            acc_plus += common * np.exp(1j * tc) * rp
+            acc_minus += common * np.exp(-1j * tc) * rm
     return c_plus * acc_plus - c_minus * acc_minus
 
 

@@ -28,11 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import linops
 from .calculus import BipFit, ImaginaryPowerFamily, bip_fit
-from .contour import pv_integral
+from .contour import gauss_panels, pv_integral
 from .errors import AngleOutOfRange, DenominatorDegenerate, TruncationNotConverged
 from .maxreg import GridFunction, TimeGrid
 from .sector import MatrixOperator, certify_sector
@@ -326,17 +325,13 @@ def resolvent_rep_rotated(
     def kern(s):
         return np.pi * (np.exp(theta * s) - 1.0) / np.sinh(np.pi * s)
 
-    xg, wg = leggauss(10)
     width = 0.7
     edges = np.linspace(-S, S, max(4, int(np.ceil(2 * S / width))) + 1)
     corr = np.zeros_like(x)
-    for a, b in zip(edges[:-1], edges[1:]):
-        s_nodes = 0.5 * (b + a) + 0.5 * (b - a) * xg
-        w_nodes = 0.5 * (b - a) * wg
-        for s, w in zip(s_nodes, w_nodes):
-            factor = kern(s) if s != 0.0 else theta
-            op = fam.at(-s) * rho ** (-1j * s)
-            corr += w * factor * (op @ x)
+    for s, w in zip(*gauss_panels(edges, 10)):
+        factor = kern(s) if s != 0.0 else theta
+        op = fam.at(-s) * rho ** (-1j * s)
+        corr += w * factor * (op @ x)
     return base + corr / (2j * np.pi)
 
 
@@ -413,18 +408,14 @@ def bip_tsector_bound_assembly(
     def g1(s):
         return np.pi / np.sinh(np.pi * s) - (1.0 / s if abs(s) <= np.pi else 0.0)
 
-    xg, wg = leggauss(10)
     term1 = np.zeros((N_t, A.dim), dtype=complex)
-    seg_edges = np.concatenate([
+    seg_edges = np.unique(np.concatenate([
         np.linspace(-S, -np.pi, max(3, int((S - np.pi) / 0.7)) + 1),
         np.linspace(-np.pi, np.pi, 10),
         np.linspace(np.pi, S, max(3, int((S - np.pi) / 0.7)) + 1),
-    ])
-    seg_edges = np.unique(seg_edges)
-    for a, b in zip(seg_edges[:-1], seg_edges[1:]):
-        for sx, sw in zip(0.5 * (b + a) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg):
-            if sx == 0.0:
-                continue
+    ]))
+    for sx, sw in zip(*gauss_panels(seg_edges, 10)):
+        if sx != 0.0:
             term1 += sw * g1(sx) * harmonic_field(sx)
     term1 /= 2j * np.pi
 
@@ -438,11 +429,10 @@ def bip_tsector_bound_assembly(
     term4 = np.zeros((N_t, A.dim), dtype=complex)
     if theta != 0.0:
         edges4 = np.linspace(-S, S, max(6, int(np.ceil(2 * S / 0.7))) + 1)
-        for a, b in zip(edges4[:-1], edges4[1:]):
-            for sx, sw in zip(0.5 * (b + a) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg):
-                kern = np.pi * (np.exp(theta * sx) - 1.0) / np.sinh(np.pi * sx) \
-                    if sx != 0.0 else theta
-                term4 += sw * kern * harmonic_field(sx)
+        for sx, sw in zip(*gauss_panels(edges4, 10)):
+            kern = np.pi * (np.exp(theta * sx) - 1.0) / np.sinh(np.pi * sx) \
+                if sx != 0.0 else theta
+            term4 += sw * kern * harmonic_field(sx)
         term4 /= 2j * np.pi
 
     norms = [GridFunction(grid, tm).lp_norm(p) for tm in (term1, term2, term3, term4)]

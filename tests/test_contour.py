@@ -1,9 +1,19 @@
+import pathlib
+import re
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.special import sici
 
 from sectorsum import ContourSpec, build_nodes, dunford, pv_integral
-from sectorsum.contour import node_arrays, tail_radius
+from sectorsum.contour import (
+    DEFAULT_FLOOR_EXP,
+    DEFAULT_PANEL_ORDER,
+    _graded_edges,
+    gauss_panels,
+    tail_radius,
+)
 from sectorsum.errors import AsymmetryDetected, InvalidContour, TruncationNotConverged
 
 
@@ -22,22 +32,22 @@ def test_invalid_contours():
 
 def test_arc_only_degenerate_rays():
     spec = ContourSpec(rho=1.0, theta=np.pi / 2, R=1.0, n_arc=16)
-    nodes = build_nodes(spec)
-    assert len(nodes) == 16
-    phis = np.angle([n.lam for n in nodes]) % (2 * np.pi)
+    lam, w = build_nodes(spec)
+    assert lam.shape == w.shape == (16,)
+    phis = np.angle(lam) % (2 * np.pi)
     assert np.all((phis >= np.pi / 2 - 1e-12) & (phis <= 1.5 * np.pi + 1e-12))
 
 
 def test_rays_only_when_rho_zero():
     spec = ContourSpec(rho=0.0, theta=np.pi / 4, R=10.0, n_arc=0)
-    lam, _ = node_arrays(spec)
+    lam, _ = build_nodes(spec)
     assert np.allclose(np.abs(np.abs(np.angle(lam))) - np.pi / 4, 0.0, atol=1e-14)
     assert np.max(np.abs(lam)) <= 10.0 + 1e-12
 
 
 def test_nodes_lie_on_path():
     spec = ContourSpec(rho=0.3, theta=2 * np.pi / 3, R=50.0, n_arc=12, delta=-0.1)
-    lam, _ = node_arrays(spec)
+    lam, _ = build_nodes(spec)
     base = lam - spec.delta
     on_ray = np.abs(np.abs(np.angle(base)) - spec.theta) < 1e-14
     on_arc = np.abs(np.abs(base) - spec.rho) < 1e-14 * spec.rho
@@ -140,3 +150,90 @@ def test_pv_sine_integral_oracle():
 def test_pv_asymmetry_detected():
     with pytest.raises(AsymmetryDetected):
         pv_integral(lambda s: np.array([1.0 / abs(s)]), 10.0)
+
+
+# ------------------------------------------------------------ the one rule
+
+
+def test_gauss_panels_reduces_to_leggauss():
+    for q in (1, 4, 10, 17):
+        x, w = gauss_panels([-1.0, 1.0], q)
+        xg, wg = leggauss(q)
+        assert np.array_equal(x, xg) and np.array_equal(w, wg)
+
+
+def test_gauss_panels_exact_to_degree_2q_minus_1():
+    edges = np.array([-0.3, 0.1, 0.15, 1.0, 2.7])
+    for q in (2, 5, 10):
+        x, w = gauss_panels(edges, q)
+        assert x.shape == w.shape == (q * (len(edges) - 1),)
+        for deg in range(2 * q):
+            exact = (edges[-1] ** (deg + 1) - edges[0] ** (deg + 1)) / (deg + 1)
+            assert np.dot(w, x ** deg) == pytest.approx(exact, rel=1e-13, abs=1e-13)
+
+
+def _reference_nodes(spec):
+    """Per-panel loop over the path: arc, stub, then per graded panel the
+    upper ray and the lower ray."""
+    lam, w = [], []
+    if spec.rho > 0 and spec.n_arc > 0:
+        xg, wg = leggauss(spec.n_arc)
+        half = np.pi - spec.theta
+        for x, wx in zip(xg, wg):
+            l = spec.rho * np.exp(1j * (np.pi + half * x))
+            lam.append(l)
+            w.append(-half * wx * 1j * l / (2j * np.pi))
+    if spec.R > spec.rho:
+        r_inner, stub = spec.rho, None
+        if spec.rho == 0.0:
+            r_inner = spec.r_floor or min(1.0, spec.R) * DEFAULT_FLOOR_EXP
+            stub = (0.0, r_inner)
+        edges = _graded_edges(r_inner, spec.R, spec.focus, spec.breaks)
+        q = DEFAULT_PANEL_ORDER
+        if spec.n_ray:
+            q = max(2, int(round(spec.n_ray / (len(edges) - 1 + (stub is not None)))))
+        xg, wg = leggauss(q)
+        up, dn = np.exp(1j * spec.theta), np.exp(-1j * spec.theta)
+        if stub is not None:
+            a, b = stub
+            for sign, d in ((1.0, up), (-1.0, dn)):
+                for x, wx in zip(xg, wg):
+                    r = 0.5 * (b + a) + 0.5 * (b - a) * x
+                    lam.append(r * d)
+                    w.append(sign * (0.5 * (b - a) * wx) * d / (2j * np.pi))
+        for a, b in zip(edges[:-1], edges[1:]):
+            sa, sb = np.log(a), np.log(b)
+            for sign, d in ((1.0, up), (-1.0, dn)):
+                for x, wx in zip(xg, wg):
+                    r = np.exp(0.5 * (sb + sa) + 0.5 * (sb - sa) * x)
+                    lam.append(r * d)
+                    w.append(sign * (0.5 * (sb - sa) * wx * r) * d / (2j * np.pi))
+    lam = np.array(lam) + spec.delta
+    w = np.array(w)
+    return lam, (-w if spec.orientation == "negated" else w)
+
+
+@pytest.mark.parametrize("spec", [
+    ContourSpec(rho=1.0, theta=np.pi / 2, R=1.0, n_arc=16),
+    ContourSpec(rho=0.0, theta=2.0, R=1e4, n_arc=0, r_floor=1e-12, focus=(0.1, 3.0),
+                breaks=(0.5, 2.0, 40.0)),
+    ContourSpec(rho=0.2, theta=0.7 * np.pi, R=1e18, n_ray=60, n_arc=12, focus=(0.1, 10.0)),
+    ContourSpec(rho=0.3, theta=2 * np.pi / 3, R=50.0, n_arc=13, delta=-0.1),
+    ContourSpec(rho=0.5, theta=np.pi / 2, R=1e6, n_arc=16, delta=0.25,
+                orientation="negated"),
+], ids=["arc", "stub-breaks", "n_ray", "delta", "negated"])
+def test_build_nodes_matches_reference_loop(spec):
+    lam, w = build_nodes(spec)
+    ref_lam, ref_w = _reference_nodes(spec)
+    assert lam.dtype == w.dtype == np.complex128
+    assert np.array_equal(lam, ref_lam)
+    assert np.array_equal(w, ref_w)
+
+
+def test_legendre_rule_and_dense_solves_stay_in_their_modules():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "sectorsum"
+    legendre = {p.name for p in src.glob("*.py")
+                if re.search(r"numpy\.polynomial(\.legendre| import legendre)", p.read_text())}
+    assert legendre == {"contour.py"}
+    assert sum(p.read_text().count("leggauss(") for p in src.glob("*.py")) == 1
+    assert not re.search(r"np\.linalg\.(solve|inv)\b", (src / "sums.py").read_text())

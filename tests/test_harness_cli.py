@@ -10,7 +10,7 @@ import sectorsum
 from sectorsum import CertificateReport, generate, report_diff, run_experiment
 from sectorsum.cli import main as cli_main
 from sectorsum.errors import ConfigInvalid, IncompatibleReports, InvalidRecipe
-from sectorsum.harness import laplacian_eigenvalues, validate_config
+from sectorsum.harness import laplacian_eigenvalues, run_config, validate_config
 from sectorsum.linops import write_matrix
 
 
@@ -265,6 +265,31 @@ def test_cli_bad_matrix_file_exits_2(tmp_path, capsys, content):
                    "--theta", "1.0"])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--config", "cfg.json"],
+    ["certify-sector", "--matrix", "m.csv", "--theta", "1.0", "--rays", "0"],
+], ids=["unknown-sampling-key", "zero-rays"])
+def test_cli_bad_sampling_exits_2(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    write_matrix("m.csv", np.diag([1.0, 2.0]).astype(complex))
+    _write_config(tmp_path / "cfg.json", {"pipeline": "certify", "matrix": "m.csv",
+                                          "theta": 1.0, "sampling": {"bogus": 3}})
+    assert cli_main(["--out", str(tmp_path), *args]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [
+    {"pipeline": "hinf", "symbol": "rational-eta", "theta": 1.0,
+     "recipe": {"kind": "diag-positive", "entries": [1.0, 4.0]}},
+    {"pipeline": "sum", "recipe_a": {"kind": "diag-positive", "entries": [1.0, 2.0]},
+     "recipe_b": {"kind": "diag-positive", "entries": [3.0, 4.0]}},
+], ids=["hinf", "sum"])
+def test_contour_pipelines_record_node_count(tmp_path, cfg):
+    _, report = run_config({"schema_version": 1, **cfg}, str(tmp_path))
+    assert report.passed
+    assert report.node_counts["contour"] > 0
 
 
 TWINS = [

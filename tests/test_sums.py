@@ -14,9 +14,10 @@ from sectorsum import (
     weighted_identity_left,
     weighted_identity_right,
 )
+from sectorsum.errors import SingularShift
 from sectorsum.linops import ShiftedFactorization, operator_norm
 from sectorsum.sums import sum_contour
-from sectorsum.contour import ContourSpec
+from sectorsum.contour import ContourSpec, gauss_panels
 from conftest import certified
 
 
@@ -188,6 +189,18 @@ def test_eadic_summand_scaling_factor(pair_1234):
     s_0 = eadic_middle_eval(scaled_pair, th, ph, t, 1, theta_contour=tc)
     factor = np.exp((1.0 - th) * k) * np.exp(1j * k * t) * np.exp(-k)
     assert np.abs(s_k - factor * s_0).max() < 1e-9
+
+
+def test_eadic_singular_shift_on_b_spectrum():
+    # B has an eigenvalue at -e^{i theta_c} x_0 for the first [1, e] node
+    # x_0 (default n_x = 48: four panels of 12), so the k = 0 solve
+    # (s B + e^{i theta_c})^{-1} is singular
+    tc = 0.6 * np.pi
+    x0 = gauss_panels(np.linspace(1.0, np.e, 5), 12)[0][0]
+    pair = CommutingPair(certified(np.diag([1.0, 2.0]), 0.9 * np.pi),
+                         certified(np.diag([-np.exp(1j * tc) * x0, 2.0]), 0.5 * np.pi))
+    with pytest.raises(SingularShift):
+        eadic_middle_eval(pair, 0.3, 0.2, 0.5, 2, theta_contour=tc)
 
 
 def test_closedness_certificate_identity_pair():
