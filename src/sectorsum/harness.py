@@ -236,6 +236,8 @@ def _power(cfg, seed, out_dir):
 
 def _hinf(cfg, seed, out_dir):
     theta = float(cfg.get("theta", np.pi / 2))
+    if not (0.0 < theta < np.pi):
+        raise ConfigInvalid(f"hinf theta must lie in (0, pi), got {theta}")
     op = _load_operator(cfg, theta=min(0.95 * np.pi, theta + 0.3), seed=seed)
     registry = calculus.builtin_symbols(theta)
     name = cfg["symbol"]

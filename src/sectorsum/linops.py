@@ -1,14 +1,21 @@
 """Dense complex linear algebra substrate.
 
-Everything above this module works through three primitives: shifted
-solves ``(M + z)^{-1} rhs``, spectral norms, and matrix exponentials.
-Matrices are plain ``numpy`` arrays of ``complex128``; all operations
-are pure and never mutate their inputs.
+Everything above this module works through four primitives: shifted
+solves ``(M + z)^{-1} rhs``, resolvent norms ``||(M + z)^{-1}||`` over
+many shifts, spectral norms, and matrix exponentials.  Matrices are
+plain ``numpy`` arrays of ``complex128``; all operations are pure and
+never mutate their inputs.
 
 Shifted solves go through an LU factorization with partial pivoting
 (``scipy.linalg.lu_factor``).  A factorization object can be kept and
 reused for many right-hand sides, which is how contour quadratures
 amortize the O(n^3) cost per node.
+
+Resolvent norms need no inverse: ``||(M + z)^{-1}||_2 = 1/sigma_min(M + z)``.
+:func:`resolvent_norms` stacks ``M + z_k I`` in bounded-memory chunks and
+takes the singular values of each chunk in one call.  Both paths call a
+shift singular when its smallest pivot (solves) or smallest singular
+value (norms) falls below ``SINGULAR_RTOL * ||M + zI||_F``.
 """
 
 from __future__ import annotations
@@ -20,24 +27,26 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, OverflowRisk, SingularShift
 
-#: pivots below PIVOT_RTOL * ||M + zI|| raise SingularShift
-PIVOT_RTOL = 1e-13
+#: a shift is singular when the smallest LU pivot (ShiftedFactorization)
+#: or singular value (resolvent_norms) of M + zI is below
+#: SINGULAR_RTOL * ||M + zI||_F
+SINGULAR_RTOL = 1e-13
+
+# bytes of stacked M + zI per singular-value call in resolvent_norms; a
+# 1 MiB stack keeps peak memory where a per-shift loop would
+_SHIFT_STACK_BYTES = 1 << 20
 
 #: largest spectral norm accepted by matrix_exp before scaling/squaring
 #: is considered at risk of overflow (exp(1000) already overflows poorly
 #: through intermediate powers; 200 leaves a wide safety margin)
 EXP_NORM_BUDGET = 200.0
 
-#: dimension above which operator_norm switches from exact SVD to power
-#: iteration on the Gram operator
-SVD_CUTOFF = 128
-
 
 def as_matrix(m) -> np.ndarray:
     """Validate and return a square complex matrix with finite entries."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {a.shape}")
     if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
         raise ValueError("matrix entries must be finite")
     return a
@@ -59,7 +68,7 @@ class ShiftedFactorization:
     Raises
     ------
     SingularShift
-        If a diagonal pivot of U falls below ``PIVOT_RTOL * ||M + zI||_F``,
+        If a diagonal pivot of U falls below ``SINGULAR_RTOL * ||M + zI||_F``,
         i.e. the shift is numerically on the spectrum.
     """
 
@@ -72,7 +81,7 @@ class ShiftedFactorization:
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
             lu, piv = scipy.linalg.lu_factor(shifted, check_finite=False)
         pivots = np.abs(np.diag(lu))
-        if scale == 0.0 or np.min(pivots) <= PIVOT_RTOL * scale:
+        if scale == 0.0 or np.min(pivots) <= SINGULAR_RTOL * scale:
             raise SingularShift(
                 f"shift z={z} is numerically on the spectrum "
                 f"(min pivot {np.min(pivots):.3e}, scale {scale:.3e})",
@@ -92,8 +101,14 @@ class ShiftedFactorization:
         return scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
 
     def inverse(self) -> np.ndarray:
-        """Dense (M + zI)^{-1}."""
-        return self.solve(np.eye(self.dim, dtype=complex))
+        """Dense (M + zI)^{-1}, from the LU factors (LAPACK getri).
+
+        Not ``solve(I)``: OpenBLAS runs a many-right-hand-side solve on
+        all its threads even at n = 2, and on a small host the first such
+        call in a process can stall for about a second.
+        """
+        inv, _ = scipy.linalg.lapack.zgetri(*self._lu)
+        return inv
 
 
 def solve_shifted(M, z, rhs) -> np.ndarray:
@@ -105,31 +120,36 @@ def solve_shifted(M, z, rhs) -> np.ndarray:
     return ShiftedFactorization(M, complex(z)).solve(as_vector(rhs))
 
 
-def operator_norm(M) -> float:
-    """Spectral norm (largest singular value) of M.
+def resolvent_norms(M, shifts) -> np.ndarray:
+    """||(M + z)^{-1}||_2 = 1/sigma_min(M + z) for every shift z.
 
-    Uses an exact SVD up to ``SVD_CUTOFF`` and power iteration on the
-    Gram operator M^H M above it.
+    Returns a float array in the order of ``shifts``.  An entry is
+    ``inf`` where sigma_min(M + z) <= ``SINGULAR_RTOL * ||M + zI||_F``
+    (the Frobenius norm taken from the same singular values), i.e. the
+    shift is numerically on the spectrum.
     """
     M = as_matrix(M)
+    z = as_vector(shifts)
     n = M.shape[0]
-    if n <= SVD_CUTOFF:
-        return float(np.linalg.norm(M, 2))
-    rng = np.random.default_rng(0x5EC7)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    for _ in range(200):
-        y = M.conj().T @ (M @ x)
-        new = np.linalg.norm(y)
-        if new == 0.0:
-            return 0.0
-        x = y / new
-        if abs(new - sigma) <= 1e-12 * new:
-            sigma = new
-            break
-        sigma = new
-    return float(np.sqrt(sigma))
+    out = np.empty(z.shape[0])
+    step = max(1, _SHIFT_STACK_BYTES // (16 * n * n))
+    diag = np.arange(n)
+    for lo in range(0, z.shape[0], step):
+        zc = z[lo:lo + step]
+        stack = np.repeat(M[None], zc.shape[0], axis=0)
+        stack[:, diag, diag] += zc[:, None]
+        s = np.linalg.svd(stack, compute_uv=False)
+        s_min = s[:, -1]
+        resolvable = s_min > SINGULAR_RTOL * np.sqrt(np.sum(s * s, axis=1))
+        part = out[lo:lo + step]
+        part[:] = np.inf
+        part[resolvable] = 1.0 / s_min[resolvable]
+    return out
+
+
+def operator_norm(M) -> float:
+    """Spectral norm (largest singular value) of M, from an exact SVD."""
+    return float(np.linalg.norm(as_matrix(M), 2))
 
 
 def matrix_exp(M) -> np.ndarray:

@@ -280,6 +280,21 @@ def test_cli_bad_sampling_exits_2(tmp_path, capsys, monkeypatch, args):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta", ["0.0", "3.2"])
+@pytest.mark.parametrize("mode", ["direct", "run"])
+def test_cli_hinf_theta_out_of_range_exits_2(tmp_path, capsys, monkeypatch, theta, mode):
+    monkeypatch.chdir(tmp_path)
+    write_matrix("m.csv", np.diag([1.0, 2.0]).astype(complex))
+    if mode == "direct":
+        args = ["hinf", "--matrix", "m.csv", "--symbol", "rational-eta", "--theta", theta]
+    else:
+        args = ["run", "--config", _write_config(tmp_path / "cfg.json", {
+            "pipeline": "hinf", "matrix": "m.csv", "symbol": "rational-eta",
+            "theta": float(theta)})]
+    assert cli_main(["--out", str(tmp_path), *args]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cfg", [
     {"pipeline": "hinf", "symbol": "rational-eta", "theta": 1.0,
      "recipe": {"kind": "diag-positive", "entries": [1.0, 4.0]}},

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sectorsum import linops
+from sectorsum import SectorSampling, linops
 from sectorsum.errors import DimensionMismatch, OverflowRisk, SingularShift
 
 
@@ -72,6 +72,67 @@ def test_power_iteration_branch_matches_svd():
     assert linops.operator_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-8)
 
 
+def _random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def test_operator_norm_exact_with_close_top_gap():
+    # sigma_2 / sigma_1 = 1 - 1e-3: power iteration on M^H M creeps
+    # towards 1 and stops on slow progress well short of it
+    rng = np.random.default_rng(17)
+    n = 150
+    sigma = np.concatenate([[1.0, 1.0 - 1e-3], np.linspace(0.9, 0.1, n - 2)])
+    M = (_random_unitary(rng, n) * sigma) @ _random_unitary(rng, n).conj().T
+    assert linops.operator_norm(M) == pytest.approx(1.0, rel=1e-12)
+
+
+def _laplacian(m):
+    return (m + 1) ** 2 * (2 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1))
+
+
+OPERATORS = {
+    "diagonal": lambda m: np.diag(np.geomspace(1.0, 100.0, m)),
+    "laplacian": _laplacian,
+    # L + 20 D1 with the centred first difference: non-normal
+    "convection-diffusion": lambda m: _laplacian(m)
+    + 20.0 * (m + 1) / 2.0 * (np.eye(m, k=1) - np.eye(m, k=-1)),
+    "jordan": lambda m: 2.0 * np.eye(m) + np.eye(m, k=1),
+}
+
+
+def _reference_resolvent_norms(M, shifts):
+    eye = np.eye(M.shape[0])
+    return np.array([np.linalg.norm(np.linalg.inv(M + z * eye), 2) for z in shifts])
+
+
+@pytest.mark.parametrize("kind", OPERATORS)
+@pytest.mark.parametrize("n,sampling", [
+    (8, SectorSampling(n_boundary=200, n_angles=9, interior_density=120)),
+    (160, SectorSampling(n_boundary=4, n_angles=2, interior_density=2)),
+], ids=["n=8", "n=160"])
+def test_resolvent_norms_match_per_shift_reference(kind, n, sampling):
+    M = OPERATORS[kind](n).astype(complex)
+    shifts = sampling.points(2.5)
+    # the shift list spans more than one stacked chunk
+    assert len(shifts) * 16 * n * n > linops._SHIFT_STACK_BYTES
+    got = linops.resolvent_norms(M, shifts)
+    ref = _reference_resolvent_norms(M, shifts)
+    assert got.shape == (len(shifts),)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+
+def test_resolvent_norms_inf_on_spectrum():
+    got = linops.resolvent_norms(np.diag([1.0, 2.0, 3.0]), [-1.0, 0.5, -3.0, 1j, -2.0 + 0.0j])
+    assert np.isinf(got[[0, 2, 4]]).all()
+    assert got[1] == pytest.approx(1.0 / 1.5, rel=1e-14)
+    assert got[3] == pytest.approx(1.0 / abs(1.0 + 1j), rel=1e-14)
+    # a Jordan block shifted onto its eigenvalue is nilpotent
+    J = 2.0 * np.eye(4) + np.eye(4, k=1)
+    assert np.isinf(linops.resolvent_norms(J, [-2.0]))[0]
+    assert linops.resolvent_norms(J, []).shape == (0,)
+
+
 def test_matrix_exp_identity_and_scalar():
     assert np.array_equal(linops.matrix_exp(np.zeros((3, 3))), np.eye(3))
     assert linops.matrix_exp([[1.0]])[0, 0] == pytest.approx(np.e, rel=1e-13)
@@ -118,3 +179,8 @@ def test_matrix_csv_rejects_bad_rows(tmp_path):
     path.write_text("2\n1+0i,2+0i\n3+0i\n")
     with pytest.raises(ValueError):
         linops.read_matrix(path)
+
+
+def test_empty_matrix_rejected():
+    with pytest.raises(DimensionMismatch):
+        linops.resolvent_norms(np.zeros((0, 0)), [1.0])

@@ -114,6 +114,116 @@ def test_extension_check_understated_K(scalar1):
         extended_sector_check(scalar1, SectorSpec(np.pi / 2, 1.0))
 
 
+def _convection_diffusion(m, b=20.0):
+    lap = 2 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+    return (m + 1) ** 2 * lap + b * (m + 1) / 2.0 * (np.eye(m, k=1) - np.eye(m, k=-1))
+
+
+def _reference_bound(M, z):
+    """(1+|z|) ||(M+z)^{-1}|| one shift at a time, through the inverse."""
+    inv = np.linalg.inv(M + z * np.eye(M.shape[0]))
+    return (1.0 + abs(z)) * np.linalg.norm(inv, 2)
+
+
+def _reference_extension(M, spec, sampling, n_disk):
+    """Per-shift loop over the disk circles: (worst value, worst z, count,
+    first z above the bound or None)."""
+    bound = 2.0 * spec.K + 1.0
+    ring = np.exp(2j * np.pi * np.arange(n_disk) / n_disk)
+    worst_val, worst_z, count = -np.inf, None, 0
+    for lam in sampling.points(spec.theta):
+        for z in lam + (1.0 + abs(lam)) / (2.0 * spec.K) * ring:
+            count += 1
+            val = _reference_bound(M, complex(z))
+            if val > worst_val:
+                worst_val, worst_z = val, complex(z)
+            if val > bound * (1.0 + 1e-9):
+                return worst_val, worst_z, count, complex(z)
+    return worst_val, worst_z, count, None
+
+
+def test_certify_names_first_singular_shift():
+    sampling = SectorSampling(n_boundary=12, n_angles=3, interior_density=4)
+    theta = 1.0
+    pts = sampling.points(theta)
+    first, second = pts[7], pts[20]
+    # eigenvalues at -second and -first (matrix order reversed on purpose)
+    A = MatrixOperator(np.diag([-second, -first]))
+    with pytest.raises(NotSectorialAtAngle) as exc:
+        certify_sector(A, theta, sampling)
+    assert exc.value.shift == complex(first)
+    assert A.certified is None
+
+
+def test_certify_matches_per_shift_reference_nonnormal():
+    M = _convection_diffusion(16)
+    sampling = SectorSampling(n_boundary=24, n_angles=5, interior_density=8)
+    for theta in (0.0, 1.0, 2.5):
+        ref = max(1.0, max(_reference_bound(M, complex(z)) for z in sampling.points(theta)))
+        k = certify_sector(MatrixOperator(M), theta, sampling, attach=False)
+        assert k == pytest.approx(ref, rel=1e-12)
+
+
+def test_extension_check_matches_per_shift_reference():
+    M = _convection_diffusion(12)
+    A = MatrixOperator(M)
+    sampling = SectorSampling(n_boundary=8, n_angles=3, interior_density=4)
+    theta = 1.2
+    spec = SectorSpec(theta, certify_sector(A, theta, SectorSampling(), attach=False))
+    chk = extended_sector_check(A, spec, sampling, n_disk=6)
+    worst_val, worst_z, count, violated = _reference_extension(M, spec, sampling, 6)
+    assert violated is None
+    assert chk.worst_value == pytest.approx(worst_val, rel=1e-12)
+    assert chk.worst_z == worst_z
+    assert chk.n_samples == count
+
+
+def test_extension_check_raises_at_first_violation():
+    # K-hat is about 5 at theta = 2, so K = 1.5 is understated: the check
+    # stops at the first circle point above 2K + 1 in sampling order
+    M = _convection_diffusion(12)
+    sampling = SectorSampling(n_boundary=8, n_angles=3, interior_density=4)
+    spec = SectorSpec(2.0, 1.5)
+    _, _, count, violated = _reference_extension(M, spec, sampling, 6)
+    assert violated is not None and count > 1
+    with pytest.raises(ExtensionViolated) as exc:
+        extended_sector_check(MatrixOperator(M), spec, sampling, n_disk=6)
+    assert exc.value.shift == violated
+
+
+def test_extension_check_rejects_empty_disk(scalar1):
+    with pytest.raises(ValueError, match="n_disk"):
+        extended_sector_check(scalar1, SectorSpec(np.pi / 2, 2.0), n_disk=0)
+
+
+def test_certify_large_rotated_diagonal_matches_sigma_min_oracle():
+    # normal, spectrum on rotated rays, dense through a random unitary:
+    # above n = 128 the resolvent norm must stay exact
+    rng = np.random.default_rng(2)
+    m = 160
+    lam = np.exp(1j * rng.uniform(-np.pi / 4, np.pi / 4, m)) * np.geomspace(1.0, 100.0, m)
+    q, r = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    U = q * (np.diag(r) / np.abs(np.diag(r)))
+    M = (U * lam) @ U.conj().T
+    A = MatrixOperator(M)
+    sampling = SectorSampling(n_boundary=4, n_angles=2, interior_density=2)
+    for theta in np.linspace(0.5 * np.pi, 0.7 * np.pi, 9):
+        pts = sampling.points(theta)
+        s = np.linalg.svd(M[None] + pts[:, None, None] * np.eye(m), compute_uv=False)
+        oracle = max(1.0, float(np.max((1.0 + np.abs(pts)) / s[:, -1])))
+        assert certify_sector(A, theta, sampling, attach=False) == pytest.approx(
+            oracle, rel=1e-10)
+
+
+def test_inverse_norm_is_one_over_sigma_min():
+    M = _convection_diffusion(8)
+    assert MatrixOperator(M).inverse_norm() == pytest.approx(
+        np.linalg.norm(np.linalg.inv(M), 2), rel=1e-12)
+    with pytest.raises(SingularShift) as exc:
+        MatrixOperator(np.diag([0.0, 1.0])).inverse_norm()
+    assert exc.value.shift == 0.0
+
+
 def test_decay_probe_scalar_bounded(scalar1):
     # ||A(A+z)^{-1}|| = 1/|1+z| <= 1 on the positive reals
     sup = decay_probe(scalar1, 0.5, 0.0, 0.0, [1.0])
