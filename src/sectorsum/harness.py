@@ -331,12 +331,20 @@ def _rep_check(cfg, seed, out_dir):
     ), []
 
 
+def _time_grid(cfg, nt_default):
+    """The config's (tau, nt, p) grid; a bad value is a config error."""
+    try:
+        return maxreg.TimeGrid(float(cfg.get("tau", 1.0)), int(cfg.get("nt", nt_default)),
+                               p=float(cfg.get("p", 2.0)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"invalid time grid: {exc}") from exc
+
+
 def _maxreg(cfg, seed, out_dir):
+    grid = _time_grid(cfg, 512)
+    tau, p, nt = grid.tau, grid.p, grid.N_t
     op = _load_operator(cfg, seed=seed)
-    tau = float(cfg.get("tau", 1.0))
-    p = float(cfg.get("p", 2.0))
-    nt = int(cfg.get("nt", 512))
-    rep = maxreg.maxreg_constant(op, maxreg.TimeGrid(tau, nt, p=p))
+    rep = maxreg.maxreg_constant(op, grid)
     outputs = rep.to_dict()
     paths = []
     if cfg.get("sweep_p"):
@@ -361,13 +369,12 @@ def _sweep(cfg, seed, out_dir):
     if kind != "maxreg-laplacian":
         raise ConfigInvalid(f"unknown sweep kind {kind!r}")
     sizes = [int(s) for s in cfg.get("sizes", [8, 16, 32])]
-    tau = float(cfg.get("tau", 1.0))
-    p = float(cfg.get("p", 2.0))
-    nt = int(cfg.get("nt", 256))
+    grid = _time_grid(cfg, 256)
+    tau, p, nt = grid.tau, grid.p, grid.N_t
     rows = []
     for m in sizes:
         op = generate("laplacian-1d", m=m, seed=seed)
-        rep = maxreg.maxreg_constant(op, maxreg.TimeGrid(tau, nt, p=p))
+        rep = maxreg.maxreg_constant(op, grid)
         rows.append((m, rep.constant_fprime, rep.constant_Af))
     csv_path = _write_csv(cfg, out_dir, "m,constant_fprime,constant_Af", rows)
     return CertificateReport(

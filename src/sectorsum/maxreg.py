@@ -13,6 +13,13 @@ map g -> f = int_0^t e^{(x-t)A} g dx are discretized by exact
 integration of the exponential kernel against the piecewise-linear
 interpolant of g, so quadrature error never pollutes the bound checks;
 the only discretization error is O(dt^2) interpolation.
+
+The Cauchy step f_{i+1} = e^{-hA} f_i + h (phi_1 - phi_2)(-hA) g_i
++ h phi_2(-hA) g_{i+1} uses the phi-functions phi_1(z) = (e^z - 1)/z and
+phi_2(z) = (e^z - 1 - z)/z^2, read off one exponential of a 3n x 3n
+block matrix with no inverse of A.  These step matrices are built once
+per (A, dt): a maximal-regularity constant, its adversarial searches and
+every p of a p sweep share one stepper.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from . import linops
 from .errors import BoundViolated, DimensionMismatch
 from .sector import MatrixOperator
 
@@ -41,8 +47,8 @@ class TimeGrid:
     periodic: bool = False
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not (0.0 < self.tau < np.inf):
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.N_t < 16:
             raise ValueError("N_t must be at least 16")
         if not (1.0 < self.p < np.inf):
@@ -228,67 +234,89 @@ def deriv_resolvent_bound_check(
 
 def _cauchy_step_matrices(A: np.ndarray, h: float):
     """(E, C_cur, C_next) with E = e^{-hA} and the exact piecewise-linear
-    update f_{i+1} = E f_i + C_cur g_i + C_next g_{i+1}."""
+    update f_{i+1} = E f_i + C_cur g_i + C_next g_{i+1}, where
+    C_cur = h (phi_1 - phi_2)(-hA) and C_next = h phi_2(-hA).
+
+    All three come from one exponential of the block matrix
+    [[-hA, I, 0], [0, 0, I], [0, 0, 0]], whose first block row is
+    [e^{-hA}, phi_1(-hA), phi_2(-hA)] (Higham, Functions of Matrices,
+    SIAM 2008, 10.7).  Nothing inverts A, so singular and nearly
+    singular A lose no digits."""
     n = A.shape[0]
-    E = scipy.linalg.expm(-h * A)
-    nrm = linops.operator_norm(A) * h
-    eye = np.eye(n, dtype=complex)
-    if nrm > 1e-2:
-        Ainv = np.linalg.solve(A, eye)
-        IE = eye - E
-        C_next = Ainv - (Ainv @ Ainv @ IE) / h
-        C_cur = Ainv @ IE - C_next
-    else:
-        # Taylor in hA; the closed form loses digits to cancellation here
-        C_next = np.zeros_like(A)
-        C_cur = np.zeros_like(A)
-        power = eye
-        fact = 2.0  # (j+2)!
-        for j in range(10):
-            C_next += h * power / fact
-            C_cur += h * power * (j + 1) / fact
-            power = power @ (-h * A)
-            fact *= (j + 3)
-    return E, C_cur, C_next
+    M = np.zeros((3 * n, 3 * n), dtype=complex)
+    M[:n, :n] = -h * A
+    M[:n, n:2 * n] = np.eye(n)
+    M[n:2 * n, 2 * n:] = np.eye(n)
+    X = scipy.linalg.expm(M)
+    E, phi1, phi2 = X[:n, :n], X[:n, n:2 * n], X[:n, 2 * n:]
+    # a contiguous E keeps the per-node products on BLAS
+    return E.copy(), h * (phi1 - phi2), h * phi2
+
+
+class _CauchyStepper:
+    """The exact exponential integrator of f' + A f = g, f(0) = 0, on a
+    uniform grid of spacing dt, with its step matrices built once.
+
+    Both methods act on node arrays (one row per grid node, one column
+    per component of A)."""
+
+    def __init__(self, A: np.ndarray, dt: float):
+        E, C_cur, C_next = _cauchy_step_matrices(A, dt)
+        self.dim = A.shape[0]
+        # row form of the update: f_{i+1} = f_i E^T + [g_i, g_{i+1}] [C_cur^T; C_next^T]
+        self._ET = E.T
+        self._C = np.vstack([C_cur.T, C_next.T])
+        self._EH_T = E.conj()
+        self._CH = np.hstack([C_cur.conj(), C_next.conj()])
+
+    def _check(self, v: np.ndarray) -> None:
+        if v.shape[1] != self.dim:
+            raise DimensionMismatch(f"node values of dimension {v.shape[1]}, operator {self.dim}")
+
+    def forward(self, g: np.ndarray) -> np.ndarray:
+        """The solution map g -> f: all forcing terms in one product,
+        then one product per node for the causal sweep."""
+        self._check(g)
+        out = np.zeros(g.shape, dtype=complex)
+        np.matmul(np.hstack([g[:-1], g[1:]]), self._C, out=out[1:])
+        rows = list(out)  # row views: cheaper to step through than indexing
+        for prev, cur in zip(rows[1:], rows[2:]):
+            cur += prev @ self._ET
+        return out
+
+    def adjoint(self, u: np.ndarray) -> np.ndarray:
+        """Conjugate transpose of `forward` on stacked node values.
+
+        With f_i = sum_{k<=i} E^{i-k}(C_c g_{k-1} + C_n g_k), this is the
+        anticausal sweep z_j = u_j + E^H z_{j+1} followed by
+        y_j = C_c^H z_{j+1} + C_n^H z_j, where y_0 keeps only its C_c^H
+        term (g_0 feeds only the first step) and y_N only its C_n^H term."""
+        self._check(u)
+        z = np.array(u, dtype=complex)
+        rows = list(z)[::-1]
+        for prev, cur in zip(rows, rows[1:]):
+            cur += prev @ self._EH_T
+        n = self.dim
+        P = z[1:] @ self._CH
+        y = np.zeros_like(z)
+        y[:-1] = P[:, :n]
+        y[1:] += P[:, n:]
+        return y
 
 
 def solve_cauchy(A: MatrixOperator, g: GridFunction) -> GridFunction:
     """f(t) = int_0^t e^{(x-t)A} g(x) dx on the grid, by exact exponential
     integration of the piecewise-linear interpolant (f(0) = 0)."""
-    if g.dim != A.dim:
-        raise DimensionMismatch(f"g has dimension {g.dim}, operator {A.dim}")
-    grid = g.grid
-    E, C_cur, C_next = _cauchy_step_matrices(A.matrix, grid.dt)
-    out = np.zeros_like(g.values)
-    for i in range(1, grid.n_nodes):
-        out[i] = g.values[i - 1] @ C_cur.T + g.values[i] @ C_next.T + out[i - 1] @ E.T
-    return GridFunction(grid, out, zero_start=True)
+    f = _CauchyStepper(A.matrix, g.grid.dt).forward(g.values)
+    return GridFunction(g.grid, f, zero_start=True)
 
 
 def solve_cauchy_adjoint(A: MatrixOperator, h: GridFunction) -> GridFunction:
-    """Exact adjoint of the solution map w.r.t. the weighted grid product.
-
-    With the causal map written as f_i = sum_{k<=i} E^{i-k}(C_c g_{k-1}
-    + C_n g_k), its conjugate transpose is evaluated by one anticausal
-    sweep z_j = u_j + E^H z_{j+1} followed by y_j = C_c^H z_{j+1}
-    + C_n^H z_j (endpoint rows adjusted), conjugated by the quadrature
-    weights."""
-    grid = h.grid
-    n = grid.n_nodes
-    w = grid.weights()[:, None]
-    E, C_cur, C_next = _cauchy_step_matrices(A.matrix, grid.dt)
-    Eh, Ch_cur, Ch_next = E.conj().T, C_cur.conj().T, C_next.conj().T
-    u = w * h.values
-    z = np.zeros_like(u)
-    z[n - 1] = u[n - 1]
-    for j in range(n - 2, -1, -1):
-        z[j] = u[j] + z[j + 1] @ Eh.T
-    y = np.zeros_like(u)
-    y[n - 1] = z[n - 1] @ Ch_next.T
-    for j in range(1, n - 1):
-        y[j] = z[j + 1] @ Ch_cur.T + z[j] @ Ch_next.T
-    y[0] = z[1] @ Ch_cur.T  # g_0 feeds only the first step's C_cur
-    return GridFunction(grid, y / w)
+    """Exact adjoint of the solution map w.r.t. the weighted grid product:
+    W^{-1} S^H W with W the quadrature weights and S the map on node
+    values."""
+    w = h.grid.weights()[:, None]
+    return GridFunction(h.grid, _CauchyStepper(A.matrix, h.grid.dt).adjoint(w * h.values) / w)
 
 
 def time_derivative(f: GridFunction) -> GridFunction:
@@ -300,6 +328,16 @@ def time_derivative(f: GridFunction) -> GridFunction:
     out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
     out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     return GridFunction(f.grid, out)
+
+
+def _time_derivative_adjoint(v: np.ndarray, h: float) -> np.ndarray:
+    """D^T v for the node-value matrix D of `time_derivative`."""
+    out = np.zeros_like(v)
+    out[:-2] -= v[1:-1]
+    out[2:] += v[1:-1]
+    out[:3] += np.multiply.outer((-3.0, 4.0, -1.0), v[0])
+    out[-3:] += np.multiply.outer((1.0, -4.0, 3.0), v[-1])
+    return out / (2.0 * h)
 
 
 @dataclass
@@ -348,50 +386,28 @@ def default_probes(A: MatrixOperator, grid: TimeGrid) -> list[tuple[str, GridFun
 
 
 def _adversarial_probe(A: MatrixOperator, grid: TimeGrid, mode: str,
-                       n_iter: int = 10) -> GridFunction:
+                       stepper: _CauchyStepper, n_iter: int = 10) -> GridFunction:
     """Power iteration on the (weighted) composition  g -> D f  or
     g -> A f  to seek the worst forcing; fixed seed, fixed count."""
     rng = np.random.default_rng(ADVERSARIAL_SEED)
     v = rng.standard_normal((grid.n_nodes, A.dim)) + 1j * rng.standard_normal(
         (grid.n_nodes, A.dim)
     )
-    g = GridFunction(grid, v)
     w = grid.weights()[:, None]
-
-    def forward(u: GridFunction) -> GridFunction:
-        f = solve_cauchy(A, u)
-        if mode == "fprime":
-            return time_derivative(f)
-        return f.map_values(lambda vv: vv @ A.matrix.T)
-
-    def backward(u: GridFunction) -> GridFunction:
-        if mode == "fprime":
-            # adjoint of the difference stencil w.r.t. the weighted product
-            D = _derivative_matrix(grid)
-            u = GridFunction(grid, (D.T @ (w * u.values)) / w)
-        else:
-            u = u.map_values(lambda vv: vv @ A.matrix.conj())
-        return solve_cauchy_adjoint(A, u)
-
     for _ in range(n_iter):
-        y = forward(g)
-        z = backward(y)
-        nrm = z.lp_norm(2.0)
+        f = stepper.forward(v)
+        # the adjoint w.r.t. the weighted product is W^{-1} X^H W
+        if mode == "fprime":
+            y = time_derivative(GridFunction(grid, f)).values
+            z = _time_derivative_adjoint(w * y, grid.dt)
+        else:
+            z = (w * (f @ A.matrix.T)) @ A.matrix.conj()
+        z = stepper.adjoint(z) / w
+        nrm = GridFunction(grid, z).lp_norm(2.0)
         if nrm == 0.0:
             break
-        g = GridFunction(grid, z.values / nrm)
-    return g
-
-
-def _derivative_matrix(grid: TimeGrid) -> np.ndarray:
-    n = grid.n_nodes
-    h = grid.dt
-    D = np.zeros((n, n))
-    for i in range(1, n - 1):
-        D[i, i - 1], D[i, i + 1] = -1.0, 1.0
-    D[0, 0:3] = (-3.0, 4.0, -1.0)
-    D[-1, -3:] = (1.0, -4.0, 3.0)
-    return D / (2.0 * h)
+        v = z / nrm
+    return GridFunction(grid, v)
 
 
 def maxreg_constant(
@@ -405,17 +421,24 @@ def maxreg_constant(
     probes = list(probes) if probes is not None else default_probes(A, grid)
     if not probes:
         raise ValueError("probe set must be nonempty")
+    stepper = _CauchyStepper(A.matrix, grid.dt)
     if adversarial and abs(grid.p - 2.0) < 1e-12:
         probes = probes + [
-            ("adversarial-fprime", _adversarial_probe(A, grid, "fprime")),
-            ("adversarial-Af", _adversarial_probe(A, grid, "Af")),
+            ("adversarial-fprime", _adversarial_probe(A, grid, "fprime", stepper)),
+            ("adversarial-Af", _adversarial_probe(A, grid, "Af", stepper)),
         ]
+    return _probe_report(A, grid, probes, stepper)
+
+
+def _probe_report(A: MatrixOperator, grid: TimeGrid, probes,
+                  stepper: _CauchyStepper) -> MaxRegReport:
+    """||f'||_p / ||g||_p and ||A f||_p / ||g||_p for every probe."""
     labels, r_fp, r_af = [], [], []
     for label, g in probes:
         ng = g.lp_norm()
         if ng == 0.0:
             raise ValueError(f"probe {label!r} is zero")
-        f = solve_cauchy(A, g)
+        f = GridFunction(grid, stepper.forward(g.values), zero_start=True)
         fp = time_derivative(f)
         af = f.map_values(lambda vv: vv @ A.matrix.T)
         labels.append(label)
@@ -445,16 +468,16 @@ def p_independence_probe(
         if not (1.0 < p < np.inf):
             raise ValueError(f"p must lie in (1, inf), got {p}")
     base_grid = TimeGrid(tau, N_t, p=2.0)
+    stepper = _CauchyStepper(A.matrix, base_grid.dt)  # every p shares dt
     shared = default_probes(A, base_grid)
     shared = shared + [
-        ("adversarial-fprime", _adversarial_probe(A, base_grid, "fprime")),
+        ("adversarial-fprime", _adversarial_probe(A, base_grid, "fprime", stepper)),
     ]
     results = {}
     for p in p_values:
         grid = TimeGrid(tau, N_t, p=p)
         probes = [(lbl, GridFunction(grid, g.values)) for lbl, g in shared]
-        rep = maxreg_constant(A, grid, probes=probes, adversarial=False)
-        results[p] = rep
+        results[p] = _probe_report(A, grid, probes, stepper)
     consts = [results[p].constant_fprime for p in p_values]
     return {
         "p_values": list(p_values),

@@ -295,6 +295,45 @@ def test_cli_hinf_theta_out_of_range_exits_2(tmp_path, capsys, monkeypatch, thet
     assert "config error" in capsys.readouterr().err
 
 
+BAD_GRIDS = [("tau", "nan"), ("tau", "inf"), ("tau", "0"), ("nt", "8"), ("p", "1.0")]
+
+
+@pytest.mark.parametrize("key,value", BAD_GRIDS, ids=[f"{k}={v}" for k, v in BAD_GRIDS])
+@pytest.mark.parametrize("mode", ["maxreg-direct", "maxreg-run", "sweep-run"])
+def test_cli_bad_time_grid_exits_2(tmp_path, capsys, monkeypatch, key, value, mode):
+    monkeypatch.chdir(tmp_path)
+    write_matrix("m.csv", np.diag([1.0, 2.0]).astype(complex))
+    if mode == "maxreg-direct":
+        args = ["maxreg", "--matrix", "m.csv", f"--{key}", value]
+    else:
+        pipeline = mode.split("-")[0]
+        source = {"matrix": "m.csv"} if pipeline == "maxreg" else {"sizes": [4]}
+        args = ["run", "--config", _write_config(tmp_path / "cfg.json", {
+            "pipeline": pipeline, **source, key: int(value) if key == "nt" else float(value)})]
+    assert cli_main(["--out", str(tmp_path), *args]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pipeline", ["maxreg", "sweep"])
+def test_run_config_non_numeric_grid_exits_2(tmp_path, capsys, pipeline):
+    source = {"recipe": {"kind": "diag-positive", "n": 2}} if pipeline == "maxreg" else {"sizes": [4]}
+    args = ["run", "--config", _write_config(tmp_path / "cfg.json", {
+        "pipeline": pipeline, **source, "tau": "abc"})]
+    assert cli_main(["--out", str(tmp_path), *args]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_maxreg_near_singular_matrix(tmp_path, capsys):
+    # certifies at 3 pi / 4 with K near 1e9; for this normal A the L^2
+    # constants are at most 1 up to the grid's O(dt)
+    mpath = tmp_path / "m.csv"
+    write_matrix(mpath, np.diag([1e-9, 1.0]).astype(complex))
+    assert cli_main(["--out", str(tmp_path), "maxreg", "--matrix", str(mpath), "--nt", "64"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["constant_fprime"] <= 1.0 + 5.0 / 64
+    assert out["constant_Af"] <= 1.0 + 5.0 / 64
+
+
 @pytest.mark.parametrize("cfg", [
     {"pipeline": "hinf", "symbol": "rational-eta", "theta": 1.0,
      "recipe": {"kind": "diag-positive", "entries": [1.0, 4.0]}},

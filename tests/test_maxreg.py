@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sectorsum import (
     GridFunction,
+    MatrixOperator,
     TimeGrid,
     deriv_resolvent,
     deriv_resolvent_bound_check,
@@ -14,12 +16,28 @@ from sectorsum import (
     young_bound,
 )
 from sectorsum.errors import DimensionMismatch
-from sectorsum.maxreg import deriv_resolvent_matrix, grid_operator_norm, time_derivative
+from sectorsum.maxreg import (
+    _CauchyStepper,
+    _cauchy_step_matrices,
+    _time_derivative_adjoint,
+    deriv_resolvent_matrix,
+    grid_operator_norm,
+    solve_cauchy_adjoint,
+    time_derivative,
+)
 from conftest import certified
 
 
 def ones(grid, dim=1):
     return GridFunction(grid, np.ones((grid.n_nodes, dim)))
+
+
+def convection_diffusion(m=16, c=20.0):
+    """L + c D1: the Dirichlet Laplacian plus a centred first difference
+    on the same mesh, a non-normal operator."""
+    L = generate("laplacian-1d", m=m).matrix
+    D1 = (np.eye(m, k=1) - np.eye(m, k=-1)) * (m + 1) / 2.0
+    return L + c * D1
 
 
 # --------------------------------------------------------- deriv resolvent
@@ -135,6 +153,8 @@ def test_solve_cauchy_dimension_contract():
     A = certified(np.diag([1.0, 2.0]), 0.8 * np.pi)
     with pytest.raises(DimensionMismatch):
         solve_cauchy(A, ones(TimeGrid(1.0, 64), dim=3))
+    with pytest.raises(DimensionMismatch):
+        solve_cauchy_adjoint(A, ones(TimeGrid(1.0, 64), dim=3))
 
 
 def test_shift_reduction():
@@ -152,6 +172,81 @@ def test_shift_reduction():
     # interpolating e^{ct} g instead of g perturbs at the scheme's own
     # O(dt^2); the identity is exact in the continuum
     assert np.abs(f_mod.values - np.exp(c * t)[:, None] * f.values).max() < 100 * grid.dt ** 2
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 1e-6])
+def test_solve_cauchy_near_singular(eps):
+    # h ||A|| > 1e-2 here, where an A^{-1} closed form cancels catastrophically
+    A = MatrixOperator(np.diag([eps, 1.0]).astype(complex))
+    grid = TimeGrid(1.0, 64)
+    t = grid.times()
+    f = solve_cauchy(A, ones(grid, dim=2))
+    exact = -np.expm1(-eps * t) / eps if eps else t
+    assert np.abs(f.values[:, 0] - exact).max() <= 1e-12
+    assert np.abs(f.values[:, 1] + np.expm1(-t)).max() <= 1e-12
+
+
+def _weighted_inner(grid, a, b):
+    return np.sum(grid.weights()[:, None] * a * b.conj())
+
+
+def test_solve_cauchy_adjoint_contract():
+    A = MatrixOperator(convection_diffusion())
+    grid = TimeGrid(1.0, 128)
+    rng = np.random.default_rng(3)
+    g, h = (GridFunction(grid, rng.standard_normal((grid.n_nodes, A.dim))
+                         + 1j * rng.standard_normal((grid.n_nodes, A.dim))) for _ in range(2))
+    lhs = _weighted_inner(grid, solve_cauchy(A, g).values, h.values)
+    rhs = _weighted_inner(grid, g.values, solve_cauchy_adjoint(A, h).values)
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+def _forward_loop(E, C_cur, C_next, g):
+    out = np.zeros_like(g)
+    for i in range(1, len(g)):
+        out[i] = g[i - 1] @ C_cur.T + g[i] @ C_next.T + out[i - 1] @ E.T
+    return out
+
+
+def _adjoint_loop(E, C_cur, C_next, u):
+    n = len(u)
+    Eh, Ch_cur, Ch_next = E.conj().T, C_cur.conj().T, C_next.conj().T
+    z = np.zeros_like(u)
+    z[n - 1] = u[n - 1]
+    for j in range(n - 2, -1, -1):
+        z[j] = u[j] + z[j + 1] @ Eh.T
+    y = np.zeros_like(u)
+    y[n - 1] = z[n - 1] @ Ch_next.T
+    for j in range(1, n - 1):
+        y[j] = z[j + 1] @ Ch_cur.T + z[j] @ Ch_next.T
+    y[0] = z[1] @ Ch_cur.T
+    return y
+
+
+@pytest.mark.parametrize("c", [0.0, 20.0], ids=["laplacian", "conv-diff"])
+def test_stepper_matches_per_node_loops(c):
+    matrix = convection_diffusion(c=c)
+    dt = 1.0 / 256
+    stepper = _CauchyStepper(matrix, dt)
+    steps = _cauchy_step_matrices(matrix, dt)
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal((257, 16)) + 1j * rng.standard_normal((257, 16))
+    for fast, ref in ((stepper.forward(v), _forward_loop(*steps, v)),
+                      (stepper.adjoint(v), _adjoint_loop(*steps, v))):
+        assert np.abs(fast - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_time_derivative_adjoint_matches_dense_stencil():
+    grid = TimeGrid(2.0, 32)
+    n, h = grid.n_nodes, grid.dt
+    D = np.zeros((n, n))
+    for i in range(n):
+        e = np.zeros((n, 1))
+        e[i] = 1.0
+        D[:, i] = time_derivative(GridFunction(grid, e)).values[:, 0].real
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    assert np.abs(_time_derivative_adjoint(v, h) - D.T @ v).max() <= 1e-12 * np.abs(D.T @ v).max()
 
 
 # ------------------------------------------------------- maxreg constants
@@ -180,6 +275,41 @@ def test_maxreg_rejects_empty_probes():
     A = certified([[1.0]], 0.8 * np.pi)
     with pytest.raises(ValueError):
         maxreg_constant(A, TimeGrid(1.0, 64), probes=[])
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9])
+def test_maxreg_near_singular_stays_bounded(eps):
+    # normal A: the continuous L^2 constants are at most 1
+    A = MatrixOperator(np.diag([eps, 1.0]).astype(complex))
+    grid = TimeGrid(1.0, 64)
+    rep = maxreg_constant(A, grid)
+    assert rep.constant_fprime <= 1.0 + 5.0 * grid.dt
+    assert rep.constant_Af <= 1.0 + 5.0 * grid.dt
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counted(M):
+        calls.append(M.shape)
+        return expm(M)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counted)
+    return calls
+
+
+def test_one_expm_per_maxreg_constant(expm_calls):
+    L = generate("laplacian-1d", m=8)
+    maxreg_constant(L, TimeGrid(1.0, 64))
+    assert len(expm_calls) == 1
+
+
+def test_one_expm_per_p_independence_probe(expm_calls):
+    L = generate("laplacian-1d", m=8)
+    p_independence_probe(L, 1.0, 64)
+    assert len(expm_calls) == 1
 
 
 def test_p_independence_probe():
