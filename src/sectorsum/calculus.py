@@ -90,7 +90,7 @@ def complex_power(
         )
 
     def integrand(lam):
-        return (-lam) ** z * linops.ShiftedFactorization(A.matrix, lam).inverse()
+        return ((-lam) ** z)[:, None, None] * linops.resolvents(A.matrix, lam)
 
     info = dunford(spec, integrand, decay_exponent=-np.real(z), tol_tail=tol)
     return (info.value, info) if with_info else info.value
@@ -134,12 +134,13 @@ class ImaginaryPowerFamily:
         self.s, self.w = gauss_panels(np.linspace(-S, S, n_panel + 1), 10)
         self.t_max = t_max
         lam = np.exp(self.s)
-        mats = np.empty((len(self.s), A.dim, A.dim), dtype=complex)
-        for j, l in enumerate(lam):
-            fac = linops.ShiftedFactorization(A.matrix, l)
-            inv = fac.inverse()
-            mats[j] = (inv @ inv @ A.matrix) * l
-        self.V = mats
+        self.V = np.empty((len(lam), A.dim, A.dim), dtype=complex)
+        # in stack-budget chunks, so the table is the only full-size stack
+        step = max(1, linops._SHIFT_STACK_BYTES // self.V[0].nbytes)
+        for lo in range(0, len(lam), step):
+            part = slice(lo, lo + step)
+            R = linops.resolvents(A.matrix, lam[part])
+            self.V[part] = R @ R @ A.matrix * lam[part, None, None]
 
     @staticmethod
     def _prefactor(t: float) -> float:
@@ -384,7 +385,7 @@ def hinf_apply(
     spec = spec or hinf_contour(f, A, tol)
 
     def integrand(lam):
-        return complex(f(lam)) * linops.ShiftedFactorization(A.matrix, lam).inverse()
+        return f(lam)[:, None, None] * linops.resolvents(A.matrix, lam)
 
     info = dunford(spec, integrand, decay_exponent=f.decay_at_infinity(), tol_tail=tol)
     return info.value

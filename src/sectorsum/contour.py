@@ -34,6 +34,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import AsymmetryDetected, InvalidContour, TruncationNotConverged
+from .linops import _SHIFT_STACK_BYTES
 
 _TWO_PI_I = 2.0j * np.pi
 
@@ -245,7 +246,7 @@ class DunfordResult:
 
 def dunford(
     spec: ContourSpec,
-    integrand: Callable[[complex], np.ndarray],
+    integrand: Callable[[np.ndarray], np.ndarray],
     decay_exponent: float = 1.0,
     tol_tail: float | None = None,
 ) -> DunfordResult:
@@ -254,7 +255,10 @@ def dunford(
     Parameters
     ----------
     integrand : callable
-        Matrix- (or vector-) valued function of the contour point.  Any
+        Vectorised: maps a 1-D array of k contour nodes to the (k, ...)
+        stack of values there.  It sees the nodes in order, in chunks
+        whose stacks fit ``_SHIFT_STACK_BYTES`` (the first chunk is one
+        node), each reduced against the weights in one ``einsum``.  Any
         SingularShift raised by it propagates: the contour touches a
         spectrum and the caller chose a bad path.
     decay_exponent : float
@@ -265,20 +269,21 @@ def dunford(
         exceeds it.
     """
     lam, w = build_nodes(spec)
-    acc = None
     # outermost ray panel mass, estimated from the nodes with the largest
     # radii (one panel's worth on each ray)
     order = np.argsort(np.abs(lam - spec.delta))
     in_tail = np.zeros(len(lam), dtype=bool)
     in_tail[order[-min(len(lam), 2 * DEFAULT_PANEL_ORDER):]] = True
-    last_mass = 0.0
-    # Python complex nodes: integrands raise them to complex powers, and
-    # complex ** differs from numpy's complex128 ** in the last bits
-    for l, wt, tail in zip(lam.tolist(), w.tolist(), in_tail.tolist()):
-        term = np.asarray(integrand(l), dtype=complex) * wt
-        acc = term if acc is None else acc + term
-        if tail:
-            last_mass += float(np.linalg.norm(term.reshape(-1)))
+    acc, last_mass, lo, step = 0.0, 0.0, 0, 1
+    while lo < len(lam):
+        chunk = slice(lo, lo + step)
+        values = np.asarray(integrand(lam[chunk]), dtype=complex)
+        acc = acc + np.einsum("k,k...->...", w[chunk], values)
+        tail = in_tail[chunk]
+        norms = np.linalg.norm(values[tail].reshape(-1, values[0].size), axis=1)
+        last_mass += float(np.abs(w[chunk][tail]) @ norms)
+        lo += step
+        step = max(1, _SHIFT_STACK_BYTES // values[0].nbytes)
     ratio = 2.0 ** max(decay_exponent, 1e-3)
     tail = last_mass / max(ratio - 1.0, 1e-3)
     if tol_tail is not None and tail > tol_tail:

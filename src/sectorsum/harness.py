@@ -45,35 +45,33 @@ def _recipe_matrix(kind: str, seed: int = DEFAULT_SEED, **params) -> tuple[np.nd
     certification angle, without certifying it."""
     rng = np.random.default_rng(seed)
     if kind == "diag-positive":
-        entries = params.pop("entries", None)
-        n = int(params.pop("n", 4))
-        spread = float(params.pop("spread", 10.0))
-        _no_extra(kind, params)
-        d = np.array(entries, dtype=float) if entries is not None else np.geomspace(
-            1.0, spread, n
-        )
+        entries = _field(params, "entries", lambda v: np.array(v, dtype=float), None)
+        n = _field(params, "n", int, 4)
+        spread = _field(params, "spread", float, 10.0)
+        _no_extra(kind, params, "entries", "n", "spread")
+        d = entries if entries is not None else np.geomspace(1.0, spread, n)
         if np.any(d <= 0):
             raise InvalidRecipe("diag-positive entries must be positive")
         return np.diag(d.astype(complex)), 0.9 * np.pi
     if kind == "diag-rotated":
-        psi = float(params.pop("psi", np.pi / 4))
-        entries = params.pop("entries", None)
-        n = int(params.pop("n", 3))
-        _no_extra(kind, params)
+        psi = _field(params, "psi", float, np.pi / 4)
+        entries = _field(params, "entries", lambda v: np.array(v, dtype=float), None)
+        n = _field(params, "n", int, 3)
+        _no_extra(kind, params, "psi", "entries", "n")
         if not (abs(psi) < np.pi):
             raise InvalidRecipe("rotation psi must satisfy |psi| < pi")
-        d = np.array(entries, dtype=float) if entries is not None else np.arange(1.0, n + 1.0)
+        d = entries if entries is not None else np.arange(1.0, n + 1.0)
         return np.diag(np.exp(1j * psi) * d), 0.95 * (np.pi - abs(psi))
     if kind == "jordan":
-        a = complex(params.pop("a", 2.0))
-        size = int(params.pop("size", 2))
-        _no_extra(kind, params)
+        a = _field(params, "a", complex, 2.0)
+        size = _field(params, "size", int, 2)
+        _no_extra(kind, params, "a", "size")
         if size < 1 or a == 0:
             raise InvalidRecipe("jordan needs size >= 1 and a != 0")
         return a * np.eye(size, dtype=complex) + np.diag(np.ones(size - 1), 1), 0.75 * np.pi
     if kind == "laplacian-1d":
-        m = int(params.pop("m", 8))
-        _no_extra(kind, params)
+        m = _field(params, "m", int, 8)
+        _no_extra(kind, params, "m")
         if m < 1:
             raise InvalidRecipe("laplacian-1d needs m >= 1")
         M = (m + 1) ** 2 * (
@@ -81,10 +79,10 @@ def _recipe_matrix(kind: str, seed: int = DEFAULT_SEED, **params) -> tuple[np.nd
         ).astype(complex)
         return M, 0.9 * np.pi
     if kind == "commuting-pair":
-        role = params.pop("role", "a")
-        n = int(params.pop("n", 4))
-        spread = float(params.pop("spread", 4.0))
-        _no_extra(kind, params)
+        role = params.get("role", "a")
+        n = _field(params, "n", int, 4)
+        spread = _field(params, "spread", float, 4.0)
+        _no_extra(kind, params, "role", "n", "spread")
         Q, _ = np.linalg.qr(
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         )
@@ -97,9 +95,21 @@ def _recipe_matrix(kind: str, seed: int = DEFAULT_SEED, **params) -> tuple[np.nd
     raise InvalidRecipe(f"unknown recipe kind {kind!r}")
 
 
-def _no_extra(kind, params):
-    if params:
-        raise InvalidRecipe(f"unknown parameters for {kind}: {sorted(params)}")
+def _field(cfg: dict, key: str, kind, default):
+    """``kind(cfg[key])``, or ``default`` when the key is absent; a value
+    that ``kind`` rejects is a config error."""
+    if key not in cfg:
+        return default
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"invalid {key!r}: {cfg[key]!r} ({exc})") from exc
+
+
+def _no_extra(kind, params, *known):
+    unknown = set(params) - set(known)
+    if unknown:
+        raise InvalidRecipe(f"unknown parameters for {kind}: {sorted(unknown)}")
 
 
 def laplacian_eigenvalues(m: int) -> np.ndarray:
@@ -196,7 +206,7 @@ _SAMPLING_KEYS = {f.name for f in dataclasses.fields(SectorSampling)}
 
 
 def _certify(cfg, seed, out_dir):
-    theta = float(cfg["theta"])
+    theta = _field(cfg, "theta", float, None)
     raw = cfg.get("sampling", {})
     if not isinstance(raw, dict):
         raise ConfigInvalid("sampling must be a JSON object")
@@ -218,8 +228,8 @@ def _certify(cfg, seed, out_dir):
 
 
 def _power(cfg, seed, out_dir):
-    op = _load_operator(cfg, theta=cfg.get("theta"), seed=seed)
-    z = complex(float(cfg.get("re", -0.5)), float(cfg.get("im", 0.0)))
+    op = _load_operator(cfg, theta=_field(cfg, "theta", float, None), seed=seed)
+    z = complex(_field(cfg, "re", float, -0.5), _field(cfg, "im", float, 0.0))
     value, info = calculus.complex_power(op, z, with_info=True)
     return CertificateReport(
         operation="complex-power",
@@ -235,7 +245,7 @@ def _power(cfg, seed, out_dir):
 
 
 def _hinf(cfg, seed, out_dir):
-    theta = float(cfg.get("theta", np.pi / 2))
+    theta = _field(cfg, "theta", float, np.pi / 2)
     if not (0.0 < theta < np.pi):
         raise ConfigInvalid(f"hinf theta must lie in (0, pi), got {theta}")
     op = _load_operator(cfg, theta=min(0.95 * np.pi, theta + 0.3), seed=seed)
@@ -259,8 +269,9 @@ def _hinf(cfg, seed, out_dir):
 def _sum(cfg, seed, out_dir):
     # both sides share the seed: commuting-pair recipes build A and B on
     # one seeded basis
-    A = _load_operator(cfg, "matrix_a", "recipe_a", theta=cfg.get("theta_a"), seed=seed)
-    B = _load_operator(cfg, "matrix_b", "recipe_b", theta=cfg.get("theta_b"), seed=seed)
+    theta_a, theta_b = (_field(cfg, key, float, None) for key in ("theta_a", "theta_b"))
+    A = _load_operator(cfg, "matrix_a", "recipe_a", theta=theta_a, seed=seed)
+    B = _load_operator(cfg, "matrix_b", "recipe_b", theta=theta_b, seed=seed)
     pair = sums.CommutingPair(A, B)
     # sum_inverse's own default contour, built here so its size is recorded
     tol = 1e-6
@@ -271,7 +282,7 @@ def _sum(cfg, seed, out_dir):
     outputs = {"relative_error_vs_direct": err}
     passed = err <= 1e-6
     if cfg.get("check_identities"):
-        w = complex(*cfg["check_identities"])
+        w = _field(cfg, "check_identities", lambda v: complex(*v), None)
         _, _, dl = sums.weighted_identity_left(pair, w)
         _, _, dr = sums.weighted_identity_right(pair, w)
         outputs["identity_left_diff"] = dl
@@ -292,12 +303,12 @@ def _sum(cfg, seed, out_dir):
 
 
 def _tsector(cfg, seed, out_dir):
-    op = _load_operator(cfg, theta=cfg.get("theta"), seed=seed)
-    phi = float(cfg.get("phi", 0.0))
-    r = float(cfg.get("r", 1.0))
-    p = float(cfg.get("p", 2.0))
-    n = int(cfg.get("n", 1))
-    N_t = int(cfg.get("N_t", 256))
+    op = _load_operator(cfg, theta=_field(cfg, "theta", float, None), seed=seed)
+    phi = _field(cfg, "phi", float, 0.0)
+    r = _field(cfg, "r", float, 1.0)
+    p = _field(cfg, "p", float, 2.0)
+    n = _field(cfg, "n", int, 1)
+    N_t = _field(cfg, "N_t", int, 256)
     rng = np.random.default_rng(seed)
     xs = [rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
           for _ in range(n + 1)]
@@ -315,8 +326,8 @@ def _tsector(cfg, seed, out_dir):
 
 def _rep_check(cfg, seed, out_dir):
     op = _load_operator(cfg, seed=seed)
-    rho = float(cfg["rho"])
-    theta = float(cfg.get("theta", 0.0))
+    rho = _field(cfg, "rho", float, None)
+    theta = _field(cfg, "theta", float, 0.0)
     x = np.ones(op.dim, dtype=complex)
     direct = linops.solve_shifted(np.eye(op.dim) + rho * np.exp(1j * theta) * op.matrix, 0.0, x)
     via = (tsector.resolvent_rep_rotated(op, rho, theta, x)
@@ -334,9 +345,9 @@ def _rep_check(cfg, seed, out_dir):
 def _time_grid(cfg, nt_default):
     """The config's (tau, nt, p) grid; a bad value is a config error."""
     try:
-        return maxreg.TimeGrid(float(cfg.get("tau", 1.0)), int(cfg.get("nt", nt_default)),
-                               p=float(cfg.get("p", 2.0)))
-    except (TypeError, ValueError) as exc:
+        return maxreg.TimeGrid(_field(cfg, "tau", float, 1.0), _field(cfg, "nt", int, nt_default),
+                               p=_field(cfg, "p", float, 2.0))
+    except ValueError as exc:
         raise ConfigInvalid(f"invalid time grid: {exc}") from exc
 
 
@@ -368,7 +379,7 @@ def _sweep(cfg, seed, out_dir):
     kind = cfg.get("kind", "maxreg-laplacian")
     if kind != "maxreg-laplacian":
         raise ConfigInvalid(f"unknown sweep kind {kind!r}")
-    sizes = [int(s) for s in cfg.get("sizes", [8, 16, 32])]
+    sizes = _field(cfg, "sizes", lambda v: [int(s) for s in v], [8, 16, 32])
     grid = _time_grid(cfg, 256)
     tau, p, nt = grid.tau, grid.p, grid.N_t
     rows = []
@@ -399,7 +410,7 @@ def run_config(cfg: dict, out_dir: str = ".") -> tuple[list[str], CertificateRep
     any CSV the pipeline wrote.
     """
     cfg = validate_config(cfg)
-    seed = int(cfg.get("seed", DEFAULT_SEED))
+    seed = _field(cfg, "seed", int, DEFAULT_SEED)
     os.makedirs(out_dir, exist_ok=True)
     report, extra = PIPELINES[cfg["pipeline"]](cfg, seed, out_dir)
     json_path = os.path.join(out_dir, f"{cfg.get('out_prefix', cfg['pipeline'])}.json")

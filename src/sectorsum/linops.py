@@ -1,39 +1,38 @@
 """Dense complex linear algebra substrate.
 
-Everything above this module works through four primitives: shifted
-solves ``(M + z)^{-1} rhs``, resolvent norms ``||(M + z)^{-1}||`` over
-many shifts, spectral norms, and matrix exponentials.  Matrices are
-plain ``numpy`` arrays of ``complex128``; all operations are pure and
-never mutate their inputs.
+Everything above this module works through five primitives: shifted
+solves ``(M + z)^{-1} rhs``, stacked resolvents ``(M + z_k)^{-1}`` over
+many shifts, resolvent norms ``||(M + z)^{-1}||`` over many shifts,
+spectral norms, and matrix exponentials.  Matrices are plain ``numpy``
+arrays of ``complex128``; all operations are pure and never mutate their
+inputs.
 
-Shifted solves go through an LU factorization with partial pivoting
-(``scipy.linalg.lu_factor``).  A factorization object can be kept and
-reused for many right-hand sides, which is how contour quadratures
-amortize the O(n^3) cost per node.
+Shifted solves and resolvents go through LAPACK getrf (LU with partial
+pivoting).  Every contour quadrature takes its resolvents from
+:func:`resolvents`, one ``(N, n, n)`` stack per chunk of nodes.
 
 Resolvent norms need no inverse: ``||(M + z)^{-1}||_2 = 1/sigma_min(M + z)``.
 :func:`resolvent_norms` stacks ``M + z_k I`` in bounded-memory chunks and
 takes the singular values of each chunk in one call.  Both paths call a
-shift singular when its smallest pivot (solves) or smallest singular
-value (norms) falls below ``SINGULAR_RTOL * ||M + zI||_F``.
+shift singular when its smallest pivot (solves, resolvents) or smallest
+singular value (norms) falls below ``SINGULAR_RTOL * ||M + zI||_F``.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, OverflowRisk, SingularShift
 
-#: a shift is singular when the smallest LU pivot (ShiftedFactorization)
-#: or singular value (resolvent_norms) of M + zI is below
+#: a shift is singular when the smallest LU pivot (ShiftedFactorization,
+#: resolvents) or singular value (resolvent_norms) of M + zI is below
 #: SINGULAR_RTOL * ||M + zI||_F
 SINGULAR_RTOL = 1e-13
 
-# bytes of stacked M + zI per singular-value call in resolvent_norms; a
-# 1 MiB stack keeps peak memory where a per-shift loop would
+# bytes of a stack of n x n matrices per chunk (resolvent_norms, and the
+# node chunks of contour.dunford); a 1 MiB stack keeps peak memory where a
+# per-shift loop would
 _SHIFT_STACK_BYTES = 1 << 20
 
 #: largest spectral norm accepted by matrix_exp before scaling/squaring
@@ -62,6 +61,23 @@ def as_vector(v, dim=None) -> np.ndarray:
     return x
 
 
+def _shifted_lu(shifted: np.ndarray, scale: float, z: complex):
+    """LAPACK getrf factors (lu, piv) of ``shifted`` = M + zI.
+
+    Raises SingularShift, carrying z, when a pivot falls below
+    ``SINGULAR_RTOL * scale`` (scale = ||M + zI||_F).
+    """
+    lu, piv, _ = scipy.linalg.lapack.zgetrf(shifted)
+    pivot = np.min(np.abs(np.diagonal(lu)))
+    if scale == 0.0 or pivot <= SINGULAR_RTOL * scale:
+        raise SingularShift(
+            f"shift z={z} is numerically on the spectrum "
+            f"(min pivot {pivot:.3e}, scale {scale:.3e})",
+            shift=z,
+        )
+    return lu, piv
+
+
 class ShiftedFactorization:
     """LU factorization of M + zI, reusable across right-hand sides.
 
@@ -75,19 +91,7 @@ class ShiftedFactorization:
     def __init__(self, M: np.ndarray, z: complex):
         M = as_matrix(M)
         shifted = M + z * np.eye(M.shape[0])
-        scale = np.linalg.norm(shifted, "fro")
-        with warnings.catch_warnings():
-            # exact singularity is reported through SingularShift below
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(shifted, check_finite=False)
-        pivots = np.abs(np.diag(lu))
-        if scale == 0.0 or np.min(pivots) <= SINGULAR_RTOL * scale:
-            raise SingularShift(
-                f"shift z={z} is numerically on the spectrum "
-                f"(min pivot {np.min(pivots):.3e}, scale {scale:.3e})",
-                shift=z,
-            )
-        self._lu = (lu, piv)
+        self._lu = _shifted_lu(shifted, np.linalg.norm(shifted, "fro"), z)
         self.dim = M.shape[0]
         self.shift = z
 
@@ -101,12 +105,7 @@ class ShiftedFactorization:
         return scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
 
     def inverse(self) -> np.ndarray:
-        """Dense (M + zI)^{-1}, from the LU factors (LAPACK getri).
-
-        Not ``solve(I)``: OpenBLAS runs a many-right-hand-side solve on
-        all its threads even at n = 2, and on a small host the first such
-        call in a process can stall for about a second.
-        """
+        """Dense (M + zI)^{-1}, from the LU factors (LAPACK getri)."""
         inv, _ = scipy.linalg.lapack.zgetri(*self._lu)
         return inv
 
@@ -118,6 +117,25 @@ def solve_shifted(M, z, rhs) -> np.ndarray:
     right-hand side.
     """
     return ShiftedFactorization(M, complex(z)).solve(as_vector(rhs))
+
+
+def resolvents(M, shifts) -> np.ndarray:
+    """(M + z_k I)^{-1} for every shift, stacked as an (N, n, n) array.
+
+    One LAPACK getrf + getri per shift; no many-right-hand-side solve,
+    which OpenBLAS runs on all its threads even at n = 2 (on a small host
+    the first one in a process can stall for about a second).  Raises
+    SingularShift for the first singular shift in the order given.
+    """
+    M = as_matrix(M)
+    z = as_vector(shifts)
+    stack = np.repeat(M[None], z.shape[0], axis=0)
+    diag = np.arange(M.shape[0])
+    stack[:, diag, diag] += z[:, None]
+    scales = np.linalg.norm(stack, axis=(1, 2)).tolist()
+    for k, zk in enumerate(z.tolist()):
+        stack[k], _ = scipy.linalg.lapack.zgetri(*_shifted_lu(stack[k], scales[k], zk))
+    return stack
 
 
 def resolvent_norms(M, shifts) -> np.ndarray:

@@ -6,8 +6,9 @@ closure of A + B has the bounded inverse
     K = (1/2 pi i) * int over Gamma_{theta_B} of (A - z)^{-1} (B + z)^{-1} dz,
 
 run in practice at angle theta_B - eps so the path stays a positive
-angular margin away from both spectra; the node pre-walk verifies both
-resolvent factors before any weight is spent.
+angular margin away from both spectra.  Every node's resolvents are
+checked as they are built: a node on either spectrum raises
+SingularShift naming that node.
 
 The weighted identities composed with complex powers (Re w < 0):
 
@@ -25,13 +26,13 @@ cross-checked against scalar residue oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linops
 from .calculus import complex_power, fractional_power
-from .contour import ContourSpec, build_nodes, dunford, gauss_panels, tail_radius
+from .contour import ContourSpec, dunford, gauss_panels, tail_radius
 from .errors import SingularShift, TruncationNotConverged
 from .sector import MatrixOperator
 
@@ -87,8 +88,8 @@ class CommutingPair:
 
 def resolvent_commute_check(A: MatrixOperator, B: MatrixOperator, lam, mu) -> float:
     """Norm of the commutator [(A+lam)^{-1}, (B+mu)^{-1}]."""
-    Ra = linops.ShiftedFactorization(A.matrix, complex(lam)).inverse()
-    Rb = linops.ShiftedFactorization(B.matrix, complex(mu)).inverse()
+    Ra = linops.resolvents(A.matrix, [lam])[0]
+    Rb = linops.resolvents(B.matrix, [mu])[0]
     return linops.operator_norm(Ra @ Rb - Rb @ Ra)
 
 
@@ -124,19 +125,14 @@ def sum_contour(
     )
 
 
-def _prewalk(pair: CommutingPair, spec: ContourSpec, stride: int = 8) -> None:
-    """Cheap contour walk verifying both factors resolve on sample nodes."""
-    lam, _ = build_nodes(spec)
-    for z in lam[::stride].tolist():
-        try:
-            linops.ShiftedFactorization(pair.B.matrix, z)
-            linops.ShiftedFactorization(pair.A.matrix, -z)  # (A - z)
-        except SingularShift as exc:
-            raise SingularShift(
-                f"contour node z={z} hits a spectrum; adjust eps/delta "
-                f"(theta={spec.theta:.4f})",
-                shift=z,
-            ) from exc
+def _pair_resolvents(pair: CommutingPair, lam: np.ndarray, s: float) -> np.ndarray:
+    """(A + s lam)^{-1} (B - s lam)^{-1} at every node lam, for s = +-1.
+
+    Written as -(sA + lam)^{-1} (-sB + lam)^{-1} (negation is exact), so
+    both factors take the node itself as their shift and a SingularShift
+    names the node.
+    """
+    return -(linops.resolvents(s * pair.A.matrix, lam) @ linops.resolvents(-s * pair.B.matrix, lam))
 
 
 def sum_inverse(
@@ -151,17 +147,17 @@ def sum_inverse(
     ||K(A+B) - I||, ||(A+B)K - I|| exceeds tol.
     """
     spec = spec or sum_contour(pair, tol=0.01 * tol)
-    _prewalk(pair, spec)
-    Am, Bm = pair.A.matrix, pair.B.matrix
-
-    def integrand(z):
-        Rb = linops.ShiftedFactorization(Bm, z).inverse()
-        return linops.ShiftedFactorization(Am, -z).solve(Rb)
-
-    info = dunford(spec, integrand, decay_exponent=1.0)
+    try:
+        info = dunford(spec, lambda z: _pair_resolvents(pair, z, -1.0), decay_exponent=1.0)
+    except SingularShift as exc:
+        raise SingularShift(
+            f"contour node z={exc.shift} hits a spectrum; adjust eps/delta "
+            f"(theta={spec.theta:.4f})",
+            shift=exc.shift,
+        ) from exc
     K = info.value
     if check_residual:
-        S = Am + Bm
+        S = pair.A.matrix + pair.B.matrix
         eye = np.eye(pair.dim)
         resid = max(
             linops.operator_norm(K @ S - eye), linops.operator_norm(S @ K - eye)
@@ -200,12 +196,9 @@ def weighted_identity_left(
     K = sum_inverse(pair, tol=max(tol, 1e-8))
     lhs = pair.A.matrix @ K @ complex_power(pair.A, w, tol=tol)
     spec = spec or _reflected_identity_contour(pair, w, tol)
-    Am, Bm = pair.A.matrix, pair.B.matrix
 
     def integrand(mu):
-        Rb = linops.ShiftedFactorization(Bm, -mu).inverse()
-        Ra = linops.ShiftedFactorization(Am, mu).inverse()
-        return (-mu) ** (1.0 + w) * (Ra @ Rb)
+        return ((-mu) ** (1.0 + w))[:, None, None] * _pair_resolvents(pair, mu, 1.0)
 
     rhs = dunford(spec, integrand, decay_exponent=abs(np.real(w))).value
     return lhs, rhs, linops.operator_norm(lhs - rhs)
@@ -232,16 +225,10 @@ def weighted_identity_right(
             pair.A.constant() * pair.B.constant() * growth,
             0.25 * tol,
         )
-        spec = ContourSpec(
-            rho=0.0, theta=base.theta, R=max(R, base.R), n_arc=0,
-            focus=base.focus, breaks=base.breaks,
-        )
-    Am, Bm = pair.A.matrix, pair.B.matrix
+        spec = replace(base, R=max(R, base.R))
 
     def integrand(lam):
-        Rb = linops.ShiftedFactorization(Bm, lam).inverse()
-        Ra = linops.ShiftedFactorization(Am, -lam).solve(Rb)
-        return (-lam) ** (1.0 + w) * Ra
+        return ((-lam) ** (1.0 + w))[:, None, None] * _pair_resolvents(pair, lam, -1.0)
 
     integral = dunford(spec, integrand, decay_exponent=abs(np.real(w))).value
     rhs = Bw - integral
@@ -287,25 +274,22 @@ def split_integral_eval(
         raise ValueError("n must be nonnegative")
     w = -(theta + phi) + 1j * t
     sigma = theta + phi
-    Am, Bm = pair.A.matrix, pair.B.matrix
 
     if variant == "right":
         base = sum_contour(pair, tol=tol, extra_decay=sigma)
         Bphi = fractional_power(pair.B, phi, tol=tol)
 
         def integrand(lam):
-            Rb = linops.ShiftedFactorization(Bm, lam).inverse()
-            Ra = linops.ShiftedFactorization(Am, -lam).solve(Bphi @ Rb)
-            return -((-lam) ** (1.0 + w)) * Ra
+            # B^phi, a function of B, commutes with (B + lam)^{-1}
+            terms = _pair_resolvents(pair, lam, -1.0) @ Bphi
+            return -((-lam) ** (1.0 + w))[:, None, None] * terms
 
     elif variant == "left":
         base = _reflected_identity_contour(pair, w, tol)
         Aphi = fractional_power(pair.A, phi, tol=tol)
 
         def integrand(mu):
-            Rb = linops.ShiftedFactorization(Bm, -mu).inverse()
-            Ra = linops.ShiftedFactorization(Am, mu).inverse()
-            return ((-mu) ** (1.0 + w)) * (Aphi @ Ra @ Rb)
+            return ((-mu) ** (1.0 + w))[:, None, None] * (Aphi @ _pair_resolvents(pair, mu, 1.0))
 
     else:
         raise ValueError(f"unknown variant {variant!r}")
@@ -343,7 +327,7 @@ def eadic_middle_eval(
     Each k-summand carries the factor x^{1-theta+it} e^{(1-theta)k} e^{ikt}
     together with the rescaled factor
         (x^{-1} e^{-k} B)^phi (x^{-1} e^{-k} B + e^{+-i theta_c})^{-1},
-    computed from one B^phi and one shifted solve per node.  Agrees with
+    computed from one B^phi and one resolvent of B per node.  Agrees with
     the direct annulus quadrature at quadrature level (the change of
     variables is exact).
     """
@@ -359,43 +343,24 @@ def eadic_middle_eval(
     Bphi = fractional_power(pair.B, phi, tol=tol)
     Am, Bm = pair.A.matrix, pair.B.matrix
 
-    c_plus = (
-        np.exp(1j * tc)
-        * np.exp(1j * (np.pi - tc) * sigma)
-        * np.exp((np.pi - tc) * t)
-        / (2j * np.pi)
-    )
-    c_minus = (
-        np.exp(-1j * tc)
-        * np.exp(1j * (tc - np.pi) * sigma)
-        * np.exp((tc - np.pi) * t)
-        / (2j * np.pi)
-    )
-
     n_panel = max(3, n_x // 12)
     q = max(4, int(round(n_x / n_panel)))
+    x, wq = gauss_panels(np.linspace(1.0, np.e, n_panel + 1), q)
+    # every (x, k) node, x outer and k inner
+    k = np.tile(np.arange(n), len(x))
+    x, wq = np.repeat(x, n), np.repeat(wq, n)
+    s = np.exp(-k) / x
+    common = x ** (1.0 - theta + 1j * t) * np.exp((1.0 - theta) * k) * np.exp(1j * k * t) / x * wq
 
-    acc_plus = np.zeros((dim, dim), dtype=complex)
-    acc_minus = np.zeros((dim, dim), dtype=complex)
-    for x, wq in zip(*gauss_panels(np.linspace(1.0, np.e, n_panel + 1), q)):
-        for k in range(n):
-            s = np.exp(-k) / x
-            scaled = (s ** phi) * Bphi
-            # (s B + c)^{-1} = s^{-1} (B + c/s)^{-1}
-            B_plus = linops.ShiftedFactorization(Bm, np.exp(1j * tc) / s).solve(scaled) / s
-            B_minus = linops.ShiftedFactorization(Bm, np.exp(-1j * tc) / s).solve(scaled) / s
-            common = (
-                x ** (1.0 - theta + 1j * t)
-                * np.exp((1.0 - theta) * k)
-                * np.exp(1j * k * t)
-                / x
-                * wq
-            )
-            rp = linops.ShiftedFactorization(Am, -x * np.exp(k) * np.exp(1j * tc)).solve(B_plus)
-            rm = linops.ShiftedFactorization(Am, -x * np.exp(k) * np.exp(-1j * tc)).solve(B_minus)
-            acc_plus += common * np.exp(1j * tc) * rp
-            acc_minus += common * np.exp(-1j * tc) * rm
-    return c_plus * acc_plus - c_minus * acc_minus
+    out = np.zeros((dim, dim), dtype=complex)
+    for sign in (1.0, -1.0):
+        e = np.exp(sign * 1j * tc)
+        c = e * np.exp(sign * (np.pi - tc) * (1j * sigma + t)) / (2j * np.pi)
+        # (s B + e)^{-1} (s B)^phi = s^{phi - 1} (B + e/s)^{-1} B^phi
+        Bs = (linops.resolvents(Bm, e / s) @ Bphi) * (s ** (phi - 1.0))[:, None, None]
+        R = linops.resolvents(Am, -x * np.exp(k) * e) @ Bs
+        out += sign * c * np.einsum("k,kij->ij", common * e, R)
+    return out
 
 
 # ------------------------------------------------------------- certificates

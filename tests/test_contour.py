@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import pathlib
 import re
 
@@ -6,7 +8,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import sici
 
-from sectorsum import ContourSpec, build_nodes, dunford, pv_integral
+from sectorsum import ContourSpec, build_nodes, contour, dunford, pv_integral
 from sectorsum.contour import (
     DEFAULT_FLOOR_EXP,
     DEFAULT_PANEL_ORDER,
@@ -62,7 +64,7 @@ def test_residue_oracle_closed_curve():
     spec = ContourSpec(rho=0.5, theta=np.pi / 2, R=1e20, n_arc=16, focus=(0.5, 50.0))
     res = dunford(
         spec,
-        lambda lam: np.array([[np.sqrt(2.0) * (-lam) ** -0.5 / (lam + 2.0)]]),
+        lambda lam: (np.sqrt(2.0) * (-lam) ** -0.5 / (lam + 2.0))[:, None, None],
         decay_exponent=0.5,
     )
     assert abs(res.value[0, 0] - 1.0) < 1e-9
@@ -70,7 +72,7 @@ def test_residue_oracle_closed_curve():
 
 def test_orientation_negation_exact():
     spec = ContourSpec(rho=0.5, theta=np.pi / 2, R=1e6, n_arc=16)
-    f = lambda lam: np.array([[(-lam) ** -0.5 / (lam + 2.0)]])  # noqa: E731
+    f = lambda lam: ((-lam) ** -0.5 / (lam + 2.0))[:, None, None]  # noqa: E731
     a = dunford(spec, f).value
     b = dunford(spec.with_orientation("negated"), f).value
     assert np.array_equal(a, -b)
@@ -81,10 +83,10 @@ def test_dunford_power_examples():
     # truncation radius follows the |lam|^{-3/2} tail rule
     R = tail_radius(0.5, 1.0, 1e-10)
     spec = ContourSpec(rho=0.1, theta=0.75 * np.pi, R=R, n_arc=20, focus=(0.05, 50.0))
-    res = dunford(spec, lambda lam: np.array([[(-lam) ** -0.5 / (4.0 + lam)]]), 0.5)
+    res = dunford(spec, lambda lam: ((-lam) ** -0.5 / (4.0 + lam))[:, None, None], 0.5)
     assert abs(res.value[0, 0] - 0.5) < 1e-8
     spec2 = ContourSpec(rho=0.1, theta=0.75 * np.pi, R=1e10, n_arc=20, focus=(0.05, 50.0))
-    res2 = dunford(spec2, lambda lam: np.array([[(-lam) ** -1.0 / (2.0 + lam)]]), 1.0)
+    res2 = dunford(spec2, lambda lam: ((-lam) ** -1.0 / (2.0 + lam))[:, None, None], 1.0)
     assert abs(res2.value[0, 0] - 0.5) < 1e-8
 
 
@@ -94,7 +96,7 @@ def test_dunford_convergence_order():
     eye = np.eye(2)
 
     def integrand(lam):
-        return (-lam) ** -0.5 * np.linalg.solve(A + lam * eye, eye)
+        return ((-lam) ** -0.5)[:, None, None] * np.linalg.inv(A + lam[:, None, None] * eye)
 
     exact = np.diag([1.0, 3.0 ** -0.5])
     errs = []
@@ -109,7 +111,7 @@ def test_dunford_convergence_order():
 def test_dunford_tail_error_flag():
     spec = ContourSpec(rho=0.1, theta=0.75 * np.pi, R=50.0, n_arc=16)
     with pytest.raises(TruncationNotConverged):
-        dunford(spec, lambda lam: np.array([[(-lam) ** -0.5 / (4.0 + lam)]]),
+        dunford(spec, lambda lam: ((-lam) ** -0.5 / (4.0 + lam))[:, None, None],
                 decay_exponent=0.5, tol_tail=1e-10)
 
 
@@ -120,7 +122,7 @@ def test_path_shift_invariance():
     eye = np.eye(2)
 
     def integrand(lam):
-        return (-lam) ** -0.5 * np.linalg.solve(A + lam * eye, eye)
+        return ((-lam) ** -0.5)[:, None, None] * np.linalg.inv(A + lam[:, None, None] * eye)
 
     exact = np.diag([1.0, 3.0 ** -0.5])
     base = ContourSpec(rho=0.25, theta=0.7 * np.pi, R=1e18, n_arc=20, focus=(0.1, 10.0))
@@ -130,6 +132,40 @@ def test_path_shift_invariance():
     b = dunford(shifted, integrand, 0.5).value
     assert np.linalg.norm(a - b, 2) < 2e-8
     assert np.linalg.norm(a - exact, 2) < 1e-8
+
+
+def _reference_dunford(spec, integrand, decay_exponent):
+    """Per-node loop: weighted sum, and the tail mass of the nodes with
+    the largest radii extrapolated as in dunford."""
+    lam, w = build_nodes(spec)
+    tail = set(np.argsort(np.abs(lam - spec.delta))[-2 * DEFAULT_PANEL_ORDER:].tolist())
+    acc, mass = 0.0, 0.0
+    for k, (l, wk) in enumerate(zip(lam, w)):
+        term = wk * integrand(np.array([l]))[0]
+        acc = acc + term
+        if k in tail:
+            mass += np.linalg.norm(term)
+    return acc, mass / (2.0 ** decay_exponent - 1.0)
+
+
+def test_dunford_chunks_match_per_node_loop(monkeypatch):
+    A = np.array([[1.0, 2.0], [0.0, 3.0]])
+    eye = np.eye(2)
+    sizes = []
+
+    def integrand(lam):
+        sizes.append(len(lam))
+        return ((-lam) ** -0.5)[:, None, None] * np.linalg.inv(A + lam[:, None, None] * eye)
+
+    # a budget of 7 nodes of 2x2 complex values per chunk
+    monkeypatch.setattr(contour, "_SHIFT_STACK_BYTES", 7 * 64)
+    spec = ContourSpec(rho=0.2, theta=0.7 * np.pi, R=1e12, n_arc=12, focus=(0.1, 10.0))
+    res = dunford(spec, integrand, 0.5)
+    n = len(build_nodes(spec)[0])
+    assert sizes[0] == 1 and set(sizes[1:-1]) == {7} and sum(sizes) == n == res.n_nodes
+    ref, ref_tail = _reference_dunford(spec, integrand, 0.5)
+    assert np.max(np.abs(res.value - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert res.tail_estimate == pytest.approx(ref_tail, rel=1e-13)
 
 
 def test_pv_odd_kernels_vanish():
@@ -237,3 +273,24 @@ def test_legendre_rule_and_dense_solves_stay_in_their_modules():
     assert legendre == {"contour.py"}
     assert sum(p.read_text().count("leggauss(") for p in src.glob("*.py")) == 1
     assert not re.search(r"np\.linalg\.(solve|inv)\b", (src / "sums.py").read_text())
+    # every contour sum takes its resolvents from linops.resolvents
+    assert {p.name for p in src.glob("*.py")
+            if "ShiftedFactorization(" in p.read_text()} == {"linops.py"}
+    for name in ("calculus.py", "sums.py"):
+        text = (src / name).read_text()
+        assert not re.search(r"ShiftedFactorization|lu_factor|getrf|solve_shifted|"
+                             r"np\.linalg\.(solve|inv)\b", text), name
+
+
+def test_tracer_methods_exist():
+    # bench/tracer.py wraps these by name; a missing one breaks --trace 1
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("tracer_under_test", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, classes in tracer.METHODS.items():
+        mod = importlib.import_module(f"sectorsum.{layer}")
+        for cls_name, methods in classes.items():
+            cls = getattr(mod, cls_name)
+            for meth in methods:
+                assert callable(getattr(cls, meth, None)), f"{layer}.{cls_name}.{meth}"

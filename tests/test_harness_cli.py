@@ -323,6 +323,49 @@ def test_run_config_non_numeric_grid_exits_2(tmp_path, capsys, pipeline):
     assert "config error" in capsys.readouterr().err
 
 
+# (config, direct subcommand or None); each carries one value its field's
+# type rejects
+BAD_FIELDS = {
+    "power-re": ({"pipeline": "power", "matrix": "m.csv", "re": "abc"},
+                 ["power", "--matrix", "m.csv", "--re", "abc"]),
+    "recipe-m": ({"pipeline": "power", "recipe": {"kind": "laplacian-1d", "m": "x"}}, None),
+    "recipe-entries": ({"pipeline": "power",
+                        "recipe": {"kind": "diag-positive", "entries": [1.0, "x"]}}, None),
+    "tsector-N_t": ({"pipeline": "t-sector", "matrix": "m.csv", "N_t": "12x"}, None),
+    "tsector-n": ({"pipeline": "t-sector", "matrix": "m.csv", "n": "x"},
+                  ["t-sector", "--matrix", "m.csv", "--n", "x"]),
+    "certify-theta": ({"pipeline": "certify", "matrix": "m.csv", "theta": "x"},
+                      ["certify-sector", "--matrix", "m.csv", "--theta", "x"]),
+    "hinf-theta": ({"pipeline": "hinf", "matrix": "m.csv", "symbol": "rational-eta",
+                    "theta": "x"},
+                   ["hinf", "--matrix", "m.csv", "--symbol", "rational-eta", "--theta", "x"]),
+    "rep-check-rho": ({"pipeline": "rep-check", "matrix": "m.csv", "rho": "x"},
+                      ["rep-check", "--matrix", "m.csv", "--rho", "x"]),
+    "sum-identities": ({"pipeline": "sum", "matrix_a": "m.csv", "matrix_b": "m.csv",
+                        "check_identities": ["a", 0.0]}, None),
+    "sweep-sizes": ({"pipeline": "sweep", "sizes": [4, "x"]}, None),
+    "maxreg-nt": ({"pipeline": "maxreg", "matrix": "m.csv", "nt": "12x"},
+                  ["maxreg", "--matrix", "m.csv", "--nt", "12x"]),
+    "seed": ({"pipeline": "power", "matrix": "m.csv", "seed": "x"}, None),
+}
+
+
+@pytest.mark.parametrize("case,mode", [(c, m) for c, (_, d) in BAD_FIELDS.items()
+                                       for m in ("run", "direct")[:1 + (d is not None)]])
+def test_cli_bad_numeric_field_exits_2(tmp_path, capsys, monkeypatch, case, mode):
+    cfg, direct = BAD_FIELDS[case]
+    monkeypatch.chdir(tmp_path)
+    write_matrix("m.csv", np.diag([1.0, 2.0]).astype(complex))
+    args = direct if mode == "direct" else [
+        "run", "--config", _write_config(tmp_path / "cfg.json", cfg)]
+    try:
+        code = cli_main(["--out", str(tmp_path), *args])
+    except SystemExit as exc:  # argparse rejects a mistyped flag itself
+        code = exc.code
+    assert code == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_cli_maxreg_near_singular_matrix(tmp_path, capsys):
     # certifies at 3 pi / 4 with K near 1e9; for this normal A the L^2
     # constants are at most 1 up to the grid's O(dt)

@@ -133,6 +133,26 @@ def test_resolvent_norms_inf_on_spectrum():
     assert linops.resolvent_norms(J, []).shape == (0,)
 
 
+@pytest.mark.parametrize("kind", OPERATORS)
+def test_resolvents_match_per_shift_inverse(kind):
+    M = OPERATORS[kind](8).astype(complex)
+    shifts = SectorSampling(n_boundary=40, n_angles=5, interior_density=20).points(2.5)
+    got = linops.resolvents(M, shifts)
+    eye = np.eye(8)
+    ref = np.array([np.linalg.inv(M + z * eye) for z in shifts])
+    assert got.shape == (len(shifts), 8, 8) and got.dtype == np.complex128
+    err = np.max(np.abs(got - ref), axis=(1, 2)) / np.max(np.abs(ref), axis=(1, 2))
+    assert np.max(err) <= 1e-13
+
+
+def test_resolvents_name_first_singular_shift():
+    M = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(SingularShift) as exc:
+        linops.resolvents(M, [0.5, -2.0, 1j, -1.0])
+    assert exc.value.shift == -2.0
+    assert linops.resolvents(M, []).shape == (0, 3, 3)
+
+
 def test_matrix_exp_identity_and_scalar():
     assert np.array_equal(linops.matrix_exp(np.zeros((3, 3))), np.eye(3))
     assert linops.matrix_exp([[1.0]])[0, 0] == pytest.approx(np.e, rel=1e-13)

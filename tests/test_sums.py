@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from sectorsum import (
 from sectorsum.errors import SingularShift
 from sectorsum.linops import ShiftedFactorization, operator_norm
 from sectorsum.sums import sum_contour
-from sectorsum.contour import ContourSpec, gauss_panels
+from sectorsum.contour import ContourSpec, build_nodes, gauss_panels
 from conftest import certified
 
 
@@ -201,6 +203,21 @@ def test_eadic_singular_shift_on_b_spectrum():
                          certified(np.diag([-np.exp(1j * tc) * x0, 2.0]), 0.5 * np.pi))
     with pytest.raises(SingularShift):
         eadic_middle_eval(pair, 0.3, 0.2, 0.5, 2, theta_contour=tc)
+
+
+def test_sum_inverse_singular_shift_off_the_stride(pair_1234):
+    # B has an eigenvalue at -z for a node z of radius in (1, 4) whose
+    # index is not a multiple of 8, which a check of every 8th node skips;
+    # the path at 0.6 pi is passed explicitly (B is certified only at
+    # pi / 2, below it)
+    spec = replace(sum_contour(pair_1234), theta=0.6 * np.pi)
+    lam = build_nodes(spec)[0]
+    z = next(l for j, l in enumerate(lam) if j % 8 and 1.0 < abs(l) < 4.0)
+    pair = CommutingPair(certified(np.diag([1.0, 2.0]), 0.9 * np.pi),
+                         certified(np.diag([-z, 4.0]), 0.5 * np.pi))
+    with pytest.raises(SingularShift, match="hits a spectrum") as exc:
+        sum_inverse(pair, spec=spec)
+    assert exc.value.shift == z
 
 
 def test_closedness_certificate_identity_pair():
