@@ -89,8 +89,10 @@ def complex_power(
             f"contour angle {spec.theta} exceeds certified angle {A.angle()}"
         )
 
+    basis = A.normal_basis()
+
     def integrand(lam):
-        return ((-lam) ** z)[:, None, None] * linops.resolvents(A.matrix, lam)
+        return ((-lam) ** z)[:, None, None] * linops.resolvents(A.matrix, lam, basis)
 
     info = dunford(spec, integrand, decay_exponent=-np.real(z), tol_tail=tol)
     return (info.value, info) if with_info else info.value
@@ -137,9 +139,10 @@ class ImaginaryPowerFamily:
         self.V = np.empty((len(lam), A.dim, A.dim), dtype=complex)
         # in stack-budget chunks, so the table is the only full-size stack
         step = max(1, linops._SHIFT_STACK_BYTES // self.V[0].nbytes)
+        basis = A.normal_basis()
         for lo in range(0, len(lam), step):
             part = slice(lo, lo + step)
-            R = linops.resolvents(A.matrix, lam[part])
+            R = linops.resolvents(A.matrix, lam[part], basis)
             self.V[part] = R @ R @ A.matrix * lam[part, None, None]
 
     @staticmethod
@@ -384,8 +387,10 @@ def hinf_apply(
         symbol_class_check(f)
     spec = spec or hinf_contour(f, A, tol)
 
+    basis = A.normal_basis()
+
     def integrand(lam):
-        return f(lam)[:, None, None] * linops.resolvents(A.matrix, lam)
+        return f(lam)[:, None, None] * linops.resolvents(A.matrix, lam, basis)
 
     info = dunford(spec, integrand, decay_exponent=f.decay_at_infinity(), tol_tail=tol)
     return info.value

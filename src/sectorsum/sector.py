@@ -15,6 +15,10 @@ its grid so re-checks are reproducible.
 
 Every resolvent norm is taken as 1/sigma_min(A + z), for all sampled
 shifts at once (:func:`linops.resolvent_norms`); no inverse is formed.
+A normal operator caches its unitary eigenbasis (d, Q)
+(:meth:`MatrixOperator.normal_basis`), and then sigma_min(A + z) is
+min_i |d_i + z| in closed form; any other operator takes the singular
+values of the stacked shifted matrices.
 """
 
 from __future__ import annotations
@@ -96,7 +100,8 @@ class MatrixOperator:
     """Dense operator with cached sector metadata.
 
     `certified` records the last successful certification; `sampling`
-    the grid it was obtained on.
+    the grid it was obtained on.  The norms and the normal basis are
+    computed on first use and cached.
     """
 
     matrix: np.ndarray
@@ -104,6 +109,9 @@ class MatrixOperator:
     sampling: SectorSampling | None = None
     _norm: float | None = field(default=None, repr=False)
     _inv_norm: float | None = field(default=None, repr=False)
+    # linops.normal_basis verdict, None included, once _basis_known is set
+    _basis: tuple | None = field(default=None, repr=False)
+    _basis_known: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         self.matrix = linops.as_matrix(self.matrix)
@@ -112,16 +120,29 @@ class MatrixOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def normal_basis(self):
+        """(d, Q) with A = Q diag(d) Q^* when A is normal to working
+        precision, else None (see :func:`linops.normal_basis`)."""
+        if not self._basis_known:
+            self._basis = linops.normal_basis(self.matrix)
+            self._basis_known = True
+        return self._basis
+
     def norm(self) -> float:
         if self._norm is None:
-            self._norm = linops.operator_norm(self.matrix)
+            basis = self.normal_basis()
+            if basis is None:
+                self._norm = linops.operator_norm(self.matrix)
+            else:
+                self._norm = float(np.max(np.abs(basis[0])))
         return self._norm
 
     def inverse_norm(self) -> float:
         """||A^{-1}||; 1/inverse_norm lower-bounds the distance of the
         spectrum to the origin."""
         if self._inv_norm is None:
-            inv_norm = float(linops.resolvent_norms(self.matrix, [0.0])[0])
+            inv_norm = float(
+                linops.resolvent_norms(self.matrix, [0.0], self.normal_basis())[0])
             if inv_norm == np.inf:
                 raise SingularShift("A is numerically singular (0 is on the spectrum)",
                                     shift=0.0)
@@ -172,7 +193,7 @@ def certify_sector(
         raise ValueError(f"theta must lie in [0, pi), got {theta}")
     sampling = sampling or SectorSampling()
     pts = sampling.points(theta)
-    values = (1.0 + np.abs(pts)) * linops.resolvent_norms(A.matrix, pts)
+    values = (1.0 + np.abs(pts)) * linops.resolvent_norms(A.matrix, pts, A.normal_basis())
     singular = np.flatnonzero(np.isinf(values))
     if singular.size:
         z = complex(pts[singular[0]])
@@ -231,7 +252,7 @@ def extended_sector_check(
         lam + (1.0 + abs(lam)) / (2.0 * spec.K) * angles
         for lam in sampling.points(spec.theta)
     ])
-    values = (1.0 + np.abs(pts)) * linops.resolvent_norms(A.matrix, pts)
+    values = (1.0 + np.abs(pts)) * linops.resolvent_norms(A.matrix, pts, A.normal_basis())
     violations = np.flatnonzero(np.isinf(values) | (values > bound * (1.0 + slack)))
     if violations.size:
         z, val = complex(pts[violations[0]]), values[violations[0]]
@@ -293,17 +314,18 @@ def decay_probe(
     y = linops.as_vector(y, A.dim)
     x = complex_power(A, -phi) @ y
 
-    sup_inner = 0.0
-    sup_outer = 0.0
-    shell = sampling.r_max / 10.0
-    for z in sampling.points(theta_prime):
-        z = complex(z)
-        resolved = linops.solve_shifted(A.matrix, z, x)
-        val = float(np.linalg.norm((z ** eta) * (A.matrix @ resolved)))
-        if abs(z) >= shell:
-            sup_outer = max(sup_outer, val)
-        else:
-            sup_inner = max(sup_inner, val)
+    pts = sampling.points(theta_prime)
+    basis = A.normal_basis()
+    # (A + z)^{-1} x at every sampled z, in stack-budget chunks
+    step = max(1, linops._SHIFT_STACK_BYTES // (16 * A.dim * A.dim))
+    resolved = np.concatenate([
+        linops.resolvents(A.matrix, pts[lo:lo + step], basis) @ x
+        for lo in range(0, len(pts), step)
+    ])
+    vals = np.linalg.norm(pts[:, None] ** eta * (resolved @ A.matrix.T), axis=1)
+    outer = np.abs(pts) >= sampling.r_max / 10.0
+    sup_inner = float(np.max(vals[~outer], initial=0.0))
+    sup_outer = float(np.max(vals[outer], initial=0.0))
     if sup_outer > 2.0 * max(sup_inner, 1e-300):
         raise UnboundedSuspected(
             f"sup over [r_max/10, r_max] = {sup_outer:.3e} exceeds twice the "

@@ -125,6 +125,12 @@ def sum_contour(
     )
 
 
+def _scaled_basis(op: MatrixOperator, s: float):
+    """Normal basis of s * op: (s d, Q) from op's (d, Q), or None."""
+    basis = op.normal_basis()
+    return None if basis is None else (s * basis[0], basis[1])
+
+
 def _pair_resolvents(pair: CommutingPair, lam: np.ndarray, s: float) -> np.ndarray:
     """(A + s lam)^{-1} (B - s lam)^{-1} at every node lam, for s = +-1.
 
@@ -132,7 +138,9 @@ def _pair_resolvents(pair: CommutingPair, lam: np.ndarray, s: float) -> np.ndarr
     both factors take the node itself as their shift and a SingularShift
     names the node.
     """
-    return -(linops.resolvents(s * pair.A.matrix, lam) @ linops.resolvents(-s * pair.B.matrix, lam))
+    Ra = linops.resolvents(s * pair.A.matrix, lam, _scaled_basis(pair.A, s))
+    Rb = linops.resolvents(-s * pair.B.matrix, lam, _scaled_basis(pair.B, -s))
+    return -(Ra @ Rb)
 
 
 def sum_inverse(
@@ -357,8 +365,9 @@ def eadic_middle_eval(
         e = np.exp(sign * 1j * tc)
         c = e * np.exp(sign * (np.pi - tc) * (1j * sigma + t)) / (2j * np.pi)
         # (s B + e)^{-1} (s B)^phi = s^{phi - 1} (B + e/s)^{-1} B^phi
-        Bs = (linops.resolvents(Bm, e / s) @ Bphi) * (s ** (phi - 1.0))[:, None, None]
-        R = linops.resolvents(Am, -x * np.exp(k) * e) @ Bs
+        Bs = (linops.resolvents(Bm, e / s, pair.B.normal_basis()) @ Bphi) * (
+            s ** (phi - 1.0))[:, None, None]
+        R = linops.resolvents(Am, -x * np.exp(k) * e, pair.A.normal_basis()) @ Bs
         out += sign * c * np.einsum("k,kij->ij", common * e, R)
     return out
 

@@ -204,3 +204,77 @@ def test_matrix_csv_rejects_bad_rows(tmp_path):
 def test_empty_matrix_rejected():
     with pytest.raises(DimensionMismatch):
         linops.resolvent_norms(np.zeros((0, 0)), [1.0])
+
+
+# ------------------------------------------- normal operators: closed form
+
+def _normal_from(rng, lam):
+    U = _random_unitary(rng, len(lam))
+    return (U * lam) @ U.conj().T
+
+
+@pytest.mark.parametrize("M", [
+    OPERATORS["convection-diffusion"](16),
+    OPERATORS["convection-diffusion"](32),
+    OPERATORS["convection-diffusion"](128),
+    OPERATORS["convection-diffusion"](160),
+    OPERATORS["jordan"](4),
+    np.array([[1.0, 1e-12], [0.0, 2.0]]),
+], ids=["cd-16", "cd-32", "cd-128", "cd-160", "jordan-4", "2x2-1e-12"])
+def test_normal_basis_rejects_nonnormal(M):
+    assert linops.normal_basis(M) is None
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 48, 160])
+@pytest.mark.parametrize("kind", ["laplacian", "rotated-diagonal"])
+def test_normal_basis_diagonalises_normal(kind, m):
+    rng = np.random.default_rng(m)
+    if kind == "laplacian":
+        M = _laplacian(m).astype(complex)
+    else:
+        lam = np.exp(1j * rng.uniform(-np.pi / 4, np.pi / 4, m)) * np.geomspace(1.0, 100.0, m)
+        M = _normal_from(rng, lam)
+    d, Q = linops.normal_basis(M)
+    scale = np.linalg.norm(M)
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(m)) <= 1e-13 * m
+    assert np.linalg.norm((Q * d) @ Q.conj().T - M) <= 1e-13 * m * scale
+
+
+def test_closed_form_norms_match_analytic_laplacian_eigenvalues():
+    m = 160
+    M = _laplacian(m).astype(complex)
+    k = np.arange(1, m + 1)
+    lam = 4.0 * (m + 1) ** 2 * np.sin(k * np.pi / (2 * (m + 1))) ** 2
+    shifts = SectorSampling().points(2.5)
+    got = linops.resolvent_norms(M, shifts, linops.normal_basis(M))
+    oracle = 1.0 / np.min(np.abs(shifts[:, None] + lam[None, :]), axis=1)
+    assert np.max(np.abs(got - oracle) / oracle) <= 1e-11
+
+
+def test_closed_form_matches_dense_path():
+    rng = np.random.default_rng(23)
+    lam = np.exp(1j * rng.uniform(-1.0, 1.0, 12)) * np.geomspace(0.1, 50.0, 12)
+    M = _normal_from(rng, lam)
+    basis = linops.normal_basis(M)
+    shifts = SectorSampling(n_boundary=40, n_angles=5, interior_density=20).points(1.5)
+    dense = linops.resolvents(M, shifts)
+    closed = linops.resolvents(M, shifts, basis)
+    assert closed.shape == dense.shape and closed.dtype == np.complex128
+    err = np.max(np.abs(closed - dense), axis=(1, 2)) / np.max(np.abs(dense), axis=(1, 2))
+    assert np.max(err) <= 1e-12
+    norms = linops.resolvent_norms(M, shifts, basis)
+    assert np.max(np.abs(norms / linops.resolvent_norms(M, shifts) - 1.0)) <= 1e-12
+
+
+def test_closed_form_singular_shifts():
+    M = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    basis = linops.normal_basis(M)
+    with pytest.raises(SingularShift) as exc:
+        linops.resolvents(M, [0.5, -2.0, 1j, -1.0], basis)
+    assert exc.value.shift == -2.0
+    got = linops.resolvent_norms(M, [-1.0, 0.5, -3.0, 1j, -2.0 + 0.0j], basis)
+    assert np.isinf(got[[0, 2, 4]]).all()
+    assert got[1] == pytest.approx(1.0 / 1.5, rel=1e-14)
+    assert got[3] == pytest.approx(1.0 / abs(1.0 + 1j), rel=1e-14)
+    assert linops.resolvents(M, [], basis).shape == (0, 3, 3)
+    assert linops.resolvent_norms(M, [], basis).shape == (0,)

@@ -1,0 +1,46 @@
+"""50-digit oracles for certification of non-normal operators.
+
+``certify_sector`` on a Jordan block and on a nearly normal 2 x 2 upper
+triangle must stay on the dense sigma_min path (``normal_basis`` rejects
+both) and agree with sigma_min(M + z) taken in 50-digit arithmetic.
+"""
+
+import numpy as np
+import pytest
+
+mpmath = pytest.importorskip("mpmath")
+
+from sectorsum import MatrixOperator, SectorSampling, certify_sector, linops  # noqa: E402
+
+SAMPLING = SectorSampling(n_boundary=5, n_angles=3, r_min=1e-3, r_max=1e3, interior_density=3)
+
+OPERATORS = {
+    "jordan": 2.0 * np.eye(4) + np.eye(4, k=1),
+    "2x2-1e-12": np.array([[1.0, 1e-12], [0.0, 2.0]]),
+}
+
+
+def _sigma_min_50_digits(M, z):
+    """Smallest singular value of M + zI from the float64 data, at 50 digits."""
+    with mpmath.workdps(50):
+        n = M.shape[0]
+        A = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                A[i, j] = mpmath.mpc(M[i, j].real, M[i, j].imag)
+            A[i, i] += mpmath.mpc(z.real, z.imag)
+        return float(min(mpmath.svd_c(A, compute_uv=False)))
+
+
+@pytest.mark.parametrize("kind", OPERATORS)
+@pytest.mark.parametrize("theta", [0.5, 1.5, 2.5])
+def test_certify_nonnormal_matches_50_digit_sigma_min(kind, theta):
+    M = OPERATORS[kind].astype(complex)
+    A = MatrixOperator(M)
+    assert A.normal_basis() is None
+    pts = SAMPLING.points(theta)
+    oracle = np.array([(1.0 + abs(z)) / _sigma_min_50_digits(M, complex(z)) for z in pts])
+    got = (1.0 + np.abs(pts)) * linops.resolvent_norms(M, pts)
+    assert np.max(np.abs(got - oracle) / oracle) <= 1e-12
+    k_hat = certify_sector(A, theta, SAMPLING, attach=False)
+    assert k_hat == pytest.approx(max(1.0, float(np.max(oracle))), rel=1e-12)

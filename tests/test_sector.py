@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from sectorsum import (
+    CommutingPair,
     MatrixOperator,
     SectorSampling,
     SectorSpec,
     certify_sector,
+    complex_power,
     decay_probe,
     extended_sector_check,
+    linops,
     resolvent_apply,
 )
 from sectorsum.errors import ExtensionViolated, NotSectorialAtAngle, SingularShift
@@ -244,3 +247,66 @@ def test_decay_probe_contract_violations():
         decay_probe(A, 0.9, 0.9, 1.0, np.ones(2))  # eta = phi
     with pytest.raises(ValueError):
         decay_probe(A, 0.5, 0.1, 2.5, np.ones(2))  # theta' above certificate
+
+
+def test_normal_basis_cached_with_its_verdict(monkeypatch):
+    calls = []
+    real = linops.normal_basis
+    monkeypatch.setattr(linops, "normal_basis", lambda M: calls.append(1) or real(M))
+    lap = MatrixOperator(_convection_diffusion(8, b=0.0))
+    cd = MatrixOperator(_convection_diffusion(8))
+    for A in (lap, cd, lap, cd):
+        certify_sector(A, 2.0, SectorSampling(n_boundary=8, interior_density=4))
+        A.norm(), A.inverse_norm()
+    assert len(calls) == 2
+    assert lap.normal_basis() is lap.normal_basis()
+    assert cd.normal_basis() is None
+
+
+def test_normal_norms_from_basis():
+    M = _convection_diffusion(32, b=0.0)
+    A = MatrixOperator(M)
+    assert A.normal_basis() is not None
+    s = np.linalg.svd(M, compute_uv=False)
+    assert A.norm() == pytest.approx(s[0], rel=1e-12)
+    assert A.inverse_norm() == pytest.approx(1.0 / s[-1], rel=1e-12)
+    with pytest.raises(SingularShift) as exc:
+        MatrixOperator(np.diag([0.0, 1.0])).inverse_norm()
+    assert exc.value.shift == 0.0
+
+
+def test_commuting_pair_members_have_normal_bases():
+    rng = np.random.default_rng(4)
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    Q = q * (np.diag(r) / np.abs(np.diag(r)))
+    A = certified(Q @ np.diag([1.0, 2.0, 5.0, 8.0]) @ Q.conj().T, 0.9 * np.pi)
+    B = certified(Q @ np.diag([0.5, 1.0, 2.0, 3.0]) @ Q.conj().T, 0.9 * np.pi)
+    pair = CommutingPair(A, B)
+    for op, d in ((pair.A, [1.0, 2.0, 5.0, 8.0]), (pair.B, [0.5, 1.0, 2.0, 3.0])):
+        basis = op.normal_basis()
+        assert basis is not None
+        assert np.sort(basis[0].real) == pytest.approx(d, rel=1e-13)
+
+
+def test_certify_normal_closed_form_matches_dense_path():
+    A = MatrixOperator(_convection_diffusion(48, b=0.0))
+    assert A.normal_basis() is not None
+    sampling = SectorSampling()
+    for theta in (0.0, 1.0, 2.5):
+        pts = sampling.points(theta)
+        dense = max(1.0, float(np.max((1.0 + np.abs(pts)) * linops.resolvent_norms(A.matrix, pts))))
+        assert certify_sector(A, theta, sampling, attach=False) == pytest.approx(dense, rel=1e-11)
+
+
+@pytest.mark.parametrize("M", [np.diag([1.0, 3.0, 10.0]), _convection_diffusion(8)],
+                         ids=["normal", "convection-diffusion"])
+def test_decay_probe_matches_per_shift_reference(M):
+    A = certified(M, 2.5)
+    y = np.arange(1.0, M.shape[0] + 1.0)
+    sup = decay_probe(A, 0.5, 0.25, 1.0, y)
+    x = complex_power(A, -0.5) @ y
+    ref = max(
+        np.linalg.norm(complex(z) ** 0.25 * (M @ np.linalg.solve(M + z * np.eye(len(y)), x)))
+        for z in SectorSampling(r_max=1e6).points(1.0)
+    )
+    assert sup == pytest.approx(ref, rel=1e-12)
