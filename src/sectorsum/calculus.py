@@ -7,7 +7,11 @@ Complex powers with Re z < 0 come from the contour integral
 
 with (-lambda)^z on the principal branch (argument in (-pi, pi]), which
 is continuous along the path because the rays keep arg(-lambda) at
-+-(theta - pi).  A^0 is the identity by definition.
++-(theta - pi).  A^0 is the identity by definition.  The H^inf calculus
+f(-A) is the same integral with f(lambda) in place of (-lambda)^z.  For
+a normal A = Q diag(d) Q^* both reduce on the eigenvalues: the quadrature
+sums the (N, n) stack g(lambda_k) / (d + lambda_k) and forms one
+Q diag(.) Q^* per integral.
 
 Imaginary powers use the real-axis formula
 
@@ -20,17 +24,47 @@ every t: that is what ImaginaryPowerFamily caches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import linops
-from .contour import ContourSpec, dunford, gauss_panels, tail_radius
+from .contour import ContourSpec, DunfordResult, dunford, gauss_panels, tail_radius
 from .errors import ClassViolated
 from .sector import MatrixOperator
 
 _EYE = lambda n: np.eye(n, dtype=complex)  # noqa: E731
+
+
+# ------------------------------------------------------- symbol integrals
+
+
+def _symbol_integral(
+    A: MatrixOperator,
+    spec: ContourSpec,
+    g: Callable[[np.ndarray], np.ndarray],
+    decay_exponent: float,
+    tol: float,
+) -> DunfordResult:
+    """(1/2 pi i) int of g(lambda) (A + lambda)^{-1} dlambda over spec.
+
+    For a normal A = Q diag(d) Q^* the quadrature sum is
+    Q diag(sum_k w_k g(lambda_k) / (d + lambda_k)) Q^*, so dunford reduces
+    the (N, n) scalar stack and one product forms the matrix.  Q is
+    unitary: each row norm is the Frobenius norm of the matrix value,
+    and the tail estimate is the dense path's.
+    """
+    basis = A.normal_basis()
+    if basis is None:
+        def integrand(lam):
+            return g(lam)[:, None, None] * linops.resolvents(A.matrix, lam)
+
+        return dunford(spec, integrand, decay_exponent=decay_exponent, tol_tail=tol)
+    info = dunford(spec, lambda lam: g(lam)[:, None] * linops.spectral_resolvents(basis, lam),
+                   decay_exponent=decay_exponent, tol_tail=tol)
+    Q = basis[1]
+    return replace(info, value=(Q * info.value) @ Q.conj().T)
 
 
 # ----------------------------------------------------------- complex powers
@@ -89,12 +123,7 @@ def complex_power(
             f"contour angle {spec.theta} exceeds certified angle {A.angle()}"
         )
 
-    basis = A.normal_basis()
-
-    def integrand(lam):
-        return ((-lam) ** z)[:, None, None] * linops.resolvents(A.matrix, lam, basis)
-
-    info = dunford(spec, integrand, decay_exponent=-np.real(z), tol_tail=tol)
+    info = _symbol_integral(A, spec, lambda lam: (-lam) ** z, -np.real(z), tol)
     return (info.value, info) if with_info else info.value
 
 
@@ -373,11 +402,13 @@ def hinf_apply(
     spec: ContourSpec | None = None,
     tol: float = 1e-9,
     check_class: bool = True,
-) -> np.ndarray:
+    with_info: bool = False,
+):
     """f(-A) = (1/2 pi i) int over Gamma_theta of f(lambda) (A+lambda)^{-1} dlambda.
 
     The operator must be certified strictly above the symbol angle, so
-    the spectrum of -A stays inside the region the path encloses.
+    the spectrum of -A stays inside the region the path encloses.  With
+    ``with_info``, returns (value, DunfordResult).
     """
     if A.certified is None or A.angle() <= f.theta:
         raise ValueError(
@@ -387,13 +418,8 @@ def hinf_apply(
         symbol_class_check(f)
     spec = spec or hinf_contour(f, A, tol)
 
-    basis = A.normal_basis()
-
-    def integrand(lam):
-        return f(lam)[:, None, None] * linops.resolvents(A.matrix, lam, basis)
-
-    info = dunford(spec, integrand, decay_exponent=f.decay_at_infinity(), tol_tail=tol)
-    return info.value
+    info = _symbol_integral(A, spec, f, f.decay_at_infinity(), tol)
+    return (info.value, info) if with_info else info.value
 
 
 def hinf_constant(

@@ -19,14 +19,16 @@ panels) takes its nodes from gauss_panels(edges, q), the one place
 Legendre nodes are mapped onto panels.  Ray quadrature uses it on a
 radially graded mesh: panel widths are uniform in log r across a
 caller-supplied "focus" window (where the integrand's poles live) and
-coarsen geometrically with ratio 2 toward both endpoints 0 and R.
-Endpoint power behavior |lambda|^w is handled by the grading; truncation
-at R is estimated from the outermost panel mass and the integrand's
+coarsen geometrically with ratio 2 toward both endpoints 0 and R, where
+the last panel is at least log 2 wide.  Endpoint power behavior |lambda|^w
+is handled by the grading; truncation at R is estimated from the
+outermost panel mass, that panel's log-width and the integrand's
 configured decay exponent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -130,7 +132,8 @@ MAX_PANEL_WIDTH = 2.8
 def _graded_edges(r_inner: float, R: float, focus, breaks) -> np.ndarray:
     """Radial panel edges: log-uniform inside the focus window, widths
     doubling (ratio 2) toward both r_inner and R outside it, capped at
-    MAX_PANEL_WIDTH in log radius."""
+    MAX_PANEL_WIDTH in log radius.  A last panel outside the focus
+    window is at least log 2 wide unless a break bounds it."""
     base = np.log(2.0)
     lo = np.log(r_inner)
     hi = np.log(R)
@@ -166,7 +169,33 @@ def _graded_edges(r_inner: float, R: float, focus, breaks) -> np.ndarray:
     keep = np.concatenate([[True], np.diff(np.log(r_edges)) > 1e-9])
     r_edges = r_edges[keep]
     r_edges[-1] = R
+    # a graded last panel narrower than log 2 leaves dunford's tail
+    # extrapolation a sliver to measure: fold it into its graded neighbour
+    # unless the edge between them is a forced break
+    last = np.log(r_edges[-2])
+    if hi - last < base and last > f_hi + 1e-9 \
+            and not np.any(np.isclose(r_edges[-2], breaks, rtol=1e-9, atol=0.0)):
+        r_edges = np.delete(r_edges, -2)
     return r_edges
+
+
+def _ray_mesh(spec: ContourSpec):
+    """(edges, q, stub) of the graded ray panels of a spec, or None when
+    it has no rays: the log-graded edges from r_inner to R, the per-panel
+    Gauss-Legendre order, and the linear stub panel (0, r_floor) of a
+    rho = 0 path (else None)."""
+    if spec.R <= spec.rho:
+        return None
+    r_inner = spec.rho
+    stub = None
+    if spec.rho == 0.0:
+        r_inner = spec.r_floor or min(1.0, spec.R) * DEFAULT_FLOOR_EXP
+        stub = (0.0, r_inner)
+    edges = _graded_edges(r_inner, spec.R, spec.focus, spec.breaks)
+    q = DEFAULT_PANEL_ORDER
+    if spec.n_ray:
+        q = max(2, int(round(spec.n_ray / (len(edges) - 1 + (stub is not None)))))
+    return edges, q, stub
 
 
 def gauss_panels(edges, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,17 +228,10 @@ def build_nodes(spec: ContourSpec) -> tuple[np.ndarray, np.ndarray]:
         # d lambda = i rho e^{i phi} d phi, traversed with phi decreasing
         w_parts.append(-w * 1j * lam / _TWO_PI_I)
 
-    if spec.R > spec.rho:
-        r_inner = spec.rho
-        stub = None
-        if spec.rho == 0.0:
-            r_inner = spec.r_floor or min(1.0, spec.R) * DEFAULT_FLOOR_EXP
-            stub = (0.0, r_inner)
-        edges = _graded_edges(r_inner, spec.R, spec.focus, spec.breaks)
+    mesh = _ray_mesh(spec)
+    if mesh is not None:
+        edges, q, stub = mesh
         n_panels = len(edges) - 1
-        q = DEFAULT_PANEL_ORDER
-        if spec.n_ray:
-            q = max(2, int(round(spec.n_ray / (n_panels + (stub is not None)))))
         up = np.exp(1j * spec.theta)
         dn = np.exp(-1j * spec.theta)
         if stub is not None:
@@ -263,17 +285,23 @@ def dunford(
         spectrum and the caller chose a bad path.
     decay_exponent : float
         eta such that the integrand decays like |lambda|^(-1-eta); used
-        to extrapolate the outermost panel mass into a tail estimate.
+        to extrapolate the outermost ray panel's mass, over its actual
+        log-width, into a tail estimate.
     tol_tail : float, optional
         If given, raise TruncationNotConverged when the tail estimate
         exceeds it.
     """
     lam, w = build_nodes(spec)
-    # outermost ray panel mass, estimated from the nodes with the largest
-    # radii (one panel's worth on each ray)
+    # outermost ray panel mass, from the nodes with the largest radii (the
+    # q nodes of that panel on each ray), and the panel's log-width
+    mesh = _ray_mesh(spec)
+    q, width = DEFAULT_PANEL_ORDER, np.log(2.0)
+    if mesh is not None:
+        edges, q, _ = mesh
+        width = float(np.log(edges[-1] / edges[-2]))
     order = np.argsort(np.abs(lam - spec.delta))
     in_tail = np.zeros(len(lam), dtype=bool)
-    in_tail[order[-min(len(lam), 2 * DEFAULT_PANEL_ORDER):]] = True
+    in_tail[order[-min(len(lam), 2 * q):]] = True
     acc, last_mass, lo, step = 0.0, 0.0, 0, 1
     while lo < len(lam):
         chunk = slice(lo, lo + step)
@@ -284,8 +312,9 @@ def dunford(
         last_mass += float(np.abs(w[chunk][tail]) @ norms)
         lo += step
         step = max(1, _SHIFT_STACK_BYTES // values[0].nbytes)
-    ratio = 2.0 ** max(decay_exponent, 1e-3)
-    tail = last_mass / max(ratio - 1.0, 1e-3)
+    # a C r^(-1-eta) integrand puts C R^-eta (e^(eta width) - 1) / eta on
+    # the last panel and C R^-eta / eta beyond R
+    tail = last_mass / math.expm1(max(decay_exponent, 1e-3) * width)
     if tol_tail is not None and tail > tol_tail:
         raise TruncationNotConverged(
             f"tail estimate {tail:.3e} exceeds tol_tail {tol_tail:.3e} "

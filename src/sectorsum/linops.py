@@ -1,11 +1,12 @@
 """Dense complex linear algebra substrate.
 
-Everything above this module works through six primitives: shifted
+Everything above this module works through seven primitives: shifted
 solves ``(M + z)^{-1} rhs``, stacked resolvents ``(M + z_k)^{-1}`` over
-many shifts, resolvent norms ``||(M + z)^{-1}||`` over many shifts, the
-unitary eigenbasis of a normal matrix, spectral norms, and matrix
-exponentials.  Matrices are plain ``numpy`` arrays of ``complex128``;
-all operations are pure and never mutate their inputs.
+many shifts, their eigenvalues ``1/(d_i + z_k)`` for a normal M,
+resolvent norms ``||(M + z)^{-1}||`` over many shifts, the unitary
+eigenbasis of a normal matrix, spectral norms, and matrix exponentials.
+Matrices are plain ``numpy`` arrays of ``complex128``; all operations
+are pure and never mutate their inputs.
 
 Shifted solves and resolvents go through LAPACK getrf (LU with partial
 pivoting).  Every contour quadrature takes its resolvents from
@@ -21,9 +22,12 @@ A normal matrix has the closed form ``M = Q diag(d) Q^*`` with Q unitary.
 :func:`normal_basis` returns (d, Q) when M is normal to working precision
 (the departure from normality of its complex Schur form is within
 ``NORMAL_DEPARTURE * n eps ||M||_F``) and None otherwise.  Given that
-basis, :func:`resolvents` returns ``Q diag(1/(d + z_k)) Q^*`` and
-:func:`resolvent_norms` returns ``1/min_i |d_i + z_k|``, with no
-factorization.  A shift is then singular when
+basis, :func:`spectral_resolvents` returns the (N, n) array
+``1/(d_i + z_k)``, :func:`resolvents` returns ``Q diag(1/(d + z_k)) Q^*``
+built from it and :func:`resolvent_norms` returns
+``1/min_i |d_i + z_k|``, with no factorization.  A contour sum of a
+normal M can reduce the scalar stack and form one ``Q diag(.) Q^*`` at
+the end (``calculus`` does).  A shift is then singular when
 ``min_i |d_i + z| <= SINGULAR_RTOL * ||M + zI||_F``, which for a normal M
 is the sigma_min test above.  Without a basis both run the dense path.
 """
@@ -168,29 +172,38 @@ def _normal_distances(basis, z: np.ndarray):
     return nearest, nearest <= SINGULAR_RTOL * np.sqrt(np.sum(dist * dist, axis=1))
 
 
+def spectral_resolvents(basis, shifts) -> np.ndarray:
+    """1/(d_i + z_k) for every shift, stacked as an (N, n) array: the
+    eigenvalues of (M + z_k I)^{-1} for ``basis`` = (d, Q) from
+    :func:`normal_basis`.  Raises SingularShift for the first singular
+    shift in the order given."""
+    z = as_vector(shifts)
+    nearest, singular = _normal_distances(basis, z)
+    if singular.any():
+        k = int(np.argmax(singular))
+        raise SingularShift(
+            f"shift z={complex(z[k])} is numerically on the spectrum "
+            f"(distance {nearest[k]:.3e} to the nearest eigenvalue)",
+            shift=complex(z[k]),
+        )
+    return 1.0 / (basis[0] + z[:, None])
+
+
 def resolvents(M, shifts, basis=None) -> np.ndarray:
     """(M + z_k I)^{-1} for every shift, stacked as an (N, n, n) array.
 
     With ``basis`` = (d, Q) from :func:`normal_basis`, the stack is
-    Q diag(1/(d + z_k)) Q^*.  Without it, one LAPACK getrf + getri per
-    shift; no many-right-hand-side solve, which OpenBLAS runs on all its
-    threads even at n = 2 (on a small host the first one in a process
-    can stall for about a second).  Raises SingularShift for the first
-    singular shift in the order given.
+    Q diag(1/(d + z_k)) Q^*, from :func:`spectral_resolvents`.  Without
+    it, one LAPACK getrf + getri per shift; no many-right-hand-side
+    solve, which OpenBLAS runs on all its threads even at n = 2 (on a
+    small host the first one in a process can stall for about a second).
+    Raises SingularShift for the first singular shift in the order given.
     """
     M = as_matrix(M)
     z = as_vector(shifts)
     if basis is not None:
-        d, Q = basis
-        nearest, singular = _normal_distances(basis, z)
-        if singular.any():
-            k = int(np.argmax(singular))
-            raise SingularShift(
-                f"shift z={complex(z[k])} is numerically on the spectrum "
-                f"(distance {nearest[k]:.3e} to the nearest eigenvalue)",
-                shift=complex(z[k]),
-            )
-        return (Q * (1.0 / (d + z[:, None]))[:, None, :]) @ Q.conj().T
+        Q = basis[1]
+        return (Q * spectral_resolvents(basis, z)[:, None, :]) @ Q.conj().T
     stack = np.repeat(M[None], z.shape[0], axis=0)
     diag = np.arange(M.shape[0])
     stack[:, diag, diag] += z[:, None]

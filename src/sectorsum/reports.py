@@ -129,16 +129,32 @@ def _walk_numeric(prefix, a, b, out):
     elif isinstance(a, (int, float)) and isinstance(b, (int, float)) \
             and not isinstance(a, bool) and not isinstance(b, bool):
         out[prefix] = {"a": a, "b": b, "abs_diff": abs(a - b)}
+    elif a != b and (za := _complex_literal(a)) is not None \
+            and (zb := _complex_literal(b)) is not None:
+        out[prefix] = {"a": a, "b": b, "abs_diff": abs(za - zb)}
     else:
         if a != b:
             out[prefix] = {"a": a, "b": b, "abs_diff": None}
+
+
+def _complex_literal(v):
+    """complex(v) for a string that parses as a Python complex literal
+    (the "(a+bj)" entries of a power report's matrix), else None."""
+    if not isinstance(v, str):
+        return None
+    try:
+        return complex(v)
+    except ValueError:
+        return None
 
 
 def report_diff(a: CertificateReport, b: CertificateReport, tol: float = 0.0) -> dict:
     """Field-wise numeric diff of two reports of the same operation.
 
     Returns per-field absolute differences with a verdict at the given
-    tolerance; non-numeric mismatches get a null diff and always fail.
+    tolerance.  Two strings that both parse as Python complex literals
+    compare as numbers, |a - b|; other non-numeric mismatches get a null
+    diff and always fail.
     """
     if a.operation != b.operation:
         raise IncompatibleReports(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from sectorsum import (
     imaginary_power,
     symbol_class_check,
 )
+from sectorsum.calculus import hinf_contour, power_contour
+from sectorsum.harness import generate, laplacian_eigenvalues
 from sectorsum.errors import ClassViolated
 from conftest import certified
 
@@ -67,6 +71,50 @@ def test_fractional_power_positive_exponent(diag14):
 
 
 # ---------------------------------------------------------- imaginary powers
+
+
+def _laplacian(m):
+    return (m + 1) ** 2 * (2 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1))
+
+
+def _observed_tail(run, spec):
+    """(tail estimate at spec.R, ||X(R) - X(1e4 R)||_F, X(R)) for a
+    run(spec) -> (X, DunfordResult) at tol 1."""
+    value, info = run(spec)
+    far, _ = run(replace(spec, R=1e4 * spec.R))
+    return info.tail_estimate, float(np.linalg.norm(value - far)), value
+
+
+@pytest.mark.parametrize("m, re", [(48, -0.75), (48, -0.9), (8, -0.65)])
+def test_power_tail_estimate_covers_the_truncation(m, re):
+    # the outermost panel is 2.67, 2.76 and (before the merge) 0.0007 wide
+    # in log radius: extrapolating its mass as if it spanned log 2 gave
+    # 1.2e-9 and 1.6e-9 (TruncationNotConverged on an accurate result)
+    # and 4.2e-14 against observed truncation errors of 1.2e-10, 1.3e-10
+    # and 4.5e-11
+    A = certified(_laplacian(m), 0.9 * np.pi)
+    spec = power_contour(A, re)
+    est, observed, _ = _observed_tail(
+        lambda s: complex_power(A, re, spec=s, tol=1.0, with_info=True), spec)
+    assert observed <= est <= 1e-9
+    assert complex_power(A, re, spec=spec, with_info=True)[1].tail_estimate == est
+
+
+def test_hinf_tail_estimate_covers_the_truncation():
+    # the hinf pipeline's cayley-squared case at theta = pi/2 on the
+    # m = 8 Laplacian: the estimate was 1.55e-9 against an error of 3.6e-11
+    # in the spectral norm
+    A = generate("laplacian-1d", certify_angle=np.pi / 2 + 0.3, m=8)
+    f = builtin_symbols(np.pi / 2)["cayley-squared"]
+    est, observed, value = _observed_tail(
+        lambda s: hinf_apply(f, A, spec=s, tol=1.0, with_info=True), hinf_contour(f, A))
+    lam = laplacian_eigenvalues(8)
+    k = np.arange(1, 9)
+    V = np.sqrt(2.0 / 9.0) * np.sin(np.outer(k, k) * np.pi / 9.0)
+    error = np.linalg.norm(value - (V * (lam / (1.0 + lam) ** 2)) @ V.T, 2)
+    assert max(observed, error) <= est <= 1e-9
+    _, info = hinf_apply(f, A, with_info=True)
+    assert info.tail_estimate == est
 
 
 def test_imaginary_power_identity():

@@ -12,6 +12,7 @@ from sectorsum import ContourSpec, build_nodes, contour, dunford, pv_integral
 from sectorsum.contour import (
     DEFAULT_FLOOR_EXP,
     DEFAULT_PANEL_ORDER,
+    MAX_PANEL_WIDTH,
     _graded_edges,
     gauss_panels,
     tail_radius,
@@ -136,8 +137,12 @@ def test_path_shift_invariance():
 
 def _reference_dunford(spec, integrand, decay_exponent):
     """Per-node loop: weighted sum, and the tail mass of the nodes with
-    the largest radii extrapolated as in dunford."""
+    the largest radii extrapolated over the outermost panel's log-width
+    as in dunford (rho > 0 and no n_ray, so that panel has
+    DEFAULT_PANEL_ORDER nodes on each ray)."""
     lam, w = build_nodes(spec)
+    edges = _graded_edges(spec.rho, spec.R, spec.focus, spec.breaks)
+    width = np.log(edges[-1] / edges[-2])
     tail = set(np.argsort(np.abs(lam - spec.delta))[-2 * DEFAULT_PANEL_ORDER:].tolist())
     acc, mass = 0.0, 0.0
     for k, (l, wk) in enumerate(zip(lam, w)):
@@ -145,7 +150,7 @@ def _reference_dunford(spec, integrand, decay_exponent):
         acc = acc + term
         if k in tail:
             mass += np.linalg.norm(term)
-    return acc, mass / (2.0 ** decay_exponent - 1.0)
+    return acc, mass / np.expm1(decay_exponent * width)
 
 
 def test_dunford_chunks_match_per_node_loop(monkeypatch):
@@ -166,6 +171,34 @@ def test_dunford_chunks_match_per_node_loop(monkeypatch):
     ref, ref_tail = _reference_dunford(spec, integrand, 0.5)
     assert np.max(np.abs(res.value - ref)) <= 1e-14 * np.max(np.abs(ref))
     assert res.tail_estimate == pytest.approx(ref_tail, rel=1e-13)
+
+
+def test_last_graded_panel_is_at_least_log2_wide():
+    widths = []
+    for R in np.geomspace(20.0, 1e9, 400):
+        edges = _graded_edges(1.0, R, (1.0, 10.0), ())
+        widths.append(np.log(edges[-1] / edges[-2]))
+        assert edges[-1] == R and np.all(np.diff(edges) > 0)
+    assert min(widths) >= np.log(2.0) - 1e-12
+    assert max(widths) <= MAX_PANEL_WIDTH + np.log(2.0)
+    # a forced break keeps its sliver, and the focus window keeps its
+    # uniform panels up to R
+    assert _graded_edges(1.0, 1e6, (1.0, 10.0), (0.999e6,))[-2] == 0.999e6
+    edges = _graded_edges(1.0, 50.0, (1.0, 50.0), ())
+    assert np.allclose(np.diff(np.log(edges)), np.log(50.0) / 6)
+
+
+def test_dunford_tail_is_the_outer_panel_extrapolated():
+    # (-lambda)^(-1-eta) has |.| = r^(-1-eta) on both rays, so the outer
+    # panel's mass over its own log-width extrapolates to R^-eta / (pi eta)
+    # exactly; with n_ray the panel has q != DEFAULT_PANEL_ORDER nodes
+    eta = 0.4
+    for R, n_ray in ((1e8, 96), (3.7e9, 0), (2.2e5, 48)):
+        spec = ContourSpec(rho=0.5, theta=0.6 * np.pi, R=R, n_ray=n_ray, n_arc=16,
+                           focus=(1.0, 10.0))
+        res = dunford(spec, lambda lam: (-lam) ** (-1.0 - eta), decay_exponent=eta)
+        assert res.tail_estimate == pytest.approx(R ** -eta / (np.pi * eta), rel=1e-10)
+    assert contour._ray_mesh(spec)[1] != DEFAULT_PANEL_ORDER
 
 
 def test_pv_odd_kernels_vanish():

@@ -125,6 +125,47 @@ def test_report_diff_grid_refinement_model(tmp_path):
     assert diff["fields"]["outputs.constant_fprime"]["within_tol"]
 
 
+def test_report_diff_compares_complex_literals(tmp_path, monkeypatch, capsys):
+    # the power report of a Laplacian m = 16 on the eigenvalue path and on
+    # the dense path (no normal basis): its "(a+bj)" matrix entries differ
+    # in the last bits and compare as numbers
+    cfg = {"schema_version": 1, "pipeline": "power", "re": -0.6, "im": 0.3,
+           "recipe": {"kind": "laplacian-1d", "m": 16}}
+    eigen = run_config(cfg, str(tmp_path / "eigen"))[0][0]
+    monkeypatch.setattr(sectorsum.MatrixOperator, "normal_basis", lambda self: None)
+    dense = run_config(cfg, str(tmp_path / "dense"))[0][0]
+    diff = report_diff(CertificateReport.load(eigen), CertificateReport.load(dense))
+    entries = [k for k in diff["fields"] if k.startswith("outputs.matrix")]
+    assert len(entries) > 0 and all(diff["fields"][k]["abs_diff"] is not None for k in entries)
+    assert 0.0 < diff["max_abs_diff"] <= 1e-14
+    assert cli_main(["report-diff", eigen, dense, "--tol", "1e-12"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_within_tol"]
+
+
+def test_report_diff_unparsed_string_is_a_null_mismatch():
+    a = CertificateReport("op", {}, {}, {}, {"s": "(1+2j)", "t": "abc", "u": "(1+0j)"}, True)
+    b = CertificateReport("op", {}, {}, {}, {"s": "(1+2.5j)", "t": "abd", "u": "(1+0j)"}, True)
+    diff = report_diff(a, b, tol=1.0)
+    assert diff["fields"]["outputs.s"]["abs_diff"] == 0.5
+    assert diff["fields"]["outputs.s"]["within_tol"]
+    assert diff["fields"]["outputs.t"]["abs_diff"] is None
+    assert not diff["fields"]["outputs.t"]["within_tol"] and not diff["all_within_tol"]
+    assert "outputs.u" not in diff["fields"]
+
+
+def test_hinf_report_records_its_contour(tmp_path):
+    from sectorsum import build_nodes, builtin_symbols
+    from sectorsum.calculus import hinf_contour
+
+    cfg = {"schema_version": 1, "pipeline": "hinf", "symbol": "rational-eta",
+           "theta": 1.2, "recipe": {"kind": "laplacian-1d", "m": 8}}
+    _, rep = run_config(cfg, str(tmp_path))
+    op = generate("laplacian-1d", certify_angle=1.5, m=8)
+    spec = hinf_contour(builtin_symbols(1.2)["rational-eta"], op)
+    assert rep.node_counts["contour"] == len(build_nodes(spec)[0])
+    assert 0.0 < rep.outputs["tail_estimate"] <= 1e-9
+
+
 def test_report_diff_incompatible():
     a = CertificateReport("op-a", {}, {}, {}, {}, True)
     b = CertificateReport("op-b", {}, {}, {}, {}, True)

@@ -1,5 +1,9 @@
 """Property tests of the normal-operator closed form against the dense
-resolvent path (``linops.resolvents`` / ``linops.resolvent_norms``)."""
+resolvent path (``linops.resolvents`` / ``linops.resolvent_norms``), and
+of contour sums reduced on the eigenvalues (``complex_power``,
+``hinf_apply``) against the same sums over dense resolvent stacks."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +11,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from sectorsum import linops  # noqa: E402
+from sectorsum import (  # noqa: E402
+    MatrixOperator,
+    builtin_symbols,
+    certify_sector,
+    complex_power,
+    dunford,
+    hinf_apply,
+    linops,
+)
+from sectorsum.calculus import hinf_contour, power_contour  # noqa: E402
 from sectorsum.errors import SingularShift  # noqa: E402
 
 # spectra in the sector |arg| <= pi/4; regular shifts in |arg| <= pi/2,
@@ -68,3 +81,85 @@ def test_shifts_on_eigenvalues_are_singular_on_both_paths(seed, n, count, data):
         assert exc.value.shift == first
         norms = linops.resolvent_norms(M, shifts, b)
         assert np.array_equal(np.isinf(norms), on_spectrum)
+
+
+# ------------------------------------------- contour sums on the eigenvalues
+
+SYMBOLS = builtin_symbols(np.pi / 2)
+
+
+def _eigen_and_dense(M):
+    """A certified operator on M, and a copy forced onto the dense path
+    (verdict None) that shares its certificate."""
+    A = MatrixOperator(M)
+    certify_sector(A, 0.7 * np.pi)
+    return A, replace(A, _basis_known=True, _basis=None)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+       re=st.floats(0.5, 0.95), im=st.floats(-1.0, 1.0),
+       symbol=st.sampled_from(sorted(SYMBOLS)))
+def test_eigenvalue_reduction_matches_dense_path(seed, n, re, im, symbol):
+    M, _, _ = _normal(seed, n)
+    A, dense = _eigen_and_dense(M)
+    assert A.normal_basis() is not None
+    z = complex(-re, im)
+    f = SYMBOLS[symbol]
+    # one contour each, at tol 1 so the comparison never stops at the tail check
+    for run, spec in ((lambda op, s: complex_power(op, z, spec=s, tol=1.0, with_info=True),
+                       power_contour(A, z)),
+                      (lambda op, s: hinf_apply(f, op, spec=s, tol=1.0, with_info=True),
+                       hinf_contour(f, A))):
+        value, info = run(A, spec)
+        ref, ref_info = run(dense, spec)
+        assert np.linalg.norm(value - ref) <= 1e-11 * np.linalg.norm(ref)
+        assert info.tail_estimate == pytest.approx(ref_info.tail_estimate, rel=1e-11)
+        assert info.n_nodes == ref_info.n_nodes
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), count=st.integers(1, 20),
+       data=st.data())
+def test_spectral_resolvents_name_a_shift_on_an_eigenvalue(seed, n, count, data):
+    M, _, rng = _normal(seed, n)
+    basis = linops.normal_basis(M)
+    shifts = list(_regular_shifts(rng, count))
+    j = data.draw(st.integers(0, n - 1))
+    k = data.draw(st.integers(0, len(shifts)))
+    np.testing.assert_array_equal(linops.spectral_resolvents(basis, shifts),
+                                  1.0 / (basis[0] + np.array(shifts)[:, None]))
+    shifts.insert(k, -basis[0][j])
+    with pytest.raises(SingularShift) as exc:
+        linops.spectral_resolvents(basis, shifts)
+    assert exc.value.shift == complex(-basis[0][j])
+
+
+def _convection_diffusion(m):
+    lap = (m + 1) ** 2 * (2 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1))
+    return lap + 10.0 * (m + 1) * (np.eye(m, k=1) - np.eye(m, k=-1))
+
+
+@pytest.mark.parametrize("M, angle", [
+    (_convection_diffusion(16), 0.9 * np.pi),
+    (2.0 * np.eye(4) + np.eye(4, k=1), 0.75 * np.pi),
+    (np.array([[1.0, 1e-12], [0.0, 2.0]]), 0.75 * np.pi),
+], ids=["convection-diffusion", "jordan", "near-jordan"])
+def test_nonnormal_operators_keep_the_dense_integrand(M, angle):
+    # bit for bit the per-node (A + lambda)^{-1} stack of the dense path
+    A = MatrixOperator(M)
+    certify_sector(A, angle)
+    assert A.normal_basis() is None
+
+    def dense(g, spec, eta):
+        return dunford(spec, lambda lam: g(lam)[:, None, None] * linops.resolvents(A.matrix, lam),
+                       decay_exponent=eta, tol_tail=1e-9)
+
+    for z in (-0.5, -0.75 + 0.5j, -0.9):
+        value, info = complex_power(A, z, with_info=True)
+        ref = dense(lambda lam: (-lam) ** z, power_contour(A, z), -z.real)
+        assert np.array_equal(value, ref.value) and info.tail_estimate == ref.tail_estimate
+    for f in SYMBOLS.values():
+        value, info = hinf_apply(f, A, with_info=True)
+        ref = dense(f, hinf_contour(f, A), f.decay_at_infinity())
+        assert np.array_equal(value, ref.value) and info.tail_estimate == ref.tail_estimate
