@@ -110,29 +110,12 @@ class GridFunction:
 # ------------------------------------------------- scalar derivative resolvent
 
 
-def _pl_moments(lam: complex, h: float) -> tuple[complex, complex, complex]:
-    """(e^{-lam h}, m0, m1) with m0 = int_0^h e^{lam(s-h)} ds and
-    m1 the same integral weighted by s/h; exact piecewise-linear data."""
-    z = lam * h
-    if abs(z) > 1e-5:
-        E = np.exp(-z)
-        m0 = (1.0 - E) / lam
-        m1 = (h - m0) / z
-    else:
-        # series in z keeps the cancellation (h - m0)/z accurate
-        E = np.exp(-z)
-        m0 = h * (1.0 - z / 2.0 + z * z / 6.0 - z ** 3 / 24.0 + z ** 4 / 120.0)
-        m1 = (h / 2.0) * (1.0 - z / 3.0 + z * z / 12.0 - z ** 3 / 60.0)
-    return E, m0, m1
-
-
 def deriv_resolvent(lam: complex, g: GridFunction) -> GridFunction:
     """(B + lam)^{-1} g: the causal convolution with e^{lam(x-t)},
     integrated exactly against the piecewise-linear interpolant of g."""
     lam = complex(lam)
     grid = g.grid
-    E, m0, m1 = _pl_moments(lam, grid.dt)
-    c_cur, c_next = m0 - m1, m1
+    E, c_cur, c_next = (c.item() for c in _cauchy_step_matrices(np.array([[lam]]), grid.dt))
     out = np.zeros_like(g.values)
     for i in range(1, grid.n_nodes):
         out[i] = E * out[i - 1] + c_cur * g.values[i - 1] + c_next * g.values[i]
@@ -142,8 +125,7 @@ def deriv_resolvent(lam: complex, g: GridFunction) -> GridFunction:
 def deriv_resolvent_matrix(lam: complex, grid: TimeGrid) -> np.ndarray:
     """Dense matrix of the scalar discrete resolvent (acts on node values)."""
     lam = complex(lam)
-    E, m0, m1 = _pl_moments(lam, grid.dt)
-    c_cur, c_next = m0 - m1, m1
+    E, c_cur, c_next = (c.item() for c in _cauchy_step_matrices(np.array([[lam]]), grid.dt))
     n = grid.n_nodes
     M = np.zeros((n, n), dtype=complex)
     for i in range(1, n):

@@ -1,38 +1,41 @@
 """Inverse of a commuting operator sum and the weighted contour identities.
 
-For resolvent-commuting A, B with sector angles summing past pi, the
-closure of A + B has the bounded inverse
+For resolvent-commuting A, B with sector angles summing past pi, every
+contour sum here is one pair integral, for s = +-1,
 
-    K = (1/2 pi i) * int over Gamma_{theta_B} of (A - z)^{-1} (B + z)^{-1} dz,
+    I_s(w) = (1/2 pi i) int over Gamma of
+                 (-lam)^{1+w} (A + s lam)^{-1} (B - s lam)^{-1} dlam,
 
-run in practice at angle theta_B - eps so the path stays a positive
-angular margin away from both spectra.  Every node's resolvents are
-checked as they are built: a node on either spectrum raises
-SingularShift naming that node.
+over one contour formula (`sum_contour`) by one helper
+(`_pair_integral`).  The closure of A + B has the bounded inverse
 
-The weighted identities composed with complex powers (Re w < 0):
+    K = I_{-1}(-1) = (1/2 pi i) int over Gamma_{theta_B} of
+                         (A - z)^{-1} (B + z)^{-1} dz,
 
-    A K A^w = (1/2 pi i) int over Gamma_{theta_A} of
-                  (A + mu)^{-1} (B - mu)^{-1} (-mu)^{1+w} dmu
-    A K B^w = B^w - (1/2 pi i) int over Gamma_{theta_B - eps} of
-                  (A - lam)^{-1} (B + lam)^{-1} (-lam)^{1+w} dlam
+run at angle theta_B - eps so the path stays a positive angular margin
+away from both spectra, and for Re w < 0 the weighted identities read
+
+    A K A^w = I_{+1}(w) over Gamma_{theta_A - eps},
+    A K B^w = B^w - I_{-1}(w) over Gamma_{theta_B - eps}
 
 (the first is the reflected-path integral written over the standard
 path; reflection and orientation reversal cancel, so no extra sign).
-Radial splits at |lambda| = 1 and e^n, and the e-adic rearrangement of
-the middle annulus, are provided for the split diagnostics; both were
+Every node's resolvents are checked as they are built: a node on either
+spectrum raises SingularShift naming that node.  Radial splits at
+|lambda| = 1 and e^n, and the e-adic rearrangement of the middle
+annulus, are provided for the split diagnostics; both were
 cross-checked against scalar residue oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linops
 from .calculus import complex_power, fractional_power
-from .contour import ContourSpec, dunford, gauss_panels, tail_radius
+from .contour import ContourSpec, DunfordResult, dunford, gauss_panels, tail_radius
 from .errors import SingularShift, TruncationNotConverged
 from .sector import MatrixOperator
 
@@ -94,34 +97,24 @@ def resolvent_commute_check(A: MatrixOperator, B: MatrixOperator, lam, mu) -> fl
 
 
 def sum_contour(
-    pair: CommutingPair,
-    tol: float = 1e-8,
-    extra_decay: float = 1.0,
-    delta: float = 0.0,
-    eps: float | None = None,
+    pair: CommutingPair, tol: float = 1e-8, w: complex = -1.0, s: float = -1.0
 ) -> ContourSpec:
-    """Default separating contour at theta_B - eps.
+    """Separating contour of I_s(w); the default is K's.
 
-    eps defaults to 5 percent of min(1, angular margin), keeping the
-    rays strictly between the reflected spectrum of A and the spectrum
-    of -B.
+    Rays at theta_B - eps (s = -1) or theta_A - eps (s = +1), eps = 5
+    percent of min(1, angular margin).  The weight grows the constant of
+    the |lam|^{-1-|Re w|} decay by e^{|Im w| (pi - theta)}; R cuts that
+    tail at tol / 4 and clears the scale window tenfold.
     """
-    eps = 0.05 * min(1.0, pair.angular_margin()) if eps is None else eps
-    theta = pair.B.angle() - eps
-    if theta <= np.pi - pair.A.angle():
-        raise ValueError("eps eats the whole angular margin")
-    C = pair.A.constant() * pair.B.constant()
-    R = tail_radius(extra_decay, C, 0.25 * tol)
+    eps = 0.05 * min(1.0, pair.angular_margin())
+    theta = (pair.A if s > 0 else pair.B).angle() - eps
+    growth = np.exp(abs(np.imag(w)) * (np.pi - theta))
+    C = pair.A.constant() * pair.B.constant() * growth
+    R = tail_radius(abs(np.real(w)), C, 0.25 * tol)
     lo, hi = pair.scale_window()
-    R = max(R, 10.0 * hi)
     return ContourSpec(
-        rho=0.0,
-        theta=theta,
-        R=R,
-        n_arc=0,
-        delta=delta,
-        focus=(lo, hi),
-        breaks=pair.scale_breaks(),
+        rho=0.0, theta=theta, R=max(R, 10.0 * hi), n_arc=0,
+        focus=(lo, hi), breaks=pair.scale_breaks(),
     )
 
 
@@ -143,6 +136,36 @@ def _pair_resolvents(pair: CommutingPair, lam: np.ndarray, s: float) -> np.ndarr
     return -(Ra @ Rb)
 
 
+def _pair_integral(
+    pair: CommutingPair, spec: ContourSpec, s: float, w: complex | None = None,
+    left=None, right=None, negate: bool = False,
+) -> DunfordResult:
+    """I_s(w) over spec with [left] and [right] factors around the
+    resolvents, the weight negated node by node when `negate`.  w = None
+    leaves the weight out (K, decaying like |lam|^{-2})."""
+
+    def integrand(lam):
+        terms = _pair_resolvents(pair, lam, s)
+        if left is not None:
+            terms = left @ terms
+        if right is not None:
+            terms = terms @ right
+        if w is None:
+            return terms
+        weight = (-lam) ** (1.0 + w)
+        return (-weight if negate else weight)[:, None, None] * terms
+
+    decay = 1.0 if w is None else abs(np.real(w))
+    return dunford(spec, integrand, decay_exponent=decay)
+
+
+def _inverse_residual(pair: CommutingPair, K: np.ndarray) -> float:
+    """Two-sided residual max(||K(A+B) - I||, ||(A+B)K - I||)."""
+    S = pair.A.matrix + pair.B.matrix
+    eye = np.eye(pair.dim)
+    return max(linops.operator_norm(K @ S - eye), linops.operator_norm(S @ K - eye))
+
+
 def sum_inverse(
     pair: CommutingPair,
     spec: ContourSpec | None = None,
@@ -156,20 +179,16 @@ def sum_inverse(
     """
     spec = spec or sum_contour(pair, tol=0.01 * tol)
     try:
-        info = dunford(spec, lambda z: _pair_resolvents(pair, z, -1.0), decay_exponent=1.0)
+        info = _pair_integral(pair, spec, -1.0)
     except SingularShift as exc:
         raise SingularShift(
-            f"contour node z={exc.shift} hits a spectrum; adjust eps/delta "
-            f"(theta={spec.theta:.4f})",
+            f"contour node z={exc.shift} hits a spectrum; pass a spec whose "
+            f"rays avoid both spectra (theta={spec.theta:.4f})",
             shift=exc.shift,
         ) from exc
     K = info.value
     if check_residual:
-        S = pair.A.matrix + pair.B.matrix
-        eye = np.eye(pair.dim)
-        resid = max(
-            linops.operator_norm(K @ S - eye), linops.operator_norm(S @ K - eye)
-        )
+        resid = _inverse_residual(pair, K)
         if resid > tol:
             raise TruncationNotConverged(
                 f"sum-inverse residual {resid:.3e} exceeds {tol:.3e}; "
@@ -178,17 +197,19 @@ def sum_inverse(
     return K
 
 
-def _reflected_identity_contour(pair: CommutingPair, w: complex, tol: float) -> ContourSpec:
-    eps = 0.05 * min(1.0, pair.angular_margin())
-    theta = pair.A.angle() - eps
-    growth = np.exp(abs(np.imag(w)) * (np.pi - theta))
-    C = pair.A.constant() * pair.B.constant() * growth
-    R = tail_radius(abs(np.real(w)), C, 0.25 * tol)
-    lo, hi = pair.scale_window()
-    return ContourSpec(
-        rho=0.0, theta=theta, R=max(R, 10.0 * hi), n_arc=0,
-        focus=(lo, hi), breaks=pair.scale_breaks(),
-    )
+def _weighted_identity(pair, w, spec, tol, s):
+    """(A K X^w, its contour side, their gap) with X = A for s = +1
+    (left) and X = B for s = -1 (right)."""
+    w = complex(w)
+    if np.real(w) >= 0:
+        raise ValueError(f"weighted identities need Re w < 0, got {w}")
+    K = sum_inverse(pair, tol=max(tol, 1e-8))
+    Xw = complex_power(pair.A if s > 0 else pair.B, w, tol=tol)
+    lhs = pair.A.matrix @ K @ Xw
+    spec = spec or sum_contour(pair, tol=tol, w=w, s=s)
+    integral = _pair_integral(pair, spec, s, w).value
+    rhs = integral if s > 0 else Xw - integral
+    return lhs, rhs, linops.operator_norm(lhs - rhs)
 
 
 def weighted_identity_left(
@@ -198,18 +219,7 @@ def weighted_identity_left(
     tol: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Both sides of A K A^w = (reflected contour integral), plus their gap."""
-    w = complex(w)
-    if np.real(w) >= 0:
-        raise ValueError(f"weighted identities need Re w < 0, got {w}")
-    K = sum_inverse(pair, tol=max(tol, 1e-8))
-    lhs = pair.A.matrix @ K @ complex_power(pair.A, w, tol=tol)
-    spec = spec or _reflected_identity_contour(pair, w, tol)
-
-    def integrand(mu):
-        return ((-mu) ** (1.0 + w))[:, None, None] * _pair_resolvents(pair, mu, 1.0)
-
-    rhs = dunford(spec, integrand, decay_exponent=abs(np.real(w))).value
-    return lhs, rhs, linops.operator_norm(lhs - rhs)
+    return _weighted_identity(pair, w, spec, tol, 1.0)
 
 
 def weighted_identity_right(
@@ -219,28 +229,7 @@ def weighted_identity_right(
     tol: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Both sides of A K B^w = B^w - (contour integral), plus their gap."""
-    w = complex(w)
-    if np.real(w) >= 0:
-        raise ValueError(f"weighted identities need Re w < 0, got {w}")
-    K = sum_inverse(pair, tol=max(tol, 1e-8))
-    Bw = complex_power(pair.B, w, tol=tol)
-    lhs = pair.A.matrix @ K @ Bw
-    if spec is None:
-        base = sum_contour(pair, tol=tol, extra_decay=abs(np.real(w)))
-        growth = np.exp(abs(np.imag(w)) * (np.pi - base.theta))
-        R = tail_radius(
-            abs(np.real(w)),
-            pair.A.constant() * pair.B.constant() * growth,
-            0.25 * tol,
-        )
-        spec = replace(base, R=max(R, base.R))
-
-    def integrand(lam):
-        return ((-lam) ** (1.0 + w))[:, None, None] * _pair_resolvents(pair, lam, -1.0)
-
-    integral = dunford(spec, integrand, decay_exponent=abs(np.real(w))).value
-    rhs = Bw - integral
-    return lhs, rhs, linops.operator_norm(lhs - rhs)
+    return _weighted_identity(pair, w, spec, tol, -1.0)
 
 
 # ------------------------------------------------------------ radial splits
@@ -254,6 +243,13 @@ def _segment_spec(base: ContourSpec, r_lo: float, r_hi: float) -> ContourSpec:
         rho=r_lo, theta=base.theta, R=r_hi, n_arc=0,
         focus=base.focus, breaks=breaks,
     )
+
+
+def _check_split(theta: float, phi: float, n: int) -> None:
+    if not (0.0 < theta < 1.0 and 0.0 < phi < 1.0 and theta + phi < 1.0):
+        raise ValueError("need theta, phi in (0,1) with theta + phi < 1")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
 
 
 def split_integral_eval(
@@ -276,46 +272,25 @@ def split_integral_eval(
         (1/2 pi i) int A^phi (A+mu)^{-1} (B-mu)^{-1} (-mu)^{1+w} dmu
     over Gamma at theta_A - eps, summing to A K A^{-theta+it}.
     """
-    if not (0.0 < theta < 1.0 and 0.0 < phi < 1.0 and theta + phi < 1.0):
-        raise ValueError("need theta, phi in (0,1) with theta + phi < 1")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_split(theta, phi, n)
     w = -(theta + phi) + 1j * t
-    sigma = theta + phi
 
     if variant == "right":
-        base = sum_contour(pair, tol=tol, extra_decay=sigma)
-        Bphi = fractional_power(pair.B, phi, tol=tol)
-
-        def integrand(lam):
-            # B^phi, a function of B, commutes with (B + lam)^{-1}
-            terms = _pair_resolvents(pair, lam, -1.0) @ Bphi
-            return -((-lam) ** (1.0 + w))[:, None, None] * terms
-
+        # B^phi, a function of B, commutes with (B + lam)^{-1}
+        s, factor = -1.0, {"right": fractional_power(pair.B, phi, tol=tol), "negate": True}
     elif variant == "left":
-        base = _reflected_identity_contour(pair, w, tol)
-        Aphi = fractional_power(pair.A, phi, tol=tol)
-
-        def integrand(mu):
-            return ((-mu) ** (1.0 + w))[:, None, None] * (Aphi @ _pair_resolvents(pair, mu, 1.0))
-
+        s, factor = 1.0, {"left": fractional_power(pair.A, phi, tol=tol)}
     else:
         raise ValueError(f"unknown variant {variant!r}")
 
-    growth = np.exp(abs(t) * (np.pi - base.theta))
-    R = max(
-        base.R,
-        tail_radius(sigma, pair.A.constant() * pair.B.constant() * growth, 0.25 * tol),
-    )
+    base = sum_contour(pair, tol=tol, w=w, s=s)
     e_n = float(np.exp(n))
     pieces = []
-    windows = [(0.0, 1.0), (1.0, e_n), (e_n, max(R, 2.0 * e_n))]
-    for lo, hi in windows:
+    for lo, hi in [(0.0, 1.0), (1.0, e_n), (e_n, max(base.R, 2.0 * e_n))]:
         if hi <= lo:
             pieces.append(np.zeros((pair.dim, pair.dim), dtype=complex))
             continue
-        seg = _segment_spec(base, lo, hi)
-        pieces.append(dunford(seg, integrand, decay_exponent=sigma).value)
+        pieces.append(_pair_integral(pair, _segment_spec(base, lo, hi), s, w, **factor).value)
     return tuple(pieces)
 
 
@@ -339,10 +314,7 @@ def eadic_middle_eval(
     the direct annulus quadrature at quadrature level (the change of
     variables is exact).
     """
-    if not (0.0 < theta < 1.0 and 0.0 < phi < 1.0 and theta + phi < 1.0):
-        raise ValueError("need theta, phi in (0,1) with theta + phi < 1")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_split(theta, phi, n)
     dim = pair.dim
     if n == 0:
         return np.zeros((dim, dim), dtype=complex)
@@ -426,22 +398,14 @@ def closedness_certificate(
     probes = [linops.as_vector(p, pair.dim) for p in probes]
     if any(np.linalg.norm(p) == 0 for p in probes):
         raise ValueError("probes must be nonzero")
+
+    def gain(T):
+        return max(float(np.linalg.norm(T @ v) / np.linalg.norm(v)) for v in probes)
+
     AK = pair.A.matrix @ K
-    C_AB = max(
-        float(np.linalg.norm(AK @ v) / np.linalg.norm(v)) for v in probes
-    )
-    S = pair.A.matrix + pair.B.matrix
-    eye = np.eye(pair.dim)
-    residual = max(
-        linops.operator_norm(K @ S - eye), linops.operator_norm(S @ K - eye)
-    )
-    theta_values = []
-    for th in theta_grid:
-        Bth = complex_power(pair.B, -th)
-        T = AK @ Bth
-        theta_values.append(
-            max(float(np.linalg.norm(T @ v) / np.linalg.norm(v)) for v in probes)
-        )
+    C_AB = gain(AK)
+    residual = _inverse_residual(pair, K)
+    theta_values = [gain(AK @ complex_power(pair.B, -th)) for th in theta_grid]
     return ClosednessCertificate(
         C_AB=C_AB,
         probe_count=len(probes),

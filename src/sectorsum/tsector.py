@@ -221,17 +221,15 @@ def parseval_tsector_check(
     r: float,
     xs,
     N_t: int = 256,
-    normality_tol: float = 1e-10,
 ) -> dict:
     """p = 2 equivalence check for normal operators: the grid value of
     lhs_norm^2 must not exceed K-hat^2 * || sum e^{ikt} x_k ||_2^2, with
     K-hat certified at angle |phi|.  Both sides are also reproduced by
-    Parseval sums as an independent route."""
-    Am = A.matrix
-    if linops.operator_norm(Am @ Am.conj().T - Am.conj().T @ Am) > normality_tol * max(
-        1.0, A.norm() ** 2
-    ):
+    Parseval sums as an independent route.  Normal means normal to
+    working precision, as `A.normal_basis()` decides."""
+    if A.normal_basis() is None:
         raise ValueError("parseval check needs a normal operator")
+    Am = A.matrix
     xs = [linops.as_vector(x, A.dim) for x in xs]
     _check_grid_resolves(len(xs), N_t)
     K_hat = certify_sector(A, abs(phi), attach=False)

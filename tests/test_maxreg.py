@@ -82,6 +82,25 @@ def test_deriv_resolvent_every_lambda_resolvable():
         assert nrm <= cap
 
 
+def test_deriv_resolvent_coefficients_near_small_step():
+    # at small lam dt the closed form (h - m0) / (lam h) of the weighted
+    # moment cancels; the step taken from the phi-functions does not
+    mpmath = pytest.importorskip("mpmath")
+    grid = TimeGrid(1.0, 16)
+    for z in (1.1e-5, 3e-5):
+        lam = z / grid.dt
+        M = deriv_resolvent_matrix(lam, grid)
+        with mpmath.workdps(50):
+            l, h = mpmath.mpf(lam), mpmath.mpf(grid.dt)
+            E = mpmath.exp(-l * h)
+            m0 = (1 - E) / l
+            m1 = (h - m0) / (l * h)
+            want = [complex(m0 - m1), complex(m1), complex(E * (m0 - m1))]
+        # M[1] = (c_cur, c_next, 0, ...), M[2, 0] = E c_cur
+        for got, ref in zip([M[1, 0], M[1, 1], M[2, 0]], want):
+            assert abs(got - ref) <= 1e-14 * abs(ref)
+
+
 def test_young_bound_examples():
     assert young_bound(1.0, 1.0) == pytest.approx(1 - np.exp(-1), rel=1e-12)
     assert young_bound(10.0, 1.0) == pytest.approx(0.0999955, abs=1e-6)

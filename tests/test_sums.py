@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sectorsum import (
     CommutingPair,
@@ -251,3 +252,50 @@ def test_certificate_rejects_empty_probes(pair_1234):
 def test_theta_grid_uniformity(pair_1234):
     cert = closedness_certificate(pair_1234, theta_grid=(0.4, 0.2, 0.1, 0.05))
     assert all(v <= cert.C_AB * 1.1 for v in cert.theta_values)
+
+
+# ------------------------------------------------------ non-normal pair
+
+
+@pytest.fixture(scope="module")
+def dense_pair():
+    # N and N^2 + I commute but neither is normal, so every node takes
+    # the dense resolvent path
+    N = np.diag([1.0, 5.0 / 3.0, 7.0 / 3.0, 3.0]) + 0.3 * np.eye(4, k=1)
+    pair = CommutingPair(certified(N, 0.85 * np.pi), certified(N @ N + np.eye(4), 0.85 * np.pi))
+    assert pair.A.normal_basis() is None and pair.B.normal_basis() is None
+    return pair
+
+
+def _rel(got, want):
+    return operator_norm(got - want) / operator_norm(want)
+
+
+def _power(M, w):
+    return scipy.linalg.expm(w * scipy.linalg.logm(M))
+
+
+def test_dense_pair_sum_inverse(dense_pair):
+    A, B = dense_pair.A.matrix, dense_pair.B.matrix
+    assert _rel(sum_inverse(dense_pair), np.linalg.inv(A + B)) <= 1e-6
+
+
+@pytest.mark.parametrize("w", [-0.4, -0.5 + 0.7j])
+def test_dense_pair_weighted_identities(dense_pair, w):
+    A, B = dense_pair.A.matrix, dense_pair.B.matrix
+    AK = A @ np.linalg.inv(A + B)
+    for identity, X in ((weighted_identity_left, A), (weighted_identity_right, B)):
+        lhs, rhs, _ = identity(dense_pair, w)
+        oracle = AK @ _power(X, w)
+        assert _rel(lhs, oracle) <= 1e-6 and _rel(rhs, oracle) <= 1e-6
+
+
+def test_dense_pair_split_pieces(dense_pair):
+    theta, phi, t = 0.25, 0.25, 0.4
+    A, B = dense_pair.A.matrix, dense_pair.B.matrix
+    AK = A @ np.linalg.inv(A + B)
+    Bw = _power(B, -theta + 1j * t)
+    right = split_integral_eval(dense_pair, theta, phi, t, 2, variant="right")
+    assert _rel(Bw + sum(right), AK @ Bw) <= 1e-6
+    left = split_integral_eval(dense_pair, theta, phi, t, 2, variant="left")
+    assert _rel(sum(left), AK @ _power(A, -theta + 1j * t)) <= 1e-6

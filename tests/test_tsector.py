@@ -116,6 +116,16 @@ def test_parseval_check_needs_normal():
         parseval_tsector_check(A, 0.0, 1.0, [np.array([1.0, 0.0])], N_t=64)
 
 
+def test_parseval_check_follows_the_normal_basis_verdict():
+    # a commutator of 1e-12 is small against ||A||^2, but a departure
+    # from normality of 1e-12 is far above working precision: linops
+    # finds no unitary eigenbasis, so the check refuses the operator
+    A = certified([[1.0, 1e-12], [0.0, 2.0]], 0.9 * np.pi)
+    assert A.normal_basis() is None
+    with pytest.raises(ValueError, match="normal operator"):
+        parseval_tsector_check(A, 0.0, 1.0, [np.array([1.0, 0.0])], N_t=64)
+
+
 # ------------------------------------------------------- representation
 
 
