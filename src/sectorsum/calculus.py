@@ -8,18 +8,21 @@ Complex powers with Re z < 0 come from the contour integral
 with (-lambda)^z on the principal branch (argument in (-pi, pi]), which
 is continuous along the path because the rays keep arg(-lambda) at
 +-(theta - pi).  A^0 is the identity by definition.  The H^inf calculus
-f(-A) is the same integral with f(lambda) in place of (-lambda)^z.  For
-a normal A = Q diag(d) Q^* both reduce on the eigenvalues: the quadrature
-sums the (N, n) stack g(lambda_k) / (d + lambda_k) and forms one
-Q diag(.) Q^* per integral.
+f(-A) is the same integral with f(lambda) in place of (-lambda)^z.  Both
+reduce in a unitary basis of A and form one Q (.) Q^* per integral: for
+a normal A = Q diag(d) Q^* the quadrature sums the (N, n) stack
+g(lambda_k) / (d + lambda_k) on the eigenvalues, and for any other A it
+sums g(lambda_k) (T + lambda_k)^{-1} over the triangular factor of the
+Schur form A = Q T Q^*, which the operator takes once and caches.
 
 Imaginary powers use the real-axis formula
 
     A^{it} = (sinh(pi t) / (pi t)) * int_0^inf lambda^{it} (A+lambda)^{-2} A dlambda
 
 evaluated after the substitution lambda = e^s.  The s-dependence then
-separates from the matrix factors, so one set of factorizations serves
-every t: that is what ImaginaryPowerFamily caches.
+separates from the matrix factors, so one table of resolvents serves
+every t: that is what ImaginaryPowerFamily caches, and it sums the
+table for many t in one matrix product.
 """
 
 from __future__ import annotations
@@ -49,22 +52,25 @@ def _symbol_integral(
 ) -> DunfordResult:
     """(1/2 pi i) int of g(lambda) (A + lambda)^{-1} dlambda over spec.
 
-    For a normal A = Q diag(d) Q^* the quadrature sum is
+    The sum is reduced in a unitary basis of A and mapped back once.
+    For a normal A = Q diag(d) Q^* it is
     Q diag(sum_k w_k g(lambda_k) / (d + lambda_k)) Q^*, so dunford reduces
-    the (N, n) scalar stack and one product forms the matrix.  Q is
-    unitary: each row norm is the Frobenius norm of the matrix value,
-    and the tail estimate is the dense path's.
+    the (N, n) scalar stack; otherwise A = Q T Q^* (complex Schur form)
+    and it is Q (sum_k w_k g(lambda_k) (T + lambda_k)^{-1}) Q^*, over the
+    triangular stacks of :func:`linops.triangular_resolvents`.  Q is
+    unitary, so every node's Frobenius norm, and with it the tail
+    estimate, is the one of the dense (A + lambda_k)^{-1} stack.
     """
     basis = A.normal_basis()
-    if basis is None:
-        def integrand(lam):
-            return g(lam)[:, None, None] * linops.resolvents(A.matrix, lam)
-
-        return dunford(spec, integrand, decay_exponent=decay_exponent, tol_tail=tol)
-    info = dunford(spec, lambda lam: g(lam)[:, None] * linops.spectral_resolvents(basis, lam),
+    if basis is not None:
+        info = dunford(spec, lambda lam: g(lam)[:, None] * linops.spectral_resolvents(basis, lam),
+                       decay_exponent=decay_exponent, tol_tail=tol)
+        Q = basis[1]
+        return replace(info, value=(Q * info.value) @ Q.conj().T)
+    T, Q = A.schur_form()
+    info = dunford(spec, lambda lam: g(lam)[:, None, None] * linops.triangular_resolvents(T, lam),
                    decay_exponent=decay_exponent, tol_tail=tol)
-    Q = basis[1]
-    return replace(info, value=(Q * info.value) @ Q.conj().T)
+    return replace(info, value=Q @ info.value @ Q.conj().T)
 
 
 # ----------------------------------------------------------- complex powers
@@ -146,7 +152,8 @@ class ImaginaryPowerFamily:
 
     After lambda = e^s the integrand is e^{its} V(s) with
     V(s) = (A + e^s)^{-2} A e^s independent of t, so the family stores
-    V at the quadrature nodes once and each A^{it} is a weighted sum.
+    V at the quadrature nodes once and each A^{it} is a weighted sum;
+    :meth:`at_many` takes the sums for many t in one matrix product.
     """
 
     def __init__(
@@ -162,31 +169,52 @@ class ImaginaryPowerFamily:
         S = span or (scale + np.log(1.0 / tol) + 2.0)
         width = min(0.8, 6.0 / max(t_max, 1.0))
         n_panel = int(np.ceil(2.0 * S / width))
-        self.s, self.w = gauss_panels(np.linspace(-S, S, n_panel + 1), 10)
+        edges = np.linspace(-S, S, n_panel + 1)
+        self.s, self.w = gauss_panels(edges, 10)
+        # node q of panel p is mid_p + offset_q, so its phase e^{its} is
+        # e^{it mid_p} e^{it offset_q}: n_panel + 10 exponentials per t
+        self._mid = 0.5 * (edges[1:] + edges[:-1])
+        self._offset = gauss_panels([-S / n_panel, S / n_panel], 10)[0]
         self.t_max = t_max
         lam = np.exp(self.s)
         self.V = np.empty((len(lam), A.dim, A.dim), dtype=complex)
         # in stack-budget chunks, so the table is the only full-size stack
         step = max(1, linops._SHIFT_STACK_BYTES // self.V[0].nbytes)
-        basis = A.normal_basis()
+        basis = A.resolvent_basis()
         for lo in range(0, len(lam), step):
             part = slice(lo, lo + step)
             R = linops.resolvents(A.matrix, lam[part], basis)
             self.V[part] = R @ R @ A.matrix * lam[part, None, None]
 
     @staticmethod
-    def _prefactor(t: float) -> float:
+    def _prefactor(t: np.ndarray) -> np.ndarray:
         # sin(i pi t) / (i pi t) on the real axis equals sinh(pi t)/(pi t)
-        if t == 0.0:
-            return 1.0
-        return float(np.sinh(np.pi * t) / (np.pi * t))
+        x = np.pi * np.where(t == 0.0, 1.0, t)
+        return np.where(t == 0.0, 1.0, np.sinh(x) / x)
 
     def at(self, t: float) -> np.ndarray:
         """A^{it} as a dense matrix."""
-        if t == 0.0:
-            return _EYE(self.A.dim)
-        phases = self.w * np.exp(1j * t * self.s)
-        return self._prefactor(t) * np.tensordot(phases, self.V, axes=(0, 0))
+        return self.at_many([t])[0]
+
+    def at_many(self, ts) -> np.ndarray:
+        """A^{it} for every t, stacked as an (n_t, n, n) array: one
+        (n_t, n_s) @ (n_s, n^2) product against the V table per chunk of
+        t whose phases fit the stack budget.  A^{i0} is the identity,
+        exactly."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        n = self.A.dim
+        table = self.V.reshape(len(self.s), n * n)
+        out = np.empty((len(ts), n * n), dtype=complex)
+        step = max(1, linops._SHIFT_STACK_BYTES // (16 * len(self.s)))
+        for lo in range(0, len(ts), step):
+            t = ts[lo:lo + step]
+            phases = (np.exp(1j * np.multiply.outer(t, self._mid))[:, :, None]
+                      * np.exp(1j * np.multiply.outer(t, self._offset))[:, None, :])
+            phases = phases.reshape(len(t), -1) * self.w
+            out[lo:lo + step] = self._prefactor(t)[:, None] * (phases @ table)
+        out = out.reshape(-1, n, n)
+        out[ts == 0.0] = _EYE(n)
+        return out
 
     def apply(self, t: float, x: np.ndarray) -> np.ndarray:
         return self.at(t) @ x
@@ -229,7 +257,7 @@ def bip_fit(A: MatrixOperator, t_max: float = 4.0, n_t: int = 17) -> BipFit:
     M e^{phi |t|} dominates every sample."""
     fam = ImaginaryPowerFamily(A, t_max=t_max)
     t_grid = np.linspace(-t_max, t_max, n_t)
-    norms = np.array([fam.norm_at(t) for t in t_grid])
+    norms = np.linalg.norm(fam.at_many(t_grid), 2, axis=(1, 2))
     x = np.abs(t_grid)
     y = np.log(np.maximum(norms, 1e-300))
     phi = 0.0

@@ -1,22 +1,30 @@
 """Dense complex linear algebra substrate.
 
-Everything above this module works through seven primitives: shifted
-solves ``(M + z)^{-1} rhs``, stacked resolvents ``(M + z_k)^{-1}`` over
-many shifts, their eigenvalues ``1/(d_i + z_k)`` for a normal M,
-resolvent norms ``||(M + z)^{-1}||`` over many shifts, the unitary
-eigenbasis of a normal matrix, spectral norms, and matrix exponentials.
-Matrices are plain ``numpy`` arrays of ``complex128``; all operations
-are pure and never mutate their inputs.
+Everything above this module works through these primitives: shifted
+solves ``(M + z)^{-1} rhs``; stacked resolvents ``(M + z_k)^{-1}`` over
+many shifts, taken in a unitary basis of M; the two forms of that basis
+(the eigenbasis of a normal M and the complex Schur form of any M) and
+the resolvents in it (``1/(d_i + z_k)`` on the eigenvalues,
+``(T + z_k)^{-1}`` for the triangular T); resolvent norms
+``||(M + z)^{-1}||`` over many shifts; spectral norms; and matrix
+exponentials.  Matrices are plain ``numpy`` arrays of ``complex128``;
+all operations are pure and never mutate their inputs.
 
-Shifted solves and resolvents go through LAPACK getrf (LU with partial
-pivoting).  Every contour quadrature takes its resolvents from
-:func:`resolvents`, one ``(N, n, n)`` stack per chunk of nodes.
+Shifted solves go through LAPACK getrf (LU with partial pivoting) and
+call a shift singular when the smallest pivot falls below
+``SINGULAR_RTOL * ||M + zI||_F``.
 
-Resolvent norms need no inverse: ``||(M + z)^{-1}||_2 = 1/sigma_min(M + z)``.
-:func:`resolvent_norms` stacks ``M + z_k I`` in bounded-memory chunks and
-takes the singular values of each chunk in one call.  Both paths call a
-shift singular when its smallest pivot (solves, resolvents) or smallest
-singular value (norms) falls below ``SINGULAR_RTOL * ||M + zI||_F``.
+Every contour quadrature takes its resolvents from :func:`resolvents`,
+one ``(N, n, n)`` stack per chunk of nodes, as ``Q X_k Q^*`` for a basis
+(D, Q) of M.  Any M has its complex Schur form M = Q T Q^*
+(:func:`schur_form`), and :func:`triangular_resolvents` inverts every
+``T + z_k I`` of a chunk by one row back-substitution vectorised over the
+shifts: n NumPy steps per chunk in place of one factorization per shift.
+The pivots of T + zI are t_ii + z and ``||T + zI||_F = ||M + zI||_F``, so
+a shift is singular when ``min_i |t_ii + z| <= SINGULAR_RTOL *
+||M + zI||_F``: the pivot test above, on a matrix unitarily similar to
+M + zI.  A contour sum can reduce the triangular stacks and form one
+``Q (.) Q^*`` at the end (``calculus`` does).
 
 A normal matrix has the closed form ``M = Q diag(d) Q^*`` with Q unitary.
 :func:`normal_basis` returns (d, Q) when M is normal to working precision
@@ -25,11 +33,15 @@ A normal matrix has the closed form ``M = Q diag(d) Q^*`` with Q unitary.
 basis, :func:`spectral_resolvents` returns the (N, n) array
 ``1/(d_i + z_k)``, :func:`resolvents` returns ``Q diag(1/(d + z_k)) Q^*``
 built from it and :func:`resolvent_norms` returns
-``1/min_i |d_i + z_k|``, with no factorization.  A contour sum of a
-normal M can reduce the scalar stack and form one ``Q diag(.) Q^*`` at
-the end (``calculus`` does).  A shift is then singular when
-``min_i |d_i + z| <= SINGULAR_RTOL * ||M + zI||_F``, which for a normal M
-is the sigma_min test above.  Without a basis both run the dense path.
+``1/min_i |d_i + z_k|``, with no factorization; the singular-shift test
+is the one above with T diagonal.
+
+Resolvent norms need no inverse: ``||(M + z)^{-1}||_2 = 1/sigma_min(M + z)``.
+Without a normal basis, :func:`resolvent_norms` stacks ``M + z_k I`` in
+bounded-memory chunks and takes the singular values of each chunk in
+one call; a shift is singular when the smallest singular value falls
+below ``SINGULAR_RTOL * ||M + zI||_F``, which for a normal M is the
+closed form's test.
 """
 
 from __future__ import annotations
@@ -39,9 +51,9 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, OverflowRisk, SingularShift
 
-#: a shift is singular when the smallest LU pivot (ShiftedFactorization,
-#: resolvents) or singular value (resolvent_norms) of M + zI is below
-#: SINGULAR_RTOL * ||M + zI||_F
+#: a shift is singular when the smallest pivot (ShiftedFactorization's LU,
+#: the t_ii + z of the Schur or normal form in resolvents) or singular
+#: value (resolvent_norms) of M + zI is below SINGULAR_RTOL * ||M + zI||_F
 SINGULAR_RTOL = 1e-13
 
 #: normal_basis accepts M when the Henrici departure from normality of its
@@ -52,8 +64,9 @@ SINGULAR_RTOL = 1e-13
 #: blocks, [[1, 1e-12], [0, 2]]) sit at 1e3 and above
 NORMAL_DEPARTURE = 8.0
 
-# bytes of a stack of n x n matrices per chunk (resolvent_norms, and the
-# node chunks of contour.dunford); a 1 MiB stack keeps peak memory where a
+# bytes of a stack per chunk (resolvent_norms, the node chunks of
+# contour.dunford, the V table and phase chunks of
+# calculus.ImaginaryPowerFamily); a 1 MiB stack keeps peak memory where a
 # per-shift loop would
 _SHIFT_STACK_BYTES = 1 << 20
 
@@ -83,23 +96,6 @@ def as_vector(v, dim=None) -> np.ndarray:
     return x
 
 
-def _shifted_lu(shifted: np.ndarray, scale: float, z: complex):
-    """LAPACK getrf factors (lu, piv) of ``shifted`` = M + zI.
-
-    Raises SingularShift, carrying z, when a pivot falls below
-    ``SINGULAR_RTOL * scale`` (scale = ||M + zI||_F).
-    """
-    lu, piv, _ = scipy.linalg.lapack.zgetrf(shifted)
-    pivot = np.min(np.abs(np.diagonal(lu)))
-    if scale == 0.0 or pivot <= SINGULAR_RTOL * scale:
-        raise SingularShift(
-            f"shift z={z} is numerically on the spectrum "
-            f"(min pivot {pivot:.3e}, scale {scale:.3e})",
-            shift=z,
-        )
-    return lu, piv
-
-
 class ShiftedFactorization:
     """LU factorization of M + zI, reusable across right-hand sides.
 
@@ -113,7 +109,16 @@ class ShiftedFactorization:
     def __init__(self, M: np.ndarray, z: complex):
         M = as_matrix(M)
         shifted = M + z * np.eye(M.shape[0])
-        self._lu = _shifted_lu(shifted, np.linalg.norm(shifted, "fro"), z)
+        scale = np.linalg.norm(shifted, "fro")
+        lu, piv, _ = scipy.linalg.lapack.zgetrf(shifted)
+        pivot = np.min(np.abs(np.diagonal(lu)))
+        if scale == 0.0 or pivot <= SINGULAR_RTOL * scale:
+            raise SingularShift(
+                f"shift z={z} is numerically on the spectrum "
+                f"(min pivot {pivot:.3e}, scale {scale:.3e})",
+                shift=z,
+            )
+        self._lu = (lu, piv)
         self.dim = M.shape[0]
         self.shift = z
 
@@ -141,6 +146,12 @@ def solve_shifted(M, z, rhs) -> np.ndarray:
     return ShiftedFactorization(M, complex(z)).solve(as_vector(rhs))
 
 
+def schur_form(M):
+    """Complex Schur form (T, Q) of M: M = Q T Q^* with T upper
+    triangular and Q unitary."""
+    return scipy.linalg.schur(as_matrix(M), output="complex", check_finite=False)
+
+
 def normal_basis(M):
     """(d, Q) with M = Q diag(d) Q^* and Q unitary, or None.
 
@@ -158,27 +169,32 @@ def normal_basis(M):
     Mh = M.conj().T
     if np.linalg.norm(M @ Mh - Mh @ M) > 8.0 * tol * scale:
         return None
-    T, Q = scipy.linalg.schur(M, output="complex", check_finite=False)
+    T, Q = schur_form(M)
     if np.linalg.norm(np.triu(T, 1)) > tol:
         return None
     return np.diagonal(T).copy(), Q
 
 
-def _normal_distances(basis, z: np.ndarray):
-    """min_i |d_i + z_k| for every shift, and a mask of the singular ones
-    (min_i |d_i + z_k| <= SINGULAR_RTOL * ||M + z_k I||_F)."""
-    dist = np.abs(z[:, None] + basis[0][None, :])
+def _pivot_distances(d, z: np.ndarray, off: float = 0.0):
+    """min_i |d_i + z_k| for every shift, and a mask of the singular ones.
+
+    d is the diagonal of a triangular T whose strictly upper part has
+    Frobenius norm ``off`` (0 for a normal basis); shift k is singular
+    when min_i |d_i + z_k| <= SINGULAR_RTOL * ||T + z_k I||_F.  The
+    d_i + z_k are the pivots of T + z_k I, and T is unitarily similar to
+    M, so this is ShiftedFactorization's pivot test on a matrix with the
+    Frobenius norm of M + z_k I.
+    """
+    dist = np.abs(z[:, None] + d[None, :])
     nearest = np.min(dist, axis=1)
-    return nearest, nearest <= SINGULAR_RTOL * np.sqrt(np.sum(dist * dist, axis=1))
+    scale = np.sqrt(np.sum(dist * dist, axis=1) + off * off)
+    return nearest, nearest <= SINGULAR_RTOL * scale
 
 
-def spectral_resolvents(basis, shifts) -> np.ndarray:
-    """1/(d_i + z_k) for every shift, stacked as an (N, n) array: the
-    eigenvalues of (M + z_k I)^{-1} for ``basis`` = (d, Q) from
-    :func:`normal_basis`.  Raises SingularShift for the first singular
-    shift in the order given."""
-    z = as_vector(shifts)
-    nearest, singular = _normal_distances(basis, z)
+def _inverse_pivots(d, z: np.ndarray, off: float = 0.0) -> np.ndarray:
+    """1/(d_i + z_k) as an (N, n) array; raises SingularShift for the
+    first singular shift (see :func:`_pivot_distances`) in the order given."""
+    nearest, singular = _pivot_distances(d, z, off)
     if singular.any():
         k = int(np.argmax(singular))
         raise SingularShift(
@@ -186,31 +202,59 @@ def spectral_resolvents(basis, shifts) -> np.ndarray:
             f"(distance {nearest[k]:.3e} to the nearest eigenvalue)",
             shift=complex(z[k]),
         )
-    return 1.0 / (basis[0] + z[:, None])
+    return 1.0 / (d + z[:, None])
+
+
+def spectral_resolvents(basis, shifts) -> np.ndarray:
+    """1/(d_i + z_k) for every shift, stacked as an (N, n) array: the
+    eigenvalues of (M + z_k I)^{-1} for ``basis`` = (d, Q) from
+    :func:`normal_basis`.  Raises SingularShift for the first singular
+    shift in the order given."""
+    return _inverse_pivots(basis[0], as_vector(shifts))
+
+
+def triangular_resolvents(T, shifts) -> np.ndarray:
+    """(T + z_k I)^{-1} for an upper-triangular T and every shift,
+    stacked as an (N, n, n) array.
+
+    Row back-substitution vectorised over the shifts: row i of every
+    inverse is -(T[i, i+1:] X[i+1:, i+1:]) / (t_ii + z_k), one
+    matrix-vector product over the (n - i - 1) N columns of the rows
+    below, laid out (n, n, N) so those columns are contiguous.  Returns
+    a view of that layout.  Raises SingularShift for the first singular
+    shift in the order given.
+    """
+    T = as_matrix(T)
+    z = as_vector(shifts)
+    n, N = T.shape[0], z.shape[0]
+    inv = _inverse_pivots(np.diagonal(T), z, np.linalg.norm(np.triu(T, 1))).T
+    X = np.zeros((n, n, N), dtype=complex)
+    diag = np.arange(n)
+    X[diag, diag] = inv
+    for i in range(n - 2, -1, -1):
+        m = n - 1 - i
+        below = X[i + 1:, i + 1:].reshape(m, m * N)
+        X[i, i + 1:] = (T[i, i + 1:] @ below).reshape(m, N) * -inv[i]
+    return np.moveaxis(X, 2, 0)
 
 
 def resolvents(M, shifts, basis=None) -> np.ndarray:
-    """(M + z_k I)^{-1} for every shift, stacked as an (N, n, n) array.
+    """(M + z_k I)^{-1} for every shift, stacked as an (N, n, n) array,
+    formed as Q X_k Q^* in a unitary basis of M.
 
-    With ``basis`` = (d, Q) from :func:`normal_basis`, the stack is
-    Q diag(1/(d + z_k)) Q^*, from :func:`spectral_resolvents`.  Without
-    it, one LAPACK getrf + getri per shift; no many-right-hand-side
-    solve, which OpenBLAS runs on all its threads even at n = 2 (on a
-    small host the first one in a process can stall for about a second).
-    Raises SingularShift for the first singular shift in the order given.
+    ``basis`` is either (d, Q) from :func:`normal_basis`, with
+    X_k = diag(1/(d + z_k)) from :func:`spectral_resolvents`, or the
+    complex Schur form (T, Q) from :func:`schur_form`, with
+    X_k = (T + z_k I)^{-1} from :func:`triangular_resolvents`.  Without
+    one, this call takes the Schur form of M.  Raises SingularShift for
+    the first singular shift in the order given.
     """
     M = as_matrix(M)
     z = as_vector(shifts)
-    if basis is not None:
-        Q = basis[1]
-        return (Q * spectral_resolvents(basis, z)[:, None, :]) @ Q.conj().T
-    stack = np.repeat(M[None], z.shape[0], axis=0)
-    diag = np.arange(M.shape[0])
-    stack[:, diag, diag] += z[:, None]
-    scales = np.linalg.norm(stack, axis=(1, 2)).tolist()
-    for k, zk in enumerate(z.tolist()):
-        stack[k], _ = scipy.linalg.lapack.zgetri(*_shifted_lu(stack[k], scales[k], zk))
-    return stack
+    D, Q = schur_form(M) if basis is None else basis
+    if D.ndim == 1:
+        return (Q * spectral_resolvents((D, Q), z)[:, None, :]) @ Q.conj().T
+    return Q @ triangular_resolvents(D, z) @ Q.conj().T
 
 
 def resolvent_norms(M, shifts, basis=None) -> np.ndarray:
@@ -226,7 +270,7 @@ def resolvent_norms(M, shifts, basis=None) -> np.ndarray:
     M = as_matrix(M)
     z = as_vector(shifts)
     if basis is not None:
-        nearest, singular = _normal_distances(basis, z)
+        nearest, singular = _pivot_distances(basis[0], z)
         out = np.full(z.shape[0], np.inf)
         out[~singular] = 1.0 / nearest[~singular]
         return out

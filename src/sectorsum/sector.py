@@ -100,8 +100,8 @@ class MatrixOperator:
     """Dense operator with cached sector metadata.
 
     `certified` records the last successful certification; `sampling`
-    the grid it was obtained on.  The norms and the normal basis are
-    computed on first use and cached.
+    the grid it was obtained on.  The norms, the normal basis and the
+    Schur form are computed on first use and cached.
     """
 
     matrix: np.ndarray
@@ -112,6 +112,8 @@ class MatrixOperator:
     # linops.normal_basis verdict, None included, once _basis_known is set
     _basis: tuple | None = field(default=None, repr=False)
     _basis_known: bool = field(default=False, repr=False)
+    # linops.schur_form, taken only when a non-normal operator is resolved
+    _schur: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.matrix = linops.as_matrix(self.matrix)
@@ -127,6 +129,18 @@ class MatrixOperator:
             self._basis = linops.normal_basis(self.matrix)
             self._basis_known = True
         return self._basis
+
+    def schur_form(self):
+        """Complex Schur form (T, Q) with A = Q T Q^* (see
+        :func:`linops.schur_form`)."""
+        if self._schur is None:
+            self._schur = linops.schur_form(self.matrix)
+        return self._schur
+
+    def resolvent_basis(self):
+        """The unitary basis :func:`linops.resolvents` resolves A in:
+        :meth:`normal_basis` when A is normal, else :meth:`schur_form`."""
+        return self.normal_basis() or self.schur_form()
 
     def norm(self) -> float:
         if self._norm is None:
@@ -315,7 +329,7 @@ def decay_probe(
     x = complex_power(A, -phi) @ y
 
     pts = sampling.points(theta_prime)
-    basis = A.normal_basis()
+    basis = A.resolvent_basis()
     # (A + z)^{-1} x at every sampled z, in stack-budget chunks
     step = max(1, linops._SHIFT_STACK_BYTES // (16 * A.dim * A.dim))
     resolved = np.concatenate([

@@ -91,8 +91,8 @@ class CommutingPair:
 
 def resolvent_commute_check(A: MatrixOperator, B: MatrixOperator, lam, mu) -> float:
     """Norm of the commutator [(A+lam)^{-1}, (B+mu)^{-1}]."""
-    Ra = linops.resolvents(A.matrix, [lam])[0]
-    Rb = linops.resolvents(B.matrix, [mu])[0]
+    Ra = linops.resolvents(A.matrix, [lam], A.resolvent_basis())[0]
+    Rb = linops.resolvents(B.matrix, [mu], B.resolvent_basis())[0]
     return linops.operator_norm(Ra @ Rb - Rb @ Ra)
 
 
@@ -119,9 +119,10 @@ def sum_contour(
 
 
 def _scaled_basis(op: MatrixOperator, s: float):
-    """Normal basis of s * op: (s d, Q) from op's (d, Q), or None."""
-    basis = op.normal_basis()
-    return None if basis is None else (s * basis[0], basis[1])
+    """Resolvent basis of s * op (s = +-1): (s D, Q) from op's (D, Q),
+    its normal basis or its Schur form."""
+    D, Q = op.resolvent_basis()
+    return s * D, Q
 
 
 def _pair_resolvents(pair: CommutingPair, lam: np.ndarray, s: float) -> np.ndarray:
@@ -337,9 +338,9 @@ def eadic_middle_eval(
         e = np.exp(sign * 1j * tc)
         c = e * np.exp(sign * (np.pi - tc) * (1j * sigma + t)) / (2j * np.pi)
         # (s B + e)^{-1} (s B)^phi = s^{phi - 1} (B + e/s)^{-1} B^phi
-        Bs = (linops.resolvents(Bm, e / s, pair.B.normal_basis()) @ Bphi) * (
+        Bs = (linops.resolvents(Bm, e / s, pair.B.resolvent_basis()) @ Bphi) * (
             s ** (phi - 1.0))[:, None, None]
-        R = linops.resolvents(Am, -x * np.exp(k) * e, pair.A.normal_basis()) @ Bs
+        R = linops.resolvents(Am, -x * np.exp(k) * e, pair.A.resolvent_basis()) @ Bs
         out += sign * c * np.einsum("k,kij->ij", common * e, R)
     return out
 

@@ -320,16 +320,14 @@ def resolvent_rep_rotated(
     if theta == 0.0:
         return base
 
-    def kern(s):
-        return np.pi * (np.exp(theta * s) - 1.0) / np.sinh(np.pi * s)
-
     width = 0.7
     edges = np.linspace(-S, S, max(4, int(np.ceil(2 * S / width))) + 1)
-    corr = np.zeros_like(x)
-    for s, w in zip(*gauss_panels(edges, 10)):
-        factor = kern(s) if s != 0.0 else theta
-        op = fam.at(-s) * rho ** (-1j * s)
-        corr += w * factor * (op @ x)
+    s, w = gauss_panels(edges, 10)
+    # kernel pi (e^{theta s} - 1) / sinh(pi s), whose value at s = 0 is theta
+    nonzero = np.where(s == 0.0, 1.0, s)
+    factor = np.where(s == 0.0, theta,
+                      np.pi * (np.exp(theta * nonzero) - 1.0) / np.sinh(np.pi * nonzero))
+    corr = (w * factor * rho ** (-1j * s)) @ (fam.at_many(-s) @ x)
     return base + corr / (2j * np.pi)
 
 

@@ -270,3 +270,34 @@ def test_imaginary_power_family_reuse():
     fam = ImaginaryPowerFamily(A, t_max=3.0)
     for t in (0.3, 1.7, -2.2):
         assert np.abs(fam.at(t) - np.diag([1.0, 4.0 ** (1j * t)])).max() < 1e-9
+
+
+@pytest.mark.parametrize("matrix", [
+    np.diag([1.0, 4.0]),
+    2.0 * np.eye(4) + np.eye(4, k=1),
+    np.array([[1.0, 3.0, 0.5], [0.0, 2.0, 1.0], [0.0, 0.0, 6.0]]),
+], ids=["diag", "jordan", "triangular"])
+def test_family_at_many_matches_per_t_sums(matrix):
+    A = certified(matrix, 0.75 * np.pi)
+    fam = ImaginaryPowerFamily(A, t_max=4.0)
+    ts = np.concatenate([np.linspace(-4.0, 4.0, 33), [0.0, 0.37]])
+    many = fam.at_many(ts)
+    assert many.shape == (len(ts), A.dim, A.dim)
+    per = np.array([fam.at(t) for t in ts])
+    # the sum prefactor(t) sum_j w_j e^{i t s_j} V_j taken node by node;
+    # its terms cancel ~1e4-fold at |t| = 4, so rounding is measured
+    # against the sum of their magnitudes
+    direct, size = [], []
+    for t in ts:
+        pre = 1.0 if t == 0.0 else np.sinh(np.pi * t) / (np.pi * t)
+        terms = pre * (fam.w * np.exp(1j * t * fam.s))[:, None, None] * fam.V
+        direct.append(np.eye(A.dim) if t == 0.0 else terms.sum(axis=0))
+        size.append(np.sum(np.linalg.norm(terms, axis=(1, 2))))
+    diff = lambda a, b: np.linalg.norm(a - b, axis=(1, 2))  # noqa: E731
+    assert np.all(diff(many, per) <= 1e-14 * np.array(size))
+    assert np.all(diff(many, np.array(direct)) <= 1e-14 * np.array(size))
+    small = np.abs(ts) <= 1.0
+    assert np.all(diff(many, per)[small] <= 1e-14 * np.linalg.norm(per, axis=(1, 2))[small])
+    # A^{i0} is the identity exactly, and no t gives an empty stack
+    assert np.array_equal(many[ts == 0.0], np.broadcast_to(np.eye(A.dim), (2, A.dim, A.dim)))
+    assert fam.at_many([]).shape == (0, A.dim, A.dim)

@@ -127,7 +127,7 @@ def test_report_diff_grid_refinement_model(tmp_path):
 
 def test_report_diff_compares_complex_literals(tmp_path, monkeypatch, capsys):
     # the power report of a Laplacian m = 16 on the eigenvalue path and on
-    # the dense path (no normal basis): its "(a+bj)" matrix entries differ
+    # the Schur path (no normal basis): its "(a+bj)" matrix entries differ
     # in the last bits and compare as numbers
     cfg = {"schema_version": 1, "pipeline": "power", "re": -0.6, "im": 0.3,
            "recipe": {"kind": "laplacian-1d", "m": 16}}

@@ -1,8 +1,10 @@
-"""50-digit oracles for certification of non-normal operators.
+"""50-digit oracles for non-normal operators.
 
 ``certify_sector`` on a Jordan block and on a nearly normal 2 x 2 upper
 triangle must stay on the dense sigma_min path (``normal_basis`` rejects
 both) and agree with sigma_min(M + z) taken in 50-digit arithmetic.
+``complex_power`` of the Jordan block runs on its Schur form and must
+agree with the exact binomial series of (2I + N)^z.
 """
 
 import numpy as np
@@ -10,7 +12,13 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from sectorsum import MatrixOperator, SectorSampling, certify_sector, linops  # noqa: E402
+from sectorsum import (  # noqa: E402
+    MatrixOperator,
+    SectorSampling,
+    certify_sector,
+    complex_power,
+    linops,
+)
 
 SAMPLING = SectorSampling(n_boundary=5, n_angles=3, r_min=1e-3, r_max=1e3, interior_density=3)
 
@@ -44,3 +52,24 @@ def test_certify_nonnormal_matches_50_digit_sigma_min(kind, theta):
     assert np.max(np.abs(got - oracle) / oracle) <= 1e-12
     k_hat = certify_sector(A, theta, SAMPLING, attach=False)
     assert k_hat == pytest.approx(max(1.0, float(np.max(oracle))), rel=1e-12)
+
+
+def _jordan_power_50_digits(z, n=4, lam=2):
+    """(lam I + N)^z = sum_k binom(z, k) lam^(z - k) N^k for the nilpotent
+    shift N, entry (i, i + k) carrying the k-th term, at 50 digits."""
+    with mpmath.workdps(50):
+        zc = mpmath.mpc(z.real, z.imag)
+        coef = [mpmath.binomial(zc, k) * mpmath.power(lam, zc - k) for k in range(n)]
+        return np.array([[complex(coef[j - i]) if j >= i else 0.0 for j in range(n)]
+                         for i in range(n)])
+
+
+@pytest.mark.parametrize("z", [-0.5, -0.75 + 0.5j])
+def test_jordan_complex_power_matches_50_digit_series(z):
+    A = MatrixOperator(OPERATORS["jordan"].astype(complex))
+    certify_sector(A, 0.75 * np.pi)
+    assert A.normal_basis() is None
+    got = complex_power(A, z)
+    assert A._schur is not None
+    oracle = _jordan_power_50_digits(complex(z))
+    assert np.linalg.norm(got - oracle) <= 1e-10 * np.linalg.norm(oracle)
