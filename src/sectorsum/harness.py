@@ -46,7 +46,7 @@ def _recipe_matrix(kind: str, seed: int = DEFAULT_SEED, **params) -> tuple[np.nd
     rng = np.random.default_rng(seed)
     if kind == "diag-positive":
         entries = _field(params, "entries", lambda v: np.array(v, dtype=float), None)
-        n = _field(params, "n", int, 4)
+        n = _field(params, "n", _integer, 4)
         spread = _field(params, "spread", float, 10.0)
         _no_extra(kind, params, "entries", "n", "spread")
         d = entries if entries is not None else np.geomspace(1.0, spread, n)
@@ -56,7 +56,7 @@ def _recipe_matrix(kind: str, seed: int = DEFAULT_SEED, **params) -> tuple[np.nd
     if kind == "diag-rotated":
         psi = _field(params, "psi", float, np.pi / 4)
         entries = _field(params, "entries", lambda v: np.array(v, dtype=float), None)
-        n = _field(params, "n", int, 3)
+        n = _field(params, "n", _integer, 3)
         _no_extra(kind, params, "psi", "entries", "n")
         if not (abs(psi) < np.pi):
             raise InvalidRecipe("rotation psi must satisfy |psi| < pi")
@@ -64,13 +64,13 @@ def _recipe_matrix(kind: str, seed: int = DEFAULT_SEED, **params) -> tuple[np.nd
         return np.diag(np.exp(1j * psi) * d), 0.95 * (np.pi - abs(psi))
     if kind == "jordan":
         a = _field(params, "a", complex, 2.0)
-        size = _field(params, "size", int, 2)
+        size = _field(params, "size", _integer, 2)
         _no_extra(kind, params, "a", "size")
         if size < 1 or a == 0:
             raise InvalidRecipe("jordan needs size >= 1 and a != 0")
         return a * np.eye(size, dtype=complex) + np.diag(np.ones(size - 1), 1), 0.75 * np.pi
     if kind == "laplacian-1d":
-        m = _field(params, "m", int, 8)
+        m = _field(params, "m", _integer, 8)
         _no_extra(kind, params, "m")
         if m < 1:
             raise InvalidRecipe("laplacian-1d needs m >= 1")
@@ -80,7 +80,7 @@ def _recipe_matrix(kind: str, seed: int = DEFAULT_SEED, **params) -> tuple[np.nd
         return M, 0.9 * np.pi
     if kind == "commuting-pair":
         role = params.get("role", "a")
-        n = _field(params, "n", int, 4)
+        n = _field(params, "n", _integer, 4)
         spread = _field(params, "spread", float, 4.0)
         _no_extra(kind, params, "role", "n", "spread")
         Q, _ = np.linalg.qr(
@@ -95,15 +95,40 @@ def _recipe_matrix(kind: str, seed: int = DEFAULT_SEED, **params) -> tuple[np.nd
     raise InvalidRecipe(f"unknown recipe kind {kind!r}")
 
 
-def _field(cfg: dict, key: str, kind, default):
-    """``kind(cfg[key])``, or ``default`` when the key is absent; a value
-    that ``kind`` rejects is a config error."""
+def _field(cfg: dict, key: str, kind, default, lo=None, hi=None, strict=False):
+    """``kind(cfg[key])``, or ``default`` when the key is absent.
+
+    A value that ``kind`` rejects is a config error, and so is a value
+    with a non-finite or, given ``lo`` or ``hi``, an out-of-range entry:
+    entries must lie in [lo, hi], or in (lo, hi) when ``strict``."""
     if key not in cfg:
         return default
     try:
-        return kind(cfg[key])
+        value = kind(cfg[key])
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"invalid {key!r}: {cfg[key]!r} ({exc})") from exc
+    entries = np.asarray(value)
+    if entries.dtype.kind in "fc" and not np.isfinite(entries).all():
+        raise ConfigInvalid(f"invalid {key!r}: {cfg[key]!r} is not finite")
+    if ((lo is not None and np.any(entries <= lo if strict else entries < lo))
+            or (hi is not None and np.any(entries >= hi if strict else entries > hi))):
+        left = "(-inf" if lo is None else f"{'(' if strict else '['}{lo:g}"
+        right = "inf)" if hi is None else f"{hi:g}{')' if strict else ']'}"
+        raise ConfigInvalid(f"invalid {key!r}: {cfg[key]!r} outside {left}, {right}")
+    return value
+
+
+def _integer(v) -> int:
+    """int(v) for an integral value: 2.5 is a config error, not 2."""
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
+def _sizes(v) -> list[int]:
+    if not isinstance(v, list) or not v:
+        raise ValueError("sizes must be a nonempty list")
+    return [_integer(s) for s in v]
 
 
 def _no_extra(kind, params, *known):
@@ -229,7 +254,7 @@ def _certify(cfg, seed, out_dir):
 
 def _power(cfg, seed, out_dir):
     op = _load_operator(cfg, theta=_field(cfg, "theta", float, None), seed=seed)
-    z = complex(_field(cfg, "re", float, -0.5), _field(cfg, "im", float, 0.0))
+    z = complex(_field(cfg, "re", float, -0.5, hi=0.0, strict=True), _field(cfg, "im", float, 0.0))
     value, info = calculus.complex_power(op, z, with_info=True)
     return CertificateReport(
         operation="complex-power",
@@ -245,9 +270,7 @@ def _power(cfg, seed, out_dir):
 
 
 def _hinf(cfg, seed, out_dir):
-    theta = _field(cfg, "theta", float, np.pi / 2)
-    if not (0.0 < theta < np.pi):
-        raise ConfigInvalid(f"hinf theta must lie in (0, pi), got {theta}")
+    theta = _field(cfg, "theta", float, np.pi / 2, lo=0.0, hi=np.pi, strict=True)
     op = _load_operator(cfg, theta=min(0.95 * np.pi, theta + 0.3), seed=seed)
     registry = calculus.builtin_symbols(theta)
     name = cfg["symbol"]
@@ -302,10 +325,10 @@ def _sum(cfg, seed, out_dir):
 def _tsector(cfg, seed, out_dir):
     op = _load_operator(cfg, theta=_field(cfg, "theta", float, None), seed=seed)
     phi = _field(cfg, "phi", float, 0.0)
-    r = _field(cfg, "r", float, 1.0)
-    p = _field(cfg, "p", float, 2.0)
-    n = _field(cfg, "n", int, 1)
-    N_t = _field(cfg, "N_t", int, 256)
+    r = _field(cfg, "r", float, 1.0, lo=np.exp(-1.0), hi=1.0)
+    p = _field(cfg, "p", float, 2.0, lo=1.0)
+    n = _field(cfg, "n", _integer, 1, lo=0)
+    N_t = _field(cfg, "N_t", _integer, 256)
     rng = np.random.default_rng(seed)
     xs = [rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
           for _ in range(n + 1)]
@@ -323,7 +346,7 @@ def _tsector(cfg, seed, out_dir):
 
 def _rep_check(cfg, seed, out_dir):
     op = _load_operator(cfg, seed=seed)
-    rho = _field(cfg, "rho", float, None)
+    rho = _field(cfg, "rho", float, None, lo=0.0, strict=True)
     theta = _field(cfg, "theta", float, 0.0)
     x = np.ones(op.dim, dtype=complex)
     direct = linops.solve_shifted(np.eye(op.dim) + rho * np.exp(1j * theta) * op.matrix, 0.0, x)
@@ -342,7 +365,7 @@ def _rep_check(cfg, seed, out_dir):
 def _time_grid(cfg, nt_default):
     """The config's (tau, nt, p) grid; a bad value is a config error."""
     try:
-        return maxreg.TimeGrid(_field(cfg, "tau", float, 1.0), _field(cfg, "nt", int, nt_default),
+        return maxreg.TimeGrid(_field(cfg, "tau", float, 1.0), _field(cfg, "nt", _integer, nt_default),
                                p=_field(cfg, "p", float, 2.0))
     except ValueError as exc:
         raise ConfigInvalid(f"invalid time grid: {exc}") from exc
@@ -376,7 +399,7 @@ def _sweep(cfg, seed, out_dir):
     kind = cfg.get("kind", "maxreg-laplacian")
     if kind != "maxreg-laplacian":
         raise ConfigInvalid(f"unknown sweep kind {kind!r}")
-    sizes = _field(cfg, "sizes", lambda v: [int(s) for s in v], [8, 16, 32])
+    sizes = _field(cfg, "sizes", _sizes, [8, 16, 32])
     grid = _time_grid(cfg, 256)
     tau, p, nt = grid.tau, grid.p, grid.N_t
     rows = []
@@ -407,7 +430,7 @@ def run_config(cfg: dict, out_dir: str = ".") -> tuple[list[str], CertificateRep
     any CSV the pipeline wrote.
     """
     cfg = validate_config(cfg)
-    seed = _field(cfg, "seed", int, DEFAULT_SEED)
+    seed = _field(cfg, "seed", _integer, DEFAULT_SEED)
     os.makedirs(out_dir, exist_ok=True)
     report, extra = PIPELINES[cfg["pipeline"]](cfg, seed, out_dir)
     json_path = os.path.join(out_dir, f"{cfg.get('out_prefix', cfg['pipeline'])}.json")

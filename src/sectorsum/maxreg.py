@@ -16,10 +16,26 @@ the only discretization error is O(dt^2) interpolation.
 
 The Cauchy step f_{i+1} = e^{-hA} f_i + h (phi_1 - phi_2)(-hA) g_i
 + h phi_2(-hA) g_{i+1} uses the phi-functions phi_1(z) = (e^z - 1)/z and
-phi_2(z) = (e^z - 1 - z)/z^2, read off one exponential of a 3n x 3n
-block matrix with no inverse of A.  These step matrices are built once
-per (A, dt): a maximal-regularity constant, its adversarial searches and
-every p of a p sweep share one stepper.
+phi_2(z) = (e^z - 1 - z)/z^2, read off the exponential of the block
+matrix [[-hA, I, 0], [0, 0, I], [0, 0, 0]] with no inverse of A.  The
+steps are built once per (A, dt) in one of two bases: a
+maximal-regularity constant, its adversarial searches and every p of a
+p sweep share one stepper.
+
+- A normal operator steps in the eigenbasis (d, Q) that
+  `MatrixOperator.normal_basis` caches: the step is diagonal there,
+  its scalars come from one batched exponential of n 3 x 3 blocks, and
+  a sweep is n scalar recurrences, run as a log-depth elementwise scan
+  over the time nodes (Hochbruck & Ostermann, Exponential integrators,
+  Acta Numer. 2010; Blelloch, Prefix sums and their applications,
+  1990).  The probe loop of a constant stays in these coordinates: Q is
+  unitary and acts on the components only, so pointwise norms and the
+  time-derivative stencil do not see it, and A f is d f.
+- Any other operator takes one 3n x 3n exponential and sweeps the
+  nodes one n x n product at a time.
+
+The scalar resolvent of the derivative operator is the same scan with
+one scalar step.
 """
 
 from __future__ import annotations
@@ -113,26 +129,14 @@ class GridFunction:
 def deriv_resolvent(lam: complex, g: GridFunction) -> GridFunction:
     """(B + lam)^{-1} g: the causal convolution with e^{lam(x-t)},
     integrated exactly against the piecewise-linear interpolant of g."""
-    lam = complex(lam)
-    grid = g.grid
-    E, c_cur, c_next = (c.item() for c in _cauchy_step_matrices(np.array([[lam]]), grid.dt))
-    out = np.zeros_like(g.values)
-    for i in range(1, grid.n_nodes):
-        out[i] = E * out[i - 1] + c_cur * g.values[i - 1] + c_next * g.values[i]
-    return GridFunction(grid, out, zero_start=True)
+    out = _scalar_sweep(_cauchy_step_scalars(complex(lam), g.grid.dt), g.values)
+    return GridFunction(g.grid, out, zero_start=True)
 
 
 def deriv_resolvent_matrix(lam: complex, grid: TimeGrid) -> np.ndarray:
-    """Dense matrix of the scalar discrete resolvent (acts on node values)."""
-    lam = complex(lam)
-    E, c_cur, c_next = (c.item() for c in _cauchy_step_matrices(np.array([[lam]]), grid.dt))
-    n = grid.n_nodes
-    M = np.zeros((n, n), dtype=complex)
-    for i in range(1, n):
-        M[i] = E * M[i - 1]
-        M[i, i - 1] += c_cur
-        M[i, i] += c_next
-    return M
+    """Dense matrix of the scalar discrete resolvent (acts on node values):
+    the scalar sweep applied to the identity."""
+    return _scalar_sweep(_cauchy_step_scalars(complex(lam), grid.dt), np.eye(grid.n_nodes))
 
 
 def young_bound(lam: complex, tau: float) -> float:
@@ -223,28 +227,97 @@ def _cauchy_step_matrices(A: np.ndarray, h: float):
     [[-hA, I, 0], [0, 0, I], [0, 0, 0]], whose first block row is
     [e^{-hA}, phi_1(-hA), phi_2(-hA)] (Higham, Functions of Matrices,
     SIAM 2008, 10.7).  Nothing inverts A, so singular and nearly
-    singular A lose no digits."""
-    n = A.shape[0]
-    M = np.zeros((3 * n, 3 * n), dtype=complex)
-    M[:n, :n] = -h * A
-    M[:n, n:2 * n] = np.eye(n)
-    M[n:2 * n, 2 * n:] = np.eye(n)
+    singular A lose no digits.  A stack of matrices (..., n, n) takes
+    one batched exponential of the (..., 3n, 3n) stack."""
+    n = A.shape[-1]
+    M = np.zeros(A.shape[:-2] + (3 * n, 3 * n), dtype=complex)
+    M[..., :n, :n] = -h * A
+    M[..., :n, n:2 * n] = np.eye(n)
+    M[..., n:2 * n, 2 * n:] = np.eye(n)
     X = scipy.linalg.expm(M)
-    E, phi1, phi2 = X[:n, :n], X[:n, n:2 * n], X[:n, 2 * n:]
+    E, phi1, phi2 = X[..., :n, :n], X[..., :n, n:2 * n], X[..., :n, 2 * n:]
     # a contiguous E keeps the per-node products on BLAS
     return E.copy(), h * (phi1 - phi2), h * phi2
 
 
+def _cauchy_step_scalars(d, h: float):
+    """(z, c_cur, c_next) for A = diag(d): z = h d, so that each
+    eigenvalue steps as f_{i+1} = e^{-z} f_i + c_cur g_i + c_next g_{i+1},
+    with c_cur and c_next from :func:`_cauchy_step_matrices` of the 1 x 1
+    blocks (one batched 3 x 3 exponential, never a 3n x 3n one)."""
+    d = np.asarray(d, dtype=complex)
+    _, c_cur, c_next = _cauchy_step_matrices(d[..., None, None], h)
+    return h * d, c_cur[..., 0, 0], c_next[..., 0, 0]
+
+
+def _scan(z, x: np.ndarray) -> np.ndarray:
+    """In place, x_i <- sum_{k <= i} e^{-(i-k) z} x_k down axis 0, with
+    one z per column (or one shared by all): the recurrence
+    x_i <- x_i + e^{-z} x_{i-1} as an inclusive scan of ceil(log2 len(x))
+    elementwise passes x[s:] += e^{-sz} x[:-s], s = 1, 2, 4, ... (Hillis
+    & Steele; Blelloch, Prefix sums and their applications, 1990).  Each
+    pass takes e^{-sz} from exp rather than by squaring, so the factors
+    carry no error that grows with s."""
+    s = 1
+    while s < len(x):
+        x[s:] += np.exp(-s * z) * x[:-s]
+        s *= 2
+    return x
+
+
+def _scalar_sweep(steps, g: np.ndarray) -> np.ndarray:
+    """The causal sweep f_{i+1} = e^{-z} f_i + c_cur g_i + c_next g_{i+1},
+    f_0 = 0, of every column of g at once, for ``steps`` = (z, c_cur,
+    c_next) from :func:`_cauchy_step_scalars` (one entry per column, or
+    scalars shared by all)."""
+    z, c_cur, c_next = steps
+    out = np.empty(g.shape, dtype=complex)
+    out[0] = 0.0
+    np.multiply(c_next, g[1:], out=out[1:])
+    out[1:] += c_cur * g[:-1]
+    return _scan(z, out)
+
+
+def _scalar_sweep_adjoint(steps, u: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of :func:`_scalar_sweep`: the anticausal scan
+    z_j = u_j + e^{-conj z} z_{j+1}, then y_j = conj(c_cur) z_{j+1} +
+    conj(c_next) z_j as in :meth:`_CauchyStepper.sweep_adjoint`."""
+    z, c_cur, c_next = steps
+    tail = np.array(u[:0:-1], dtype=complex)  # u_N, ..., u_1
+    tail = _scan(np.conj(z), tail)[::-1]       # z_1, ..., z_N
+    y = np.empty(u.shape, dtype=complex)
+    y[-1] = 0.0
+    np.multiply(np.conj(c_cur), tail, out=y[:-1])
+    y[1:] += np.conj(c_next) * tail
+    return y
+
+
 class _CauchyStepper:
     """The exact exponential integrator of f' + A f = g, f(0) = 0, on a
-    uniform grid of spacing dt, with its step matrices built once.
+    uniform grid of spacing dt, with its steps built once.
 
-    Both methods act on node arrays (one row per grid node, one column
-    per component of A)."""
+    ``basis`` is None or (d, Q) from :meth:`MatrixOperator.normal_basis`,
+    as for :func:`linops.resolvents`.  With it the stepper works in the
+    eigen coordinates v Q-bar of node values v (one row per node), where
+    the step is diagonal: each sweep is n scalar recurrences run as
+    elementwise scans, and A acts as v d.  Without one it works in the
+    given coordinates with the step matrices of one block exponential,
+    one n x n product per node.
 
-    def __init__(self, A: np.ndarray, dt: float):
-        E, C_cur, C_next = _cauchy_step_matrices(A, dt)
+    `forward` and `adjoint` map node values in the given coordinates;
+    `sweep`, `sweep_adjoint`, `apply` and `apply_adjoint` act in the
+    stepper's own (`to_basis`, `from_basis`).  Q is unitary and acts on
+    the components only, so pointwise norms and the time-derivative
+    stencil do not see it."""
+
+    def __init__(self, A: np.ndarray, dt: float, basis=None):
         self.dim = A.shape[0]
+        self._A = A
+        self._basis = basis
+        if basis is not None:
+            self._steps = _cauchy_step_scalars(basis[0], dt)
+            return
+        E, C_cur, C_next = _cauchy_step_matrices(A, dt)
         # row form of the update: f_{i+1} = f_i E^T + [g_i, g_{i+1}] [C_cur^T; C_next^T]
         self._ET = E.T
         self._C = np.vstack([C_cur.T, C_next.T])
@@ -255,10 +328,37 @@ class _CauchyStepper:
         if v.shape[1] != self.dim:
             raise DimensionMismatch(f"node values of dimension {v.shape[1]}, operator {self.dim}")
 
+    def to_basis(self, v: np.ndarray) -> np.ndarray:
+        """Node values in the given coordinates -> the stepper's."""
+        self._check(v)
+        return v if self._basis is None else v @ self._basis[1].conj()
+
+    def from_basis(self, v: np.ndarray) -> np.ndarray:
+        """Node values in the stepper's coordinates -> the given ones."""
+        return v if self._basis is None else v @ self._basis[1].T
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """A on node values in the stepper's coordinates."""
+        return v @ self._A.T if self._basis is None else v * self._basis[0]
+
+    def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
+        """A^* on node values in the stepper's coordinates."""
+        return v @ self._A.conj() if self._basis is None else v * self._basis[0].conj()
+
     def forward(self, g: np.ndarray) -> np.ndarray:
-        """The solution map g -> f: all forcing terms in one product,
-        then one product per node for the causal sweep."""
-        self._check(g)
+        """The solution map g -> f on node values."""
+        return self.from_basis(self.sweep(self.to_basis(g)))
+
+    def adjoint(self, u: np.ndarray) -> np.ndarray:
+        """Conjugate transpose of `forward` on stacked node values."""
+        return self.from_basis(self.sweep_adjoint(self.to_basis(u)))
+
+    def sweep(self, g: np.ndarray) -> np.ndarray:
+        """`forward` in the stepper's coordinates: on the dense path all
+        forcing terms in one product, then one product per node for the
+        causal sweep."""
+        if self._basis is not None:
+            return _scalar_sweep(self._steps, g)
         out = np.zeros(g.shape, dtype=complex)
         np.matmul(np.hstack([g[:-1], g[1:]]), self._C, out=out[1:])
         rows = list(out)  # row views: cheaper to step through than indexing
@@ -266,14 +366,15 @@ class _CauchyStepper:
             cur += prev @ self._ET
         return out
 
-    def adjoint(self, u: np.ndarray) -> np.ndarray:
-        """Conjugate transpose of `forward` on stacked node values.
+    def sweep_adjoint(self, u: np.ndarray) -> np.ndarray:
+        """`adjoint` in the stepper's coordinates.
 
         With f_i = sum_{k<=i} E^{i-k}(C_c g_{k-1} + C_n g_k), this is the
         anticausal sweep z_j = u_j + E^H z_{j+1} followed by
         y_j = C_c^H z_{j+1} + C_n^H z_j, where y_0 keeps only its C_c^H
         term (g_0 feeds only the first step) and y_N only its C_n^H term."""
-        self._check(u)
+        if self._basis is not None:
+            return _scalar_sweep_adjoint(self._steps, u)
         z = np.array(u, dtype=complex)
         rows = list(z)[::-1]
         for prev, cur in zip(rows, rows[1:]):
@@ -289,7 +390,7 @@ class _CauchyStepper:
 def solve_cauchy(A: MatrixOperator, g: GridFunction) -> GridFunction:
     """f(t) = int_0^t e^{(x-t)A} g(x) dx on the grid, by exact exponential
     integration of the piecewise-linear interpolant (f(0) = 0)."""
-    f = _CauchyStepper(A.matrix, g.grid.dt).forward(g.values)
+    f = _CauchyStepper(A.matrix, g.grid.dt, A.normal_basis()).forward(g.values)
     return GridFunction(g.grid, f, zero_start=True)
 
 
@@ -298,7 +399,8 @@ def solve_cauchy_adjoint(A: MatrixOperator, h: GridFunction) -> GridFunction:
     W^{-1} S^H W with W the quadrature weights and S the map on node
     values."""
     w = h.grid.weights()[:, None]
-    return GridFunction(h.grid, _CauchyStepper(A.matrix, h.grid.dt).adjoint(w * h.values) / w)
+    stepper = _CauchyStepper(A.matrix, h.grid.dt, A.normal_basis())
+    return GridFunction(h.grid, stepper.adjoint(w * h.values) / w)
 
 
 def time_derivative(f: GridFunction) -> GridFunction:
@@ -367,29 +469,31 @@ def default_probes(A: MatrixOperator, grid: TimeGrid) -> list[tuple[str, GridFun
     return probes
 
 
-def _adversarial_probe(A: MatrixOperator, grid: TimeGrid, mode: str,
-                       stepper: _CauchyStepper, n_iter: int = 10) -> GridFunction:
+def _adversarial_probe(grid: TimeGrid, mode: str, stepper: _CauchyStepper,
+                       n_iter: int = 10) -> GridFunction:
     """Power iteration on the (weighted) composition  g -> D f  or
-    g -> A f  to seek the worst forcing; fixed seed, fixed count."""
+    g -> A f  to seek the worst forcing; fixed seed, fixed count.  The
+    iterates stay in the stepper's coordinates and map back once."""
     rng = np.random.default_rng(ADVERSARIAL_SEED)
-    v = rng.standard_normal((grid.n_nodes, A.dim)) + 1j * rng.standard_normal(
-        (grid.n_nodes, A.dim)
+    v = rng.standard_normal((grid.n_nodes, stepper.dim)) + 1j * rng.standard_normal(
+        (grid.n_nodes, stepper.dim)
     )
+    v = stepper.to_basis(v)
     w = grid.weights()[:, None]
     for _ in range(n_iter):
-        f = stepper.forward(v)
+        f = stepper.sweep(v)
         # the adjoint w.r.t. the weighted product is W^{-1} X^H W
         if mode == "fprime":
             y = time_derivative(GridFunction(grid, f)).values
             z = _time_derivative_adjoint(w * y, grid.dt)
         else:
-            z = (w * (f @ A.matrix.T)) @ A.matrix.conj()
-        z = stepper.adjoint(z) / w
+            z = stepper.apply_adjoint(w * stepper.apply(f))
+        z = stepper.sweep_adjoint(z) / w
         nrm = GridFunction(grid, z).lp_norm(2.0)
         if nrm == 0.0:
             break
         v = z / nrm
-    return GridFunction(grid, v)
+    return GridFunction(grid, stepper.from_basis(v))
 
 
 def maxreg_constant(
@@ -403,26 +507,26 @@ def maxreg_constant(
     probes = list(probes) if probes is not None else default_probes(A, grid)
     if not probes:
         raise ValueError("probe set must be nonempty")
-    stepper = _CauchyStepper(A.matrix, grid.dt)
+    stepper = _CauchyStepper(A.matrix, grid.dt, A.normal_basis())
     if adversarial and abs(grid.p - 2.0) < 1e-12:
         probes = probes + [
-            ("adversarial-fprime", _adversarial_probe(A, grid, "fprime", stepper)),
-            ("adversarial-Af", _adversarial_probe(A, grid, "Af", stepper)),
+            ("adversarial-fprime", _adversarial_probe(grid, "fprime", stepper)),
+            ("adversarial-Af", _adversarial_probe(grid, "Af", stepper)),
         ]
-    return _probe_report(A, grid, probes, stepper)
+    return _probe_report(grid, probes, stepper)
 
 
-def _probe_report(A: MatrixOperator, grid: TimeGrid, probes,
-                  stepper: _CauchyStepper) -> MaxRegReport:
-    """||f'||_p / ||g||_p and ||A f||_p / ||g||_p for every probe."""
+def _probe_report(grid: TimeGrid, probes, stepper: _CauchyStepper) -> MaxRegReport:
+    """||f'||_p / ||g||_p and ||A f||_p / ||g||_p for every probe, with f
+    and both numerators in the stepper's coordinates."""
     labels, r_fp, r_af = [], [], []
     for label, g in probes:
         ng = g.lp_norm()
         if ng == 0.0:
             raise ValueError(f"probe {label!r} is zero")
-        f = GridFunction(grid, stepper.forward(g.values), zero_start=True)
+        f = GridFunction(grid, stepper.sweep(stepper.to_basis(g.values)), zero_start=True)
         fp = time_derivative(f)
-        af = f.map_values(lambda vv: vv @ A.matrix.T)
+        af = f.map_values(stepper.apply)
         labels.append(label)
         r_fp.append(fp.lp_norm() / ng)
         r_af.append(af.lp_norm() / ng)
@@ -450,16 +554,16 @@ def p_independence_probe(
         if not (1.0 < p < np.inf):
             raise ValueError(f"p must lie in (1, inf), got {p}")
     base_grid = TimeGrid(tau, N_t, p=2.0)
-    stepper = _CauchyStepper(A.matrix, base_grid.dt)  # every p shares dt
+    stepper = _CauchyStepper(A.matrix, base_grid.dt, A.normal_basis())  # every p shares dt
     shared = default_probes(A, base_grid)
     shared = shared + [
-        ("adversarial-fprime", _adversarial_probe(A, base_grid, "fprime", stepper)),
+        ("adversarial-fprime", _adversarial_probe(base_grid, "fprime", stepper)),
     ]
     results = {}
     for p in p_values:
         grid = TimeGrid(tau, N_t, p=p)
         probes = [(lbl, GridFunction(grid, g.values)) for lbl, g in shared]
-        results[p] = _probe_report(A, grid, probes, stepper)
+        results[p] = _probe_report(grid, probes, stepper)
     consts = [results[p].constant_fprime for p in p_values]
     return {
         "p_values": list(p_values),

@@ -91,6 +91,10 @@ def test_run_experiment_sweep_csv(tmp_path):
     lines = open(csv[0]).read().strip().splitlines()
     assert lines[0] == "m,constant_fprime,constant_Af"
     assert len(lines) == 3
+    # the eigenbasis sweeps of the Laplacians repeat byte for byte
+    again, _ = run_experiment(str(cpath), str(tmp_path / "again"))
+    assert (CertificateReport.load(paths[0]).payload_json()
+            == CertificateReport.load(again[0]).payload_json())
 
 
 def test_run_experiment_malformed_config(tmp_path):
@@ -405,6 +409,31 @@ def test_cli_bad_numeric_field_exits_2(tmp_path, capsys, monkeypatch, case, mode
         code = exc.code
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+# each carries one value outside its field's range; all of them once
+# exited 1 as failed checks, and the two sweeps ran and passed with no
+# size or a truncated one
+OUT_OF_RANGE = {
+    "tsector-p": {"pipeline": "t-sector", "matrix": "m.csv", "p": 0.5},
+    "tsector-r": {"pipeline": "t-sector", "matrix": "m.csv", "r": 5},
+    "tsector-n": {"pipeline": "t-sector", "matrix": "m.csv", "n": -3},
+    "power-re": {"pipeline": "power", "matrix": "m.csv", "re": 0.5},
+    "power-re-nan": {"pipeline": "power", "matrix": "m.csv", "re": float("nan")},
+    "rep-check-rho": {"pipeline": "rep-check", "matrix": "m.csv", "rho": -1},
+    "sweep-no-sizes": {"pipeline": "sweep", "sizes": []},
+    "sweep-fractional-size": {"pipeline": "sweep", "sizes": [2.5]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_cli_out_of_range_field_exits_2(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    write_matrix("m.csv", np.diag([1.0, 2.0]).astype(complex))
+    cfg = _write_config(tmp_path / "cfg.json", OUT_OF_RANGE[case])
+    assert cli_main(["--out", str(tmp_path), "run", "--config", cfg]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_cli_maxreg_near_singular_matrix(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -220,6 +222,21 @@ def test_solve_cauchy_adjoint_contract():
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
+def test_solve_cauchy_adjoint_contract_on_the_eigenbasis():
+    # a normal operator with a complex spectrum in a random unitary basis
+    rng = np.random.default_rng(7)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    d = np.geomspace(1.0, 200.0, 6) * np.exp(1j * np.linspace(-0.6, 0.6, 6))
+    A = MatrixOperator((Q * d) @ Q.conj().T)
+    assert A.normal_basis() is not None
+    grid = TimeGrid(1.0, 128)
+    g, h = (GridFunction(grid, rng.standard_normal((grid.n_nodes, A.dim))
+                         + 1j * rng.standard_normal((grid.n_nodes, A.dim))) for _ in range(2))
+    lhs = _weighted_inner(grid, solve_cauchy(A, g).values, h.values)
+    rhs = _weighted_inner(grid, g.values, solve_cauchy_adjoint(A, h).values)
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
 def _forward_loop(E, C_cur, C_next, g):
     out = np.zeros_like(g)
     for i in range(1, len(g)):
@@ -329,6 +346,33 @@ def test_one_expm_per_p_independence_probe(expm_calls):
     L = generate("laplacian-1d", m=8)
     p_independence_probe(L, 1.0, 64)
     assert len(expm_calls) == 1
+
+
+@pytest.mark.parametrize("entry", [lambda A: maxreg_constant(A, TimeGrid(1.0, 64)),
+                                   lambda A: p_independence_probe(A, 1.0, 64)],
+                         ids=["maxreg_constant", "p_independence_probe"])
+@pytest.mark.parametrize("normal", [True, False], ids=["laplacian", "conv-diff"])
+def test_block_exponentials_by_shape(expm_calls, entry, normal):
+    # a normal operator steps on its eigenvalues: one batched 3 x 3
+    # exponential and never the 3n x 3n block; any other takes that block
+    # exactly once per (A, dt)
+    m = 8
+    A = generate("laplacian-1d", m=m) if normal else MatrixOperator(convection_diffusion(m=m))
+    entry(A)
+    assert expm_calls == [(m, 3, 3) if normal else (3 * m, 3 * m)]
+
+
+@pytest.mark.parametrize("m", [16, 48])
+def test_maxreg_eigenbasis_matches_dense_stepper(m):
+    # the same Laplacian forced onto the dense sweeps by a None basis verdict
+    L = generate("laplacian-1d", m=m)
+    dense = replace(L, _basis_known=True, _basis=None)
+    grid = TimeGrid(1.0, 512)
+    rep, ref = maxreg_constant(L, grid), maxreg_constant(dense, grid)
+    assert rep.probe_labels == ref.probe_labels
+    for got, want in ((rep.per_probe_fprime, ref.per_probe_fprime),
+                      (rep.per_probe_Af, ref.per_probe_Af)):
+        assert np.max(np.abs(np.subtract(got, want)) / np.abs(want)) <= 1e-12
 
 
 def test_p_independence_probe():

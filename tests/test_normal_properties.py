@@ -1,8 +1,9 @@
 """Property tests of the normal-operator closed form against the Schur
-resolvent path (``linops.resolvents`` / ``linops.resolvent_norms``), and
-of contour sums reduced on the eigenvalues or in the Schur basis
+resolvent path (``linops.resolvents`` / ``linops.resolvent_norms``), of
+contour sums reduced on the eigenvalues or in the Schur basis
 (``complex_power``, ``hinf_apply``) against the same sums over other
-resolvent stacks."""
+resolvent stacks, and of the Cauchy stepper's eigenbasis scans against
+its dense sweeps."""
 
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from sectorsum import (  # noqa: E402
 )
 from sectorsum.calculus import hinf_contour, power_contour  # noqa: E402
 from sectorsum.errors import SingularShift  # noqa: E402
+from sectorsum.maxreg import _CauchyStepper  # noqa: E402
 
 # spectra in the sector |arg| <= pi/4; regular shifts in |arg| <= pi/2,
 # so every eigenvalue of M + z stays at least sin(pi/4) |d| from 0
@@ -30,13 +32,16 @@ SPECTRUM_ANGLE = np.pi / 4
 SHIFT_ANGLE = np.pi / 2
 
 
-def _normal(seed, n):
+def _normal(seed, n, degenerate=False):
     """Q diag(d) Q^* for a seeded random unitary Q and spectrum d in the
-    sector; returns (M, d, rng) with rng left to draw shifts from."""
+    sector; returns (M, d, rng) with rng left to draw shifts from.  With
+    ``degenerate`` (n >= 3), d_1 repeats d_0 and d_{n-1} is 1e-12."""
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     Q = q * (np.diag(r) / np.abs(np.diag(r)))
     d = np.exp(rng.uniform(-3.0, 3.0, n) + 1j * rng.uniform(-SPECTRUM_ANGLE, SPECTRUM_ANGLE, n))
+    if degenerate:
+        d[1], d[-1] = d[0], 1e-12
     return (Q * d) @ Q.conj().T, d, rng
 
 
@@ -172,3 +177,25 @@ def test_nonnormal_operators_keep_the_dense_integrand(M, angle):
     for f in SYMBOLS.values():
         check(hinf_apply(f, A, with_info=True),
               dense(f, hinf_contour(f, A), f.decay_at_infinity()))
+
+
+# ------------------------------------------------ Cauchy sweeps on the eigenbasis
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 10), nt=st.integers(16, 300),
+       scale=st.sampled_from([1.0, 30.0]))
+def test_cauchy_eigen_scans_match_dense_sweeps(seed, n, nt, scale):
+    # a repeated eigenvalue, one of size 1e-12 (times scale), and at
+    # scale 30 steps h |d| up to about 40; both paths sit about
+    # 1e-15 * scale from a 30-digit recurrence
+    M, _, rng = _normal(seed, n, degenerate=True)
+    M = scale * M
+    basis = linops.normal_basis(M)
+    assert basis is not None
+    dt = 1.0 / nt
+    eigen, dense = _CauchyStepper(M, dt, basis), _CauchyStepper(M, dt)
+    v = rng.standard_normal((nt + 1, n)) + 1j * rng.standard_normal((nt + 1, n))
+    for fast, ref in ((eigen.forward(v), dense.forward(v)),
+                      (eigen.adjoint(v), dense.adjoint(v))):
+        assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
