@@ -216,12 +216,6 @@ class ImaginaryPowerFamily:
         out[ts == 0.0] = _EYE(n)
         return out
 
-    def apply(self, t: float, x: np.ndarray) -> np.ndarray:
-        return self.at(t) @ x
-
-    def norm_at(self, t: float) -> float:
-        return linops.operator_norm(self.at(t))
-
 
 def imaginary_power(A: MatrixOperator, t: float, t_max: float | None = None) -> np.ndarray:
     """A^{it} by real-axis quadrature (one-shot; build an

@@ -13,11 +13,11 @@ spectral points with a + sign, which is the convention every formula
 in this package assumes.  Node weights absorb the path derivative and
 the 1/(2 pi i) prefactor.
 
-Every Gauss-Legendre sum in the package (contours, principal values,
-the imaginary-power s-grid, the representation kernels and the e-adic
-panels) takes its nodes from gauss_panels(edges, q), the one place
-Legendre nodes are mapped onto panels.  Ray quadrature uses it on a
-radially graded mesh: panel widths are uniform in log r across a
+Every Gauss-Legendre sum in the package (contour rays and arc, mirrored
+principal values, the imaginary-power s-grid, the bound assembly's
+s-mesh, the e-adic panels) takes its nodes from gauss_panels(edges, q),
+the one place Legendre nodes are mapped onto panels.  Ray quadrature
+uses it on a radially graded mesh: panel widths are uniform in log r across a
 caller-supplied "focus" window (where the integrand's poles live) and
 coarsen geometrically with ratio 2 toward both endpoints 0 and R, where
 the last panel is at least log 2 wide.  Endpoint power behavior |lambda|^w
@@ -338,7 +338,7 @@ def tail_radius(decay_exponent: float, magnitude: float, tol: float) -> float:
 
 
 def pv_integral(
-    kernel: Callable[[float], np.ndarray],
+    kernel: Callable[[np.ndarray], np.ndarray],
     cutoff: float,
     n_nodes: int = 200,
     asym_rtol: float = 1e-6,
@@ -346,9 +346,10 @@ def pv_integral(
     """Principal value of integral over [-cutoff, cutoff] of a kernel with a
     single simple odd singularity at s = 0.
 
-    Node-mirrored composite Gauss-Legendre panels: each positive node s
-    is paired with -s so the odd divergent part cancels analytically.
-    Panels are log-graded toward 0 with ratio 2.
+    The kernel is vectorised, as dunford's integrand: it maps a 1-D array
+    of s to the (len(s), ...) stack of values, and is called once, on the
+    asymmetry probes and the mirrored Gauss-Legendre nodes together.  Each
+    positive node s is paired with -s so the odd divergent part cancels.
 
     Raises
     ------
@@ -362,25 +363,21 @@ def pv_integral(
     n_panels = max(8, int(np.ceil(cutoff)))
     edges = np.linspace(0.0, cutoff, n_panels + 1)
     q = int(np.clip(round(n_nodes / n_panels), 4, 16))
+    s, w = gauss_panels(edges, q)
+    probes = cutoff * np.array([1e-7, 1e-9])
+    values = np.asarray(kernel(np.concatenate([probes, -probes, s, -s])), dtype=complex)
 
     # odd-part consistency: s*kernel(s) and -s*kernel(-s) must share the
     # limit at 0.  At finite s they differ by O(s) from the regular part,
     # so probe two scales and demand the residual shrink with s.
-    resids, scale = [], 0.0
-    for s in (cutoff * 1e-7, cutoff * 1e-9):
-        cp = s * np.asarray(kernel(s), dtype=complex)
-        cm = -s * np.asarray(kernel(-s), dtype=complex)
-        scale = max(scale, float(np.linalg.norm(cp.reshape(-1))))
-        resids.append(float(np.linalg.norm((cp - cm).reshape(-1))))
+    cp = probes[:, None] * values[:2].reshape(2, -1)
+    cm = -probes[:, None] * values[2:4].reshape(2, -1)
+    scale = float(np.linalg.norm(cp, axis=1).max())
+    resids = np.linalg.norm(cp - cm, axis=1)
     if resids[1] > asym_rtol * max(scale, 1.0) and resids[1] > 0.5 * resids[0]:
         raise AsymmetryDetected(
             f"divergent part not odd: residuals {resids[0]:.3e}, {resids[1]:.3e} "
             f"do not vanish toward s = 0"
         )
-
-    acc = None
-    for si, wi in zip(*gauss_panels(edges, q)):
-        term = wi * (np.asarray(kernel(si), dtype=complex)
-                     + np.asarray(kernel(-si), dtype=complex))
-        acc = term if acc is None else acc + term
-    return acc
+    pairs = values[4:4 + len(s)] + values[4 + len(s):]
+    return np.einsum("k,k...->...", w, pairs)

@@ -324,11 +324,11 @@ def _sum(cfg, seed, out_dir):
 
 def _tsector(cfg, seed, out_dir):
     op = _load_operator(cfg, theta=_field(cfg, "theta", float, None), seed=seed)
-    phi = _field(cfg, "phi", float, 0.0)
+    phi = _field(cfg, "phi", float, 0.0, lo=-op.angle(), hi=op.angle())
     r = _field(cfg, "r", float, 1.0, lo=np.exp(-1.0), hi=1.0)
     p = _field(cfg, "p", float, 2.0, lo=1.0)
     n = _field(cfg, "n", _integer, 1, lo=0)
-    N_t = _field(cfg, "N_t", _integer, 256)
+    N_t = _field(cfg, "N_t", _integer, 256, lo=4 * (n + 1))
     rng = np.random.default_rng(seed)
     xs = [rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
           for _ in range(n + 1)]
@@ -350,8 +350,7 @@ def _rep_check(cfg, seed, out_dir):
     theta = _field(cfg, "theta", float, 0.0)
     x = np.ones(op.dim, dtype=complex)
     direct = linops.solve_shifted(np.eye(op.dim) + rho * np.exp(1j * theta) * op.matrix, 0.0, x)
-    via = (tsector.resolvent_rep_rotated(op, rho, theta, x)
-           if theta else tsector.resolvent_rep_real(op, rho, x))
+    via = tsector.resolvent_rep_rotated(op, rho, theta, x)
     err = float(np.linalg.norm(via - direct))
     return CertificateReport(
         operation="rep-check",

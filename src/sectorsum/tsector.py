@@ -14,13 +14,13 @@ constant the family achieves.
 The representation formulas, for an operator with bounded imaginary
 powers of power angle phi < pi and any rho > 0,
 
-    (I + rho A)^{-1} x = (1/2 pi i) PV int (rho A)^{-is} pi/sinh(pi s) x ds + x/2
-    (I + rho e^{i theta} A)^{-1}
-        = (I + rho A)^{-1}
-          + (1/2 pi i) int (rho A)^{-is} pi (e^{theta s} - 1)/sinh(pi s) ds
+    (I + rho e^{i theta} A)^{-1} x
+        = (1/2 pi i) PV int (rho A)^{-is} pi e^{theta s}/sinh(pi s) x ds + x/2
 
-hold for |theta| < pi - phi; the integrand decays like
-e^{(phi + |theta| - pi)|s|}, which fixes the cutoff.
+hold for |theta| < pi - phi (theta = 0 is the real shift); the
+integrand decays like e^{(phi + |theta| - pi)|s|}, which fixes the
+cutoff.  Every s-integral here, these and the bound assembly's, is one
+batched ImaginaryPowerFamily.at_many stack and one reduction.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ from .maxreg import GridFunction, TimeGrid
 from .sector import MatrixOperator, certify_sector
 
 FAMILY_SEED = 0xA11CE
+
+#: Gauss-Legendre nodes on [0, S] of the representation formulas'
+#: principal value (each is mirrored to -s)
+REP_NODES = 320
 
 
 def periodic_grid(N_t: int, p: float = 2.0) -> TimeGrid:
@@ -274,24 +278,11 @@ def resolvent_rep_real(
     rho: float,
     x,
     bip: BipFit | None = None,
-    n_nodes: int = 320,
     tol_tail: float = 1e-9,
-    family: ImaginaryPowerFamily | None = None,
 ) -> np.ndarray:
-    """(I + rho A)^{-1} x from the principal-value formula."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    x = linops.as_vector(x, A.dim)
-    bip = bip or bip_fit(A)
-    S = _rep_cutoff(bip, 0.0, tol_tail)
-    fam = family or ImaginaryPowerFamily(A, t_max=S)
-
-    def kernel(s):
-        op = fam.at(-s) * rho ** (-1j * s)
-        return (np.pi / np.sinh(np.pi * s)) * (op @ x) / (2j * np.pi)
-
-    val = pv_integral(kernel, S, n_nodes=n_nodes)
-    return val + 0.5 * x
+    """(I + rho A)^{-1} x from the principal-value formula: the
+    theta = 0 case of resolvent_rep_rotated."""
+    return resolvent_rep_rotated(A, rho, 0.0, x, bip=bip, tol_tail=tol_tail)
 
 
 def resolvent_rep_rotated(
@@ -300,12 +291,10 @@ def resolvent_rep_rotated(
     theta: float,
     x,
     bip: BipFit | None = None,
-    n_nodes: int = 320,
     tol_tail: float = 1e-9,
-    family: ImaginaryPowerFamily | None = None,
 ) -> np.ndarray:
-    """(I + rho e^{i theta} A)^{-1} x: the real-shift value plus the
-    rotation correction with kernel pi (e^{theta s} - 1)/sinh(pi s)."""
+    """(I + rho e^{i theta} A)^{-1} x as one principal value with kernel
+    pi e^{theta s}/sinh(pi s), plus x/2."""
     if rho <= 0:
         raise ValueError("rho must be positive")
     x = linops.as_vector(x, A.dim)
@@ -315,20 +304,13 @@ def resolvent_rep_rotated(
             f"need |theta| < pi - phi-hat = {np.pi - bip.phi:.4f}, got {theta}"
         )
     S = _rep_cutoff(bip, theta, tol_tail)
-    fam = family or ImaginaryPowerFamily(A, t_max=S)
-    base = resolvent_rep_real(A, rho, x, bip=bip, n_nodes=n_nodes, family=fam)
-    if theta == 0.0:
-        return base
+    fam = ImaginaryPowerFamily(A, t_max=S)
 
-    width = 0.7
-    edges = np.linspace(-S, S, max(4, int(np.ceil(2 * S / width))) + 1)
-    s, w = gauss_panels(edges, 10)
-    # kernel pi (e^{theta s} - 1) / sinh(pi s), whose value at s = 0 is theta
-    nonzero = np.where(s == 0.0, 1.0, s)
-    factor = np.where(s == 0.0, theta,
-                      np.pi * (np.exp(theta * nonzero) - 1.0) / np.sinh(np.pi * nonzero))
-    corr = (w * factor * rho ** (-1j * s)) @ (fam.at_many(-s) @ x)
-    return base + corr / (2j * np.pi)
+    def kernel(s):
+        coef = np.pi * np.exp(theta * s) / np.sinh(np.pi * s) * rho ** (-1j * s)
+        return coef[:, None] * (fam.at_many(-s) @ x) / (2j * np.pi)
+
+    return pv_integral(kernel, S, n_nodes=REP_NODES) + 0.5 * x
 
 
 # ------------------------------------------------------- Hilbert multiplier
@@ -384,6 +366,7 @@ def bip_tsector_bound_assembly(
         raise AngleOutOfRange("phi-hat + |theta| must stay below pi")
     if p < 1.0:
         raise ValueError(f"p must lie in [1, inf), got {p}")
+    lhs = lhs_norm(A, theta, r, xs, p, N_t)  # also checks r, theta and p
     S = _rep_cutoff(bip, theta, tol_tail)
     fam = ImaginaryPowerFamily(A, t_max=max(S, np.pi))
     grid = periodic_grid(N_t)
@@ -391,48 +374,38 @@ def bip_tsector_bound_assembly(
     n_terms = len(xs)
     phases = np.exp(1j * np.outer(t, np.arange(n_terms)))  # (N_t, n)
     X = np.array(xs)  # (n, dim)
+    log_scales = np.log(r) - np.arange(n_terms)  # log(r e^{-k})
 
-    def harmonic_field(s: float) -> np.ndarray:
-        """sum_k e^{ikt} (r e^{-k} A)^{-is} x_k on the grid, (N_t, dim)."""
-        M = fam.at(-s)
-        scales = np.array([(r * np.exp(-k)) ** (-1j * s) for k in range(n_terms)])
-        Y = (scales[:, None] * (X @ M.T))
-        return phases @ Y
+    def coefficients(s):
+        """(r e^{-k} A)^{-is} x_k stacked as (len(s), n, dim); phases @ a
+        row is the field sum_k e^{ikt} (r e^{-k} A)^{-is} x_k."""
+        scales = np.exp(-1j * np.outer(s, log_scales))
+        return scales[:, :, None] * np.swapaxes(fam.at_many(-s) @ X.T, 1, 2)
 
-    # term 1: smoothed kernel pi/sinh(pi s) - chi(s)/s. smooth on [-pi, pi],
-    # pure pi/sinh outside; panels split at +-pi.
-    def g1(s):
-        return np.pi / np.sinh(np.pi * s) - (1.0 / s if abs(s) <= np.pi else 0.0)
-
-    term1 = np.zeros((N_t, A.dim), dtype=complex)
+    # term 1: smoothed kernel pi/sinh(pi s) - chi(s)/s, smooth on [-pi, pi]
+    # and pure pi/sinh outside; term 4: rotation kernel
+    # pi (e^{theta s} - 1)/sinh(pi s).  Both on one mesh split at +-pi,
+    # whose even panel order puts no node at s = 0.
+    n_outer = max(3, int((S - np.pi) / 0.7)) + 1
     seg_edges = np.unique(np.concatenate([
-        np.linspace(-S, -np.pi, max(3, int((S - np.pi) / 0.7)) + 1),
+        np.linspace(-S, -np.pi, n_outer),
         np.linspace(-np.pi, np.pi, 10),
-        np.linspace(np.pi, S, max(3, int((S - np.pi) / 0.7)) + 1),
+        np.linspace(np.pi, S, n_outer),
     ]))
-    for sx, sw in zip(*gauss_panels(seg_edges, 10)):
-        if sx != 0.0:
-            term1 += sw * g1(sx) * harmonic_field(sx)
-    term1 /= 2j * np.pi
+    s, w = gauss_panels(seg_edges, 10)
+    g1 = np.pi / np.sinh(np.pi * s) - np.where(np.abs(s) <= np.pi, 1.0 / s, 0.0)
+    g4 = np.pi * np.expm1(theta * s) / np.sinh(np.pi * s)
+    kernels = w * np.stack([g1, g4])
+    term1, term4 = phases @ np.einsum("cs,ski->cki", kernels, coefficients(s)) / (2j * np.pi)
 
     # term 2: principal value of chi(s)/s over [-pi, pi]
-    term2 = pv_integral(lambda s: harmonic_field(s) / s, np.pi, n_nodes=260) / (2j * np.pi)
+    pv = pv_integral(lambda s: coefficients(s) / s[:, None, None], np.pi, n_nodes=260)
+    term2 = phases @ pv / (2j * np.pi)
 
     # term 3: half sum
     term3 = 0.5 * (phases @ X)
 
-    # term 4: rotation kernel
-    term4 = np.zeros((N_t, A.dim), dtype=complex)
-    if theta != 0.0:
-        edges4 = np.linspace(-S, S, max(6, int(np.ceil(2 * S / 0.7))) + 1)
-        for sx, sw in zip(*gauss_panels(edges4, 10)):
-            kern = np.pi * (np.exp(theta * sx) - 1.0) / np.sinh(np.pi * sx) \
-                if sx != 0.0 else theta
-            term4 += sw * kern * harmonic_field(sx)
-        term4 /= 2j * np.pi
-
     norms = [GridFunction(grid, tm).lp_norm(p) for tm in (term1, term2, term3, term4)]
-    lhs = lhs_norm(A, theta, r, xs, p, N_t)
     rhs = float(sum(norms))
     record = {
         "lhs": lhs,

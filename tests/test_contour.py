@@ -202,15 +202,15 @@ def test_dunford_tail_is_the_outer_panel_extrapolated():
 
 
 def test_pv_odd_kernels_vanish():
-    assert abs(pv_integral(lambda s: np.array([1.0 / s]), 50.0)[0]) < 1e-14
-    assert abs(pv_integral(lambda s: np.array([np.pi / np.sinh(np.pi * s)]), 40.0)[0]) < 1e-14
+    assert abs(pv_integral(lambda s: (1.0 / s)[:, None], 50.0)[0]) < 1e-14
+    assert abs(pv_integral(lambda s: (np.pi / np.sinh(np.pi * s))[:, None], 40.0)[0]) < 1e-14
 
 
 def test_pv_sine_integral_oracle():
     # PV of e^{is}/s over [-S, S] equals 2i Si(S); at S = 50 this is
     # still 0.04 away from the pi*i limit
     S = 50.0
-    val = pv_integral(lambda s: np.array([np.exp(1j * s) / s]), S, n_nodes=400)[0]
+    val = pv_integral(lambda s: (np.exp(1j * s) / s)[:, None], S, n_nodes=400)[0]
     si, _ = sici(S)
     assert abs(val - 2j * si) < 1e-6
     assert abs(val - np.pi * 1j) < 0.05
@@ -218,7 +218,42 @@ def test_pv_sine_integral_oracle():
 
 def test_pv_asymmetry_detected():
     with pytest.raises(AsymmetryDetected):
-        pv_integral(lambda s: np.array([1.0 / abs(s)]), 10.0)
+        pv_integral(lambda s: (1.0 / np.abs(s))[:, None], 10.0)
+
+
+def _pv_per_node(kernel, cutoff, n_nodes):
+    """The mirrored rule node by node: one kernel call per s and per -s."""
+    n_panels = max(8, int(np.ceil(cutoff)))
+    q = int(np.clip(round(n_nodes / n_panels), 4, 16))
+    acc = 0.0
+    for si, wi in zip(*gauss_panels(np.linspace(0.0, cutoff, n_panels + 1), q)):
+        acc = acc + wi * (kernel(np.array([si]))[0] + kernel(np.array([-si]))[0])
+    return acc
+
+
+PV_KERNELS = {
+    "sine": (lambda s: (np.exp(1j * s) / s)[:, None], 50.0, 400),
+    "sinh-rotated": (lambda s: (np.pi * np.exp(0.6 * s) / np.sinh(np.pi * s))[:, None], 12.0, 320),
+    "matrix": (lambda s: np.exp(1j * np.multiply.outer(s, [[1.0, -2.0, 0.5], [3.0, 0.1, -1.0]]))
+               / s[:, None, None], np.pi, 260),
+    "coarse": (lambda s: (np.cos(s) + 1j / s)[:, None], 30.0, 100),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PV_KERNELS))
+def test_pv_batched_rule_matches_per_node_loop(case):
+    kernel, cutoff, n_nodes = PV_KERNELS[case]
+    calls = []
+
+    def counted(s):
+        calls.append(len(s))
+        return kernel(s)
+
+    got = pv_integral(counted, cutoff, n_nodes=n_nodes)
+    ref = _pv_per_node(kernel, cutoff, n_nodes)
+    assert len(calls) == 1
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
 
 
 # ------------------------------------------------------------ the one rule

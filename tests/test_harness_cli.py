@@ -418,6 +418,8 @@ OUT_OF_RANGE = {
     "tsector-p": {"pipeline": "t-sector", "matrix": "m.csv", "p": 0.5},
     "tsector-r": {"pipeline": "t-sector", "matrix": "m.csv", "r": 5},
     "tsector-n": {"pipeline": "t-sector", "matrix": "m.csv", "n": -3},
+    "tsector-N_t": {"pipeline": "t-sector", "matrix": "m.csv", "N_t": 4},
+    "tsector-phi": {"pipeline": "t-sector", "matrix": "m.csv", "phi": 3.0},
     "power-re": {"pipeline": "power", "matrix": "m.csv", "re": 0.5},
     "power-re-nan": {"pipeline": "power", "matrix": "m.csv", "re": float("nan")},
     "rep-check-rho": {"pipeline": "rep-check", "matrix": "m.csv", "rho": -1},

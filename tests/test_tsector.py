@@ -159,6 +159,90 @@ def test_rep_rotated_zero_angle_no_correction(scalar1):
     assert np.array_equal(base, rot)
 
 
+def rotated_diagonal(n):
+    """Normal operator U diag(e^{+-i 0.7 pi/4} geomspace(1, 4, n)) U*,
+    certified at 0.7 pi."""
+    rng = np.random.default_rng(7)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    psi = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * 0.7 * np.pi / 4
+    return certified(Q @ np.diag(np.exp(1j * psi) * np.geomspace(1.0, 4.0, n)) @ Q.conj().T,
+                     0.7 * np.pi)
+
+
+def convection_diffusion(m, b=20.0):
+    lap = (m + 1) ** 2 * (2 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1))
+    return certified(lap + b * (m + 1) / 2 * (np.eye(m, k=1) - np.eye(m, k=-1)), 0.9 * np.pi)
+
+
+@pytest.fixture(scope="module")
+def rep_operators():
+    ops = {
+        "rotated-2": rotated_diagonal(2),
+        "rotated-4": rotated_diagonal(4),
+        "jordan-2": certified(2.0 * np.eye(2) + np.eye(2, k=1), 0.75 * np.pi),
+        "convection-diffusion-8": convection_diffusion(8),
+    }
+    return {name: (A, bip_fit(A)) for name, A in ops.items()}
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, -0.3, 0.9, -0.9])
+@pytest.mark.parametrize("name", ["rotated-2", "rotated-4", "jordan-2", "convection-diffusion-8"])
+def test_rep_rotated_matches_direct_solve(rep_operators, name, theta):
+    A, fit = rep_operators[name]
+    assert abs(theta) < np.pi - fit.phi - 0.05
+    x = np.linspace(1.0, 2.0, A.dim) + 0.5j * np.cos(np.arange(A.dim))
+    rho = 0.7
+    got = resolvent_rep_rotated(A, rho, theta, x, bip=fit)
+    direct = np.linalg.solve(np.eye(A.dim) + rho * np.exp(1j * theta) * A.matrix, x)
+    assert np.abs(got - direct).max() <= 1e-8
+
+
+def _count_family_calls(monkeypatch):
+    calls = {"at": 0, "at_many": 0}
+    at, at_many = ImaginaryPowerFamily.at, ImaginaryPowerFamily.at_many
+
+    def counted_at(self, t):
+        calls["at"] += 1
+        return at(self, t)
+
+    def counted_at_many(self, ts):
+        calls["at_many"] += 1
+        return at_many(self, ts)
+
+    monkeypatch.setattr(ImaginaryPowerFamily, "at", counted_at)
+    monkeypatch.setattr(ImaginaryPowerFamily, "at_many", counted_at_many)
+    return calls
+
+
+def test_family_calls_are_batched(rep_operators, monkeypatch):
+    A, fit = rep_operators["rotated-2"]
+    calls = _count_family_calls(monkeypatch)
+    resolvent_rep_rotated(A, 0.7, 0.6, np.ones(2), bip=fit)
+    assert calls == {"at": 0, "at_many": 1}
+    calls.update(at=0, at_many=0)
+    bip_tsector_bound_assembly(A, 0.5, 0.8, [np.ones(2), np.arange(2.0)], N_t=64, bip=fit)
+    assert calls == {"at": 0, "at_many": 2}
+
+
+# term norms of the four-term split as the per-node assembly computed them
+ASSEMBLY_PINS = {
+    "scalar-4": [0.5928497898005384, 1.3448382722043586, 1.2533141373155003,
+                 0.3224406369313768],
+    "rotated-2": [2.7239951450737205, 3.538239075072964, 2.6004648993192014,
+                  0.7241531883146689],
+}
+
+
+def test_assembly_term_norms_pinned(rep_operators):
+    rec = bip_tsector_bound_assembly(certified([[4.0]], 0.9 * np.pi), np.pi / 4, 1.0,
+                                     [np.array([1.0])], N_t=128)
+    assert rec["term_norms"] == pytest.approx(ASSEMBLY_PINS["scalar-4"], rel=1e-12)
+    rng = np.random.default_rng(11)
+    xs = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2)]
+    rec = bip_tsector_bound_assembly(rotated_diagonal(2), 0.5, 0.8, xs, N_t=128)
+    assert rec["term_norms"] == pytest.approx(ASSEMBLY_PINS["rotated-2"], rel=1e-12)
+
+
 def test_rep_rotated_angle_contract():
     A = certified([[np.exp(1j * np.pi / 2)]], 0.45 * np.pi)
     fit = bip_fit(A, t_max=3.0)
@@ -190,7 +274,8 @@ def test_kernel_splitting_identity(scalar1):
     for a, b in zip(edges[:-1], edges[1:]):
         for s, w in zip(0.5 * (b + a) + 0.5 * (b - a) * xg, 0.5 * (b - a) * wg):
             smooth += w * smooth_kernel(s)
-    pv_part = pv_integral(lambda s: (fam.at(-s) @ x) / s, np.pi, n_nodes=200) / (2j * np.pi)
+    pv_part = pv_integral(lambda s: (fam.at_many(-s) @ x) / s[:, None], np.pi,
+                          n_nodes=200) / (2j * np.pi)
     recombined = smooth + pv_part + 0.5 * x
     direct = resolvent_rep_real(A, 1.0, x)
     assert np.abs(recombined - direct).max() < 1e-8
