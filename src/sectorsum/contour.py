@@ -16,7 +16,8 @@ the 1/(2 pi i) prefactor.
 Every Gauss-Legendre sum in the package (contour rays and arc, mirrored
 principal values, the imaginary-power s-grid, the bound assembly's
 s-mesh, the e-adic panels) takes its nodes from gauss_panels(edges, q),
-the one place Legendre nodes are mapped onto panels.  Ray quadrature
+the one place Legendre nodes are mapped onto panels; the rule itself is
+computed once per order q.  Ray quadrature
 uses it on a radially graded mesh: panel widths are uniform in log r across a
 caller-supplied "focus" window (where the integrand's poles live) and
 coarsen geometrically with ratio 2 toward both endpoints 0 and R, where
@@ -28,6 +29,7 @@ configured decay exponent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -198,10 +200,19 @@ def _ray_mesh(spec: ContourSpec):
     return edges, q, stub
 
 
+@functools.lru_cache(maxsize=64)
+def _legendre_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The q-point Gauss-Legendre rule on [-1, 1], read-only, computed
+    once per q."""
+    x, w = leggauss(q)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_panels(edges, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite q-point Gauss-Legendre nodes and weights on the
     consecutive panels [edges[i], edges[i+1]], panel by panel in order."""
-    xg, wg = leggauss(q)
+    xg, wg = _legendre_rule(q)
     edges = np.asarray(edges, dtype=float)
     a, b = edges[:-1, None], edges[1:, None]
     x = 0.5 * (b + a) + 0.5 * (b - a) * xg
@@ -217,6 +228,11 @@ def build_nodes(spec: ContourSpec) -> tuple[np.ndarray, np.ndarray]:
     with decreasing angle, upper ray outward) and the 1/(2 pi i) factor;
     a negated spec flips all of them.
     """
+    return _nodes_on_mesh(spec, _ray_mesh(spec))
+
+
+def _nodes_on_mesh(spec: ContourSpec, mesh) -> tuple[np.ndarray, np.ndarray]:
+    """build_nodes(spec) on the spec's ray mesh, already taken."""
     lam_parts: list[np.ndarray] = []
     w_parts: list[np.ndarray] = []
 
@@ -228,7 +244,6 @@ def build_nodes(spec: ContourSpec) -> tuple[np.ndarray, np.ndarray]:
         # d lambda = i rho e^{i phi} d phi, traversed with phi decreasing
         w_parts.append(-w * 1j * lam / _TWO_PI_I)
 
-    mesh = _ray_mesh(spec)
     if mesh is not None:
         edges, q, stub = mesh
         n_panels = len(edges) - 1
@@ -291,10 +306,10 @@ def dunford(
         If given, raise TruncationNotConverged when the tail estimate
         exceeds it.
     """
-    lam, w = build_nodes(spec)
+    mesh = _ray_mesh(spec)
+    lam, w = _nodes_on_mesh(spec, mesh)
     # outermost ray panel mass, from the nodes with the largest radii (the
     # q nodes of that panel on each ray), and the panel's log-width
-    mesh = _ray_mesh(spec)
     q, width = DEFAULT_PANEL_ORDER, np.log(2.0)
     if mesh is not None:
         edges, q, _ = mesh

@@ -295,7 +295,7 @@ def _sum(cfg, seed, out_dir):
     pair = sums.CommutingPair(A, B)
     # sum_inverse's own default contour, built here so its size is recorded
     tol = 1e-6
-    spec = sums.sum_contour(pair, tol=0.01 * tol)
+    spec = sums.inverse_contour(pair, tol)
     K = sums.sum_inverse(pair, spec, tol=tol)
     direct = np.linalg.inv(A.matrix + B.matrix)
     err = linops.operator_norm(K - direct) / max(linops.operator_norm(direct), 1e-300)

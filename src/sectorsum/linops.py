@@ -152,6 +152,13 @@ def schur_form(M):
     return scipy.linalg.schur(as_matrix(M), output="complex", check_finite=False)
 
 
+def departure_tolerance(M) -> float:
+    """NORMAL_DEPARTURE * n eps ||M||_F: the largest Frobenius norm of a
+    strict triangle of a unitarily similar form of M that is taken as
+    rounding (see :func:`normal_basis`)."""
+    return NORMAL_DEPARTURE * M.shape[0] * np.finfo(float).eps * float(np.linalg.norm(M))
+
+
 def normal_basis(M):
     """(d, Q) with M = Q diag(d) Q^* and Q unitary, or None.
 
@@ -165,7 +172,7 @@ def normal_basis(M):
     """
     M = as_matrix(M)
     scale = np.linalg.norm(M)
-    tol = NORMAL_DEPARTURE * M.shape[0] * np.finfo(float).eps * scale
+    tol = departure_tolerance(M)
     Mh = M.conj().T
     if np.linalg.norm(M @ Mh - Mh @ M) > 8.0 * tol * scale:
         return None
@@ -265,7 +272,9 @@ def resolvent_norms(M, shifts, basis=None) -> np.ndarray:
     (the Frobenius norm taken from the same singular values), i.e. the
     shift is numerically on the spectrum.  With ``basis`` = (d, Q) from
     :func:`normal_basis`, sigma_min(M + z) = min_i |d_i + z| and no
-    matrix is formed.
+    matrix is formed.  Without one, a real M has M + conj(z) =
+    conj(M + z) and the same singular values, so each distinct
+    (Re z, |Im z|) is decomposed once.
     """
     M = as_matrix(M)
     z = as_vector(shifts)
@@ -274,6 +283,15 @@ def resolvent_norms(M, shifts, basis=None) -> np.ndarray:
         out = np.full(z.shape[0], np.inf)
         out[~singular] = 1.0 / nearest[~singular]
         return out
+    if not M.imag.any():
+        upper, back = np.unique(np.where(z.imag < 0, z.conj(), z), return_inverse=True)
+        return _singular_value_norms(M, upper)[back]
+    return _singular_value_norms(M, z)
+
+
+def _singular_value_norms(M: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """1/sigma_min(M + z_k), ``inf`` on singular shifts, from the
+    singular values of M + z_k I stacked in bounded-memory chunks."""
     n = M.shape[0]
     out = np.empty(z.shape[0])
     step = max(1, _SHIFT_STACK_BYTES // (16 * n * n))

@@ -20,8 +20,29 @@ away from both spectra, and for Re w < 0 the weighted identities read
 
 (the first is the reflected-path integral written over the standard
 path; reflection and orientation reversal cancel, so no extra sign).
-Every node's resolvents are checked as they are built: a node on either
-spectrum raises SingularShift naming that node.  Radial splits at
+K's default contour (`inverse_contour`) runs at 0.01 tol / max(1,
+||A|| + ||B||), since the residual gate of `sum_inverse` measures
+||A + B|| times K's error.
+
+Commuting matrices are simultaneously unitarily triangularisable, so
+each pair integral runs in one joint basis (`CommutingPair.joint_basis`,
+taken once per pair): Q holds the Schur vectors of A + gamma B for the
+fixed generic gamma = JOINT_WEIGHT, and the basis is accepted when the
+strict lower triangles of Q^* A Q and Q^* B Q pass the departure test of
+`linops.normal_basis` (within 8 n eps of each matrix's Frobenius norm).
+When the strict upper triangles pass it too, the pair is diagonal and a
+node's integrand is the (N, n) scalar stack of
+`linops.spectral_resolvents` products; otherwise it is the product of
+two `linops.triangular_resolvents` stacks.  dunford reduces the stack
+and each integral ends in one Q (.) Q^*; a factor that does not depend
+on the node (A^phi, B^phi of the splits and the e-adic sum) multiplies
+the reduced value once.  A pair that commutes only to its
+`commute_tolerance`, not to working precision, fails the test and
+resolves each member in its own basis (`MatrixOperator.resolvent_basis`)
+with dense (N, n, n) stacks; nothing else selects that path.
+Every node's resolvents are checked as they are built, by the pivot
+test of `linops` on the diagonals: a node on either spectrum raises
+SingularShift naming that node.  Radial splits at
 |lambda| = 1 and e^n, and the e-adic rearrangement of the middle
 annulus, are provided for the split diagnostics; both were
 cross-checked against scalar residue oracles.
@@ -29,7 +50,7 @@ cross-checked against scalar residue oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +62,11 @@ from .sector import MatrixOperator
 
 PROBE_SEED = 0x5EC705  # recorded seed for certificate probe vectors
 
+#: generic weight of the joint basis: where A + JOINT_WEIGHT B has distinct
+#: eigenvalues, the commuting A and B are polynomials in it, so its Schur
+#: vectors triangularise both (CommutingPair.joint_basis tests the rest)
+JOINT_WEIGHT = np.exp(0.618j)
+
 
 @dataclass
 class CommutingPair:
@@ -51,6 +77,9 @@ class CommutingPair:
     B: MatrixOperator
     commute_tolerance: float = 1e-10
     check_shifts: tuple[complex, complex] = (1.0 + 0.0j, 1.0 + 0.0j)
+    # joint_basis verdict, None included, once _joint_known is set
+    _joint: tuple | None = field(default=None, init=False, repr=False)
+    _joint_known: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         if self.A.certified is None or self.B.certified is None:
@@ -88,6 +117,37 @@ class CommutingPair:
             1.0 / self.B.inverse_norm(), self.B.norm(),
         )
 
+    def joint_basis(self):
+        """One unitary basis that triangularises both A and B, taken once
+        and cached: (a, b, Q) with the diagonals of Q^* A Q and Q^* B Q
+        when both are diagonal, (Ta, Tb, Q) with their upper triangles
+        when both are triangular, and None otherwise.
+
+        Q holds the Schur vectors of A + JOINT_WEIGHT B.  A form counts
+        as triangular (diagonal) when its strict lower (and upper)
+        triangle is within :func:`linops.departure_tolerance` of its
+        matrix, the test :func:`linops.normal_basis` puts on a Schur
+        form, so resolvents in this basis stay within the backward error
+        of the dense path.  A pair that commutes only to a looser
+        tolerance fails the test.
+        """
+        if not self._joint_known:
+            self._joint = _joint_basis(self.A.matrix, self.B.matrix)
+            self._joint_known = True
+        return self._joint
+
+
+def _joint_basis(A: np.ndarray, B: np.ndarray):
+    """See :meth:`CommutingPair.joint_basis`."""
+    _, Q = linops.schur_form(A + JOINT_WEIGHT * B)
+    Qh = Q.conj().T
+    forms = [(Qh @ M @ Q, linops.departure_tolerance(M)) for M in (A, B)]
+    if any(np.linalg.norm(np.tril(T, -1)) > tol for T, tol in forms):
+        return None
+    if all(np.linalg.norm(np.triu(T, 1)) <= tol for T, tol in forms):
+        return tuple(np.diagonal(T).copy() for T, _ in forms) + (Q,)
+    return tuple(np.triu(T) for T, _ in forms) + (Q,)
+
 
 def resolvent_commute_check(A: MatrixOperator, B: MatrixOperator, lam, mu) -> float:
     """Norm of the commutator [(A+lam)^{-1}, (B+mu)^{-1}]."""
@@ -118,6 +178,15 @@ def sum_contour(
     )
 
 
+def inverse_contour(pair: CommutingPair, tol: float = 1e-6) -> ContourSpec:
+    """K's contour for a two-sided residual within tol.
+
+    The residual ||(A + B) K - I|| grows like ||A + B|| ||K - (A + B)^{-1}||,
+    so the quadrature runs at 0.01 tol / max(1, ||A|| + ||B||).
+    """
+    return sum_contour(pair, tol=0.01 * tol / max(1.0, pair.A.norm() + pair.B.norm()))
+
+
 def _scaled_basis(op: MatrixOperator, s: float):
     """Resolvent basis of s * op (s = +-1): (s D, Q) from op's (D, Q),
     its normal basis or its Schur form."""
@@ -125,39 +194,69 @@ def _scaled_basis(op: MatrixOperator, s: float):
     return s * D, Q
 
 
-def _pair_resolvents(pair: CommutingPair, lam: np.ndarray, s: float) -> np.ndarray:
-    """(A + s lam)^{-1} (B - s lam)^{-1} at every node lam, for s = +-1.
+def _resolvent_products(pair: CommutingPair, mu, nu, sa: float = 1.0, sb: float = 1.0):
+    """(sa A + mu_k)^{-1} (sb B + nu_k)^{-1} at every k, for sa, sb = +-1.
 
-    Written as -(sA + lam)^{-1} (-sB + lam)^{-1} (negation is exact), so
-    both factors take the node itself as their shift and a SingularShift
-    names the node.
+    In the pair's joint basis (:meth:`CommutingPair.joint_basis`) it is
+    the (N, n) stack of products of the two :func:`linops.spectral_resolvents`
+    stacks when that basis is diagonal and the product of two
+    :func:`linops.triangular_resolvents` stacks when it is triangular;
+    :func:`_from_joint` maps a reduced sum back.  Without one, each
+    member is resolved in its own basis and the (N, n, n) stack is
+    dense.  A's shifts are checked first, each by the pivot test of
+    :mod:`linops`, so a SingularShift names the first singular mu_k, else
+    the first singular nu_k.
     """
-    Ra = linops.resolvents(s * pair.A.matrix, lam, _scaled_basis(pair.A, s))
-    Rb = linops.resolvents(-s * pair.B.matrix, lam, _scaled_basis(pair.B, -s))
-    return -(Ra @ Rb)
+    basis = pair.joint_basis()
+    if basis is None:
+        Ra = linops.resolvents(sa * pair.A.matrix, mu, _scaled_basis(pair.A, sa))
+        Rb = linops.resolvents(sb * pair.B.matrix, nu, _scaled_basis(pair.B, sb))
+        return Ra @ Rb
+    Da, Db, Q = basis
+    if Da.ndim == 1:
+        return (linops.spectral_resolvents((sa * Da, Q), mu)
+                * linops.spectral_resolvents((sb * Db, Q), nu))
+    return linops.triangular_resolvents(sa * Da, mu) @ linops.triangular_resolvents(sb * Db, nu)
+
+
+def _from_joint(pair: CommutingPair, X: np.ndarray) -> np.ndarray:
+    """A sum of :func:`_resolvent_products` stacks in the original
+    coordinates: Q diag(X) Q^* or Q X Q^* in the joint basis, X itself
+    without one."""
+    basis = pair.joint_basis()
+    if basis is None:
+        return X
+    Q = basis[2]
+    if X.ndim == 1:
+        return (Q * X) @ Q.conj().T
+    return Q @ X @ Q.conj().T
 
 
 def _pair_integral(
     pair: CommutingPair, spec: ContourSpec, s: float, w: complex | None = None,
-    left=None, right=None, negate: bool = False,
 ) -> DunfordResult:
-    """I_s(w) over spec with [left] and [right] factors around the
-    resolvents, the weight negated node by node when `negate`.  w = None
-    leaves the weight out (K, decaying like |lam|^{-2})."""
+    """I_s(w) over spec; w = None leaves the weight out (K, decaying like
+    |lam|^{-2}).
+
+    The integrand (A + s lam)^{-1} (B - s lam)^{-1} is written as
+    -(sA + lam)^{-1} (-sB + lam)^{-1} (negation is exact), so both
+    factors take the node itself as their shift and a SingularShift
+    names the node.  dunford reduces it in the pair's joint basis and
+    the value is mapped back once; Q is unitary, so every node's
+    Frobenius norm, and with it the tail estimate, is the one of the
+    dense stack.
+    """
 
     def integrand(lam):
-        terms = _pair_resolvents(pair, lam, s)
-        if left is not None:
-            terms = left @ terms
-        if right is not None:
-            terms = terms @ right
+        terms = -_resolvent_products(pair, lam, lam, s, -s)
         if w is None:
             return terms
         weight = (-lam) ** (1.0 + w)
-        return (-weight if negate else weight)[:, None, None] * terms
+        return weight.reshape((-1,) + (1,) * (terms.ndim - 1)) * terms
 
     decay = 1.0 if w is None else abs(np.real(w))
-    return dunford(spec, integrand, decay_exponent=decay)
+    info = dunford(spec, integrand, decay_exponent=decay)
+    return replace(info, value=_from_joint(pair, info.value))
 
 
 def _inverse_residual(pair: CommutingPair, K: np.ndarray) -> float:
@@ -178,7 +277,7 @@ def sum_inverse(
     Raises TruncationNotConverged when the two-sided residual
     ||K(A+B) - I||, ||(A+B)K - I|| exceeds tol.
     """
-    spec = spec or sum_contour(pair, tol=0.01 * tol)
+    spec = spec or inverse_contour(pair, tol)
     try:
         info = _pair_integral(pair, spec, -1.0)
     except SingularShift as exc:
@@ -276,13 +375,12 @@ def split_integral_eval(
     _check_split(theta, phi, n)
     w = -(theta + phi) + 1j * t
 
-    if variant == "right":
-        # B^phi, a function of B, commutes with (B + lam)^{-1}
-        s, factor = -1.0, {"right": fractional_power(pair.B, phi, tol=tol), "negate": True}
-    elif variant == "left":
-        s, factor = 1.0, {"left": fractional_power(pair.A, phi, tol=tol)}
-    else:
+    if variant not in ("right", "left"):
         raise ValueError(f"unknown variant {variant!r}")
+    s = -1.0 if variant == "right" else 1.0
+    # B^phi (right) or A^phi (left) does not depend on the node and
+    # commutes with both resolvents, so it multiplies each piece once
+    factor = fractional_power(pair.B if s < 0 else pair.A, phi, tol=tol)
 
     base = sum_contour(pair, tol=tol, w=w, s=s)
     e_n = float(np.exp(n))
@@ -291,7 +389,8 @@ def split_integral_eval(
         if hi <= lo:
             pieces.append(np.zeros((pair.dim, pair.dim), dtype=complex))
             continue
-        pieces.append(_pair_integral(pair, _segment_spec(base, lo, hi), s, w, **factor).value)
+        X = _pair_integral(pair, _segment_spec(base, lo, hi), s, w).value
+        pieces.append(-(X @ factor) if s < 0 else factor @ X)
     return tuple(pieces)
 
 
@@ -316,13 +415,11 @@ def eadic_middle_eval(
     variables is exact).
     """
     _check_split(theta, phi, n)
-    dim = pair.dim
     if n == 0:
-        return np.zeros((dim, dim), dtype=complex)
+        return np.zeros((pair.dim, pair.dim), dtype=complex)
     tc = theta_contour if theta_contour is not None else sum_contour(pair).theta
     sigma = theta + phi
     Bphi = fractional_power(pair.B, phi, tol=tol)
-    Am, Bm = pair.A.matrix, pair.B.matrix
 
     n_panel = max(3, n_x // 12)
     q = max(4, int(round(n_x / n_panel)))
@@ -333,16 +430,15 @@ def eadic_middle_eval(
     s = np.exp(-k) / x
     common = x ** (1.0 - theta + 1j * t) * np.exp((1.0 - theta) * k) * np.exp(1j * k * t) / x * wq
 
-    out = np.zeros((dim, dim), dtype=complex)
+    out = 0.0
     for sign in (1.0, -1.0):
         e = np.exp(sign * 1j * tc)
         c = e * np.exp(sign * (np.pi - tc) * (1j * sigma + t)) / (2j * np.pi)
-        # (s B + e)^{-1} (s B)^phi = s^{phi - 1} (B + e/s)^{-1} B^phi
-        Bs = (linops.resolvents(Bm, e / s, pair.B.resolvent_basis()) @ Bphi) * (
-            s ** (phi - 1.0))[:, None, None]
-        R = linops.resolvents(Am, -x * np.exp(k) * e, pair.A.resolvent_basis()) @ Bs
-        out += sign * c * np.einsum("k,kij->ij", common * e, R)
-    return out
+        # (s B + e)^{-1} (s B)^phi = s^{phi - 1} (B + e/s)^{-1} B^phi, and
+        # B^phi multiplies the sum once, in the original coordinates
+        R = _resolvent_products(pair, -x * np.exp(k) * e, e / s)
+        out = out + np.einsum("k,k...->...", sign * c * common * e * s ** (phi - 1.0), R)
+    return _from_joint(pair, out) @ Bphi
 
 
 # ------------------------------------------------------------- certificates
@@ -393,7 +489,7 @@ def closedness_certificate(
     ||A K B^{-theta} u|| / ||u|| over a theta grid descending to 0."""
     if probes is not None and len(probes) == 0:
         raise ValueError("probe set must be nonempty")
-    spec = sum_contour(pair, tol=0.01 * tol)
+    spec = inverse_contour(pair, tol)
     K = sum_inverse(pair, spec=spec, tol=tol)
     probes = probes or certificate_probes(pair.dim)
     probes = [linops.as_vector(p, pair.dim) for p in probes]

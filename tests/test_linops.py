@@ -122,6 +122,45 @@ def test_resolvent_norms_match_per_shift_reference(kind, n, sampling):
     assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
 
+def _count_svd_matrices(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind,n", [("convection-diffusion", 32), ("jordan", 4)])
+def test_real_matrix_conjugate_shifts_share_one_svd(kind, n, monkeypatch):
+    M = OPERATORS[kind](n).astype(complex)
+    # conjugate-symmetric grid, plus a shift on the Jordan eigenvalue 2
+    # under both signs of zero
+    shifts = np.concatenate([SectorSampling(n_boundary=5, n_angles=3, interior_density=3)
+                             .points(2.5), [-2.0 + 0.0j, complex(-2.0, -0.0)]])
+    full = linops._singular_value_norms(M, shifts)
+    distinct = len(np.unique(np.where(shifts.imag < 0, shifts.conj(), shifts)))
+    assert distinct < len(shifts)
+    calls = _count_svd_matrices(monkeypatch)
+    got = linops.resolvent_norms(M, shifts)
+    assert sum(calls) == distinct
+    assert np.array_equal(got, full)
+    if kind == "jordan":
+        assert np.isinf(got[-2:]).all() and np.isfinite(got[:-2]).all()
+
+
+def test_complex_matrix_takes_every_shift(monkeypatch):
+    M = OPERATORS["convection-diffusion"](8) + 1j * np.diag(np.linspace(0.0, 1.0, 8))
+    shifts = SectorSampling(n_boundary=5, n_angles=3, interior_density=3).points(2.5)
+    calls = _count_svd_matrices(monkeypatch)
+    got = linops.resolvent_norms(M, shifts)
+    assert sum(calls) == len(shifts)
+    assert np.max(np.abs(got - _reference_resolvent_norms(M, shifts)) / got) <= 1e-12
+
+
 def test_resolvent_norms_inf_on_spectrum():
     got = linops.resolvent_norms(np.diag([1.0, 2.0, 3.0]), [-1.0, 0.5, -3.0, 1j, -2.0 + 0.0j])
     assert np.isinf(got[[0, 2, 4]]).all()

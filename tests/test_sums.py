@@ -74,6 +74,16 @@ def test_sum_inverse_two_sided(pair_1234):
     assert operator_norm(S @ K - np.eye(2)) <= 1e-6
 
 
+def test_sum_inverse_large_laplacian_pair_passes_its_residual_gate():
+    # K's error is 2e-9 relative, but ||A + B|| is about 1e5, so a contour
+    # at 0.01 tol leaves a residual of 2.9e-6
+    A = generate("laplacian-1d", m=128)
+    B = certified(0.5 * np.exp(1j * np.pi / 8) * A.matrix, 0.8 * np.pi)
+    pair = CommutingPair(A, B)
+    K = sum_inverse(pair, tol=1e-6)
+    assert _rel(K, np.linalg.inv(A.matrix + B.matrix)) <= 1e-8
+
+
 def test_commutation_transport(pair_1234):
     K = sum_inverse(pair_1234)
     for lam in (0.5, 1.0 + 1.0j):
@@ -255,16 +265,6 @@ def test_theta_grid_uniformity(pair_1234):
 
 
 # ------------------------------------------------------ non-normal pair
-
-
-@pytest.fixture(scope="module")
-def dense_pair():
-    # N and N^2 + I commute but neither is normal, so every node takes
-    # the dense resolvent path
-    N = np.diag([1.0, 5.0 / 3.0, 7.0 / 3.0, 3.0]) + 0.3 * np.eye(4, k=1)
-    pair = CommutingPair(certified(N, 0.85 * np.pi), certified(N @ N + np.eye(4), 0.85 * np.pi))
-    assert pair.A.normal_basis() is None and pair.B.normal_basis() is None
-    return pair
 
 
 def _rel(got, want):
