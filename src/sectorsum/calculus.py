@@ -9,20 +9,17 @@ with (-lambda)^z on the principal branch (argument in (-pi, pi]), which
 is continuous along the path because the rays keep arg(-lambda) at
 +-(theta - pi).  A^0 is the identity by definition.  The H^inf calculus
 f(-A) is the same integral with f(lambda) in place of (-lambda)^z.  Both
-reduce in a unitary basis of A and form one Q (.) Q^* per integral: for
-a normal A = Q diag(d) Q^* the quadrature sums the (N, n) stack
-g(lambda_k) / (d + lambda_k) on the eigenvalues, and for any other A it
-sums g(lambda_k) (T + lambda_k)^{-1} over the triangular factor of the
-Schur form A = Q T Q^*, which the operator takes once and caches.
+hold the resolvents in A's unitary basis (`MatrixOperator.resolvent_basis`:
+the eigenbasis of a normal A, else its cached Schur form), reduce
+g(lambda_k) times the stack of `linops.basis_resolvents` there and map
+back with one `linops.from_basis` per integral.
 
-Imaginary powers use the real-axis formula
-
-    A^{it} = (sinh(pi t) / (pi t)) * int_0^inf lambda^{it} (A+lambda)^{-2} A dlambda
-
-evaluated after the substitution lambda = e^s.  The s-dependence then
-separates from the matrix factors, so one table of resolvents serves
-every t: that is what ImaginaryPowerFamily caches, and it sums the
-table for many t in one matrix product.
+Imaginary powers are A^{it} = A A^{-1+it}, with A^{-1+it} the same
+integral on the contour of complex_power at z = -1 + i t_max.  On the
+rays lambda = r e^{+-i theta}, (-lambda)^{it} = r^{it} e^{-+t (pi - theta)}
+separates from the resolvents, so ImaginaryPowerFamily stores them at
+the nodes once and sums the table for many t in one matrix product; the
+quadrature's error is amplified by at most e^{|t| (pi - theta)}.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linops
-from .contour import ContourSpec, DunfordResult, dunford, gauss_panels, tail_radius
+from .contour import ContourSpec, DunfordResult, build_nodes, dunford, gauss_panels, tail_radius
 from .errors import ClassViolated
 from .sector import MatrixOperator
 
@@ -52,41 +49,31 @@ def _symbol_integral(
 ) -> DunfordResult:
     """(1/2 pi i) int of g(lambda) (A + lambda)^{-1} dlambda over spec.
 
-    The sum is reduced in a unitary basis of A and mapped back once.
-    For a normal A = Q diag(d) Q^* it is
-    Q diag(sum_k w_k g(lambda_k) / (d + lambda_k)) Q^*, so dunford reduces
-    the (N, n) scalar stack; otherwise A = Q T Q^* (complex Schur form)
-    and it is Q (sum_k w_k g(lambda_k) (T + lambda_k)^{-1}) Q^*, over the
-    triangular stacks of :func:`linops.triangular_resolvents`.  Q is
-    unitary, so every node's Frobenius norm, and with it the tail
-    estimate, is the one of the dense (A + lambda_k)^{-1} stack.
+    dunford reduces g(lambda_k) times the resolvents held in A's unitary
+    basis (:func:`linops.basis_resolvents`: an (N, n) scalar stack for a
+    normal A, a triangular (N, n, n) stack otherwise) and the sum is
+    mapped back once (:func:`linops.from_basis`).  Q is unitary, so every
+    node's Frobenius norm, and with it the tail estimate, is the one of
+    the dense (A + lambda_k)^{-1} stack.
     """
-    basis = A.normal_basis()
-    if basis is not None:
-        info = dunford(spec, lambda lam: g(lam)[:, None] * linops.spectral_resolvents(basis, lam),
-                       decay_exponent=decay_exponent, tol_tail=tol)
-        Q = basis[1]
-        return replace(info, value=(Q * info.value) @ Q.conj().T)
-    T, Q = A.schur_form()
-    info = dunford(spec, lambda lam: g(lam)[:, None, None] * linops.triangular_resolvents(T, lam),
-                   decay_exponent=decay_exponent, tol_tail=tol)
-    return replace(info, value=Q @ info.value @ Q.conj().T)
+    basis = A.resolvent_basis()
+
+    def integrand(lam):
+        R = linops.basis_resolvents(basis, lam)
+        return g(lam).reshape((-1,) + (1,) * (R.ndim - 1)) * R
+
+    info = dunford(spec, integrand, decay_exponent=decay_exponent, tol_tail=tol)
+    return replace(info, value=linops.from_basis(basis, info.value))
 
 
 # ----------------------------------------------------------- complex powers
 
 
-def power_contour(
-    A: MatrixOperator,
-    z: complex,
-    tol: float = 1e-9,
-    theta: float | None = None,
-) -> ContourSpec:
+def power_contour(A: MatrixOperator, z: complex, tol: float = 1e-9) -> ContourSpec:
     """Default contour for A^z: angle capped at pi/2 (widest analyticity
     strip in log-radius), arc radius inside the resolvent disk at 0,
     truncation radius from the |lambda|^(Re z - 1) tail."""
-    theta_a = A.angle()
-    theta = theta or min(0.5 * np.pi, 0.95 * theta_a)
+    theta = min(0.5 * np.pi, 0.95 * A.angle())
     rho = 0.4 / A.inverse_norm()
     eta = -np.real(z)
     growth = np.exp(abs(np.imag(z)) * (np.pi - theta))
@@ -148,77 +135,81 @@ def fractional_power(A: MatrixOperator, s: float, tol: float = 1e-9) -> np.ndarr
 
 
 class ImaginaryPowerFamily:
-    """Precomputed quadrature data for t -> A^{it}.
+    """Precomputed quadrature data for t -> A^{it}, |t| <= t_max.
 
-    After lambda = e^s the integrand is e^{its} V(s) with
-    V(s) = (A + e^s)^{-2} A e^s independent of t, so the family stores
-    V at the quadrature nodes once and each A^{it} is a weighted sum;
-    :meth:`at_many` takes the sums for many t in one matrix product.
+    A^{it} = A A^{-1+it}, and A^{-1+it} = sum_k w_k (-lam_k)^{-1+it}
+    (A + lam_k)^{-1} over power_contour(A, -1 + i t_max, tol): the arc,
+    the lower ray inward, the upper ray outward, the rays in panels
+    uniform in s = log r and no wider than min(0.8, 6 / t_max).  ``table``
+    holds the resolvents at the nodes ``lam`` in A's unitary basis.  Node
+    q of panel p sits at s = mid_p + offset_q, so on the rays
+    w_k (-lam_k)^{-1+it} is +-(w_q / 2 pi i) e^{it mid_p} e^{it offset_q}
+    e^{-+t (pi - theta)}: a t costs n_panel + 10 + n_arc exponentials.
     """
 
-    def __init__(
-        self,
-        A: MatrixOperator,
-        t_max: float = 8.0,
-        tol: float = 1e-10,
-        span: float | None = None,
-    ):
+    def __init__(self, A: MatrixOperator, t_max: float = 8.0, tol: float = 1e-10):
         self.A = A
-        scale = max(abs(np.log(max(A.norm(), 1e-300))),
-                    abs(np.log(max(1.0 / A.inverse_norm(), 1e-300))))
-        S = span or (scale + np.log(1.0 / tol) + 2.0)
-        width = min(0.8, 6.0 / max(t_max, 1.0))
-        n_panel = int(np.ceil(2.0 * S / width))
-        edges = np.linspace(-S, S, n_panel + 1)
-        self.s, self.w = gauss_panels(edges, 10)
-        # node q of panel p is mid_p + offset_q, so its phase e^{its} is
-        # e^{it mid_p} e^{it offset_q}: n_panel + 10 exponentials per t
-        self._mid = 0.5 * (edges[1:] + edges[:-1])
-        self._offset = gauss_panels([-S / n_panel, S / n_panel], 10)[0]
-        self.t_max = t_max
-        lam = np.exp(self.s)
-        self.V = np.empty((len(lam), A.dim, A.dim), dtype=complex)
-        # in stack-budget chunks, so the table is the only full-size stack
-        step = max(1, linops._SHIFT_STACK_BYTES // self.V[0].nbytes)
-        basis = A.resolvent_basis()
-        for lo in range(0, len(lam), step):
-            part = slice(lo, lo + step)
-            R = linops.resolvents(A.matrix, lam[part], basis)
-            self.V[part] = R @ R @ A.matrix * lam[part, None, None]
-
-    @staticmethod
-    def _prefactor(t: np.ndarray) -> np.ndarray:
-        # sin(i pi t) / (i pi t) on the real axis equals sinh(pi t)/(pi t)
-        x = np.pi * np.where(t == 0.0, 1.0, t)
-        return np.where(t == 0.0, 1.0, np.sinh(x) / x)
+        self.t_max = float(t_max)
+        spec = power_contour(A, -1.0 + 1j * self.t_max, tol)
+        self._decay = np.pi - spec.theta
+        arc, arc_w = build_nodes(replace(spec, R=spec.rho))
+        self._log_arc = np.log(-arc)
+        lo, hi = np.log(spec.rho), np.log(spec.R)
+        n_panel = int(np.ceil((hi - lo) / min(0.8, 6.0 / max(self.t_max, 1.0))))
+        half = 0.5 * (hi - lo) / n_panel
+        self._mid = lo + (2 * np.arange(n_panel) + 1) * half
+        self._offset, ws = gauss_panels([-half, half], 10)
+        self._panel_w = ws / (2j * np.pi)
+        # dlambda = lambda ds on the rays; the lower ray runs inward
+        r = np.exp(np.add.outer(self._mid, self._offset)).reshape(-1)
+        ray_w = np.tile(self._panel_w, n_panel) * r
+        dn, up = np.exp(-1j * spec.theta), np.exp(1j * spec.theta)
+        self.lam = np.concatenate([arc, r * dn, r * up])
+        self.w = np.concatenate([arc_w, -ray_w * dn, ray_w * up])
+        self._basis = A.resolvent_basis()
+        # in stack-budget chunks; a node's resolvent has D's entry count
+        step = max(1, linops._SHIFT_STACK_BYTES // (16 * self._basis[0].size))
+        self.table = np.concatenate([
+            linops.basis_resolvents(self._basis, self.lam[k:k + step])
+            for k in range(0, len(self.lam), step)
+        ])
 
     def at(self, t: float) -> np.ndarray:
         """A^{it} as a dense matrix."""
         return self.at_many([t])[0]
 
     def at_many(self, ts) -> np.ndarray:
-        """A^{it} for every t, stacked as an (n_t, n, n) array: one
-        (n_t, n_s) @ (n_s, n^2) product against the V table per chunk of
-        t whose phases fit the stack budget.  A^{i0} is the identity,
-        exactly."""
+        """A^{it} for every t as an (n_t, n, n) array: per chunk of t, one
+        product with the arc's and each ray's part of the table; then one
+        map back and one product with A.  A^{i0} is the identity, exactly.
+        Raises ValueError for |t| > t_max, where the contour was not sized."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        n = self.A.dim
-        table = self.V.reshape(len(self.s), n * n)
-        out = np.empty((len(ts), n * n), dtype=complex)
-        step = max(1, linops._SHIFT_STACK_BYTES // (16 * len(self.s)))
+        if np.any(np.abs(ts) > self.t_max):
+            raise ValueError(
+                f"|t| = {np.max(np.abs(ts))} exceeds the family's t_max = {self.t_max}")
+        n_arc, n_ray = len(self._log_arc), len(self._mid) * len(self._offset)
+        table = self.table.reshape(len(self.lam), -1)
+        # entries zero at every node (a Schur basis' lower triangle) stay out
+        used = np.flatnonzero(table.any(axis=0))
+        arc_t, dn_t, up_t = np.split(table[:, used], [n_arc, n_arc + n_ray])
+        out = np.zeros((len(ts), table.shape[1]), dtype=complex)
+        step = max(1, linops._SHIFT_STACK_BYTES // (16 * n_ray))
         for lo in range(0, len(ts), step):
             t = ts[lo:lo + step]
-            phases = (np.exp(1j * np.multiply.outer(t, self._mid))[:, :, None]
-                      * np.exp(1j * np.multiply.outer(t, self._offset))[:, None, :])
-            phases = phases.reshape(len(t), -1) * self.w
-            out[lo:lo + step] = self._prefactor(t)[:, None] * (phases @ table)
-        out = out.reshape(-1, n, n)
-        out[ts == 0.0] = _EYE(n)
-        return out
+            arc = np.exp(np.multiply.outer(-1.0 + 1j * t, self._log_arc)) * self.w[:n_arc]
+            phase = np.exp(1j * np.multiply.outer(t, self._offset)) * self._panel_w
+            ray = (np.exp(1j * np.multiply.outer(t, self._mid))[:, :, None]
+                   * phase[:, None, :]).reshape(len(t), -1)
+            grow = np.exp(self._decay * t)[:, None]
+            out[lo:lo + step, used] = arc @ arc_t + (ray @ dn_t) / grow - grow * (ray @ up_t)
+        X = out.reshape((len(ts),) + self.table.shape[1:])
+        res = self.A.matrix @ linops.from_basis(self._basis, X)
+        res[ts == 0.0] = _EYE(self.A.dim)
+        return res
 
 
 def imaginary_power(A: MatrixOperator, t: float, t_max: float | None = None) -> np.ndarray:
-    """A^{it} by real-axis quadrature (one-shot; build an
+    """A^{it} on the contour of complex_power (one-shot; build an
     ImaginaryPowerFamily for many t)."""
     fam = ImaginaryPowerFamily(A, t_max=t_max or max(abs(t), 1.0))
     return fam.at(t)

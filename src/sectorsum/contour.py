@@ -14,8 +14,8 @@ in this package assumes.  Node weights absorb the path derivative and
 the 1/(2 pi i) prefactor.
 
 Every Gauss-Legendre sum in the package (contour rays and arc, mirrored
-principal values, the imaginary-power s-grid, the bound assembly's
-s-mesh, the e-adic panels) takes its nodes from gauss_panels(edges, q),
+principal values, the imaginary-power rays, the bound assembly's s-mesh,
+the e-adic panels) takes its nodes from gauss_panels(edges, q),
 the one place Legendre nodes are mapped onto panels; the rule itself is
 computed once per order q.  Ray quadrature
 uses it on a radially graded mesh: panel widths are uniform in log r across a
@@ -278,7 +278,6 @@ class DunfordResult:
     value: np.ndarray
     tail_estimate: float
     n_nodes: int
-    last_panel_mass: float
 
 
 def dunford(
@@ -335,7 +334,7 @@ def dunford(
             f"tail estimate {tail:.3e} exceeds tol_tail {tol_tail:.3e} "
             f"(R={spec.R:.3e}, decay exponent {decay_exponent})"
         )
-    return DunfordResult(acc, tail, len(lam), last_mass)
+    return DunfordResult(acc, tail, len(lam))
 
 
 def tail_radius(decay_exponent: float, magnitude: float, tol: float) -> float:

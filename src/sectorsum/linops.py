@@ -14,25 +14,24 @@ Shifted solves go through LAPACK getrf (LU with partial pivoting) and
 call a shift singular when the smallest pivot falls below
 ``SINGULAR_RTOL * ||M + zI||_F``.
 
-Every contour quadrature takes its resolvents from :func:`resolvents`,
-one ``(N, n, n)`` stack per chunk of nodes, as ``Q X_k Q^*`` for a basis
-(D, Q) of M.  Any M has its complex Schur form M = Q T Q^*
-(:func:`schur_form`), and :func:`triangular_resolvents` inverts every
-``T + z_k I`` of a chunk by one row back-substitution vectorised over the
-shifts: n NumPy steps per chunk in place of one factorization per shift.
-The pivots of T + zI are t_ii + z and ``||T + zI||_F = ||M + zI||_F``, so
-a shift is singular when ``min_i |t_ii + z| <= SINGULAR_RTOL *
-||M + zI||_F``: the pivot test above, on a matrix unitarily similar to
-M + zI.  A contour sum can reduce the triangular stacks and form one
-``Q (.) Q^*`` at the end (``calculus`` does).
+Every contour quadrature holds its resolvents in a unitary basis (D, Q)
+of M (:func:`basis_resolvents`, one stack per chunk of nodes), reduces
+them there and maps the sum back with one ``Q (.) Q^*``
+(:func:`from_basis`); :func:`resolvents` is the two in turn.  Any M has
+its complex Schur form M = Q T Q^* (:func:`schur_form`), and
+:func:`triangular_resolvents` inverts every ``T + z_k I`` of a chunk by
+one row back-substitution vectorised over the shifts.  The pivots of
+T + zI are t_ii + z and ``||T + zI||_F = ||M + zI||_F``, so a shift is
+singular when ``min_i |t_ii + z| <= SINGULAR_RTOL * ||M + zI||_F``: the
+pivot test above, on a matrix unitarily similar to M + zI.
 
 A normal matrix has the closed form ``M = Q diag(d) Q^*`` with Q unitary.
 :func:`normal_basis` returns (d, Q) when M is normal to working precision
 (the departure from normality of its complex Schur form is within
-``NORMAL_DEPARTURE * n eps ||M||_F``) and None otherwise.  Given that
-basis, :func:`spectral_resolvents` returns the (N, n) array
-``1/(d_i + z_k)``, :func:`resolvents` returns ``Q diag(1/(d + z_k)) Q^*``
-built from it and :func:`resolvent_norms` returns
+``NORMAL_DEPARTURE * n eps ||M||_F``) and None otherwise.  In that
+basis the resolvents are the (N, n) array ``1/(d_i + z_k)``
+(:func:`spectral_resolvents`), :func:`from_basis` forms
+``Q diag(.) Q^*`` and :func:`resolvent_norms` returns
 ``1/min_i |d_i + z_k|``, with no factorization; the singular-shift test
 is the one above with T diagonal.
 
@@ -65,7 +64,7 @@ SINGULAR_RTOL = 1e-13
 NORMAL_DEPARTURE = 8.0
 
 # bytes of a stack per chunk (resolvent_norms, the node chunks of
-# contour.dunford, the V table and phase chunks of
+# contour.dunford, the resolvent-table and phase chunks of
 # calculus.ImaginaryPowerFamily); a 1 MiB stack keeps peak memory where a
 # per-shift loop would
 _SHIFT_STACK_BYTES = 1 << 20
@@ -245,23 +244,35 @@ def triangular_resolvents(T, shifts) -> np.ndarray:
     return np.moveaxis(X, 2, 0)
 
 
-def resolvents(M, shifts, basis=None) -> np.ndarray:
-    """(M + z_k I)^{-1} for every shift, stacked as an (N, n, n) array,
-    formed as Q X_k Q^* in a unitary basis of M.
-
-    ``basis`` is either (d, Q) from :func:`normal_basis`, with
-    X_k = diag(1/(d + z_k)) from :func:`spectral_resolvents`, or the
-    complex Schur form (T, Q) from :func:`schur_form`, with
-    X_k = (T + z_k I)^{-1} from :func:`triangular_resolvents`.  Without
-    one, this call takes the Schur form of M.  Raises SingularShift for
-    the first singular shift in the order given.
-    """
-    M = as_matrix(M)
-    z = as_vector(shifts)
-    D, Q = schur_form(M) if basis is None else basis
+def basis_resolvents(basis, shifts) -> np.ndarray:
+    """(M + z_k I)^{-1} held in a unitary basis (D, Q) of M: the (N, n)
+    array 1/(d_i + z_k) for (d, Q) from :func:`normal_basis`, the
+    (N, n, n) stack (T + z_k I)^{-1} for a Schur form (T, Q).  Raises
+    SingularShift for the first singular shift in the order given."""
+    D = basis[0]
     if D.ndim == 1:
-        return (Q * spectral_resolvents((D, Q), z)[:, None, :]) @ Q.conj().T
-    return Q @ triangular_resolvents(D, z) @ Q.conj().T
+        return spectral_resolvents(basis, shifts)
+    return triangular_resolvents(D, shifts)
+
+
+def from_basis(basis, X) -> np.ndarray:
+    """X mapped back from the unitary basis (D, Q) it is held in:
+    Q diag(X) Q^* for a normal basis, Q X Q^* for a Schur basis, over
+    any leading axes of X (see :func:`basis_resolvents`)."""
+    D, Q = basis
+    if D.ndim == 1:
+        return (Q * X[..., None, :]) @ Q.conj().T
+    return Q @ X @ Q.conj().T
+
+
+def resolvents(M, shifts, basis=None) -> np.ndarray:
+    """(M + z_k I)^{-1} for every shift, stacked as an (N, n, n) array:
+    :func:`basis_resolvents` mapped back by :func:`from_basis`.  Without
+    ``basis`` this call takes the Schur form of M.  Raises SingularShift
+    for the first singular shift in the order given."""
+    M = as_matrix(M)
+    basis = schur_form(M) if basis is None else basis
+    return from_basis(basis, basis_resolvents(basis, shifts))
 
 
 def resolvent_norms(M, shifts, basis=None) -> np.ndarray:

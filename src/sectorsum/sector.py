@@ -81,6 +81,8 @@ class SectorSampling:
             pts.append(rb * np.exp(-1j * theta))
             ri = self.radii(self.interior_density)
             angles = np.linspace(-theta, theta, self.n_angles)
+            if self.n_angles >= 2:  # exactly antisymmetric: exact conjugate pairs
+                angles = 0.5 * (angles - angles[::-1])
             inner = np.multiply.outer(ri, np.exp(1j * angles)).reshape(-1)
             pts.append(inner)
         return np.unique(np.concatenate(pts))

@@ -31,10 +31,10 @@ fixed generic gamma = JOINT_WEIGHT, and the basis is accepted when the
 strict lower triangles of Q^* A Q and Q^* B Q pass the departure test of
 `linops.normal_basis` (within 8 n eps of each matrix's Frobenius norm).
 When the strict upper triangles pass it too, the pair is diagonal and a
-node's integrand is the (N, n) scalar stack of
-`linops.spectral_resolvents` products; otherwise it is the product of
-two `linops.triangular_resolvents` stacks.  dunford reduces the stack
-and each integral ends in one Q (.) Q^*; a factor that does not depend
+node's integrand is the (N, n) scalar stack of products of the two
+members' `linops.basis_resolvents`; otherwise it is the product of their
+triangular stacks.  dunford reduces the stack and each integral ends in
+one `linops.from_basis`; a factor that does not depend
 on the node (A^phi, B^phi of the splits and the e-adic sum) multiplies
 the reduced value once.  A pair that commutes only to its
 `commute_tolerance`, not to working precision, fails the test and
@@ -198,9 +198,9 @@ def _resolvent_products(pair: CommutingPair, mu, nu, sa: float = 1.0, sb: float 
     """(sa A + mu_k)^{-1} (sb B + nu_k)^{-1} at every k, for sa, sb = +-1.
 
     In the pair's joint basis (:meth:`CommutingPair.joint_basis`) it is
-    the (N, n) stack of products of the two :func:`linops.spectral_resolvents`
-    stacks when that basis is diagonal and the product of two
-    :func:`linops.triangular_resolvents` stacks when it is triangular;
+    the product of the two :func:`linops.basis_resolvents` stacks: an
+    (N, n) elementwise product when that basis is diagonal, a product of
+    triangular (N, n, n) stacks when it is triangular;
     :func:`_from_joint` maps a reduced sum back.  Without one, each
     member is resolved in its own basis and the (N, n, n) stack is
     dense.  A's shifts are checked first, each by the pivot test of
@@ -213,23 +213,20 @@ def _resolvent_products(pair: CommutingPair, mu, nu, sa: float = 1.0, sb: float 
         Rb = linops.resolvents(sb * pair.B.matrix, nu, _scaled_basis(pair.B, sb))
         return Ra @ Rb
     Da, Db, Q = basis
-    if Da.ndim == 1:
-        return (linops.spectral_resolvents((sa * Da, Q), mu)
-                * linops.spectral_resolvents((sb * Db, Q), nu))
-    return linops.triangular_resolvents(sa * Da, mu) @ linops.triangular_resolvents(sb * Db, nu)
+    Ra = linops.basis_resolvents((sa * Da, Q), mu)
+    Rb = linops.basis_resolvents((sb * Db, Q), nu)
+    return Ra * Rb if Da.ndim == 1 else Ra @ Rb
 
 
 def _from_joint(pair: CommutingPair, X: np.ndarray) -> np.ndarray:
     """A sum of :func:`_resolvent_products` stacks in the original
-    coordinates: Q diag(X) Q^* or Q X Q^* in the joint basis, X itself
+    coordinates: :func:`linops.from_basis` in the joint basis, X itself
     without one."""
     basis = pair.joint_basis()
     if basis is None:
         return X
-    Q = basis[2]
-    if X.ndim == 1:
-        return (Q * X) @ Q.conj().T
-    return Q @ X @ Q.conj().T
+    Da, _, Q = basis
+    return linops.from_basis((Da, Q), X)
 
 
 def _pair_integral(

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sectorsum import (
     HolomorphicSymbol,
@@ -15,6 +16,7 @@ from sectorsum import (
     imaginary_power,
     symbol_class_check,
 )
+from sectorsum import linops
 from sectorsum.calculus import hinf_contour, power_contour
 from sectorsum.harness import generate, laplacian_eigenvalues
 from sectorsum.errors import ClassViolated
@@ -272,6 +274,53 @@ def test_imaginary_power_family_reuse():
         assert np.abs(fam.at(t) - np.diag([1.0, 4.0 ** (1j * t)])).max() < 1e-9
 
 
+def test_family_rejects_t_beyond_t_max():
+    A = certified(np.diag([1.0, 4.0]), 0.9 * np.pi)
+    fam = ImaginaryPowerFamily(A, t_max=3.0)
+    assert fam.at_many([-3.0, 3.0]).shape == (2, 2, 2)
+    with pytest.raises(ValueError, match="t_max"):
+        fam.at_many([0.5, 3.01])
+    with pytest.raises(ValueError, match="t_max"):
+        fam.at(-4.0)
+
+
+def _laplacian(m):
+    return (m + 1) ** 2 * (2 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1))
+
+
+def _rotated_diagonal(n):
+    rng = np.random.default_rng(7)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    psi = np.where(np.arange(n) % 2 == 0, 1.0, -1.0) * 0.7 * np.pi / 4
+    return Q @ np.diag(np.exp(1j * psi) * np.geomspace(1.0, 4.0, n)) @ Q.conj().T
+
+
+IMAGINARY_POWER_OPERATORS = {
+    "laplacian-16": (_laplacian(16), 0.9 * np.pi),
+    "rotated-4": (_rotated_diagonal(4), 0.7 * np.pi),
+    "convection-diffusion-8": (_laplacian(8) + 90.0 * (np.eye(8, k=1) - np.eye(8, k=-1)),
+                               0.9 * np.pi),
+    "jordan-3": (2.0 * np.eye(3) + np.eye(3, k=1), 0.75 * np.pi),
+}
+
+
+@pytest.mark.parametrize("name", IMAGINARY_POWER_OPERATORS)
+def test_imaginary_powers_match_expm_of_logm(name):
+    M, angle = IMAGINARY_POWER_OPERATORS[name]
+    A = certified(M, angle)
+    log_a = scipy.linalg.logm(A.matrix)
+
+    def worst(fam, ts):
+        errors = []
+        for got, t in zip(fam.at_many(ts), ts):
+            oracle = scipy.linalg.expm(1j * t * log_a)
+            errors.append(np.linalg.norm(got - oracle, 2) / np.linalg.norm(oracle, 2))
+        return max(errors)
+
+    assert worst(ImaginaryPowerFamily(A, t_max=8.0), np.linspace(-8.0, 8.0, 17)) <= 1e-9
+    assert worst(ImaginaryPowerFamily(A, t_max=16.0), np.linspace(-16.0, 16.0, 9)) <= 1e-4
+
+
 @pytest.mark.parametrize("matrix", [
     np.diag([1.0, 4.0]),
     2.0 * np.eye(4) + np.eye(4, k=1),
@@ -284,15 +333,19 @@ def test_family_at_many_matches_per_t_sums(matrix):
     many = fam.at_many(ts)
     assert many.shape == (len(ts), A.dim, A.dim)
     per = np.array([fam.at(t) for t in ts])
-    # the sum prefactor(t) sum_j w_j e^{i t s_j} V_j taken node by node;
-    # its terms cancel ~1e4-fold at |t| = 4, so rounding is measured
-    # against the sum of their magnitudes
+    # A times the node-by-node sum of w_k (-lambda_k)^{-1+it} (A + lambda_k)^{-1}
+    # over the stored table, each weight a principal power of its own; the
+    # terms cancel up to ~500-fold at |t| = 4, so rounding is measured against the
+    # sum of their magnitudes
+    basis = A.resolvent_basis()
+    norm_a = np.linalg.norm(A.matrix, 2)
     direct, size = [], []
     for t in ts:
-        pre = 1.0 if t == 0.0 else np.sinh(np.pi * t) / (np.pi * t)
-        terms = pre * (fam.w * np.exp(1j * t * fam.s))[:, None, None] * fam.V
-        direct.append(np.eye(A.dim) if t == 0.0 else terms.sum(axis=0))
-        size.append(np.sum(np.linalg.norm(terms, axis=(1, 2))))
+        terms = (fam.w * (-fam.lam) ** (-1.0 + 1j * t)).reshape(
+            (-1,) + (1,) * (fam.table.ndim - 1)) * fam.table
+        direct.append(np.eye(A.dim) if t == 0.0
+                      else A.matrix @ linops.from_basis(basis, terms.sum(axis=0)))
+        size.append(norm_a * np.sum(np.linalg.norm(terms.reshape(len(terms), -1), axis=1)))
     diff = lambda a, b: np.linalg.norm(a - b, axis=(1, 2))  # noqa: E731
     assert np.all(diff(many, per) <= 1e-14 * np.array(size))
     assert np.all(diff(many, np.array(direct)) <= 1e-14 * np.array(size))

@@ -348,6 +348,11 @@ def test_legendre_rule_and_dense_solves_stay_in_their_modules():
         text = (src / name).read_text()
         assert not re.search(r"ShiftedFactorization|lu_factor|getrf|solve_shifted|"
                              r"np\.linalg\.(solve|inv)\b", text), name
+    # resolvents are held in a basis and mapped back only through linops
+    # (basis_resolvents, from_basis), and calculus does not pick the basis
+    assert {p.name for p in src.glob("*.py")
+            if re.search(r"(spectral|triangular)_resolvents\(", p.read_text())} == {"linops.py"}
+    assert not re.search(r"(normal_basis|schur_form)\(", (src / "calculus.py").read_text())
 
 
 def test_tracer_methods_exist():

@@ -4,7 +4,8 @@
 triangle must stay on the dense sigma_min path (``normal_basis`` rejects
 both) and agree with sigma_min(M + z) taken in 50-digit arithmetic.
 ``complex_power`` of the Jordan block runs on its Schur form and must
-agree with the exact binomial series of (2I + N)^z.
+agree with the exact binomial series of (2I + N)^z, and so must the
+imaginary powers of ``ImaginaryPowerFamily``.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from sectorsum import (  # noqa: E402
     MatrixOperator,
     SectorSampling,
     certify_sector,
+    ImaginaryPowerFamily,
     complex_power,
     linops,
 )
@@ -73,3 +75,14 @@ def test_jordan_complex_power_matches_50_digit_series(z):
     assert A._schur is not None
     oracle = _jordan_power_50_digits(complex(z))
     assert np.linalg.norm(got - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+def test_jordan_imaginary_powers_match_50_digit_series():
+    # (2I + N_3)^{it} = 2^{it} (I + (it/2) N + (it)(it - 1)/8 N^2)
+    A = MatrixOperator(2.0 * np.eye(3, dtype=complex) + np.eye(3, k=1))
+    certify_sector(A, 0.75 * np.pi)
+    ts = np.linspace(-8.0, 8.0, 17)
+    got = ImaginaryPowerFamily(A, t_max=8.0).at_many(ts)
+    for value, t in zip(got, ts):
+        oracle = _jordan_power_50_digits(1j * t, n=3)
+        assert np.linalg.norm(value - oracle, 2) <= 1e-9 * np.linalg.norm(oracle, 2)

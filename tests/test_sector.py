@@ -310,3 +310,13 @@ def test_decay_probe_matches_per_shift_reference(M):
         for z in SectorSampling(r_max=1e6).points(1.0)
     )
     assert sup == pytest.approx(ref, rel=1e-12)
+
+
+def test_sampling_points_come_in_exact_conjugate_pairs():
+    pts = SectorSampling().points(0.9 * np.pi)
+    assert set(pts.conj().tolist()) == set(pts.tolist())
+    # so a real matrix's resolvent norms take one SVD per conjugate pair
+    assert len(np.unique(np.where(pts.imag < 0, pts.conj(), pts))) == 220
+    for n_angles in range(2, 11):
+        pts = SectorSampling(n_angles=n_angles, n_boundary=4, interior_density=3).points(2.5)
+        assert set(pts.conj().tolist()) == set(pts.tolist()), n_angles

@@ -14,6 +14,7 @@ from sectorsum import (
     resolvent_rep_rotated,
     witness_search,
 )
+from sectorsum import tsector
 from sectorsum.calculus import ImaginaryPowerFamily
 from sectorsum.errors import AngleOutOfRange, DenominatorDegenerate
 from sectorsum.tsector import periodic_grid
@@ -197,6 +198,16 @@ def test_rep_rotated_matches_direct_solve(rep_operators, name, theta):
     assert np.abs(got - direct).max() <= 1e-8
 
 
+def test_rep_rotated_follows_a_tight_tol_tail():
+    # the cutoff for tol_tail = 1e-11 takes A^{-is} out to |s| ~ 15
+    d = np.exp(1j * np.array([1.0, -1.0]) * 0.7 * np.pi / 4) * np.array([1.0, 4.0])
+    A = certified(np.diag(d), 0.7 * np.pi)
+    x = np.array([1.0, 1.5 + 0.5j])
+    got = resolvent_rep_rotated(A, 0.5, 0.9, x, tol_tail=1e-11)
+    direct = np.linalg.solve(np.eye(2) + 0.5 * np.exp(0.9j) * A.matrix, x)
+    assert np.abs(got - direct).max() <= 1e-10
+
+
 def _count_family_calls(monkeypatch):
     calls = {"at": 0, "at_many": 0}
     at, at_many = ImaginaryPowerFamily.at, ImaginaryPowerFamily.at_many
@@ -224,23 +235,33 @@ def test_family_calls_are_batched(rep_operators, monkeypatch):
     assert calls == {"at": 0, "at_many": 2}
 
 
-# term norms of the four-term split as the per-node assembly computed them
-ASSEMBLY_PINS = {
-    "scalar-4": [0.5928497898005384, 1.3448382722043586, 1.2533141373155003,
-                 0.3224406369313768],
-    "rotated-2": [2.7239951450737205, 3.538239075072964, 2.6004648993192014,
-                  0.7241531883146689],
-}
+class _ExactFamily:
+    """A^{it} from the eigendecomposition A = V diag(d) V^{-1}, with the
+    interface of ImaginaryPowerFamily that the assembly uses."""
+
+    def __init__(self, A, t_max=8.0, tol=1e-10):
+        self.d, self.V = np.linalg.eig(A.matrix)
+        self.V_inv = np.linalg.inv(self.V)
+
+    def at_many(self, ts):
+        powers = np.exp(1j * np.multiply.outer(np.asarray(ts, dtype=float), np.log(self.d)))
+        return (self.V * powers[:, None, :]) @ self.V_inv
 
 
-def test_assembly_term_norms_pinned(rep_operators):
-    rec = bip_tsector_bound_assembly(certified([[4.0]], 0.9 * np.pi), np.pi / 4, 1.0,
-                                     [np.array([1.0])], N_t=128)
-    assert rec["term_norms"] == pytest.approx(ASSEMBLY_PINS["scalar-4"], rel=1e-12)
+def test_assembly_term_norms_pinned(monkeypatch):
+    # the term norms of the four-term split against the same assembly
+    # (same bip fit, cutoff and meshes) with exact A^{-is}
     rng = np.random.default_rng(11)
     xs = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2)]
-    rec = bip_tsector_bound_assembly(rotated_diagonal(2), 0.5, 0.8, xs, N_t=128)
-    assert rec["term_norms"] == pytest.approx(ASSEMBLY_PINS["rotated-2"], rel=1e-12)
+    cases = [(certified([[4.0]], 0.9 * np.pi), np.pi / 4, 1.0, [np.array([1.0])]),
+             (rotated_diagonal(2), 0.5, 0.8, xs)]
+    for A, theta, r, vecs in cases:
+        rec = bip_tsector_bound_assembly(A, theta, r, vecs, N_t=128)
+        with monkeypatch.context() as patch:
+            patch.setattr(tsector, "ImaginaryPowerFamily", _ExactFamily)
+            exact = bip_tsector_bound_assembly(A, theta, r, vecs, N_t=128)
+        assert exact["cutoff"] == rec["cutoff"]
+        assert rec["term_norms"] == pytest.approx(exact["term_norms"], rel=1e-11)
 
 
 def test_rep_rotated_angle_contract():
