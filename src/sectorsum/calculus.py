@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linops
-from .contour import ContourSpec, DunfordResult, build_nodes, dunford, gauss_panels, tail_radius
+from .contour import ContourSpec, DunfordResult, build_nodes, dunford, fit_contour, gauss_panels
 from .errors import ClassViolated
 from .sector import MatrixOperator
 
@@ -53,7 +53,7 @@ def _symbol_integral(
     basis (:func:`linops.basis_resolvents`: an (N, n) scalar stack for a
     normal A, a triangular (N, n, n) stack otherwise) and the sum is
     mapped back once (:func:`linops.from_basis`).  Q is unitary, so every
-    node's Frobenius norm, and with it the tail estimate, is the one of
+    node's spectral norm, and with it the tail estimate, is the one of
     the dense (A + lambda_k)^{-1} stack.
     """
     basis = A.resolvent_basis()
@@ -71,17 +71,16 @@ def _symbol_integral(
 
 def power_contour(A: MatrixOperator, z: complex, tol: float = 1e-9) -> ContourSpec:
     """Default contour for A^z: angle capped at pi/2 (widest analyticity
-    strip in log-radius), arc radius inside the resolvent disk at 0,
-    truncation radius from the |lambda|^(Re z - 1) tail."""
+    strip in log-radius), arc radius inside the resolvent disk at 0, and
+    the ray rule fitted to -sigma(A) and the |lambda|^(Re z) decay of
+    lambda (-lambda)^z (A + lambda)^{-1}."""
     theta = min(0.5 * np.pi, 0.95 * A.angle())
-    rho = 0.4 / A.inverse_norm()
-    eta = -np.real(z)
     growth = np.exp(abs(np.imag(z)) * (np.pi - theta))
     K = A.constant() if A.certified else 2.0
-    R = tail_radius(eta, (K + 1.0) * growth, 0.25 * tol)
-    lo, hi = A.scale_window()
-    R = max(R, 10.0 * hi)
-    return ContourSpec(rho=rho, theta=theta, R=R, n_arc=24, focus=(lo, hi))
+    return fit_contour(theta, -linops.basis_eigenvalues(A.resolvent_basis()),
+                       (1.0 + z, -z),
+                       growth * max(K + 1.0, 2.0 * A.inverse_norm()), 0.25 * tol,
+                       rho=0.4 / A.inverse_norm(), n_arc=24)
 
 
 def complex_power(
@@ -152,9 +151,11 @@ class ImaginaryPowerFamily:
         self.t_max = float(t_max)
         spec = power_contour(A, -1.0 + 1j * self.t_max, tol)
         self._decay = np.pi - spec.theta
-        arc, arc_w = build_nodes(replace(spec, R=spec.rho))
+        lam, w = build_nodes(spec)
+        arc, arc_w = lam[:spec.n_arc], w[:spec.n_arc]
         self._log_arc = np.log(-arc)
-        lo, hi = np.log(spec.rho), np.log(spec.R)
+        # the rays over the span of the fitted rule's nodes
+        lo, hi = np.log(spec.rho), np.log(np.abs(lam).max())
         n_panel = int(np.ceil((hi - lo) / min(0.8, 6.0 / max(self.t_max, 1.0))))
         half = 0.5 * (hi - lo) / n_panel
         self._mid = lo + (2 * np.arange(n_panel) + 1) * half
@@ -393,20 +394,13 @@ def builtin_symbols(theta: float) -> dict[str, HolomorphicSymbol]:
 
 
 def hinf_contour(f: HolomorphicSymbol, A: MatrixOperator, tol: float = 1e-9) -> ContourSpec:
-    """Gamma_theta (rho = 0) sized from the symbol's decay exponents."""
-    eta_inf = f.decay_at_infinity()
-    eta_zero = f.decay_at_zero()
+    """Gamma_theta (rho = 0) with the ray rule fitted to -sigma(A), the
+    symbol's pole at lambda = 1 (its decay classes are normalised there,
+    and every builtin symbol is singular there) and its decay exponents."""
     K = A.constant() if A.certified else 2.0
-    R = tail_radius(eta_inf, f.c * (K + 1.0), 0.25 * tol)
-    lo, hi = A.scale_window()
-    R = max(R, 10.0 * hi)
-    r_floor = (0.25 * tol / max(f.c * A.inverse_norm(), 1e-300)) ** (
-        1.0 / (1.0 + eta_zero)
-    )
-    r_floor = float(np.clip(r_floor, 1e-40, 0.5 * lo))
-    return ContourSpec(
-        rho=0.0, theta=f.theta, R=R, n_arc=0, r_floor=r_floor, focus=(lo, hi)
-    )
+    poles = np.append(-linops.basis_eigenvalues(A.resolvent_basis()), 1.0)
+    return fit_contour(f.theta, poles, (1.0 + f.decay_at_zero(), f.decay_at_infinity()),
+                       f.c * max(K + 1.0, 2.0 * A.inverse_norm()), 0.25 * tol)
 
 
 def hinf_apply(

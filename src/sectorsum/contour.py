@@ -3,7 +3,7 @@
 The basic path is, for arc radius rho >= 0 and opening angle theta,
 
     { rho e^{i phi} : theta <= phi <= 2 pi - theta }
-        union  { r e^{+- i theta} : r >= rho },
+        union  { r e^{+- i theta} : rho <= r <= R },
 
 traversed positively around the region to the left of the sector: in
 along the lower ray, around the arc (phi decreasing from 2 pi - theta
@@ -13,25 +13,33 @@ spectral points with a + sign, which is the convention every formula
 in this package assumes.  Node weights absorb the path derivative and
 the 1/(2 pi i) prefactor.
 
-Every Gauss-Legendre sum in the package (contour rays and arc, mirrored
-principal values, the imaginary-power rays, the bound assembly's s-mesh,
-the e-adic panels) takes its nodes from gauss_panels(edges, q),
-the one place Legendre nodes are mapped onto panels; the rule itself is
-computed once per order q.  Ray quadrature
-uses it on a radially graded mesh: panel widths are uniform in log r across a
-caller-supplied "focus" window (where the integrand's poles live) and
-coarsen geometrically with ratio 2 toward both endpoints 0 and R, where
-the last panel is at least log 2 wide.  Endpoint power behavior |lambda|^w
-is handled by the grading; truncation at R is estimated from the
-outermost panel mass, that panel's log-width and the integrand's
-configured decay exponent.
+The arc takes its nodes from gauss_panels(edges, q), the one place
+Legendre nodes are mapped onto panels (as do the principal values, the
+imaginary-power rays, the bound assembly and the e-adic panels).
+
+The rays take one trapezoid rule in u after a double-exponential map of
+s = log r (Takahasi & Mori 1974).  With x = c + sinh u, a ray over the
+log-radius window (a, b) = (log rho, log R) is
+
+    s = x                            a = -inf, b = inf  (the line),
+    s = a + log(1 + e^x)             b = inf            (the half-line),
+    s = b - log(1 + e^-x)            a = -inf,
+    s = a + (b - a) / (1 + e^-x)     both finite        (the segment),
+
+so an integrand that decays like a power of r at an unbounded end, or
+stays bounded at a finite one, decays double-exponentially in u.  The
+trapezoid error is then about e^{-2 pi d / h}, where d is the half-width
+of the strip around the real u-axis in which the integrand is analytic
+(Trefethen & Weideman, SIAM Rev. 2014).  fit_contour takes d from the
+integrand's singular points, sets the step h from d and tol and the
+truncation [u_lo, u_hi] from the integrand's decay.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -42,60 +50,42 @@ from .linops import _SHIFT_STACK_BYTES
 
 _TWO_PI_I = 2.0j * np.pi
 
-#: default per-panel Gauss-Legendre order when n_ray does not force one
-DEFAULT_PANEL_ORDER = 10
-
-#: deepest graded edge relative to min(1, R) when rho = 0 and no explicit
-#: inner floor is given
-DEFAULT_FLOOR_EXP = 2.0 ** -60
+#: share of fit_contour's tol given to the step and to each ray end's cut
+_SHARE = 1.0 / 16.0
 
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Parametrization of a (possibly shifted) sector-boundary path.
+    """A (possibly shifted) sector-boundary path and its quadrature.
 
-    Parameters
-    ----------
-    rho : float
-        Arc radius; 0 collapses the arc and the rays meet at the origin.
-    theta : float
-        Ray half-opening angle, in (0, pi).
-    R : float
-        Radial truncation of the rays.
-    n_ray : int
-        Target node count per ray (distributed over graded panels).
-    n_arc : int
-        Node count on the arc (must be 0 when rho == 0).
-    delta : float
-        Additive shift of the whole path (signed; models +-delta + path).
-    orientation : str
-        "standard" or "negated"; negated flips every weight.
-    r_floor : float or None
-        Innermost graded edge for rho == 0 rays; below it a single stub
-        panel reaches down to r = 0.
-    focus : (float, float) or None
-        Radial window that receives the finest panels.
-    breaks : tuple of float
-        Radii forced to be panel boundaries (spectral scales, split radii).
+    rho is the arc radius (0 collapses the arc), theta in (0, pi) the ray
+    angle, R the rays' outer end (inf by default), n_arc the arc's
+    Gauss-Legendre node count (0 when rho == 0; 0 with rho > 0 leaves the
+    radial window [rho, R] of the rays alone), delta an additive shift of
+    the whole path, and orientation "standard" or "negated" (every weight
+    flipped).  c, h, u_lo and u_hi are the ray rule: the map
+    x = c + sinh u and the trapezoid nodes u_lo + k h' (k = 0..n), h' <= h
+    the widest step that divides [u_lo, u_hi] evenly; fit_contour sets
+    them from the integrand.
     """
 
     rho: float
     theta: float
-    R: float
-    n_ray: int = 0
+    R: float = math.inf
     n_arc: int = 16
     delta: float = 0.0
     orientation: str = "standard"
-    r_floor: float | None = None
-    focus: tuple[float, float] | None = None
-    breaks: tuple[float, ...] = field(default_factory=tuple)
+    c: float = 0.0
+    h: float = 0.125
+    u_lo: float = -4.0
+    u_hi: float = 4.0
 
     def __post_init__(self):
         if not (0.0 < self.theta < np.pi):
             raise InvalidContour(f"theta must lie in (0, pi), got {self.theta}")
         if self.rho < 0:
             raise InvalidContour("rho must be nonnegative")
-        if self.R < self.rho or self.R <= 0:
+        if not (self.R >= self.rho and self.R > 0):
             raise InvalidContour(f"R={self.R} must be at least rho={self.rho}")
         if self.R == self.rho and self.n_arc == 0:
             raise InvalidContour("degenerate rays need arc nodes")
@@ -103,101 +93,125 @@ class ContourSpec:
             raise InvalidContour("rho = 0 admits no arc nodes")
         if self.orientation not in ("standard", "negated"):
             raise InvalidContour(f"unknown orientation {self.orientation!r}")
-        if self.n_ray and self.n_ray < 4 and self.R > self.rho:
-            raise InvalidContour("n_ray must be at least 4")
+        if not (self.h > 0 and self.u_lo < self.u_hi):
+            raise InvalidContour(f"the ray rule needs h > 0 and u_lo < u_hi: {self}")
         if self.rho > 0 and self.n_arc and self.n_arc < 4:
             raise InvalidContour("n_arc must be at least 4 when the arc is present")
 
     def with_orientation(self, orientation: str) -> "ContourSpec":
         return replace(self, orientation=orientation)
 
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "theta": self.theta,
-            "R": self.R,
-            "n_ray": self.n_ray,
-            "n_arc": self.n_arc,
-            "delta": self.delta,
-            "orientation": self.orientation,
-            "r_floor": self.r_floor,
-            "focus": list(self.focus) if self.focus else None,
-            "breaks": list(self.breaks),
-        }
+    def to_dict(self) -> dict:  # an unbounded R is null: JSON has no inf
+        return asdict(self) | {"R": self.R if math.isfinite(self.R) else None}
 
 
-#: widest admitted log-radial panel; keeps exponential-in-log integrands
-#: resolvable by the default panel order
-MAX_PANEL_WIDTH = 2.8
+def _expit(x):
+    """The logistic function 1 / (1 + e^-x), to full relative accuracy."""
+    return np.exp(-np.logaddexp(0.0, -x))
 
 
-def _graded_edges(r_inner: float, R: float, focus, breaks) -> np.ndarray:
-    """Radial panel edges: log-uniform inside the focus window, widths
-    doubling (ratio 2) toward both r_inner and R outside it, capped at
-    MAX_PANEL_WIDTH in log radius.  A last panel outside the focus
-    window is at least log 2 wide unless a break bounds it."""
-    base = np.log(2.0)
-    lo = np.log(r_inner)
-    hi = np.log(R)
-    if focus is None:
-        f_lo, f_hi = lo, hi
-    else:
-        f_lo = np.clip(np.log(focus[0]), lo, hi)
-        f_hi = np.clip(np.log(focus[1]), lo, hi)
-        if f_hi < f_lo:
-            f_lo = f_hi = 0.5 * (f_lo + f_hi)
-    edges = []
-    n_mid = max(1, int(np.ceil((f_hi - f_lo) / base)))
-    edges.extend(np.linspace(f_lo, f_hi, n_mid + 1))
-    w = base
-    s = f_lo
-    while s > lo:
-        s = max(lo, s - w)
-        edges.append(s)
-        w = min(2.0 * w, MAX_PANEL_WIDTH)
-    w = base
-    s = f_hi
-    while s < hi:
-        s = min(hi, s + w)
-        edges.append(s)
-        w = min(2.0 * w, MAX_PANEL_WIDTH)
-    r_edges = list(np.exp(np.array(sorted(set(edges)))))
-    r_edges[0], r_edges[-1] = r_inner, R
-    for b in breaks:
-        if r_inner < b < R:
-            r_edges.append(float(b))
-    r_edges = np.array(sorted(r_edges))
-    # drop slivers from floating-point log/exp round trips
-    keep = np.concatenate([[True], np.diff(np.log(r_edges)) > 1e-9])
-    r_edges = r_edges[keep]
-    r_edges[-1] = R
-    # a graded last panel narrower than log 2 leaves dunford's tail
-    # extrapolation a sliver to measure: fold it into its graded neighbour
-    # unless the edge between them is a forced break
-    last = np.log(r_edges[-2])
-    if hi - last < base and last > f_hi + 1e-9 \
-            and not np.any(np.isclose(r_edges[-2], breaks, rtol=1e-9, atol=0.0)):
-        r_edges = np.delete(r_edges, -2)
-    return r_edges
+def _window(spec: ContourSpec) -> tuple[float, float]:
+    """The rays' log-radius window (log rho or -inf, log R or inf)."""
+    return (math.log(spec.rho) if spec.rho > 0 else -math.inf,
+            math.log(spec.R) if math.isfinite(spec.R) else math.inf)
 
 
-def _ray_mesh(spec: ContourSpec):
-    """(edges, q, stub) of the graded ray panels of a spec, or None when
-    it has no rays: the log-graded edges from r_inner to R, the per-panel
-    Gauss-Legendre order, and the linear stub panel (0, r_floor) of a
-    rho = 0 path (else None)."""
+def _to_x(s, a: float, b: float):
+    """The inverse of the ray map on the window (a, b), real or complex."""
+    if math.isinf(a) and math.isinf(b):
+        return s
+    if math.isinf(b):
+        return np.log(np.expm1(s - a))
+    if math.isinf(a):
+        return -np.log(np.expm1(b - s))
+    t = (s - a) / (b - a)
+    return np.log(t / (1.0 - t))
+
+
+def _ray_rule(spec: ContourSpec):
+    """(s, ds/du, step, rest) at the nodes of the spec's ray rule (None
+    without rays); rest is the log-radius window left beyond the inner
+    and the outer end node, inf where it is unbounded."""
     if spec.R <= spec.rho:
         return None
-    r_inner = spec.rho
-    stub = None
-    if spec.rho == 0.0:
-        r_inner = spec.r_floor or min(1.0, spec.R) * DEFAULT_FLOOR_EXP
-        stub = (0.0, r_inner)
-    edges = _graded_edges(r_inner, spec.R, spec.focus, spec.breaks)
-    q = DEFAULT_PANEL_ORDER
-    if spec.n_ray:
-        q = max(2, int(round(spec.n_ray / (len(edges) - 1 + (stub is not None)))))
-    return edges, q, stub
+    n = max(2, math.ceil((spec.u_hi - spec.u_lo) / spec.h - 1e-9))
+    u = np.linspace(spec.u_lo, spec.u_hi, n + 1)
+    x = spec.c + np.sinh(u)
+    a, b = _window(spec)
+    if math.isinf(a) and math.isinf(b):
+        s, ds, rest = x, 1.0, (math.inf, math.inf)
+    elif math.isinf(b):
+        s, ds = a + np.logaddexp(0.0, x), _expit(x)
+        rest = (float(np.logaddexp(0.0, x[0])), math.inf)
+    elif math.isinf(a):
+        s, ds = b - np.logaddexp(0.0, -x), _expit(-x)
+        rest = (math.inf, float(np.logaddexp(0.0, -x[-1])))
+    else:
+        s, ds = a + (b - a) * _expit(x), (b - a) * _expit(x) * _expit(-x)
+        rest = (float((b - a) * _expit(x[0])), float((b - a) * _expit(-x[-1])))
+    return s, ds * np.cosh(u), u[1] - u[0], rest
+
+
+def fit_contour(theta: float, poles, decay, magnitude: float, tol: float,
+                rho: float = 0.0, R: float = math.inf, n_arc: int = 0,
+                delta: float = 0.0) -> ContourSpec:
+    """The path at angle theta with its ray rule fitted to the integrand F.
+
+    F is singular at ``poles`` (-sigma(A) for (A + lambda)^{-1}), lambda F
+    behaves like r^zeta_0 as r -> 0 and like r^-zeta_inf as r -> inf
+    (``decay``, complex), and ||lambda F|| <= M min(r^Re zeta_0,
+    r^-Re zeta_inf) on the rays (``magnitude`` M).
+
+    d is the smallest |Im u| of the poles on both rays (each at its
+    nearest two images s + 2 pi i k) and of the map's own singular points
+    x = +-i pi on a finite window, at most 1 and at most
+    atan(Re zeta / |Im zeta|) at each unbounded end, past which r^zeta
+    grows along the strip's edge.  Then h = 2 pi d / log(16 M / tol), c
+    is the middle of the poles' log radii (taken into x), and each end is
+    cut where its share of dunford's tail estimate, at the bound, is
+    tol / 16.  InvalidContour when d < 1e-3: a pole on a ray, or no decay.
+    """
+    base = ContourSpec(rho=rho, theta=theta, R=R, n_arc=n_arc, delta=delta)
+    if R <= rho:
+        return base
+    a, b = _window(base)
+    decay, p = [complex(zeta) for zeta in decay], np.ravel(poles).astype(complex) - delta
+    p = p[p != 0]
+    logr = np.log(np.abs(p))
+    xs = np.real(_to_x(np.clip(logr, a + 1e-2, b - 1e-2).astype(complex), a, b))
+    c = 0.5 * float(xs.min() + xs.max()) if len(p) else 0.0
+    phase = np.angle(np.concatenate([p * np.exp(-1j * theta), p * np.exp(1j * theta)]))
+    phase = np.concatenate([phase, phase - 2.0 * np.pi * np.sign(phase)])
+    with np.errstate(all="ignore"):
+        x = _to_x(np.tile(logr, 4) + 1j * phase, a, b)
+    if not (math.isinf(a) and math.isinf(b)):
+        x = np.append(x, [1j * np.pi, -1j * np.pi])
+    d = float(np.min(np.abs(np.imag(np.arcsinh(x[np.isfinite(x)] - c))), initial=1.0))
+    for end, zeta in ((a, decay[0]), (b, decay[1])):
+        if math.isinf(end):
+            d = min(d, math.atan2(zeta.real, abs(zeta.imag)))
+    if d < 1e-3:
+        raise InvalidContour(f"no strip of analyticity around the rays at theta={theta:.6f} "
+                             f"(half-width {d:.2e}): a pole lies on them or F does not decay")
+    M = max(magnitude, 1.0)
+    end_tol = 2.0 * np.pi * _SHARE * tol
+
+    def cut(end, sign):
+        if math.isinf(end):     # M r^-eta / eta at the end node
+            eta = decay[sign > 0].real
+            return float(np.real(_to_x(complex(sign * math.log(M / (eta * end_tol)) / eta),
+                                       a, b)))
+        # the window left beyond the end node, times the bound there
+        bound = M * math.exp(min(decay[0].real * end, -decay[1].real * end))
+        length = min(end_tol / bound, 1.0)
+        if math.isinf(a) or math.isinf(b):
+            return -sign * math.log(math.expm1(length))
+        t = min(length / (b - a), 0.25)
+        return sign * math.log((1.0 - t) / t)
+
+    h = 2.0 * np.pi * d / max(math.log(M / (_SHARE * tol)), 4.0)
+    return replace(base, c=c, h=h, u_lo=math.asinh(min(cut(a, -1.0), c - 1.0) - c),
+                   u_hi=math.asinh(max(cut(b, 1.0), c + 1.0) - c))
 
 
 @functools.lru_cache(maxsize=64)
@@ -221,21 +235,19 @@ def gauss_panels(edges, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_nodes(spec: ContourSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(lambda, weight) arrays for the contour: arc first, then the stub
-    panel, then per graded panel the upper ray and the lower ray.
+    """(lambda, weight) arrays for the contour: the arc first, then per
+    node of the ray rule (u increasing) the upper ray and the lower ray.
 
     Weights carry the positive-orientation signs (lower ray inward, arc
     with decreasing angle, upper ray outward) and the 1/(2 pi i) factor;
     a negated spec flips all of them.
     """
-    return _nodes_on_mesh(spec, _ray_mesh(spec))
+    return _nodes(spec, _ray_rule(spec))
 
 
-def _nodes_on_mesh(spec: ContourSpec, mesh) -> tuple[np.ndarray, np.ndarray]:
-    """build_nodes(spec) on the spec's ray mesh, already taken."""
-    lam_parts: list[np.ndarray] = []
-    w_parts: list[np.ndarray] = []
-
+def _nodes(spec: ContourSpec, rule) -> tuple[np.ndarray, np.ndarray]:
+    """build_nodes(spec) on the spec's ray rule, already taken."""
+    lam_parts, w_parts = [np.zeros(0)], [np.zeros(0)]
     if spec.rho > 0 and spec.n_arc > 0:
         half = np.pi - spec.theta
         x, w = gauss_panels([-half, half], spec.n_arc)
@@ -243,27 +255,14 @@ def _nodes_on_mesh(spec: ContourSpec, mesh) -> tuple[np.ndarray, np.ndarray]:
         lam_parts.append(lam)
         # d lambda = i rho e^{i phi} d phi, traversed with phi decreasing
         w_parts.append(-w * 1j * lam / _TWO_PI_I)
-
-    if mesh is not None:
-        edges, q, stub = mesh
-        n_panels = len(edges) - 1
-        up = np.exp(1j * spec.theta)
-        dn = np.exp(-1j * spec.theta)
-        if stub is not None:
-            # innermost stub [0, r_floor], mapped linearly (integrable
-            # endpoint power, tiny absolute mass)
-            r, w = gauss_panels(stub, q)
-            lam_parts += [r * up, r * dn]
-            w_parts += [w * up / _TWO_PI_I, -w * dn / _TWO_PI_I]
-        # Gauss nodes in log radius: dr = r ds
-        s, ws = gauss_panels(np.log(edges), q)
-        r = np.exp(s).reshape(n_panels, 1, q)
-        w = ws.reshape(n_panels, 1, q) * r
-        # per panel: upper ray outward, then lower ray inward
-        lam_parts.append(np.concatenate([r * up, r * dn], axis=1).reshape(-1))
-        w_parts.append(np.concatenate([w * up / _TWO_PI_I, -w * dn / _TWO_PI_I],
-                                      axis=1).reshape(-1))
-
+    if rule is not None:
+        s, ds, step, _ = rule
+        # d lambda = lambda (ds/du) du; per node the upper ray (outward),
+        # then the lower ray (inward)
+        r = np.exp(s)[:, None]
+        d = np.exp([1j * spec.theta, -1j * spec.theta])
+        lam_parts.append((r * d).reshape(-1))
+        w_parts.append(((step * ds)[:, None] * r * d * [1.0, -1.0] / _TWO_PI_I).reshape(-1))
     lam = np.concatenate(lam_parts) + spec.delta
     w = np.concatenate(w_parts)
     if spec.orientation == "negated":
@@ -298,54 +297,55 @@ def dunford(
         SingularShift raised by it propagates: the contour touches a
         spectrum and the caller chose a bad path.
     decay_exponent : float
-        eta such that the integrand decays like |lambda|^(-1-eta); used
-        to extrapolate the outermost ray panel's mass, over its actual
-        log-width, into a tail estimate.
+        eta such that the integrand decays like |lambda|^(-1-eta) at infinity.
     tol_tail : float, optional
         If given, raise TruncationNotConverged when the tail estimate
         exceeds it.
+
+    The tail estimate sums over the four ray ends g / (2 pi) times the
+    log-radius length the rule leaves out there: the window beyond a
+    finite end, 1 / eta beyond an unbounded one, with eta =
+    ``decay_exponent`` at infinity and, toward the origin, the decay g
+    shows between the two innermost nodes.  g = ||F(lambda)|| |lambda| at
+    the end node, in the spectral norm: |v| of a scalar, max_i |v_i| of a
+    1-D value (a matrix held on its eigenvalues), the largest singular
+    value of a matrix.
     """
-    mesh = _ray_mesh(spec)
-    lam, w = _nodes_on_mesh(spec, mesh)
-    # outermost ray panel mass, from the nodes with the largest radii (the
-    # q nodes of that panel on each ray), and the panel's log-width
-    q, width = DEFAULT_PANEL_ORDER, np.log(2.0)
-    if mesh is not None:
-        edges, q, _ = mesh
-        width = float(np.log(edges[-1] / edges[-2]))
-    order = np.argsort(np.abs(lam - spec.delta))
-    in_tail = np.zeros(len(lam), dtype=bool)
-    in_tail[order[-min(len(lam), 2 * q):]] = True
-    acc, last_mass, lo, step = 0.0, 0.0, 0, 1
+    rule = _ray_rule(spec)
+    lam, w = _nodes(spec, rule)
+    n_arc = len(lam) - (0 if rule is None else 2 * len(rule[0]))
+    probe = np.zeros(len(lam), dtype=bool)  # the two last nodes of each ray end
+    if rule is not None:
+        probe[n_arc:n_arc + 4] = probe[len(lam) - 4:] = True
+    norms = np.zeros(len(lam))
+    acc, lo, step = 0.0, 0, 1
     while lo < len(lam):
         chunk = slice(lo, lo + step)
         values = np.asarray(integrand(lam[chunk]), dtype=complex)
         acc = acc + np.einsum("k,k...->...", w[chunk], values)
-        tail = in_tail[chunk]
-        norms = np.linalg.norm(values[tail].reshape(-1, values[0].size), axis=1)
-        last_mass += float(np.abs(w[chunk][tail]) @ norms)
+        ends = values[probe[chunk]]
+        if len(ends):
+            norms[chunk][probe[chunk]] = (np.abs(ends.reshape(len(ends), -1)).max(axis=1)
+                                          if ends.ndim <= 2 else np.linalg.norm(ends, 2, axis=(-2, -1)))
         lo += step
         step = max(1, _SHIFT_STACK_BYTES // values[0].nbytes)
-    # a C r^(-1-eta) integrand puts C R^-eta (e^(eta width) - 1) / eta on
-    # the last panel and C R^-eta / eta beyond R
-    tail = last_mass / math.expm1(max(decay_exponent, 1e-3) * width)
+    tail = 0.0
+    if rule is not None:
+        s, _, _, (rest_in, rest_out) = rule
+        g = norms[n_arc:].reshape(-1, 2) * np.exp(s)[:, None]
+        inner = g[0] * rest_in
+        if math.isinf(rest_in):
+            with np.errstate(all="ignore"):
+                eta_0 = np.log(g[1] / g[0]) / (s[1] - s[0])
+            inner = np.where(g[0] == 0, 0.0, np.where(eta_0 > 0, g[0] / eta_0, np.inf))
+        outer = g[-1] * (1.0 / max(decay_exponent, 1e-3) if math.isinf(rest_out) else rest_out)
+        tail = float(np.sum(inner + outer)) / (2.0 * np.pi)
     if tol_tail is not None and tail > tol_tail:
         raise TruncationNotConverged(
-            f"tail estimate {tail:.3e} exceeds tol_tail {tol_tail:.3e} "
-            f"(R={spec.R:.3e}, decay exponent {decay_exponent})"
+            f"tail estimate {tail:.3e} exceeds tol_tail {tol_tail:.3e} (rays over u "
+            f"in [{spec.u_lo:.3f}, {spec.u_hi:.3f}], decay exponent {decay_exponent})"
         )
     return DunfordResult(acc, tail, len(lam))
-
-
-def tail_radius(decay_exponent: float, magnitude: float, tol: float) -> float:
-    """Truncation radius from the a-priori bound C r^(-1-eta) on the integrand.
-
-    The neglected tail is about C R^(-eta) / eta; solve for R at the
-    requested tolerance.  Clipped to [1e2, 1e60].
-    """
-    eta = max(decay_exponent, 1e-3)
-    R = (magnitude / (eta * max(tol, 1e-300))) ** (1.0 / eta)
-    return float(np.clip(R, 1e2, 1e60))
 
 
 # ------------------------------------------------------------ principal value

@@ -255,6 +255,13 @@ def basis_resolvents(basis, shifts) -> np.ndarray:
     return triangular_resolvents(D, shifts)
 
 
+def basis_eigenvalues(basis) -> np.ndarray:
+    """The eigenvalues of M read off a unitary basis (D, Q) of it: d
+    itself for a normal basis, the diagonal of a Schur form's T."""
+    D = basis[0]
+    return D if D.ndim == 1 else np.diagonal(D)
+
+
 def from_basis(basis, X) -> np.ndarray:
     """X mapped back from the unitary basis (D, Q) it is held in:
     Q diag(X) Q^* for a normal basis, Q X Q^* for a Schur basis, over

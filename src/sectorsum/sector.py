@@ -165,12 +165,6 @@ class MatrixOperator:
             self._inv_norm = inv_norm
         return self._inv_norm
 
-    def scale_window(self, pad: float = 50.0) -> tuple[float, float]:
-        """Radial window generously covering the spectral magnitudes."""
-        lo = 1.0 / max(self.inverse_norm(), 1e-300)
-        hi = max(self.norm(), lo)
-        return (lo / pad, hi * pad)
-
     def angle(self) -> float:
         if self.certified is None:
             raise ValueError("operator is not certified; run certify_sector first")

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import linops
 from .calculus import complex_power, fractional_power
-from .contour import ContourSpec, DunfordResult, dunford, gauss_panels, tail_radius
+from .contour import ContourSpec, DunfordResult, dunford, fit_contour, gauss_panels
 from .errors import SingularShift, TruncationNotConverged
 from .sector import MatrixOperator
 
@@ -106,17 +106,6 @@ class CommutingPair:
     def angular_margin(self) -> float:
         return self.A.angle() + self.B.angle() - np.pi
 
-    def scale_window(self) -> tuple[float, float]:
-        lo_a, hi_a = self.A.scale_window()
-        lo_b, hi_b = self.B.scale_window()
-        return (min(lo_a, lo_b), max(hi_a, hi_b))
-
-    def scale_breaks(self) -> tuple[float, ...]:
-        return (
-            1.0 / self.A.inverse_norm(), self.A.norm(),
-            1.0 / self.B.inverse_norm(), self.B.norm(),
-        )
-
     def joint_basis(self):
         """One unitary basis that triangularises both A and B, taken once
         and cached: (a, b, Q) with the diagonals of Q^* A Q and Q^* B Q
@@ -162,20 +151,30 @@ def sum_contour(
     """Separating contour of I_s(w); the default is K's.
 
     Rays at theta_B - eps (s = -1) or theta_A - eps (s = +1), eps = 5
-    percent of min(1, angular margin).  The weight grows the constant of
-    the |lam|^{-1-|Re w|} decay by e^{|Im w| (pi - theta)}; R cuts that
-    tail at tol / 4 and clears the scale window tenfold.
+    percent of min(1, angular margin).  The ray rule is fitted to the
+    integrand's poles, -s sigma(A) and s sigma(B) (from the joint basis,
+    else each member's), and to its decay: like |lam|^{Re w} at infinity,
+    with the constant K_A K_B grown by e^{|Im w| (pi - theta)}, and like
+    |lam|^{2 + Re w} at the origin.
     """
+    return _window_contour(pair, tol, w, s, (0.0, np.inf))
+
+
+def _window_contour(pair, tol, w, s, window) -> ContourSpec:
+    """sum_contour(pair, tol, w, s) over the radial window (r_lo, r_hi)
+    of the rays alone (no arc)."""
     eps = 0.05 * min(1.0, pair.angular_margin())
     theta = (pair.A if s > 0 else pair.B).angle() - eps
     growth = np.exp(abs(np.imag(w)) * (np.pi - theta))
-    C = pair.A.constant() * pair.B.constant() * growth
-    R = tail_radius(abs(np.real(w)), C, 0.25 * tol)
-    lo, hi = pair.scale_window()
-    return ContourSpec(
-        rho=0.0, theta=theta, R=max(R, 10.0 * hi), n_arc=0,
-        focus=(lo, hi), breaks=pair.scale_breaks(),
-    )
+    joint = pair.joint_basis()
+    bases = ([(joint[0], joint[2]), (joint[1], joint[2])] if joint is not None
+             else [pair.A.resolvent_basis(), pair.B.resolvent_basis()])
+    poles = np.concatenate([-s * linops.basis_eigenvalues(bases[0]),
+                            s * linops.basis_eigenvalues(bases[1])])
+    M = growth * max(pair.A.constant() * pair.B.constant(),
+                     4.0 * pair.A.inverse_norm() * pair.B.inverse_norm())
+    return fit_contour(theta, poles, (2.0 + w, -w), M, 0.25 * tol,
+                       rho=window[0], R=window[1])
 
 
 def inverse_contour(pair: CommutingPair, tol: float = 1e-6) -> ContourSpec:
@@ -240,7 +239,7 @@ def _pair_integral(
     factors take the node itself as their shift and a SingularShift
     names the node.  dunford reduces it in the pair's joint basis and
     the value is mapped back once; Q is unitary, so every node's
-    Frobenius norm, and with it the tail estimate, is the one of the
+    spectral norm, and with it the tail estimate, is the one of the
     dense stack.
     """
 
@@ -289,7 +288,7 @@ def sum_inverse(
         if resid > tol:
             raise TruncationNotConverged(
                 f"sum-inverse residual {resid:.3e} exceeds {tol:.3e}; "
-                f"raise node counts or R (tail estimate {info.tail_estimate:.3e})"
+                f"pass a finer ray rule (tail estimate {info.tail_estimate:.3e})"
             )
     return K
 
@@ -332,16 +331,6 @@ def weighted_identity_right(
 # ------------------------------------------------------------ radial splits
 
 
-def _segment_spec(base: ContourSpec, r_lo: float, r_hi: float) -> ContourSpec:
-    # rho = r_lo with n_arc = 0: a radial window of the rays, no arc (from
-    # the origin when r_lo = 0; every break is positive)
-    breaks = tuple(b for b in base.breaks if r_lo < b < r_hi)
-    return ContourSpec(
-        rho=r_lo, theta=base.theta, R=r_hi, n_arc=0,
-        focus=base.focus, breaks=breaks,
-    )
-
-
 def _check_split(theta: float, phi: float, n: int) -> None:
     if not (0.0 < theta < 1.0 and 0.0 < phi < 1.0 and theta + phi < 1.0):
         raise ValueError("need theta, phi in (0,1) with theta + phi < 1")
@@ -379,14 +368,14 @@ def split_integral_eval(
     # commutes with both resolvents, so it multiplies each piece once
     factor = fractional_power(pair.B if s < 0 else pair.A, phi, tol=tol)
 
-    base = sum_contour(pair, tol=tol, w=w, s=s)
     e_n = float(np.exp(n))
     pieces = []
-    for lo, hi in [(0.0, 1.0), (1.0, e_n), (e_n, max(base.R, 2.0 * e_n))]:
-        if hi <= lo:
+    for window in [(0.0, 1.0), (1.0, e_n), (e_n, np.inf)]:
+        if window[1] <= window[0]:
             pieces.append(np.zeros((pair.dim, pair.dim), dtype=complex))
             continue
-        X = _pair_integral(pair, _segment_spec(base, lo, hi), s, w).value
+        spec = _window_contour(pair, tol, w, s, window)
+        X = _pair_integral(pair, spec, s, w).value
         pieces.append(-(X @ factor) if s < 0 else factor @ X)
     return tuple(pieces)
 

@@ -31,8 +31,8 @@ def test_01_dunford_power_accuracy(diag14):
     elapsed = time.perf_counter() - t0
     err = np.abs(value - np.diag([1.0, 0.5])).max()
     report(1, "complex_power(diag(1,4), -1/2) error", f"{err:.2e}",
-           "<= 1e-8 with <= 600 nodes in < 1 s",
-           err <= 1e-8 and info.n_nodes <= 600 and elapsed < 1.0)
+           "<= 1e-8 with <= 150 nodes in < 1 s",
+           err <= 1e-8 and info.n_nodes <= 150 and elapsed < 1.0)
 
 
 def test_02_power_semigroup_law():

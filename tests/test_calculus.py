@@ -16,7 +16,7 @@ from sectorsum import (
     imaginary_power,
     symbol_class_check,
 )
-from sectorsum import linops
+from sectorsum import contour, linops
 from sectorsum.calculus import hinf_contour, power_contour
 from sectorsum.harness import generate, laplacian_eigenvalues
 from sectorsum.errors import ClassViolated
@@ -80,20 +80,21 @@ def _laplacian(m):
 
 
 def _observed_tail(run, spec):
-    """(tail estimate at spec.R, ||X(R) - X(1e4 R)||_F, X(R)) for a
-    run(spec) -> (X, DunfordResult) at tol 1."""
+    """(tail estimate of spec, ||X - X_wide||_2, X) for a run(spec) ->
+    (X, DunfordResult) at tol 1, where X_wide takes the same rule with
+    four more steps at each end of the rays (the step is the rule's own,
+    so the nodes of spec are nodes of the wider rule)."""
     value, info = run(spec)
-    far, _ = run(replace(spec, R=1e4 * spec.R))
-    return info.tail_estimate, float(np.linalg.norm(value - far)), value
+    step = contour._ray_rule(spec)[2]
+    wide = replace(spec, h=step, u_lo=spec.u_lo - 4 * step, u_hi=spec.u_hi + 4 * step)
+    far, _ = run(wide)
+    return info.tail_estimate, float(np.linalg.norm(value - far, 2)), value
 
 
 @pytest.mark.parametrize("m, re", [(48, -0.75), (48, -0.9), (8, -0.65)])
 def test_power_tail_estimate_covers_the_truncation(m, re):
-    # the outermost panel is 2.67, 2.76 and (before the merge) 0.0007 wide
-    # in log radius: extrapolating its mass as if it spanned log 2 gave
-    # 1.2e-9 and 1.6e-9 (TruncationNotConverged on an accurate result)
-    # and 4.2e-14 against observed truncation errors of 1.2e-10, 1.3e-10
-    # and 4.5e-11
+    # the estimate extrapolates the end nodes of the rays; it must cover
+    # what the rule leaves out there, and stay within tol
     A = certified(_laplacian(m), 0.9 * np.pi)
     spec = power_contour(A, re)
     est, observed, _ = _observed_tail(
@@ -117,6 +118,16 @@ def test_hinf_tail_estimate_covers_the_truncation():
     assert max(observed, error) <= est <= 1e-9
     _, info = hinf_apply(f, A, with_info=True)
     assert info.tail_estimate == est
+
+
+def test_hinf_tail_estimate_is_flat_in_the_dimension():
+    # the tail estimate is measured in the spectral norm: a Frobenius
+    # estimate carries ||I||_F = sqrt(n) and outgrew tol near n = 800 on a
+    # result accurate to 2.6e-11
+    f = builtin_symbols(np.pi / 2)["rational-eta"]
+    est = [hinf_apply(f, generate("laplacian-1d", certify_angle=np.pi / 2 + 0.3, m=m),
+                      with_info=True)[1].tail_estimate for m in (100, 400)]
+    assert max(est) <= 1e-9 and max(est) <= 2.0 * min(est)
 
 
 def test_imaginary_power_identity():

@@ -1,22 +1,19 @@
+import cmath
 import importlib
 import importlib.util
+import math
 import pathlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.special import sici
 
 from sectorsum import ContourSpec, build_nodes, contour, dunford, pv_integral
-from sectorsum.contour import (
-    DEFAULT_FLOOR_EXP,
-    DEFAULT_PANEL_ORDER,
-    MAX_PANEL_WIDTH,
-    _graded_edges,
-    gauss_panels,
-    tail_radius,
-)
+from sectorsum.contour import fit_contour, gauss_panels
 from sectorsum.errors import AsymmetryDetected, InvalidContour, TruncationNotConverged
 
 
@@ -28,7 +25,9 @@ def test_invalid_contours():
     with pytest.raises(InvalidContour):
         ContourSpec(rho=0.1, theta=0.0, R=1.0, n_arc=8)  # theta out of range
     with pytest.raises(InvalidContour):
-        ContourSpec(rho=0.1, theta=np.pi / 4, R=1.0, n_ray=2, n_arc=8)
+        ContourSpec(rho=0.1, theta=np.pi / 4, R=1.0, n_arc=8, h=0.0)  # no step
+    with pytest.raises(InvalidContour):
+        ContourSpec(rho=0.1, theta=np.pi / 4, n_arc=8, u_lo=1.0, u_hi=1.0)
     with pytest.raises(InvalidContour):
         ContourSpec(rho=0.1, theta=np.pi / 4, R=1.0, n_arc=8, orientation="widdershins")
 
@@ -57,17 +56,47 @@ def test_nodes_lie_on_path():
     assert np.all(on_ray | on_arc)
 
 
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(0.05, 3.09), rho=st.sampled_from([0.0, 1e-3, 0.4, 7.0]),
+       span=st.sampled_from([0.0, 2.0, 30.0, math.inf]), n_arc=st.integers(4, 40),
+       delta=st.floats(-2.0, 2.0), c=st.floats(-5.0, 5.0), h=st.floats(0.02, 1.0),
+       u_lo=st.floats(-6.0, 0.0), width=st.floats(0.1, 8.0))
+def test_build_nodes_lie_on_the_path_and_negation_flips_every_weight(
+        theta, rho, span, n_arc, delta, c, h, u_lo, width):
+    R = rho + span if rho or span else math.inf
+    spec = ContourSpec(rho=rho, theta=theta, R=R, n_arc=n_arc if rho else 0,
+                       c=c, h=h, u_lo=u_lo, u_hi=u_lo + width)
+    base, w = build_nodes(spec)
+    n_arc = spec.n_arc if rho else 0
+    arc, ray = base[:n_arc], base[n_arc:]
+    assert np.allclose(np.abs(arc), rho, rtol=1e-13, atol=0.0)
+    assert np.all(np.abs(np.angle(arc)) >= theta - 1e-12)
+    if R > rho:
+        assert len(ray) >= 6
+        assert np.allclose(np.angle(ray[0::2]), theta, rtol=0.0, atol=1e-12)
+        assert np.allclose(np.angle(ray[1::2]), -theta, rtol=0.0, atol=1e-12)
+        r = np.abs(ray)
+        assert np.all(r >= rho * (1.0 - 1e-13)) and np.all(r <= R * (1.0 + 1e-13))
+        assert np.all(np.diff(r[0::2]) >= 0.0)
+    # delta moves every node and keeps every weight
+    lam, w_shift = build_nodes(replace(spec, delta=delta))
+    assert np.array_equal(lam, base + delta) and np.array_equal(w_shift, w)
+    lam_neg, w_neg = build_nodes(replace(spec, delta=delta, orientation="negated"))
+    assert np.array_equal(lam_neg, lam) and np.array_equal(w_neg, -w)
+
+
+def _scalar(f):
+    return lambda lam: f(lam)[:, None, None]
+
+
 def test_residue_oracle_closed_curve():
     # residue theorem oracle: the enclosed simple pole at lam = -2, with a
     # decay weight normalized so the residue is exactly 1.  (A bare
     # (lam - z0)^{-1} decays too slowly: its truncated-contour value picks
     # up a closing-arc term, so the engine requires |lam|^{-1-eta} decay.)
-    spec = ContourSpec(rho=0.5, theta=np.pi / 2, R=1e20, n_arc=16, focus=(0.5, 50.0))
-    res = dunford(
-        spec,
-        lambda lam: (np.sqrt(2.0) * (-lam) ** -0.5 / (lam + 2.0))[:, None, None],
-        decay_exponent=0.5,
-    )
+    spec = fit_contour(np.pi / 2, [-2.0], (0.5, 0.5), 2.0, 1e-10, rho=0.5, n_arc=16)
+    res = dunford(spec, _scalar(lambda lam: np.sqrt(2.0) * (-lam) ** -0.5 / (lam + 2.0)),
+                  decay_exponent=0.5)
     assert abs(res.value[0, 0] - 1.0) < 1e-9
 
 
@@ -80,77 +109,74 @@ def test_orientation_negation_exact():
 
 
 def test_dunford_power_examples():
-    # (-lam)^{-1/2} (4 + lam)^{-1} integrates to 4^{-1/2} = 0.5; the
-    # truncation radius follows the |lam|^{-3/2} tail rule
-    R = tail_radius(0.5, 1.0, 1e-10)
-    spec = ContourSpec(rho=0.1, theta=0.75 * np.pi, R=R, n_arc=20, focus=(0.05, 50.0))
-    res = dunford(spec, lambda lam: ((-lam) ** -0.5 / (4.0 + lam))[:, None, None], 0.5)
+    # (-lam)^{-1/2} (4 + lam)^{-1} integrates to 4^{-1/2} = 0.5, and
+    # (-lam)^{-1} (2 + lam)^{-1} to 1/2, on rules fitted to the pole and
+    # to the |lam|^{-1/2} and |lam|^{-1} decay of lam times the integrand
+    spec = fit_contour(0.75 * np.pi, [-4.0], (0.5, 0.5), 2.0, 1e-10, rho=0.1, n_arc=20)
+    res = dunford(spec, _scalar(lambda lam: (-lam) ** -0.5 / (4.0 + lam)), 0.5, tol_tail=1e-10)
     assert abs(res.value[0, 0] - 0.5) < 1e-8
-    spec2 = ContourSpec(rho=0.1, theta=0.75 * np.pi, R=1e10, n_arc=20, focus=(0.05, 50.0))
-    res2 = dunford(spec2, lambda lam: ((-lam) ** -1.0 / (2.0 + lam))[:, None, None], 1.0)
+    spec2 = fit_contour(0.75 * np.pi, [-2.0], (0.0, 1.0), 2.0, 1e-10, rho=0.1, n_arc=20)
+    res2 = dunford(spec2, _scalar(lambda lam: (-lam) ** -1.0 / (2.0 + lam)), 1.0, tol_tail=1e-10)
     assert abs(res2.value[0, 0] - 0.5) < 1e-8
 
 
+def _diag13_integrand(lam):
+    A, eye = np.diag([1.0, 3.0]), np.eye(2)
+    return ((-lam) ** -0.5)[:, None, None] * np.linalg.inv(A + lam[:, None, None] * eye)
+
+
 def test_dunford_convergence_order():
-    # doubling the per-ray budget must cut the error by far more than 2^4
-    A = np.diag([1.0, 3.0])
-    eye = np.eye(2)
-
-    def integrand(lam):
-        return ((-lam) ** -0.5)[:, None, None] * np.linalg.inv(A + lam[:, None, None] * eye)
-
+    # the trapezoid error is about e^{-2 pi d / h}: halving the step
+    # squares it, far beyond the 2^4 of a fourth-order rule
     exact = np.diag([1.0, 3.0 ** -0.5])
-    errs = []
-    for n_ray in (60, 120):
-        spec = ContourSpec(rho=0.2, theta=0.7 * np.pi, R=1e18, n_ray=n_ray,
-                           n_arc=12, focus=(0.1, 10.0))
-        got = dunford(spec, integrand, 0.5).value
-        errs.append(np.linalg.norm(got - exact, 2))
-    assert errs[0] / max(errs[1], 1e-16) >= 16.0
+    spec = fit_contour(0.7 * np.pi, [-1.0, -3.0], (0.5, 0.5), 2.0, 1e-4, rho=0.2, n_arc=40)
+    spec = replace(spec, u_lo=spec.u_lo - 1.0, u_hi=spec.u_hi + 3.0)
+    errs = [np.linalg.norm(dunford(replace(spec, h=h), _diag13_integrand, 0.5).value - exact, 2)
+            for h in (spec.h, spec.h / 2)]
+    assert errs[1] <= max(1e3 * errs[0] ** 2, 1e-13) and errs[0] / errs[1] >= 1e3
 
 
 def test_dunford_tail_error_flag():
-    spec = ContourSpec(rho=0.1, theta=0.75 * np.pi, R=50.0, n_arc=16)
-    with pytest.raises(TruncationNotConverged):
-        dunford(spec, lambda lam: ((-lam) ** -0.5 / (4.0 + lam))[:, None, None],
+    spec = fit_contour(0.75 * np.pi, [-4.0], (0.5, 0.5), 2.0, 1e-10, rho=0.1, n_arc=16)
+    with pytest.raises(TruncationNotConverged, match="^tail estimate"):
+        dunford(replace(spec, u_hi=1.0), _scalar(lambda lam: (-lam) ** -0.5 / (4.0 + lam)),
                 decay_exponent=0.5, tol_tail=1e-10)
 
 
 def test_path_shift_invariance():
     # holomorphic between the base path and the left-shifted, slightly
     # narrowed one, so both quadratures agree
-    A = np.diag([1.0, 3.0])
-    eye = np.eye(2)
-
-    def integrand(lam):
-        return ((-lam) ** -0.5)[:, None, None] * np.linalg.inv(A + lam[:, None, None] * eye)
-
     exact = np.diag([1.0, 3.0 ** -0.5])
-    base = ContourSpec(rho=0.25, theta=0.7 * np.pi, R=1e18, n_arc=20, focus=(0.1, 10.0))
-    shifted = ContourSpec(rho=0.25, theta=0.7 * np.pi - 0.05, R=1e18, n_arc=20,
-                          delta=-0.1, focus=(0.1, 10.0))
-    a = dunford(base, integrand, 0.5).value
-    b = dunford(shifted, integrand, 0.5).value
+    a, b = (dunford(fit_contour(theta, [-1.0, -3.0], (0.5, 0.5), 2.0, 1e-10, rho=0.25,
+                                n_arc=20, delta=delta), _diag13_integrand, 0.5).value
+            for theta, delta in ((0.7 * np.pi, 0.0), (0.7 * np.pi - 0.05, -0.1)))
     assert np.linalg.norm(a - b, 2) < 2e-8
     assert np.linalg.norm(a - exact, 2) < 1e-8
 
 
+def _ray_ends(spec):
+    """(radius, log-radius length left beyond it) of the inner and the
+    outer end node of the rays, from the nodes alone (inf where the
+    window is unbounded)."""
+    lam = build_nodes(spec)[0][spec.n_arc if spec.rho else 0:] - spec.delta
+    r_in, r_out = np.abs(lam[0]), np.abs(lam[-1])
+    rest_in = np.log(r_in / spec.rho) if spec.rho else math.inf
+    return (r_in, rest_in), (r_out, np.log(spec.R / r_out))
+
+
 def _reference_dunford(spec, integrand, decay_exponent):
-    """Per-node loop: weighted sum, and the tail mass of the nodes with
-    the largest radii extrapolated over the outermost panel's log-width
-    as in dunford (rho > 0 and no n_ray, so that panel has
-    DEFAULT_PANEL_ORDER nodes on each ray)."""
+    """Per-node loop: the weighted sum, and at each of the four ray ends
+    ||F|| |lambda| (spectral norm) times the log-radius window left
+    beyond the end node (rho > 0, R = inf: 1/eta beyond the outer end)."""
     lam, w = build_nodes(spec)
-    edges = _graded_edges(spec.rho, spec.R, spec.focus, spec.breaks)
-    width = np.log(edges[-1] / edges[-2])
-    tail = set(np.argsort(np.abs(lam - spec.delta))[-2 * DEFAULT_PANEL_ORDER:].tolist())
-    acc, mass = 0.0, 0.0
-    for k, (l, wk) in enumerate(zip(lam, w)):
-        term = wk * integrand(np.array([l]))[0]
-        acc = acc + term
-        if k in tail:
-            mass += np.linalg.norm(term)
-    return acc, mass / np.expm1(decay_exponent * width)
+    (_, rest_in), _ = _ray_ends(spec)
+    acc, g = 0.0, []
+    for l, wk in zip(lam, w):
+        value = integrand(np.array([l]))[0]
+        acc = acc + wk * value
+        g.append(np.linalg.norm(value, 2) * abs(l))
+    ends = np.array(g[spec.n_arc:spec.n_arc + 2] + g[-2:])
+    return acc, (ends[:2].sum() * rest_in + ends[2:].sum() / decay_exponent) / (2 * np.pi)
 
 
 def test_dunford_chunks_match_per_node_loop(monkeypatch):
@@ -164,7 +190,7 @@ def test_dunford_chunks_match_per_node_loop(monkeypatch):
 
     # a budget of 7 nodes of 2x2 complex values per chunk
     monkeypatch.setattr(contour, "_SHIFT_STACK_BYTES", 7 * 64)
-    spec = ContourSpec(rho=0.2, theta=0.7 * np.pi, R=1e12, n_arc=12, focus=(0.1, 10.0))
+    spec = fit_contour(0.7 * np.pi, [-1.0, -3.0], (0.5, 0.5), 4.0, 1e-10, rho=0.2, n_arc=12)
     res = dunford(spec, integrand, 0.5)
     n = len(build_nodes(spec)[0])
     assert sizes[0] == 1 and set(sizes[1:-1]) == {7} and sum(sizes) == n == res.n_nodes
@@ -173,32 +199,61 @@ def test_dunford_chunks_match_per_node_loop(monkeypatch):
     assert res.tail_estimate == pytest.approx(ref_tail, rel=1e-13)
 
 
-def test_last_graded_panel_is_at_least_log2_wide():
-    widths = []
-    for R in np.geomspace(20.0, 1e9, 400):
-        edges = _graded_edges(1.0, R, (1.0, 10.0), ())
-        widths.append(np.log(edges[-1] / edges[-2]))
-        assert edges[-1] == R and np.all(np.diff(edges) > 0)
-    assert min(widths) >= np.log(2.0) - 1e-12
-    assert max(widths) <= MAX_PANEL_WIDTH + np.log(2.0)
-    # a forced break keeps its sliver, and the focus window keeps its
-    # uniform panels up to R
-    assert _graded_edges(1.0, 1e6, (1.0, 10.0), (0.999e6,))[-2] == 0.999e6
-    edges = _graded_edges(1.0, 50.0, (1.0, 50.0), ())
-    assert np.allclose(np.diff(np.log(edges)), np.log(50.0) / 6)
+@pytest.mark.parametrize("rho, R", [(0.0, math.inf), (1.0, math.inf), (0.0, 1.0),
+                                    (1.0, math.e ** 3)], ids=["line", "half-line", "left", "segment"])
+def test_ray_rule_integrates_each_window(rho, R):
+    # the upper ray's weights, rotated back to the real axis, integrate
+    # 1 / (1 + r)^2 over [rho, R] by the trapezoid rule after the map
+    spec = ContourSpec(rho=rho, theta=2.0, R=R, n_arc=0, c=0.5, h=0.1, u_lo=-4.5, u_hi=4.5)
+    lam, w = build_nodes(spec)
+    r, wr = np.abs(lam[0::2]), (w[0::2] * 2j * np.pi * np.exp(-1j * spec.theta)).real
+    assert np.all(np.diff(r) >= 0) and np.all(wr > 0)
+    assert np.sum(wr / (1.0 + r) ** 2) == pytest.approx(1 / (1 + rho) - 1 / (1 + R), rel=1e-12)
 
 
-def test_dunford_tail_is_the_outer_panel_extrapolated():
-    # (-lambda)^(-1-eta) has |.| = r^(-1-eta) on both rays, so the outer
-    # panel's mass over its own log-width extrapolates to R^-eta / (pi eta)
-    # exactly; with n_ray the panel has q != DEFAULT_PANEL_ORDER nodes
+def test_dunford_tail_is_the_end_nodes_extrapolated():
+    # (-lambda)^(-1-eta) has ||F|| |lambda| = r^-eta on both rays, so the
+    # outer end node extrapolates to r_out^-eta / eta exactly, and the
+    # inner one covers the window of log-width rest_in down to the arc
     eta = 0.4
-    for R, n_ray in ((1e8, 96), (3.7e9, 0), (2.2e5, 48)):
-        spec = ContourSpec(rho=0.5, theta=0.6 * np.pi, R=R, n_ray=n_ray, n_arc=16,
-                           focus=(1.0, 10.0))
+    for u_lo, u_hi in ((-4.0, 3.0), (-3.0, 3.7), (-2.0, 2.5)):
+        spec = ContourSpec(rho=0.5, theta=0.6 * np.pi, n_arc=16, c=1.0, h=0.2,
+                           u_lo=u_lo, u_hi=u_hi)
         res = dunford(spec, lambda lam: (-lam) ** (-1.0 - eta), decay_exponent=eta)
-        assert res.tail_estimate == pytest.approx(R ** -eta / (np.pi * eta), rel=1e-10)
-    assert contour._ray_mesh(spec)[1] != DEFAULT_PANEL_ORDER
+        (r_in, rest_in), (r_out, _) = _ray_ends(spec)
+        expected = (r_in ** -eta * rest_in + r_out ** -eta / eta) / np.pi
+        assert res.tail_estimate == pytest.approx(expected, rel=1e-12)
+    # toward the origin the decay is the one measured at the two innermost
+    # nodes: r^beta there, with a tail beyond the inner end of r_in^beta / beta
+    beta = 0.7
+    spec = ContourSpec(rho=0.0, theta=0.6 * np.pi, n_arc=0, c=0.0, h=0.15, u_lo=-3.5, u_hi=3.5)
+    res = dunford(spec, lambda lam: (-lam) ** (beta - 1.0) / (1.0 + (-lam) ** (beta + eta)),
+                  decay_exponent=eta)
+    (r_in, _), (r_out, _) = _ray_ends(spec)
+    g_out = r_out ** beta / (1.0 + r_out ** (beta + eta))
+    expected = (r_in ** beta / beta + g_out / eta) / np.pi
+    assert res.tail_estimate == pytest.approx(expected, rel=1e-6)
+
+
+def test_fit_contour_step_follows_the_nearest_pole():
+    # one pole at lam = -2 seen from rays phi off the negative axis: on
+    # the line form centred on it, u = asinh(i phi) and d = asin(phi)
+    for phi in (0.2, 0.5, 0.8):
+        spec = fit_contour(np.pi - phi, [-2.0], (1.0, 1.0), 1.0, 1e-9)
+        assert spec.c == pytest.approx(np.log(2.0), rel=1e-14)
+        assert spec.h == pytest.approx(2 * np.pi * np.arcsin(phi) / np.log(16e9), rel=1e-12)
+    # a pole on a ray leaves no strip
+    with pytest.raises(InvalidContour, match="no strip of analyticity"):
+        fit_contour(0.75 * np.pi, [-4.0 * np.exp(0.25j * np.pi)], (1.0, 1.0), 1.0, 1e-9)
+
+
+def test_fit_contour_caps_the_strip_where_the_weight_oscillates():
+    # r^zeta with Im zeta = 2 grows along the strip's edge once
+    # tan d > Re zeta / |Im zeta|: d = atan(0.5 / 2) at the unbounded end
+    free = fit_contour(np.pi / 2, [-2.0], (1.0, 0.5), 1.0, 1e-9)
+    spec = fit_contour(np.pi / 2, [-2.0], (1.0, 0.5 + 2.0j), 1.0, 1e-9)
+    assert spec.h == pytest.approx(2 * np.pi * np.arctan(0.25) / np.log(16e9), rel=1e-12)
+    assert spec.h < free.h
 
 
 def test_pv_odd_kernels_vanish():
@@ -277,8 +332,8 @@ def test_gauss_panels_exact_to_degree_2q_minus_1():
 
 
 def _reference_nodes(spec):
-    """Per-panel loop over the path: arc, stub, then per graded panel the
-    upper ray and the lower ray."""
+    """Per-node loop over the path: the arc, then per node u of the ray
+    rule the upper ray and the lower ray."""
     lam, w = [], []
     if spec.rho > 0 and spec.n_arc > 0:
         xg, wg = leggauss(spec.n_arc)
@@ -288,30 +343,28 @@ def _reference_nodes(spec):
             lam.append(l)
             w.append(-half * wx * 1j * l / (2j * np.pi))
     if spec.R > spec.rho:
-        r_inner, stub = spec.rho, None
-        if spec.rho == 0.0:
-            r_inner = spec.r_floor or min(1.0, spec.R) * DEFAULT_FLOOR_EXP
-            stub = (0.0, r_inner)
-        edges = _graded_edges(r_inner, spec.R, spec.focus, spec.breaks)
-        q = DEFAULT_PANEL_ORDER
-        if spec.n_ray:
-            q = max(2, int(round(spec.n_ray / (len(edges) - 1 + (stub is not None)))))
-        xg, wg = leggauss(q)
-        up, dn = np.exp(1j * spec.theta), np.exp(-1j * spec.theta)
-        if stub is not None:
-            a, b = stub
-            for sign, d in ((1.0, up), (-1.0, dn)):
-                for x, wx in zip(xg, wg):
-                    r = 0.5 * (b + a) + 0.5 * (b - a) * x
-                    lam.append(r * d)
-                    w.append(sign * (0.5 * (b - a) * wx) * d / (2j * np.pi))
-        for a, b in zip(edges[:-1], edges[1:]):
-            sa, sb = np.log(a), np.log(b)
-            for sign, d in ((1.0, up), (-1.0, dn)):
-                for x, wx in zip(xg, wg):
-                    r = np.exp(0.5 * (sb + sa) + 0.5 * (sb - sa) * x)
-                    lam.append(r * d)
-                    w.append(sign * (0.5 * (sb - sa) * wx * r) * d / (2j * np.pi))
+        a = math.log(spec.rho) if spec.rho else -math.inf
+        b = math.log(spec.R) if math.isfinite(spec.R) else math.inf
+        n = max(2, math.ceil((spec.u_hi - spec.u_lo) / spec.h - 1e-9))
+        step = (spec.u_hi - spec.u_lo) / n
+        for k in range(n + 1):
+            u = spec.u_lo + k * step if k < n else spec.u_hi
+            x = spec.c + math.sinh(u)
+            # the logistic function at +-x, the derivative of log(1 + e^+-x)
+            sig, sig_neg = 1.0 / (1.0 + math.exp(-x)), 1.0 / (1.0 + math.exp(x))
+            if a == -math.inf and b == math.inf:
+                s, ds = x, 1.0
+            elif b == math.inf:
+                s, ds = a + math.log1p(math.exp(x)), sig
+            elif a == -math.inf:
+                s, ds = b - math.log1p(math.exp(-x)), sig_neg
+            else:
+                s, ds = a + (b - a) * sig, (b - a) * sig * sig_neg
+            ds *= math.cosh(u)
+            for sign, theta in ((1.0, spec.theta), (-1.0, -spec.theta)):
+                l = cmath.exp(s + 1j * theta)
+                lam.append(l)
+                w.append(sign * step * ds * l / (2j * np.pi))
     lam = np.array(lam) + spec.delta
     w = np.array(w)
     return lam, (-w if spec.orientation == "negated" else w)
@@ -319,19 +372,19 @@ def _reference_nodes(spec):
 
 @pytest.mark.parametrize("spec", [
     ContourSpec(rho=1.0, theta=np.pi / 2, R=1.0, n_arc=16),
-    ContourSpec(rho=0.0, theta=2.0, R=1e4, n_arc=0, r_floor=1e-12, focus=(0.1, 3.0),
-                breaks=(0.5, 2.0, 40.0)),
-    ContourSpec(rho=0.2, theta=0.7 * np.pi, R=1e18, n_ray=60, n_arc=12, focus=(0.1, 10.0)),
-    ContourSpec(rho=0.3, theta=2 * np.pi / 3, R=50.0, n_arc=13, delta=-0.1),
+    ContourSpec(rho=0.0, theta=2.0, n_arc=0, c=-1.5, h=0.2, u_lo=-3.0, u_hi=2.5),
+    ContourSpec(rho=0.2, theta=0.7 * np.pi, R=40.0, n_arc=0, c=1.0, h=0.3),
+    ContourSpec(rho=0.0, theta=0.7 * np.pi, R=3.0, n_arc=0, c=-2.0, h=0.3, u_lo=-4.0, u_hi=1.0),
+    ContourSpec(rho=0.3, theta=2 * np.pi / 3, n_arc=13, delta=-0.1, c=2.0, h=0.17),
     ContourSpec(rho=0.5, theta=np.pi / 2, R=1e6, n_arc=16, delta=0.25,
                 orientation="negated"),
-], ids=["arc", "stub-breaks", "n_ray", "delta", "negated"])
+], ids=["arc", "line", "window", "left", "delta", "negated"])
 def test_build_nodes_matches_reference_loop(spec):
     lam, w = build_nodes(spec)
     ref_lam, ref_w = _reference_nodes(spec)
     assert lam.dtype == w.dtype == np.complex128
-    assert np.array_equal(lam, ref_lam)
-    assert np.array_equal(w, ref_w)
+    np.testing.assert_allclose(lam, ref_lam, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(w, ref_w, rtol=1e-13, atol=0.0)
 
 
 def test_legendre_rule_and_dense_solves_stay_in_their_modules():

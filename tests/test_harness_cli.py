@@ -289,6 +289,21 @@ def test_run_sum_commuting_pair_passes(tmp_path, capsys):
     assert CertificateReport.load(tmp_path / "sum.json").passed
 
 
+def test_run_sum_identities_on_laplacian_passes(tmp_path, capsys):
+    # B = e^{i pi/3} I certified at its angle puts K's ray 0.155 rad from
+    # -sigma(B); the ray rule's step follows that distance, so K (and the
+    # identities' inner sum_inverse, at an absolute residual of 1e-8 with
+    # ||A|| ~ 320) reaches the tolerance
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "pipeline": "sum", "check_identities": [-0.45, 0.0],
+        "recipe_a": {"kind": "laplacian-1d", "m": 8},
+        "recipe_b": {"kind": "diag-rotated", "psi": np.pi / 3, "entries": [1.0] * 8}})
+    assert cli_main(["--out", str(tmp_path), "run", "--config", cfg]) == 0
+    capsys.readouterr()
+    report = CertificateReport.load(tmp_path / "sum.json")
+    assert report.passed and report.outputs["relative_error_vs_direct"] <= 1e-10
+
+
 def test_run_sum_honours_zero_angle(tmp_path):
     # theta_a = 0 certifies A at angle 0, so the pair's angle sum falls
     # below pi instead of A silently taking its recipe's default angle

@@ -20,7 +20,7 @@ from sectorsum import (
 from sectorsum.errors import SingularShift
 from sectorsum.linops import ShiftedFactorization, operator_norm
 from sectorsum.sums import sum_contour
-from sectorsum.contour import ContourSpec, build_nodes, gauss_panels
+from sectorsum.contour import build_nodes, gauss_panels
 from conftest import certified
 
 
@@ -127,10 +127,7 @@ def test_identity_coherence_over_w(pair_1234):
 
 def test_sum_inverse_path_shift_invariance(pair_1234):
     base = sum_contour(pair_1234)
-    shifted = ContourSpec(
-        rho=0.0, theta=base.theta - 0.05, R=base.R, n_arc=0, delta=0.1,
-        focus=base.focus, breaks=base.breaks,
-    )
+    shifted = replace(base, theta=base.theta - 0.05, delta=0.1)
     K1 = sum_inverse(pair_1234, spec=base)
     K2 = sum_inverse(pair_1234, spec=shifted)
     assert operator_norm(K1 - K2) <= 1e-7
@@ -299,3 +296,23 @@ def test_dense_pair_split_pieces(dense_pair):
     assert _rel(Bw + sum(right), AK @ Bw) <= 1e-6
     left = split_integral_eval(dense_pair, theta, phi, t, 2, variant="left")
     assert _rel(sum(left), AK @ _power(A, -theta + 1j * t)) <= 1e-6
+
+
+def _laplacian(m):
+    return (m + 1) ** 2 * (2 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1))
+
+
+@pytest.mark.parametrize("A, B, theta_b", [
+    (_laplacian(8), 0.5 * np.exp(0.25j * np.pi) * _laplacian(8), 0.7 * np.pi),
+    (_laplacian(16) + 10.0 * 17 * (np.eye(16, k=1) - np.eye(16, k=-1)),
+     0.5 * np.exp(0.1j * np.pi) * (_laplacian(16) + 10.0 * 17 * (np.eye(16, k=1) - np.eye(16, k=-1))),
+     0.8 * np.pi),
+], ids=["laplacian-rotated", "convection-diffusion"])
+def test_sum_inverse_resolves_a_ray_near_the_spectrum(A, B, theta_b):
+    # K's ray at theta_B - 0.05 passes 0.21 rad (Laplacian, B certified at
+    # 0.7 pi) or, for the non-normal pair, about 0.1 rad from -sigma(B);
+    # the step set by that distance meets the residual gate
+    pair = CommutingPair(certified(A, 0.9 * np.pi), certified(B, theta_b))
+    K = sum_inverse(pair, tol=1e-6)
+    direct = np.linalg.inv(A + B)
+    assert operator_norm(K - direct) <= 1e-9 * operator_norm(direct)
