@@ -53,6 +53,9 @@ _TWO_PI_I = 2.0j * np.pi
 #: share of fit_contour's tol given to the step and to each ray end's cut
 _SHARE = 1.0 / 16.0
 
+#: the largest |log r| of a ray node: r, 1/r and their squares stay finite
+_S_MAX = 0.5 * math.log(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class ContourSpec:
@@ -66,7 +69,8 @@ class ContourSpec:
     flipped).  c, h, u_lo and u_hi are the ray rule: the map
     x = c + sinh u and the trapezoid nodes u_lo + k h' (k = 0..n), h' <= h
     the widest step that divides [u_lo, u_hi] evenly; fit_contour sets
-    them from the integrand.
+    them from the integrand.  The nodes stop where the radius would pass
+    e^{+-_S_MAX}; the tail estimate covers what lies beyond.
     """
 
     rho: float
@@ -134,10 +138,20 @@ def _ray_rule(spec: ContourSpec):
     and the outer end node, inf where it is unbounded."""
     if spec.R <= spec.rho:
         return None
-    n = max(2, math.ceil((spec.u_hi - spec.u_lo) / spec.h - 1e-9))
-    u = np.linspace(spec.u_lo, spec.u_hi, n + 1)
-    x = spec.c + np.sinh(u)
     a, b = _window(spec)
+    lo, hi = max(a, -_S_MAX), min(b, _S_MAX)
+    if not lo < hi:
+        raise InvalidContour(f"the rays of {spec} lie beyond radius e^(+-{_S_MAX:.0f})")
+    u_lo, u_hi = spec.u_lo, spec.u_hi
+    if lo > a:
+        u_lo = max(u_lo, math.asinh(float(np.real(_to_x(complex(lo), a, b))) - spec.c))
+    if hi < b:
+        u_hi = min(u_hi, math.asinh(float(np.real(_to_x(complex(hi), a, b))) - spec.c))
+    if not u_lo < u_hi:
+        raise InvalidContour(f"the ray rule of {spec} lies beyond radius e^(+-{_S_MAX:.0f})")
+    n = max(2, math.ceil((u_hi - u_lo) / spec.h - 1e-9))
+    u = np.linspace(u_lo, u_hi, n + 1)
+    x = spec.c + np.sinh(u)
     if math.isinf(a) and math.isinf(b):
         s, ds, rest = x, 1.0, (math.inf, math.inf)
     elif math.isinf(b):
