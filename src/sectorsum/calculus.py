@@ -267,6 +267,12 @@ class HolomorphicSymbol:
 
     decay = "h0":       |f| <= c (|lambda| / (1+|lambda|^2))^eta
     decay = "extended": |f| <= c |lambda|^eta / (1+|lambda|), eta in (0,1)
+
+    The default contour of :func:`hinf_apply` takes the evaluator to be
+    singular only at lambda = 1, as every builtin symbol is; for a symbol
+    singular elsewhere off the sector, pass a ``spec`` fitted to its
+    singular points (``contour.fit_contour``), or the ray rule's step may
+    not resolve them and no tail estimate reports it.
     """
 
     name: str
@@ -416,6 +422,11 @@ def hinf_apply(
     The operator must be certified strictly above the symbol angle, so
     the spectrum of -A stays inside the region the path encloses.  With
     ``with_info``, returns (value, DunfordResult).
+
+    Without ``spec``, :func:`hinf_contour` fits the ray rule to -sigma(A)
+    and to lambda = 1 as f's only singular point; for a symbol singular
+    elsewhere, pass a spec from ``contour.fit_contour`` with its
+    singular points among the poles.
     """
     if A.certified is None or A.angle() <= f.theta:
         raise ValueError(

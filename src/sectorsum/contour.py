@@ -52,7 +52,6 @@ _TWO_PI_I = 2.0j * np.pi
 
 #: share of fit_contour's tol given to the step and to each ray end's cut
 _SHARE = 1.0 / 16.0
-
 #: the largest |log r| of a ray node: r, 1/r and their squares stay finite
 _S_MAX = 0.5 * math.log(np.finfo(float).max)
 
@@ -69,8 +68,7 @@ class ContourSpec:
     flipped).  c, h, u_lo and u_hi are the ray rule: the map
     x = c + sinh u and the trapezoid nodes u_lo + k h' (k = 0..n), h' <= h
     the widest step that divides [u_lo, u_hi] evenly; fit_contour sets
-    them from the integrand.  The nodes stop where the radius would pass
-    e^{+-_S_MAX}; the tail estimate covers what lies beyond.
+    them from the integrand.
     """
 
     rho: float
@@ -133,21 +131,17 @@ def _to_x(s, a: float, b: float):
 
 
 def _ray_rule(spec: ContourSpec):
-    """(s, ds/du, step, rest) at the nodes of the spec's ray rule (None
-    without rays); rest is the log-radius window left beyond the inner
-    and the outer end node, inf where it is unbounded."""
+    """(s, ds/du, step, rest) at the ray rule's nodes (None without rays);
+    rest is the log-radius length left beyond each end node (inf if unbounded)."""
     if spec.R <= spec.rho:
         return None
     a, b = _window(spec)
-    lo, hi = max(a, -_S_MAX), min(b, _S_MAX)
-    if not lo < hi:
-        raise InvalidContour(f"the rays of {spec} lie beyond radius e^(+-{_S_MAX:.0f})")
-    u_lo, u_hi = spec.u_lo, spec.u_hi
-    if lo > a:
-        u_lo = max(u_lo, math.asinh(float(np.real(_to_x(complex(lo), a, b))) - spec.c))
-    if hi < b:
-        u_hi = min(u_hi, math.asinh(float(np.real(_to_x(complex(hi), a, b))) - spec.c))
-    if not u_lo < u_hi:
+    u_lo, u_hi = spec.u_lo, spec.u_hi   # stop at radius e^(+-_S_MAX); the tail covers the rest
+    if a < -_S_MAX < b:
+        u_lo = max(u_lo, math.asinh(_to_x(-_S_MAX, a, b) - spec.c))
+    if a < _S_MAX < b:
+        u_hi = min(u_hi, math.asinh(_to_x(_S_MAX, a, b) - spec.c))
+    if not (u_lo < u_hi and a < _S_MAX and b > -_S_MAX):
         raise InvalidContour(f"the ray rule of {spec} lies beyond radius e^(+-{_S_MAX:.0f})")
     n = max(2, math.ceil((u_hi - u_lo) / spec.h - 1e-9))
     u = np.linspace(u_lo, u_hi, n + 1)
@@ -155,11 +149,9 @@ def _ray_rule(spec: ContourSpec):
     if math.isinf(a) and math.isinf(b):
         s, ds, rest = x, 1.0, (math.inf, math.inf)
     elif math.isinf(b):
-        s, ds = a + np.logaddexp(0.0, x), _expit(x)
-        rest = (float(np.logaddexp(0.0, x[0])), math.inf)
+        s, ds, rest = a + np.logaddexp(0.0, x), _expit(x), (float(np.logaddexp(0.0, x[0])), math.inf)
     elif math.isinf(a):
-        s, ds = b - np.logaddexp(0.0, -x), _expit(-x)
-        rest = (math.inf, float(np.logaddexp(0.0, -x[-1])))
+        s, ds, rest = b - np.logaddexp(0.0, -x), _expit(-x), (math.inf, float(np.logaddexp(0.0, -x[-1])))
     else:
         s, ds = a + (b - a) * _expit(x), (b - a) * _expit(x) * _expit(-x)
         rest = (float((b - a) * _expit(x[0])), float((b - a) * _expit(-x[-1])))
@@ -167,8 +159,7 @@ def _ray_rule(spec: ContourSpec):
 
 
 def fit_contour(theta: float, poles, decay, magnitude: float, tol: float,
-                rho: float = 0.0, R: float = math.inf, n_arc: int = 0,
-                delta: float = 0.0) -> ContourSpec:
+                rho: float = 0.0, R: float = math.inf, n_arc: int = 0) -> ContourSpec:
     """The path at angle theta with its ray rule fitted to the integrand F.
 
     F is singular at ``poles`` (-sigma(A) for (A + lambda)^{-1}), lambda F
@@ -185,11 +176,11 @@ def fit_contour(theta: float, poles, decay, magnitude: float, tol: float,
     cut where its share of dunford's tail estimate, at the bound, is
     tol / 16.  InvalidContour when d < 1e-3: a pole on a ray, or no decay.
     """
-    base = ContourSpec(rho=rho, theta=theta, R=R, n_arc=n_arc, delta=delta)
+    base = ContourSpec(rho=rho, theta=theta, R=R, n_arc=n_arc)
     if R <= rho:
         return base
     a, b = _window(base)
-    decay, p = [complex(zeta) for zeta in decay], np.ravel(poles).astype(complex) - delta
+    decay, p = [complex(zeta) for zeta in decay], np.ravel(poles).astype(complex)
     p = p[p != 0]
     logr = np.log(np.abs(p))
     xs = np.real(_to_x(np.clip(logr, a + 1e-2, b - 1e-2).astype(complex), a, b))
@@ -213,8 +204,7 @@ def fit_contour(theta: float, poles, decay, magnitude: float, tol: float,
     def cut(end, sign):
         if math.isinf(end):     # M r^-eta / eta at the end node
             eta = decay[sign > 0].real
-            return float(np.real(_to_x(complex(sign * math.log(M / (eta * end_tol)) / eta),
-                                       a, b)))
+            return float(np.real(_to_x(complex(sign * math.log(M / (eta * end_tol)) / eta), a, b)))
         # the window left beyond the end node, times the bound there
         bound = M * math.exp(min(decay[0].real * end, -decay[1].real * end))
         length = min(end_tol / bound, 1.0)
@@ -271,17 +261,13 @@ def _nodes(spec: ContourSpec, rule) -> tuple[np.ndarray, np.ndarray]:
         w_parts.append(-w * 1j * lam / _TWO_PI_I)
     if rule is not None:
         s, ds, step, _ = rule
-        # d lambda = lambda (ds/du) du; per node the upper ray (outward),
-        # then the lower ray (inward)
+        # d lambda = lambda (ds/du) du; per node the upper ray (out), then the lower (in)
         r = np.exp(s)[:, None]
         d = np.exp([1j * spec.theta, -1j * spec.theta])
         lam_parts.append((r * d).reshape(-1))
         w_parts.append(((step * ds)[:, None] * r * d * [1.0, -1.0] / _TWO_PI_I).reshape(-1))
-    lam = np.concatenate(lam_parts) + spec.delta
     w = np.concatenate(w_parts)
-    if spec.orientation == "negated":
-        w = -w
-    return lam, w
+    return np.concatenate(lam_parts) + spec.delta, (-w if spec.orientation == "negated" else w)
 
 
 @dataclass

@@ -40,7 +40,6 @@ one scalar step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,24 +243,11 @@ def _cauchy_step_matrices(A: np.ndarray, h: float):
 def _cauchy_step_scalars(d, h: float):
     """(z, c_cur, c_next) for A = diag(d): z = h d, so that each
     eigenvalue steps as f_{i+1} = e^{-z} f_i + c_cur g_i + c_next g_{i+1},
-    with c_cur = h (phi_1 - phi_2)(x) and c_next = h phi_2(x) at x = -z as
-    in :func:`_cauchy_step_matrices`, in closed form:
-    (phi_1 - phi_2)(x) = (e^x (x - 1) + 1) / x^2 and phi_2(x) =
-    (expm1(x) - x) / x^2, and below |x| = 1, where these cancel, their
-    18-term Taylor series sum_j x^j (j + 1) / (j + 2)! and
-    sum_j x^j / (j + 2)!."""
-    z = h * np.asarray(d, dtype=complex)
-    x = -z.reshape(-1)
-    small = np.abs(x) < 1.0
-    xs = np.where(small, 1.0, x)
-    cur = (np.exp(xs) * (xs - 1.0) + 1.0) / (xs * xs)
-    nxt = (np.expm1(xs) - xs) / (xs * xs)
-    t1, t2 = np.zeros(small.sum(), dtype=complex), np.zeros(small.sum(), dtype=complex)
-    for j in range(17, -1, -1):         # Horner, highest power first
-        t1 = t1 * x[small] + (j + 1) / math.factorial(j + 2)
-        t2 = t2 * x[small] + 1.0 / math.factorial(j + 2)
-    cur[small], nxt[small] = t1, t2
-    return z, h * cur.reshape(z.shape), h * nxt.reshape(z.shape)
+    with c_cur and c_next from :func:`_cauchy_step_matrices` of the 1 x 1
+    blocks (one batched 3 x 3 exponential, never a 3n x 3n one)."""
+    d = np.asarray(d, dtype=complex)
+    _, c_cur, c_next = _cauchy_step_matrices(d[..., None, None], h)
+    return h * d, c_cur[..., 0, 0], c_next[..., 0, 0]
 
 
 def _scan(z, x: np.ndarray) -> np.ndarray:

@@ -147,8 +147,9 @@ def test_path_shift_invariance():
     # holomorphic between the base path and the left-shifted, slightly
     # narrowed one, so both quadratures agree
     exact = np.diag([1.0, 3.0 ** -0.5])
-    a, b = (dunford(fit_contour(theta, [-1.0, -3.0], (0.5, 0.5), 2.0, 1e-10, rho=0.25,
-                                n_arc=20, delta=delta), _diag13_integrand, 0.5).value
+    a, b = (dunford(replace(fit_contour(theta, [-1.0, -3.0], (0.5, 0.5), 2.0, 1e-10,
+                                        rho=0.25, n_arc=20), delta=delta),
+                    _diag13_integrand, 0.5).value
             for theta, delta in ((0.7 * np.pi, 0.0), (0.7 * np.pi - 0.05, -0.1)))
     assert np.linalg.norm(a - b, 2) < 2e-8
     assert np.linalg.norm(a - exact, 2) < 1e-8
@@ -383,6 +384,10 @@ def test_build_nodes_matches_reference_loop(spec):
     lam, w = build_nodes(spec)
     ref_lam, ref_w = _reference_nodes(spec)
     assert lam.dtype == w.dtype == np.complex128
+    if spec.R <= spec.rho:      # the arc alone: the same Gauss-Legendre code, bit for bit
+        assert np.array_equal(lam, ref_lam) and np.array_equal(w, ref_w)
+        return
+    # the ray map evaluates with numpy here and with math in the loop
     np.testing.assert_allclose(lam, ref_lam, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(w, ref_w, rtol=1e-13, atol=0.0)
 

@@ -12,7 +12,6 @@ from sectorsum import (
     deriv_resolvent_bound_check,
     extend_operator_to_lp,
     generate,
-    laplacian_eigenvalues,
     maxreg_constant,
     p_independence_probe,
     solve_cauchy,
@@ -22,7 +21,6 @@ from sectorsum.errors import DimensionMismatch
 from sectorsum.maxreg import (
     _CauchyStepper,
     _cauchy_step_matrices,
-    _cauchy_step_scalars,
     _time_derivative_adjoint,
     deriv_resolvent_matrix,
     grid_operator_norm,
@@ -103,21 +101,6 @@ def test_deriv_resolvent_coefficients_near_small_step():
         # M[1] = (c_cur, c_next, 0, ...), M[2, 0] = E c_cur
         for got, ref in zip([M[1, 0], M[1, 1], M[2, 0]], want):
             assert abs(got - ref) <= 1e-14 * abs(ref)
-
-
-def test_step_scalars_match_the_batched_exponential():
-    # the closed form against the batched 3 x 3 exponentials it replaced,
-    # on the Laplacian spectra and grids of maxreg_constant and on a ring
-    # of complex steps across the Taylor switch at |h d| = 1
-    ring = np.outer([0.5, 0.999, 1.0, 1.001, 2.0], np.exp(1j * np.linspace(-1.4, 1.4, 9)))
-    cases = [(laplacian_eigenvalues(m).astype(complex), 1.0 / nt)
-             for m, nt in ((8, 64), (48, 256), (128, 2048))] + [(ring.reshape(-1) / 0.1, 0.1)]
-    for d, h in cases:
-        z, c_cur, c_next = _cauchy_step_scalars(d, h)
-        _, C_cur, C_next = _cauchy_step_matrices(d[:, None, None], h)
-        assert np.array_equal(z, h * d)
-        for got, want in ((c_cur, C_cur[:, 0, 0]), (c_next, C_next[:, 0, 0])):
-            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
 
 def test_young_bound_examples():
@@ -354,13 +337,14 @@ def expm_calls(monkeypatch):
 
 
 def test_one_expm_per_maxreg_constant(expm_calls):
-    # a non-normal operator takes its step matrices from one block exponential
-    maxreg_constant(MatrixOperator(convection_diffusion(m=8)), TimeGrid(1.0, 64))
+    L = generate("laplacian-1d", m=8)
+    maxreg_constant(L, TimeGrid(1.0, 64))
     assert len(expm_calls) == 1
 
 
 def test_one_expm_per_p_independence_probe(expm_calls):
-    p_independence_probe(MatrixOperator(convection_diffusion(m=8)), 1.0, 64)
+    L = generate("laplacian-1d", m=8)
+    p_independence_probe(L, 1.0, 64)
     assert len(expm_calls) == 1
 
 
@@ -369,13 +353,13 @@ def test_one_expm_per_p_independence_probe(expm_calls):
                          ids=["maxreg_constant", "p_independence_probe"])
 @pytest.mark.parametrize("normal", [True, False], ids=["laplacian", "conv-diff"])
 def test_block_exponentials_by_shape(expm_calls, entry, normal):
-    # a normal operator steps on its eigenvalues with closed-form step
-    # scalars and no exponential; any other takes the 3n x 3n block
+    # a normal operator steps on its eigenvalues: one batched 3 x 3
+    # exponential and never the 3n x 3n block; any other takes that block
     # exactly once per (A, dt)
     m = 8
     A = generate("laplacian-1d", m=m) if normal else MatrixOperator(convection_diffusion(m=m))
     entry(A)
-    assert expm_calls == ([] if normal else [(3 * m, 3 * m)])
+    assert expm_calls == [(m, 3, 3) if normal else (3 * m, 3 * m)]
 
 
 @pytest.mark.parametrize("m", [16, 48])
