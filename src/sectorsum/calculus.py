@@ -137,7 +137,7 @@ class ImaginaryPowerFamily:
     """Precomputed quadrature data for t -> A^{it}, |t| <= t_max.
 
     A^{it} = A A^{-1+it}, and A^{-1+it} = sum_k w_k (-lam_k)^{-1+it}
-    (A + lam_k)^{-1} over power_contour(A, -1 + i t_max, tol): the arc,
+    (A + lam_k)^{-1} over power_contour(A, -1 + i t_max, 1e-10): the arc,
     the lower ray inward, the upper ray outward, the rays in panels
     uniform in s = log r and no wider than min(0.8, 6 / t_max).  ``table``
     holds the resolvents at the nodes ``lam`` in A's unitary basis.  Node
@@ -146,10 +146,10 @@ class ImaginaryPowerFamily:
     e^{-+t (pi - theta)}: a t costs n_panel + 10 + n_arc exponentials.
     """
 
-    def __init__(self, A: MatrixOperator, t_max: float = 8.0, tol: float = 1e-10):
+    def __init__(self, A: MatrixOperator, t_max: float = 8.0):
         self.A = A
         self.t_max = float(t_max)
-        spec = power_contour(A, -1.0 + 1j * self.t_max, tol)
+        spec = power_contour(A, -1.0 + 1j * self.t_max, 1e-10)
         self._decay = np.pi - spec.theta
         lam, w = build_nodes(spec)
         arc, arc_w = lam[:spec.n_arc], w[:spec.n_arc]
@@ -209,11 +209,10 @@ class ImaginaryPowerFamily:
         return res
 
 
-def imaginary_power(A: MatrixOperator, t: float, t_max: float | None = None) -> np.ndarray:
-    """A^{it} on the contour of complex_power (one-shot; build an
-    ImaginaryPowerFamily for many t)."""
-    fam = ImaginaryPowerFamily(A, t_max=t_max or max(abs(t), 1.0))
-    return fam.at(t)
+def imaginary_power(A: MatrixOperator, t: float) -> np.ndarray:
+    """A^{it} on the contour of complex_power, sized for max(|t|, 1)
+    (one-shot; build an ImaginaryPowerFamily for many t)."""
+    return ImaginaryPowerFamily(A, t_max=max(abs(t), 1.0)).at(t)
 
 
 @dataclass
@@ -308,30 +307,26 @@ class HolomorphicSymbol:
         return self.eta
 
 
-def _offsector_samples(theta: float, n_r: int = 60, n_ang: int = 17) -> np.ndarray:
-    radii = np.unique(np.concatenate([np.geomspace(1e-8, 1e8, n_r), [1.0]]))
-    angles = np.linspace(theta, 2.0 * np.pi - theta, n_ang)
+def _offsector_samples(theta: float) -> np.ndarray:
+    """The standard off-sector grid: 60 log-spaced radii in [1e-8, 1e8]
+    and radius 1, on 17 angles from theta to 2 pi - theta."""
+    radii = np.unique(np.concatenate([np.geomspace(1e-8, 1e8, 60), [1.0]]))
+    angles = np.linspace(theta, 2.0 * np.pi - theta, 17)
     return np.multiply.outer(radii, np.exp(1j * angles)).reshape(-1)
 
 
-def symbol_class_check(
-    f: HolomorphicSymbol,
-    theta: float | None = None,
-    n_r: int = 60,
-    n_ang: int = 17,
-) -> dict:
-    """Verify |f| against its declared envelope on a log-polar grid off
-    the sector.  Returns the check record; raises ClassViolated with the
-    offending point when the inequality fails."""
-    theta = f.theta if theta is None else theta
-    lam = _offsector_samples(theta, n_r, n_ang)
+def symbol_class_check(f: HolomorphicSymbol) -> dict:
+    """Verify |f| against its declared envelope on the standard log-polar
+    grid off the sector at f.theta.  Returns the check record; raises
+    ClassViolated with the offending point when the inequality fails."""
+    lam = _offsector_samples(f.theta)
     vals = np.abs(f(lam))
     env = f.envelope(lam)
     ratio = vals / np.maximum(env, 1e-300)
     worst = int(np.argmax(ratio))
     record = {
         "symbol": f.name,
-        "theta": theta,
+        "theta": f.theta,
         "decay": f.decay,
         "c": f.c,
         "eta": f.eta,
@@ -440,21 +435,16 @@ def hinf_apply(
     return (info.value, info) if with_info else info.value
 
 
-def hinf_constant(
-    A: MatrixOperator,
-    theta: float,
-    family: Sequence[HolomorphicSymbol],
-    tol: float = 1e-9,
-) -> float:
-    """Sampled lower bound for the calculus constant:
-    max over the family of ||f(-A)|| / sup |f|."""
+def hinf_constant(A: MatrixOperator, family: Sequence[HolomorphicSymbol]) -> float:
+    """Sampled lower bound for the calculus constant: max over the
+    family of ||f(-A)|| / sup |f|, each symbol at its own angle."""
     family = list(family)
     if not family:
         raise ValueError("hinf_constant needs a nonempty symbol family")
     best = 0.0
     for f in family:
         symbol_class_check(f)
-        fA = hinf_apply(f, A, tol=tol, check_class=False)
+        fA = hinf_apply(f, A, check_class=False)
         sup_f = float(np.max(np.abs(f(_offsector_samples(f.theta)))))
         best = max(best, linops.operator_norm(fA) / max(sup_f, 1e-300))
     return best

@@ -58,25 +58,21 @@ _S_MAX = 0.5 * math.log(np.finfo(float).max)
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """A (possibly shifted) sector-boundary path and its quadrature.
+    """A sector-boundary path and its quadrature.
 
     rho is the arc radius (0 collapses the arc), theta in (0, pi) the ray
     angle, R the rays' outer end (inf by default), n_arc the arc's
     Gauss-Legendre node count (0 when rho == 0; 0 with rho > 0 leaves the
-    radial window [rho, R] of the rays alone), delta an additive shift of
-    the whole path, and orientation "standard" or "negated" (every weight
-    flipped).  c, h, u_lo and u_hi are the ray rule: the map
-    x = c + sinh u and the trapezoid nodes u_lo + k h' (k = 0..n), h' <= h
-    the widest step that divides [u_lo, u_hi] evenly; fit_contour sets
-    them from the integrand.
+    radial window [rho, R] of the rays alone).  c, h, u_lo and u_hi are
+    the ray rule: the map x = c + sinh u and the trapezoid nodes
+    u_lo + k h' (k = 0..n), h' <= h the widest step that divides
+    [u_lo, u_hi] evenly; fit_contour sets them from the integrand.
     """
 
     rho: float
     theta: float
     R: float = math.inf
     n_arc: int = 16
-    delta: float = 0.0
-    orientation: str = "standard"
     c: float = 0.0
     h: float = 0.125
     u_lo: float = -4.0
@@ -93,15 +89,10 @@ class ContourSpec:
             raise InvalidContour("degenerate rays need arc nodes")
         if self.rho == 0.0 and self.n_arc != 0:
             raise InvalidContour("rho = 0 admits no arc nodes")
-        if self.orientation not in ("standard", "negated"):
-            raise InvalidContour(f"unknown orientation {self.orientation!r}")
         if not (self.h > 0 and self.u_lo < self.u_hi):
             raise InvalidContour(f"the ray rule needs h > 0 and u_lo < u_hi: {self}")
         if self.rho > 0 and self.n_arc and self.n_arc < 4:
             raise InvalidContour("n_arc must be at least 4 when the arc is present")
-
-    def with_orientation(self, orientation: str) -> "ContourSpec":
-        return replace(self, orientation=orientation)
 
     def to_dict(self) -> dict:  # an unbounded R is null: JSON has no inf
         return asdict(self) | {"R": self.R if math.isfinite(self.R) else None}
@@ -243,8 +234,7 @@ def build_nodes(spec: ContourSpec) -> tuple[np.ndarray, np.ndarray]:
     node of the ray rule (u increasing) the upper ray and the lower ray.
 
     Weights carry the positive-orientation signs (lower ray inward, arc
-    with decreasing angle, upper ray outward) and the 1/(2 pi i) factor;
-    a negated spec flips all of them.
+    with decreasing angle, upper ray outward) and the 1/(2 pi i) factor.
     """
     return _nodes(spec, _ray_rule(spec))
 
@@ -266,8 +256,7 @@ def _nodes(spec: ContourSpec, rule) -> tuple[np.ndarray, np.ndarray]:
         d = np.exp([1j * spec.theta, -1j * spec.theta])
         lam_parts.append((r * d).reshape(-1))
         w_parts.append(((step * ds)[:, None] * r * d * [1.0, -1.0] / _TWO_PI_I).reshape(-1))
-    w = np.concatenate(w_parts)
-    return np.concatenate(lam_parts) + spec.delta, (-w if spec.orientation == "negated" else w)
+    return np.concatenate(lam_parts), np.concatenate(w_parts)
 
 
 @dataclass
@@ -355,7 +344,6 @@ def pv_integral(
     kernel: Callable[[np.ndarray], np.ndarray],
     cutoff: float,
     n_nodes: int = 200,
-    asym_rtol: float = 1e-6,
 ) -> np.ndarray:
     """Principal value of integral over [-cutoff, cutoff] of a kernel with a
     single simple odd singularity at s = 0.
@@ -368,7 +356,8 @@ def pv_integral(
     Raises
     ------
     AsymmetryDetected
-        If s*kernel(s) and -s*kernel(-s) disagree as s -> 0, i.e. the
+        If s*kernel(s) and -s*kernel(-s) disagree as s -> 0 (by more than
+        1e-6 relative at the finer probe, not shrinking with s), i.e. the
         divergent part is not odd.
     """
     # the mirrored pair kernel(s) + kernel(-s) is regular at 0 (the odd
@@ -388,7 +377,7 @@ def pv_integral(
     cm = -probes[:, None] * values[2:4].reshape(2, -1)
     scale = float(np.linalg.norm(cp, axis=1).max())
     resids = np.linalg.norm(cp - cm, axis=1)
-    if resids[1] > asym_rtol * max(scale, 1.0) and resids[1] > 0.5 * resids[0]:
+    if resids[1] > 1e-6 * max(scale, 1.0) and resids[1] > 0.5 * resids[0]:
         raise AsymmetryDetected(
             f"divergent part not odd: residuals {resids[0]:.3e}, {resids[1]:.3e} "
             f"do not vanish toward s = 0"

@@ -118,6 +118,14 @@ def _field(cfg: dict, key: str, kind, default, lo=None, hi=None, strict=False):
     return value
 
 
+def _angle(cfg: dict, key: str):
+    """The certification angle cfg[key], in [0, pi), or None when absent."""
+    theta = _field(cfg, key, float, None)
+    if theta is not None and not 0.0 <= theta < np.pi:
+        raise ConfigInvalid(f"invalid {key!r}: {cfg[key]!r} outside [0, pi)")
+    return theta
+
+
 def _integer(v) -> int:
     """int(v) for an integral value: 2.5 is a config error, not 2."""
     if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
@@ -231,7 +239,7 @@ _SAMPLING_KEYS = {f.name for f in dataclasses.fields(SectorSampling)}
 
 
 def _certify(cfg, seed, out_dir):
-    theta = _field(cfg, "theta", float, None)
+    theta = _angle(cfg, "theta")
     raw = cfg.get("sampling", {})
     if not isinstance(raw, dict):
         raise ConfigInvalid("sampling must be a JSON object")
@@ -253,7 +261,7 @@ def _certify(cfg, seed, out_dir):
 
 
 def _power(cfg, seed, out_dir):
-    op = _load_operator(cfg, theta=_field(cfg, "theta", float, None), seed=seed)
+    op = _load_operator(cfg, theta=_angle(cfg, "theta"), seed=seed)
     z = complex(_field(cfg, "re", float, -0.5, hi=0.0, strict=True), _field(cfg, "im", float, 0.0))
     value, info = calculus.complex_power(op, z, with_info=True)
     return CertificateReport(
@@ -270,7 +278,8 @@ def _power(cfg, seed, out_dir):
 
 
 def _hinf(cfg, seed, out_dir):
-    theta = _field(cfg, "theta", float, np.pi / 2, lo=0.0, hi=np.pi, strict=True)
+    # certified at min(0.95 pi, theta + 0.3), strictly above the symbol angle
+    theta = _field(cfg, "theta", float, np.pi / 2, lo=0.0, hi=0.95 * np.pi, strict=True)
     op = _load_operator(cfg, theta=min(0.95 * np.pi, theta + 0.3), seed=seed)
     registry = calculus.builtin_symbols(theta)
     name = cfg["symbol"]
@@ -289,7 +298,7 @@ def _hinf(cfg, seed, out_dir):
 def _sum(cfg, seed, out_dir):
     # both sides share the seed: commuting-pair recipes build A and B on
     # one seeded basis
-    theta_a, theta_b = (_field(cfg, key, float, None) for key in ("theta_a", "theta_b"))
+    theta_a, theta_b = (_angle(cfg, key) for key in ("theta_a", "theta_b"))
     A = _load_operator(cfg, "matrix_a", "recipe_a", theta=theta_a, seed=seed)
     B = _load_operator(cfg, "matrix_b", "recipe_b", theta=theta_b, seed=seed)
     pair = sums.CommutingPair(A, B)
@@ -323,7 +332,7 @@ def _sum(cfg, seed, out_dir):
 
 
 def _tsector(cfg, seed, out_dir):
-    op = _load_operator(cfg, theta=_field(cfg, "theta", float, None), seed=seed)
+    op = _load_operator(cfg, theta=_angle(cfg, "theta"), seed=seed)
     phi = _field(cfg, "phi", float, 0.0, lo=-op.angle(), hi=op.angle())
     r = _field(cfg, "r", float, 1.0, lo=np.exp(-1.0), hi=1.0)
     p = _field(cfg, "p", float, 2.0, lo=1.0)

@@ -399,6 +399,8 @@ def read_matrix(path) -> np.ndarray:
     if not lines:
         raise ValueError(f"{path}: empty matrix file")
     n = int(lines[0])
+    if n < 1:
+        raise ValueError(f"{path}: matrix size {n} is not positive")
     if len(lines) != n + 1:
         raise ValueError(f"{path}: expected {n} rows, found {len(lines) - 1}")
     rows = []

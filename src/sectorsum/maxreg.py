@@ -93,12 +93,10 @@ class TimeGrid:
 
 @dataclass
 class GridFunction:
-    """Vector-valued samples on a TimeGrid; `zero_start` tags membership
-    in the derivative operator's domain {f(0) = 0}."""
+    """Vector-valued samples on a TimeGrid, one row per node."""
 
     grid: TimeGrid
     values: np.ndarray
-    zero_start: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -120,7 +118,7 @@ class GridFunction:
         return float(np.sum(self.grid.weights() * pointwise ** p) ** (1.0 / p))
 
     def map_values(self, fn) -> "GridFunction":
-        return GridFunction(self.grid, fn(self.values), zero_start=self.zero_start)
+        return GridFunction(self.grid, fn(self.values))
 
 
 # ------------------------------------------------- scalar derivative resolvent
@@ -130,7 +128,7 @@ def deriv_resolvent(lam: complex, g: GridFunction) -> GridFunction:
     """(B + lam)^{-1} g: the causal convolution with e^{lam(x-t)},
     integrated exactly against the piecewise-linear interpolant of g."""
     out = _scalar_sweep(_cauchy_step_scalars(complex(lam), g.grid.dt), g.values)
-    return GridFunction(g.grid, out, zero_start=True)
+    return GridFunction(g.grid, out)
 
 
 def deriv_resolvent_matrix(lam: complex, grid: TimeGrid) -> np.ndarray:
@@ -147,14 +145,13 @@ def young_bound(lam: complex, tau: float) -> float:
     return float((1.0 - np.exp(-re * tau)) / re)
 
 
-def grid_operator_norm(M: np.ndarray, grid: TimeGrid, p: float | None = None,
-                       n_iter: int = 40) -> float:
-    """Operator norm on L^p(0,tau) of a node-value matrix.
+def grid_operator_norm(M: np.ndarray, grid: TimeGrid) -> float:
+    """Operator norm on L^p(0,tau), p = grid.p, of a node-value matrix.
 
-    p = 2 is exact (weighted SVD); other p via Boyd's power-type
-    iteration with the dual-exponent signum map.
+    p = 2 is exact (weighted SVD); other p via 40 steps of Boyd's
+    power-type iteration with the dual-exponent signum map.
     """
-    p = p or grid.p
+    p = grid.p
     w = grid.weights()
     if abs(p - 2.0) < 1e-12:
         ws = np.sqrt(w)
@@ -164,7 +161,7 @@ def grid_operator_norm(M: np.ndarray, grid: TimeGrid, p: float | None = None,
     x = rng.standard_normal(M.shape[1]) + 0j
     x /= np.sum(w * np.abs(x) ** p) ** (1.0 / p)
     best = 0.0
-    for _ in range(n_iter):
+    for _ in range(40):
         y = M @ x
         ny = np.sum(w * np.abs(y) ** p) ** (1.0 / p)
         best = max(best, float(ny))
@@ -391,7 +388,7 @@ def solve_cauchy(A: MatrixOperator, g: GridFunction) -> GridFunction:
     """f(t) = int_0^t e^{(x-t)A} g(x) dx on the grid, by exact exponential
     integration of the piecewise-linear interpolant (f(0) = 0)."""
     f = _CauchyStepper(A.matrix, g.grid.dt, A.normal_basis()).forward(g.values)
-    return GridFunction(g.grid, f, zero_start=True)
+    return GridFunction(g.grid, f)
 
 
 def solve_cauchy_adjoint(A: MatrixOperator, h: GridFunction) -> GridFunction:
@@ -524,7 +521,7 @@ def _probe_report(grid: TimeGrid, probes, stepper: _CauchyStepper) -> MaxRegRepo
         ng = g.lp_norm()
         if ng == 0.0:
             raise ValueError(f"probe {label!r} is zero")
-        f = GridFunction(grid, stepper.sweep(stepper.to_basis(g.values)), zero_start=True)
+        f = GridFunction(grid, stepper.sweep(stepper.to_basis(g.values)))
         fp = time_derivative(f)
         af = f.map_values(stepper.apply)
         labels.append(label)

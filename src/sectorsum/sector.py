@@ -8,10 +8,10 @@ and (1 + |z|) ||(A + z)^{-1}|| <= K held.  The supremum over the
 unbounded sector is sampled on the boundary rays with log-spaced radii
 plus an interior polar grid; since (1+|z|)||(A+z)^{-1}|| -> 1 as
 |z| -> infinity for matrices, a finite radial range suffices.  The
-certificate keeps only (theta, K-hat) and the sampling grid; where the
-sup was attained and the values at r_min/r_max are not recorded.
-K-hat is therefore a lower bound for the true constant, reported with
-its grid so re-checks are reproducible.
+certificate keeps only (theta, K-hat); the sampling grid, where the sup
+was attained and the values at r_min/r_max are not recorded.  K-hat is
+therefore a lower bound for the true constant; the certify pipeline
+reports it with its grid so re-checks are reproducible.
 
 Every resolvent norm is taken as 1/sigma_min(A + z), for all sampled
 shifts at once (:func:`linops.resolvent_norms`); no inverse is formed.
@@ -101,14 +101,13 @@ class SectorSampling:
 class MatrixOperator:
     """Dense operator with cached sector metadata.
 
-    `certified` records the last successful certification; `sampling`
-    the grid it was obtained on.  The norms, the normal basis and the
-    Schur form are computed on first use and cached.
+    `certified` records the last successful certification.  The norms,
+    the normal basis and the Schur form are computed on first use and
+    cached.
     """
 
     matrix: np.ndarray
     certified: SectorSpec | None = None
-    sampling: SectorSampling | None = None
     _norm: float | None = field(default=None, repr=False)
     _inv_norm: float | None = field(default=None, repr=False)
     # linops.normal_basis verdict, None included, once _basis_known is set
@@ -211,7 +210,6 @@ def certify_sector(
     k_hat = max(float(np.max(values)), 1.0)
     if attach:
         A.certified = SectorSpec(theta=theta, K=k_hat)
-        A.sampling = sampling
     return k_hat
 
 
@@ -242,14 +240,14 @@ def extended_sector_check(
     spec: SectorSpec,
     sampling: SectorSampling | None = None,
     n_disk: int = 12,
-    slack: float = 1e-9,
 ) -> ExtensionCheck:
     """Verify (1+|z|) ||(A+z)^{-1}|| <= 2K+1 on the disk-thickened sector.
 
     Around each sampled lambda in Lambda_theta the disk of radius
     (1+|lambda|)/(2K) is probed on its boundary circle.  A violation
-    (or an unresolvable z) raises ExtensionViolated, which flags that A
-    was certified with an understated K.
+    beyond a relative 1e-9 (or an unresolvable z) raises
+    ExtensionViolated, which flags that A was certified with an
+    understated K.
     """
     if n_disk < 1:
         raise ValueError(f"n_disk must be >= 1, got {n_disk}")
@@ -263,7 +261,7 @@ def extended_sector_check(
         for lam in sampling.points(spec.theta)
     ])
     values = (1.0 + np.abs(pts)) * linops.resolvent_norms(A.matrix, pts, A.normal_basis())
-    violations = np.flatnonzero(np.isinf(values) | (values > bound * (1.0 + slack)))
+    violations = np.flatnonzero(np.isinf(values) | (values > bound * (1.0 + 1e-9)))
     if violations.size:
         z, val = complex(pts[violations[0]]), values[violations[0]]
         if val == np.inf:
@@ -294,10 +292,9 @@ def decay_probe(
     eta: float,
     theta_prime: float,
     y,
-    sampling: SectorSampling | None = None,
 ) -> float:
     """Sampled sup of ||z^eta A (A+z)^{-1} x|| over Lambda_theta', where
-    x = A^{-phi} y.
+    x = A^{-phi} y, on the standard SectorSampling (radii up to 1e6).
 
     The sup must stabilize before the radial horizon: if the outermost
     decade [r_max/10, r_max] dominates everything below it by more than
@@ -309,15 +306,7 @@ def decay_probe(
         raise ValueError(f"eta must lie in [0, phi), got eta={eta}, phi={phi}")
     if A.certified is None or theta_prime >= A.angle():
         raise ValueError("theta_prime must be below the certified angle of A")
-    sampling = sampling or SectorSampling(r_max=1e6)
-    if sampling.r_max < 1e6:
-        sampling = SectorSampling(
-            n_boundary=sampling.n_boundary,
-            n_angles=sampling.n_angles,
-            r_min=sampling.r_min,
-            r_max=1e6,
-            interior_density=sampling.interior_density,
-        )
+    sampling = SectorSampling()
 
     from .calculus import complex_power  # deferred: calculus builds on this module
 

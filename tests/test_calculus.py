@@ -242,26 +242,26 @@ def test_hinf_angle_contract():
 def test_hinf_constant_identity_bound():
     A = certified(np.eye(2), 0.9 * np.pi)
     family = list(builtin_symbols(np.pi / 2).values())
-    c = hinf_constant(A, np.pi / 2, family)
+    c = hinf_constant(A, family)
     # for A = I each ||f(-A)|| equals |f(-1)| <= sup |f|
     assert c <= 1.0 + 1e-6
 
 
 def test_hinf_constant_normal_oracle(diag14):
     family = list(builtin_symbols(np.pi / 2).values())
-    c = hinf_constant(diag14, np.pi / 2, family)
+    c = hinf_constant(diag14, family)
     assert c <= 1.0 + 1e-6
     assert c > 0.1
 
 
 def test_hinf_constant_empty_family(diag14):
     with pytest.raises(ValueError):
-        hinf_constant(diag14, np.pi / 2, [])
+        hinf_constant(diag14, [])
 
 
 def test_hinf_operators_have_bounded_imaginary_powers(diag14):
     family = list(builtin_symbols(np.pi / 2).values())
-    assert np.isfinite(hinf_constant(diag14, np.pi / 2, family))
+    assert np.isfinite(hinf_constant(diag14, family))
     fit = bip_fit(diag14, t_max=2.0, n_t=9)
     assert np.isfinite(fit.M) and np.isfinite(fit.phi)
 

@@ -315,8 +315,8 @@ def test_run_sum_honours_zero_angle(tmp_path):
         run_experiment(cfg, str(tmp_path))
 
 
-@pytest.mark.parametrize("content", [None, "2\n1+0i,0+0i\n0+0i,two+0i\n"],
-                         ids=["missing", "malformed"])
+@pytest.mark.parametrize("content", [None, "2\n1+0i,0+0i\n0+0i,two+0i\n", "0\n"],
+                         ids=["missing", "malformed", "zero-size"])
 def test_cli_bad_matrix_file_exits_2(tmp_path, capsys, content):
     mpath = tmp_path / "m.csv"
     if content is not None:
@@ -353,6 +353,32 @@ def test_cli_hinf_theta_out_of_range_exits_2(tmp_path, capsys, monkeypatch, thet
             "theta": float(theta)})]
     assert cli_main(["--out", str(tmp_path), *args]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# certification angles outside [0, pi), and a symbol angle at which
+# hinf's certification angle min(0.95 pi, theta + 0.3) is not above it
+BAD_ANGLES = {
+    "certify-4.0": ["certify-sector", "--matrix", "m.csv", "--theta", "4.0"],
+    "certify-negative": ["certify-sector", "--matrix", "m.csv", "--theta", "-1"],
+    "power-4.0": ["power", "--matrix", "m.csv", "--re", "-0.5", "--theta", "4.0"],
+    "tsector-3.5": ["t-sector", "--matrix", "m.csv", "--theta", "3.5"],
+    "sum-theta-a-4.0": ["sum-inverse", "--matrix-a", "m.csv", "--matrix-b", "m.csv",
+                        "--theta-a", "4.0", "--theta-b", "2.0"],
+    "hinf-3.0": ["hinf", "--matrix", "m.csv", "--symbol", "rational-eta", "--theta", "3.0"],
+    "run-power-3.2": {"pipeline": "power", "matrix": "m.csv", "theta": 3.2},
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ANGLES))
+def test_cli_angle_out_of_range_exits_2(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    write_matrix("m.csv", np.diag([1.0, 2.0]).astype(complex))
+    args = BAD_ANGLES[case]
+    if isinstance(args, dict):
+        args = ["run", "--config", _write_config(tmp_path / "cfg.json", args)]
+    assert cli_main(["--out", str(tmp_path), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
 
 
 BAD_GRIDS = [("tau", "nan"), ("tau", "inf"), ("tau", "0"), ("nt", "8"), ("p", "1.0")]

@@ -105,7 +105,7 @@ def test_normal_pair_integrals_resolve_no_matrix(monkeypatch):
 
 
 def test_loosely_commuting_pair_keeps_two_bases():
-    # commutes to 1e-14, inside commute_tolerance, but its lower triangles
+    # commutes to 1e-14, inside COMMUTE_TOLERANCE, but its lower triangles
     # in the Schur basis of A + gamma B are well above rounding
     pair = CommutingPair(certified(np.diag([1.0, 2.0, 2.5]), 0.9 * np.pi),
                          certified(np.diag([3.0, 4.0, 5.0]) + 1e-12 * np.ones((3, 3)), 0.9 * np.pi))

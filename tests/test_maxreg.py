@@ -49,7 +49,6 @@ def test_deriv_resolvent_plain_integration():
     grid = TimeGrid(1.0, 256)
     f = deriv_resolvent(0.0, ones(grid))
     assert np.abs(f.values[:, 0] - grid.times()).max() < 1e-14
-    assert f.zero_start
 
 
 def test_deriv_resolvent_exponential_kernel():

@@ -20,7 +20,7 @@ from sectorsum import (
 from sectorsum.errors import SingularShift
 from sectorsum.linops import ShiftedFactorization, operator_norm
 from sectorsum.sums import sum_contour
-from sectorsum.contour import build_nodes, gauss_panels
+from sectorsum.contour import build_nodes, fit_contour, gauss_panels
 from conftest import certified
 
 
@@ -126,10 +126,13 @@ def test_identity_coherence_over_w(pair_1234):
 
 
 def test_sum_inverse_path_shift_invariance(pair_1234):
+    # K's integrand is holomorphic between the default path and a narrower
+    # one with an arc inside the nearest pole -sigma(B) = -3, so both agree
     base = sum_contour(pair_1234)
-    shifted = replace(base, theta=base.theta - 0.05, delta=0.1)
+    moved = fit_contour(base.theta - 0.1, [1.0, 2.0, -3.0, -4.0], (1.0, 1.0), 16.0, 1e-10,
+                        rho=1.5, n_arc=32)
     K1 = sum_inverse(pair_1234, spec=base)
-    K2 = sum_inverse(pair_1234, spec=shifted)
+    K2 = sum_inverse(pair_1234, spec=moved)
     assert operator_norm(K1 - K2) <= 1e-7
 
 
@@ -203,7 +206,7 @@ def test_eadic_summand_scaling_factor(pair_1234):
 
 def test_eadic_singular_shift_on_b_spectrum():
     # B has an eigenvalue at -e^{i theta_c} x_0 for the first [1, e] node
-    # x_0 (default n_x = 48: four panels of 12), so the k = 0 solve
+    # x_0 (the rule has four panels of 12 nodes), so the k = 0 solve
     # (s B + e^{i theta_c})^{-1} is singular
     tc = 0.6 * np.pi
     x0 = gauss_panels(np.linspace(1.0, np.e, 5), 12)[0][0]

@@ -239,7 +239,7 @@ class _ExactFamily:
     """A^{it} from the eigendecomposition A = V diag(d) V^{-1}, with the
     interface of ImaginaryPowerFamily that the assembly uses."""
 
-    def __init__(self, A, t_max=8.0, tol=1e-10):
+    def __init__(self, A, t_max=8.0):
         self.d, self.V = np.linalg.eig(A.matrix)
         self.V_inv = np.linalg.inv(self.V)
 
