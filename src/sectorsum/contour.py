@@ -298,7 +298,12 @@ def dunford(
     shows between the two innermost nodes.  g = ||F(lambda)|| |lambda| at
     the end node, in the spectral norm: |v| of a scalar, max_i |v_i| of a
     1-D value (a matrix held on its eigenvalues), the largest singular
-    value of a matrix.
+    value of a matrix.  It covers the truncation of the rays only: the
+    arc's fixed ``n_arc``-point Gauss-Legendre rule carries no error
+    estimate, and loses digits when a pole of the integrand comes near
+    the arc, so the caller keeps the poles well off it
+    (``calculus.power_contour``'s radius 0.4/||A^{-1}|| leaves every
+    eigenvalue at |lambda| >= 2.5 rho).
     """
     rule = _ray_rule(spec)
     lam, w = _nodes(spec, rule)

@@ -41,6 +41,21 @@ bounded-memory chunks and takes the singular values of each chunk in
 one call; a shift is singular when the smallest singular value falls
 below ``SINGULAR_RTOL * ||M + zI||_F``, which for a normal M is the
 closed form's test.
+
+A sup of ``(1 + |z|) ||(M + z)^{-1}||`` over sampled shifts (a sector
+constant) needs the norm only where it can set the sup.
+:func:`weighted_resolvent_norms` decomposes the shifts one stacked chunk
+at a time and bounds sigma_min at every shift not yet decomposed from
+the singular values already taken: sigma_min(M + z) is 1-Lipschitz in
+z (Weyl's inequality), so s of M + z' gives
+``sigma_min(M + z) >= max(s_min - |z - z'|, |z - z'| - s_max)``, less
+``8 n eps (s_max + |z - z'|)`` for rounding.  A shift is skipped when
+that bound keeps its value below the running sup (or a caller's cap)
+and also keeps it clear of the singular-shift test, so the sup, its
+first argmax and the first singular shift are those of every shift.
+A skipped shift stays skipped, since the running sup only rises, so
+each decomposition bounds only the shifts still in play and the
+bounding work shrinks as the sup is found.
 """
 
 from __future__ import annotations
@@ -301,30 +316,120 @@ def resolvent_norms(M, shifts, basis=None) -> np.ndarray:
         out = np.full(z.shape[0], np.inf)
         out[~singular] = 1.0 / nearest[~singular]
         return out
-    if not M.imag.any():
-        upper, back = np.unique(np.where(z.imag < 0, z.conj(), z), return_inverse=True)
-        return _singular_value_norms(M, upper)[back]
-    return _singular_value_norms(M, z)
+    return _per_conjugate_pair(M, z, lambda u: _singular_value_norms(M, u))
 
 
-def _singular_value_norms(M: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """1/sigma_min(M + z_k), ``inf`` on singular shifts, from the
-    singular values of M + z_k I stacked in bounded-memory chunks."""
+def weighted_resolvent_norms(M, shifts, basis=None, floor=0.0, cap=np.inf) -> np.ndarray:
+    """(1 + |z|) ||(M + z)^{-1}||_2 at every shift z that can still set
+    min(max(sup, floor), cap), the sup taken over these values; ``-inf``
+    at the others.
+
+    With ``basis`` this is ``(1 + |z|) * resolvent_norms(M, z, basis)``
+    at every shift.  Without one, sigma_min(M + z) is 1-Lipschitz in z
+    (Weyl's inequality), so the singular values s of M + z' bound it at
+    every other shift:
+
+        sigma_min(M + z) >= max(s_min - |z - z'|, |z - z'| - s_max)
+                            - 8 n eps (s_max + |z - z'|),
+
+    the last term a margin for the rounding of both decompositions.  The
+    smallest |z| is decomposed first, then, best first in stacked chunks
+    that double from one shift, every shift whose bound leaves it near
+    singular or whose value bound (1 + |z|)/bound still reaches the
+    target min(max(running max, floor), cap).  A shift is left out only
+    when its bound also exceeds ``SINGULAR_RTOL * (||M||_F + sqrt(n)|z|)``,
+    so it is provably resolvable: the ``inf`` entries (singular shifts),
+    the entries above ``cap`` and the first index of the largest entry
+    are those of the exhaustive computation.  A real M decomposes each
+    distinct (Re z, |Im z|) once, as in :func:`resolvent_norms`.
+    """
+    if basis is not None:
+        return (1.0 + np.abs(shifts)) * resolvent_norms(M, shifts, basis)
+    M = as_matrix(M)
+    z = as_vector(shifts)
+    return (1.0 + np.abs(z)) * _per_conjugate_pair(M, z, lambda u: _pruned_norms(M, u, floor, cap))
+
+
+def _per_conjugate_pair(M: np.ndarray, z: np.ndarray, norms) -> np.ndarray:
+    """norms(shifts) at z; for a real M, whose M + conj(z) = conj(M + z)
+    has the singular values of M + z, called once per distinct
+    (Re z, |Im z|)."""
+    if M.imag.any():
+        return norms(z)
+    upper, back = np.unique(np.where(z.imag < 0, z.conj(), z), return_inverse=True)
+    return norms(upper)[back]
+
+
+def _pruned_norms(M: np.ndarray, z: np.ndarray, floor: float, cap: float) -> np.ndarray:
+    """1/sigma_min(M + z_k) where (1 + |z_k|)/sigma_min can reach the
+    target of :func:`weighted_resolvent_norms`, ``-inf`` elsewhere."""
+    n, N = M.shape[0], z.shape[0]
+    norms = np.full(N, -np.inf)
+    if not N:
+        return norms
+    weight = 1.0 + np.abs(z)
+    resolvable = SINGULAR_RTOL * (np.linalg.norm(M) + np.sqrt(n) * np.abs(z))
+    margin = 8.0 * n * np.finfo(float).eps
+    lower = np.zeros(N)  # lower bounds on sigma_min(M + z_k)
+    top = -np.inf
+    step = _stack_step(n)
+    first = int(np.argmin(np.abs(z)))
+    take, live = np.array([first]), np.delete(np.arange(N), first)
+    chunk = 1
+    while take.size:
+        s = _shifted_singular_values(M, z[take])
+        norms[take] = _norms_from_singular_values(s)
+        top = max(top, float(np.max(weight[take] * norms[take])))
+        # the live x block distance table stays within one stack's bytes
+        block = max(1, _SHIFT_STACK_BYTES // (16 * max(live.size, 1)))
+        for lo in range(0, take.size, block):
+            dist = np.abs(z[live, None] - z[None, take[lo:lo + block]])
+            s_min, s_max = s[lo:lo + block, -1], s[lo:lo + block, 0]
+            bound = np.maximum(s_min - dist, dist - s_max) - margin * (s_max + dist)
+            lower[live] = np.maximum(lower[live], np.max(bound, axis=1))
+        # a shift dropped here cannot come back: the target only rises
+        target = min(max(top, floor), cap)
+        live = live[(lower[live] <= resolvable[live]) | (weight[live] >= target * lower[live])]
+        order = np.argsort(lower[live] / weight[live], kind="stable")
+        take, live = live[order[:chunk]], live[order[chunk:]]
+        chunk = min(2 * chunk, step)
+    return norms
+
+
+def _stack_step(n: int) -> int:
+    """Shifts per stacked chunk of n x n matrices (``_SHIFT_STACK_BYTES``)."""
+    return max(1, _SHIFT_STACK_BYTES // (16 * n * n))
+
+
+def _shifted_singular_values(M: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The singular values of every M + z_k I, descending, as an (N, n)
+    array, from stacks taken in bounded-memory chunks."""
     n = M.shape[0]
-    out = np.empty(z.shape[0])
-    step = max(1, _SHIFT_STACK_BYTES // (16 * n * n))
+    out = np.empty((z.shape[0], n))
+    step = _stack_step(n)
     diag = np.arange(n)
     for lo in range(0, z.shape[0], step):
         zc = z[lo:lo + step]
         stack = np.repeat(M[None], zc.shape[0], axis=0)
         stack[:, diag, diag] += zc[:, None]
-        s = np.linalg.svd(stack, compute_uv=False)
-        s_min = s[:, -1]
-        resolvable = s_min > SINGULAR_RTOL * np.sqrt(np.sum(s * s, axis=1))
-        part = out[lo:lo + step]
-        part[:] = np.inf
-        part[resolvable] = 1.0 / s_min[resolvable]
+        out[lo:lo + step] = np.linalg.svd(stack, compute_uv=False)
     return out
+
+
+def _norms_from_singular_values(s: np.ndarray) -> np.ndarray:
+    """1/sigma_min for each row of singular values, ``inf`` where
+    sigma_min <= SINGULAR_RTOL * (the row's Frobenius norm)."""
+    s_min = s[:, -1]
+    out = np.full(s.shape[0], np.inf)
+    resolvable = s_min > SINGULAR_RTOL * np.sqrt(np.sum(s * s, axis=1))
+    out[resolvable] = 1.0 / s_min[resolvable]
+    return out
+
+
+def _singular_value_norms(M: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """1/sigma_min(M + z_k), ``inf`` on singular shifts, from the
+    singular values of M + z_k I stacked in bounded-memory chunks."""
+    return _norms_from_singular_values(_shifted_singular_values(M, z))
 
 
 def operator_norm(M) -> float:

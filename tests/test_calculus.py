@@ -299,6 +299,21 @@ def _laplacian(m):
     return (m + 1) ** 2 * (2 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1))
 
 
+@pytest.mark.parametrize("M", [
+    _laplacian(16),
+    _laplacian(16) + 20.0 * 17 / 2.0 * (np.eye(16, k=1) - np.eye(16, k=-1)),
+], ids=["laplacian", "convection-diffusion"])
+def test_power_contour_arc_keeps_the_eigenvalues_away(M):
+    # dunford's error estimate covers the rays only; the arc's fixed
+    # Gauss-Legendre rule relies on every pole sitting at |lambda| >= 2.5 rho
+    A = certified(M, 0.9 * np.pi)
+    spec = power_contour(A, -0.5)
+    assert spec.rho == 0.4 / A.inverse_norm()
+    # |lambda| >= sigma_min(A) = 1/||A^{-1}||, with equality (to rounding)
+    # at the smallest eigenvalue of a normal A
+    assert np.min(np.abs(np.linalg.eigvals(M))) >= 2.5 * spec.rho * (1.0 - 1e-12)
+
+
 def _rotated_diagonal(n):
     rng = np.random.default_rng(7)
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))

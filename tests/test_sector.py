@@ -150,12 +150,16 @@ def test_certify_names_first_singular_shift():
     theta = 1.0
     pts = sampling.points(theta)
     first, second = pts[7], pts[20]
-    # eigenvalues at -second and -first (matrix order reversed on purpose)
-    A = MatrixOperator(np.diag([-second, -first]))
-    with pytest.raises(NotSectorialAtAngle) as exc:
-        certify_sector(A, theta, sampling)
-    assert exc.value.shift == complex(first)
-    assert A.certified is None
+    # eigenvalues at -second and -first (matrix order reversed on purpose):
+    # normal, in closed form; non-normal, on the singular values at the
+    # shifts the Weyl bounds leave
+    for M in (np.diag([-second, -first]), np.array([[-second, 1.0], [0.0, -first]])):
+        A = MatrixOperator(M)
+        with pytest.raises(NotSectorialAtAngle) as exc:
+            certify_sector(A, theta, sampling)
+        assert exc.value.shift == complex(first)
+        assert A.certified is None
+    assert A.normal_basis() is None
 
 
 def test_certify_matches_per_shift_reference_nonnormal():
@@ -192,6 +196,45 @@ def test_extension_check_raises_at_first_violation():
     with pytest.raises(ExtensionViolated) as exc:
         extended_sector_check(MatrixOperator(M), spec, sampling, n_disk=6)
     assert exc.value.shift == violated
+
+
+@pytest.mark.parametrize("sampling,share", [
+    (SectorSampling(n_boundary=4, n_angles=2, interior_density=2), 2 / 6),
+    (SectorSampling(), 1 / 3),
+], ids=["coarse", "default"])
+@pytest.mark.parametrize("theta", [0.5 * np.pi, 0.9 * np.pi])
+def test_certification_decomposes_a_fraction_of_the_shifts(sampling, share, theta, monkeypatch):
+    M = _convection_diffusion(32)
+    pts = sampling.points(theta)
+    distinct = len(np.unique(np.where(pts.imag < 0, pts.conj(), pts)))
+    ref = max(1.0, float(np.max((1.0 + np.abs(pts)) * linops.resolvent_norms(M, pts))))
+    decomposed = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        decomposed.append(a.shape[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert certify_sector(MatrixOperator(M), theta, sampling, attach=False) == ref
+    assert sum(decomposed) <= share * distinct
+
+
+def test_extension_check_with_the_bounds_taken_in_blocks(monkeypatch):
+    # a 4 KiB stack splits each chunk's bounding table into blocks of a few columns
+    M = _convection_diffusion(3)
+    A = MatrixOperator(M)
+    sampling = SectorSampling(n_boundary=24, n_angles=5, interior_density=8)
+    spec = SectorSpec(1.2, certify_sector(A, 1.2, sampling, attach=False))
+    ring = np.exp(2j * np.pi * np.arange(12) / 12)
+    pts = np.concatenate([lam + (1.0 + abs(lam)) / (2.0 * spec.K) * ring
+                          for lam in sampling.points(spec.theta)])
+    ref = (1.0 + np.abs(pts)) * linops.resolvent_norms(M, pts)
+    monkeypatch.setattr(linops, "_SHIFT_STACK_BYTES", 1 << 12)
+    chk = extended_sector_check(A, spec, sampling, n_disk=12)
+    assert chk.worst_value == np.max(ref)
+    assert chk.worst_z == complex(pts[np.argmax(ref)])
+    assert chk.n_samples == pts.shape[0]
 
 
 def test_extension_check_rejects_empty_disk(scalar1):
