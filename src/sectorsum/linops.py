@@ -319,7 +319,8 @@ def resolvent_norms(M, shifts, basis=None) -> np.ndarray:
     return _per_conjugate_pair(M, z, lambda u: _singular_value_norms(M, u))
 
 
-def weighted_resolvent_norms(M, shifts, basis=None, floor=0.0, cap=np.inf) -> np.ndarray:
+def weighted_resolvent_norms(M, shifts, basis=None, floor=0.0, cap=np.inf,
+                             s0=None) -> np.ndarray:
     """(1 + |z|) ||(M + z)^{-1}||_2 at every shift z that can still set
     min(max(sup, floor), cap), the sup taken over these values; ``-inf``
     at the others.
@@ -332,11 +333,16 @@ def weighted_resolvent_norms(M, shifts, basis=None, floor=0.0, cap=np.inf) -> np
         sigma_min(M + z) >= max(s_min - |z - z'|, |z - z'| - s_max)
                             - 8 n eps (s_max + |z - z'|),
 
-    the last term a margin for the rounding of both decompositions.  The
-    smallest |z| is decomposed first, then, best first in stacked chunks
-    that double from one shift, every shift whose bound leaves it near
-    singular or whose value bound (1 + |z|)/bound still reaches the
-    target min(max(running max, floor), cap).  A shift is left out only
+    the last term a margin for the rounding of both decompositions.
+    ``s0``, the singular values of M itself (descending, as
+    :func:`_shifted_singular_values` gives them at the shift 0), seeds
+    the bounds when the caller already holds them: a sampled 0 takes its
+    value from them and no shift is decomposed before they are applied.
+    Without them the smallest |z| is decomposed first.  Then, best first
+    in stacked chunks that double from one shift, every shift whose
+    bound leaves it near singular or whose value bound (1 + |z|)/bound
+    still reaches the target min(max(running max, floor), cap) is
+    decomposed.  A shift is left out only
     when its bound also exceeds ``SINGULAR_RTOL * (||M||_F + sqrt(n)|z|)``,
     so it is provably resolvable: the ``inf`` entries (singular shifts),
     the entries above ``cap`` and the first index of the largest entry
@@ -347,7 +353,8 @@ def weighted_resolvent_norms(M, shifts, basis=None, floor=0.0, cap=np.inf) -> np
         return (1.0 + np.abs(shifts)) * resolvent_norms(M, shifts, basis)
     M = as_matrix(M)
     z = as_vector(shifts)
-    return (1.0 + np.abs(z)) * _per_conjugate_pair(M, z, lambda u: _pruned_norms(M, u, floor, cap))
+    return (1.0 + np.abs(z)) * _per_conjugate_pair(
+        M, z, lambda u: _pruned_norms(M, u, floor, cap, s0))
 
 
 def _per_conjugate_pair(M: np.ndarray, z: np.ndarray, norms) -> np.ndarray:
@@ -360,7 +367,8 @@ def _per_conjugate_pair(M: np.ndarray, z: np.ndarray, norms) -> np.ndarray:
     return norms(upper)[back]
 
 
-def _pruned_norms(M: np.ndarray, z: np.ndarray, floor: float, cap: float) -> np.ndarray:
+def _pruned_norms(M: np.ndarray, z: np.ndarray, floor: float, cap: float,
+                  s0: np.ndarray | None = None) -> np.ndarray:
     """1/sigma_min(M + z_k) where (1 + |z_k|)/sigma_min can reach the
     target of :func:`weighted_resolvent_norms`, ``-inf`` elsewhere."""
     n, N = M.shape[0], z.shape[0]
@@ -373,17 +381,22 @@ def _pruned_norms(M: np.ndarray, z: np.ndarray, floor: float, cap: float) -> np.
     lower = np.zeros(N)  # lower bounds on sigma_min(M + z_k)
     top = -np.inf
     step = _stack_step(n)
-    first = int(np.argmin(np.abs(z)))
-    take, live = np.array([first]), np.delete(np.arange(N), first)
+    # take: the shifts the singular values s at the points at belong to
+    if s0 is None:
+        take = np.array([int(np.argmin(np.abs(z)))])
+        at = z[take]
+        s = _shifted_singular_values(M, at)
+    else:
+        take, at, s = np.flatnonzero(z == 0), np.zeros(1, dtype=complex), s0[None]
+    live = np.delete(np.arange(N), take)
     chunk = 1
-    while take.size:
-        s = _shifted_singular_values(M, z[take])
+    while True:
         norms[take] = _norms_from_singular_values(s)
-        top = max(top, float(np.max(weight[take] * norms[take])))
+        top = max(top, float(np.max(weight[take] * norms[take], initial=-np.inf)))
         # the live x block distance table stays within one stack's bytes
         block = max(1, _SHIFT_STACK_BYTES // (16 * max(live.size, 1)))
-        for lo in range(0, take.size, block):
-            dist = np.abs(z[live, None] - z[None, take[lo:lo + block]])
+        for lo in range(0, at.size, block):
+            dist = np.abs(z[live, None] - at[None, lo:lo + block])
             s_min, s_max = s[lo:lo + block, -1], s[lo:lo + block, 0]
             bound = np.maximum(s_min - dist, dist - s_max) - margin * (s_max + dist)
             lower[live] = np.maximum(lower[live], np.max(bound, axis=1))
@@ -392,8 +405,11 @@ def _pruned_norms(M: np.ndarray, z: np.ndarray, floor: float, cap: float) -> np.
         live = live[(lower[live] <= resolvable[live]) | (weight[live] >= target * lower[live])]
         order = np.argsort(lower[live] / weight[live], kind="stable")
         take, live = live[order[:chunk]], live[order[chunk:]]
+        if not take.size:
+            return norms
+        at = z[take]
+        s = _shifted_singular_values(M, at)
         chunk = min(2 * chunk, step)
-    return norms
 
 
 def _stack_step(n: int) -> int:

@@ -34,6 +34,7 @@ counts every sampled point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -77,8 +78,9 @@ class SectorSampling:
             raise ValueError("need 0 < r_min < r_max")
 
     def radii(self, n: int) -> np.ndarray:
-        r = np.geomspace(self.r_min, self.r_max, n)
-        return np.unique(np.concatenate([r, [1.0]]))
+        """n log-spaced radii in [r_min, r_max] and 1, ascending; one
+        read-only array per (n, r_min, r_max)."""
+        return _radii(n, self.r_min, self.r_max)
 
     def points(self, theta: float) -> np.ndarray:
         """All sampled shifts in Lambda_theta (origin included)."""
@@ -107,13 +109,25 @@ class SectorSampling:
         }
 
 
+@lru_cache(maxsize=64)
+def _radii(n: int, r_min: float, r_max: float) -> np.ndarray:
+    r = np.unique(np.concatenate([np.geomspace(r_min, r_max, n), [1.0]]))
+    r.flags.writeable = False  # shared by every caller with these arguments
+    return r
+
+
 @dataclass
 class MatrixOperator:
     """Dense operator with cached sector metadata.
 
-    `certified` records the last successful certification.  The norms,
-    the normal basis and the Schur form are computed on first use and
-    cached.
+    `certified` records the last successful certification.  The matrix
+    is held as a private read-only copy, so nothing cached from it can go
+    stale.  The norms, the normal basis, the Schur form and, for a
+    non-normal operator, the singular values of A are computed on first
+    use and cached.  One SVD of A thus serves ``norm()``,
+    ``inverse_norm()`` and, as the decomposition at the shift 0, the Weyl
+    bounds of every certification and extension check of A (see
+    :func:`linops.weighted_resolvent_norms`).
     """
 
     matrix: np.ndarray
@@ -125,9 +139,13 @@ class MatrixOperator:
     _basis_known: bool = field(default=False, repr=False)
     # linops.schur_form, taken only when a non-normal operator is resolved
     _schur: tuple | None = field(default=None, repr=False)
+    # singular values of A, descending, taken only when A is not normal
+    _sv: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.matrix = linops.as_matrix(self.matrix)
+        matrix = linops.as_matrix(self.matrix).copy()
+        matrix.flags.writeable = False
+        self.matrix = matrix
 
     @property
     def dim(self) -> int:
@@ -153,11 +171,18 @@ class MatrixOperator:
         :meth:`normal_basis` when A is normal, else :meth:`schur_form`."""
         return self.normal_basis() or self.schur_form()
 
+    def _singular_values(self) -> np.ndarray:
+        """The singular values of A, descending: the decomposition
+        :func:`linops.weighted_resolvent_norms` takes at the shift 0."""
+        if self._sv is None:
+            self._sv = linops._shifted_singular_values(self.matrix, np.zeros(1, dtype=complex))[0]
+        return self._sv
+
     def norm(self) -> float:
         if self._norm is None:
             basis = self.normal_basis()
             if basis is None:
-                self._norm = linops.operator_norm(self.matrix)
+                self._norm = float(self._singular_values()[0])
             else:
                 self._norm = float(np.max(np.abs(basis[0])))
         return self._norm
@@ -166,8 +191,11 @@ class MatrixOperator:
         """||A^{-1}||; 1/inverse_norm lower-bounds the distance of the
         spectrum to the origin."""
         if self._inv_norm is None:
-            inv_norm = float(
-                linops.resolvent_norms(self.matrix, [0.0], self.normal_basis())[0])
+            basis = self.normal_basis()
+            if basis is None:
+                inv_norm = float(linops._norms_from_singular_values(self._singular_values()[None])[0])
+            else:
+                inv_norm = float(linops.resolvent_norms(self.matrix, [0.0], basis)[0])
             if inv_norm == np.inf:
                 raise SingularShift("A is numerically singular (0 is on the spectrum)",
                                     shift=0.0)
@@ -188,6 +216,14 @@ class MatrixOperator:
 def resolvent_apply(A: MatrixOperator, z: complex, x) -> np.ndarray:
     """(A + z)^{-1} x."""
     return linops.solve_shifted(A.matrix, z, x)
+
+
+def _weighted_norms(A: MatrixOperator, pts: np.ndarray, floor=0.0, cap=np.inf) -> np.ndarray:
+    """:func:`linops.weighted_resolvent_norms` of A at pts: in closed form
+    on a normal basis, else seeded with A's cached singular values."""
+    basis = A.normal_basis()
+    s0 = A._singular_values() if basis is None else None
+    return linops.weighted_resolvent_norms(A.matrix, pts, basis, floor, cap, s0)
 
 
 def certify_sector(
@@ -213,7 +249,7 @@ def certify_sector(
     sampling = sampling or SectorSampling()
     pts = sampling.points(theta)
     # K-hat >= 1, so a shift whose value is provably below max(sup, 1) is skipped
-    values = linops.weighted_resolvent_norms(A.matrix, pts, A.normal_basis(), floor=1.0)
+    values = _weighted_norms(A, pts, floor=1.0)
     singular = np.flatnonzero(values == np.inf)
     if singular.size:
         z = complex(pts[singular[0]])
@@ -273,7 +309,7 @@ def extended_sector_check(
     ])
     # every value above the cap is computed, so the first violation is exact
     cap = bound * (1.0 + 1e-9)
-    values = linops.weighted_resolvent_norms(A.matrix, pts, A.normal_basis(), cap=cap)
+    values = _weighted_norms(A, pts, cap=cap)
     violations = np.flatnonzero(values > cap)
     if violations.size:
         z, val = complex(pts[violations[0]]), values[violations[0]]

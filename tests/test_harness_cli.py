@@ -315,8 +315,10 @@ def test_run_sum_honours_zero_angle(tmp_path):
         run_experiment(cfg, str(tmp_path))
 
 
-@pytest.mark.parametrize("content", [None, "2\n1+0i,0+0i\n0+0i,two+0i\n", "0\n"],
-                         ids=["missing", "malformed", "zero-size"])
+@pytest.mark.parametrize("content", [
+    None, "2\n1+0i,0+0i\n0+0i,two+0i\n", "0\n", "2\n1+0i,0+0i\n0+0i,inf+0i\n",
+    "2\n1+0i,0+nani\n0+0i,1+0i\n",
+], ids=["missing", "malformed", "zero-size", "inf", "nan"])
 def test_cli_bad_matrix_file_exits_2(tmp_path, capsys, content):
     mpath = tmp_path / "m.csv"
     if content is not None:

@@ -225,12 +225,13 @@ def test_matrix_csv_roundtrip_bit_exact(tmp_path):
     M[0, 0] = 1.5 - 0.25j
     # signed zeros in both parts; array_equal alone treats -0.0 == 0.0
     M[1, 1], M[2, 2], M[3, 3] = complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0)
+    # subnormals: the smallest positive double and a negative one
+    M[4, 4], M[4, 3] = complex(5e-324, -1e-320), complex(-1e-320, 5e-324)
     path = tmp_path / "m.csv"
     linops.write_matrix(path, M)
     M2 = linops.read_matrix(path)
     assert np.array_equal(M, M2)
-    assert np.array_equal(np.signbit(M2.real), np.signbit(M.real))
-    assert np.array_equal(np.signbit(M2.imag), np.signbit(M.imag))
+    assert np.array_equal(M2.view(np.uint64), M.view(np.uint64))
 
 
 def test_matrix_csv_rejects_bad_rows(tmp_path):

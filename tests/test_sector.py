@@ -220,6 +220,43 @@ def test_certification_decomposes_a_fraction_of_the_shifts(sampling, share, thet
     assert sum(decomposed) <= share * distinct
 
 
+def test_one_decomposition_of_A_per_operator(monkeypatch):
+    # norm, inverse_norm and every certification share A's cached SVD, the
+    # seed of the Weyl bounds; a sampled 0 takes its value from it
+    zeros, decomposed = [], []
+    real = linops._shifted_singular_values
+
+    def counting(M, z):
+        zeros.append(int(np.sum(z == 0)))
+        decomposed.append(z.shape[0])
+        return real(M, z)
+
+    monkeypatch.setattr(linops, "_shifted_singular_values", counting)
+    A = MatrixOperator(_convection_diffusion(32))
+    coarse = SectorSampling(n_boundary=4, n_angles=2, interior_density=2)
+    A.norm(), A.inverse_norm()
+    K = certify_sector(A, 0.5 * np.pi, coarse, attach=False)
+    certify_sector(A, 0.9 * np.pi, SectorSampling(), attach=False)
+    extended_sector_check(A, SectorSpec(0.5 * np.pi, K))
+    assert sum(zeros) == 1
+    decomposed.clear()
+    certify_sector(A, 0.7 * np.pi, coarse, attach=False)
+    assert decomposed == [1]
+
+
+def test_operator_holds_a_private_read_only_matrix():
+    M = _convection_diffusion(8).astype(complex)
+    fresh = MatrixOperator(M.copy())
+    A = MatrixOperator(M)
+    M[0, 0] += 100.0  # the caller's array, written after construction
+    sampling = SectorSampling(n_boundary=8, interior_density=4)
+    assert certify_sector(A, 2.0, sampling, attach=False) == certify_sector(
+        fresh, 2.0, sampling, attach=False)
+    assert A.norm() == fresh.norm()
+    with pytest.raises(ValueError):
+        A.matrix[0, 0] = 1
+
+
 def test_extension_check_with_the_bounds_taken_in_blocks(monkeypatch):
     # a 4 KiB stack splits each chunk's bounding table into blocks of a few columns
     M = _convection_diffusion(3)
