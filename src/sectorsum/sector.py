@@ -282,6 +282,15 @@ class ExtensionCheck:
         }
 
 
+def _disk_ring(n_disk: int) -> np.ndarray:
+    """exp(2 pi i k / n_disk) for k = 0 .. n_disk - 1, with both parts of
+    points k and n_disk - k averaged so that they are exact conjugates:
+    the circles around a conjugate pair of sampled centres are then
+    conjugate point by point, and a real A decomposes each pair once."""
+    ring = np.exp(2j * np.pi * np.arange(n_disk) / n_disk)
+    return 0.5 * (ring + ring[-np.arange(n_disk)].conj())
+
+
 def extended_sector_check(
     A: MatrixOperator,
     spec: SectorSpec,
@@ -300,11 +309,11 @@ def extended_sector_check(
         raise ValueError(f"n_disk must be >= 1, got {n_disk}")
     sampling = sampling or SectorSampling(n_boundary=48, interior_density=12)
     bound = 2.0 * spec.K + 1.0
-    angles = np.exp(2j * np.pi * np.arange(n_disk) / n_disk)
+    ring = _disk_ring(n_disk)
     # circle by circle, in the order of the sampled centres; scalar abs per
     # centre, since numpy's array abs can differ from it in the last bit
     pts = np.concatenate([
-        lam + (1.0 + abs(lam)) / (2.0 * spec.K) * angles
+        lam + (1.0 + abs(lam)) / (2.0 * spec.K) * ring
         for lam in sampling.points(spec.theta)
     ])
     # every value above the cap is computed, so the first violation is exact

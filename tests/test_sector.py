@@ -14,6 +14,7 @@ from sectorsum import (
     resolvent_apply,
 )
 from sectorsum.errors import ExtensionViolated, NotSectorialAtAngle, SingularShift
+from sectorsum.sector import _disk_ring
 from conftest import certified
 
 
@@ -132,7 +133,7 @@ def _reference_extension(M, spec, sampling, n_disk):
     """Per-shift loop over the disk circles: (worst value, worst z, count,
     first z above the bound or None)."""
     bound = 2.0 * spec.K + 1.0
-    ring = np.exp(2j * np.pi * np.arange(n_disk) / n_disk)
+    ring = _disk_ring(n_disk)
     worst_val, worst_z, count = -np.inf, None, 0
     for lam in sampling.points(spec.theta):
         for z in lam + (1.0 + abs(lam)) / (2.0 * spec.K) * ring:
@@ -263,7 +264,7 @@ def test_extension_check_with_the_bounds_taken_in_blocks(monkeypatch):
     A = MatrixOperator(M)
     sampling = SectorSampling(n_boundary=24, n_angles=5, interior_density=8)
     spec = SectorSpec(1.2, certify_sector(A, 1.2, sampling, attach=False))
-    ring = np.exp(2j * np.pi * np.arange(12) / 12)
+    ring = _disk_ring(12)
     pts = np.concatenate([lam + (1.0 + abs(lam)) / (2.0 * spec.K) * ring
                           for lam in sampling.points(spec.theta)])
     ref = (1.0 + np.abs(pts)) * linops.resolvent_norms(M, pts)
@@ -271,6 +272,36 @@ def test_extension_check_with_the_bounds_taken_in_blocks(monkeypatch):
     chk = extended_sector_check(A, spec, sampling, n_disk=12)
     assert chk.worst_value == np.max(ref)
     assert chk.worst_z == complex(pts[np.argmax(ref)])
+    assert chk.n_samples == pts.shape[0]
+
+
+def test_disk_ring_points_are_exact_conjugate_pairs():
+    for n_disk in range(1, 17):
+        ring = _disk_ring(n_disk)
+        k = np.arange(n_disk)
+        assert np.array_equal(ring[-k], ring.conj()), n_disk
+        assert np.abs(ring - np.exp(2j * np.pi * k / n_disk)).max() <= 4 * np.finfo(float).eps
+
+
+def test_extension_check_decomposes_each_conjugate_pair_once(monkeypatch):
+    # a real A: the circles around conjugate centres are conjugate, so the
+    # check never decomposes both z and conj(z)
+    decomposed = []
+    real = linops._shifted_singular_values
+    monkeypatch.setattr(linops, "_shifted_singular_values",
+                        lambda M, z: decomposed.extend(z.tolist()) or real(M, z))
+    A = MatrixOperator(_convection_diffusion(8))
+    sampling = SectorSampling(n_boundary=8, n_angles=3, interior_density=4)
+    spec = SectorSpec(0.55 * np.pi, certify_sector(A, 0.55 * np.pi, sampling, attach=False))
+    decomposed.clear()
+    chk = extended_sector_check(A, spec, sampling, n_disk=12)
+    pts = np.concatenate([lam + (1.0 + abs(lam)) / (2.0 * spec.K) * _disk_ring(12)
+                          for lam in sampling.points(spec.theta)])
+    assert set(pts.conj().tolist()) == set(pts.tolist())
+    # no shift decomposed twice, not even as a near-conjugate of another
+    u = np.array(decomposed)
+    gap = np.abs(u[:, None] - u[None, :]) + np.diag(np.full(u.size, np.inf))
+    assert np.all(gap > 1e-12 * (1.0 + np.abs(u)[:, None]))
     assert chk.n_samples == pts.shape[0]
 
 

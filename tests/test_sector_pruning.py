@@ -29,6 +29,7 @@ from sectorsum.errors import (  # noqa: E402
     NotSectorialAtAngle,
     SingularShift,
 )
+from sectorsum.sector import _disk_ring  # noqa: E402
 
 
 def _exhaustive(M, pts):
@@ -47,7 +48,7 @@ def _random_nonnormal(seed, n, complex_entries, strength):
 
 
 def _disk_points(sampling, spec, n_disk):
-    ring = np.exp(2j * np.pi * np.arange(n_disk) / n_disk)
+    ring = _disk_ring(n_disk)
     return np.concatenate([lam + (1.0 + abs(lam)) / (2.0 * spec.K) * ring
                            for lam in sampling.points(spec.theta)])
 
