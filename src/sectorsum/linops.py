@@ -342,8 +342,8 @@ def weighted_resolvent_norms(M, shifts, basis=None, floor=0.0, cap=np.inf,
     in stacked chunks that double from one shift, every shift whose
     bound leaves it near singular or whose value bound (1 + |z|)/bound
     still reaches the target min(max(running max, floor), cap) is
-    decomposed.  A shift is left out only
-    when its bound also exceeds ``SINGULAR_RTOL * (||M||_F + sqrt(n)|z|)``,
+    decomposed.  A shift is left out only when its bound also exceeds
+    ``SINGULAR_RTOL * (||M||_F + sqrt(n)|z|)``,
     so it is provably resolvable: the ``inf`` entries (singular shifts),
     the entries above ``cap`` and the first index of the largest entry
     are those of the exhaustive computation.  A real M decomposes each
@@ -381,12 +381,12 @@ def _pruned_norms(M: np.ndarray, z: np.ndarray, floor: float, cap: float,
     lower = np.zeros(N)  # lower bounds on sigma_min(M + z_k)
     top = -np.inf
     step = _stack_step(n)
-    # take: the shifts the singular values s at the points at belong to
-    if s0 is None:
+    # s: the singular values at the points at, which fill the shifts take
+    if s0 is None:  # nothing decomposed yet: the smallest |z| first
         take = np.array([int(np.argmin(np.abs(z)))])
         at = z[take]
         s = _shifted_singular_values(M, at)
-    else:
+    else:  # M itself, decomposed: the point 0, filling every sampled 0
         take, at, s = np.flatnonzero(z == 0), np.zeros(1, dtype=complex), s0[None]
     live = np.delete(np.arange(N), take)
     chunk = 1

@@ -193,9 +193,10 @@ class MatrixOperator:
         if self._inv_norm is None:
             basis = self.normal_basis()
             if basis is None:
-                inv_norm = float(linops._norms_from_singular_values(self._singular_values()[None])[0])
+                inv_norm = linops._norms_from_singular_values(self._singular_values()[None])[0]
             else:
-                inv_norm = float(linops.resolvent_norms(self.matrix, [0.0], basis)[0])
+                inv_norm = linops.resolvent_norms(self.matrix, [0.0], basis)[0]
+            inv_norm = float(inv_norm)
             if inv_norm == np.inf:
                 raise SingularShift("A is numerically singular (0 is on the spectrum)",
                                     shift=0.0)
