@@ -55,7 +55,10 @@ and also keeps it clear of the singular-shift test, so the sup, its
 first argmax and the first singular shift are those of every shift.
 A skipped shift stays skipped, since the running sup only rises, so
 each decomposition bounds only the shifts still in play and the
-bounding work shrinks as the sup is found.
+bounding work shrinks as the sup is found.  A caller that already holds
+the singular values of M itself (``sector.MatrixOperator`` caches them)
+passes them as the decomposition at z' = 0: they bound every shift
+before any is decomposed, and a sampled 0 takes its value from them.
 """
 
 from __future__ import annotations

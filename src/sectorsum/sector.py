@@ -22,13 +22,20 @@ the shifts that can still set the sup (:func:`linops.weighted_resolvent_norms`):
 from the singular values s at a decomposed shift z', Weyl's inequality
 bounds sigma_min(A + z) >= max(s_min - |z - z'|, |z - z'| - s_max) at
 every other, less a rounding margin of 8 n eps (s_max + |z - z'|), and a
-shift whose bounded value cannot reach the running sup is skipped.
+shift whose bounded value cannot reach the running sup is skipped.  The
+first decomposed shift is z' = 0, that is A itself: a MatrixOperator
+takes its singular values once and caches them, so ``norm()``,
+``inverse_norm()`` and every certification and extension check of it
+share one SVD of A, and the sampled origin is never decomposed again.
 Certification takes the sup against max(sup, 1), since K-hat >= 1; the
 extension check caps it at (2K+1)(1 + 1e-9), so every violation is
 computed.  A skipped shift is provably resolvable, so K-hat, the worst
 value and shift, and the first singular or violating shift in sampling
 order are those of the exhaustive computation, and ``n_samples`` still
-counts every sampled point.
+counts every sampled point.  The extension check's disk rings hold
+exact conjugate pairs of points, so a real A decomposes each pair once.
+What does not depend on the angle is computed once: the sampling radii
+per (n, r_min, r_max), the singular values per operator.
 """
 
 from __future__ import annotations
