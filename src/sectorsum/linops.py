@@ -384,7 +384,7 @@ def _pruned_norms(M: np.ndarray, z: np.ndarray, floor: float, cap: float,
     lower = np.zeros(N)  # lower bounds on sigma_min(M + z_k)
     top = -np.inf
     step = _stack_step(n)
-    # s: the singular values at the points at, which fill the shifts take
+    # s holds the singular values at the points at; they give the norms at take
     if s0 is None:  # nothing decomposed yet: the smallest |z| first
         take = np.array([int(np.argmin(np.abs(z)))])
         at = z[take]
