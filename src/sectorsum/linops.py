@@ -55,10 +55,10 @@ and also keeps it clear of the singular-shift test, so the sup, its
 first argmax and the first singular shift are those of every shift.
 A skipped shift stays skipped, since the running sup only rises, so
 each decomposition bounds only the shifts still in play and the
-bounding work shrinks as the sup is found.  A caller that already holds
-the singular values of M itself (``sector.MatrixOperator`` caches them)
-passes them as the decomposition at z' = 0: they bound every shift
-before any is decomposed, and a sampled 0 takes its value from them.
+bounding work shrinks as the sup is found.  The first decomposition is
+always M itself, the shift z' = 0 (:func:`singular_values`), which a
+caller that caches it (``sector.MatrixOperator``) passes in: its bounds
+prime every shift, and a sampled 0 takes its value from it.
 """
 
 from __future__ import annotations
@@ -337,17 +337,15 @@ def weighted_resolvent_norms(M, shifts, basis=None, floor=0.0, cap=np.inf,
                             - 8 n eps (s_max + |z - z'|),
 
     the last term a margin for the rounding of both decompositions.
-    ``s0``, the singular values of M itself (descending, as
-    :func:`_shifted_singular_values` gives them at the shift 0), seeds
-    the bounds when the caller already holds them: a sampled 0 takes its
-    value from them and no shift is decomposed before they are applied.
-    Without them the smallest |z| is decomposed first.  Then, best first
-    in stacked chunks that double from one shift, every shift whose
-    bound leaves it near singular or whose value bound (1 + |z|)/bound
-    still reaches the target min(max(running max, floor), cap) is
-    decomposed.  A shift is left out only when its bound also exceeds
-    ``SINGULAR_RTOL * (||M||_F + sqrt(n)|z|)``,
-    so it is provably resolvable: the ``inf`` entries (singular shifts),
+    The first decomposition is z' = 0: ``s0``, :func:`singular_values`
+    of M, taken here unless the caller holds it.  Its bounds prime every
+    shift, and a sampled 0 takes its value from it.  Then, best first in
+    stacked chunks that double from one shift, every shift whose bound
+    leaves it near singular or whose value bound (1 + |z|)/bound still
+    reaches the target min(max(running max, floor), cap) is decomposed.
+    A shift is left out only when its bound also exceeds
+    ``SINGULAR_RTOL * (||M||_F + sqrt(n)|z|)``, so it is provably
+    resolvable: the ``inf`` entries (singular shifts),
     the entries above ``cap`` and the first index of the largest entry
     are those of the exhaustive computation.  A real M decomposes each
     distinct (Re z, |Im z|) once, as in :func:`resolvent_norms`.
@@ -356,6 +354,8 @@ def weighted_resolvent_norms(M, shifts, basis=None, floor=0.0, cap=np.inf,
         return (1.0 + np.abs(shifts)) * resolvent_norms(M, shifts, basis)
     M = as_matrix(M)
     z = as_vector(shifts)
+    if s0 is None:
+        s0 = singular_values(M)
     return (1.0 + np.abs(z)) * _per_conjugate_pair(
         M, z, lambda u: _pruned_norms(M, u, floor, cap, s0))
 
@@ -371,9 +371,10 @@ def _per_conjugate_pair(M: np.ndarray, z: np.ndarray, norms) -> np.ndarray:
 
 
 def _pruned_norms(M: np.ndarray, z: np.ndarray, floor: float, cap: float,
-                  s0: np.ndarray | None = None) -> np.ndarray:
+                  s0: np.ndarray) -> np.ndarray:
     """1/sigma_min(M + z_k) where (1 + |z_k|)/sigma_min can reach the
-    target of :func:`weighted_resolvent_norms`, ``-inf`` elsewhere."""
+    target of :func:`weighted_resolvent_norms`, ``-inf`` elsewhere;
+    ``s0`` is :func:`singular_values` of M."""
     n, N = M.shape[0], z.shape[0]
     norms = np.full(N, -np.inf)
     if not N:
@@ -384,13 +385,9 @@ def _pruned_norms(M: np.ndarray, z: np.ndarray, floor: float, cap: float,
     lower = np.zeros(N)  # lower bounds on sigma_min(M + z_k)
     top = -np.inf
     step = _stack_step(n)
-    # s holds the singular values at the points at; they give the norms at take
-    if s0 is None:  # nothing decomposed yet: the smallest |z| first
-        take = np.array([int(np.argmin(np.abs(z)))])
-        at = z[take]
-        s = _shifted_singular_values(M, at)
-    else:  # M itself, decomposed: the point 0, filling every sampled 0
-        take, at, s = np.flatnonzero(z == 0), np.zeros(1, dtype=complex), s0[None]
+    # s holds the singular values at the points at; they give the norms at
+    # take.  First M itself, at 0, which fills every sampled 0.
+    take, at, s = np.flatnonzero(z == 0), np.zeros(1, dtype=complex), s0[None]
     live = np.delete(np.arange(N), take)
     chunk = 1
     while True:
@@ -418,6 +415,12 @@ def _pruned_norms(M: np.ndarray, z: np.ndarray, floor: float, cap: float,
 def _stack_step(n: int) -> int:
     """Shifts per stacked chunk of n x n matrices (``_SHIFT_STACK_BYTES``)."""
     return max(1, _SHIFT_STACK_BYTES // (16 * n * n))
+
+
+def singular_values(M) -> np.ndarray:
+    """The singular values of M, descending: the decomposition at the
+    shift 0 that :func:`weighted_resolvent_norms` takes as ``s0``."""
+    return _shifted_singular_values(as_matrix(M), np.zeros(1, dtype=complex))[0]
 
 
 def _shifted_singular_values(M: np.ndarray, z: np.ndarray) -> np.ndarray:

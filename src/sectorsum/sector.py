@@ -128,8 +128,8 @@ class MatrixOperator:
     """Dense operator with cached sector metadata.
 
     `certified` records the last successful certification.  The matrix
-    is held as a private read-only copy, so nothing cached from it can go
-    stale.  The norms, the normal basis, the Schur form and, for a
+    is held as a private read-only copy and cannot be reassigned, so
+    nothing cached from it can go stale.  The norms, the normal basis, the Schur form and, for a
     non-normal operator, the singular values of A are computed on first
     use and cached.  One SVD of A thus serves ``norm()``,
     ``inverse_norm()`` and, as the decomposition at the shift 0, the Weyl
@@ -150,9 +150,16 @@ class MatrixOperator:
     _sv: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        matrix = linops.as_matrix(self.matrix).copy()
+        matrix = linops.as_matrix(self.matrix)
+        if np.may_share_memory(matrix, self.matrix):  # a complex input is returned as is
+            matrix = matrix.copy()
         matrix.flags.writeable = False
-        self.matrix = matrix
+        object.__setattr__(self, "matrix", matrix)
+
+    def __setattr__(self, name, value):
+        if name == "matrix" and "matrix" in vars(self):
+            raise AttributeError("a MatrixOperator's matrix is fixed; build a new operator")
+        super().__setattr__(name, value)
 
     @property
     def dim(self) -> int:
@@ -179,10 +186,9 @@ class MatrixOperator:
         return self.normal_basis() or self.schur_form()
 
     def _singular_values(self) -> np.ndarray:
-        """The singular values of A, descending: the decomposition
-        :func:`linops.weighted_resolvent_norms` takes at the shift 0."""
+        """:func:`linops.singular_values` of A, descending."""
         if self._sv is None:
-            self._sv = linops._shifted_singular_values(self.matrix, np.zeros(1, dtype=complex))[0]
+            self._sv = linops.singular_values(self.matrix)
         return self._sv
 
     def norm(self) -> float:
@@ -198,12 +204,8 @@ class MatrixOperator:
         """||A^{-1}||; 1/inverse_norm lower-bounds the distance of the
         spectrum to the origin."""
         if self._inv_norm is None:
-            basis = self.normal_basis()
-            if basis is None:
-                inv_norm = linops._norms_from_singular_values(self._singular_values()[None])[0]
-            else:
-                inv_norm = linops.resolvent_norms(self.matrix, [0.0], basis)[0]
-            inv_norm = float(inv_norm)
+            # the weight 1 + |z| is 1 at z = 0
+            inv_norm = float(_weighted_norms(self, np.zeros(1))[0])
             if inv_norm == np.inf:
                 raise SingularShift("A is numerically singular (0 is on the spectrum)",
                                     shift=0.0)

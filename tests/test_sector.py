@@ -256,6 +256,9 @@ def test_operator_holds_a_private_read_only_matrix():
     assert A.norm() == fresh.norm()
     with pytest.raises(ValueError):
         A.matrix[0, 0] = 1
+    with pytest.raises(AttributeError):  # nor can the cached metadata be orphaned
+        A.matrix = M
+    assert not MatrixOperator(M.real).matrix.flags.writeable
 
 
 def test_extension_check_with_the_bounds_taken_in_blocks(monkeypatch):
