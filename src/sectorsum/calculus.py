@@ -169,7 +169,7 @@ class ImaginaryPowerFamily:
         self.w = np.concatenate([arc_w, -ray_w * dn, ray_w * up])
         self._basis = A.resolvent_basis()
         # in stack-budget chunks; a node's resolvent has D's entry count
-        step = max(1, linops._SHIFT_STACK_BYTES // (16 * self._basis[0].size))
+        step = linops.stack_step(16 * self._basis[0].size)
         self.table = np.concatenate([
             linops.basis_resolvents(self._basis, self.lam[k:k + step])
             for k in range(0, len(self.lam), step)
@@ -194,7 +194,7 @@ class ImaginaryPowerFamily:
         used = np.flatnonzero(table.any(axis=0))
         arc_t, dn_t, up_t = np.split(table[:, used], [n_arc, n_arc + n_ray])
         out = np.zeros((len(ts), table.shape[1]), dtype=complex)
-        step = max(1, linops._SHIFT_STACK_BYTES // (16 * n_ray))
+        step = linops.stack_step(16 * n_ray)
         for lo in range(0, len(ts), step):
             t = ts[lo:lo + step]
             arc = np.exp(np.multiply.outer(-1.0 + 1j * t, self._log_arc)) * self.w[:n_arc]
@@ -223,17 +223,6 @@ class BipFit:
     phi: float
     t_grid: np.ndarray
     norms: np.ndarray
-
-    def bound(self, t: float) -> float:
-        return self.M * np.exp(self.phi * abs(t))
-
-    def to_dict(self) -> dict:
-        return {
-            "M": self.M,
-            "phi": self.phi,
-            "t_grid": self.t_grid.tolist(),
-            "norms": self.norms.tolist(),
-        }
 
 
 def bip_fit(A: MatrixOperator, t_max: float = 4.0, n_t: int = 17) -> BipFit:

@@ -46,7 +46,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import AsymmetryDetected, InvalidContour, TruncationNotConverged
-from .linops import _SHIFT_STACK_BYTES
+from .linops import stack_step
 
 _TWO_PI_I = 2.0j * np.pi
 
@@ -281,7 +281,7 @@ def dunford(
     integrand : callable
         Vectorised: maps a 1-D array of k contour nodes to the (k, ...)
         stack of values there.  It sees the nodes in order, in chunks
-        whose stacks fit ``_SHIFT_STACK_BYTES`` (the first chunk is one
+        whose stacks fit :func:`linops.stack_step` (the first chunk is one
         node), each reduced against the weights in one ``einsum``.  Any
         SingularShift raised by it propagates: the contour touches a
         spectrum and the caller chose a bad path.
@@ -322,7 +322,7 @@ def dunford(
             norms[chunk][probe[chunk]] = (np.abs(ends.reshape(len(ends), -1)).max(axis=1)
                                           if ends.ndim <= 2 else np.linalg.norm(ends, 2, axis=(-2, -1)))
         lo += step
-        step = max(1, _SHIFT_STACK_BYTES // values[0].nbytes)
+        step = stack_step(values[0].nbytes)
     tail = 0.0
     if rule is not None:
         s, _, _, (rest_in, rest_out) = rule

@@ -253,7 +253,8 @@ def _certify(cfg, seed, out_dir):
     op = _load_operator(cfg, theta=theta, seed=seed, sampling=sampling)
     return CertificateReport(
         operation="certify-sector",
-        inputs={"theta": theta, "sampling": sampling.to_dict(), "seed": seed, "dim": op.dim},
+        inputs={"theta": theta, "sampling": dataclasses.asdict(sampling), "seed": seed,
+                "dim": op.dim},
         tolerances={}, node_counts={"samples": len(sampling.points(theta))},
         outputs={"K_hat": op.constant()},
         passed=True,
@@ -348,7 +349,7 @@ def _tsector(cfg, seed, out_dir):
         inputs={"phi": phi, "r": r, "p": p, "n": n, "N_t": N_t, "family": fam.kind,
                 "theta": op.angle(), "dim": op.dim, "seed": seed},
         tolerances={}, node_counts={"N_t": N_t},
-        outputs=rep.to_dict(),
+        outputs=dataclasses.asdict(rep),
         passed=True,
     ), []
 
@@ -384,7 +385,7 @@ def _maxreg(cfg, seed, out_dir):
     tau, p, nt = grid.tau, grid.p, grid.N_t
     op = _load_operator(cfg, seed=seed)
     rep = maxreg.maxreg_constant(op, grid)
-    outputs = rep.to_dict()
+    outputs = dataclasses.asdict(rep)
     paths = []
     if cfg.get("sweep_p"):
         sweep = maxreg.p_independence_probe(op, tau, nt)

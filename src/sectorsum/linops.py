@@ -81,10 +81,8 @@ SINGULAR_RTOL = 1e-13
 #: blocks, [[1, 1e-12], [0, 2]]) sit at 1e3 and above
 NORMAL_DEPARTURE = 8.0
 
-# bytes of a stack per chunk (resolvent_norms, the node chunks of
-# contour.dunford, the resolvent-table and phase chunks of
-# calculus.ImaginaryPowerFamily); a 1 MiB stack keeps peak memory where a
-# per-shift loop would
+# bytes of a stack per chunk, read only through stack_step; a 1 MiB stack
+# keeps peak memory where a per-shift loop would
 _SHIFT_STACK_BYTES = 1 << 20
 
 #: largest spectral norm accepted by matrix_exp before scaling/squaring
@@ -384,7 +382,7 @@ def _pruned_norms(M: np.ndarray, z: np.ndarray, floor: float, cap: float,
     margin = 8.0 * n * np.finfo(float).eps
     lower = np.zeros(N)  # lower bounds on sigma_min(M + z_k)
     top = -np.inf
-    step = _stack_step(n)
+    step = stack_step(16 * n * n)
     # s holds the singular values at the points at; they give the norms at
     # take.  First M itself, at 0, which fills every sampled 0.
     take, at, s = np.flatnonzero(z == 0), np.zeros(1, dtype=complex), s0[None]
@@ -394,7 +392,7 @@ def _pruned_norms(M: np.ndarray, z: np.ndarray, floor: float, cap: float,
         norms[take] = _norms_from_singular_values(s)
         top = max(top, float(np.max(weight[take] * norms[take], initial=-np.inf)))
         # the live x block distance table stays within one stack's bytes
-        block = max(1, _SHIFT_STACK_BYTES // (16 * max(live.size, 1)))
+        block = stack_step(16 * max(live.size, 1))
         for lo in range(0, at.size, block):
             dist = np.abs(z[live, None] - at[None, lo:lo + block])
             s_min, s_max = s[lo:lo + block, -1], s[lo:lo + block, 0]
@@ -402,7 +400,12 @@ def _pruned_norms(M: np.ndarray, z: np.ndarray, floor: float, cap: float,
             lower[live] = np.maximum(lower[live], np.max(bound, axis=1))
         # a shift dropped here cannot come back: the target only rises
         target = min(max(top, floor), cap)
-        live = live[(lower[live] <= resolvable[live]) | (weight[live] >= target * lower[live])]
+        keep = lower[live] <= resolvable[live]
+        # after a singular shift the target is inf, which only the shifts
+        # kept as near singular can reach (and inf * 0 is nan)
+        if np.isfinite(target):
+            keep |= weight[live] >= target * lower[live]
+        live = live[keep]
         order = np.argsort(lower[live] / weight[live], kind="stable")
         take, live = live[order[:chunk]], live[order[chunk:]]
         if not take.size:
@@ -412,9 +415,10 @@ def _pruned_norms(M: np.ndarray, z: np.ndarray, floor: float, cap: float,
         chunk = min(2 * chunk, step)
 
 
-def _stack_step(n: int) -> int:
-    """Shifts per stacked chunk of n x n matrices (``_SHIFT_STACK_BYTES``)."""
-    return max(1, _SHIFT_STACK_BYTES // (16 * n * n))
+def stack_step(item_bytes: int) -> int:
+    """Items of ``item_bytes`` bytes per stacked chunk, at least one: the
+    one stack budget (1 MiB) of every chunked loop in the package."""
+    return max(1, _SHIFT_STACK_BYTES // item_bytes)
 
 
 def singular_values(M) -> np.ndarray:
@@ -428,7 +432,7 @@ def _shifted_singular_values(M: np.ndarray, z: np.ndarray) -> np.ndarray:
     array, from stacks taken in bounded-memory chunks."""
     n = M.shape[0]
     out = np.empty((z.shape[0], n))
-    step = _stack_step(n)
+    step = stack_step(16 * n * n)
     diag = np.arange(n)
     for lo in range(0, z.shape[0], step):
         zc = z[lo:lo + step]

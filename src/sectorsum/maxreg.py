@@ -435,19 +435,6 @@ class MaxRegReport:
     per_probe_Af: tuple[float, ...]
     seed: int = ADVERSARIAL_SEED
 
-    def to_dict(self) -> dict:
-        return {
-            "constant_fprime": self.constant_fprime,
-            "constant_Af": self.constant_Af,
-            "p": self.p,
-            "tau": self.tau,
-            "N_t": self.N_t,
-            "probe_labels": list(self.probe_labels),
-            "per_probe_fprime": list(self.per_probe_fprime),
-            "per_probe_Af": list(self.per_probe_Af),
-            "seed": self.seed,
-        }
-
 
 def default_probes(A: MatrixOperator, grid: TimeGrid) -> list[tuple[str, GridFunction]]:
     """Constant, single-frequency, and seeded random forcings."""

@@ -106,15 +106,6 @@ class SectorSampling:
             pts.append(inner)
         return np.unique(np.concatenate(pts))
 
-    def to_dict(self) -> dict:
-        return {
-            "n_boundary": self.n_boundary,
-            "n_angles": self.n_angles,
-            "r_min": self.r_min,
-            "r_max": self.r_max,
-            "interior_density": self.interior_density,
-        }
-
 
 @lru_cache(maxsize=64)
 def _radii(n: int, r_min: float, r_max: float) -> np.ndarray:
@@ -129,9 +120,10 @@ class MatrixOperator:
 
     `certified` records the last successful certification.  The matrix
     is held as a private read-only copy and cannot be reassigned, so
-    nothing cached from it can go stale.  The norms, the normal basis, the Schur form and, for a
-    non-normal operator, the singular values of A are computed on first
-    use and cached.  One SVD of A thus serves ``norm()``,
+    nothing cached from it can go stale.  The norms, the normal basis,
+    the Schur form and, for a non-normal operator, the singular values
+    of A are computed on first use and cached, and none of them is a
+    constructor argument.  One SVD of A thus serves ``norm()``,
     ``inverse_norm()`` and, as the decomposition at the shift 0, the Weyl
     bounds of every certification and extension check of A (see
     :func:`linops.weighted_resolvent_norms`).
@@ -139,13 +131,13 @@ class MatrixOperator:
 
     matrix: np.ndarray
     certified: SectorSpec | None = None
-    _norm: float | None = field(default=None, repr=False)
-    _inv_norm: float | None = field(default=None, repr=False)
+    _norm: float | None = field(default=None, init=False, repr=False)
+    _inv_norm: float | None = field(default=None, init=False, repr=False)
     # linops.normal_basis verdict, None included, once _basis_known is set
-    _basis: tuple | None = field(default=None, repr=False)
-    _basis_known: bool = field(default=False, repr=False)
+    _basis: tuple | None = field(default=None, init=False, repr=False)
+    _basis_known: bool = field(default=False, init=False, repr=False)
     # linops.schur_form, taken only when a non-normal operator is resolved
-    _schur: tuple | None = field(default=None, repr=False)
+    _schur: tuple | None = field(default=None, init=False, repr=False)
     # singular values of A, descending, taken only when A is not normal
     _sv: np.ndarray | None = field(default=None, init=False, repr=False)
 
@@ -224,8 +216,10 @@ class MatrixOperator:
 
 
 def resolvent_apply(A: MatrixOperator, z: complex, x) -> np.ndarray:
-    """(A + z)^{-1} x."""
-    return linops.solve_shifted(A.matrix, z, x)
+    """(A + z)^{-1} x, resolved on A's cached basis (see
+    :meth:`MatrixOperator.resolvent_basis`)."""
+    R = linops.resolvents(A.matrix, [z], A.resolvent_basis())[0]
+    return R @ linops.as_vector(x, A.dim)
 
 
 def _weighted_norms(A: MatrixOperator, pts: np.ndarray, floor=0.0, cap=np.inf) -> np.ndarray:
@@ -280,16 +274,6 @@ class ExtensionCheck:
     worst_margin: float
     worst_z: complex
     n_samples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "bound": self.bound,
-            "worst_value": self.worst_value,
-            "worst_margin": self.worst_margin,
-            "worst_z": [self.worst_z.real, self.worst_z.imag],
-            "n_samples": self.n_samples,
-        }
 
 
 def _disk_ring(n_disk: int) -> np.ndarray:
@@ -384,7 +368,7 @@ def decay_probe(
     pts = sampling.points(theta_prime)
     basis = A.resolvent_basis()
     # (A + z)^{-1} x at every sampled z, in stack-budget chunks
-    step = max(1, linops._SHIFT_STACK_BYTES // (16 * A.dim * A.dim))
+    step = linops.stack_step(16 * A.dim * A.dim)
     resolved = np.concatenate([
         linops.resolvents(A.matrix, pts[lo:lo + step], basis) @ x
         for lo in range(0, len(pts), step)

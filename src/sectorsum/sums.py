@@ -437,17 +437,6 @@ class ClosednessCertificate:
     seed: int
     contour: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "C_AB": self.C_AB,
-            "probe_count": self.probe_count,
-            "residual_K": self.residual_K,
-            "theta_grid": list(self.theta_grid),
-            "theta_values": list(self.theta_values),
-            "seed": self.seed,
-            "contour": self.contour,
-        }
-
 
 def certificate_probes(dim: int, n_random: int = 16, seed: int = PROBE_SEED):
     """Canonical basis plus seeded pseudo-random unit vectors."""

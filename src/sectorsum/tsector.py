@@ -76,6 +76,13 @@ def lhs_norm(
     p may be any exponent in [1, inf) here (the closedness machinery
     never needs p = 1, but the majorant inequality itself admits it).
     """
+    return _lhs(A, phi, r, xs, p, N_t)[0]
+
+
+def _lhs(A: MatrixOperator, phi: float, r: float, xs, p: float, N_t: int):
+    """:func:`lhs_norm` and the terms (I + r e^{-k+i phi} A)^{-1} x_k it
+    sums, as an (n, dim) array, from one stack of resolvents on A's
+    cached basis."""
     if not (np.exp(-1.0) - 1e-12 <= r <= 1.0 + 1e-12):
         raise ValueError(f"r must lie in [1/e, 1], got {r}")
     if A.certified is None or abs(phi) > A.angle() + 1e-12:
@@ -84,16 +91,13 @@ def lhs_norm(
         raise ValueError(f"p must lie in [1, inf), got {p}")
     xs = [linops.as_vector(x, A.dim) for x in xs]
     _check_grid_resolves(len(xs), N_t)
-    resolved = []
-    for k, x in enumerate(xs):
-        scale = r * np.exp(-k + 1j * phi)
-        # (I + s A)^{-1} = (1/s) (A + 1/s)^{-1}
-        resolved.append(linops.solve_shifted(A.matrix, 1.0 / scale, x) / scale)
+    scale = r * np.exp(-np.arange(len(xs)) + 1j * phi)
+    # (I + s A)^{-1} = (1/s) (A + 1/s)^{-1}
+    R = linops.resolvents(A.matrix, 1.0 / scale, A.resolvent_basis())
+    resolved = np.einsum("kij,kj->ki", R, np.array(xs)) / scale[:, None]
     grid = periodic_grid(N_t)
-    t = grid.times()
-    phases = np.exp(1j * np.outer(t, np.arange(len(xs))))
-    vals = phases @ np.array(resolved)
-    return GridFunction(grid, vals).lp_norm(p)
+    phases = np.exp(1j * np.outer(grid.times(), np.arange(len(xs))))
+    return GridFunction(grid, phases @ resolved).lp_norm(p), resolved
 
 
 # ----------------------------------------------------------- multiplier family
@@ -148,20 +152,6 @@ class TSectorReport:
     family_kind: str
     lhs: float
     denominator: float
-
-    def to_dict(self) -> dict:
-        return {
-            "C_hat": self.C_hat,
-            "witness": self.witness,
-            "phi": self.phi,
-            "r": self.r,
-            "p": self.p,
-            "n_terms": self.n_terms,
-            "N_t": self.N_t,
-            "family_kind": self.family_kind,
-            "lhs": self.lhs,
-            "denominator": self.denominator,
-        }
 
 
 def witness_search(
@@ -225,20 +215,14 @@ def parseval_tsector_check(
     working precision, as `A.normal_basis()` decides."""
     if A.normal_basis() is None:
         raise ValueError("parseval check needs a normal operator")
-    Am = A.matrix
     xs = [linops.as_vector(x, A.dim) for x in xs]
     _check_grid_resolves(len(xs), N_t)
     K_hat = certify_sector(A, abs(phi), attach=False)
-    lhs = lhs_norm(A, phi, r, xs, p=2.0, N_t=N_t)
+    lhs, resolved = _lhs(A, phi, r, xs, 2.0, N_t)
     rhs_vals = trig_sum(xs, N_t)
     rhs = GridFunction(periodic_grid(N_t, 2.0), rhs_vals).lp_norm()
-    # independent Parseval route for both sides
-    res_sq = 0.0
-    for k, x in enumerate(xs):
-        scale = r * np.exp(-k + 1j * phi)
-        y = linops.solve_shifted(Am, 1.0 / scale, x) / scale
-        res_sq += float(np.linalg.norm(y) ** 2)
-    lhs_parseval = np.sqrt(2.0 * np.pi * res_sq)
+    # Parseval sums of the same terms: a route independent of the grid
+    lhs_parseval = np.sqrt(2.0 * np.pi * np.sum(np.abs(resolved) ** 2))
     rhs_parseval = np.sqrt(2.0 * np.pi * sum(np.linalg.norm(x) ** 2 for x in xs))
     record = {
         "K_hat": K_hat,

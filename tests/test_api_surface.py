@@ -22,8 +22,7 @@ EXPORTED = {
     "GridFunction": ("grid", "values"),
     "HolomorphicSymbol": ("name", "evaluator", "theta", "decay", "c", "eta"),
     "ImaginaryPowerFamily": ("A", "t_max"),
-    "MatrixOperator": ("matrix", "certified", "_norm", "_inv_norm", "_basis", "_basis_known",
-                       "_schur"),
+    "MatrixOperator": ("matrix", "certified"),
     "MaxRegReport": ("constant_fprime", "constant_Af", "p", "tau", "N_t", "probe_labels",
                      "per_probe_fprime", "per_probe_Af", "seed"),
     "MultiplierFamily": ("kind",),
@@ -93,8 +92,7 @@ DATACLASSES = {
                                   "passed", "grids", "envelope"),
     "sector.ExtensionCheck": ("passed", "bound", "worst_value", "worst_margin", "worst_z",
                               "n_samples"),
-    "sector.MatrixOperator": ("matrix", "certified", "_norm", "_inv_norm", "_basis",
-                              "_basis_known", "_schur"),
+    "sector.MatrixOperator": ("matrix", "certified"),
     "sector.SectorSampling": ("n_boundary", "n_angles", "r_min", "r_max", "interior_density"),
     "sector.SectorSpec": ("theta", "K"),
     "sums.ClosednessCertificate": ("C_AB", "probe_count", "residual_K", "theta_grid",

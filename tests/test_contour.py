@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.special import sici
 
-from sectorsum import ContourSpec, build_nodes, contour, dunford, pv_integral
+from sectorsum import ContourSpec, build_nodes, dunford, linops, pv_integral
 from sectorsum.contour import fit_contour, gauss_panels
 from sectorsum.errors import AsymmetryDetected, InvalidContour, TruncationNotConverged
 
@@ -172,7 +172,7 @@ def test_dunford_chunks_match_per_node_loop(monkeypatch):
         return ((-lam) ** -0.5)[:, None, None] * np.linalg.inv(A + lam[:, None, None] * eye)
 
     # a budget of 7 nodes of 2x2 complex values per chunk
-    monkeypatch.setattr(contour, "_SHIFT_STACK_BYTES", 7 * 64)
+    monkeypatch.setattr(linops, "_SHIFT_STACK_BYTES", 7 * 64)
     spec = fit_contour(0.7 * np.pi, [-1.0, -3.0], (0.5, 0.5), 4.0, 1e-10, rho=0.2, n_arc=12)
     res = dunford(spec, integrand, 0.5)
     n = len(build_nodes(spec)[0])
@@ -376,10 +376,11 @@ def test_legendre_rule_and_dense_solves_stay_in_their_modules():
     assert legendre == {"contour.py"}
     assert sum(p.read_text().count("leggauss(") for p in src.glob("*.py")) == 1
     assert not re.search(r"np\.linalg\.(solve|inv)\b", (src / "sums.py").read_text())
-    # every contour sum takes its resolvents from linops.resolvents
+    # every contour sum and every sector and t-sector resolvent comes from
+    # linops.resolvents
     assert {p.name for p in src.glob("*.py")
             if "ShiftedFactorization(" in p.read_text()} == {"linops.py"}
-    for name in ("calculus.py", "sums.py"):
+    for name in ("calculus.py", "sums.py", "sector.py", "tsector.py"):
         text = (src / name).read_text()
         assert not re.search(r"ShiftedFactorization|lu_factor|getrf|solve_shifted|"
                              r"np\.linalg\.(solve|inv)\b", text), name

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -116,6 +114,25 @@ def test_deriv_resolvent_bound_check():
         rec = deriv_resolvent_bound_check(lam, grid)
         assert rec["passed"]
         assert rec["measured"] <= rec["bound"] * (1.0 + 5.0 * grid.dt)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_grid_operator_norm_away_from_p2(p):
+    # a diagonal node-value matrix multiplies pointwise, so its L^p norm is
+    # its largest entry; Boyd's iteration must single out the one 3 among
+    # entries 1 and 2
+    grid = TimeGrid(1.0, 16, p=p)
+    d = np.where(np.arange(grid.n_nodes) % 2, 2.0, 1.0)
+    d[5] = 3.0
+    assert abs(grid_operator_norm(np.diag(d), grid) - 3.0) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_deriv_resolvent_bound_check_away_from_p2(p):
+    grid = TimeGrid(1.0, 256, p=p)
+    for lam in (0.5, 3.0 + 2.0j, 20.0):
+        rec = deriv_resolvent_bound_check(lam, grid)
+        assert rec["passed"] and rec["p"] == p
 
 
 def test_resolvent_identity_on_grid():
@@ -365,7 +382,8 @@ def test_block_exponentials_by_shape(expm_calls, entry, normal):
 def test_maxreg_eigenbasis_matches_dense_stepper(m):
     # the same Laplacian forced onto the dense sweeps by a None basis verdict
     L = generate("laplacian-1d", m=m)
-    dense = replace(L, _basis_known=True, _basis=None)
+    dense = MatrixOperator(L.matrix, L.certified)
+    dense._basis_known = True
     grid = TimeGrid(1.0, 512)
     rep, ref = maxreg_constant(L, grid), maxreg_constant(dense, grid)
     assert rep.probe_labels == ref.probe_labels

@@ -5,8 +5,6 @@ contour sums reduced on the eigenvalues or in the Schur basis
 resolvent stacks, and of the Cauchy stepper's eigenbasis scans against
 its dense sweeps."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -99,7 +97,9 @@ def _eigen_and_dense(M):
     (verdict None) that shares its certificate."""
     A = MatrixOperator(M)
     certify_sector(A, 0.7 * np.pi)
-    return A, replace(A, _basis_known=True, _basis=None)
+    dense = MatrixOperator(M, A.certified)
+    dense._basis_known = True
+    return A, dense
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,18 @@ def test_certify_names_first_singular_shift():
         assert exc.value.shift == complex(first)
         assert A.certified is None
     assert A.normal_basis() is None
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5 * np.pi, 0.9 * np.pi])
+def test_certify_singular_operator_without_warnings(theta):
+    # singular at the shifts 0 and 1: once 0 sets the running sup to inf,
+    # the pruning of the other shifts must not form inf * 0
+    A = MatrixOperator(np.array([[0.0, 1.0], [0.0, -1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotSectorialAtAngle) as exc:
+            certify_sector(A, theta)
+    assert exc.value.shift == 0.0
 
 
 def test_certify_matches_per_shift_reference_nonnormal():
