@@ -304,14 +304,17 @@ def _offsector_samples(theta: float) -> np.ndarray:
     return np.multiply.outer(radii, np.exp(1j * angles)).reshape(-1)
 
 
+def _envelope_ratio(f: HolomorphicSymbol, lam: np.ndarray) -> np.ndarray:
+    """|f| over its declared envelope at every lam."""
+    return np.abs(f(lam)) / np.maximum(f.envelope(lam), 1e-300)
+
+
 def symbol_class_check(f: HolomorphicSymbol) -> dict:
     """Verify |f| against its declared envelope on the standard log-polar
     grid off the sector at f.theta.  Returns the check record; raises
     ClassViolated with the offending point when the inequality fails."""
     lam = _offsector_samples(f.theta)
-    vals = np.abs(f(lam))
-    env = f.envelope(lam)
-    ratio = vals / np.maximum(env, 1e-300)
+    ratio = _envelope_ratio(f, lam)
     worst = int(np.argmax(ratio))
     record = {
         "symbol": f.name,
@@ -333,13 +336,6 @@ def symbol_class_check(f: HolomorphicSymbol) -> dict:
     return record
 
 
-def _measured_constant(evaluator, envelope_fn, theta: float) -> float:
-    lam = _offsector_samples(theta)
-    vals = np.abs(evaluator(lam))
-    base = envelope_fn(lam)
-    return float(np.max(vals / np.maximum(base, 1e-300)))
-
-
 def builtin_symbols(theta: float) -> dict[str, HolomorphicSymbol]:
     """Builtin symbol registry at a given sector angle.
 
@@ -357,26 +353,15 @@ def builtin_symbols(theta: float) -> dict[str, HolomorphicSymbol]:
     def rational_eta(lam):
         return (-lam / (1.0 - lam) ** 2 + 0j) ** 0.5
 
+    lam = _offsector_samples(theta)
     reg = {}
-    c1 = 1.05 * _measured_constant(
-        sqrt_over_1minus, lambda l: np.abs(l) ** 0.5 / (1.0 + np.abs(l)), theta
-    )
-    reg["sqrt-over-1minus"] = HolomorphicSymbol(
-        "sqrt-over-1minus", sqrt_over_1minus, theta, "extended", c=c1, eta=0.5
-    )
-    r = lambda l: np.abs(l)  # noqa: E731
-    c2 = 1.05 * _measured_constant(
-        cayley_squared, lambda l: r(l) / (1.0 + r(l) ** 2), theta
-    )
-    reg["cayley-squared"] = HolomorphicSymbol(
-        "cayley-squared", cayley_squared, theta, "h0", c=c2, eta=1.0
-    )
-    c3 = 1.05 * _measured_constant(
-        rational_eta, lambda l: (r(l) / (1.0 + r(l) ** 2)) ** 0.5, theta
-    )
-    reg["rational-eta"] = HolomorphicSymbol(
-        "rational-eta", rational_eta, theta, "h0", c=c3, eta=0.5
-    )
+    for name, evaluator, decay, eta in (
+        ("sqrt-over-1minus", sqrt_over_1minus, "extended", 0.5),
+        ("cayley-squared", cayley_squared, "h0", 1.0),
+        ("rational-eta", rational_eta, "h0", 0.5),
+    ):
+        f = HolomorphicSymbol(name, evaluator, theta, decay, c=1.0, eta=eta)
+        reg[name] = replace(f, c=1.05 * float(np.max(_envelope_ratio(f, lam))))
     return reg
 
 
@@ -398,7 +383,6 @@ def hinf_apply(
     A: MatrixOperator,
     spec: ContourSpec | None = None,
     tol: float = 1e-9,
-    check_class: bool = True,
     with_info: bool = False,
 ):
     """f(-A) = (1/2 pi i) int over Gamma_theta of f(lambda) (A+lambda)^{-1} dlambda.
@@ -416,8 +400,7 @@ def hinf_apply(
         raise ValueError(
             "operator must be certified at an angle strictly above the symbol angle"
         )
-    if check_class:
-        symbol_class_check(f)
+    symbol_class_check(f)
     spec = spec or hinf_contour(f, A, tol)
 
     info = _symbol_integral(A, spec, f, f.decay_at_infinity(), tol)
@@ -432,8 +415,7 @@ def hinf_constant(A: MatrixOperator, family: Sequence[HolomorphicSymbol]) -> flo
         raise ValueError("hinf_constant needs a nonempty symbol family")
     best = 0.0
     for f in family:
-        symbol_class_check(f)
-        fA = hinf_apply(f, A, check_class=False)
+        fA = hinf_apply(f, A)
         sup_f = float(np.max(np.abs(f(_offsector_samples(f.theta)))))
         best = max(best, linops.operator_norm(fA) / max(sup_f, 1e-300))
     return best

@@ -3,7 +3,7 @@
 The basic path is, for arc radius rho >= 0 and opening angle theta,
 
     { rho e^{i phi} : theta <= phi <= 2 pi - theta }
-        union  { r e^{+- i theta} : rho <= r <= R },
+        union  { r e^{+- i theta} : r >= rho },
 
 traversed positively around the region to the left of the sector: in
 along the lower ray, around the arc (phi decreasing from 2 pi - theta
@@ -18,16 +18,14 @@ Legendre nodes are mapped onto panels (as do the principal values, the
 imaginary-power rays, the bound assembly and the e-adic panels).
 
 The rays take one trapezoid rule in u after a double-exponential map of
-s = log r (Takahasi & Mori 1974).  With x = c + sinh u, a ray over the
-log-radius window (a, b) = (log rho, log R) is
+s = log r (Takahasi & Mori 1974).  With x = c + sinh u and a = log rho,
+a ray is
 
-    s = x                            a = -inf, b = inf  (the line),
-    s = a + log(1 + e^x)             b = inf            (the half-line),
-    s = b - log(1 + e^-x)            a = -inf,
-    s = a + (b - a) / (1 + e^-x)     both finite        (the segment),
+    s = x                            rho = 0  (the line),
+    s = a + log(1 + e^x)             rho > 0  (the half-line),
 
 so an integrand that decays like a power of r at an unbounded end, or
-stays bounded at a finite one, decays double-exponentially in u.  The
+stays bounded at r = rho, decays double-exponentially in u.  The
 trapezoid error is then about e^{-2 pi d / h}, where d is the half-width
 of the strip around the real u-axis in which the integrand is analytic
 (Trefethen & Weideman, SIAM Rev. 2014).  fit_contour takes d from the
@@ -39,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -61,17 +59,15 @@ class ContourSpec:
     """A sector-boundary path and its quadrature.
 
     rho is the arc radius (0 collapses the arc), theta in (0, pi) the ray
-    angle, R the rays' outer end (inf by default), n_arc the arc's
-    Gauss-Legendre node count (0 when rho == 0; 0 with rho > 0 leaves the
-    radial window [rho, R] of the rays alone).  c, h, u_lo and u_hi are
-    the ray rule: the map x = c + sinh u and the trapezoid nodes
+    angle, n_arc the arc's Gauss-Legendre node count (0 when rho == 0; 0
+    with rho > 0 leaves the rays from rho alone).  c, h, u_lo and u_hi
+    are the ray rule: the map x = c + sinh u and the trapezoid nodes
     u_lo + k h' (k = 0..n), h' <= h the widest step that divides
     [u_lo, u_hi] evenly; fit_contour sets them from the integrand.
     """
 
     rho: float
     theta: float
-    R: float = math.inf
     n_arc: int = 16
     c: float = 0.0
     h: float = 0.125
@@ -83,10 +79,6 @@ class ContourSpec:
             raise InvalidContour(f"theta must lie in (0, pi), got {self.theta}")
         if self.rho < 0:
             raise InvalidContour("rho must be nonnegative")
-        if not (self.R >= self.rho and self.R > 0):
-            raise InvalidContour(f"R={self.R} must be at least rho={self.rho}")
-        if self.R == self.rho and self.n_arc == 0:
-            raise InvalidContour("degenerate rays need arc nodes")
         if self.rho == 0.0 and self.n_arc != 0:
             raise InvalidContour("rho = 0 admits no arc nodes")
         if not (self.h > 0 and self.u_lo < self.u_hi):
@@ -94,63 +86,45 @@ class ContourSpec:
         if self.rho > 0 and self.n_arc and self.n_arc < 4:
             raise InvalidContour("n_arc must be at least 4 when the arc is present")
 
-    def to_dict(self) -> dict:  # an unbounded R is null: JSON has no inf
-        return asdict(self) | {"R": self.R if math.isfinite(self.R) else None}
-
 
 def _expit(x):
     """The logistic function 1 / (1 + e^-x), to full relative accuracy."""
     return np.exp(-np.logaddexp(0.0, -x))
 
 
-def _window(spec: ContourSpec) -> tuple[float, float]:
-    """The rays' log-radius window (log rho or -inf, log R or inf)."""
-    return (math.log(spec.rho) if spec.rho > 0 else -math.inf,
-            math.log(spec.R) if math.isfinite(spec.R) else math.inf)
+def _log_rho(spec: ContourSpec) -> float:
+    """The rays' inner log radius: log rho, or -inf for rays from the origin."""
+    return math.log(spec.rho) if spec.rho > 0 else -math.inf
 
 
-def _to_x(s, a: float, b: float):
-    """The inverse of the ray map on the window (a, b), real or complex."""
-    if math.isinf(a) and math.isinf(b):
-        return s
-    if math.isinf(b):
-        return np.log(np.expm1(s - a))
-    if math.isinf(a):
-        return -np.log(np.expm1(b - s))
-    t = (s - a) / (b - a)
-    return np.log(t / (1.0 - t))
+def _to_x(s, a: float):
+    """The inverse of the ray map from log radius a, real or complex."""
+    return s if math.isinf(a) else np.log(np.expm1(s - a))
 
 
 def _ray_rule(spec: ContourSpec):
-    """(s, ds/du, step, rest) at the ray rule's nodes (None without rays);
-    rest is the log-radius length left beyond each end node (inf if unbounded)."""
-    if spec.R <= spec.rho:
-        return None
-    a, b = _window(spec)
+    """(s, ds/du, step, rest_in) at the ray rule's nodes; rest_in is the
+    log-radius length left inside the inner end node (inf from the origin)."""
+    a = _log_rho(spec)
     u_lo, u_hi = spec.u_lo, spec.u_hi   # stop at radius e^(+-_S_MAX); the tail covers the rest
-    if a < -_S_MAX < b:
-        u_lo = max(u_lo, math.asinh(_to_x(-_S_MAX, a, b) - spec.c))
-    if a < _S_MAX < b:
-        u_hi = min(u_hi, math.asinh(_to_x(_S_MAX, a, b) - spec.c))
-    if not (u_lo < u_hi and a < _S_MAX and b > -_S_MAX):
+    if a < -_S_MAX:
+        u_lo = max(u_lo, math.asinh(_to_x(-_S_MAX, a) - spec.c))
+    if a < _S_MAX:
+        u_hi = min(u_hi, math.asinh(_to_x(_S_MAX, a) - spec.c))
+    if not (u_lo < u_hi and a < _S_MAX):
         raise InvalidContour(f"the ray rule of {spec} lies beyond radius e^(+-{_S_MAX:.0f})")
     n = max(2, math.ceil((u_hi - u_lo) / spec.h - 1e-9))
     u = np.linspace(u_lo, u_hi, n + 1)
     x = spec.c + np.sinh(u)
-    if math.isinf(a) and math.isinf(b):
-        s, ds, rest = x, 1.0, (math.inf, math.inf)
-    elif math.isinf(b):
-        s, ds, rest = a + np.logaddexp(0.0, x), _expit(x), (float(np.logaddexp(0.0, x[0])), math.inf)
-    elif math.isinf(a):
-        s, ds, rest = b - np.logaddexp(0.0, -x), _expit(-x), (math.inf, float(np.logaddexp(0.0, -x[-1])))
+    if math.isinf(a):
+        s, ds, rest_in = x, 1.0, math.inf
     else:
-        s, ds = a + (b - a) * _expit(x), (b - a) * _expit(x) * _expit(-x)
-        rest = (float((b - a) * _expit(x[0])), float((b - a) * _expit(-x[-1])))
-    return s, ds * np.cosh(u), u[1] - u[0], rest
+        s, ds, rest_in = a + np.logaddexp(0.0, x), _expit(x), float(np.logaddexp(0.0, x[0]))
+    return s, ds * np.cosh(u), u[1] - u[0], rest_in
 
 
 def fit_contour(theta: float, poles, decay, magnitude: float, tol: float,
-                rho: float = 0.0, R: float = math.inf, n_arc: int = 0) -> ContourSpec:
+                rho: float = 0.0, n_arc: int = 0) -> ContourSpec:
     """The path at angle theta with its ray rule fitted to the integrand F.
 
     F is singular at ``poles`` (-sigma(A) for (A + lambda)^{-1}), lambda F
@@ -159,54 +133,47 @@ def fit_contour(theta: float, poles, decay, magnitude: float, tol: float,
     r^-Re zeta_inf) on the rays (``magnitude`` M).
 
     d is the smallest |Im u| of the poles on both rays (each at its
-    nearest two images s + 2 pi i k) and of the map's own singular points
-    x = +-i pi on a finite window, at most 1 and at most
+    nearest two images s + 2 pi i k) and of the half-line map's own
+    singular points x = +-i pi, at most 1 and at most
     atan(Re zeta / |Im zeta|) at each unbounded end, past which r^zeta
     grows along the strip's edge.  Then h = 2 pi d / log(16 M / tol), c
     is the middle of the poles' log radii (taken into x), and each end is
     cut where its share of dunford's tail estimate, at the bound, is
     tol / 16.  InvalidContour when d < 1e-3: a pole on a ray, or no decay.
     """
-    base = ContourSpec(rho=rho, theta=theta, R=R, n_arc=n_arc)
-    if R <= rho:
-        return base
-    a, b = _window(base)
+    base = ContourSpec(rho=rho, theta=theta, n_arc=n_arc)
+    a = _log_rho(base)
     decay, p = [complex(zeta) for zeta in decay], np.ravel(poles).astype(complex)
     p = p[p != 0]
     logr = np.log(np.abs(p))
-    xs = np.real(_to_x(np.clip(logr, a + 1e-2, b - 1e-2).astype(complex), a, b))
+    xs = np.real(_to_x(np.maximum(logr, a + 1e-2).astype(complex), a))
     c = 0.5 * float(xs.min() + xs.max()) if len(p) else 0.0
     phase = np.angle(np.concatenate([p * np.exp(-1j * theta), p * np.exp(1j * theta)]))
     phase = np.concatenate([phase, phase - 2.0 * np.pi * np.sign(phase)])
     with np.errstate(all="ignore"):
-        x = _to_x(np.tile(logr, 4) + 1j * phase, a, b)
-    if not (math.isinf(a) and math.isinf(b)):
+        x = _to_x(np.tile(logr, 4) + 1j * phase, a)
+    if not math.isinf(a):
         x = np.append(x, [1j * np.pi, -1j * np.pi])
     d = float(np.min(np.abs(np.imag(np.arcsinh(x[np.isfinite(x)] - c))), initial=1.0))
-    for end, zeta in ((a, decay[0]), (b, decay[1])):
-        if math.isinf(end):
-            d = min(d, math.atan2(zeta.real, abs(zeta.imag)))
+    for zeta in decay if math.isinf(a) else decay[1:]:   # the unbounded ends
+        d = min(d, math.atan2(zeta.real, abs(zeta.imag)))
     if d < 1e-3:
         raise InvalidContour(f"no strip of analyticity around the rays at theta={theta:.6f} "
                              f"(half-width {d:.2e}): a pole lies on them or F does not decay")
     M = max(magnitude, 1.0)
     end_tol = 2.0 * np.pi * _SHARE * tol
 
-    def cut(end, sign):
-        if math.isinf(end):     # M r^-eta / eta at the end node
+    def cut(sign):
+        if sign > 0 or math.isinf(a):     # M r^-eta / eta at the end node
             eta = decay[sign > 0].real
-            return float(np.real(_to_x(complex(sign * math.log(M / (eta * end_tol)) / eta), a, b)))
-        # the window left beyond the end node, times the bound there
-        bound = M * math.exp(min(decay[0].real * end, -decay[1].real * end))
-        length = min(end_tol / bound, 1.0)
-        if math.isinf(a) or math.isinf(b):
-            return -sign * math.log(math.expm1(length))
-        t = min(length / (b - a), 0.25)
-        return sign * math.log((1.0 - t) / t)
+            return float(np.real(_to_x(complex(sign * math.log(M / (eta * end_tol)) / eta), a)))
+        # the log-radius length left inside the end node, times the bound at rho
+        bound = M * math.exp(min(decay[0].real * a, -decay[1].real * a))
+        return math.log(math.expm1(min(end_tol / bound, 1.0)))
 
     h = 2.0 * np.pi * d / max(math.log(M / (_SHARE * tol)), 4.0)
-    return replace(base, c=c, h=h, u_lo=math.asinh(min(cut(a, -1.0), c - 1.0) - c),
-                   u_hi=math.asinh(max(cut(b, 1.0), c + 1.0) - c))
+    return replace(base, c=c, h=h, u_lo=math.asinh(min(cut(-1.0), c - 1.0) - c),
+                   u_hi=math.asinh(max(cut(1.0), c + 1.0) - c))
 
 
 @functools.lru_cache(maxsize=64)
@@ -241,7 +208,7 @@ def build_nodes(spec: ContourSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _nodes(spec: ContourSpec, rule) -> tuple[np.ndarray, np.ndarray]:
     """build_nodes(spec) on the spec's ray rule, already taken."""
-    lam_parts, w_parts = [np.zeros(0)], [np.zeros(0)]
+    lam_parts, w_parts = [], []
     if spec.rho > 0 and spec.n_arc > 0:
         half = np.pi - spec.theta
         x, w = gauss_panels([-half, half], spec.n_arc)
@@ -249,13 +216,12 @@ def _nodes(spec: ContourSpec, rule) -> tuple[np.ndarray, np.ndarray]:
         lam_parts.append(lam)
         # d lambda = i rho e^{i phi} d phi, traversed with phi decreasing
         w_parts.append(-w * 1j * lam / _TWO_PI_I)
-    if rule is not None:
-        s, ds, step, _ = rule
-        # d lambda = lambda (ds/du) du; per node the upper ray (out), then the lower (in)
-        r = np.exp(s)[:, None]
-        d = np.exp([1j * spec.theta, -1j * spec.theta])
-        lam_parts.append((r * d).reshape(-1))
-        w_parts.append(((step * ds)[:, None] * r * d * [1.0, -1.0] / _TWO_PI_I).reshape(-1))
+    s, ds, step, _ = rule
+    # d lambda = lambda (ds/du) du; per node the upper ray (out), then the lower (in)
+    r = np.exp(s)[:, None]
+    d = np.exp([1j * spec.theta, -1j * spec.theta])
+    lam_parts.append((r * d).reshape(-1))
+    w_parts.append(((step * ds)[:, None] * r * d * [1.0, -1.0] / _TWO_PI_I).reshape(-1))
     return np.concatenate(lam_parts), np.concatenate(w_parts)
 
 
@@ -292,8 +258,8 @@ def dunford(
         exceeds it.
 
     The tail estimate sums over the four ray ends g / (2 pi) times the
-    log-radius length the rule leaves out there: the window beyond a
-    finite end, 1 / eta beyond an unbounded one, with eta =
+    log-radius length the rule leaves out there: the length down to rho
+    inside the inner end of rays from rho > 0, else 1 / eta, with eta =
     ``decay_exponent`` at infinity and, toward the origin, the decay g
     shows between the two innermost nodes.  g = ||F(lambda)|| |lambda| at
     the end node, in the spectral norm: |v| of a scalar, max_i |v_i| of a
@@ -307,10 +273,9 @@ def dunford(
     """
     rule = _ray_rule(spec)
     lam, w = _nodes(spec, rule)
-    n_arc = len(lam) - (0 if rule is None else 2 * len(rule[0]))
+    n_arc = len(lam) - 2 * len(rule[0])
     probe = np.zeros(len(lam), dtype=bool)  # the two last nodes of each ray end
-    if rule is not None:
-        probe[n_arc:n_arc + 4] = probe[len(lam) - 4:] = True
+    probe[n_arc:n_arc + 4] = probe[len(lam) - 4:] = True
     norms = np.zeros(len(lam))
     acc, lo, step = 0.0, 0, 1
     while lo < len(lam):
@@ -323,17 +288,16 @@ def dunford(
                                           if ends.ndim <= 2 else np.linalg.norm(ends, 2, axis=(-2, -1)))
         lo += step
         step = stack_step(values[0].nbytes)
-    tail = 0.0
-    if rule is not None:
-        s, _, _, (rest_in, rest_out) = rule
-        g = norms[n_arc:].reshape(-1, 2) * np.exp(s)[:, None]
+    s, _, _, rest_in = rule
+    g = norms[n_arc:].reshape(-1, 2) * np.exp(s)[:, None]
+    if math.isinf(rest_in):
+        with np.errstate(all="ignore"):
+            eta_0 = np.log(g[1] / g[0]) / (s[1] - s[0])
+        inner = np.where(g[0] == 0, 0.0, np.where(eta_0 > 0, g[0] / eta_0, np.inf))
+    else:
         inner = g[0] * rest_in
-        if math.isinf(rest_in):
-            with np.errstate(all="ignore"):
-                eta_0 = np.log(g[1] / g[0]) / (s[1] - s[0])
-            inner = np.where(g[0] == 0, 0.0, np.where(eta_0 > 0, g[0] / eta_0, np.inf))
-        outer = g[-1] * (1.0 / max(decay_exponent, 1e-3) if math.isinf(rest_out) else rest_out)
-        tail = float(np.sum(inner + outer)) / (2.0 * np.pi)
+    outer = g[-1] * (1.0 / max(decay_exponent, 1e-3))
+    tail = float(np.sum(inner + outer)) / (2.0 * np.pi)
     if tol_tail is not None and tail > tol_tail:
         raise TruncationNotConverged(
             f"tail estimate {tail:.3e} exceeds tol_tail {tol_tail:.3e} (rays over u "

@@ -133,6 +133,14 @@ def _integer(v) -> int:
     return int(v)
 
 
+def _decaying_weight(v) -> complex:
+    """complex(re, im) for a weight of the identities, which need Re w < 0."""
+    w = complex(*v)
+    if w.real >= 0:
+        raise ValueError("the weighted identities need Re w < 0")
+    return w
+
+
 def _sizes(v) -> list[int]:
     if not isinstance(v, list) or not v:
         raise ValueError("sizes must be a nonempty list")
@@ -312,7 +320,7 @@ def _sum(cfg, seed, out_dir):
     outputs = {"relative_error_vs_direct": err}
     passed = err <= 1e-6
     if cfg.get("check_identities"):
-        w = _field(cfg, "check_identities", lambda v: complex(*v), None)
+        w = _field(cfg, "check_identities", _decaying_weight, None)
         _, _, dl = sums.weighted_identity_left(pair, w)
         _, _, dr = sums.weighted_identity_right(pair, w)
         outputs["identity_left_diff"] = dl
@@ -342,7 +350,7 @@ def _tsector(cfg, seed, out_dir):
     rng = np.random.default_rng(seed)
     xs = [rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
           for _ in range(n + 1)]
-    fam = tsector.MultiplierFamily(kind=cfg.get("family", "pure-harmonics"))
+    fam = _field(cfg, "family", tsector.MultiplierFamily, tsector.MultiplierFamily())
     rep = tsector.witness_search(op, phi, r, xs, p, fam, N_t)
     return CertificateReport(
         operation="t-sector",

@@ -50,7 +50,7 @@ cross-checked against scalar residue oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -158,12 +158,12 @@ def sum_contour(
     with the constant K_A K_B grown by e^{|Im w| (pi - theta)}, and like
     |lam|^{2 + Re w} at the origin.
     """
-    return _window_contour(pair, tol, w, s, (0.0, np.inf))
+    return _rays_from(pair, tol, w, s, 0.0)
 
 
-def _window_contour(pair, tol, w, s, window) -> ContourSpec:
-    """sum_contour(pair, tol, w, s) over the radial window (r_lo, r_hi)
-    of the rays alone (no arc)."""
+def _rays_from(pair, tol, w, s, rho) -> ContourSpec:
+    """sum_contour(pair, tol, w, s) over the rays from radius rho alone
+    (no arc)."""
     eps = 0.05 * min(1.0, pair.angular_margin())
     theta = (pair.A if s > 0 else pair.B).angle() - eps
     growth = np.exp(abs(np.imag(w)) * (np.pi - theta))
@@ -174,8 +174,7 @@ def _window_contour(pair, tol, w, s, window) -> ContourSpec:
                             s * linops.basis_eigenvalues(bases[1])])
     M = growth * max(pair.A.constant() * pair.B.constant(),
                      4.0 * pair.A.inverse_norm() * pair.B.inverse_norm())
-    return fit_contour(theta, poles, (2.0 + w, -w), M, 0.25 * tol,
-                       rho=window[0], R=window[1])
+    return fit_contour(theta, poles, (2.0 + w, -w), M, 0.25 * tol, rho=rho)
 
 
 def inverse_contour(pair: CommutingPair, tol: float = 1e-6) -> ContourSpec:
@@ -348,11 +347,15 @@ def split_integral_eval(
     """The three radial pieces (|lambda| <= 1, the annulus up to e^n, the
     tail) of the weighted contour integral at w = -(theta+phi) + i t.
 
+    With I_rho the integral over the rays from radius rho to infinity,
+    the pieces are I_0 - I_1, I_1 - I_{e^n} and I_{e^n}, each distinct
+    radius integrated once, so the middle piece is exactly zero at n = 0.
+
     variant "right": pieces of
         -(1/2 pi i) int (A-lam)^{-1} B^phi (B+lam)^{-1} (-lam)^{1+w} dlam
     over Gamma at theta_B - eps; they satisfy
-        A K B^{-theta+it} = B^{-theta+it} + p1 + p2 + p3  (up to the tail
-    beyond R).  variant "left": pieces of
+        A K B^{-theta+it} = B^{-theta+it} + p1 + p2 + p3.
+    variant "left": pieces of
         (1/2 pi i) int A^phi (A+mu)^{-1} (B-mu)^{-1} (-mu)^{1+w} dmu
     over Gamma at theta_A - eps, summing to A K A^{-theta+it}.
     """
@@ -363,19 +366,16 @@ def split_integral_eval(
         raise ValueError(f"unknown variant {variant!r}")
     s = -1.0 if variant == "right" else 1.0
     # B^phi (right) or A^phi (left) does not depend on the node and
-    # commutes with both resolvents, so it multiplies each piece once
+    # commutes with both resolvents, so it multiplies each ray integral once
     factor = fractional_power(pair.B if s < 0 else pair.A, phi, tol=tol)
 
+    def ray_integral(rho):
+        X = _pair_integral(pair, _rays_from(pair, tol, w, s, rho), s, w).value
+        return -(X @ factor) if s < 0 else factor @ X
+
     e_n = float(np.exp(n))
-    pieces = []
-    for window in [(0.0, 1.0), (1.0, e_n), (e_n, np.inf)]:
-        if window[1] <= window[0]:
-            pieces.append(np.zeros((pair.dim, pair.dim), dtype=complex))
-            continue
-        spec = _window_contour(pair, tol, w, s, window)
-        X = _pair_integral(pair, spec, s, w).value
-        pieces.append(-(X @ factor) if s < 0 else factor @ X)
-    return tuple(pieces)
+    rays = {rho: ray_integral(rho) for rho in dict.fromkeys((0.0, 1.0, e_n))}
+    return rays[0.0] - rays[1.0], rays[1.0] - rays[e_n], rays[e_n]
 
 
 def eadic_middle_eval(
@@ -480,5 +480,5 @@ def closedness_certificate(
         theta_grid=tuple(theta_grid),
         theta_values=tuple(theta_values),
         seed=PROBE_SEED,
-        contour=spec.to_dict(),
+        contour=asdict(spec),
     )

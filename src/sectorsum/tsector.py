@@ -117,6 +117,10 @@ class MultiplierFamily:
 
     kind: str = "pure-harmonics"
 
+    def __post_init__(self):
+        if self.kind not in ("pure-harmonics", "piecewise-constant", "proof-derived"):
+            raise ValueError(f"unknown multiplier family kind {self.kind!r}")
+
     def members(self, n_terms: int, N_t: int):
         """Yield (label, a) with a of shape (n_terms, N_t), |a| <= 1."""
         t = 2.0 * np.pi * np.arange(N_t) / N_t
@@ -131,11 +135,9 @@ class MultiplierFamily:
                     seg = np.minimum((t / (2 * np.pi) * m).astype(int), m - 1)
                     phases = rng.uniform(0.0, 2.0 * np.pi, size=(n_terms, m))
                     yield f"pw-m={m}-{j}", np.exp(1j * phases[:, seg])
-        elif self.kind == "proof-derived":
+        else:   # proof-derived
             for s in (0.0, np.pi / 4, np.pi / 2, np.pi):
                 yield f"shifted-s={s:.3f}", np.exp(1j * np.outer(k, t + s))
-        else:
-            raise ValueError(f"unknown multiplier family kind {self.kind!r}")
 
 
 @dataclass

@@ -18,7 +18,7 @@ EXPORTED = {
     "ClosednessCertificate": ("C_AB", "probe_count", "residual_K", "theta_grid", "theta_values",
                               "seed", "contour"),
     "CommutingPair": ("A", "B"),
-    "ContourSpec": ("rho", "theta", "R", "n_arc", "c", "h", "u_lo", "u_hi"),
+    "ContourSpec": ("rho", "theta", "n_arc", "c", "h", "u_lo", "u_hi"),
     "GridFunction": ("grid", "values"),
     "HolomorphicSymbol": ("name", "evaluator", "theta", "decay", "c", "eta"),
     "ImaginaryPowerFamily": ("A", "t_max"),
@@ -48,7 +48,7 @@ EXPORTED = {
     "extended_sector_check": ("A", "spec", "sampling", "n_disk"),
     "fractional_power": ("A", "s", "tol"),
     "generate": ("kind", "certify_angle", "seed", "params"),
-    "hinf_apply": ("f", "A", "spec", "tol", "check_class", "with_info"),
+    "hinf_apply": ("f", "A", "spec", "tol", "with_info"),
     "hinf_constant": ("A", "family"),
     "imaginary_power": ("A", "t"),
     "laplacian_eigenvalues": ("m",),
@@ -82,7 +82,7 @@ EXPORTED = {
 DATACLASSES = {
     "calculus.BipFit": ("M", "phi", "t_grid", "norms"),
     "calculus.HolomorphicSymbol": ("name", "evaluator", "theta", "decay", "c", "eta"),
-    "contour.ContourSpec": ("rho", "theta", "R", "n_arc", "c", "h", "u_lo", "u_hi"),
+    "contour.ContourSpec": ("rho", "theta", "n_arc", "c", "h", "u_lo", "u_hi"),
     "contour.DunfordResult": ("value", "tail_estimate", "n_nodes"),
     "maxreg.GridFunction": ("grid", "values"),
     "maxreg.MaxRegReport": ("constant_fprime", "constant_Af", "p", "tau", "N_t", "probe_labels",

@@ -19,34 +19,25 @@ from sectorsum.errors import AsymmetryDetected, InvalidContour, TruncationNotCon
 
 def test_invalid_contours():
     with pytest.raises(InvalidContour):
-        ContourSpec(rho=0.0, theta=np.pi / 4, R=10.0, n_arc=8)  # arc without rho
+        ContourSpec(rho=0.0, theta=np.pi / 4, n_arc=8)  # arc without rho
     with pytest.raises(InvalidContour):
-        ContourSpec(rho=2.0, theta=np.pi / 4, R=1.0, n_arc=8)  # R < rho
+        ContourSpec(rho=-1.0, theta=np.pi / 4, n_arc=8)  # negative rho
     with pytest.raises(InvalidContour):
-        ContourSpec(rho=0.1, theta=0.0, R=1.0, n_arc=8)  # theta out of range
+        ContourSpec(rho=0.1, theta=0.0, n_arc=8)  # theta out of range
     with pytest.raises(InvalidContour):
-        ContourSpec(rho=0.1, theta=np.pi / 4, R=1.0, n_arc=8, h=0.0)  # no step
+        ContourSpec(rho=0.1, theta=np.pi / 4, n_arc=8, h=0.0)  # no step
     with pytest.raises(InvalidContour):
         ContourSpec(rho=0.1, theta=np.pi / 4, n_arc=8, u_lo=1.0, u_hi=1.0)
 
 
-def test_arc_only_degenerate_rays():
-    spec = ContourSpec(rho=1.0, theta=np.pi / 2, R=1.0, n_arc=16)
-    lam, w = build_nodes(spec)
-    assert lam.shape == w.shape == (16,)
-    phis = np.angle(lam) % (2 * np.pi)
-    assert np.all((phis >= np.pi / 2 - 1e-12) & (phis <= 1.5 * np.pi + 1e-12))
-
-
 def test_rays_only_when_rho_zero():
-    spec = ContourSpec(rho=0.0, theta=np.pi / 4, R=10.0, n_arc=0)
+    spec = ContourSpec(rho=0.0, theta=np.pi / 4, n_arc=0)
     lam, _ = build_nodes(spec)
     assert np.allclose(np.abs(np.abs(np.angle(lam))) - np.pi / 4, 0.0, atol=1e-14)
-    assert np.max(np.abs(lam)) <= 10.0 + 1e-12
 
 
 def test_nodes_lie_on_path():
-    spec = ContourSpec(rho=0.3, theta=2 * np.pi / 3, R=50.0, n_arc=12)
+    spec = ContourSpec(rho=0.3, theta=2 * np.pi / 3, n_arc=12)
     lam, _ = build_nodes(spec)
     on_ray = np.abs(np.abs(np.angle(lam)) - spec.theta) < 1e-14
     on_arc = np.abs(np.abs(lam) - spec.rho) < 1e-14 * spec.rho
@@ -55,25 +46,21 @@ def test_nodes_lie_on_path():
 
 @settings(max_examples=60, deadline=None)
 @given(theta=st.floats(0.05, 3.09), rho=st.sampled_from([0.0, 1e-3, 0.4, 7.0]),
-       span=st.sampled_from([0.0, 2.0, 30.0, math.inf]), n_arc=st.integers(4, 40),
-       c=st.floats(-5.0, 5.0), h=st.floats(0.02, 1.0),
+       n_arc=st.sampled_from([0, 4, 17, 40]), c=st.floats(-5.0, 5.0), h=st.floats(0.02, 1.0),
        u_lo=st.floats(-6.0, 0.0), width=st.floats(0.1, 8.0))
-def test_build_nodes_lie_on_the_path(theta, rho, span, n_arc, c, h, u_lo, width):
-    R = rho + span if rho or span else math.inf
-    spec = ContourSpec(rho=rho, theta=theta, R=R, n_arc=n_arc if rho else 0,
+def test_build_nodes_lie_on_the_path(theta, rho, n_arc, c, h, u_lo, width):
+    spec = ContourSpec(rho=rho, theta=theta, n_arc=n_arc if rho else 0,
                        c=c, h=h, u_lo=u_lo, u_hi=u_lo + width)
     lam, _ = build_nodes(spec)
-    n_arc = spec.n_arc if rho else 0
-    arc, ray = lam[:n_arc], lam[n_arc:]
+    arc, ray = lam[:spec.n_arc], lam[spec.n_arc:]
     assert np.allclose(np.abs(arc), rho, rtol=1e-13, atol=0.0)
     assert np.all(np.abs(np.angle(arc)) >= theta - 1e-12)
-    if R > rho:
-        assert len(ray) >= 6
-        assert np.allclose(np.angle(ray[0::2]), theta, rtol=0.0, atol=1e-12)
-        assert np.allclose(np.angle(ray[1::2]), -theta, rtol=0.0, atol=1e-12)
-        r = np.abs(ray)
-        assert np.all(r >= rho * (1.0 - 1e-13)) and np.all(r <= R * (1.0 + 1e-13))
-        assert np.all(np.diff(r[0::2]) >= 0.0)
+    assert len(ray) >= 6
+    assert np.allclose(np.angle(ray[0::2]), theta, rtol=0.0, atol=1e-12)
+    assert np.allclose(np.angle(ray[1::2]), -theta, rtol=0.0, atol=1e-12)
+    r = np.abs(ray)
+    assert np.all(r >= rho * (1.0 - 1e-13))
+    assert np.all(np.diff(r[0::2]) >= 0.0)
 
 
 def _scalar(f):
@@ -138,19 +125,19 @@ def test_path_shift_invariance():
 
 
 def _ray_ends(spec):
-    """(radius, log-radius length left beyond it) of the inner and the
-    outer end node of the rays, from the nodes alone (inf where the
-    window is unbounded)."""
-    lam = build_nodes(spec)[0][spec.n_arc if spec.rho else 0:]
+    """(radius, log-radius length left inside it down to rho, inf from
+    the origin) of the inner end node of the rays, and the radius of the
+    outer one, from the nodes alone."""
+    lam = build_nodes(spec)[0][spec.n_arc:]
     r_in, r_out = np.abs(lam[0]), np.abs(lam[-1])
     rest_in = np.log(r_in / spec.rho) if spec.rho else math.inf
-    return (r_in, rest_in), (r_out, np.log(spec.R / r_out))
+    return (r_in, rest_in), r_out
 
 
 def _reference_dunford(spec, integrand, decay_exponent):
     """Per-node loop: the weighted sum, and at each of the four ray ends
     ||F|| |lambda| (spectral norm) times the log-radius window left
-    beyond the end node (rho > 0, R = inf: 1/eta beyond the outer end)."""
+    beyond the end node (rho > 0: 1/eta beyond the outer end)."""
     lam, w = build_nodes(spec)
     (_, rest_in), _ = _ray_ends(spec)
     acc, g = 0.0, []
@@ -182,16 +169,15 @@ def test_dunford_chunks_match_per_node_loop(monkeypatch):
     assert res.tail_estimate == pytest.approx(ref_tail, rel=1e-13)
 
 
-@pytest.mark.parametrize("rho, R", [(0.0, math.inf), (1.0, math.inf), (0.0, 1.0),
-                                    (1.0, math.e ** 3)], ids=["line", "half-line", "left", "segment"])
-def test_ray_rule_integrates_each_window(rho, R):
+@pytest.mark.parametrize("rho", [0.0, 1.0], ids=["line", "half-line"])
+def test_ray_rule_integrates_each_window(rho):
     # the upper ray's weights, rotated back to the real axis, integrate
-    # 1 / (1 + r)^2 over [rho, R] by the trapezoid rule after the map
-    spec = ContourSpec(rho=rho, theta=2.0, R=R, n_arc=0, c=0.5, h=0.1, u_lo=-4.5, u_hi=4.5)
+    # 1 / (1 + r)^2 over [rho, inf) by the trapezoid rule after the map
+    spec = ContourSpec(rho=rho, theta=2.0, n_arc=0, c=0.5, h=0.1, u_lo=-4.5, u_hi=4.5)
     lam, w = build_nodes(spec)
     r, wr = np.abs(lam[0::2]), (w[0::2] * 2j * np.pi * np.exp(-1j * spec.theta)).real
     assert np.all(np.diff(r) >= 0) and np.all(wr > 0)
-    assert np.sum(wr / (1.0 + r) ** 2) == pytest.approx(1 / (1 + rho) - 1 / (1 + R), rel=1e-12)
+    assert np.sum(wr / (1.0 + r) ** 2) == pytest.approx(1 / (1 + rho), rel=1e-12)
 
 
 def test_dunford_tail_is_the_end_nodes_extrapolated():
@@ -203,7 +189,7 @@ def test_dunford_tail_is_the_end_nodes_extrapolated():
         spec = ContourSpec(rho=0.5, theta=0.6 * np.pi, n_arc=16, c=1.0, h=0.2,
                            u_lo=u_lo, u_hi=u_hi)
         res = dunford(spec, lambda lam: (-lam) ** (-1.0 - eta), decay_exponent=eta)
-        (r_in, rest_in), (r_out, _) = _ray_ends(spec)
+        (r_in, rest_in), r_out = _ray_ends(spec)
         expected = (r_in ** -eta * rest_in + r_out ** -eta / eta) / np.pi
         assert res.tail_estimate == pytest.approx(expected, rel=1e-12)
     # toward the origin the decay is the one measured at the two innermost
@@ -212,7 +198,7 @@ def test_dunford_tail_is_the_end_nodes_extrapolated():
     spec = ContourSpec(rho=0.0, theta=0.6 * np.pi, n_arc=0, c=0.0, h=0.15, u_lo=-3.5, u_hi=3.5)
     res = dunford(spec, lambda lam: (-lam) ** (beta - 1.0) / (1.0 + (-lam) ** (beta + eta)),
                   decay_exponent=eta)
-    (r_in, _), (r_out, _) = _ray_ends(spec)
+    (r_in, _), r_out = _ray_ends(spec)
     g_out = r_out ** beta / (1.0 + r_out ** (beta + eta))
     expected = (r_in ** beta / beta + g_out / eta) / np.pi
     assert res.tail_estimate == pytest.approx(expected, rel=1e-6)
@@ -325,45 +311,35 @@ def _reference_nodes(spec):
             l = spec.rho * np.exp(1j * (np.pi + half * x))
             lam.append(l)
             w.append(-half * wx * 1j * l / (2j * np.pi))
-    if spec.R > spec.rho:
-        a = math.log(spec.rho) if spec.rho else -math.inf
-        b = math.log(spec.R) if math.isfinite(spec.R) else math.inf
-        n = max(2, math.ceil((spec.u_hi - spec.u_lo) / spec.h - 1e-9))
-        step = (spec.u_hi - spec.u_lo) / n
-        for k in range(n + 1):
-            u = spec.u_lo + k * step if k < n else spec.u_hi
-            x = spec.c + math.sinh(u)
-            # the logistic function at +-x, the derivative of log(1 + e^+-x)
-            sig, sig_neg = 1.0 / (1.0 + math.exp(-x)), 1.0 / (1.0 + math.exp(x))
-            if a == -math.inf and b == math.inf:
-                s, ds = x, 1.0
-            elif b == math.inf:
-                s, ds = a + math.log1p(math.exp(x)), sig
-            elif a == -math.inf:
-                s, ds = b - math.log1p(math.exp(-x)), sig_neg
-            else:
-                s, ds = a + (b - a) * sig, (b - a) * sig * sig_neg
-            ds *= math.cosh(u)
-            for sign, theta in ((1.0, spec.theta), (-1.0, -spec.theta)):
-                l = cmath.exp(s + 1j * theta)
-                lam.append(l)
-                w.append(sign * step * ds * l / (2j * np.pi))
+    n = max(2, math.ceil((spec.u_hi - spec.u_lo) / spec.h - 1e-9))
+    step = (spec.u_hi - spec.u_lo) / n
+    for k in range(n + 1):
+        u = spec.u_lo + k * step if k < n else spec.u_hi
+        x = spec.c + math.sinh(u)
+        if spec.rho == 0:       # the line
+            s, ds = x, 1.0
+        else:                   # the half-line: ds/dx is the logistic function at x
+            s, ds = math.log(spec.rho) + math.log1p(math.exp(x)), 1.0 / (1.0 + math.exp(-x))
+        ds *= math.cosh(u)
+        for sign, theta in ((1.0, spec.theta), (-1.0, -spec.theta)):
+            l = cmath.exp(s + 1j * theta)
+            lam.append(l)
+            w.append(sign * step * ds * l / (2j * np.pi))
     return np.array(lam), np.array(w)
 
 
 @pytest.mark.parametrize("spec", [
-    ContourSpec(rho=1.0, theta=np.pi / 2, R=1.0, n_arc=16),
+    ContourSpec(rho=1.0, theta=np.pi / 2, n_arc=16),
     ContourSpec(rho=0.0, theta=2.0, n_arc=0, c=-1.5, h=0.2, u_lo=-3.0, u_hi=2.5),
-    ContourSpec(rho=0.2, theta=0.7 * np.pi, R=40.0, n_arc=0, c=1.0, h=0.3),
-    ContourSpec(rho=0.0, theta=0.7 * np.pi, R=3.0, n_arc=0, c=-2.0, h=0.3, u_lo=-4.0, u_hi=1.0),
-], ids=["arc", "line", "window", "left"])
+    ContourSpec(rho=0.2, theta=0.7 * np.pi, n_arc=0, c=1.0, h=0.3),
+], ids=["arc", "line", "window"])
 def test_build_nodes_matches_reference_loop(spec):
     lam, w = build_nodes(spec)
     ref_lam, ref_w = _reference_nodes(spec)
     assert lam.dtype == w.dtype == np.complex128
-    if spec.R <= spec.rho:      # the arc alone: the same Gauss-Legendre code, bit for bit
-        assert np.array_equal(lam, ref_lam) and np.array_equal(w, ref_w)
-        return
+    # the arc: the same Gauss-Legendre code, bit for bit
+    arc = slice(spec.n_arc)
+    assert np.array_equal(lam[arc], ref_lam[arc]) and np.array_equal(w[arc], ref_w[arc])
     # the ray map evaluates with numpy here and with math in the loop
     np.testing.assert_allclose(lam, ref_lam, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(w, ref_w, rtol=1e-13, atol=0.0)

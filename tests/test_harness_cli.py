@@ -463,6 +463,9 @@ OUT_OF_RANGE = {
     "tsector-n": {"pipeline": "t-sector", "matrix": "m.csv", "n": -3},
     "tsector-N_t": {"pipeline": "t-sector", "matrix": "m.csv", "N_t": 4},
     "tsector-phi": {"pipeline": "t-sector", "matrix": "m.csv", "phi": 3.0},
+    "tsector-family": {"pipeline": "t-sector", "matrix": "m.csv", "family": "sawtooth"},
+    "sum-identities-re": {"pipeline": "sum", "matrix_a": "m.csv", "matrix_b": "m.csv",
+                          "check_identities": [0.5, 0.0]},
     "power-re": {"pipeline": "power", "matrix": "m.csv", "re": 0.5},
     "power-re-nan": {"pipeline": "power", "matrix": "m.csv", "re": float("nan")},
     "rep-check-rho": {"pipeline": "rep-check", "matrix": "m.csv", "rho": -1},

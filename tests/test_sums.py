@@ -1,7 +1,10 @@
+import cmath
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 from sectorsum import (
@@ -162,6 +165,47 @@ def test_split_pieces_sum_left_variant(pair_1234):
     K = sum_inverse(pair_1234)
     direct = pair_1234.A.matrix @ K @ complex_power(pair_1234.A, -theta + 1j * t)
     assert np.abs(sum(pieces) - direct).max() < 1e-7
+
+
+def _split_oracle(a, b, theta, phi, t, n, variant, angle):
+    """The three radial pieces of one eigenvalue pair (a of A, b of B)
+    by scipy quad over r in [0, 1], [1, e^n] and [e^n, inf) on both rays
+    at the contour angle: the upper ray outward, the lower ray inward."""
+    w = -(theta + phi) + 1j * t
+    s = -1.0 if variant == "right" else 1.0
+    factor = -(b ** phi) if s < 0 else a ** phi
+
+    def f(lam):
+        return (-lam) ** (1.0 + w) / ((a + s * lam) * (b - s * lam))
+
+    up, dn = cmath.exp(1j * angle), cmath.exp(-1j * angle)
+
+    def integrand(r):
+        return factor * (f(r * up) * up - f(r * dn) * dn) / (2j * np.pi)
+
+    def quad(lo, hi):
+        parts = (scipy.integrate.quad(lambda r: part(integrand(r)), lo, hi,
+                                      epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+                 for part in (lambda z: z.real, lambda z: z.imag))
+        return complex(*parts)
+
+    e_n = math.exp(n)
+    return quad(0.0, 1.0), quad(1.0, e_n), quad(e_n, math.inf)
+
+
+@pytest.mark.parametrize("variant", ["right", "left"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_split_pieces_match_scalar_quadrature(pair_1234, variant, n):
+    # each piece on its own, entry by entry of the diagonal pair
+    theta, phi, t = 0.25, 0.2, 0.3
+    pieces = split_integral_eval(pair_1234, theta, phi, t, n, variant=variant)
+    w = -(theta + phi) + 1j * t
+    angle = sum_contour(pair_1234, w=w, s=-1.0 if variant == "right" else 1.0).theta
+    for j, (a, b) in enumerate([(1.0, 3.0), (2.0, 4.0)]):
+        oracle = _split_oracle(a, b, theta, phi, t, n, variant, angle)
+        for piece, want in zip(pieces, oracle):
+            assert abs(piece[j, j] - want) < 1e-8
+            assert abs(piece[j, 1 - j]) < 1e-12
 
 
 def test_split_tail_decay_matches_exponent(pair_1234):
