@@ -10,9 +10,12 @@ is continuous along the path because the rays keep arg(-lambda) at
 +-(theta - pi).  A^0 is the identity by definition.  The H^inf calculus
 f(-A) is the same integral with f(lambda) in place of (-lambda)^z.  Both
 hold the resolvents in A's unitary basis (`MatrixOperator.resolvent_basis`:
-the eigenbasis of a normal A, else its cached Schur form), reduce
-g(lambda_k) times the stack of `linops.basis_resolvents` there and map
-back with one `linops.from_basis` per integral.
+the eigenbasis of a normal A, else its cached Schur form) and hand the
+weight g and the stack of `linops.basis_resolvents` there to contour's
+weighted reduction, which reduces each chunk against w_k g(lambda_k) in
+one matrix product and maps back with one `linops.from_basis` per
+integral.  For a real A the lower ray's resolvents are the conjugates of
+the upper ray's, so only the arc and the upper ray are resolved.
 
 Imaginary powers are A^{it} = A A^{-1+it}, with A^{-1+it} the same
 integral on the contour of complex_power at z = -1 + i t_max.  On the
@@ -30,7 +33,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linops
-from .contour import ContourSpec, DunfordResult, build_nodes, dunford, fit_contour, gauss_panels
+from .contour import (ContourSpec, DunfordResult, _resolvent_sum, build_nodes, fit_contour,
+                      gauss_panels)
 from .errors import ClassViolated
 from .sector import MatrixOperator
 
@@ -49,21 +53,19 @@ def _symbol_integral(
 ) -> DunfordResult:
     """(1/2 pi i) int of g(lambda) (A + lambda)^{-1} dlambda over spec.
 
-    dunford reduces g(lambda_k) times the resolvents held in A's unitary
-    basis (:func:`linops.basis_resolvents`: an (N, n) scalar stack for a
-    normal A, a triangular (N, n, n) stack otherwise) and the sum is
-    mapped back once (:func:`linops.from_basis`).  Q is unitary, so every
+    contour's weighted reduction takes g and the resolvents held in A's
+    unitary basis (:func:`linops.basis_resolvents`: an (N, n) scalar
+    stack for a normal A, a triangular stack otherwise) and maps the sum
+    back once (:func:`linops.from_basis`).  Q is unitary, so every
     node's spectral norm, and with it the tail estimate, is the one of
-    the dense (A + lambda_k)^{-1} stack.
+    the dense (A + lambda_k)^{-1} stack.  For a real A the lower ray is
+    read off the upper one's resolvents.
     """
     basis = A.resolvent_basis()
-
-    def integrand(lam):
-        R = linops.basis_resolvents(basis, lam)
-        return g(lam).reshape((-1,) + (1,) * (R.ndim - 1)) * R
-
-    info = dunford(spec, integrand, decay_exponent=decay_exponent, tol_tail=tol)
-    return replace(info, value=linops.from_basis(basis, info.value))
+    return _resolvent_sum(spec, g, lambda lam: linops.basis_resolvents(basis, lam),
+                          back=lambda X: linops.from_basis(basis, X),
+                          real=not A.matrix.imag.any(), item_bytes=16 * basis[0].size,
+                          decay_exponent=decay_exponent, tol_tail=tol)
 
 
 # ----------------------------------------------------------- complex powers

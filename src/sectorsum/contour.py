@@ -31,6 +31,15 @@ of the strip around the real u-axis in which the integrand is analytic
 (Trefethen & Weideman, SIAM Rev. 2014).  fit_contour takes d from the
 integrand's singular points, sets the step h from d and tol and the
 truncation [u_lo, u_hi] from the integrand's decay.
+
+Every contour sum is one weighted reduction (_resolvent_sum): a scalar
+weight g and a stack of resolvents held in a basis, each chunk of nodes
+reduced against c_k = w_k g(lambda_k) by one matrix product on the
+stack's own memory layout.  The ray rule puts each lower-ray node at the
+exact conjugate of an upper-ray node, so for a real operator the lower
+ray's resolvents are the conjugates of the upper ray's and only the arc
+and the upper ray are resolved.  calculus and sums call it; dunford is
+its g = 1 case for any vectorised integrand.
 """
 
 from __future__ import annotations
@@ -248,7 +257,8 @@ def dunford(
         Vectorised: maps a 1-D array of k contour nodes to the (k, ...)
         stack of values there.  It sees the nodes in order, in chunks
         whose stacks fit :func:`linops.stack_step` (the first chunk is one
-        node), each reduced against the weights in one ``einsum``.  Any
+        node, which sets the chunk size), each reduced against the
+        weights by one matrix product on the stack's own layout.  Any
         SingularShift raised by it propagates: the contour touches a
         spectrum and the caller chose a bad path.
     decay_exponent : float
@@ -270,40 +280,107 @@ def dunford(
     the arc, so the caller keeps the poles well off it
     (``calculus.power_contour``'s radius 0.4/||A^{-1}|| leaves every
     eigenvalue at |lambda| >= 2.5 rho).
+
+    This is the weighted sum of :func:`_resolvent_sum` with g = 1.
+    """
+    return _resolvent_sum(spec, np.ones_like, integrand,
+                          decay_exponent=decay_exponent, tol_tail=tol_tail)
+
+
+def _resolvent_sum(spec: ContourSpec, g, resolve, back=None, real: bool = False,
+                   item_bytes: int | None = None, decay_exponent: float = 1.0,
+                   tol_tail: float | None = None) -> DunfordResult:
+    """(1/2 pi i) int of g(lambda) R(lambda) dlambda over spec, the
+    one weighted reduction behind every contour sum.
+
+    g is a scalar weight (vectorised over the nodes) and ``resolve``
+    maps a chunk of nodes to the (k, ...) stack of R there, in a basis
+    that ``back`` maps a (columns, ...) sum out of (the identity when
+    None).  Per chunk, c_k = w_k g(lambda_k) is reduced against the
+    stack by one matrix product (:func:`_weigh`).  Chunks hold
+    ``item_bytes``-byte values up to :func:`linops.stack_step`; without
+    ``item_bytes`` the first chunk is one node, which sets it.  The tail
+    estimate is :func:`dunford`'s, with ||g R|| = |g| ||R|| at the end
+    nodes.
+
+    ``real`` declares back(R(conj(lambda))) = conj(back(R(lambda))):
+    true of the resolvents of a real matrix, and of products of those of
+    two, in whatever basis they are held, since (A + conj(lambda))^{-1} =
+    conj((A + lambda)^{-1}) and back is linear.  Once the lower ray's
+    nodes are checked to be the exact conjugates of the upper ray's,
+    only the arc and the upper ray are resolved: the lower ray's sum is
+    conj(back(sum_k conj(c_dn,k) R_up,k)), a second column of the same
+    product.
     """
     rule = _ray_rule(spec)
     lam, w = _nodes(spec, rule)
     n_arc = len(lam) - 2 * len(rule[0])
+    gv = g(lam)
+    c = w * gv
+    # nodes resolved: all of them, or for a real R the arc and the upper ray
+    keep = np.ones(len(lam), dtype=bool)
+    cols = c[:, None]
+    if real and np.array_equal(lam[n_arc + 1::2], lam[n_arc::2].conj()):
+        keep[n_arc + 1::2] = False
+        cols = np.zeros((n_arc + len(rule[0]), 2), dtype=complex)
+        cols[:, 0] = c[keep]
+        cols[n_arc:, 1] = c[n_arc + 1::2].conj()
+    # the resolved node each node's R is read from (a lower-ray node's
+    # upper twin precedes it)
+    src = np.cumsum(keep) - 1
     probe = np.zeros(len(lam), dtype=bool)  # the two last nodes of each ray end
     probe[n_arc:n_arc + 4] = probe[len(lam) - 4:] = True
-    norms = np.zeros(len(lam))
-    acc, lo, step = 0.0, 0, 1
-    while lo < len(lam):
+    nodes = lam[keep]
+    need = np.zeros(len(nodes), dtype=bool)
+    need[src[probe]] = True
+    r_norms = np.zeros(len(nodes))
+    acc, lo = 0.0, 0
+    step = 1 if item_bytes is None else stack_step(item_bytes)
+    while lo < len(nodes):
         chunk = slice(lo, lo + step)
-        values = np.asarray(integrand(lam[chunk]), dtype=complex)
-        acc = acc + np.einsum("k,k...->...", w[chunk], values)
-        ends = values[probe[chunk]]
-        if len(ends):
-            norms[chunk][probe[chunk]] = (np.abs(ends.reshape(len(ends), -1)).max(axis=1)
-                                          if ends.ndim <= 2 else np.linalg.norm(ends, 2, axis=(-2, -1)))
+        R = np.asarray(resolve(nodes[chunk]), dtype=complex)
+        acc = acc + _weigh(cols[chunk], R)
+        at = np.flatnonzero(need[chunk])
+        if len(at):
+            ends = R[at]
+            r_norms[lo + at] = (np.abs(ends.reshape(len(ends), -1)).max(axis=1)
+                                if ends.ndim <= 2 else np.linalg.norm(ends, 2, axis=(-2, -1)))
         lo += step
-        step = stack_step(values[0].nbytes)
+        step = stack_step(R[0].nbytes)
+    value = acc if back is None else back(acc)
+    value = value[0] + value[1].conj() if cols.shape[1] == 2 else value[0]
+    norms = np.zeros(len(lam))
+    norms[probe] = np.abs(gv[probe]) * r_norms[src[probe]]
     s, _, _, rest_in = rule
-    g = norms[n_arc:].reshape(-1, 2) * np.exp(s)[:, None]
+    gn = norms[n_arc:].reshape(-1, 2) * np.exp(s)[:, None]
     if math.isinf(rest_in):
         with np.errstate(all="ignore"):
-            eta_0 = np.log(g[1] / g[0]) / (s[1] - s[0])
-        inner = np.where(g[0] == 0, 0.0, np.where(eta_0 > 0, g[0] / eta_0, np.inf))
+            eta_0 = np.log(gn[1] / gn[0]) / (s[1] - s[0])
+        inner = np.where(gn[0] == 0, 0.0, np.where(eta_0 > 0, gn[0] / eta_0, np.inf))
     else:
-        inner = g[0] * rest_in
-    outer = g[-1] * (1.0 / max(decay_exponent, 1e-3))
+        inner = gn[0] * rest_in
+    outer = gn[-1] * (1.0 / max(decay_exponent, 1e-3))
     tail = float(np.sum(inner + outer)) / (2.0 * np.pi)
     if tol_tail is not None and tail > tol_tail:
         raise TruncationNotConverged(
             f"tail estimate {tail:.3e} exceeds tol_tail {tol_tail:.3e} (rays over u "
             f"in [{spec.u_lo:.3f}, {spec.u_hi:.3f}], decay exponent {decay_exponent})"
         )
-    return DunfordResult(acc, tail, len(lam))
+    return DunfordResult(value, tail, len(lam))
+
+
+def _weigh(c: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_k c[k, j] stack[k] for every column j of c, as a (columns,
+    ...) array: one matrix product on the stack's own memory layout,
+    nodes last (triangular_resolvents' (n, n, k)) or first (the (k, n)
+    of spectral_resolvents)."""
+    k = stack.shape[0]
+    last = np.moveaxis(stack, 0, -1)
+    if last.flags.c_contiguous:
+        out = (last.reshape(-1, k) @ c).T
+    else:
+        out = c.T @ stack.reshape(k, -1)
+    return out.reshape((c.shape[1],) + stack.shape[1:])
 
 
 # ------------------------------------------------------------ principal value

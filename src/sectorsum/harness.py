@@ -308,6 +308,7 @@ def _sum(cfg, seed, out_dir):
     # both sides share the seed: commuting-pair recipes build A and B on
     # one seeded basis
     theta_a, theta_b = (_angle(cfg, key) for key in ("theta_a", "theta_b"))
+    w = _field(cfg, "check_identities", _decaying_weight, None)
     A = _load_operator(cfg, "matrix_a", "recipe_a", theta=theta_a, seed=seed)
     B = _load_operator(cfg, "matrix_b", "recipe_b", theta=theta_b, seed=seed)
     pair = sums.CommutingPair(A, B)
@@ -319,8 +320,7 @@ def _sum(cfg, seed, out_dir):
     err = linops.operator_norm(K - direct) / max(linops.operator_norm(direct), 1e-300)
     outputs = {"relative_error_vs_direct": err}
     passed = err <= 1e-6
-    if cfg.get("check_identities"):
-        w = _field(cfg, "check_identities", _decaying_weight, None)
+    if w is not None:
         _, _, dl = sums.weighted_identity_left(pair, w)
         _, _, dr = sums.weighted_identity_right(pair, w)
         outputs["identity_left_diff"] = dl

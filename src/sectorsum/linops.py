@@ -207,10 +207,23 @@ def _pivot_distances(d, z: np.ndarray, off: float = 0.0):
     M, so this is ShiftedFactorization's pivot test on a matrix with the
     Frobenius norm of M + z_k I.
     """
-    dist = np.abs(z[:, None] + d[None, :])
-    nearest = np.min(dist, axis=1)
-    scale = np.sqrt(np.sum(dist * dist, axis=1) + off * off)
-    return nearest, nearest <= SINGULAR_RTOL * scale
+    dist = np.abs(z[:, None] + d)
+    nearest = dist.min(axis=1)
+    with np.errstate(over="ignore"):
+        sq = (dist * dist).sum(axis=1)
+    if off:
+        sq += off * off
+    scale = np.sqrt(sq)
+    singular = nearest <= SINGULAR_RTOL * scale
+    if singular.any():
+        # a sum of squares that overflowed (|z| near the ray rule's clamp at
+        # e^354) is taken again over the entries divided by the row's largest
+        big = np.flatnonzero(np.isinf(scale))
+        top = np.maximum(dist[big].max(axis=1), off)
+        scale[big] = top * np.sqrt(((dist[big] / top[:, None]) ** 2).sum(axis=1)
+                                   + (off / top) ** 2)
+        singular[big] = nearest[big] <= SINGULAR_RTOL * scale[big]
+    return nearest, singular
 
 
 def _inverse_pivots(d, z: np.ndarray, off: float = 0.0) -> np.ndarray:

@@ -33,13 +33,16 @@ strict lower triangles of Q^* A Q and Q^* B Q pass the departure test of
 When the strict upper triangles pass it too, the pair is diagonal and a
 node's integrand is the (N, n) scalar stack of products of the two
 members' `linops.basis_resolvents`; otherwise it is the product of their
-triangular stacks.  dunford reduces the stack and each integral ends in
-one `linops.from_basis`; a factor that does not depend
-on the node (A^phi, B^phi of the splits and the e-adic sum) multiplies
-the reduced value once.  A pair that commutes only to
-COMMUTE_TOLERANCE, not to working precision, fails the test and
-resolves each member in its own basis (`MatrixOperator.resolvent_basis`)
-with dense (N, n, n) stacks; nothing else selects that path.
+triangular stacks.  contour's weighted reduction reduces the stack
+against the weight -(-lam)^{1+w} and each integral ends in one
+`linops.from_basis`; when A and B are both real, only the arc and the
+upper ray are resolved and the lower ray is read off their conjugates.
+A factor that does not depend on the node (A^phi, B^phi of the splits
+and the e-adic sum) multiplies the reduced value once.  A pair that
+commutes only to COMMUTE_TOLERANCE, not to working precision, fails the
+test and resolves each member in its own basis
+(`MatrixOperator.resolvent_basis`) with dense (N, n, n) stacks; nothing
+else selects that path.
 Every node's resolvents are checked as they are built, by the pivot
 test of `linops` on the diagonals: a node on either spectrum raises
 SingularShift naming that node.  Radial splits at
@@ -50,13 +53,13 @@ cross-checked against scalar residue oracles.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import linops
 from .calculus import complex_power, fractional_power
-from .contour import ContourSpec, DunfordResult, dunford, fit_contour, gauss_panels
+from .contour import ContourSpec, DunfordResult, _resolvent_sum, fit_contour, gauss_panels
 from .errors import SingularShift, TruncationNotConverged
 from .sector import MatrixOperator
 
@@ -237,22 +240,24 @@ def _pair_integral(
     The integrand (A + s lam)^{-1} (B - s lam)^{-1} is written as
     -(sA + lam)^{-1} (-sB + lam)^{-1} (negation is exact), so both
     factors take the node itself as their shift and a SingularShift
-    names the node.  dunford reduces it in the pair's joint basis and
-    the value is mapped back once; Q is unitary, so every node's
-    spectral norm, and with it the tail estimate, is the one of the
-    dense stack.
+    names the node.  contour's weighted reduction takes the scalar
+    weight -(-lam)^{1+w} and the products in the pair's joint basis and
+    maps the sum back once; Q is unitary, so every node's spectral norm,
+    and with it the tail estimate, is the one of the dense stack.  When
+    both members are real the lower ray is read off the upper one's
+    resolvents.
     """
-
-    def integrand(lam):
-        terms = -_resolvent_products(pair, lam, lam, s, -s)
-        if w is None:
-            return terms
-        weight = (-lam) ** (1.0 + w)
-        return weight.reshape((-1,) + (1,) * (terms.ndim - 1)) * terms
-
-    decay = 1.0 if w is None else abs(np.real(w))
-    info = dunford(spec, integrand, decay_exponent=decay)
-    return replace(info, value=_from_joint(pair, info.value))
+    if w is None:
+        g, decay = lambda lam: np.full(lam.shape, -1.0 + 0j), 1.0
+    else:
+        g, decay = lambda lam: -((-lam) ** (1.0 + w)), abs(np.real(w))
+    basis = pair.joint_basis()
+    return _resolvent_sum(
+        spec, g, lambda lam: _resolvent_products(pair, lam, lam, s, -s),
+        back=lambda X: _from_joint(pair, X),
+        real=not (pair.A.matrix.imag.any() or pair.B.matrix.imag.any()),
+        item_bytes=16 * (pair.dim ** 2 if basis is None else basis[0].size),
+        decay_exponent=decay)
 
 
 def _inverse_residual(pair: CommutingPair, K: np.ndarray) -> float:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +303,35 @@ def test_run_sum_identities_on_laplacian_passes(tmp_path, capsys):
     capsys.readouterr()
     report = CertificateReport.load(tmp_path / "sum.json")
     assert report.passed and report.outputs["relative_error_vs_direct"] <= 1e-10
+
+
+def test_cli_sum_identities_at_a_slow_decay(tmp_path, capsys):
+    # at w = -0.05 the identities' rays reach the ray rule's clamp radius
+    # e^354, where the pivot test's sum of squares over the 4 eigenvalues
+    # once overflowed: a RuntimeWarning, and the shift called singular
+    mpath = tmp_path / "L4.csv"
+    write_matrix(mpath, 25.0 * (2.0 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1)))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rc = cli_main(["--out", str(tmp_path), "sum-inverse", "--matrix-a", str(mpath),
+                       "--matrix-b", str(mpath), "--theta-a", "2.2", "--theta-b", "2.2",
+                       "--check-identities", "-0.05", "0"])
+    captured = capsys.readouterr()
+    assert rc == 0 and not seen and captured.err == ""
+    out = json.loads(captured.out)["outputs"]
+    assert out["identity_left_diff"] <= 1e-8 and out["identity_right_diff"] <= 1e-8
+
+
+@pytest.mark.parametrize("value", [[], 0, False, None], ids=["empty", "zero", "false", "null"])
+def test_cli_falsy_check_identities_exits_2(tmp_path, capsys, monkeypatch, value):
+    # a present check_identities is a weight or a config error, never ignored
+    monkeypatch.chdir(tmp_path)
+    write_matrix("m.csv", np.diag([1.0, 2.0]).astype(complex))
+    cfg = _write_config(tmp_path / "cfg.json", {
+        "pipeline": "sum", "matrix_a": "m.csv", "matrix_b": "m.csv", "check_identities": value})
+    assert cli_main(["--out", str(tmp_path), "run", "--config", cfg]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "sum.json").exists()
 
 
 def test_run_sum_honours_zero_angle(tmp_path):

@@ -318,3 +318,23 @@ def test_closed_form_singular_shifts():
     assert got[3] == pytest.approx(1.0 / abs(1.0 + 1j), rel=1e-14)
     assert linops.resolvents(M, [], basis).shape == (0, 3, 3)
     assert linops.resolvent_norms(M, [], basis).shape == (0,)
+
+
+def test_pivot_test_scale_does_not_overflow():
+    # near the ray rule's clamp radius each |d_i + z|^2 is finite but their
+    # sum is not; the shift must stay resolvable, with no overflow warning
+    d = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
+    z = 1e154 * np.exp(2.2j)
+    basis = (d, np.eye(4, dtype=complex))
+    R = linops.spectral_resolvents(basis, [z, 1.0])
+    assert np.allclose(R[0] * (d + z), 1.0, rtol=1e-15, atol=0.0)
+    norm = linops.resolvent_norms(np.diag(d), [z], basis)[0]
+    assert norm == pytest.approx(1.0 / np.min(np.abs(d + z)), rel=1e-15)
+    # where the sum overflows the singular test still holds its scale:
+    # ||T + zI||_F = sqrt(3) 2e154, so a distance of 1e140 is singular and
+    # 1e143 is not
+    d = np.array([-1e154, 1e154, 1e154, 1e154], dtype=complex)
+    basis = (d, np.eye(4, dtype=complex))
+    with pytest.raises(SingularShift):
+        linops.spectral_resolvents(basis, [1e154 - 1e143, 1e154 - 1e140])
+    assert linops.spectral_resolvents(basis, [1e154 - 1e143]).shape == (1, 4)
