@@ -367,7 +367,7 @@ def _rep_check(cfg, seed, out_dir):
     rho = _field(cfg, "rho", float, None, lo=0.0, strict=True)
     theta = _field(cfg, "theta", float, 0.0)
     x = np.ones(op.dim, dtype=complex)
-    direct = linops.solve_shifted(np.eye(op.dim) + rho * np.exp(1j * theta) * op.matrix, 0.0, x)
+    direct = np.linalg.solve(np.eye(op.dim) + rho * np.exp(1j * theta) * op.matrix, x)
     via = tsector.resolvent_rep_rotated(op, rho, theta, x)
     err = float(np.linalg.norm(via - direct))
     return CertificateReport(

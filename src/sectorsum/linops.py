@@ -8,7 +8,10 @@ the resolvents in it (``1/(d_i + z_k)`` on the eigenvalues,
 ``(T + z_k)^{-1}`` for the triangular T); resolvent norms
 ``||(M + z)^{-1}||`` over many shifts; spectral norms; and matrix
 exponentials.  Matrices are plain ``numpy`` arrays of ``complex128``;
-all operations are pure and never mutate their inputs.
+all operations are pure and never mutate their inputs.  Only the Schur
+form, the LU of :class:`ShiftedFactorization` and :func:`matrix_exp`
+need ``scipy.linalg``, and each imports it when called, so a diagonal
+or Hermitian operator is resolved with numpy alone.
 
 Shifted solves go through LAPACK getrf (LU with partial pivoting) and
 call a shift singular when the smallest pivot falls below
@@ -27,8 +30,10 @@ pivot test above, on a matrix unitarily similar to M + zI.
 
 A normal matrix has the closed form ``M = Q diag(d) Q^*`` with Q unitary.
 :func:`normal_basis` returns (d, Q) when M is normal to working precision
-(the departure from normality of its complex Schur form is within
-``NORMAL_DEPARTURE * n eps ||M||_F``) and None otherwise.  In that
+and None otherwise: a diagonal M is its own basis, an exactly Hermitian
+M takes ``numpy.linalg.eigh``, and any other M is tested on its complex
+Schur form (its departure from normality must be within
+``NORMAL_DEPARTURE * n eps ||M||_F``).  In that
 basis the resolvents are the (N, n) array ``1/(d_i + z_k)``
 (:func:`spectral_resolvents`), :func:`from_basis` forms
 ``Q diag(.) Q^*`` and :func:`resolvent_norms` returns
@@ -64,7 +69,6 @@ prime every shift, and a sampled 0 takes its value from it.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, OverflowRisk, SingularShift
 
@@ -125,6 +129,8 @@ class ShiftedFactorization:
         M = as_matrix(M)
         shifted = M + z * np.eye(M.shape[0])
         scale = np.linalg.norm(shifted, "fro")
+        import scipy.linalg
+
         lu, piv, _ = scipy.linalg.lapack.zgetrf(shifted)
         pivot = np.min(np.abs(np.diagonal(lu)))
         if scale == 0.0 or pivot <= SINGULAR_RTOL * scale:
@@ -144,10 +150,14 @@ class ShiftedFactorization:
             raise DimensionMismatch(
                 f"rhs has leading dimension {rhs.shape[0]}, expected {self.dim}"
             )
+        import scipy.linalg
+
         return scipy.linalg.lu_solve(self._lu, rhs, check_finite=False)
 
     def inverse(self) -> np.ndarray:
         """Dense (M + zI)^{-1}, from the LU factors (LAPACK getri)."""
+        import scipy.linalg
+
         inv, _ = scipy.linalg.lapack.zgetri(*self._lu)
         return inv
 
@@ -164,6 +174,8 @@ def solve_shifted(M, z, rhs) -> np.ndarray:
 def schur_form(M):
     """Complex Schur form (T, Q) of M: M = Q T Q^* with T upper
     triangular and Q unitary."""
+    import scipy.linalg
+
     return scipy.linalg.schur(as_matrix(M), output="complex", check_finite=False)
 
 
@@ -177,18 +189,28 @@ def departure_tolerance(M) -> float:
 def normal_basis(M):
     """(d, Q) with M = Q diag(d) Q^* and Q unitary, or None.
 
-    M is taken as normal when its complex Schur form M = Q T Q^* has
-    ||strict_upper(T)||_F <= NORMAL_DEPARTURE * n eps ||M||_F (Henrici's
-    departure from normality), so the closed forms built on (d, Q) stay
-    within the backward error of the dense path.  A departure delta
-    bounds the commutator ||MM^* - M^*M||_F by about 4 delta ||M||_F plus
-    the rounding of the two products, so a commutator above 8 times
-    that tolerance turns M away before its Schur form is taken.
+    A diagonal M is exactly (diag M, I).  An M equal to its conjugate
+    transpose bit for bit is Hermitian, hence normal, and its basis is
+    the Hermitian eigendecomposition (LAPACK heevd).  Any
+    other M is taken as normal when its complex Schur form M = Q T Q^*
+    has ||strict_upper(T)||_F <= NORMAL_DEPARTURE * n eps ||M||_F
+    (Henrici's departure from normality), so the closed forms built on
+    (d, Q) stay within the backward error of the dense path.  A
+    departure delta bounds the commutator ||MM^* - M^*M||_F by about
+    4 delta ||M||_F plus the rounding of the two products, so a
+    commutator above 8 times that tolerance turns M away before its
+    Schur form is taken.
     """
     M = as_matrix(M)
+    d = np.diagonal(M)
+    if np.array_equal(M, np.diag(d)):
+        return d.copy(), np.eye(M.shape[0], dtype=complex)
+    Mh = M.conj().T
+    if np.array_equal(M, Mh):
+        d, Q = np.linalg.eigh(M)
+        return d.astype(complex), Q
     scale = np.linalg.norm(M)
     tol = departure_tolerance(M)
-    Mh = M.conj().T
     if np.linalg.norm(M @ Mh - Mh @ M) > 8.0 * tol * scale:
         return None
     T, Q = schur_form(M)
@@ -493,6 +515,8 @@ def matrix_exp(M) -> np.ndarray:
         )
     if nrm == 0.0:
         return np.eye(M.shape[0], dtype=complex)
+    import scipy.linalg  # expm is looked up on the module, where it may be wrapped
+
     return scipy.linalg.expm(M)
 
 

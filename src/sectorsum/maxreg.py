@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BoundViolated, DimensionMismatch
 from .sector import MatrixOperator
@@ -231,6 +230,8 @@ def _cauchy_step_matrices(A: np.ndarray, h: float):
     M[..., :n, :n] = -h * A
     M[..., :n, n:2 * n] = np.eye(n)
     M[..., n:2 * n, 2 * n:] = np.eye(n)
+    import scipy.linalg  # expm is looked up on the module, where it may be wrapped
+
     X = scipy.linalg.expm(M)
     E, phi1, phi2 = X[..., :n, :n], X[..., :n, n:2 * n], X[..., :n, 2 * n:]
     # a contiguous E keeps the per-node products on BLAS

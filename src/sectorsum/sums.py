@@ -26,10 +26,13 @@ K's default contour (`inverse_contour`) runs at 0.01 tol / max(1,
 
 Commuting matrices are simultaneously unitarily triangularisable, so
 each pair integral runs in one joint basis (`CommutingPair.joint_basis`,
-taken once per pair): Q holds the Schur vectors of A + gamma B for the
-fixed generic gamma = JOINT_WEIGHT, and the basis is accepted when the
-strict lower triangles of Q^* A Q and Q^* B Q pass the departure test of
-`linops.normal_basis` (within 8 n eps of each matrix's Frobenius norm).
+taken once per pair).  Q is first each member's normal basis, kept when
+Q^* A Q and Q^* B Q are both diagonal to the departure test of
+`linops.normal_basis` (within 8 n eps of each matrix's Frobenius norm);
+a Hermitian operator with a diagonal partner thus needs no Schur form.
+Else Q holds the Schur vectors of A + gamma B for the fixed generic
+gamma = JOINT_WEIGHT, and the basis is accepted when the strict lower
+triangles of Q^* A Q and Q^* B Q pass that test.
 When the strict upper triangles pass it too, the pair is diagonal and a
 node's integrand is the (N, n) scalar stack of products of the two
 members' `linops.basis_resolvents`; otherwise it is the product of their
@@ -116,30 +119,48 @@ class CommutingPair:
         when both are diagonal, (Ta, Tb, Q) with their upper triangles
         when both are triangular, and None otherwise.
 
-        Q holds the Schur vectors of A + JOINT_WEIGHT B.  A form counts
-        as triangular (diagonal) when its strict lower (and upper)
-        triangle is within :func:`linops.departure_tolerance` of its
-        matrix, the test :func:`linops.normal_basis` puts on a Schur
+        Q is first each member's normal basis in turn
+        (:meth:`MatrixOperator.normal_basis`, no Schur form for a
+        diagonal or Hermitian member), kept when both forms are diagonal
+        in it; else Q holds the Schur vectors of A + JOINT_WEIGHT B.  A
+        form counts as triangular (diagonal) when its strict lower (and
+        upper) triangle is within :func:`linops.departure_tolerance` of
+        its matrix, the test :func:`linops.normal_basis` puts on a Schur
         form, so resolvents in this basis stay within the backward error
         of the dense path.  A pair that commutes only to a looser
         tolerance fails the test.
         """
         if not self._joint_known:
-            self._joint = _joint_basis(self.A.matrix, self.B.matrix)
+            self._joint = _joint_basis(self.A, self.B)
             self._joint_known = True
         return self._joint
 
 
-def _joint_basis(A: np.ndarray, B: np.ndarray):
+def _joint_basis(A: MatrixOperator, B: MatrixOperator):
     """See :meth:`CommutingPair.joint_basis`."""
-    _, Q = linops.schur_form(A + JOINT_WEIGHT * B)
-    Qh = Q.conj().T
-    forms = [(Qh @ M @ Q, linops.departure_tolerance(M)) for M in (A, B)]
-    if any(np.linalg.norm(np.tril(T, -1)) > tol for T, tol in forms):
+    members = [(M, linops.departure_tolerance(M)) for M in (A.matrix, B.matrix)]
+    for basis in (A.normal_basis(), B.normal_basis()):
+        if basis is not None:
+            forms, triangular, diagonal = _joint_forms(members, basis[1])
+            if diagonal:
+                return tuple(np.diagonal(T).copy() for T in forms) + (basis[1],)
+    _, Q = linops.schur_form(A.matrix + JOINT_WEIGHT * B.matrix)
+    forms, triangular, diagonal = _joint_forms(members, Q)
+    if not triangular:
         return None
-    if all(np.linalg.norm(np.triu(T, 1)) <= tol for T, tol in forms):
-        return tuple(np.diagonal(T).copy() for T, _ in forms) + (Q,)
-    return tuple(np.triu(T) for T, _ in forms) + (Q,)
+    if diagonal:
+        return tuple(np.diagonal(T).copy() for T in forms) + (Q,)
+    return tuple(np.triu(T) for T in forms) + (Q,)
+
+
+def _joint_forms(members, Q):
+    """The forms Q^* M Q of both (M, departure tolerance) members, and
+    whether both pass the departure test as triangular and as diagonal."""
+    Qh = Q.conj().T
+    forms = [(Qh @ M @ Q, tol) for M, tol in members]
+    triangular = all(np.linalg.norm(np.tril(T, -1)) <= tol for T, tol in forms)
+    diagonal = triangular and all(np.linalg.norm(np.triu(T, 1)) <= tol for T, tol in forms)
+    return [T for T, _ in forms], triangular, diagonal
 
 
 def resolvent_commute_check(A: MatrixOperator, B: MatrixOperator, lam, mu) -> float:

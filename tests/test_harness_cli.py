@@ -574,26 +574,82 @@ def test_cli_direct_matches_run_config(tmp_path, capsys, monkeypatch, direct, cf
     assert printed.get("outputs", printed) == mine.outputs
 
 
-def test_sectorsum_threads_caps_blas_on_import():
-    # numpy's OpenBLAS reports its pool size through this symbol
-    probe = (
-        "import ctypes, sectorsum\n"
-        "with open('/proc/self/maps') as fh:\n"
-        "    libs = sorted({ln.split()[-1] for ln in fh if 'openblas' in ln.lower() and '/' in ln})\n"
-        "fns = [getattr(ctypes.CDLL(p), 'scipy_openblas_get_num_threads64_', None) for p in libs]\n"
-        "fns = [f for f in fns if f is not None]\n"
-        "for f in fns:\n"
-        "    f.restype, f.argtypes = ctypes.c_int, []\n"
-        "print(fns[0]() if fns else -1)\n"
-    )
+def _src_env(**extra):
+    """os.environ with the package source on PYTHONPATH, no BLAS thread
+    variables, and ``extra`` set."""
     src = os.path.dirname(os.path.dirname(sectorsum.__file__))
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    env["SECTORSUM_THREADS"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    threads = int(proc.stdout)
-    if threads < 0:
+    env.update(extra)
+    return env
+
+
+def test_sectorsum_threads_caps_blas_on_import():
+    # numpy's OpenBLAS and scipy's bundled copy report their pool sizes
+    # through these symbols; scipy's loads only with the Schur form
+    probe = (
+        "import ctypes, sectorsum\n"
+        "import numpy as np  # after sectorsum, which sets the caps as numpy loads\n"
+        "def pool(symbol):\n"
+        "    with open('/proc/self/maps') as fh:\n"
+        "        libs = sorted({ln.split()[-1] for ln in fh\n"
+        "                       if 'openblas' in ln.lower() and '/' in ln})\n"
+        "    fns = [getattr(ctypes.CDLL(p), symbol, None) for p in libs]\n"
+        "    fns = [f for f in fns if f is not None]\n"
+        "    for f in fns:\n"
+        "        f.restype, f.argtypes = ctypes.c_int, []\n"
+        "    return fns[0]() if fns else -1\n"
+        "numpy_pool = pool('scipy_openblas_get_num_threads64_')\n"
+        "sectorsum.linops.schur_form(np.diag([1.0, 2.0]) + np.eye(2, k=1))\n"
+        "print(numpy_pool, pool('scipy_openblas_get_num_threads'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=_src_env(SECTORSUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=120, check=True)
+    numpy_pool, scipy_pool = map(int, proc.stdout.split())
+    if numpy_pool < 0:
         pytest.skip("numpy's OpenBLAS exposes no thread-count symbol")
-    assert threads == 1
+    assert numpy_pool == 1
+    # the cap still holds when scipy loads after sectorsum
+    if scipy_pool < 0:
+        pytest.skip("scipy's OpenBLAS exposes no thread-count symbol")
+    assert scipy_pool == 1
+
+
+def test_numpy_only_pipelines_never_load_scipy(tmp_path):
+    # the children of one process run in turn; the list printed last says
+    # whether scipy was loaded at import and after each child
+    probe = (
+        "import json, sys\n"
+        "import sectorsum, sectorsum.cli\n"
+        "loaded = ['scipy' in sys.modules]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert sectorsum.cli.main(['--out', 'out', *argv]) == 0, argv\n"
+        "    loaded.append('scipy' in sys.modules)\n"
+        "print(json.dumps(loaded))\n"
+    )
+
+    def loaded(*children):
+        proc = subprocess.run([sys.executable, "-c", probe, json.dumps(children)],
+                              env=_src_env(), cwd=tmp_path, capture_output=True, text=True,
+                              timeout=120, check=True)
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    m = 8
+    L = generate("laplacian-1d", m=m).matrix
+    write_matrix(tmp_path / "L.csv", L)
+    write_matrix(tmp_path / "B.csv", 2.0 * np.exp(1j * np.pi / 3) * np.eye(m))
+    write_matrix(tmp_path / "cd.csv", L + 10.0 * (m + 1) * (np.eye(m, k=1) - np.eye(m, k=-1)))
+    lap = ["--matrix", "L.csv"]
+    assert loaded(
+        ["certify-sector", *lap, "--theta", "2.0"],
+        ["power", *lap, "--re", "-0.5", "--im", "0.25"],
+        ["hinf", *lap, "--symbol", "rational-eta"],
+        ["t-sector", *lap, "--phi", "0.3", "--n", "2"],
+        ["rep-check", *lap, "--rho", "1.0", "--theta", "0.5"],
+        ["sum-inverse", "--matrix-a", "L.csv", "--matrix-b", "B.csv", "--theta-a", "2.7",
+         "--theta-b", "2.0"],
+    ) == [False] * 7
+    # a non-normal operator takes a Schur form, and maxreg an exponential
+    assert loaded(["power", "--matrix", "cd.csv", "--re", "-0.5"]) == [False, True]
+    assert loaded(["maxreg", *lap, "--nt", "64"]) == [False, True]

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from sectorsum import (  # noqa: E402
     CommutingPair,
     eadic_middle_eval,
+    generate,
     linops,
     split_integral_eval,
     sum_inverse,
@@ -21,6 +22,7 @@ from sectorsum import (  # noqa: E402
     weighted_identity_right,
 )
 from sectorsum.linops import operator_norm  # noqa: E402
+from sectorsum.sums import JOINT_WEIGHT  # noqa: E402
 from conftest import certified  # noqa: E402
 
 
@@ -117,3 +119,40 @@ def test_loosely_commuting_pair_keeps_two_bases():
     assert np.array_equal(K, _two_basis(sum_inverse, pair))
     assert _rel(K, np.linalg.inv(pair.A.matrix + pair.B.matrix)) <= 1e-6
 
+
+
+@pytest.fixture
+def schur_args(monkeypatch):
+    """The matrices linops.schur_form is called on, from here on."""
+    args = []
+    schur_form = linops.schur_form
+    monkeypatch.setattr(linops, "schur_form", lambda M: args.append(M) or schur_form(M))
+    return args
+
+
+def test_hermitian_and_scalar_pair_takes_the_member_basis(schur_args):
+    # the Laplacian's eigh basis diagonalises B = c I too: no Schur form
+    m = 8
+    pair = CommutingPair(certified(generate("laplacian-1d", m=m).matrix, 0.9 * np.pi),
+                         certified(2.0 * np.exp(1j * np.pi / 3) * np.eye(m), 0.6 * np.pi))
+    a, b, Q = pair.joint_basis()
+    assert Q is pair.A.normal_basis()[1] and b.ndim == 1
+    _assert_matches_two_basis(pair)
+    assert schur_args == []
+
+
+def test_repeated_eigenvalues_fall_back_to_the_schur_joint_basis(schur_args):
+    # A = L (+) L repeats every eigenvalue and B = 10 [[2, 1], [1, 2]] (x) I
+    # repeats each of its two: neither member's eigh basis diagonalises the
+    # other, and the Schur vectors of A + gamma B (distinct eigenvalues) do
+    L = generate("laplacian-1d", m=4).matrix
+    A = np.kron(np.eye(2), L)
+    B = 10.0 * np.kron(np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(4))
+    pair = CommutingPair(certified(A, 0.9 * np.pi), certified(B, 0.9 * np.pi))
+    for basis, other in ((pair.A.normal_basis(), B), (pair.B.normal_basis(), A)):
+        form = basis[1].conj().T @ other @ basis[1]
+        assert np.linalg.norm(np.triu(form, 1)) > 1.0
+    a, b, Q = pair.joint_basis()
+    assert a.ndim == 1 and len(schur_args) == 1
+    assert np.array_equal(schur_args[0], A + JOINT_WEIGHT * B)
+    _assert_matches_two_basis(pair)
