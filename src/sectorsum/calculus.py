@@ -21,8 +21,8 @@ Imaginary powers are A^{it} = A A^{-1+it}, with A^{-1+it} the same
 integral on the contour of complex_power at z = -1 + i t_max.  On the
 rays lambda = r e^{+-i theta}, (-lambda)^{it} = r^{it} e^{-+t (pi - theta)}
 separates from the resolvents, so ImaginaryPowerFamily stores them at
-the nodes once and sums the table for many t in one matrix product; the
-quadrature's error is amplified by at most e^{|t| (pi - theta)}.
+the nodes once and sums the table for many t in a few matrix products;
+the quadrature's error is amplified by at most e^{|t| (pi - theta)}.
 """
 
 from __future__ import annotations
@@ -39,6 +39,13 @@ from .errors import ClassViolated
 from .sector import MatrixOperator
 
 _EYE = lambda n: np.eye(n, dtype=complex)  # noqa: E731
+
+#: ImaginaryPowerFamily.at_many sums a normal basis' table panel first
+#: while it has at most this many columns per panel: the crossover
+#: measured at one BLAS thread, where the two orders cost the same at
+#: 0.9-1.5 columns per panel (normal n = 32-64) and the panel sums cost
+#: up to 1.2-1.9x the other order's from 1.7 up (Schur n = 12-32)
+PANEL_FIRST_WIDTH = 1.0
 
 
 # ------------------------------------------------------- symbol integrals
@@ -146,6 +153,17 @@ class ImaginaryPowerFamily:
     q of panel p sits at s = mid_p + offset_q, so on the rays
     w_k (-lam_k)^{-1+it} is +-(w_q / 2 pi i) e^{it mid_p} e^{it offset_q}
     e^{-+t (pi - theta)}: a t costs n_panel + 10 + n_arc exponentials.
+
+    :meth:`at_many` sums a normal operator's (N, n) table panel first
+    while n is at most :data:`PANEL_FIRST_WIDTH` times the panel count
+    (40-80 at t_max 4-10): for each ray, one product of the (n_t, n_panel)
+    phases e^{it mid_p} with the table's rows as (n_panel, 10 n) blocks,
+    then the weights e^{it offset_q} w_q and e^{-+t (pi - theta)} over the
+    10 offsets.  A wider table, and a Schur basis' (N, n, n) table, whose
+    entries are stored node-minor so that the blocks would cost a
+    transposing copy, take the (n_t, 10 n_panel) products
+    e^{it mid_p} e^{it offset_q} times the table.  Either order is the
+    node-by-node sum over the stored table up to rounding.
     """
 
     def __init__(self, A: MatrixOperator, t_max: float = 8.0):
@@ -183,28 +201,43 @@ class ImaginaryPowerFamily:
 
     def at_many(self, ts) -> np.ndarray:
         """A^{it} for every t as an (n_t, n, n) array: per chunk of t, one
-        product with the arc's and each ray's part of the table; then one
-        map back and one product with A.  A^{i0} is the identity, exactly.
+        product with the arc's part of the table and one sum over the rays'
+        part in the order :data:`PANEL_FIRST_WIDTH` picks; then one map
+        back and one product with A.  A^{i0} is the identity, exactly.
         Raises ValueError for |t| > t_max, where the contour was not sized."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
         if np.any(np.abs(ts) > self.t_max):
             raise ValueError(
                 f"|t| = {np.max(np.abs(ts))} exceeds the family's t_max = {self.t_max}")
-        n_arc, n_ray = len(self._log_arc), len(self._mid) * len(self._offset)
+        n_arc, n_panel, n_q = len(self._log_arc), len(self._mid), len(self._offset)
+        n_ray = n_panel * n_q
         table = self.table.reshape(len(self.lam), -1)
         # entries zero at every node (a Schur basis' lower triangle) stay out
         used = np.flatnonzero(table.any(axis=0))
-        arc_t, dn_t, up_t = np.split(table[:, used], [n_arc, n_arc + n_ray])
-        out = np.zeros((len(ts), table.shape[1]), dtype=complex)
-        step = linops.stack_step(16 * n_ray)
+        if len(used) < table.shape[1]:
+            table = table[:, used]
+        arc_t, dn_t, up_t = np.split(table, [n_arc, n_arc + n_ray])
+        panel_first = self._basis[0].ndim == 1 and len(used) <= PANEL_FIRST_WIDTH * n_panel
+        if panel_first:
+            # row p: the entries at nodes (p, 0), ..., (p, n_q - 1), a view
+            # of a normal basis' node-major table
+            dn_t, up_t = dn_t.reshape(n_panel, -1), up_t.reshape(n_panel, -1)
+        out = np.zeros((len(ts), self.table[0].size), dtype=complex)
+        step = linops.stack_step(16 * (2 * dn_t.shape[1] if panel_first else n_ray))
         for lo in range(0, len(ts), step):
             t = ts[lo:lo + step]
             arc = np.exp(np.multiply.outer(-1.0 + 1j * t, self._log_arc)) * self.w[:n_arc]
             phase = np.exp(1j * np.multiply.outer(t, self._offset)) * self._panel_w
-            ray = (np.exp(1j * np.multiply.outer(t, self._mid))[:, :, None]
-                   * phase[:, None, :]).reshape(len(t), -1)
+            panel = np.exp(1j * np.multiply.outer(t, self._mid))
             grow = np.exp(self._decay * t)[:, None]
-            out[lo:lo + step, used] = arc @ arc_t + (ray @ dn_t) / grow - grow * (ray @ up_t)
+            if panel_first:
+                # each offset's sum over the panels first, then its weight
+                ray_sum = sum((w[:, None] @ (panel @ tab).reshape(len(t), n_q, -1))[:, 0]
+                              for w, tab in ((phase / grow, dn_t), (-grow * phase, up_t)))
+            else:
+                ray = (panel[:, :, None] * phase[:, None, :]).reshape(len(t), -1)
+                ray_sum = (ray @ dn_t) / grow - grow * (ray @ up_t)
+            out[lo:lo + step, used] = arc @ arc_t + ray_sum
         X = out.reshape((len(ts),) + self.table.shape[1:])
         res = self.A.matrix @ linops.from_basis(self._basis, X)
         res[ts == 0.0] = _EYE(self.A.dim)
@@ -245,6 +278,19 @@ def bip_fit(A: MatrixOperator, t_max: float = 4.0, n_t: int = 17) -> BipFit:
     intercept = float(np.max(y - phi * x))
     M = max(1.0, float(np.exp(intercept)))
     return BipFit(M=M, phi=phi, t_grid=t_grid, norms=norms)
+
+
+def cached_bip_fit(A: MatrixOperator) -> BipFit:
+    """bip_fit(A) at its defaults, taken once per certificate of A and
+    cached on A with read-only arrays.  The fit depends on A and its
+    certificate only, so a certification to another sector or constant
+    refits."""
+    if A._bip is None or A._bip[0] != A.certified:
+        fit = bip_fit(A)
+        fit.t_grid.flags.writeable = False
+        fit.norms.flags.writeable = False
+        A._bip = (A.certified, fit)
+    return A._bip[1]
 
 
 # ------------------------------------------------------------------- symbols

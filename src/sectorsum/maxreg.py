@@ -454,31 +454,38 @@ def default_probes(A: MatrixOperator, grid: TimeGrid) -> list[tuple[str, GridFun
     return probes
 
 
-def _adversarial_probe(grid: TimeGrid, mode: str, stepper: _CauchyStepper,
-                       n_iter: int = 10) -> GridFunction:
-    """Power iteration on the (weighted) composition  g -> D f  or
-    g -> A f  to seek the worst forcing; fixed seed, fixed count.  The
-    iterates stay in the stepper's coordinates and map back once."""
+def _adversarial_probes(grid: TimeGrid, modes, stepper: _CauchyStepper,
+                        n_iter: int = 10) -> list[GridFunction]:
+    """Power iteration on the (weighted) composition  g -> D f  (mode
+    "fprime") or  g -> A f  ("Af") to seek the worst forcing; fixed seed,
+    fixed count.  Every mode starts from the same seeded forcing, whose
+    forward sweep is taken once.  The iterates stay in the stepper's
+    coordinates and map back once."""
     rng = np.random.default_rng(ADVERSARIAL_SEED)
-    v = rng.standard_normal((grid.n_nodes, stepper.dim)) + 1j * rng.standard_normal(
+    start = rng.standard_normal((grid.n_nodes, stepper.dim)) + 1j * rng.standard_normal(
         (grid.n_nodes, stepper.dim)
     )
-    v = stepper.to_basis(v)
+    start = stepper.to_basis(start)
+    first = stepper.sweep(start)
     w = grid.weights()[:, None]
-    for _ in range(n_iter):
-        f = stepper.sweep(v)
-        # the adjoint w.r.t. the weighted product is W^{-1} X^H W
-        if mode == "fprime":
-            y = time_derivative(GridFunction(grid, f)).values
-            z = _time_derivative_adjoint(w * y, grid.dt)
-        else:
-            z = stepper.apply_adjoint(w * stepper.apply(f))
-        z = stepper.sweep_adjoint(z) / w
-        nrm = GridFunction(grid, z).lp_norm(2.0)
-        if nrm == 0.0:
-            break
-        v = z / nrm
-    return GridFunction(grid, stepper.from_basis(v))
+    found = []
+    for mode in modes:
+        v = start
+        for k in range(n_iter):
+            f = first if k == 0 else stepper.sweep(v)
+            # the adjoint w.r.t. the weighted product is W^{-1} X^H W
+            if mode == "fprime":
+                y = time_derivative(GridFunction(grid, f)).values
+                z = _time_derivative_adjoint(w * y, grid.dt)
+            else:
+                z = stepper.apply_adjoint(w * stepper.apply(f))
+            z = stepper.sweep_adjoint(z) / w
+            nrm = GridFunction(grid, z).lp_norm(2.0)
+            if nrm == 0.0:
+                break
+            v = z / nrm
+        found.append(GridFunction(grid, stepper.from_basis(v)))
+    return found
 
 
 def maxreg_constant(
@@ -488,37 +495,44 @@ def maxreg_constant(
     adversarial: bool = True,
 ) -> MaxRegReport:
     """sup ||f'||_p / ||g||_p and sup ||A f||_p / ||g||_p over the probe
-    set (plus a seeded power-iteration worst-case search when p = 2)."""
+    set (plus a seeded power-iteration worst-case search when p = 2),
+    every norm at the grid's p."""
     probes = list(probes) if probes is not None else default_probes(A, grid)
     if not probes:
         raise ValueError("probe set must be nonempty")
     stepper = _CauchyStepper(A.matrix, grid.dt, A.normal_basis())
     if adversarial and abs(grid.p - 2.0) < 1e-12:
-        probes = probes + [
-            ("adversarial-fprime", _adversarial_probe(grid, "fprime", stepper)),
-            ("adversarial-Af", _adversarial_probe(grid, "Af", stepper)),
-        ]
-    return _probe_report(grid, probes, stepper)
+        modes = ("fprime", "Af")
+        probes = probes + [(f"adversarial-{mode}", g) for mode, g in
+                           zip(modes, _adversarial_probes(grid, modes, stepper))]
+    return _probe_report(grid, _probe_sweeps(grid, probes, stepper), grid.p)
 
 
-def _probe_report(grid: TimeGrid, probes, stepper: _CauchyStepper) -> MaxRegReport:
-    """||f'||_p / ||g||_p and ||A f||_p / ||g||_p for every probe, with f
-    and both numerators in the stepper's coordinates."""
-    labels, r_fp, r_af = [], [], []
+def _probe_sweeps(grid: TimeGrid, probes, stepper: _CauchyStepper):
+    """(label, g, f', A f) for every probe, with f from one sweep in the
+    stepper's coordinates: none of them depends on p."""
+    swept = []
     for label, g in probes:
-        ng = g.lp_norm()
+        f = GridFunction(grid, stepper.sweep(stepper.to_basis(g.values)))
+        swept.append((label, g, time_derivative(f), f.map_values(stepper.apply)))
+    return swept
+
+
+def _probe_report(grid: TimeGrid, swept, p: float) -> MaxRegReport:
+    """||f'||_p / ||g||_p and ||A f||_p / ||g||_p for every probe that
+    :func:`_probe_sweeps` swept on grid."""
+    labels, r_fp, r_af = [], [], []
+    for label, g, fp, af in swept:
+        ng = g.lp_norm(p)
         if ng == 0.0:
             raise ValueError(f"probe {label!r} is zero")
-        f = GridFunction(grid, stepper.sweep(stepper.to_basis(g.values)))
-        fp = time_derivative(f)
-        af = f.map_values(stepper.apply)
         labels.append(label)
-        r_fp.append(fp.lp_norm() / ng)
-        r_af.append(af.lp_norm() / ng)
+        r_fp.append(fp.lp_norm(p) / ng)
+        r_af.append(af.lp_norm(p) / ng)
     return MaxRegReport(
         constant_fprime=float(max(r_fp)),
         constant_Af=float(max(r_af)),
-        p=grid.p,
+        p=p,
         tau=grid.tau,
         N_t=grid.N_t,
         probe_labels=tuple(labels),
@@ -534,7 +548,8 @@ def p_independence_probe(
     p_values=(1.5, 2.0, 3.0, 4.0),
 ) -> dict:
     """maxreg_constant across several p on a shared probe set; reports
-    all constants and their spread."""
+    all constants and their spread.  Each probe is swept once: only the
+    norms depend on p."""
     for p in p_values:
         if not (1.0 < p < np.inf):
             raise ValueError(f"p must lie in (1, inf), got {p}")
@@ -542,13 +557,10 @@ def p_independence_probe(
     stepper = _CauchyStepper(A.matrix, base_grid.dt, A.normal_basis())  # every p shares dt
     shared = default_probes(A, base_grid)
     shared = shared + [
-        ("adversarial-fprime", _adversarial_probe(base_grid, "fprime", stepper)),
+        ("adversarial-fprime", _adversarial_probes(base_grid, ("fprime",), stepper)[0]),
     ]
-    results = {}
-    for p in p_values:
-        grid = TimeGrid(tau, N_t, p=p)
-        probes = [(lbl, GridFunction(grid, g.values)) for lbl, g in shared]
-        results[p] = _probe_report(grid, probes, stepper)
+    swept = _probe_sweeps(base_grid, shared, stepper)
+    results = {p: _probe_report(base_grid, swept, p) for p in p_values}
     consts = [results[p].constant_fprime for p in p_values]
     return {
         "p_values": list(p_values),

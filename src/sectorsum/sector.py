@@ -123,10 +123,12 @@ class MatrixOperator:
     nothing cached from it can go stale.  The norms, the normal basis,
     the Schur form and, for a non-normal operator, the singular values
     of A are computed on first use and cached, and none of them is a
-    constructor argument.  One SVD of A thus serves ``norm()``,
-    ``inverse_norm()`` and, as the decomposition at the shift 0, the Weyl
-    bounds of every certification and extension check of A (see
-    :func:`linops.weighted_resolvent_norms`).
+    constructor argument; so is the default bounded-imaginary-power fit
+    of the representation formulas, for the certificate it was taken
+    under (:func:`calculus.cached_bip_fit`).  One SVD of A thus serves
+    ``norm()``, ``inverse_norm()`` and, as the decomposition at the
+    shift 0, the Weyl bounds of every certification and extension check
+    of A (see :func:`linops.weighted_resolvent_norms`).
     """
 
     matrix: np.ndarray
@@ -140,6 +142,8 @@ class MatrixOperator:
     _schur: tuple | None = field(default=None, init=False, repr=False)
     # singular values of A, descending, taken only when A is not normal
     _sv: np.ndarray | None = field(default=None, init=False, repr=False)
+    # (certificate, calculus.bip_fit(A) at its defaults), see calculus.cached_bip_fit
+    _bip: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         matrix = linops.as_matrix(self.matrix)

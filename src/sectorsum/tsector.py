@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linops
-from .calculus import BipFit, ImaginaryPowerFamily, bip_fit
+from .calculus import BipFit, ImaginaryPowerFamily, cached_bip_fit
 from .contour import gauss_panels, pv_integral
 from .errors import AngleOutOfRange, DenominatorDegenerate, TruncationNotConverged
 from .maxreg import GridFunction, TimeGrid
@@ -259,7 +259,8 @@ def resolvent_rep_real(
     tol_tail: float = 1e-9,
 ) -> np.ndarray:
     """(I + rho A)^{-1} x from the principal-value formula: the
-    theta = 0 case of resolvent_rep_rotated."""
+    theta = 0 case of resolvent_rep_rotated (without ``bip``, A's cached
+    default fit, :func:`calculus.cached_bip_fit`)."""
     return resolvent_rep_rotated(A, rho, 0.0, x, bip=bip, tol_tail=tol_tail)
 
 
@@ -272,11 +273,16 @@ def resolvent_rep_rotated(
     tol_tail: float = 1e-9,
 ) -> np.ndarray:
     """(I + rho e^{i theta} A)^{-1} x as one principal value with kernel
-    pi e^{theta s}/sinh(pi s), plus x/2."""
+    pi e^{theta s}/sinh(pi s), plus x/2.
+
+    ``bip`` sets the cutoff; without it the fit is A's default
+    ``bip_fit``, taken once per certificate and cached on A
+    (:func:`calculus.cached_bip_fit`), so repeated calls on one
+    certified operator fit once."""
     if rho <= 0:
         raise ValueError("rho must be positive")
     x = linops.as_vector(x, A.dim)
-    bip = bip or bip_fit(A)
+    bip = bip or cached_bip_fit(A)
     if abs(theta) >= np.pi - bip.phi:
         raise AngleOutOfRange(
             f"need |theta| < pi - phi-hat = {np.pi - bip.phi:.4f}, got {theta}"
@@ -331,6 +337,9 @@ def bip_tsector_bound_assembly(
     smoothed kernel term, the principal-value term, the half term, and
     the rotation term) and verify their L^p norms dominate lhs_norm.
 
+    Without ``bip``, A's cached default fit is used, as in
+    :func:`resolvent_rep_rotated`.
+
     The underlying pointwise identity is exact, so the sum of norms
     dominates the left side by the triangle inequality up to quadrature
     and grid error: the s-integrals are cut where the integrand falls
@@ -338,7 +347,7 @@ def bip_tsector_bound_assembly(
     """
     xs = [linops.as_vector(x, A.dim) for x in xs]
     _check_grid_resolves(len(xs), N_t)
-    bip = bip or bip_fit(A)
+    bip = bip or cached_bip_fit(A)
     if bip.phi + abs(theta) >= np.pi:
         raise AngleOutOfRange("phi-hat + |theta| must stay below pi")
     if p < 1.0:

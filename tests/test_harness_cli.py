@@ -1,17 +1,20 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sectorsum
 from sectorsum import CertificateReport, generate, report_diff, run_experiment
-from sectorsum.cli import main as cli_main
+from sectorsum.cli import _parser, main as cli_main
 from sectorsum.errors import ConfigInvalid, IncompatibleReports, InvalidRecipe
-from sectorsum.harness import laplacian_eigenvalues, run_config, validate_config
+from sectorsum.harness import PIPELINES, laplacian_eigenvalues, run_config, validate_config
 from sectorsum.linops import write_matrix
 
 
@@ -653,3 +656,22 @@ def test_numpy_only_pipelines_never_load_scipy(tmp_path):
     # a non-normal operator takes a Schur form, and maxreg an exponential
     assert loaded(["power", "--matrix", "cd.csv", "--re", "-0.5"]) == [False, True]
     assert loaded(["maxreg", *lap, "--nt", "64"]) == [False, True]
+
+
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_pipelines_line_lists_every_pipeline():
+    match = re.search(r"^Pipelines: ((?:`[^`]+`,?\s*)+)\.", _readme(), re.MULTILINE)
+    assert match is not None
+    assert re.findall(r"`([^`]+)`", match.group(1)) == list(PIPELINES)
+
+
+def test_readme_cli_usage_names_every_subcommand():
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", _readme(), re.MULTILINE | re.DOTALL)
+    assert block is not None
+    named = re.findall(r"^sectorsum\s+(\S+)", block.group(1), re.MULTILINE)
+    subparsers = next(a for a in _parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert sorted(named) == sorted(subparsers.choices)

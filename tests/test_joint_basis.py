@@ -156,3 +156,23 @@ def test_repeated_eigenvalues_fall_back_to_the_schur_joint_basis(schur_args):
     assert a.ndim == 1 and len(schur_args) == 1
     assert np.array_equal(schur_args[0], A + JOINT_WEIGHT * B)
     _assert_matches_two_basis(pair)
+
+
+def test_unscaled_partner_keeps_the_schur_joint_basis(schur_args):
+    # as above with B = [[2, 1], [1, 2]] (x) I unscaled: the Schur vectors
+    # of A + gamma B carry rounding of A's size (||A|| ~ 90), above B's own
+    # departure tolerance, so both forms are held to the larger one
+    L = generate("laplacian-1d", m=4).matrix
+    A = np.kron(np.eye(2), L)
+    B = np.kron(np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(4))
+    pair = CommutingPair(certified(A, 0.9 * np.pi), certified(B, 0.9 * np.pi))
+    joint = pair.joint_basis()
+    assert joint is not None and joint[0].ndim == 1 and joint[1].ndim == 1
+    assert len(schur_args) == 1
+    Q = joint[2]
+    tol = max(linops.departure_tolerance(A), linops.departure_tolerance(B))
+    for M in (A, B):
+        form = Q.conj().T @ M @ Q
+        for strict in (np.tril(form, -1), np.triu(form, 1)):
+            assert np.linalg.norm(strict) <= tol
+    _assert_matches_two_basis(pair)

@@ -18,8 +18,10 @@ from sectorsum import (
 from sectorsum.errors import DimensionMismatch
 from sectorsum.maxreg import (
     _CauchyStepper,
+    _adversarial_probes,
     _cauchy_step_matrices,
     _time_derivative_adjoint,
+    default_probes,
     deriv_resolvent_matrix,
     grid_operator_norm,
     solve_cauchy_adjoint,
@@ -400,6 +402,52 @@ def test_p_independence_probe():
     assert out["spread"] < 10.0
     with pytest.raises(ValueError):
         p_independence_probe(A, 1.0, 128, p_values=(1.0, 2.0))
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    calls = []
+    sweep = _CauchyStepper.sweep
+
+    def counted(self, g):
+        calls.append(g.shape)
+        return sweep(self, g)
+
+    monkeypatch.setattr(_CauchyStepper, "sweep", counted)
+    return calls
+
+
+@pytest.mark.parametrize("normal", [True, False], ids=["laplacian", "conv-diff"])
+def test_p_independence_probe_matches_maxreg_constant_per_p(sweep_calls, normal):
+    m, tau, N_t, p_values = 6, 1.0, 64, (1.5, 2.0, 3.0, 4.0)
+    A = generate("laplacian-1d", m=m) if normal else MatrixOperator(convection_diffusion(m=m))
+    out = p_independence_probe(A, tau, N_t, p_values)
+    # one adversarial search of 10 sweeps, then each of the four shared
+    # probes swept once for all p
+    assert len(sweep_calls) == 3 + 1 + 10
+    base = TimeGrid(tau, N_t)
+    stepper = _CauchyStepper(A.matrix, base.dt, A.normal_basis())
+    shared = default_probes(A, base) + [
+        ("adversarial-fprime", _adversarial_probes(base, ("fprime",), stepper)[0])]
+    for p in p_values:
+        grid = TimeGrid(tau, N_t, p=p)
+        ref = maxreg_constant(A, grid, probes=[(label, GridFunction(grid, g.values))
+                                               for label, g in shared], adversarial=False)
+        assert out["reports"][p] == ref
+    assert out["constants_fprime"] == [out["reports"][p].constant_fprime for p in p_values]
+
+
+def test_adversarial_searches_share_their_first_sweep(sweep_calls):
+    L = generate("laplacian-1d", m=6)
+    grid = TimeGrid(1.0, 64)
+    rep = maxreg_constant(L, grid)
+    # one shared first sweep, 9 more per mode, one per probe
+    assert len(sweep_calls) == 1 + 2 * 9 + len(rep.probe_labels)
+    stepper = _CauchyStepper(L.matrix, grid.dt, L.normal_basis())
+    both = _adversarial_probes(grid, ("fprime", "Af"), stepper)
+    for mode, g in zip(("fprime", "Af"), both):
+        alone = _adversarial_probes(grid, (mode,), stepper)[0]
+        assert np.array_equal(g.values, alone.values)
 
 
 def test_laplacian_constant_desk_scale():

@@ -14,7 +14,7 @@ from sectorsum import (
     resolvent_rep_rotated,
     witness_search,
 )
-from sectorsum import tsector
+from sectorsum import calculus, tsector
 from sectorsum.calculus import ImaginaryPowerFamily
 from sectorsum.errors import AngleOutOfRange, DenominatorDegenerate
 from sectorsum.tsector import periodic_grid
@@ -233,6 +233,36 @@ def test_family_calls_are_batched(rep_operators, monkeypatch):
     calls.update(at=0, at_many=0)
     bip_tsector_bound_assembly(A, 0.5, 0.8, [np.ones(2), np.arange(2.0)], N_t=64, bip=fit)
     assert calls == {"at": 0, "at_many": 2}
+
+
+def test_default_bip_fit_is_taken_once_per_certificate(monkeypatch):
+    fits = []
+
+    def counted_bip_fit(A, *args, **kwargs):
+        fits.append(A)
+        return bip_fit(A, *args, **kwargs)
+
+    monkeypatch.setattr(calculus, "bip_fit", counted_bip_fit)
+    A = rotated_diagonal(2)
+    x = np.array([1.0, 0.5j])
+    first = resolvent_rep_rotated(A, 0.7, 0.4, x)
+    resolvent_rep_real(A, 1.3, x)
+    bip_tsector_bound_assembly(A, 0.5, 0.8, [x], N_t=64)
+    assert len(fits) == 1
+    fit = calculus.cached_bip_fit(A)
+    assert not fit.t_grid.flags.writeable and not fit.norms.flags.writeable
+    # the cached fit gives what a fresh one given as bip= gives, and that
+    # bypasses the cache
+    assert np.array_equal(first, resolvent_rep_rotated(A, 0.7, 0.4, x,
+                                                       bip=counted_bip_fit(A)))
+    assert len(fits) == 2
+    resolvent_rep_real(A, 1.3, x, bip=fit)
+    assert len(fits) == 2
+    # a certification to another angle refits, once
+    certify_sector(A, 0.65 * np.pi)
+    resolvent_rep_rotated(A, 0.7, 0.4, x)
+    resolvent_rep_real(A, 1.3, x)
+    assert len(fits) == 3 and calculus.cached_bip_fit(A) is not fit
 
 
 class _ExactFamily:
