@@ -40,13 +40,6 @@ from .sector import MatrixOperator
 
 _EYE = lambda n: np.eye(n, dtype=complex)  # noqa: E731
 
-#: ImaginaryPowerFamily.at_many sums a normal basis' table panel first
-#: while it has at most this many columns per panel: the crossover
-#: measured at one BLAS thread, where the two orders cost the same at
-#: 0.9-1.5 columns per panel (normal n = 32-64) and the panel sums cost
-#: up to 1.2-1.9x the other order's from 1.7 up (Schur n = 12-32)
-PANEL_FIRST_WIDTH = 1.0
-
 
 # ------------------------------------------------------- symbol integrals
 
@@ -154,16 +147,15 @@ class ImaginaryPowerFamily:
     w_k (-lam_k)^{-1+it} is +-(w_q / 2 pi i) e^{it mid_p} e^{it offset_q}
     e^{-+t (pi - theta)}: a t costs n_panel + 10 + n_arc exponentials.
 
-    :meth:`at_many` sums a normal operator's (N, n) table panel first
-    while n is at most :data:`PANEL_FIRST_WIDTH` times the panel count
-    (40-80 at t_max 4-10): for each ray, one product of the (n_t, n_panel)
-    phases e^{it mid_p} with the table's rows as (n_panel, 10 n) blocks,
-    then the weights e^{it offset_q} w_q and e^{-+t (pi - theta)} over the
-    10 offsets.  A wider table, and a Schur basis' (N, n, n) table, whose
-    entries are stored node-minor so that the blocks would cost a
-    transposing copy, take the (n_t, 10 n_panel) products
-    e^{it mid_p} e^{it offset_q} times the table.  Either order is the
-    node-by-node sum over the stored table up to rounding.
+    :meth:`at_many` sums a normal operator's (N, n) table panel first:
+    for each ray, one product of the (n_t, n_panel) phases e^{it mid_p}
+    with the table's rows as (n_panel, 10 n) blocks, then the weights
+    e^{it offset_q} w_q and e^{-+t (pi - theta)} over the 10 offsets.  A
+    Schur basis' (N, n, n) table, whose used entries the blocks would
+    have to gather into node-major order on every call, takes the
+    (n_t, 10 n_panel) products e^{it mid_p} e^{it offset_q} times the
+    table.  Either order is the node-by-node sum over the stored table
+    up to rounding.
     """
 
     def __init__(self, A: MatrixOperator, t_max: float = 8.0):
@@ -202,7 +194,7 @@ class ImaginaryPowerFamily:
     def at_many(self, ts) -> np.ndarray:
         """A^{it} for every t as an (n_t, n, n) array: per chunk of t, one
         product with the arc's part of the table and one sum over the rays'
-        part in the order :data:`PANEL_FIRST_WIDTH` picks; then one map
+        part, panel first on a normal table (see the class); then one map
         back and one product with A.  A^{i0} is the identity, exactly.
         Raises ValueError for |t| > t_max, where the contour was not sized."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
@@ -217,13 +209,16 @@ class ImaginaryPowerFamily:
         if len(used) < table.shape[1]:
             table = table[:, used]
         arc_t, dn_t, up_t = np.split(table, [n_arc, n_arc + n_ray])
-        panel_first = self._basis[0].ndim == 1 and len(used) <= PANEL_FIRST_WIDTH * n_panel
+        panel_first = self._basis[0].ndim == 1
         if panel_first:
             # row p: the entries at nodes (p, 0), ..., (p, n_q - 1), a view
             # of a normal basis' node-major table
             dn_t, up_t = dn_t.reshape(n_panel, -1), up_t.reshape(n_panel, -1)
         out = np.zeros((len(ts), self.table[0].size), dtype=complex)
-        step = linops.stack_step(16 * (2 * dn_t.shape[1] if panel_first else n_ray))
+        # per t: the arc, panel and offset phases and both rays' panel
+        # products, or the outer product of the phases
+        step = linops.stack_step(
+            16 * (n_arc + n_panel + n_q + 2 * dn_t.shape[1] if panel_first else n_ray))
         for lo in range(0, len(ts), step):
             t = ts[lo:lo + step]
             arc = np.exp(np.multiply.outer(-1.0 + 1j * t, self._log_arc)) * self.w[:n_arc]

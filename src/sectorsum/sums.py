@@ -73,6 +73,11 @@ PROBE_SEED = 0x5EC705  # recorded seed for certificate probe vectors
 #: vectors triangularise both (CommutingPair.joint_basis tests the rest)
 JOINT_WEIGHT = np.exp(0.618j)
 
+#: a member's form in the joint basis may drop up to the larger member's
+#: departure tolerance, but at most this many times its own: the
+#: smaller member's backward error grows with the norm ratio otherwise
+JOINT_SLACK = 8.0
+
 
 #: ||[(A + 1)^{-1}, (B + 1)^{-1}]|| a CommutingPair admits
 COMMUTE_TOLERANCE = 1e-10
@@ -125,11 +130,15 @@ class CommutingPair:
         in it; else Q holds the Schur vectors of A + JOINT_WEIGHT B.  A
         form counts as triangular (diagonal) when its strict lower (and
         upper) triangle is within the larger of the two members'
-        :func:`linops.departure_tolerance`, the test
-        :func:`linops.normal_basis` puts on a Schur form: Q carries the
-        rounding of the larger member, so resolvents in this basis stay
-        within the backward error of the dense path.  A pair that
-        commutes only to a looser tolerance fails the test.
+        :func:`linops.departure_tolerance` (the test
+        :func:`linops.normal_basis` puts on a Schur form), as Q carries the
+        rounding of the larger member, but within at most
+        :data:`JOINT_SLACK` times the member's own.  Resolvents in this
+        basis thus stay within the backward error of the dense path for
+        the larger member and within JOINT_SLACK times it for the smaller;
+        a pair whose norms differ so much that the smaller member's form
+        needs more, or that commutes only to a looser tolerance, fails the
+        test and is resolved member by member.
         """
         if not self._joint_known:
             self._joint = _joint_basis(self.A, self.B)
@@ -139,17 +148,19 @@ class CommutingPair:
 
 def _joint_basis(A: MatrixOperator, B: MatrixOperator):
     """See :meth:`CommutingPair.joint_basis`."""
-    members = (A.matrix, B.matrix)
     # Q carries the rounding of the matrix it came from (a member, or
-    # A + JOINT_WEIGHT B), so both forms are held to the larger tolerance
-    tol = max(linops.departure_tolerance(M) for M in members)
+    # A + JOINT_WEIGHT B), so the forms are held to the larger tolerance,
+    # capped at JOINT_SLACK times the member's own
+    tols = [linops.departure_tolerance(M) for M in (A.matrix, B.matrix)]
+    members = [(M, min(max(tols), JOINT_SLACK * tol))
+               for M, tol in zip((A.matrix, B.matrix), tols)]
     for basis in (A.normal_basis(), B.normal_basis()):
         if basis is not None:
-            forms, triangular, diagonal = _joint_forms(members, tol, basis[1])
+            forms, triangular, diagonal = _joint_forms(members, basis[1])
             if diagonal:
                 return tuple(np.diagonal(T).copy() for T in forms) + (basis[1],)
     _, Q = linops.schur_form(A.matrix + JOINT_WEIGHT * B.matrix)
-    forms, triangular, diagonal = _joint_forms(members, tol, Q)
+    forms, triangular, diagonal = _joint_forms(members, Q)
     if not triangular:
         return None
     if diagonal:
@@ -157,14 +168,14 @@ def _joint_basis(A: MatrixOperator, B: MatrixOperator):
     return tuple(np.triu(T) for T in forms) + (Q,)
 
 
-def _joint_forms(members, tol: float, Q):
-    """The forms Q^* M Q of both members, and whether both pass the
-    departure test at tol as triangular and as diagonal."""
+def _joint_forms(members, Q):
+    """The forms Q^* M Q of both (M, tolerance) members, and whether both
+    pass the departure test as triangular and as diagonal."""
     Qh = Q.conj().T
-    forms = [Qh @ M @ Q for M in members]
-    triangular = all(np.linalg.norm(np.tril(T, -1)) <= tol for T in forms)
-    diagonal = triangular and all(np.linalg.norm(np.triu(T, 1)) <= tol for T in forms)
-    return forms, triangular, diagonal
+    forms = [(Qh @ M @ Q, tol) for M, tol in members]
+    triangular = all(np.linalg.norm(np.tril(T, -1)) <= tol for T, tol in forms)
+    diagonal = triangular and all(np.linalg.norm(np.triu(T, 1)) <= tol for T, tol in forms)
+    return [T for T, _ in forms], triangular, diagonal
 
 
 def resolvent_commute_check(A: MatrixOperator, B: MatrixOperator, lam, mu) -> float:

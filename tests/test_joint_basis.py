@@ -22,7 +22,7 @@ from sectorsum import (  # noqa: E402
     weighted_identity_right,
 )
 from sectorsum.linops import operator_norm  # noqa: E402
-from sectorsum.sums import JOINT_WEIGHT  # noqa: E402
+from sectorsum.sums import JOINT_SLACK, JOINT_WEIGHT  # noqa: E402
 from conftest import certified  # noqa: E402
 
 
@@ -158,21 +158,25 @@ def test_repeated_eigenvalues_fall_back_to_the_schur_joint_basis(schur_args):
     _assert_matches_two_basis(pair)
 
 
-def test_unscaled_partner_keeps_the_schur_joint_basis(schur_args):
-    # as above with B = [[2, 1], [1, 2]] (x) I unscaled: the Schur vectors
-    # of A + gamma B carry rounding of A's size (||A|| ~ 90), above B's own
-    # departure tolerance, so both forms are held to the larger one
+@pytest.mark.parametrize("scale, joint", [(1.0, True), (1e-3, False), (1e-6, False)])
+def test_partner_norm_ratio_bounds_the_joint_basis(schur_args, scale, joint):
+    # as above with B = scale [[2, 1], [1, 2]] (x) I: the Schur vectors of
+    # A + gamma B carry rounding of A's size (||A|| ~ 90).  Unscaled, B's
+    # form drops more than B's own departure tolerance but within the capped
+    # larger one, and one joint basis serves both; at a norm ratio of 3e4 and
+    # more B's form would drop hundreds of times B's own tolerance, and the
+    # pair is resolved member by member
     L = generate("laplacian-1d", m=4).matrix
     A = np.kron(np.eye(2), L)
-    B = np.kron(np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(4))
+    B = scale * np.kron(np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(4))
     pair = CommutingPair(certified(A, 0.9 * np.pi), certified(B, 0.9 * np.pi))
-    joint = pair.joint_basis()
-    assert joint is not None and joint[0].ndim == 1 and joint[1].ndim == 1
-    assert len(schur_args) == 1
-    Q = joint[2]
-    tol = max(linops.departure_tolerance(A), linops.departure_tolerance(B))
-    for M in (A, B):
-        form = Q.conj().T @ M @ Q
-        for strict in (np.tril(form, -1), np.triu(form, 1)):
-            assert np.linalg.norm(strict) <= tol
+    found = pair.joint_basis()
+    assert (found is not None) == joint and len(schur_args) == 1
+    if joint:
+        assert found[0].ndim == 1 and found[1].ndim == 1
+        tol = [linops.departure_tolerance(M) for M in (A, B)]
+        for M, own in zip((A, B), tol):
+            form = found[2].conj().T @ M @ found[2]
+            for strict in (np.tril(form, -1), np.triu(form, 1)):
+                assert np.linalg.norm(strict) <= min(max(tol), JOINT_SLACK * own)
     _assert_matches_two_basis(pair)
