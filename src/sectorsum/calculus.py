@@ -27,6 +27,7 @@ the quadrature's error is amplified by at most e^{|t| (pi - theta)}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -135,6 +136,24 @@ def fractional_power(A: MatrixOperator, s: float, tol: float = 1e-9) -> np.ndarr
 # --------------------------------------------------------- imaginary powers
 
 
+def _phase_tables(mid: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two short tables of an arithmetic progression ``mid`` with
+    common difference ``spacing``: with B = ceil(sqrt(len(mid))),
+    mid[B j + r] = head[r] + step[j] for r < B, up to rounding."""
+    B = math.isqrt(len(mid) - 1) + 1
+    return mid[:B], spacing * B * np.arange(-(-len(mid) // B))
+
+
+def _progression_phases(t: np.ndarray, head: np.ndarray, step: np.ndarray,
+                        n: int) -> np.ndarray:
+    """e^{it mid_p} for p < n as an (n_t, n) array, from the tables of
+    :func:`_phase_tables`: the outer product of e^{it step_j} and
+    e^{it head_r}, len(head) + len(step) exponentials per t."""
+    phases = (np.exp(1j * np.multiply.outer(t, step))[:, :, None]
+              * np.exp(1j * np.multiply.outer(t, head))[:, None, :])
+    return phases.reshape(len(t), len(step) * len(head))[:, :n]
+
+
 class ImaginaryPowerFamily:
     """Precomputed quadrature data for t -> A^{it}, |t| <= t_max.
 
@@ -145,17 +164,23 @@ class ImaginaryPowerFamily:
     holds the resolvents at the nodes ``lam`` in A's unitary basis.  Node
     q of panel p sits at s = mid_p + offset_q, so on the rays
     w_k (-lam_k)^{-1+it} is +-(w_q / 2 pi i) e^{it mid_p} e^{it offset_q}
-    e^{-+t (pi - theta)}: a t costs n_panel + 10 + n_arc exponentials.
+    e^{-+t (pi - theta)}.  The panel midpoints are an arithmetic
+    progression, so with p = B j + r and B = ceil(sqrt(n_panel)) the
+    phases e^{it mid_p} are the outer product of e^{it mid_r} (r < B)
+    and e^{it 2 half B j}: a t costs ceil(n_panel / B) + B + 10 + n_arc
+    exponentials.
 
-    :meth:`at_many` sums a normal operator's (N, n) table panel first:
-    for each ray, one product of the (n_t, n_panel) phases e^{it mid_p}
-    with the table's rows as (n_panel, 10 n) blocks, then the weights
-    e^{it offset_q} w_q and e^{-+t (pi - theta)} over the 10 offsets.  A
-    Schur basis' (N, n, n) table, whose used entries the blocks would
-    have to gather into node-major order on every call, takes the
-    (n_t, 10 n_panel) products e^{it mid_p} e^{it offset_q} times the
-    table.  Either order is the node-by-node sum over the stored table
-    up to rounding.
+    The table's entries that are zero at every node (a Schur basis'
+    lower triangle) are found and left out once, here; ``table`` puts
+    them back on access.  :meth:`at_many` sums a normal operator's
+    (N, n) table panel first: for each ray, one product of the
+    (n_t, n_panel) phases e^{it mid_p} with the table's rows as
+    (n_panel, 10 n) blocks, then the weights e^{it offset_q} w_q and
+    e^{-+t (pi - theta)} over the 10 offsets.  A Schur basis' table,
+    whose used entries the blocks would have to gather into node-major
+    order on every call, takes the (n_t, 10 n_panel) products
+    e^{it mid_p} e^{it offset_q} times the table.  Either order is the
+    node-by-node sum over the stored table up to rounding.
     """
 
     def __init__(self, A: MatrixOperator, t_max: float = 8.0):
@@ -171,6 +196,7 @@ class ImaginaryPowerFamily:
         n_panel = int(np.ceil((hi - lo) / min(0.8, 6.0 / max(self.t_max, 1.0))))
         half = 0.5 * (hi - lo) / n_panel
         self._mid = lo + (2 * np.arange(n_panel) + 1) * half
+        self._head, self._step = _phase_tables(self._mid, 2.0 * half)
         self._offset, ws = gauss_panels([-half, half], 10)
         self._panel_w = ws / (2j * np.pi)
         # dlambda = lambda ds on the rays; the lower ray runs inward
@@ -182,10 +208,33 @@ class ImaginaryPowerFamily:
         self._basis = A.resolvent_basis()
         # in stack-budget chunks; a node's resolvent has D's entry count
         step = linops.stack_step(16 * self._basis[0].size)
-        self.table = np.concatenate([
+        table = np.concatenate([
             linops.basis_resolvents(self._basis, self.lam[k:k + step])
             for k in range(0, len(self.lam), step)
         ])
+        self._shape = table.shape[1:]
+        table = table.reshape(len(self.lam), -1)
+        # entries zero at every node (a Schur basis' lower triangle) stay out
+        self._used = np.flatnonzero(table.any(axis=0))
+        if len(self._used) < table.shape[1]:
+            table = table[:, self._used]
+        self._arc_t, dn_t, up_t = np.split(table, [spec.n_arc, spec.n_arc + r.size])
+        self._panel_first = self._basis[0].ndim == 1
+        if self._panel_first:
+            # row p: the entries at nodes (p, 0), ..., (p, 9), a view of a
+            # normal basis' node-major table
+            dn_t, up_t = dn_t.reshape(n_panel, -1), up_t.reshape(n_panel, -1)
+        self._dn_t, self._up_t = dn_t, up_t
+
+    @property
+    def table(self) -> np.ndarray:
+        """The resolvents at the nodes ``lam`` in A's unitary basis, as an
+        (N, n) or (N, n, n) stack (rebuilt when entries were left out)."""
+        used = np.concatenate([self._arc_t, self._dn_t.reshape(-1, len(self._used)),
+                               self._up_t.reshape(-1, len(self._used))])
+        full = np.zeros((len(self.lam), int(np.prod(self._shape))), dtype=complex)
+        full[:, self._used] = used
+        return full.reshape((len(self.lam),) + self._shape)
 
     def at(self, t: float) -> np.ndarray:
         """A^{it} as a dense matrix."""
@@ -202,38 +251,27 @@ class ImaginaryPowerFamily:
             raise ValueError(
                 f"|t| = {np.max(np.abs(ts))} exceeds the family's t_max = {self.t_max}")
         n_arc, n_panel, n_q = len(self._log_arc), len(self._mid), len(self._offset)
-        n_ray = n_panel * n_q
-        table = self.table.reshape(len(self.lam), -1)
-        # entries zero at every node (a Schur basis' lower triangle) stay out
-        used = np.flatnonzero(table.any(axis=0))
-        if len(used) < table.shape[1]:
-            table = table[:, used]
-        arc_t, dn_t, up_t = np.split(table, [n_arc, n_arc + n_ray])
-        panel_first = self._basis[0].ndim == 1
-        if panel_first:
-            # row p: the entries at nodes (p, 0), ..., (p, n_q - 1), a view
-            # of a normal basis' node-major table
-            dn_t, up_t = dn_t.reshape(n_panel, -1), up_t.reshape(n_panel, -1)
-        out = np.zeros((len(ts), self.table[0].size), dtype=complex)
+        dn_t, up_t = self._dn_t, self._up_t
+        out = np.zeros((len(ts), int(np.prod(self._shape))), dtype=complex)
         # per t: the arc, panel and offset phases and both rays' panel
         # products, or the outer product of the phases
-        step = linops.stack_step(
-            16 * (n_arc + n_panel + n_q + 2 * dn_t.shape[1] if panel_first else n_ray))
+        step = linops.stack_step(16 * (n_arc + n_panel + n_q + 2 * dn_t.shape[1]
+                                       if self._panel_first else n_panel * n_q))
         for lo in range(0, len(ts), step):
             t = ts[lo:lo + step]
             arc = np.exp(np.multiply.outer(-1.0 + 1j * t, self._log_arc)) * self.w[:n_arc]
             phase = np.exp(1j * np.multiply.outer(t, self._offset)) * self._panel_w
-            panel = np.exp(1j * np.multiply.outer(t, self._mid))
+            panel = _progression_phases(t, self._head, self._step, n_panel)
             grow = np.exp(self._decay * t)[:, None]
-            if panel_first:
+            if self._panel_first:
                 # each offset's sum over the panels first, then its weight
                 ray_sum = sum((w[:, None] @ (panel @ tab).reshape(len(t), n_q, -1))[:, 0]
                               for w, tab in ((phase / grow, dn_t), (-grow * phase, up_t)))
             else:
                 ray = (panel[:, :, None] * phase[:, None, :]).reshape(len(t), -1)
                 ray_sum = (ray @ dn_t) / grow - grow * (ray @ up_t)
-            out[lo:lo + step, used] = arc @ arc_t + ray_sum
-        X = out.reshape((len(ts),) + self.table.shape[1:])
+            out[lo:lo + step, self._used] = arc @ self._arc_t + ray_sum
+        X = out.reshape((len(ts),) + self._shape)
         res = self.A.matrix @ linops.from_basis(self._basis, X)
         res[ts == 0.0] = _EYE(self.A.dim)
         return res

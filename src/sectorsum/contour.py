@@ -30,7 +30,11 @@ trapezoid error is then about e^{-2 pi d / h}, where d is the half-width
 of the strip around the real u-axis in which the integrand is analytic
 (Trefethen & Weideman, SIAM Rev. 2014).  fit_contour takes d from the
 integrand's singular points, sets the step h from d and tol and the
-truncation [u_lo, u_hi] from the integrand's decay.
+truncation [u_lo, u_hi] from the integrand's decay.  The singular
+points' share of that fit (their images under the map, the centre c and
+their bound on d) is a function of theta, rho and the points alone, and
+is cached by value on those (theta, log rho and the points' bytes), so
+the many contours fitted to one spectrum compute it once.
 
 Every contour sum is one weighted reduction (_resolvent_sum): a scalar
 weight g and a stack of resolvents held in a basis, each chunk of nodes
@@ -132,6 +136,28 @@ def _ray_rule(spec: ContourSpec):
     return s, ds * np.cosh(u), u[1] - u[0], rest_in
 
 
+@functools.lru_cache(maxsize=256)
+def _pole_strip(theta: float, a: float, poles: bytes) -> tuple[float, float]:
+    """(c, d_pole) of fit_contour's ray rule at angle theta from inner log
+    radius a, for the complex poles whose bytes are given: the centre c of
+    the map and the half-width d_pole <= 1 of the strip the poles' images
+    leave around the real u-axis.  It depends on nothing else, so it is
+    cached by value on (theta, a, the poles' bytes)."""
+    p = np.frombuffer(poles, dtype=complex)
+    p = p[p != 0]
+    logr = np.log(np.abs(p))
+    xs = np.real(_to_x(np.maximum(logr, a + 1e-2).astype(complex), a))
+    c = 0.5 * float(xs.min() + xs.max()) if len(p) else 0.0
+    phase = np.angle(np.concatenate([p * np.exp(-1j * theta), p * np.exp(1j * theta)]))
+    phase = np.concatenate([phase, phase - 2.0 * np.pi * np.sign(phase)])
+    with np.errstate(all="ignore"):
+        x = _to_x(np.tile(logr, 4) + 1j * phase, a)
+    if not math.isinf(a):
+        x = np.append(x, [1j * np.pi, -1j * np.pi])
+    d = float(np.min(np.abs(np.imag(np.arcsinh(x[np.isfinite(x)] - c))), initial=1.0))
+    return c, d
+
+
 def fit_contour(theta: float, poles, decay, magnitude: float, tol: float,
                 rho: float = 0.0, n_arc: int = 0) -> ContourSpec:
     """The path at angle theta with its ray rule fitted to the integrand F.
@@ -149,21 +175,18 @@ def fit_contour(theta: float, poles, decay, magnitude: float, tol: float,
     is the middle of the poles' log radii (taken into x), and each end is
     cut where its share of dunford's tail estimate, at the bound, is
     tol / 16.  InvalidContour when d < 1e-3: a pole on a ray, or no decay.
+
+    The poles' part, c and the poles' bound on d, depends on theta, rho
+    and the poles alone; it is computed once per value of those and
+    cached (:func:`_pole_strip`, keyed by theta, log rho and the bytes
+    of the poles as a complex array), so calls that differ only in the
+    decay, M or tol, such as the powers of one operator, redo only the
+    scalar caps, h and the two cuts.
     """
     base = ContourSpec(rho=rho, theta=theta, n_arc=n_arc)
     a = _log_rho(base)
-    decay, p = [complex(zeta) for zeta in decay], np.ravel(poles).astype(complex)
-    p = p[p != 0]
-    logr = np.log(np.abs(p))
-    xs = np.real(_to_x(np.maximum(logr, a + 1e-2).astype(complex), a))
-    c = 0.5 * float(xs.min() + xs.max()) if len(p) else 0.0
-    phase = np.angle(np.concatenate([p * np.exp(-1j * theta), p * np.exp(1j * theta)]))
-    phase = np.concatenate([phase, phase - 2.0 * np.pi * np.sign(phase)])
-    with np.errstate(all="ignore"):
-        x = _to_x(np.tile(logr, 4) + 1j * phase, a)
-    if not math.isinf(a):
-        x = np.append(x, [1j * np.pi, -1j * np.pi])
-    d = float(np.min(np.abs(np.imag(np.arcsinh(x[np.isfinite(x)] - c))), initial=1.0))
+    decay = [complex(zeta) for zeta in decay]
+    c, d = _pole_strip(theta, a, np.ravel(poles).astype(complex).tobytes())
     for zeta in decay if math.isinf(a) else decay[1:]:   # the unbounded ends
         d = min(d, math.atan2(zeta.real, abs(zeta.imag)))
     if d < 1e-3:

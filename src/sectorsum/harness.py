@@ -95,12 +95,13 @@ def _recipe_matrix(kind: str, seed: int = DEFAULT_SEED, **params) -> tuple[np.nd
     raise InvalidRecipe(f"unknown recipe kind {kind!r}")
 
 
-def _field(cfg: dict, key: str, kind, default, lo=None, hi=None, strict=False):
+def _field(cfg: dict, key: str, kind, default, lo=None, hi=None, ends="[]"):
     """``kind(cfg[key])``, or ``default`` when the key is absent.
 
     A value that ``kind`` rejects is a config error, and so is a value
     with a non-finite or, given ``lo`` or ``hi``, an out-of-range entry:
-    entries must lie in [lo, hi], or in (lo, hi) when ``strict``."""
+    entries must lie between lo and hi, each end closed or open as
+    ``ends`` says ("[]", "()", "[)" or "(]")."""
     if key not in cfg:
         return default
     try:
@@ -110,20 +111,17 @@ def _field(cfg: dict, key: str, kind, default, lo=None, hi=None, strict=False):
     entries = np.asarray(value)
     if entries.dtype.kind in "fc" and not np.isfinite(entries).all():
         raise ConfigInvalid(f"invalid {key!r}: {cfg[key]!r} is not finite")
-    if ((lo is not None and np.any(entries <= lo if strict else entries < lo))
-            or (hi is not None and np.any(entries >= hi if strict else entries > hi))):
-        left = "(-inf" if lo is None else f"{'(' if strict else '['}{lo:g}"
-        right = "inf)" if hi is None else f"{hi:g}{')' if strict else ']'}"
+    if ((lo is not None and np.any(entries < lo if ends[0] == "[" else entries <= lo))
+            or (hi is not None and np.any(entries > hi if ends[1] == "]" else entries >= hi))):
+        left = "(-inf" if lo is None else f"{ends[0]}{lo:g}"
+        right = "inf)" if hi is None else f"{hi:g}{ends[1]}"
         raise ConfigInvalid(f"invalid {key!r}: {cfg[key]!r} outside {left}, {right}")
     return value
 
 
 def _angle(cfg: dict, key: str):
     """The certification angle cfg[key], in [0, pi), or None when absent."""
-    theta = _field(cfg, key, float, None)
-    if theta is not None and not 0.0 <= theta < np.pi:
-        raise ConfigInvalid(f"invalid {key!r}: {cfg[key]!r} outside [0, pi)")
-    return theta
+    return _field(cfg, key, float, None, lo=0.0, hi=np.pi, ends="[)")
 
 
 def _integer(v) -> int:
@@ -271,7 +269,7 @@ def _certify(cfg, seed, out_dir):
 
 def _power(cfg, seed, out_dir):
     op = _load_operator(cfg, theta=_angle(cfg, "theta"), seed=seed)
-    z = complex(_field(cfg, "re", float, -0.5, hi=0.0, strict=True), _field(cfg, "im", float, 0.0))
+    z = complex(_field(cfg, "re", float, -0.5, hi=0.0, ends="()"), _field(cfg, "im", float, 0.0))
     value, info = calculus.complex_power(op, z, with_info=True)
     return CertificateReport(
         operation="complex-power",
@@ -288,7 +286,7 @@ def _power(cfg, seed, out_dir):
 
 def _hinf(cfg, seed, out_dir):
     # certified at min(0.95 pi, theta + 0.3), strictly above the symbol angle
-    theta = _field(cfg, "theta", float, np.pi / 2, lo=0.0, hi=0.95 * np.pi, strict=True)
+    theta = _field(cfg, "theta", float, np.pi / 2, lo=0.0, hi=0.95 * np.pi, ends="()")
     op = _load_operator(cfg, theta=min(0.95 * np.pi, theta + 0.3), seed=seed)
     registry = calculus.builtin_symbols(theta)
     name = cfg["symbol"]
@@ -364,7 +362,7 @@ def _tsector(cfg, seed, out_dir):
 
 def _rep_check(cfg, seed, out_dir):
     op = _load_operator(cfg, seed=seed)
-    rho = _field(cfg, "rho", float, None, lo=0.0, strict=True)
+    rho = _field(cfg, "rho", float, None, lo=0.0, ends="()")
     theta = _field(cfg, "theta", float, 0.0)
     x = np.ones(op.dim, dtype=complex)
     direct = np.linalg.solve(np.eye(op.dim) + rho * np.exp(1j * theta) * op.matrix, x)
@@ -380,12 +378,10 @@ def _rep_check(cfg, seed, out_dir):
 
 
 def _time_grid(cfg, nt_default):
-    """The config's (tau, nt, p) grid; a bad value is a config error."""
-    try:
-        return maxreg.TimeGrid(_field(cfg, "tau", float, 1.0), _field(cfg, "nt", _integer, nt_default),
-                               p=_field(cfg, "p", float, 2.0))
-    except ValueError as exc:
-        raise ConfigInvalid(f"invalid time grid: {exc}") from exc
+    """The config's (tau, nt, p) grid, in the ranges TimeGrid takes."""
+    return maxreg.TimeGrid(_field(cfg, "tau", float, 1.0, lo=0.0, ends="()"),
+                           _field(cfg, "nt", _integer, nt_default, lo=16),
+                           p=_field(cfg, "p", float, 2.0, lo=1.0, ends="()"))
 
 
 def _maxreg(cfg, seed, out_dir):

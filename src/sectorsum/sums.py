@@ -502,7 +502,8 @@ def closedness_certificate(
         raise ValueError("probe set must be nonempty")
     spec = inverse_contour(pair)
     K = sum_inverse(pair, spec=spec)
-    probes = probes or certificate_probes(pair.dim)
+    if probes is None:
+        probes = certificate_probes(pair.dim)
     probes = [linops.as_vector(p, pair.dim) for p in probes]
     if any(np.linalg.norm(p) == 0 for p in probes):
         raise ValueError("probes must be nonzero")

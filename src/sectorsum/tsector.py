@@ -242,6 +242,10 @@ def parseval_tsector_check(
 
 
 def _rep_cutoff(bip: BipFit, theta: float, tol_tail: float) -> float:
+    """The representation formulas' cutoff S, where the kernel's bound
+    M e^{-(pi - phi - |theta|) S} falls to tol_tail, a number in (0, 1)."""
+    if not 0.0 < tol_tail < 1.0:
+        raise ValueError(f"tol_tail must be a number in (0, 1), got {tol_tail!r}")
     gap = np.pi - bip.phi - abs(theta)
     if gap <= 0.05:
         raise AngleOutOfRange(

@@ -16,7 +16,7 @@ from sectorsum import (
     imaginary_power,
     symbol_class_check,
 )
-from sectorsum import contour, linops
+from sectorsum import calculus, contour, linops
 from sectorsum.calculus import hinf_contour, power_contour
 from sectorsum.harness import generate, laplacian_eigenvalues
 from sectorsum.errors import ClassViolated
@@ -388,3 +388,57 @@ def test_family_at_many_matches_per_t_sums(matrix, panel_first):
     # A^{i0} is the identity exactly, and no t gives an empty stack
     assert np.array_equal(many[ts == 0.0], np.broadcast_to(np.eye(A.dim), (2, A.dim, A.dim)))
     assert fam.at_many([]).shape == (0, A.dim, A.dim)
+
+
+def _phase_ulps(ts, head, step, n):
+    """A few ulp of the factored argument t head_r + t step_j at each
+    panel p = B j + r: the rounding of its two terms, which cancel where
+    mid_p is near 0."""
+    size = (np.abs(step)[:, None] + np.abs(head)[None, :]).reshape(-1)[:n]
+    return 8 * np.finfo(float).eps * (1.0 + np.multiply.outer(np.abs(ts), size))
+
+
+@pytest.mark.parametrize("n_panel", [1, 7, 50])
+def test_factored_panel_phases_match_direct_exponentials(n_panel):
+    # e^{it mid_p} from the two short tables: one panel, and panel counts
+    # that the block length B = ceil(sqrt(n_panel)) does not divide
+    lo, half = np.log(0.03), 0.27
+    mid = lo + (2 * np.arange(n_panel) + 1) * half
+    head, step = calculus._phase_tables(mid, 2.0 * half)
+    assert len(head) + len(step) <= 2 * np.ceil(np.sqrt(n_panel)) + 1
+    assert n_panel == 1 or n_panel % len(head)
+    ts = np.linspace(-16.0, 16.0, 41)
+    got = calculus._progression_phases(ts, head, step, n_panel)
+    want = np.exp(1j * np.multiply.outer(ts, mid))
+    assert got.shape == want.shape == (len(ts), n_panel)
+    assert np.all(np.abs(got - want) <= _phase_ulps(ts, head, step, n_panel))
+
+
+def test_family_panel_phases_match_its_midpoints():
+    A = certified(_rotated_diagonal(4), 0.7 * np.pi)
+    fam = ImaginaryPowerFamily(A, t_max=10.0)
+    n_panel = len(fam._mid)
+    assert n_panel % len(fam._head)
+    ts = np.linspace(-10.0, 10.0, 17)
+    got = calculus._progression_phases(ts, fam._head, fam._step, n_panel)
+    want = np.exp(1j * np.multiply.outer(ts, fam._mid))
+    assert np.all(np.abs(got - want) <= _phase_ulps(ts, fam._head, fam._step, n_panel))
+
+
+def test_family_table_keeps_every_stored_entry():
+    # a Schur table's all-zero entries are left out once, at build; the
+    # table put back has them zero and every other entry as resolved
+    M = _laplacian(8) + 90.0 * (np.eye(8, k=1) - np.eye(8, k=-1))
+    A = certified(M, 0.9 * np.pi)
+    fam = ImaginaryPowerFamily(A, t_max=4.0)
+    basis = A.resolvent_basis()
+    direct = linops.basis_resolvents(basis, fam.lam)
+    table = fam.table
+    assert table.shape == direct.shape == (len(fam.lam), 8, 8)
+    assert len(fam._used) == 8 * 9 // 2
+    left_out = np.ones(64, dtype=bool)
+    left_out[fam._used] = False
+    assert not table.reshape(len(table), -1)[:, left_out].any()
+    assert not direct.reshape(len(direct), -1)[:, left_out].any()
+    # resolved in stack-budget chunks here and in one batch above
+    assert np.allclose(table, direct, rtol=1e-13, atol=0.0)

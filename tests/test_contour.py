@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.special import sici
 
-from sectorsum import ContourSpec, build_nodes, dunford, linops, pv_integral
+from sectorsum import ContourSpec, build_nodes, contour, dunford, linops, pv_integral
 from sectorsum.contour import fit_contour, gauss_panels
 from sectorsum.errors import AsymmetryDetected, InvalidContour, TruncationNotConverged
 
@@ -214,6 +214,100 @@ def test_fit_contour_step_follows_the_nearest_pole():
     # a pole on a ray leaves no strip
     with pytest.raises(InvalidContour, match="no strip of analyticity"):
         fit_contour(0.75 * np.pi, [-4.0 * np.exp(0.25j * np.pi)], (1.0, 1.0), 1.0, 1e-9)
+
+
+def _fit_contour_uncached(theta, poles, decay, magnitude, tol, rho=0.0, n_arc=0):
+    """fit_contour with its poles' part computed on every call: the
+    reference the cached fit must equal."""
+    from sectorsum.contour import _SHARE, _log_rho, _to_x
+    base = ContourSpec(rho=rho, theta=theta, n_arc=n_arc)
+    a = _log_rho(base)
+    decay, p = [complex(zeta) for zeta in decay], np.ravel(poles).astype(complex)
+    p = p[p != 0]
+    logr = np.log(np.abs(p))
+    xs = np.real(_to_x(np.maximum(logr, a + 1e-2).astype(complex), a))
+    c = 0.5 * float(xs.min() + xs.max()) if len(p) else 0.0
+    phase = np.angle(np.concatenate([p * np.exp(-1j * theta), p * np.exp(1j * theta)]))
+    phase = np.concatenate([phase, phase - 2.0 * np.pi * np.sign(phase)])
+    with np.errstate(all="ignore"):
+        x = _to_x(np.tile(logr, 4) + 1j * phase, a)
+    if not math.isinf(a):
+        x = np.append(x, [1j * np.pi, -1j * np.pi])
+    d = float(np.min(np.abs(np.imag(np.arcsinh(x[np.isfinite(x)] - c))), initial=1.0))
+    for zeta in decay if math.isinf(a) else decay[1:]:
+        d = min(d, math.atan2(zeta.real, abs(zeta.imag)))
+    if d < 1e-3:
+        raise InvalidContour("no strip")
+    M = max(magnitude, 1.0)
+    end_tol = 2.0 * np.pi * _SHARE * tol
+
+    def cut(sign):
+        if sign > 0 or math.isinf(a):
+            eta = decay[sign > 0].real
+            return float(np.real(_to_x(complex(sign * math.log(M / (eta * end_tol)) / eta), a)))
+        bound = M * math.exp(min(decay[0].real * a, -decay[1].real * a))
+        return math.log(math.expm1(min(end_tol / bound, 1.0)))
+
+    h = 2.0 * np.pi * d / max(math.log(M / (_SHARE * tol)), 4.0)
+    return replace(base, c=c, h=h, u_lo=math.asinh(min(cut(-1.0), c - 1.0) - c),
+                   u_hi=math.asinh(max(cut(1.0), c + 1.0) - c))
+
+
+_POLE = st.builds(lambda r, phi: r * cmath.exp(1j * phi),
+                  st.sampled_from([0.0, 1e-3, 0.3, 1.0, 2.5, 40.0, 1e4]), st.floats(-3.1, 3.14))
+
+
+@settings(max_examples=150, deadline=None)
+@given(theta=st.floats(0.05, 3.09), rho=st.sampled_from([0.0, 1e-3, 0.4, 7.0]),
+       poles=st.lists(_POLE, max_size=6), with_one=st.booleans(),
+       re_0=st.just(0.0) | st.floats(0.1, 3.0), im_0=st.floats(-10.0, 10.0),
+       re_inf=st.floats(0.1, 3.0), im_inf=st.floats(-10.0, 10.0),
+       magnitude=st.floats(0.5, 1e6), tol=st.sampled_from([1e-4, 1e-9, 2.5e-11]),
+       repeat=st.booleans())
+def test_fit_contour_equals_the_uncached_fit(theta, rho, poles, with_one, re_0, im_0, re_inf,
+                                             im_inf, magnitude, tol, repeat):
+    # zero poles, rho = 0 and rho > 0, complex decays (Re zeta_0 = 0 as
+    # ImaginaryPowerFamily's at the arc), and hinf's extra pole at 1; a
+    # repeat reads the cached poles' part
+    poles = np.array(poles + [1.0] * with_one, dtype=complex)
+    args = (theta, poles, (complex(re_0, im_0), complex(re_inf, im_inf)), magnitude, tol)
+    kwargs = dict(rho=rho, n_arc=8 if rho else 0)
+    try:
+        want = _fit_contour_uncached(*args, **kwargs)
+    except InvalidContour:
+        for _ in range(1 + repeat):
+            with pytest.raises(InvalidContour):
+                fit_contour(*args, **kwargs)
+        return
+    for _ in range(1 + repeat):
+        assert fit_contour(*args, **kwargs) == want
+
+
+def test_fit_contour_cache_is_bounded_and_keeps_no_failure():
+    assert 0 < contour._pole_strip.cache_info().maxsize < 10_000
+    on_ray = [-1.0, -4.0 * np.exp(0.25j * np.pi)]
+    for _ in range(2):
+        with pytest.raises(InvalidContour, match="no strip of analyticity"):
+            fit_contour(0.75 * np.pi, on_ray, (1.0, 1.0), 1.0, 1e-9)
+    # the same poles at another angle, and another decay, fit
+    assert fit_contour(0.7 * np.pi, on_ray, (1.0, 1.0), 1.0, 1e-9).h > 0
+    with pytest.raises(InvalidContour):
+        fit_contour(0.75 * np.pi, on_ray, (0.5, 0.5), 2.0, 1e-6)
+
+
+def test_powers_of_one_operator_fit_its_poles_once():
+    # the poles' images, c and their d are computed once for every
+    # exponent, family and tolerance on one operator and angle
+    from sectorsum import ImaginaryPowerFamily, complex_power
+    from conftest import certified
+    A = certified(np.diag([1.0, 3.0, 9.0]) + 0.5 * np.eye(3, k=1), 0.8 * np.pi)
+    contour._pole_strip.cache_clear()
+    for z in (-0.3, -0.7 + 2.0j, -1.5, -1.0 + 8.0j):
+        complex_power(A, z)
+    complex_power(A, -0.5, tol=1e-6)
+    ImaginaryPowerFamily(A, t_max=4.0)
+    info = contour._pole_strip.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
 
 
 def test_fit_contour_caps_the_strip_where_the_weight_oscillates():

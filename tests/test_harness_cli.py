@@ -675,3 +675,123 @@ def test_readme_cli_usage_names_every_subcommand():
     subparsers = next(a for a in _parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     assert sorted(named) == sorted(subparsers.choices)
+
+
+# ------------------------------------------------ README's checked ranges
+
+# a config per pipeline that runs through every field check; theta 2.0 is
+# the certified angle (the README's theta) and n is 1 (its default)
+RANGE_BASE = {
+    "certify": {"matrix": "m.csv", "theta": 2.0},
+    "power": {"matrix": "m.csv", "theta": 2.0},
+    "hinf": {"matrix": "m.csv", "symbol": "rational-eta", "theta": 1.0},
+    "sum": {"matrix_a": "m.csv", "matrix_b": "m.csv", "theta_a": 2.0, "theta_b": 2.0,
+            "check_identities": [-0.5, 0.0]},
+    "t-sector": {"matrix": "m.csv", "theta": 2.0, "N_t": 16},
+    "rep-check": {"matrix": "m.csv", "rho": 1.0},
+    "maxreg": {"matrix": "m.csv", "nt": 16},
+    "sweep": {"sizes": [2], "nt": 16},
+}
+RANGE_CONTEXT = {"theta": 2.0, "n": 1}
+
+
+def _readme_value(text: str) -> float:
+    """A bound as the README writes it: 0.95π, −θ, 1/e, 4(n + 1)."""
+    expr = re.sub(r"(\d)([π(])", r"\1*\2", text.replace("−", "-").replace("θ", "theta"))
+    return float(eval(expr.replace("π", "pi"), {"__builtins__": {}},
+                      {"pi": np.pi, "e": np.e, **RANGE_CONTEXT}))
+
+
+def _readme_range(cell: str):
+    """(lo, hi, ends) of a numeric range cell, or the cell's kind."""
+    for kind in ("one of", "with Re w < 0", "nonempty list"):
+        if kind in cell:
+            return kind
+    if match := re.match(r"([\[(])(.+?), (.+?)([\])])", cell):
+        return (_readme_value(match.group(2)), _readme_value(match.group(3)),
+                match.group(1) + match.group(4))
+    if match := re.fullmatch(r"([<>≤≥]) (.+)", cell):
+        op, value = match.group(1), _readme_value(match.group(2))
+        return {"<": (None, value, "()"), "≤": (None, value, "(]"),
+                ">": (value, None, "()"), "≥": (value, None, "[)")}[op]
+    raise AssertionError(f"README range {cell!r} is not one the test reads")
+
+
+def _readme_ranges() -> dict:
+    """{(pipeline, field): range} from the README's table of checked ranges."""
+    table = re.search(r"^\| pipeline \| field \| checked range \|\n\|[- |]+\|\n((?:\|.*\n)+)",
+                      _readme(), re.MULTILINE)
+    assert table is not None
+    ranges = {}
+    for row in table.group(1).splitlines():
+        pipelines, fields, cell = (c.strip() for c in row.strip("|").split("|"))
+        for pipeline in re.findall(r"`([^`]+)`", pipelines):
+            for field in re.findall(r"`([^`]+)`", fields):
+                assert (pipeline, field) not in ranges
+                ranges[pipeline, field] = _readme_range(cell)
+    return ranges
+
+
+README_RANGES = _readme_ranges()
+
+
+def _out_of_range(rng, integer: bool) -> list:
+    """Values just outside a README range: at or past each end."""
+    if rng == "one of":
+        return ["none-of-these"]
+    if rng == "with Re w < 0":
+        return [[0.0, 0.0]]
+    if rng == "nonempty list":
+        return [[]]
+    lo, hi, ends = rng
+    step = (lambda v: 1) if integer else (lambda v: 1e-9 * max(1.0, abs(v)))
+    values = []
+    if lo is not None:
+        values.append(lo - step(lo) if ends[0] == "[" else lo)
+    if hi is not None:
+        values.append(hi + step(hi) if ends[1] == "]" else hi)
+    return [int(v) if integer else v for v in values]
+
+
+def test_readme_ranges_are_the_ones_the_harness_checks(tmp_path, monkeypatch):
+    # every range check of a pipeline goes through harness._field, with
+    # bounds or a kind that validates; record them on runs that pass
+    from sectorsum import harness
+    checked, field = {}, harness._field
+    plain = (float, harness._integer)
+
+    def recording(cfg, key, kind, default, lo=None, hi=None, ends="[]"):
+        if "pipeline" in cfg and (lo is not None or hi is not None or kind not in plain):
+            checked[cfg["pipeline"], key] = (
+                (lo, hi, ends) if lo is not None or hi is not None else kind)
+        return field(cfg, key, kind, default, lo, hi, ends)
+
+    monkeypatch.setattr(harness, "_field", recording)
+    monkeypatch.chdir(tmp_path)
+    write_matrix("m.csv", np.diag([1.0, 2.0]).astype(complex))
+    for pipeline, cfg in RANGE_BASE.items():
+        run_config({"schema_version": 1, "pipeline": pipeline, **cfg}, str(tmp_path))
+    assert set(checked) == set(README_RANGES)
+    for key, rng in README_RANGES.items():
+        if isinstance(rng, tuple):
+            lo, hi, ends = checked[key]
+            assert (lo is None, hi is None) == (rng[0] is None, rng[1] is None), key
+            assert lo is None or (lo == pytest.approx(rng[0], rel=1e-15) and ends[0] == rng[2][0])
+            assert hi is None or (hi == pytest.approx(rng[1], rel=1e-15) and ends[1] == rng[2][1])
+        else:
+            assert not isinstance(checked[key], tuple), key
+
+
+@pytest.mark.parametrize("pipeline,field", sorted(README_RANGES))
+def test_readme_range_edges_exit_2(tmp_path, capsys, monkeypatch, pipeline, field):
+    monkeypatch.chdir(tmp_path)
+    write_matrix("m.csv", np.diag([1.0, 2.0]).astype(complex))
+    integer = field in ("n", "N_t", "nt")
+    values = _out_of_range(README_RANGES[pipeline, field], integer)
+    assert values
+    for value in values:
+        cfg = _write_config(tmp_path / "cfg.json",
+                            {"pipeline": pipeline, **RANGE_BASE[pipeline], field: value})
+        assert cli_main(["--out", str(tmp_path), "run", "--config", cfg]) == 2, value
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err, value

@@ -287,6 +287,18 @@ def test_closedness_certificate_eigen_oracle():
     assert max(cert.theta_values) <= cert.C_AB * 1.1
 
 
+def test_closedness_certificate_takes_an_array_of_probes():
+    # the rows of an array are probes, as the entries of a list are
+    pair = make_pair([1.0, 2.0, 5.0], [1.0, 3.0, 0.5])
+    eye = np.eye(3)
+    from_array = closedness_certificate(pair, probes=eye)
+    from_list = closedness_certificate(pair, probes=list(eye))
+    assert from_array == from_list
+    assert from_array.probe_count == 3
+    with pytest.raises(ValueError, match="nonempty"):
+        closedness_certificate(pair, probes=np.zeros((0, 3)))
+
+
 def test_closedness_certificate_laplacian_stability():
     vals = []
     for m in (8, 16):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,21 @@ def test_assembly_term_norms_pinned(monkeypatch):
             exact = bip_tsector_bound_assembly(A, theta, r, vecs, N_t=128)
         assert exact["cutoff"] == rec["cutoff"]
         assert rec["term_norms"] == pytest.approx(exact["term_norms"], rel=1e-11)
+
+
+@pytest.mark.parametrize("tol_tail", [-1e-9, float("nan"), 0.0, 2.0, 10.0])
+@pytest.mark.parametrize("rep", ["real", "rotated"])
+def test_rep_rejects_a_tol_tail_outside_0_1(scalar1, rep, tol_tail):
+    # a ValueError that names the argument, before any np.log warns or a
+    # negative cutoff reaches the family
+    fit = bip_fit(scalar1, t_max=3.0, n_t=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="tol_tail"):
+            if rep == "real":
+                resolvent_rep_real(scalar1, 1.0, [1.0], bip=fit, tol_tail=tol_tail)
+            else:
+                resolvent_rep_rotated(scalar1, 1.0, 0.3, [1.0], bip=fit, tol_tail=tol_tail)
 
 
 def test_rep_rotated_angle_contract():
