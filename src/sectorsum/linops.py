@@ -1,17 +1,18 @@
 """Dense complex linear algebra substrate.
 
 Everything above this module works through these primitives: shifted
-solves ``(M + z)^{-1} rhs``; stacked resolvents ``(M + z_k)^{-1}`` over
-many shifts, taken in a unitary basis of M; the two forms of that basis
-(the eigenbasis of a normal M and the complex Schur form of any M) and
-the resolvents in it (``1/(d_i + z_k)`` on the eigenvalues,
-``(T + z_k)^{-1}`` for the triangular T); resolvent norms
-``||(M + z)^{-1}||`` over many shifts; spectral norms; and matrix
-exponentials.  Matrices are plain ``numpy`` arrays of ``complex128``;
-all operations are pure and never mutate their inputs.  Only the Schur
-form, the LU of :class:`ShiftedFactorization` and :func:`matrix_exp`
-need ``scipy.linalg``, and each imports it when called, so a diagonal
-or Hermitian operator is resolved with numpy alone.
+solves ``(M + z)^{-1} rhs``; stacked resolvents ``(M + z_k)^{-1}`` and
+solutions ``(M + z_k)^{-1} x_k`` over many shifts, taken in a unitary
+basis of M; the two forms of that basis (the eigenbasis of a normal M
+and the complex Schur form of any M) and the resolvents in it
+(``1/(d_i + z_k)`` on the eigenvalues, ``(T + z_k)^{-1}`` for the
+triangular T); resolvent norms ``||(M + z)^{-1}||`` over many shifts;
+spectral norms; and matrix exponentials.  Matrices are plain ``numpy``
+arrays of ``complex128``; all operations are pure and never mutate
+their inputs.  Only the Schur form, the LU of
+:class:`ShiftedFactorization` and :func:`matrix_exp` need
+``scipy.linalg``, and each imports it when called, so a diagonal or
+Hermitian operator is resolved with numpy alone.
 
 Shifted solves go through LAPACK getrf (LU with partial pivoting) and
 call a shift singular when the smallest pivot falls below
@@ -20,7 +21,8 @@ call a shift singular when the smallest pivot falls below
 Every contour quadrature holds its resolvents in a unitary basis (D, Q)
 of M (:func:`basis_resolvents`, one stack per chunk of nodes), reduces
 them there and maps the sum back with one ``Q (.) Q^*``
-(:func:`from_basis`); :func:`resolvents` is the two in turn.  Any M has
+(:func:`from_basis`); :func:`basis_solve` applies them to vectors with
+no matrix formed, O(n^2) per shift.  Any M has
 its complex Schur form M = Q T Q^* (:func:`schur_form`), and
 :func:`triangular_resolvents` inverts every ``T + z_k I`` of a chunk by
 one row back-substitution vectorised over the shifts.  The pivots of
@@ -73,7 +75,7 @@ import numpy as np
 from .errors import DimensionMismatch, OverflowRisk, SingularShift
 
 #: a shift is singular when the smallest pivot (ShiftedFactorization's LU,
-#: the t_ii + z of the Schur or normal form in resolvents) or singular
+#: the t_ii + z of the Schur or normal form of basis_resolvents) or singular
 #: value (resolvent_norms) of M + zI is below SINGULAR_RTOL * ||M + zI||_F
 SINGULAR_RTOL = 1e-13
 
@@ -306,6 +308,24 @@ def basis_resolvents(basis, shifts) -> np.ndarray:
     return triangular_resolvents(D, shifts)
 
 
+def basis_solve(basis, shifts, X) -> np.ndarray:
+    """(M + z_k I)^{-1} x_k for every shift as an (N, n) array, x_k row k
+    of X or X itself, solved in a unitary basis (D, Q) of M:
+    Q ((Q^* x_k) / (d + z_k)) on a normal basis, one back-substitution
+    over the rows of T + z_k I, vectorised over the shifts, on a Schur
+    basis.  Raises SingularShift for the first singular shift in order."""
+    D, Q = basis
+    z = as_vector(shifts)
+    C = np.asarray(X, dtype=complex) @ Q.conj()  # rows Q^* x_k
+    if D.ndim == 1:
+        return (_inverse_pivots(D, z) * C) @ Q.T
+    inv = _inverse_pivots(np.diagonal(D), z, np.linalg.norm(np.triu(D, 1))).T
+    Y = np.array(np.broadcast_to(np.atleast_2d(C).T, inv.shape))  # (n, N)
+    for i in range(D.shape[0] - 1, -1, -1):
+        Y[i] = (Y[i] - D[i, i + 1:] @ Y[i + 1:]) * inv[i]
+    return Y.T @ Q.T
+
+
 def basis_eigenvalues(basis) -> np.ndarray:
     """The eigenvalues of M read off a unitary basis (D, Q) of it: d
     itself for a normal basis, the diagonal of a Schur form's T."""
@@ -321,16 +341,6 @@ def from_basis(basis, X) -> np.ndarray:
     if D.ndim == 1:
         return (Q * X[..., None, :]) @ Q.conj().T
     return Q @ X @ Q.conj().T
-
-
-def resolvents(M, shifts, basis=None) -> np.ndarray:
-    """(M + z_k I)^{-1} for every shift, stacked as an (N, n, n) array:
-    :func:`basis_resolvents` mapped back by :func:`from_basis`.  Without
-    ``basis`` this call takes the Schur form of M.  Raises SingularShift
-    for the first singular shift in the order given."""
-    M = as_matrix(M)
-    basis = schur_form(M) if basis is None else basis
-    return from_basis(basis, basis_resolvents(basis, shifts))
 
 
 def resolvent_norms(M, shifts, basis=None) -> np.ndarray:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolated, DimensionMismatch
+from .errors import BoundViolated, DimensionMismatch, OverflowRisk
 from .sector import MatrixOperator
 
 ADVERSARIAL_SEED = 0x9D3A17  # recorded seed for worst-case probe searches
@@ -114,7 +114,11 @@ class GridFunction:
     def lp_norm(self, p: float | None = None) -> float:
         p = p or self.grid.p
         pointwise = np.linalg.norm(self.values, axis=1)
-        return float(np.sum(self.grid.weights() * pointwise ** p) ** (1.0 / p))
+        top = pointwise.max()  # divided out, so that no power overflows at large p
+        if not 0.0 < top < np.inf:  # 0, inf or nan is the norm itself
+            return float(top)
+        pointwise /= top
+        return float(top * np.dot(self.grid.weights(), pointwise ** p) ** (1.0 / p))
 
     def map_values(self, fn) -> "GridFunction":
         return GridFunction(self.grid, fn(self.values))
@@ -224,7 +228,8 @@ def _cauchy_step_matrices(A: np.ndarray, h: float):
     [e^{-hA}, phi_1(-hA), phi_2(-hA)] (Higham, Functions of Matrices,
     SIAM 2008, 10.7).  Nothing inverts A, so singular and nearly
     singular A lose no digits.  A stack of matrices (..., n, n) takes
-    one batched exponential of the (..., 3n, 3n) stack."""
+    one batched exponential of the (..., 3n, 3n) stack.  A step that is
+    not finite raises OverflowRisk."""
     n = A.shape[-1]
     M = np.zeros(A.shape[:-2] + (3 * n, 3 * n), dtype=complex)
     M[..., :n, :n] = -h * A
@@ -233,6 +238,9 @@ def _cauchy_step_matrices(A: np.ndarray, h: float):
     import scipy.linalg  # expm is looked up on the module, where it may be wrapped
 
     X = scipy.linalg.expm(M)
+    if not np.isfinite(X[..., :n, :]).all():
+        scale = h * float(np.max(np.linalg.norm(A, 2, axis=(-2, -1))))
+        raise OverflowRisk(f"the Cauchy step at h = {h:.3e} is not finite (h ||A|| = {scale:.3e})")
     E, phi1, phi2 = X[..., :n, :n], X[..., :n, n:2 * n], X[..., :n, 2 * n:]
     # a contiguous E keeps the per-node products on BLAS
     return E.copy(), h * (phi1 - phi2), h * phi2
@@ -295,7 +303,7 @@ class _CauchyStepper:
     uniform grid of spacing dt, with its steps built once.
 
     ``basis`` is None or (d, Q) from :meth:`MatrixOperator.normal_basis`,
-    as for :func:`linops.resolvents`.  With it the stepper works in the
+    as for :func:`linops.resolvent_norms`.  With it the stepper works in the
     eigen coordinates v Q-bar of node values v (one row per node), where
     the step is diagonal: each sweep is n scalar recurrences run as
     elementwise scans, and A acts as v d.  Without one it works in the

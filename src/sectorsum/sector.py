@@ -79,10 +79,12 @@ class SectorSampling:
     interior_density: int = 24
 
     def __post_init__(self):
-        if self.n_boundary < 1 or self.n_angles < 1 or self.interior_density < 1:
-            raise ValueError("all sampling counts must be >= 1")
-        if self.r_min <= 0 or self.r_max <= self.r_min:
-            raise ValueError("need 0 < r_min < r_max")
+        counts = (self.n_boundary, self.n_angles, self.interior_density)
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 1
+                   for c in counts):
+            raise ValueError(f"sampling counts must be integers >= 1, got {counts}")
+        if not (0 < self.r_min < self.r_max < np.inf):
+            raise ValueError(f"need 0 < r_min < r_max < inf, got {self.r_min}, {self.r_max}")
 
     def radii(self, n: int) -> np.ndarray:
         """n log-spaced radii in [r_min, r_max] and 1, ascending; one
@@ -177,7 +179,7 @@ class MatrixOperator:
         return self._schur
 
     def resolvent_basis(self):
-        """The unitary basis :func:`linops.resolvents` resolves A in:
+        """The unitary basis A's resolvents are taken in:
         :meth:`normal_basis` when A is normal, else :meth:`schur_form`."""
         return self.normal_basis() or self.schur_form()
 
@@ -222,8 +224,7 @@ class MatrixOperator:
 def resolvent_apply(A: MatrixOperator, z: complex, x) -> np.ndarray:
     """(A + z)^{-1} x, resolved on A's cached basis (see
     :meth:`MatrixOperator.resolvent_basis`)."""
-    R = linops.resolvents(A.matrix, [z], A.resolvent_basis())[0]
-    return R @ linops.as_vector(x, A.dim)
+    return linops.basis_solve(A.resolvent_basis(), [z], linops.as_vector(x, A.dim))[0]
 
 
 def _weighted_norms(A: MatrixOperator, pts: np.ndarray, floor=0.0, cap=np.inf) -> np.ndarray:
@@ -370,13 +371,7 @@ def decay_probe(
     x = complex_power(A, -phi) @ y
 
     pts = sampling.points(theta_prime)
-    basis = A.resolvent_basis()
-    # (A + z)^{-1} x at every sampled z, in stack-budget chunks
-    step = linops.stack_step(16 * A.dim * A.dim)
-    resolved = np.concatenate([
-        linops.resolvents(A.matrix, pts[lo:lo + step], basis) @ x
-        for lo in range(0, len(pts), step)
-    ])
+    resolved = linops.basis_solve(A.resolvent_basis(), pts, x)
     vals = np.linalg.norm(pts[:, None] ** eta * (resolved @ A.matrix.T), axis=1)
     outer = np.abs(pts) >= sampling.r_max / 10.0
     sup_inner = float(np.max(vals[~outer], initial=0.0))

@@ -180,8 +180,9 @@ def _joint_forms(members, Q):
 
 def resolvent_commute_check(A: MatrixOperator, B: MatrixOperator, lam, mu) -> float:
     """Norm of the commutator [(A+lam)^{-1}, (B+mu)^{-1}]."""
-    Ra = linops.resolvents(A.matrix, [lam], A.resolvent_basis())[0]
-    Rb = linops.resolvents(B.matrix, [mu], B.resolvent_basis())[0]
+    ba, bb = A.resolvent_basis(), B.resolvent_basis()
+    Ra = linops.from_basis(ba, linops.basis_resolvents(ba, [lam]))[0]
+    Rb = linops.from_basis(bb, linops.basis_resolvents(bb, [mu]))[0]
     return linops.operator_norm(Ra @ Rb - Rb @ Ra)
 
 
@@ -225,13 +226,6 @@ def inverse_contour(pair: CommutingPair, tol: float = 1e-6) -> ContourSpec:
     return sum_contour(pair, tol=0.01 * tol / max(1.0, pair.A.norm() + pair.B.norm()))
 
 
-def _scaled_basis(op: MatrixOperator, s: float):
-    """Resolvent basis of s * op (s = +-1): (s D, Q) from op's (D, Q),
-    its normal basis or its Schur form."""
-    D, Q = op.resolvent_basis()
-    return s * D, Q
-
-
 def _resolvent_products(pair: CommutingPair, mu, nu, sa: float = 1.0, sb: float = 1.0):
     """(sa A + mu_k)^{-1} (sb B + nu_k)^{-1} at every k, for sa, sb = +-1.
 
@@ -247,9 +241,11 @@ def _resolvent_products(pair: CommutingPair, mu, nu, sa: float = 1.0, sb: float 
     """
     basis = pair.joint_basis()
     if basis is None:
-        Ra = linops.resolvents(sa * pair.A.matrix, mu, _scaled_basis(pair.A, sa))
-        Rb = linops.resolvents(sb * pair.B.matrix, nu, _scaled_basis(pair.B, sb))
-        return Ra @ Rb
+        Da, Qa = pair.A.resolvent_basis()
+        Db, Qb = pair.B.resolvent_basis()
+        Ra = linops.basis_resolvents((sa * Da, Qa), mu)
+        Rb = linops.basis_resolvents((sb * Db, Qb), nu)
+        return linops.from_basis((Da, Qa), Ra) @ linops.from_basis((Db, Qb), Rb)
     Da, Db, Q = basis
     Ra = linops.basis_resolvents((sa * Da, Q), mu)
     Rb = linops.basis_resolvents((sb * Db, Q), nu)

@@ -81,8 +81,7 @@ def lhs_norm(
 
 def _lhs(A: MatrixOperator, phi: float, r: float, xs, p: float, N_t: int):
     """:func:`lhs_norm` and the terms (I + r e^{-k+i phi} A)^{-1} x_k it
-    sums, as an (n, dim) array, from one stack of resolvents on A's
-    cached basis."""
+    sums, as an (n, dim) array, solved on A's cached basis."""
     if not (np.exp(-1.0) - 1e-12 <= r <= 1.0 + 1e-12):
         raise ValueError(f"r must lie in [1/e, 1], got {r}")
     if A.certified is None or abs(phi) > A.angle() + 1e-12:
@@ -93,8 +92,8 @@ def _lhs(A: MatrixOperator, phi: float, r: float, xs, p: float, N_t: int):
     _check_grid_resolves(len(xs), N_t)
     scale = r * np.exp(-np.arange(len(xs)) + 1j * phi)
     # (I + s A)^{-1} = (1/s) (A + 1/s)^{-1}
-    R = linops.resolvents(A.matrix, 1.0 / scale, A.resolvent_basis())
-    resolved = np.einsum("kij,kj->ki", R, np.array(xs)) / scale[:, None]
+    resolved = linops.basis_solve(A.resolvent_basis(), 1.0 / scale, np.array(xs))
+    resolved /= scale[:, None]
     grid = periodic_grid(N_t)
     phases = np.exp(1j * np.outer(grid.times(), np.arange(len(xs))))
     return GridFunction(grid, phases @ resolved).lp_norm(p), resolved

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from sectorsum import CommutingPair, MatrixOperator, certify_sector
+from sectorsum import CommutingPair, MatrixOperator, certify_sector, linops
+
+
+def resolvent_stack(M, shifts, basis=None) -> np.ndarray:
+    """(M + z_k I)^{-1} for every shift as an (N, n, n) array: the
+    resolvents in ``basis`` (M's Schur form when None) mapped back."""
+    basis = linops.schur_form(M) if basis is None else basis
+    return linops.from_basis(basis, linops.basis_resolvents(basis, shifts))
 
 
 def certified(matrix, angle) -> MatrixOperator:

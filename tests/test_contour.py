@@ -447,7 +447,7 @@ def test_legendre_rule_and_dense_solves_stay_in_their_modules():
     assert sum(p.read_text().count("leggauss(") for p in src.glob("*.py")) == 1
     assert not re.search(r"np\.linalg\.(solve|inv)\b", (src / "sums.py").read_text())
     # every contour sum and every sector and t-sector resolvent comes from
-    # linops.resolvents
+    # linops
     assert {p.name for p in src.glob("*.py")
             if "ShiftedFactorization(" in p.read_text()} == {"linops.py"}
     for name in ("calculus.py", "sums.py", "sector.py", "tsector.py"):
@@ -459,6 +459,10 @@ def test_legendre_rule_and_dense_solves_stay_in_their_modules():
     assert {p.name for p in src.glob("*.py")
             if re.search(r"(spectral|triangular)_resolvents\(", p.read_text())} == {"linops.py"}
     assert not re.search(r"(normal_basis|schur_form)\(", (src / "calculus.py").read_text())
+    # sector and t-sector apply resolvents to vectors, which needs no matrix:
+    # they call linops.basis_solve, never the stacks or their map back
+    for name in ("sector.py", "tsector.py"):
+        assert not re.search(r"(from_basis|basis_resolvents)\(", (src / name).read_text()), name
 
 
 def test_tracer_methods_exist():

@@ -375,6 +375,37 @@ def test_cli_bad_sampling_exits_2(tmp_path, capsys, monkeypatch, args):
     assert "config error" in capsys.readouterr().err
 
 
+# sampling values that are not integer counts or finite radii; the
+# config is written as text, so 1e400 reaches the JSON reader as inf
+BAD_SAMPLING = {
+    "n_boundary-2.5": ["run", '{"n_boundary": 2.5}'],
+    "n_angles-1.5": ["run", '{"n_angles": 1.5}'],
+    "interior_density-1e300": ["run", '{"interior_density": 1e300}'],
+    "n_boundary-true": ["run", '{"n_boundary": true}'],
+    "r_max-1e400": ["run", '{"r_max": 1e400}'],
+    "not-an-object": ["run", '[1, 2]'],
+    "rmin-nan": ["--rmin", "nan"],
+    "rmax-inf": ["--rmax", "inf"],
+}
+
+
+@pytest.mark.parametrize("case", BAD_SAMPLING)
+def test_cli_sampling_values_are_config_errors(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    write_matrix("m.csv", np.diag([1.0, 2.0]).astype(complex))
+    mode, value = BAD_SAMPLING[case]
+    if mode == "run":
+        (tmp_path / "cfg.json").write_text(
+            '{"schema_version": 1, "pipeline": "certify", "matrix": "m.csv", "theta": 1.0, '
+            f'"sampling": {value}}}')
+        args = ["run", "--config", "cfg.json"]
+    else:
+        args = ["certify-sector", "--matrix", "m.csv", "--theta", "1.0", mode, value]
+    assert cli_main(["--out", str(tmp_path), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("theta", ["0.0", "3.2"])
 @pytest.mark.parametrize("mode", ["direct", "run"])
 def test_cli_hinf_theta_out_of_range_exits_2(tmp_path, capsys, monkeypatch, theta, mode):

@@ -26,6 +26,27 @@ from sectorsum.sums import JOINT_SLACK, JOINT_WEIGHT  # noqa: E402
 from conftest import certified  # noqa: E402
 
 
+def _stack_map_backs(monkeypatch):
+    """A list that records the shape of every stack linops.from_basis
+    maps back as linops.basis_resolvents returned it: per-node matrix
+    resolvents, unreduced, which only the two-basis path forms."""
+    made, mapped = [], []
+    basis_resolvents, from_basis = linops.basis_resolvents, linops.from_basis
+
+    def recording(basis, shifts):
+        made.append(basis_resolvents(basis, shifts))
+        return made[-1]
+
+    def checking(basis, X):
+        if any(X is R for R in made):
+            mapped.append(X.shape)
+        return from_basis(basis, X)
+
+    monkeypatch.setattr(linops, "basis_resolvents", recording)
+    monkeypatch.setattr(linops, "from_basis", checking)
+    return mapped
+
+
 def _rel(got, want):
     return operator_norm(got - want) / operator_norm(want)
 
@@ -99,23 +120,24 @@ def test_normal_pair_integrals_resolve_no_matrix(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a normal pair formed a matrix resolvent stack")
 
-    monkeypatch.setattr(linops, "resolvents", forbidden)
+    mapped = _stack_map_backs(monkeypatch)
     monkeypatch.setattr(linops, "triangular_resolvents", forbidden)
     outputs = _pair_outputs(pair)
+    assert not mapped, "a normal pair formed a matrix resolvent stack"
     K = outputs["K"][0]
     assert _rel(K, np.linalg.inv(pair.A.matrix + pair.B.matrix)) <= 1e-6
 
 
-def test_loosely_commuting_pair_keeps_two_bases():
+def test_loosely_commuting_pair_keeps_two_bases(monkeypatch):
     # commutes to 1e-14, inside COMMUTE_TOLERANCE, but its lower triangles
     # in the Schur basis of A + gamma B are well above rounding
     pair = CommutingPair(certified(np.diag([1.0, 2.0, 2.5]), 0.9 * np.pi),
                          certified(np.diag([3.0, 4.0, 5.0]) + 1e-12 * np.ones((3, 3)), 0.9 * np.pi))
     assert pair.commute_residual < 1e-13
     assert pair.joint_basis() is None
-    with mock.patch.object(linops, "resolvents", wraps=linops.resolvents) as spy:
-        K = sum_inverse(pair)
-    assert spy.called
+    mapped = _stack_map_backs(monkeypatch)
+    K = sum_inverse(pair)
+    assert mapped
     assert np.array_equal(K, _two_basis(sum_inverse, pair))
     assert _rel(K, np.linalg.inv(pair.A.matrix + pair.B.matrix)) <= 1e-6
 

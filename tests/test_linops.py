@@ -3,6 +3,7 @@ import pytest
 
 from sectorsum import SectorSampling, linops
 from sectorsum.errors import DimensionMismatch, OverflowRisk, SingularShift
+from conftest import resolvent_stack
 
 
 def test_solve_shifted_scalar():
@@ -176,7 +177,7 @@ def test_resolvent_norms_inf_on_spectrum():
 def test_resolvents_match_per_shift_inverse(kind):
     M = OPERATORS[kind](8).astype(complex)
     shifts = SectorSampling(n_boundary=40, n_angles=5, interior_density=20).points(2.5)
-    got = linops.resolvents(M, shifts)
+    got = resolvent_stack(M, shifts)
     eye = np.eye(8)
     ref = np.array([np.linalg.inv(M + z * eye) for z in shifts])
     assert got.shape == (len(shifts), 8, 8) and got.dtype == np.complex128
@@ -187,9 +188,9 @@ def test_resolvents_match_per_shift_inverse(kind):
 def test_resolvents_name_first_singular_shift():
     M = np.diag([1.0, 2.0, 3.0])
     with pytest.raises(SingularShift) as exc:
-        linops.resolvents(M, [0.5, -2.0, 1j, -1.0])
+        resolvent_stack(M, [0.5, -2.0, 1j, -1.0])
     assert exc.value.shift == -2.0
-    assert linops.resolvents(M, []).shape == (0, 3, 3)
+    assert resolvent_stack(M, []).shape == (0, 3, 3)
 
 
 def test_matrix_exp_identity_and_scalar():
@@ -297,8 +298,8 @@ def test_closed_form_matches_dense_path():
     M = _normal_from(rng, lam)
     basis = linops.normal_basis(M)
     shifts = SectorSampling(n_boundary=40, n_angles=5, interior_density=20).points(1.5)
-    dense = linops.resolvents(M, shifts)
-    closed = linops.resolvents(M, shifts, basis)
+    dense = resolvent_stack(M, shifts)
+    closed = resolvent_stack(M, shifts, basis)
     assert closed.shape == dense.shape and closed.dtype == np.complex128
     err = np.max(np.abs(closed - dense), axis=(1, 2)) / np.max(np.abs(dense), axis=(1, 2))
     assert np.max(err) <= 1e-12
@@ -310,13 +311,13 @@ def test_closed_form_singular_shifts():
     M = np.diag([1.0, 2.0, 3.0]).astype(complex)
     basis = linops.normal_basis(M)
     with pytest.raises(SingularShift) as exc:
-        linops.resolvents(M, [0.5, -2.0, 1j, -1.0], basis)
+        resolvent_stack(M, [0.5, -2.0, 1j, -1.0], basis)
     assert exc.value.shift == -2.0
     got = linops.resolvent_norms(M, [-1.0, 0.5, -3.0, 1j, -2.0 + 0.0j], basis)
     assert np.isinf(got[[0, 2, 4]]).all()
     assert got[1] == pytest.approx(1.0 / 1.5, rel=1e-14)
     assert got[3] == pytest.approx(1.0 / abs(1.0 + 1j), rel=1e-14)
-    assert linops.resolvents(M, [], basis).shape == (0, 3, 3)
+    assert resolvent_stack(M, [], basis).shape == (0, 3, 3)
     assert linops.resolvent_norms(M, [], basis).shape == (0,)
 
 
@@ -338,3 +339,55 @@ def test_pivot_test_scale_does_not_overflow():
     with pytest.raises(SingularShift):
         linops.spectral_resolvents(basis, [1e154 - 1e143, 1e154 - 1e140])
     assert linops.spectral_resolvents(basis, [1e154 - 1e143]).shape == (1, 4)
+
+
+# ------------------------------------------ resolvents applied to vectors
+
+SOLVE_OPERATORS = {
+    "diagonal": lambda: OPERATORS["diagonal"](8).astype(complex),
+    "hermitian": lambda: _laplacian(8).astype(complex),
+    "rotated-normal": lambda: _normal_from(
+        np.random.default_rng(29),
+        np.exp(1j * np.linspace(-0.6, 0.6, 8)) * np.geomspace(1.0, 40.0, 8)),
+    "convection-diffusion-8": lambda: OPERATORS["convection-diffusion"](8).astype(complex),
+    "convection-diffusion-32": lambda: OPERATORS["convection-diffusion"](32).astype(complex),
+    "jordan-8": lambda: OPERATORS["jordan"](8).astype(complex),
+}
+
+
+def _solve_basis(M):
+    return linops.normal_basis(M) or linops.schur_form(M)
+
+
+@pytest.mark.parametrize("count", [0, 1, 398])
+@pytest.mark.parametrize("rows", [False, True], ids=["one-vector", "row-per-shift"])
+@pytest.mark.parametrize("kind", SOLVE_OPERATORS)
+def test_basis_solve_matches_dense_solves(kind, rows, count):
+    M = SOLVE_OPERATORS[kind]()
+    n = M.shape[0]
+    basis = _solve_basis(M)
+    assert (basis[0].ndim == 1) == (kind in ("diagonal", "hermitian", "rotated-normal"))
+    shifts = SectorSampling(n_boundary=100, n_angles=5, interior_density=40).points(2.5)[:count]
+    assert len(shifts) == count
+    shape = (count, n) if rows else n
+    rng = np.random.default_rng(count)
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = linops.basis_solve(basis, shifts, X)
+    assert got.shape == (len(shifts), n) and got.dtype == np.complex128
+    eye = np.eye(n)
+    for k, z in enumerate(shifts):
+        ref = np.linalg.solve(M + z * eye, X[k] if rows else X)
+        assert np.linalg.norm(got[k] - ref) <= 1e-12 * np.linalg.norm(ref), z
+
+
+@pytest.mark.parametrize("kind", SOLVE_OPERATORS)
+def test_basis_solve_names_the_first_singular_shift(kind):
+    M = SOLVE_OPERATORS[kind]()
+    basis = _solve_basis(M)
+    d = linops.basis_eigenvalues(basis)
+    shifts = np.array([0.5, 1j, -d[-1], 2.0, -d[0]])
+    with pytest.raises(SingularShift) as want:
+        linops.basis_resolvents(basis, shifts)
+    with pytest.raises(SingularShift) as got:
+        linops.basis_solve(basis, shifts, np.ones(M.shape[0]))
+    assert got.value.shift == want.value.shift == -d[-1]

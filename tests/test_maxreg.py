@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -15,7 +18,8 @@ from sectorsum import (
     solve_cauchy,
     young_bound,
 )
-from sectorsum.errors import DimensionMismatch
+from sectorsum.cli import main as cli_main
+from sectorsum.errors import DimensionMismatch, OverflowRisk
 from sectorsum.maxreg import (
     _CauchyStepper,
     _adversarial_probes,
@@ -489,3 +493,53 @@ def test_extend_separable_norm_identity():
     lhs = ext(f).lp_norm()
     h_norm = GridFunction(grid, h).lp_norm()
     assert lhs == pytest.approx(h_norm * np.linalg.norm(A.matrix @ x), rel=1e-12)
+
+
+# ------------------------------------------------ large exponents and steps
+
+
+@pytest.mark.parametrize("tau", [1.0, 2.0 * np.pi, 0.3])
+@pytest.mark.parametrize("p", [1.5, 2.0, 400.0, 1e308])
+def test_lp_norm_of_a_constant_at_any_exponent(tau, p):
+    # (int_0^tau c^p dt)^{1/p} = c tau^{1/p}; at large p the powers of c
+    # overflow unless the largest value is divided out
+    grid = TimeGrid(tau, 16, p=p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = GridFunction(grid, np.full(17, 10.0)).lp_norm()
+        assert GridFunction(grid, np.zeros((17, 2))).lp_norm() == 0.0
+    assert got == pytest.approx(10.0 * tau ** (1.0 / p), rel=1e-14)
+
+
+def _run_config(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, "seed": 0, "out_prefix": "x",
+                                "recipe": {"kind": "laplacian-1d", "m": 4}, **cfg}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli_main(["--out", str(tmp_path), "run", "--config", str(path)])
+    return rc, capsys.readouterr().err
+
+
+def test_tsector_config_at_a_huge_exponent(tmp_path, capsys):
+    rc, err = _run_config(tmp_path, capsys, {"pipeline": "t-sector", "p": 1e308})
+    assert rc == 0 and err == ""
+    report = json.loads((tmp_path / "x.json").read_text())
+    assert report["outputs"]["C_hat"] > 0.0
+
+
+def test_maxreg_config_with_overflowing_steps_fails(tmp_path, capsys):
+    rc, err = _run_config(tmp_path, capsys, {"pipeline": "maxreg", "tau": 1e300, "nt": 16})
+    assert rc == 1
+    assert err.startswith("check failed:") and "h ||A||" in err
+
+
+@pytest.mark.parametrize("matrix", [np.diag([10.0, 300.0]), [[10.0, 1.0], [0.0, 300.0]]],
+                         ids=["normal", "non-normal"])
+def test_solve_cauchy_rejects_steps_that_are_not_finite(matrix):
+    grid = TimeGrid(1e300, 16)  # h = 6.25e298
+    A = MatrixOperator(np.asarray(matrix, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowRisk, match="h \\|\\|A\\|\\|"):
+            solve_cauchy(A, GridFunction(grid, np.ones((17, 2))))

@@ -1,5 +1,6 @@
 """Property tests of the normal-operator closed form against the Schur
-resolvent path (``linops.resolvents`` / ``linops.resolvent_norms``), of
+resolvent path (``linops.basis_resolvents`` mapped back by
+``linops.from_basis``, and ``linops.resolvent_norms``), of
 contour sums reduced on the eigenvalues or in the Schur basis
 (``complex_power``, ``hinf_apply``) against the same sums over other
 resolvent stacks, and of the Cauchy stepper's eigenbasis scans against
@@ -23,6 +24,7 @@ from sectorsum import (  # noqa: E402
 from sectorsum.calculus import hinf_contour, power_contour  # noqa: E402
 from sectorsum.errors import SingularShift  # noqa: E402
 from sectorsum.maxreg import _CauchyStepper  # noqa: E402
+from conftest import resolvent_stack  # noqa: E402
 
 # spectra in the sector |arg| <= pi/4; regular shifts in |arg| <= pi/2,
 # so every eigenvalue of M + z stays at least sin(pi/4) |d| from 0
@@ -54,8 +56,8 @@ def test_closed_form_resolvents_match_dense(seed, n, count):
     basis = linops.normal_basis(M)
     assert basis is not None
     shifts = _regular_shifts(rng, count)
-    dense = linops.resolvents(M, shifts)
-    closed = linops.resolvents(M, shifts, basis)
+    dense = resolvent_stack(M, shifts)
+    closed = resolvent_stack(M, shifts, basis)
     scale = np.linalg.norm(dense, axis=(1, 2))
     assert np.max(np.linalg.norm(closed - dense, axis=(1, 2)) / scale) <= 1e-10
     norms = linops.resolvent_norms(M, shifts, basis)
@@ -81,7 +83,7 @@ def test_shifts_on_eigenvalues_are_singular_on_both_paths(seed, n, count, data):
     first = complex(shifts[np.argmax(on_spectrum)])
     for b in (None, basis):
         with pytest.raises(SingularShift) as exc:
-            linops.resolvents(M, shifts, b)
+            resolvent_stack(M, shifts, b)
         assert exc.value.shift == first
         norms = linops.resolvent_norms(M, shifts, b)
         assert np.array_equal(np.isinf(norms), on_spectrum)

@@ -1,7 +1,7 @@
 """Property tests of the Schur resolvent path: ``linops.triangular_resolvents``
-and ``linops.resolvents`` on non-normal matrices against per-shift
-``np.linalg.inv``, its singular-shift test, and when
-``MatrixOperator.schur_form`` is taken."""
+and its stacks mapped back by ``linops.from_basis`` on non-normal
+matrices against per-shift ``np.linalg.inv``, its singular-shift test,
+and when ``MatrixOperator.schur_form`` is taken."""
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from sectorsum import (  # noqa: E402
     linops,
 )
 from sectorsum.errors import SingularShift  # noqa: E402
+from conftest import resolvent_stack  # noqa: E402
 
 
 def _convection_diffusion(m):
@@ -60,7 +61,7 @@ def test_schur_resolvents_match_per_shift_inverse(seed, n, count, strength, jord
     ref = np.array([np.linalg.inv(M + z * np.eye(n)) for z in shifts])
     scale = np.linalg.norm(ref, axis=(1, 2))
     T, Q = linops.schur_form(M)
-    for got in (linops.resolvents(M, shifts), linops.resolvents(M, shifts, (T, Q)),
+    for got in (resolvent_stack(M, shifts), resolvent_stack(M, shifts, (T, Q)),
                 Q @ linops.triangular_resolvents(T, shifts) @ Q.conj().T):
         assert got.shape == (count, n, n) and got.dtype == np.complex128
         assert np.max(np.linalg.norm(got - ref, axis=(1, 2)) / scale) <= 1e-13
@@ -84,8 +85,8 @@ def test_shift_on_an_eigenvalue_is_named(seed, count, kind, data):
         shifts.insert(data.draw(st.integers(0, len(shifts))), -d[j])
     shifts = np.array(shifts)
     first = complex(shifts[np.argmax(np.isin(shifts, -d))])
-    for resolve in (lambda: linops.resolvents(M, shifts),
-                    lambda: linops.resolvents(M, shifts, A.schur_form()),
+    for resolve in (lambda: resolvent_stack(M, shifts),
+                    lambda: resolvent_stack(M, shifts, A.schur_form()),
                     lambda: linops.triangular_resolvents(T, shifts)):
         with pytest.raises(SingularShift) as exc:
             resolve()
