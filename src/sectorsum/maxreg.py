@@ -31,6 +31,15 @@ p sweep share one stepper.
   1990).  The probe loop of a constant stays in these coordinates: Q is
   unitary and acts on the components only, so pointwise norms and the
   time-derivative stencil do not see it, and A f is d f.
+  Each scan pass multiplies an (N, n) array by a row of n factors,
+  which numpy runs at about half the speed of two contiguous (N, n)
+  operands (33 against 16 us at 512 x 48, one thread).  So a stepper's
+  second sweep builds step tables: every factor broadcast once to a
+  contiguous array, about 4.3 MB at n = 48, N = 513.  Every later sweep,
+  forward or adjoint, runs on them with results equal to the broadcast
+  scan's, and a stepper swept once (`solve_cauchy`) builds none.  A
+  constant takes 44 sweeps; the tables made `maxreg_constant` on the
+  Laplacian 1.35x faster at m = 8 and 1.1x at m = 48 (one thread).
 - Any other operator takes one 3n x 3n exponential and sweeps the
   nodes one n x n product at a time.
 
@@ -112,13 +121,8 @@ class GridFunction:
         return self.values.shape[1]
 
     def lp_norm(self, p: float | None = None) -> float:
-        p = p or self.grid.p
         pointwise = np.linalg.norm(self.values, axis=1)
-        top = pointwise.max()  # divided out, so that no power overflows at large p
-        if not 0.0 < top < np.inf:  # 0, inf or nan is the norm itself
-            return float(top)
-        pointwise /= top
-        return float(top * np.dot(self.grid.weights(), pointwise ** p) ** (1.0 / p))
+        return _weighted_lp_norm(pointwise, self.grid.weights(), p or self.grid.p)
 
     def map_values(self, fn) -> "GridFunction":
         return GridFunction(self.grid, fn(self.values))
@@ -152,7 +156,8 @@ def grid_operator_norm(M: np.ndarray, grid: TimeGrid) -> float:
     """Operator norm on L^p(0,tau), p = grid.p, of a node-value matrix.
 
     p = 2 is exact (weighted SVD); other p via 40 steps of Boyd's
-    power-type iteration with the dual-exponent signum map.
+    power-type iteration with the dual-exponent signum map, the largest
+    entry divided out of every p-th power.
     """
     p = grid.p
     w = grid.weights()
@@ -162,27 +167,42 @@ def grid_operator_norm(M: np.ndarray, grid: TimeGrid) -> float:
     q = p / (p - 1.0)
     rng = np.random.default_rng(ADVERSARIAL_SEED)
     x = rng.standard_normal(M.shape[1]) + 0j
-    x /= np.sum(w * np.abs(x) ** p) ** (1.0 / p)
+    x /= _weighted_lp_norm(x, w, p)
     best = 0.0
     for _ in range(40):
         y = M @ x
-        ny = np.sum(w * np.abs(y) ** p) ** (1.0 / p)
-        best = max(best, float(ny))
+        ny = _weighted_lp_norm(y, w, p)
+        best = max(best, ny)
         if ny == 0.0:
             break
-        z = np.abs(y) ** (p - 1.0) * _phase(y) * w  # dual element
-        x = M.conj().T @ z
-        x = np.abs(x) ** (q - 1.0) * _phase(x)
-        nx = np.sum(w * np.abs(x) ** p) ** (1.0 / p)
+        x = _dual_direction(M.conj().T @ (_dual_direction(y, p - 1.0) * w), q - 1.0)
+        nx = _weighted_lp_norm(x, w, p)
         if nx == 0.0:
             break
         x = x / nx
     return best
 
 
-def _phase(v: np.ndarray) -> np.ndarray:
+def _weighted_lp_norm(v: np.ndarray, w: np.ndarray, p: float) -> float:
+    """(sum_i w_i |v_i|^p)^{1/p} with the largest |v_i| divided out, so
+    that no power overflows or underflows at extreme p."""
     a = np.abs(v)
-    return np.where(a > 0, v / np.where(a > 0, a, 1.0), 0.0)
+    top = a.max()
+    if not 0.0 < top < np.inf:  # 0, inf or nan is the norm itself
+        return float(top)
+    return float(top * np.dot(w, (a / top) ** p) ** (1.0 / p))
+
+
+def _dual_direction(v: np.ndarray, e: float) -> np.ndarray:
+    """|v_i|^e e^{i arg v_i} up to a positive factor (Boyd's duality map
+    with exponent e): the moduli are divided by the largest before the
+    power, and the phases come from np.angle, never from dividing by a
+    subnormal modulus."""
+    a = np.abs(v)
+    top = a.max()
+    if 0.0 < top < np.inf:
+        a /= top
+    return a ** e * np.exp(1j * np.angle(v))
 
 
 def deriv_resolvent_bound_check(
@@ -298,6 +318,77 @@ def _scalar_sweep_adjoint(steps, u: np.ndarray) -> np.ndarray:
     return y
 
 
+class _StepTables:
+    """The scan of :func:`_scalar_sweep` and :func:`_scalar_sweep_adjoint`
+    on contiguous tables, for node values of one shape (N, n).
+
+    Each factor of the broadcast scans is stored broadcast to the rows it
+    meets, so that every product has contiguous operands of one shape:
+    e^{-s z} for every scan pass s as an (N - s, n) table, and c_cur and
+    c_next as (N - 1, n) ones, with one (N - 1, n) scratch buffer for
+    the products.  Every product and sum is the one the broadcast scans
+    compute, in the same order, so the results are equal
+    (``np.array_equal``).
+
+    One set of tables serves both directions.  The adjoint's anticausal
+    scan runs in place, without a reversed copy.  It needs the conjugate
+    factors.  When every step scalar is real they are the factors
+    themselves, up to the sign of a zero imaginary part.  Otherwise the
+    adjoint runs on conjugated node values and is conjugated back:
+    conj(a) conj(b) = conj(ab) holds exactly in floating point, and so
+    does exp(conj w) = conj(exp w) for numpy's exp (the property tests
+    compare the scans bit for bit)."""
+
+    def __init__(self, steps, shape):
+        z, c_cur, c_next = steps
+        N, n = shape
+        self.shape = shape
+        self.real = not (np.any(z.imag) or np.any(c_cur.imag) or np.any(c_next.imag))
+        shifts = [2 ** k for k in range((N - 1).bit_length())]  # s = 1, 2, 4, ... < N
+        rows = [N - s for s in shifts]
+        # one allocation for every table: its pages fault in once, where
+        # a dozen arrays of their own cost several times the build
+        self._store = np.empty((sum(rows) + 3 * (N - 1), n), dtype=complex)
+        views = np.split(self._store, np.cumsum(rows + [N - 1, N - 1]))
+        self.passes = list(zip(shifts, views))
+        for s, F in self.passes:
+            F[:] = np.exp(-s * z)
+        self.c_cur, self.c_next, self.scratch = views[-3:]
+        self.c_cur[:] = c_cur
+        self.c_next[:] = c_next
+
+    def sweep(self, g: np.ndarray) -> np.ndarray:
+        """:func:`_scalar_sweep` of g."""
+        buf = self.scratch
+        out = np.empty(self.shape, dtype=complex)
+        out[0] = 0.0
+        np.multiply(self.c_next, g[1:], out=out[1:])
+        out[1:] += np.multiply(self.c_cur, g[:-1], out=buf)
+        for s, F in self.passes:
+            out[s:] += np.multiply(F, out[:-s], out=buf[:len(F)])
+        return out
+
+    def sweep_adjoint(self, u: np.ndarray) -> np.ndarray:
+        """:func:`_scalar_sweep_adjoint` of u."""
+        buf = self.scratch
+        y = np.empty(self.shape, dtype=complex)
+        tail = y[:-1]  # u_1, ..., u_N, then z_1, ..., z_N, then y_0, ..., y_{N-1}
+        if self.real:
+            tail[:] = u[1:]
+        else:
+            np.conjugate(u[1:], out=tail)
+        for s, F in self.passes:
+            rows = len(tail) - s
+            if rows <= 0:
+                break
+            tail[:-s] += np.multiply(F[:rows], tail[s:], out=buf[:rows])
+        np.multiply(self.c_next, tail, out=buf)
+        np.multiply(self.c_cur, tail, out=tail)
+        y[-1] = 0.0
+        y[1:] += buf
+        return y if self.real else np.conjugate(y, out=y)
+
+
 class _CauchyStepper:
     """The exact exponential integrator of f' + A f = g, f(0) = 0, on a
     uniform grid of spacing dt, with its steps built once.
@@ -306,7 +397,12 @@ class _CauchyStepper:
     as for :func:`linops.resolvent_norms`.  With it the stepper works in the
     eigen coordinates v Q-bar of node values v (one row per node), where
     the step is diagonal: each sweep is n scalar recurrences run as
-    elementwise scans, and A acts as v d.  Without one it works in the
+    elementwise scans, and A acts as v d.  From its second sweep on, a
+    normal stepper runs those scans on :class:`_StepTables` it builds
+    once, for the node count of that sweep: every product on contiguous
+    operands instead of a broadcast row, at about twice the speed, with
+    the same results.  A stepper swept once (`solve_cauchy`,
+    `solve_cauchy_adjoint`) builds none.  Without a basis it works in the
     given coordinates with the step matrices of one block exponential,
     one n x n product per node.
 
@@ -322,6 +418,8 @@ class _CauchyStepper:
         self._basis = basis
         if basis is not None:
             self._steps = _cauchy_step_scalars(basis[0], dt)
+            self._swept = False
+            self._tables = None
             return
         E, C_cur, C_next = _cauchy_step_matrices(A, dt)
         # row form of the update: f_{i+1} = f_i E^T + [g_i, g_{i+1}] [C_cur^T; C_next^T]
@@ -329,6 +427,17 @@ class _CauchyStepper:
         self._C = np.vstack([C_cur.T, C_next.T])
         self._EH_T = E.conj()
         self._CH = np.hstack([C_cur.conj(), C_next.conj()])
+
+    def _step_tables(self, v: np.ndarray):
+        """The :class:`_StepTables` for node values v, or None for a first
+        sweep or a shape the tables were not built for: they are built
+        on the second sweep, so a stepper swept once never pays for them."""
+        if self._tables is None:
+            if not self._swept:
+                self._swept = True
+                return None
+            self._tables = _StepTables(self._steps, v.shape)
+        return self._tables if self._tables.shape == v.shape else None
 
     def _check(self, v: np.ndarray) -> None:
         if v.shape[1] != self.dim:
@@ -364,7 +473,8 @@ class _CauchyStepper:
         forcing terms in one product, then one product per node for the
         causal sweep."""
         if self._basis is not None:
-            return _scalar_sweep(self._steps, g)
+            tables = self._step_tables(g)
+            return _scalar_sweep(self._steps, g) if tables is None else tables.sweep(g)
         out = np.zeros(g.shape, dtype=complex)
         np.matmul(np.hstack([g[:-1], g[1:]]), self._C, out=out[1:])
         rows = list(out)  # row views: cheaper to step through than indexing
@@ -380,7 +490,8 @@ class _CauchyStepper:
         y_j = C_c^H z_{j+1} + C_n^H z_j, where y_0 keeps only its C_c^H
         term (g_0 feeds only the first step) and y_N only its C_n^H term."""
         if self._basis is not None:
-            return _scalar_sweep_adjoint(self._steps, u)
+            tables = self._step_tables(u)
+            return _scalar_sweep_adjoint(self._steps, u) if tables is None else tables.sweep_adjoint(u)
         z = np.array(u, dtype=complex)
         rows = list(z)[::-1]
         for prev, cur in zip(rows, rows[1:]):

@@ -18,6 +18,7 @@ from sectorsum import (
     solve_cauchy,
     young_bound,
 )
+from sectorsum import maxreg
 from sectorsum.cli import main as cli_main
 from sectorsum.errors import DimensionMismatch, OverflowRisk
 from sectorsum.maxreg import (
@@ -139,6 +140,26 @@ def test_deriv_resolvent_bound_check_away_from_p2(p):
     for lam in (0.5, 3.0 + 2.0j, 20.0):
         rec = deriv_resolvent_bound_check(lam, grid)
         assert rec["passed"] and rec["p"] == p
+
+
+def test_grid_operator_norm_at_extreme_exponents():
+    # the largest entry is divided out of every p-th power, so a multiple
+    # of the identity keeps its norm at p = 400 (no overflow warning,
+    # which the test settings turn into an error)
+    assert grid_operator_norm(10.0 * np.eye(17), TimeGrid(1.0, 16, p=400.0)) == pytest.approx(10.0)
+    grid = TimeGrid(1.0, 64, p=400.0)
+    rec = deriv_resolvent_bound_check(2.0 + 1.0j, grid)
+    M, w = deriv_resolvent_matrix(2.0 + 1.0j, grid), grid.weights()
+    # the ratio the constant forcing attains bounds the norm from below
+    ones_ratio = GridFunction(grid, M.sum(axis=1)).lp_norm() / ones(grid).lp_norm()
+    assert 0.99 * ones_ratio <= rec["measured"] <= rec["allowed"]
+    # near p = 1 the norm approaches the weighted largest column sum
+    # (Riesz-Thorin bounds it by ||M||_1^{1/p} ||M||_inf^{1 - 1/p})
+    norm_1 = ((w[:, None] * np.abs(M)).sum(axis=0) / w).max()
+    norm_inf = np.abs(M).sum(axis=1).max()
+    p = 1.001
+    got = grid_operator_norm(M, TimeGrid(1.0, 64, p=p))
+    assert 0.99 * norm_1 <= got <= norm_1 ** (1.0 / p) * norm_inf ** (1.0 - 1.0 / p) * (1.0 + 1e-12)
 
 
 def test_resolvent_identity_on_grid():
@@ -452,6 +473,48 @@ def test_adversarial_searches_share_their_first_sweep(sweep_calls):
     for mode, g in zip(("fprime", "Af"), both):
         alone = _adversarial_probes(grid, (mode,), stepper)[0]
         assert np.array_equal(g.values, alone.values)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    built = []
+    init = maxreg._StepTables.__init__
+
+    def counted(self, steps, shape):
+        init(self, steps, shape)
+        built.append(self)
+
+    monkeypatch.setattr(maxreg._StepTables, "__init__", counted)
+    return built
+
+
+def test_a_single_sweep_builds_no_step_tables(table_builds):
+    L = generate("laplacian-1d", m=8)
+    grid = TimeGrid(1.0, 256)
+    g = GridFunction(grid, np.outer(np.sin(grid.times()), np.arange(1.0, 9.0)))
+    solve_cauchy(L, g)
+    solve_cauchy_adjoint(L, g)
+    assert table_builds == []
+    # a constant's 40-odd sweeps share the tables of its one stepper
+    maxreg_constant(L, grid)
+    assert len(table_builds) == 1
+
+
+@pytest.mark.parametrize("m, N_t", [(8, 256), (48, 512), (5, 16)])
+def test_step_tables_bytes(table_builds, m, N_t):
+    L = generate("laplacian-1d", m=m)
+    grid = TimeGrid(1.0, N_t)
+    stepper = _CauchyStepper(L.matrix, grid.dt, L.normal_basis())
+    v = stepper.to_basis(np.ones((grid.n_nodes, m)))
+    stepper.sweep(v)
+    stepper.sweep_adjoint(v)
+    (tables,) = table_builds
+    N, row = grid.n_nodes, m * 16
+    # e^{-s z} for every pass s = 1, 2, 4, ... < N, each on the N - s rows it multiplies
+    passes = sum(N - 2 ** k for k in range((N - 1).bit_length()))
+    assert sum(F.nbytes for _, F in tables.passes) == passes * row
+    # then c_cur, c_next and the scratch buffer, N - 1 rows each
+    assert tables._store.nbytes == (passes + 3 * (N - 1)) * row
 
 
 def test_laplacian_constant_desk_scale():

@@ -4,7 +4,7 @@ resolvent path (``linops.basis_resolvents`` mapped back by
 contour sums reduced on the eigenvalues or in the Schur basis
 (``complex_power``, ``hinf_apply``) against the same sums over other
 resolvent stacks, and of the Cauchy stepper's eigenbasis scans against
-its dense sweeps."""
+its dense sweeps and its step tables against the broadcast scans."""
 
 import numpy as np
 import pytest
@@ -23,7 +23,11 @@ from sectorsum import (  # noqa: E402
 )
 from sectorsum.calculus import hinf_contour, power_contour  # noqa: E402
 from sectorsum.errors import SingularShift  # noqa: E402
-from sectorsum.maxreg import _CauchyStepper  # noqa: E402
+from sectorsum.maxreg import (  # noqa: E402
+    _CauchyStepper,
+    _scalar_sweep,
+    _scalar_sweep_adjoint,
+)
 from conftest import resolvent_stack  # noqa: E402
 
 # spectra in the sector |arg| <= pi/4; regular shifts in |arg| <= pi/2,
@@ -201,3 +205,30 @@ def test_cauchy_eigen_scans_match_dense_sweeps(seed, n, nt, scale):
     for fast, ref in ((eigen.forward(v), dense.forward(v)),
                       (eigen.adjoint(v), dense.adjoint(v))):
         assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+       # node counts next to a power of two end a scan on a one-row pass
+       N=st.integers(17, 600) | st.sampled_from([2 ** k + j for k in (4, 5, 8, 9) for j in (1, 2)]),
+       stiff=st.floats(1e-3, 40.0), real=st.booleans())
+def test_step_tables_match_broadcast_scans_bit_for_bit(seed, n, N, stiff, real):
+    # a spectrum on the positive axis (Hermitian M, real steps) or in the
+    # sector, scaled so that the stiffest step h |d| is ``stiff``
+    M, _, rng = _normal(seed, n, degenerate=n >= 3)
+    if real:
+        M = (M + M.conj().T) / 2.0
+    dt = 1.0 / (N - 1)
+    M = M * (stiff / (dt * np.abs(np.linalg.eigvals(M)).max()))  # stays Hermitian bit for bit
+    basis = linops.normal_basis(M)
+    assert basis is not None
+    stepper = _CauchyStepper(M, dt, basis)
+    v, u = (rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n)) for _ in range(2))
+    stepper.sweep(v)  # the first sweep builds nothing
+    assert stepper._tables is None
+    got = stepper.sweep_adjoint(u), stepper.sweep(v), stepper.sweep_adjoint(v)
+    assert stepper._tables is not None and stepper._tables.real == real
+    want = (_scalar_sweep_adjoint(stepper._steps, u), _scalar_sweep(stepper._steps, v),
+            _scalar_sweep_adjoint(stepper._steps, v))
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
