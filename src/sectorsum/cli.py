@@ -108,7 +108,7 @@ def main(argv=None) -> int:
     except (ConfigInvalid, InvalidRecipe, IncompatibleReports) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SectorsumError, ValueError) as exc:
+    except SectorsumError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     print(report.to_json() if args.command in FULL_REPORT

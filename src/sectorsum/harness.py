@@ -300,7 +300,10 @@ def _sum(cfg, seed, out_dir):
     w = _field(cfg, "check_identities", _decaying_weight, None)
     A = _load_operator(cfg, "matrix_a", "recipe_a", theta=theta_a, seed=seed)
     B = _load_operator(cfg, "matrix_b", "recipe_b", theta=theta_b, seed=seed)
-    pair = sums.CommutingPair(A, B)
+    try:
+        pair = sums.CommutingPair(A, B)
+    except ValueError as exc:  # angle sum at most pi, or resolvents that do not commute
+        raise ConfigInvalid(str(exc)) from exc
     # sum_inverse's own default contour, built here so its size is recorded
     tol = 1e-6
     spec = sums.inverse_contour(pair, tol)
@@ -369,10 +372,14 @@ def _rep_check(cfg, seed, out_dir):
 
 
 def _time_grid(cfg, nt_default):
-    """The config's (tau, nt, p) grid, in the ranges TimeGrid takes."""
-    return maxreg.TimeGrid(_field(cfg, "tau", float, 1.0, lo=0.0, ends="()"),
-                           _field(cfg, "nt", _integer, nt_default, lo=16),
-                           p=_field(cfg, "p", float, 2.0, lo=1.0, ends="()"))
+    """The config's (tau, nt, p) grid, in the ranges TimeGrid takes; a
+    step tau / nt that underflows is a config error too."""
+    try:
+        return maxreg.TimeGrid(_field(cfg, "tau", float, 1.0, lo=0.0, ends="()"),
+                               _field(cfg, "nt", _integer, nt_default, lo=16),
+                               p=_field(cfg, "p", float, 2.0, lo=1.0, ends="()"))
+    except ValueError as exc:
+        raise ConfigInvalid(str(exc)) from exc
 
 
 def _maxreg(cfg, seed, out_dir):
@@ -386,7 +393,7 @@ def _maxreg(cfg, seed, out_dir):
         sweep = maxreg.p_independence_probe(op, tau, nt)
         outputs["p_sweep"] = {k: sweep[k] for k in ("p_values", "constants_fprime", "spread")}
     if cfg.get("refine"):
-        fine = maxreg.maxreg_constant(op, maxreg.TimeGrid(tau, 2 * nt, p=p))
+        fine = maxreg.maxreg_constant(op, _time_grid({**cfg, "nt": 2 * nt}, nt))
         outputs["refined_constant_fprime"] = fine.constant_fprime
         paths.append(_write_csv(cfg, out_dir, "N_t,constant_fprime,constant_Af", [
             (N, r.constant_fprime, r.constant_Af) for N, r in ((nt, rep), (2 * nt, fine))]))

@@ -31,20 +31,15 @@ p sweep share one stepper.
   1990).  The probe loop of a constant stays in these coordinates: Q is
   unitary and acts on the components only, so pointwise norms and the
   time-derivative stencil do not see it, and A f is d f.
-  Each scan pass multiplies an (N, n) array by a row of n factors,
-  which numpy runs at about half the speed of two contiguous (N, n)
-  operands (33 against 16 us at 512 x 48, one thread).  So a stepper's
-  second sweep builds step tables: every factor broadcast once to a
-  contiguous array, about 4.3 MB at n = 48, N = 513.  Every later sweep,
-  forward or adjoint, runs on them with results equal to the broadcast
-  scan's, and a stepper swept once (`solve_cauchy`) builds none.  A
-  constant takes 44 sweeps; the tables made `maxreg_constant` on the
-  Laplacian 1.35x faster at m = 8 and 1.1x at m = 48 (one thread).
+  A stepper's first sweep builds the scan's step tables (about 4.3 MB
+  at n = 48, N = 513), and every sweep of the stepper, forward or
+  adjoint, runs on them; a constant takes 44.
 - Any other operator takes one 3n x 3n exponential and sweeps the
   nodes one n x n product at a time.
 
 The scalar resolvent of the derivative operator is the same scan with
-one scalar step.
+one scalar step, whose factors stay 0-d.  A sweep whose modes would grow
+past e^{_GROWTH_LIMIT} over the grid raises OverflowRisk.
 """
 
 from __future__ import annotations
@@ -57,6 +52,11 @@ from .errors import BoundViolated, DimensionMismatch, OverflowRisk
 from .sector import MatrixOperator
 
 ADVERSARIAL_SEED = 0x9D3A17  # recorded seed for worst-case probe searches
+# log of the largest growth e^{rate t} a Cauchy sweep may meet on its grid.
+# A constant's power iteration takes norms (sums of squares) of an adjoint
+# sweep of a forward one, so a growth G reaches G^4 there; the eighth root
+# of the largest double leaves as much again for d, 1/h and the weights.
+_GROWTH_LIMIT = np.log(np.finfo(float).max) / 8
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,14 @@ class TimeGrid:
     def __post_init__(self):
         if not (0.0 < self.tau < np.inf):
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if isinstance(self.N_t, bool) or not isinstance(self.N_t, (int, np.integer)):
+            raise ValueError(f"N_t must be an integer, got {self.N_t!r}")
         if self.N_t < 16:
             raise ValueError("N_t must be at least 16")
         if not (1.0 < self.p < np.inf):
             raise ValueError(f"p must lie in (1, inf), got {self.p}")
+        if self.dt < np.finfo(float).tiny:
+            raise ValueError(f"tau / N_t = {self.dt:g} is below the smallest normal double")
 
     @property
     def dt(self) -> float:
@@ -134,14 +138,17 @@ class GridFunction:
 def deriv_resolvent(lam: complex, g: GridFunction) -> GridFunction:
     """(B + lam)^{-1} g: the causal convolution with e^{lam(x-t)},
     integrated exactly against the piecewise-linear interpolant of g."""
-    out = _scalar_sweep(_cauchy_step_scalars(complex(lam), g.grid.dt), g.values)
-    return GridFunction(g.grid, out)
+    lam, h = complex(lam), g.grid.dt
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
+    tables = _StepTables(_cauchy_step_scalars(lam, h), g.values.shape, h)
+    return GridFunction(g.grid, tables.sweep(g.values))
 
 
 def deriv_resolvent_matrix(lam: complex, grid: TimeGrid) -> np.ndarray:
     """Dense matrix of the scalar discrete resolvent (acts on node values):
     the scalar sweep applied to the identity."""
-    return _scalar_sweep(_cauchy_step_scalars(complex(lam), grid.dt), np.eye(grid.n_nodes))
+    return deriv_resolvent(lam, GridFunction(grid, np.eye(grid.n_nodes))).values
 
 
 def young_bound(lam: complex, tau: float) -> float:
@@ -149,7 +156,7 @@ def young_bound(lam: complex, tau: float) -> float:
     re = np.real(lam)
     if re <= 0:
         raise ValueError("the convolution bound needs Re(lam) > 0")
-    return float((1.0 - np.exp(-re * tau)) / re)
+    return float(-np.expm1(-re * tau) / re)
 
 
 def grid_operator_norm(M: np.ndarray, grid: TimeGrid) -> float:
@@ -257,7 +264,8 @@ def _cauchy_step_matrices(A: np.ndarray, h: float):
     M[..., n:2 * n, 2 * n:] = np.eye(n)
     import scipy.linalg  # expm is looked up on the module, where it may be wrapped
 
-    X = scipy.linalg.expm(M)
+    with np.errstate(all="ignore"):  # a step that overflows is caught just below
+        X = scipy.linalg.expm(M)
     if not np.isfinite(X[..., :n, :]).all():
         scale = h * float(np.max(np.linalg.norm(A, 2, axis=(-2, -1))))
         raise OverflowRisk(f"the Cauchy step at h = {h:.3e} is not finite (h ||A|| = {scale:.3e})")
@@ -276,59 +284,36 @@ def _cauchy_step_scalars(d, h: float):
     return h * d, c_cur[..., 0, 0], c_next[..., 0, 0]
 
 
-def _scan(z, x: np.ndarray) -> np.ndarray:
-    """In place, x_i <- sum_{k <= i} e^{-(i-k) z} x_k down axis 0, with
-    one z per column (or one shared by all): the recurrence
-    x_i <- x_i + e^{-z} x_{i-1} as an inclusive scan of ceil(log2 len(x))
-    elementwise passes x[s:] += e^{-sz} x[:-s], s = 1, 2, 4, ... (Hillis
-    & Steele; Blelloch, Prefix sums and their applications, 1990).  Each
-    pass takes e^{-sz} from exp rather than by squaring, so the factors
-    carry no error that grows with s."""
-    s = 1
-    while s < len(x):
-        x[s:] += np.exp(-s * z) * x[:-s]
-        s *= 2
-    return x
-
-
-def _scalar_sweep(steps, g: np.ndarray) -> np.ndarray:
-    """The causal sweep f_{i+1} = e^{-z} f_i + c_cur g_i + c_next g_{i+1},
-    f_0 = 0, of every column of g at once, for ``steps`` = (z, c_cur,
-    c_next) from :func:`_cauchy_step_scalars` (one entry per column, or
-    scalars shared by all)."""
-    z, c_cur, c_next = steps
-    out = np.empty(g.shape, dtype=complex)
-    out[0] = 0.0
-    np.multiply(c_next, g[1:], out=out[1:])
-    out[1:] += c_cur * g[:-1]
-    return _scan(z, out)
-
-
-def _scalar_sweep_adjoint(steps, u: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of :func:`_scalar_sweep`: the anticausal scan
-    z_j = u_j + e^{-conj z} z_{j+1}, then y_j = conj(c_cur) z_{j+1} +
-    conj(c_next) z_j as in :meth:`_CauchyStepper.sweep_adjoint`."""
-    z, c_cur, c_next = steps
-    tail = np.array(u[:0:-1], dtype=complex)  # u_N, ..., u_1
-    tail = _scan(np.conj(z), tail)[::-1]       # z_1, ..., z_N
-    y = np.empty(u.shape, dtype=complex)
-    y[-1] = 0.0
-    np.multiply(np.conj(c_cur), tail, out=y[:-1])
-    y[1:] += np.conj(c_next) * tail
-    return y
+def _check_growth(rate: float, N: int, h: float) -> None:
+    """OverflowRisk when a mode growing like e^{rate t} passes
+    e^{_GROWTH_LIMIT} over N nodes of spacing h."""
+    if (N - 1) * h * rate > _GROWTH_LIMIT:
+        raise OverflowRisk(
+            f"the Cauchy sweep at h = {h:.3e} grows by e^{(N - 1) * h * rate:.1f} over the grid "
+            f"(growth rate {rate:.3e}), past e^{_GROWTH_LIMIT:.1f}")
 
 
 class _StepTables:
-    """The scan of :func:`_scalar_sweep` and :func:`_scalar_sweep_adjoint`
-    on contiguous tables, for node values of one shape (N, n).
+    """The causal sweep f_{i+1} = e^{-z} f_i + c_cur g_i + c_next g_{i+1},
+    f_0 = 0, and its adjoint, for node values of one shape (N, k) and the
+    steps (z, c_cur, c_next) of :func:`_cauchy_step_scalars` at spacing
+    h: one step per column (the n eigenvalues of a normal stepper) or one
+    scalar step shared by every column (the derivative resolvent).
 
-    Each factor of the broadcast scans is stored broadcast to the rows it
-    meets, so that every product has contiguous operands of one shape:
-    e^{-s z} for every scan pass s as an (N - s, n) table, and c_cur and
-    c_next as (N - 1, n) ones, with one (N - 1, n) scratch buffer for
-    the products.  Every product and sum is the one the broadcast scans
-    compute, in the same order, so the results are equal
-    (``np.array_equal``).
+    After the forcing terms, a sweep is the inclusive scan
+    x_i <- sum_{k <= i} e^{-(i-k) z} x_k down the nodes, run as
+    ceil(log2 N) elementwise passes x[s:] += e^{-sz} x[:-s],
+    s = 1, 2, 4, ... (Hillis & Steele; Blelloch, Prefix sums and their
+    applications, 1990).  Each pass takes e^{-sz} from exp rather than
+    by squaring, so the factors carry no error that grows with s.
+
+    Per-column factors are stored broadcast to the rows they meet,
+    e^{-sz} for every pass s as an (N - s, k) table and c_cur, c_next as
+    (N - 1, k) ones, so that every product has contiguous operands of
+    one shape (numpy runs a product with a broadcast row at about half
+    that speed: 33 against 16 us at 512 x 48, one thread).  A scalar
+    step keeps its 0-d factors, read as tables with nothing allocated.
+    One (N - 1, k) scratch buffer takes the products.
 
     One set of tables serves both directions.  The adjoint's anticausal
     scan runs in place, without a reversed copy.  It needs the conjugate
@@ -337,28 +322,32 @@ class _StepTables:
     adjoint runs on conjugated node values and is conjugated back:
     conj(a) conj(b) = conj(ab) holds exactly in floating point, and so
     does exp(conj w) = conj(exp w) for numpy's exp (the property tests
-    compare the scans bit for bit)."""
+    compare both directions bit for bit with scans on broadcast rows)."""
 
-    def __init__(self, steps, shape):
+    def __init__(self, steps, shape, h: float):
         z, c_cur, c_next = steps
-        N, n = shape
+        N, k = shape
+        _check_growth(max(0.0, -float(np.min(np.real(z)))) / h, N, h)
         self.shape = shape
         self.real = not (np.any(z.imag) or np.any(c_cur.imag) or np.any(c_next.imag))
-        shifts = [2 ** k for k in range((N - 1).bit_length())]  # s = 1, 2, 4, ... < N
-        rows = [N - s for s in shifts]
-        # one allocation for every table: its pages fault in once, where
-        # a dozen arrays of their own cost several times the build
-        self._store = np.empty((sum(rows) + 3 * (N - 1), n), dtype=complex)
-        views = np.split(self._store, np.cumsum(rows + [N - 1, N - 1]))
-        self.passes = list(zip(shifts, views))
-        for s, F in self.passes:
-            F[:] = np.exp(-s * z)
-        self.c_cur, self.c_next, self.scratch = views[-3:]
-        self.c_cur[:] = c_cur
-        self.c_next[:] = c_next
+        shifts = [2 ** j for j in range((N - 1).bit_length())]  # s = 1, 2, 4, ... < N
+        factors = [np.exp(-s * z) for s in shifts] + [c_cur, c_next]
+        rows = [N - s for s in shifts] + [N - 1, N - 1]
+        if np.ndim(z):
+            # one allocation, tables and scratch buffer: its pages fault in
+            # once, where a dozen arrays of their own cost several builds
+            self._store = np.empty((sum(rows) + N - 1, k), dtype=complex)
+            *tables, self.scratch = np.split(self._store, np.cumsum(rows))
+            for table, f in zip(tables, factors):
+                table[:] = f
+        else:
+            tables = [np.broadcast_to(f, (r, k)) for f, r in zip(factors, rows)]
+            self.scratch = np.empty((N - 1, k), dtype=complex)
+        *F, self.c_cur, self.c_next = tables
+        self.passes = list(zip(shifts, F))
 
     def sweep(self, g: np.ndarray) -> np.ndarray:
-        """:func:`_scalar_sweep` of g."""
+        """The causal sweep of g."""
         buf = self.scratch
         out = np.empty(self.shape, dtype=complex)
         out[0] = 0.0
@@ -369,7 +358,9 @@ class _StepTables:
         return out
 
     def sweep_adjoint(self, u: np.ndarray) -> np.ndarray:
-        """:func:`_scalar_sweep_adjoint` of u."""
+        """The conjugate transpose of `sweep` applied to u: the anticausal
+        scan z_j = u_j + e^{-conj z} z_{j+1}, then y_j = conj(c_cur) z_{j+1}
+        + conj(c_next) z_j as in :meth:`_CauchyStepper.sweep_adjoint`."""
         buf = self.scratch
         y = np.empty(self.shape, dtype=complex)
         tail = y[:-1]  # u_1, ..., u_N, then z_1, ..., z_N, then y_0, ..., y_{N-1}
@@ -396,15 +387,15 @@ class _CauchyStepper:
     ``basis`` is None or (d, Q) from :meth:`MatrixOperator.normal_basis`,
     as for :func:`linops.resolvent_norms`.  With it the stepper works in the
     eigen coordinates v Q-bar of node values v (one row per node), where
-    the step is diagonal: each sweep is n scalar recurrences run as
-    elementwise scans, and A acts as v d.  From its second sweep on, a
-    normal stepper runs those scans on :class:`_StepTables` it builds
-    once, for the node count of that sweep: every product on contiguous
-    operands instead of a broadcast row, at about twice the speed, with
-    the same results.  A stepper swept once (`solve_cauchy`,
-    `solve_cauchy_adjoint`) builds none.  Without a basis it works in the
-    given coordinates with the step matrices of one block exponential,
-    one n x n product per node.
+    the step is diagonal: each sweep is n scalar recurrences, and A acts
+    as v d.  Its first sweep builds the :class:`_StepTables` of those
+    recurrences for that sweep's node count, and every sweep, forward or
+    adjoint, runs on them; node values of another shape raise
+    DimensionMismatch.  Without a basis it works in the given coordinates
+    with the step matrices of one block exponential, one n x n product
+    per node; each sweep checks the growth of A's eigenvalues over the
+    grid, and a result that is still not finite (transient growth)
+    raises OverflowRisk.
 
     `forward` and `adjoint` map node values in the given coordinates;
     `sweep`, `sweep_adjoint`, `apply` and `apply_adjoint` act in the
@@ -415,29 +406,35 @@ class _CauchyStepper:
     def __init__(self, A: np.ndarray, dt: float, basis=None):
         self.dim = A.shape[0]
         self._A = A
+        self._dt = dt
         self._basis = basis
         if basis is not None:
             self._steps = _cauchy_step_scalars(basis[0], dt)
-            self._swept = False
             self._tables = None
             return
         E, C_cur, C_next = _cauchy_step_matrices(A, dt)
+        self._rate = max(0.0, -float(np.linalg.eigvals(A).real.min()))
         # row form of the update: f_{i+1} = f_i E^T + [g_i, g_{i+1}] [C_cur^T; C_next^T]
         self._ET = E.T
         self._C = np.vstack([C_cur.T, C_next.T])
         self._EH_T = E.conj()
         self._CH = np.hstack([C_cur.conj(), C_next.conj()])
 
-    def _step_tables(self, v: np.ndarray):
-        """The :class:`_StepTables` for node values v, or None for a first
-        sweep or a shape the tables were not built for: they are built
-        on the second sweep, so a stepper swept once never pays for them."""
+    def _step_tables(self, v: np.ndarray) -> _StepTables:
+        """The step tables, built on the first sweep for its node values."""
         if self._tables is None:
-            if not self._swept:
-                self._swept = True
-                return None
-            self._tables = _StepTables(self._steps, v.shape)
-        return self._tables if self._tables.shape == v.shape else None
+            self._tables = _StepTables(self._steps, v.shape, self._dt)
+        if v.shape != self._tables.shape:
+            raise DimensionMismatch(
+                f"node values of shape {v.shape}, step tables for {self._tables.shape}")
+        return self._tables
+
+    def _finite(self, v: np.ndarray) -> np.ndarray:
+        """v, node values of a dense sweep, if they are finite."""
+        if not np.isfinite(v).all():
+            raise OverflowRisk(
+                f"the Cauchy sweep at h = {self._dt:.3e} is not finite (growth rate {self._rate:.3e})")
+        return v
 
     def _check(self, v: np.ndarray) -> None:
         if v.shape[1] != self.dim:
@@ -473,14 +470,15 @@ class _CauchyStepper:
         forcing terms in one product, then one product per node for the
         causal sweep."""
         if self._basis is not None:
-            tables = self._step_tables(g)
-            return _scalar_sweep(self._steps, g) if tables is None else tables.sweep(g)
+            return self._step_tables(g).sweep(g)
+        _check_growth(self._rate, len(g), self._dt)
         out = np.zeros(g.shape, dtype=complex)
         np.matmul(np.hstack([g[:-1], g[1:]]), self._C, out=out[1:])
         rows = list(out)  # row views: cheaper to step through than indexing
-        for prev, cur in zip(rows[1:], rows[2:]):
-            cur += prev @ self._ET
-        return out
+        with np.errstate(over="ignore", invalid="ignore"):  # see _finite
+            for prev, cur in zip(rows[1:], rows[2:]):
+                cur += prev @ self._ET
+        return self._finite(out)
 
     def sweep_adjoint(self, u: np.ndarray) -> np.ndarray:
         """`adjoint` in the stepper's coordinates.
@@ -490,14 +488,15 @@ class _CauchyStepper:
         y_j = C_c^H z_{j+1} + C_n^H z_j, where y_0 keeps only its C_c^H
         term (g_0 feeds only the first step) and y_N only its C_n^H term."""
         if self._basis is not None:
-            tables = self._step_tables(u)
-            return _scalar_sweep_adjoint(self._steps, u) if tables is None else tables.sweep_adjoint(u)
+            return self._step_tables(u).sweep_adjoint(u)
+        _check_growth(self._rate, len(u), self._dt)
         z = np.array(u, dtype=complex)
         rows = list(z)[::-1]
-        for prev, cur in zip(rows, rows[1:]):
-            cur += prev @ self._EH_T
+        with np.errstate(over="ignore", invalid="ignore"):  # see _finite
+            for prev, cur in zip(rows, rows[1:]):
+                cur += prev @ self._EH_T
         n = self.dim
-        P = z[1:] @ self._CH
+        P = self._finite(z[1:]) @ self._CH
         y = np.zeros_like(z)
         y[:-1] = P[:, :n]
         y[1:] += P[:, n:]

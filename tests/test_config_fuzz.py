@@ -1,0 +1,73 @@
+"""Property over the `maxreg` and `sweep` configs run through the CLI:
+every run exits 0, 1 or 2 with no uncaught exception and no warning, and
+a passing report holds only finite numbers."""
+
+import io
+import json
+import math
+import os
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from sectorsum.cli import main as cli_main  # noqa: E402
+
+GRID = {
+    "tau": st.floats(0.0, 5.0, exclude_min=True),
+    "nt": st.sampled_from([16, 32, 64]),
+    # p = 2 runs the adversarial searches, which sweep most often
+    "p": st.just(2.0) | st.floats(1.0, 6.0, exclude_min=True),
+}
+MAXREG = st.fixed_dictionaries(
+    {"pipeline": st.just("maxreg"),
+     "recipe": st.fixed_dictionaries({
+         "kind": st.just("diag-rotated"),
+         "psi": st.floats(-np.pi, np.pi, exclude_min=True, exclude_max=True),
+         "entries": st.lists(st.floats(1e-3, 1e5), min_size=1, max_size=3)})},
+    optional={**GRID, "sweep_p": st.booleans(), "refine": st.booleans()})
+SWEEP = st.fixed_dictionaries(
+    {"pipeline": st.just("sweep")},
+    optional={**GRID, "sizes": st.lists(st.integers(1, 6), min_size=1, max_size=2)})
+
+
+def _numbers(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        for item in doc:
+            yield from _numbers(item)
+    elif isinstance(doc, float):
+        yield doc
+
+
+@settings(max_examples=30, deadline=None)
+# Re d = -3090: the modes grow by e^3090 over the grid
+@example({"pipeline": "maxreg", "nt": 64,
+          "recipe": {"kind": "diag-rotated", "psi": 1.885, "entries": [1e4, 1.0]}})
+@given(MAXREG | SWEEP)
+def test_maxreg_and_sweep_configs_exit_cleanly(cfg):
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump({"schema_version": 1, **cfg}, fh)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(stdout), redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            rc = cli_main(["--out", out, "run", "--config", path])
+        assert [str(w.message) for w in caught] == []
+        assert rc in (0, 1, 2)
+        if rc:
+            assert stderr.getvalue().startswith(("check failed:", "config error:"))
+            return
+        (report,) = [p for p in json.loads(stdout.getvalue())["written"] if p.endswith(".json")]
+        with open(report) as fh:
+            doc = json.load(fh)
+    assert doc["passed"]
+    assert all(math.isfinite(x) for x in _numbers(doc["outputs"]))

@@ -344,8 +344,25 @@ def test_run_sum_honours_zero_angle(tmp_path):
         "pipeline": "sum", "theta_a": 0.0,
         "recipe_a": {"kind": "diag-positive", "entries": [1.0, 2.0]},
         "recipe_b": {"kind": "diag-positive", "entries": [3.0, 4.0]}})
-    with pytest.raises(ValueError, match="theta_A"):
+    with pytest.raises(ConfigInvalid, match="theta_A"):
         run_experiment(cfg, str(tmp_path))
+
+
+@pytest.mark.parametrize("case", ["zero-angle", "not-commuting"])
+def test_cli_sum_pair_that_is_not_admissible_exits_2(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    if case == "zero-angle":
+        cfg = {"theta_a": 0.0, "recipe_a": {"kind": "diag-positive", "entries": [1.0, 2.0]},
+               "recipe_b": {"kind": "diag-positive", "entries": [3.0, 4.0]}}
+    else:
+        write_matrix("a.csv", np.diag([1.0, 2.0]).astype(complex))
+        write_matrix("b.csv", np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex))
+        cfg = {"matrix_a": "a.csv", "matrix_b": "b.csv"}
+    path = _write_config(tmp_path / "cfg.json", {"pipeline": "sum", **cfg})
+    assert cli_main(["--out", str(tmp_path), "run", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert ("theta_A" if case == "zero-angle" else "resolvent commutator") in err
 
 
 @pytest.mark.parametrize("content", [

@@ -21,6 +21,7 @@ from sectorsum import (
 from sectorsum import maxreg
 from sectorsum.cli import main as cli_main
 from sectorsum.errors import DimensionMismatch, OverflowRisk
+from sectorsum.linops import write_matrix
 from sectorsum.maxreg import (
     _CauchyStepper,
     _adversarial_probes,
@@ -113,6 +114,60 @@ def test_young_bound_examples():
     assert young_bound(1.0 + 5.0j, 1.0) == young_bound(1.0, 1.0)
     with pytest.raises(ValueError):
         young_bound(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("re", [1e-17, 1e-12, 1.0])
+def test_young_bound_as_re_lam_tends_to_zero(re):
+    # (1 - e^{-x}) / x = 1 - x/2 + O(x^2) at tau = 1; the difference
+    # 1 - e^{-x} keeps no digit of x below eps
+    want = 1.0 - np.exp(-1.0) if re == 1.0 else 1.0 - re / 2.0
+    assert young_bound(re + 3j, 1.0) == pytest.approx(want, rel=1e-15)
+    rec = deriv_resolvent_bound_check(re + 3j, TimeGrid(1.0, 64))
+    assert rec["passed"] and rec["bound"] == young_bound(re, 1.0)
+
+
+def test_deriv_resolvent_rejects_growth_past_the_limit():
+    grid = TimeGrid(1.0, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowRisk, match=r"h = 6\.250e-02 .* \(growth rate 1\.000e\+04\)"):
+            deriv_resolvent(-1e4, ones(grid))
+        # e^80 over the grid is below the limit
+        assert np.isfinite(deriv_resolvent_matrix(-80.0, grid)).all()
+    with pytest.raises(ValueError, match="finite"):
+        deriv_resolvent(complex("nan"), ones(grid))
+
+
+@pytest.mark.parametrize("case", ["growing", "transient"])
+def test_dense_sweep_that_would_overflow_raises(case):
+    # non-normal: a mode growing like e^{1000 t}, or a slowly decaying
+    # pair whose coupling takes a forcing of 1e308 past the largest double
+    if case == "growing":
+        A, tau, scale, match = [[-1000.0, 1.0], [0.0, 1.0]], 1.0, 1.0, r"\(growth rate 1\.000e\+03\)"
+    else:
+        A, tau, scale, match = [[1e-3, 1.0], [0.0, 1e-3]], 2.0, 1e308, r"h = 1\.250e-01 is not finite"
+    A = MatrixOperator(np.array(A, dtype=complex))
+    assert A.normal_basis() is None
+    grid = TimeGrid(tau, 16)
+    g = GridFunction(grid, np.full((17, 2), scale))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (solve_cauchy, solve_cauchy_adjoint):
+            with pytest.raises(OverflowRisk, match=match):
+                solve(A, g)
+
+
+@pytest.mark.parametrize("N_t", [16.5, 32.0, True, "32"])
+def test_time_grid_takes_only_an_integer_count(N_t):
+    with pytest.raises(ValueError, match="N_t must be an integer"):
+        TimeGrid(1.0, N_t)
+    assert TimeGrid(1.0, np.int64(32)).n_nodes == 33
+
+
+def test_time_grid_rejects_a_step_that_underflows():
+    with pytest.raises(ValueError, match="smallest normal double"):
+        TimeGrid(5e-324, 16)
+    assert TimeGrid(16 * np.finfo(float).tiny, 16).dt == np.finfo(float).tiny
 
 
 def test_deriv_resolvent_bound_check():
@@ -480,24 +535,35 @@ def table_builds(monkeypatch):
     built = []
     init = maxreg._StepTables.__init__
 
-    def counted(self, steps, shape):
-        init(self, steps, shape)
+    def counted(self, *args):
+        init(self, *args)
         built.append(self)
 
     monkeypatch.setattr(maxreg._StepTables, "__init__", counted)
     return built
 
 
-def test_a_single_sweep_builds_no_step_tables(table_builds):
+def test_a_stepper_builds_its_step_tables_on_its_first_sweep(table_builds):
     L = generate("laplacian-1d", m=8)
     grid = TimeGrid(1.0, 256)
     g = GridFunction(grid, np.outer(np.sin(grid.times()), np.arange(1.0, 9.0)))
     solve_cauchy(L, g)
     solve_cauchy_adjoint(L, g)
-    assert table_builds == []
+    assert len(table_builds) == 2  # one stepper each
+    stepper = _CauchyStepper(L.matrix, grid.dt, L.normal_basis())
+    v = stepper.to_basis(g.values)
+    stepper.sweep_adjoint(v)
+    (tables,) = table_builds[2:]
+    assert stepper._tables is tables
+    stepper.sweep(v)
+    stepper.sweep_adjoint(v)
+    assert len(table_builds) == 3
+    # node values on another grid do not fit the tables
+    with pytest.raises(DimensionMismatch, match="step tables"):
+        stepper.sweep(v[:-1])
     # a constant's 40-odd sweeps share the tables of its one stepper
     maxreg_constant(L, grid)
-    assert len(table_builds) == 1
+    assert len(table_builds) == 4
 
 
 @pytest.mark.parametrize("m, N_t", [(8, 256), (48, 512), (5, 16)])
@@ -595,6 +661,37 @@ def test_maxreg_config_with_overflowing_steps_fails(tmp_path, capsys):
     rc, err = _run_config(tmp_path, capsys, {"pipeline": "maxreg", "tau": 1e300, "nt": 16})
     assert rc == 1
     assert err.startswith("check failed:") and "h ||A||" in err
+
+
+def test_maxreg_config_with_growing_modes_fails(tmp_path, capsys):
+    # certified at 0.95 (pi - |psi|), with Re d = -3090 < 0
+    rc, err = _run_config(tmp_path, capsys, {
+        "pipeline": "maxreg", "nt": 64,
+        "recipe": {"kind": "diag-rotated", "psi": 1.885, "entries": [1e4, 1.0]}})
+    assert rc == 1
+    assert err.startswith("check failed:") and "growth rate 3.091e+03" in err
+
+
+def test_maxreg_config_with_a_growing_non_normal_operator_fails(tmp_path, capsys):
+    # Re lambda = -60 over tau = 5: e^300, finite in the sweeps, but past
+    # the largest double in the squares of a power iteration's norms
+    matrix = tmp_path / "g.csv"
+    write_matrix(str(matrix), np.array([[-60.0, 1.0], [0.0, 1.0]], dtype=complex))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, "pipeline": "maxreg", "tau": 5.0,
+                                "nt": 64, "matrix": str(matrix)}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli_main(["--out", str(tmp_path), "run", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("check failed:") and "growth rate 6.000e+01" in err
+
+
+def test_time_grid_config_whose_step_underflows_exits_2(tmp_path, capsys):
+    rc, err = _run_config(tmp_path, capsys, {"pipeline": "maxreg", "tau": 5e-324})
+    assert rc == 2
+    assert err.startswith("config error:") and "smallest normal double" in err
 
 
 @pytest.mark.parametrize("matrix", [np.diag([10.0, 300.0]), [[10.0, 1.0], [0.0, 300.0]]],

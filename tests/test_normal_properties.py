@@ -4,13 +4,14 @@ resolvent path (``linops.basis_resolvents`` mapped back by
 contour sums reduced on the eigenvalues or in the Schur basis
 (``complex_power``, ``hinf_apply``) against the same sums over other
 resolvent stacks, and of the Cauchy stepper's eigenbasis scans against
-its dense sweeps and its step tables against the broadcast scans."""
+its dense sweeps and of its step tables, and those of a scalar step,
+against scans on broadcast rows kept here as the reference."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from sectorsum import (  # noqa: E402
     MatrixOperator,
@@ -25,8 +26,8 @@ from sectorsum.calculus import hinf_contour, power_contour  # noqa: E402
 from sectorsum.errors import SingularShift  # noqa: E402
 from sectorsum.maxreg import (  # noqa: E402
     _CauchyStepper,
-    _scalar_sweep,
-    _scalar_sweep_adjoint,
+    _StepTables,
+    _cauchy_step_scalars,
 )
 from conftest import resolvent_stack  # noqa: E402
 
@@ -207,11 +208,48 @@ def test_cauchy_eigen_scans_match_dense_sweeps(seed, n, nt, scale):
         assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def _scan(z, x):
+    """In place, x_i <- sum_{k <= i} e^{-(i-k) z} x_k down axis 0, with one
+    z per column or one shared by all, by the passes
+    x[s:] += e^{-sz} x[:-s], s = 1, 2, 4, ..., on broadcast rows."""
+    s = 1
+    while s < len(x):
+        x[s:] += np.exp(-s * z) * x[:-s]
+        s *= 2
+    return x
+
+
+def _broadcast_sweep(steps, g):
+    """The causal sweep f_{i+1} = e^{-z} f_i + c_cur g_i + c_next g_{i+1},
+    f_0 = 0, of every column of g, each step scalar a broadcast row."""
+    z, c_cur, c_next = steps
+    out = np.empty(g.shape, dtype=complex)
+    out[0] = 0.0
+    np.multiply(c_next, g[1:], out=out[1:])
+    out[1:] += c_cur * g[:-1]
+    return _scan(z, out)
+
+
+def _broadcast_sweep_adjoint(steps, u):
+    """Conjugate transpose of :func:`_broadcast_sweep`: the anticausal
+    scan z_j = u_j + e^{-conj z} z_{j+1} on a reversed copy, then
+    y_j = conj(c_cur) z_{j+1} + conj(c_next) z_j."""
+    z, c_cur, c_next = steps
+    tail = np.array(u[:0:-1], dtype=complex)  # u_N, ..., u_1
+    tail = _scan(np.conj(z), tail)[::-1]       # z_1, ..., z_N
+    y = np.empty(u.shape, dtype=complex)
+    y[-1] = 0.0
+    np.multiply(np.conj(c_cur), tail, out=y[:-1])
+    y[1:] += np.conj(c_next) * tail
+    return y
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
        # node counts next to a power of two end a scan on a one-row pass
        N=st.integers(17, 600) | st.sampled_from([2 ** k + j for k in (4, 5, 8, 9) for j in (1, 2)]),
        stiff=st.floats(1e-3, 40.0), real=st.booleans())
+@example(seed=0, n=1, N=18, stiff=0.03125, real=False)  # one-element passes, complex steps
 def test_step_tables_match_broadcast_scans_bit_for_bit(seed, n, N, stiff, real):
     # a spectrum on the positive axis (Hermitian M, real steps) or in the
     # sector, scaled so that the stiffest step h |d| is ``stiff``
@@ -224,11 +262,22 @@ def test_step_tables_match_broadcast_scans_bit_for_bit(seed, n, N, stiff, real):
     assert basis is not None
     stepper = _CauchyStepper(M, dt, basis)
     v, u = (rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n)) for _ in range(2))
-    stepper.sweep(v)  # the first sweep builds nothing
-    assert stepper._tables is None
-    got = stepper.sweep_adjoint(u), stepper.sweep(v), stepper.sweep_adjoint(v)
-    assert stepper._tables is not None and stepper._tables.real == real
-    want = (_scalar_sweep_adjoint(stepper._steps, u), _scalar_sweep(stepper._steps, v),
-            _scalar_sweep_adjoint(stepper._steps, v))
-    for a, b in zip(got, want):
+    got = stepper.sweep(v), stepper.sweep_adjoint(u), stepper.sweep_adjoint(v)
+    assert stepper._tables.real == real
+    # factor rows of shape (1, n): numpy rounds the product of a lone
+    # element with a 1-d row by the plain complex formula, but with a 2-d
+    # operand, as in the tables, otherwise (n = 1, complex steps, one-row
+    # passes)
+    steps = tuple(f[None] for f in stepper._steps)
+    want = (_broadcast_sweep(steps, v), _broadcast_sweep_adjoint(steps, u),
+            _broadcast_sweep_adjoint(steps, v))
+    # one scalar step, the derivative resolvent's, on more columns than steps
+    k = N + int(rng.integers(0, 8))
+    steps = _cauchy_step_scalars(complex(basis[0][0]), dt)
+    tables = _StepTables(steps, (N, k), dt)
+    assert all(F.strides == (0, 0) for _, F in tables.passes)  # 0-d factors, no tables
+    w = rng.standard_normal((N, k)) + 1j * rng.standard_normal((N, k))
+    got += tables.sweep(w), tables.sweep_adjoint(w)
+    want += _broadcast_sweep(steps, w), _broadcast_sweep_adjoint(steps, w)
+    for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b)
