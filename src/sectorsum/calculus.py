@@ -37,6 +37,7 @@ from . import linops
 from .contour import (ContourSpec, DunfordResult, _resolvent_sum, build_nodes, fit_contour,
                       gauss_panels)
 from .errors import ClassViolated
+from .linops import _sorted_distinct
 from .sector import MatrixOperator
 
 _EYE = lambda n: np.eye(n, dtype=complex)  # noqa: E731
@@ -380,7 +381,7 @@ class HolomorphicSymbol:
 def _offsector_samples(theta: float) -> np.ndarray:
     """The standard off-sector grid: 60 log-spaced radii in [1e-8, 1e8]
     and radius 1, on 17 angles from theta to 2 pi - theta."""
-    radii = np.unique(np.concatenate([np.geomspace(1e-8, 1e8, 60), [1.0]]))
+    radii = _sorted_distinct(np.concatenate([np.geomspace(1e-8, 1e8, 60), [1.0]]))
     angles = np.linspace(theta, 2.0 * np.pi - theta, 17)
     return np.multiply.outer(radii, np.exp(1j * angles)).reshape(-1)
 

@@ -96,7 +96,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             paths, ok = run_experiment(args.config, args.out)
             print(json.dumps({"written": paths, "passed": ok}, indent=2))
-            return 0 if ok else 1
+            return 0 if ok else _failed(paths[0])
         flags = {k: v for k, v in vars(args).items()
                  if k not in ("command", "out") and v is not None}
         sampling = {SAMPLING_FLAGS[k]: flags.pop(k) for k in list(flags) if k in SAMPLING_FLAGS}
@@ -113,7 +113,13 @@ def main(argv=None) -> int:
         return 1
     print(report.to_json() if args.command in FULL_REPORT
           else json.dumps(report.outputs, indent=2))
-    return 0 if report.passed else 1
+    return 0 if report.passed else _failed(report.operation)
+
+
+def _failed(what: str) -> int:
+    """Exit code 1 for a report that did not pass, named on stderr."""
+    print(f"check failed: {what} did not pass", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

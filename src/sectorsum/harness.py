@@ -24,6 +24,10 @@ from .sector import MatrixOperator, SectorSampling, certify_sector
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 0xC0FFEE
+# a config's operator has its largest entry modulus in [1/_ENTRY_LIMIT,
+# _ENTRY_LIMIT] (or is zero): the squares in its norms, and the contour
+# radii that its spectrum sets, stay within the double range
+_ENTRY_LIMIT = 1e150
 
 
 def generate(kind: str, certify_angle: float | None = None, seed: int = DEFAULT_SEED,
@@ -45,9 +49,9 @@ def _recipe_matrix(kind: str, seed: int = DEFAULT_SEED, **params) -> tuple[np.nd
     certification angle, without certifying it."""
     rng = np.random.default_rng(seed)
     if kind == "diag-positive":
-        entries = _field(params, "entries", lambda v: np.array(v, dtype=float), None)
-        n = _field(params, "n", _integer, 4)
-        spread = _field(params, "spread", float, 10.0)
+        entries = _field(params, "entries", _entries, None)
+        n = _field(params, "n", _integer, 4, lo=1)
+        spread = _field(params, "spread", float, 10.0, lo=0.0, ends="()")
         _no_extra(kind, params, "entries", "n", "spread")
         d = entries if entries is not None else np.geomspace(1.0, spread, n)
         if np.any(d <= 0):
@@ -55,8 +59,8 @@ def _recipe_matrix(kind: str, seed: int = DEFAULT_SEED, **params) -> tuple[np.nd
         return np.diag(d.astype(complex)), 0.9 * np.pi
     if kind == "diag-rotated":
         psi = _field(params, "psi", float, np.pi / 4)
-        entries = _field(params, "entries", lambda v: np.array(v, dtype=float), None)
-        n = _field(params, "n", _integer, 3)
+        entries = _field(params, "entries", _entries, None)
+        n = _field(params, "n", _integer, 3, lo=1)
         _no_extra(kind, params, "psi", "entries", "n")
         if not (abs(psi) < np.pi):
             raise InvalidRecipe("rotation psi must satisfy |psi| < pi")
@@ -80,17 +84,15 @@ def _recipe_matrix(kind: str, seed: int = DEFAULT_SEED, **params) -> tuple[np.nd
         return M, 0.9 * np.pi
     if kind == "commuting-pair":
         role = params.get("role", "a")
-        n = _field(params, "n", _integer, 4)
-        spread = _field(params, "spread", float, 4.0)
+        n = _field(params, "n", _integer, 4, lo=1)
+        spread = _field(params, "spread", float, 4.0, lo=0.0, ends="()")
         _no_extra(kind, params, "role", "n", "spread")
+        if role not in ("a", "b"):
+            raise InvalidRecipe(f"commuting-pair role must be 'a' or 'b', got {role!r}")
         Q, _ = np.linalg.qr(
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         )
-        da = np.geomspace(1.0, spread, n)
-        db = np.geomspace(1.5, 2.0 * spread, n)
-        d = da if role == "a" else db
-        if role not in ("a", "b"):
-            raise InvalidRecipe(f"commuting-pair role must be 'a' or 'b', got {role!r}")
+        d = np.geomspace(1.0, spread, n) if role == "a" else np.geomspace(1.5, 2.0 * spread, n)
         return Q @ np.diag(d.astype(complex)) @ Q.conj().T, 0.85 * np.pi
     raise InvalidRecipe(f"unknown recipe kind {kind!r}")
 
@@ -129,6 +131,14 @@ def _integer(v) -> int:
     if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
         raise ValueError(f"{v!r} is not an integer")
     return int(v)
+
+
+def _entries(v) -> np.ndarray:
+    """The diagonal of a diag recipe: a nonempty list of numbers."""
+    d = np.array(v, dtype=float)
+    if d.ndim != 1 or not d.size:
+        raise ValueError("entries must be a nonempty list of numbers")
+    return d
 
 
 def _decaying_weight(v) -> complex:
@@ -223,6 +233,10 @@ def _load_operator(cfg: dict, key_matrix="matrix", key_recipe="recipe", theta=No
         default_sampling = SectorSampling(n_boundary=48, interior_density=12)
     else:
         raise ConfigInvalid(f"config needs either {key_matrix!r} or {key_recipe!r}")
+    top = float(np.max(np.abs(op.matrix)))
+    if not (top == 0.0 or 1.0 / _ENTRY_LIMIT <= top <= _ENTRY_LIMIT):
+        raise ConfigInvalid(f"largest matrix entry modulus {top:.3e} outside "
+                            f"[{1.0 / _ENTRY_LIMIT:g}, {_ENTRY_LIMIT:g}]")
     certify_sector(op, default_angle if theta is None else float(theta),
                    sampling or default_sampling)
     return op
@@ -356,7 +370,9 @@ def _tsector(cfg, seed, out_dir):
 
 def _rep_check(cfg, seed, out_dir):
     op = _load_operator(cfg, seed=seed)
-    rho = _field(cfg, "rho", float, None, lo=0.0, ends="()")
+    # rho A, in the direct solve, within the entry limit of an operator
+    rho = _field(cfg, "rho", float, None, lo=0.0, hi=_ENTRY_LIMIT / np.max(np.abs(op.matrix)),
+                 ends="(]")
     theta = _field(cfg, "theta", float, 0.0)
     x = np.ones(op.dim, dtype=complex)
     direct = np.linalg.solve(np.eye(op.dim) + rho * np.exp(1j * theta) * op.matrix, x)
@@ -382,27 +398,38 @@ def _time_grid(cfg, nt_default):
         raise ConfigInvalid(str(exc)) from exc
 
 
+def _maxreg_holds(op: MatrixOperator, constants) -> bool:
+    """The hypothesis under which the constants of u' + A u = f are
+    bounded: B = d/dt has angle pi/2, so A must be certified at an angle
+    above pi/2 (the two angles sum past pi), and every measured constant
+    must be finite."""
+    return bool(op.angle() > np.pi / 2 and np.isfinite(constants).all())
+
+
 def _maxreg(cfg, seed, out_dir):
     grid = _time_grid(cfg, 512)
     tau, p, nt = grid.tau, grid.p, grid.N_t
     op = _load_operator(cfg, seed=seed)
     rep = maxreg.maxreg_constant(op, grid)
     outputs = dataclasses.asdict(rep)
+    constants = [*rep.per_probe_fprime, *rep.per_probe_Af]
     paths = []
     if cfg.get("sweep_p"):
         sweep = maxreg.p_independence_probe(op, tau, nt)
         outputs["p_sweep"] = {k: sweep[k] for k in ("p_values", "constants_fprime", "spread")}
+        constants += sweep["constants_fprime"]
     if cfg.get("refine"):
         fine = maxreg.maxreg_constant(op, _time_grid({**cfg, "nt": 2 * nt}, nt))
         outputs["refined_constant_fprime"] = fine.constant_fprime
+        constants += [fine.constant_fprime, fine.constant_Af]
         paths.append(_write_csv(cfg, out_dir, "N_t,constant_fprime,constant_Af", [
             (N, r.constant_fprime, r.constant_Af) for N, r in ((nt, rep), (2 * nt, fine))]))
     return CertificateReport(
         operation="maxreg",
-        inputs={"tau": tau, "p": p, "nt": nt, "dim": op.dim, "seed": seed},
+        inputs={"tau": tau, "p": p, "nt": nt, "theta": op.angle(), "dim": op.dim, "seed": seed},
         tolerances={}, node_counts={"N_t": nt},
         outputs=outputs,
-        passed=True,
+        passed=_maxreg_holds(op, constants),
     ), paths
 
 
@@ -413,19 +440,21 @@ def _sweep(cfg, seed, out_dir):
     sizes = _field(cfg, "sizes", _sizes, [8, 16, 32])
     grid = _time_grid(cfg, 256)
     tau, p, nt = grid.tau, grid.p, grid.N_t
-    rows = []
+    rows, thetas, passed = [], [], True
     for m in sizes:
         op = generate("laplacian-1d", m=m, seed=seed)
         rep = maxreg.maxreg_constant(op, grid)
         rows.append((m, rep.constant_fprime, rep.constant_Af))
+        thetas.append(op.angle())
+        passed = passed and _maxreg_holds(op, [*rep.per_probe_fprime, *rep.per_probe_Af])
     csv_path = _write_csv(cfg, out_dir, "m,constant_fprime,constant_Af", rows)
     return CertificateReport(
         operation="maxreg-sweep",
-        inputs={"sizes": sizes, "tau": tau, "p": p, "nt": nt, "seed": seed},
+        inputs={"sizes": sizes, "tau": tau, "p": p, "nt": nt, "thetas": thetas, "seed": seed},
         tolerances={}, node_counts={"N_t": nt},
         outputs={"constants_fprime": [r[1] for r in rows],
                  "constants_Af": [r[2] for r in rows]},
-        passed=True,
+        passed=passed,
     ), [csv_path]
 
 

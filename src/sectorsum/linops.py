@@ -207,18 +207,29 @@ def normal_basis(M):
     d = np.diagonal(M)
     if np.array_equal(M, np.diag(d)):
         return d.copy(), np.eye(M.shape[0], dtype=complex)
-    Mh = M.conj().T
-    if np.array_equal(M, Mh):
+    if np.array_equal(M, M.conj().T):
         d, Q = np.linalg.eigh(M)
         return d.astype(complex), Q
-    scale = np.linalg.norm(M)
-    tol = departure_tolerance(M)
-    if np.linalg.norm(M @ Mh - Mh @ M) > 8.0 * tol * scale:
+    if _commutator_too_large(M):
         return None
+    tol = departure_tolerance(M)
     T, Q = schur_form(M)
     if np.linalg.norm(np.triu(T, 1)) > tol:
         return None
     return np.diagonal(T).copy(), Q
+
+
+def _commutator_too_large(M: np.ndarray) -> bool:
+    """||MM^* - M^*M||_F > 8 departure_tolerance(M) ||M||_F, the test of
+    :func:`normal_basis`, taken on M / 2^k with its largest entry below
+    1, where the products cannot overflow.  The test is scale invariant
+    and a power of two scales exactly (2^-k stays finite for a subnormal
+    M)."""
+    S = M * 2.0 ** -max(int(np.frexp(np.max(np.abs(M)))[1]), -1000)
+    Sh = S.conj().T
+    commutator = S @ Sh
+    commutator -= Sh @ S
+    return bool(np.linalg.norm(commutator) > 8.0 * departure_tolerance(S) * np.linalg.norm(S))
 
 
 def _pivot_distances(d, z: np.ndarray, off: float = 0.0):
@@ -353,15 +364,16 @@ def resolvent_norms(M, shifts, basis=None) -> np.ndarray:
     :func:`normal_basis`, sigma_min(M + z) = min_i |d_i + z| and no
     matrix is formed.  Without one, a real M has M + conj(z) =
     conj(M + z) and the same singular values, so each distinct
-    (Re z, |Im z|) is decomposed once.
+    (Re z, |Im z|) is decomposed once.  Only that path reads (and
+    validates) M.
     """
-    M = as_matrix(M)
     z = as_vector(shifts)
     if basis is not None:
         nearest, singular = _pivot_distances(basis[0], z)
         out = np.full(z.shape[0], np.inf)
         out[~singular] = 1.0 / nearest[~singular]
         return out
+    M = as_matrix(M)
     return _per_conjugate_pair(M, z, lambda u: _singular_value_norms(M, u))
 
 
@@ -458,6 +470,17 @@ def _pruned_norms(M: np.ndarray, z: np.ndarray, floor: float, cap: float,
         at = z[take]
         s = _shifted_singular_values(M, at)
         chunk = min(2 * chunk, step)
+
+
+def _sorted_distinct(x) -> np.ndarray:
+    """The distinct entries of a real or complex array without NaN,
+    ascending, from one sort: np.unique(x), whose plain form imports
+    numpy.ma (10-13 ms) to test for a mask."""
+    x = np.sort(np.ravel(x))
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 def stack_step(item_bytes: int) -> int:

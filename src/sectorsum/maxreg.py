@@ -28,9 +28,11 @@ p sweep share one stepper.
   a sweep is n scalar recurrences, run as a log-depth elementwise scan
   over the time nodes (Hochbruck & Ostermann, Exponential integrators,
   Acta Numer. 2010; Blelloch, Prefix sums and their applications,
-  1990).  The probe loop of a constant stays in these coordinates: Q is
+  1990).  The probe search of a constant stays in these coordinates,
+  and so do the forcings it finds until their probe sweeps: Q is
   unitary and acts on the components only, so pointwise norms and the
-  time-derivative stencil do not see it, and A f is d f.
+  time-derivative stencil do not see it, A f is d f, and A^* W A is one
+  product with the table w |d|^2.
   A stepper's first sweep builds the scan's step tables (about 4.3 MB
   at n = 48, N = 513), and every sweep of the stepper, forward or
   adjoint, runs on them; a constant takes 44.
@@ -45,6 +47,7 @@ past e^{_GROWTH_LIMIT} over the grid raises OverflowRisk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -398,7 +401,7 @@ class _CauchyStepper:
     raises OverflowRisk.
 
     `forward` and `adjoint` map node values in the given coordinates;
-    `sweep`, `sweep_adjoint`, `apply` and `apply_adjoint` act in the
+    `sweep`, `sweep_adjoint`, `apply` and `weighted_gram` act in the
     stepper's own (`to_basis`, `from_basis`).  Q is unitary and acts on
     the components only, so pointwise norms and the time-derivative
     stencil do not see it."""
@@ -453,9 +456,16 @@ class _CauchyStepper:
         """A on node values in the stepper's coordinates."""
         return v @ self._A.T if self._basis is None else v * self._basis[0]
 
-    def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
-        """A^* on node values in the stepper's coordinates."""
-        return v @ self._A.conj() if self._basis is None else v * self._basis[0].conj()
+    def weighted_gram(self, w: np.ndarray):
+        """The map v -> A^* W A v on node values in the stepper's
+        coordinates, W the node weights w: one product with the table
+        w |d|^2 on the eigen path, with A^T conj(A) and then the weights
+        on the dense one (in row form)."""
+        if self._basis is None:
+            gram, table = self._A.T @ self._A.conj(), _part_table(w[:, None], self.dim)
+            return lambda v: _scale_parts(v @ gram, table)
+        table = _part_table(np.multiply.outer(w, np.abs(self._basis[0]) ** 2), self.dim)
+        return lambda v: np.multiply(v.view(np.float64), table).view(complex)
 
     def forward(self, g: np.ndarray) -> np.ndarray:
         """The solution map g -> f on node values."""
@@ -521,23 +531,53 @@ def solve_cauchy_adjoint(A: MatrixOperator, h: GridFunction) -> GridFunction:
 
 def time_derivative(f: GridFunction) -> GridFunction:
     """Second-order differences: centered inside, one-sided at the ends."""
-    v = f.values
-    h = f.grid.dt
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return GridFunction(f.grid, out)
+    return GridFunction(f.grid, _time_derivative(f.values, f.grid.dt))
+
+
+def _time_derivative(v: np.ndarray, h: float) -> np.ndarray:
+    """`time_derivative` on node values v (one row per node)."""
+    out = np.empty(v.shape, dtype=complex)
+    np.subtract(v[2:], v[:-2], out=out[1:-1])
+    out[0] = -3.0 * v[0] + 4.0 * v[1] - v[2]
+    out[-1] = 3.0 * v[-1] - 4.0 * v[-2] + v[-3]
+    return _scale_parts(out, 1.0 / (2.0 * h))
 
 
 def _time_derivative_adjoint(v: np.ndarray, h: float) -> np.ndarray:
     """D^T v for the node-value matrix D of `time_derivative`."""
-    out = np.zeros_like(v)
-    out[:-2] -= v[1:-1]
+    out = np.empty(v.shape, dtype=complex)
+    np.negative(v[1:-1], out=out[:-2])
+    out[-2:] = 0.0
     out[2:] += v[1:-1]
     out[:3] += np.multiply.outer((-3.0, 4.0, -1.0), v[0])
     out[-3:] += np.multiply.outer((1.0, -4.0, 3.0), v[-1])
-    return out / (2.0 * h)
+    return _scale_parts(out, 1.0 / (2.0 * h))
+
+
+def _scale_parts(v: np.ndarray, factor) -> np.ndarray:
+    """v (complex, C-contiguous) with the real and imaginary part of every
+    entry multiplied by a real factor, a scalar or a :func:`_part_table`,
+    in place.  The bits are those of v * factor, and of v / (1 / factor),
+    which numpy takes as a product with the reciprocal; the speed is that
+    of a real product of one shape (a broadcast column, or a complex
+    operand, is 3-4 times slower at 257 x 8)."""
+    x = v.view(np.float64)
+    x *= factor
+    return v
+
+
+def _part_table(t: np.ndarray, n: int) -> np.ndarray:
+    """The real (N, 2n) table that scales both parts of each of n
+    components of complex node values by t, an (N, n) table or an
+    (N, 1) column, in :func:`_scale_parts`."""
+    return np.repeat(np.broadcast_to(t, (t.shape[0], n)), 2, axis=1)
+
+
+def _pointwise_norms(v: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of every row (node) of complex node values v,
+    from the sums of squares of their real and imaginary parts."""
+    x = np.ascontiguousarray(v).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
 @dataclass
@@ -572,20 +612,32 @@ def default_probes(A: MatrixOperator, grid: TimeGrid) -> list[tuple[str, GridFun
     return probes
 
 
-def _adversarial_probes(grid: TimeGrid, modes, stepper: _CauchyStepper,
-                        n_iter: int = 10) -> list[GridFunction]:
+@lru_cache(maxsize=16)
+def _adversarial_start(shape: tuple[int, int]) -> np.ndarray:
+    """The seeded complex Gaussian forcing every adversarial search starts
+    from: one read-only array per node-value shape."""
+    rng = np.random.default_rng(ADVERSARIAL_SEED)
+    start = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    start.flags.writeable = False  # shared by every search on this shape
+    return start
+
+
+def _adversarial_search(grid: TimeGrid, modes, stepper: _CauchyStepper,
+                        n_iter: int = 10) -> list[np.ndarray]:
     """Power iteration on the (weighted) composition  g -> D f  (mode
     "fprime") or  g -> A f  ("Af") to seek the worst forcing; fixed seed,
     fixed count.  Every mode starts from the same seeded forcing, whose
-    forward sweep is taken once.  The iterates stay in the stepper's
-    coordinates and map back once."""
-    rng = np.random.default_rng(ADVERSARIAL_SEED)
-    start = rng.standard_normal((grid.n_nodes, stepper.dim)) + 1j * rng.standard_normal(
-        (grid.n_nodes, stepper.dim)
-    )
-    start = stepper.to_basis(start)
+    forward sweep is taken once.  The iterates, and the forcings
+    returned, stay in the stepper's coordinates; each iteration is a
+    sweep, A^* W A or D^T W D on plain node values, and an adjoint sweep.
+    """
+    w = grid.weights()
+    h = grid.dt
+    weigh = _part_table(w[:, None], stepper.dim)
+    unweigh = _part_table(1.0 / w[:, None], stepper.dim)
+    gram = stepper.weighted_gram(w) if "Af" in modes else None
+    start = stepper.to_basis(_adversarial_start((grid.n_nodes, stepper.dim)))
     first = stepper.sweep(start)
-    w = grid.weights()[:, None]
     found = []
     for mode in modes:
         v = start
@@ -593,17 +645,24 @@ def _adversarial_probes(grid: TimeGrid, modes, stepper: _CauchyStepper,
             f = first if k == 0 else stepper.sweep(v)
             # the adjoint w.r.t. the weighted product is W^{-1} X^H W
             if mode == "fprime":
-                y = time_derivative(GridFunction(grid, f)).values
-                z = _time_derivative_adjoint(w * y, grid.dt)
+                z = _time_derivative_adjoint(_scale_parts(_time_derivative(f, h), weigh), h)
             else:
-                z = stepper.apply_adjoint(w * stepper.apply(f))
-            z = stepper.sweep_adjoint(z) / w
-            nrm = GridFunction(grid, z).lp_norm(2.0)
+                z = gram(f)
+            z = _scale_parts(stepper.sweep_adjoint(z), unweigh)
+            nrm = _weighted_lp_norm(_pointwise_norms(z), w, 2.0)
             if nrm == 0.0:
                 break
-            v = z / nrm
-        found.append(GridFunction(grid, stepper.from_basis(v)))
+            v = _scale_parts(z, 1.0 / nrm)
+        found.append(v)
     return found
+
+
+def _adversarial_probes(grid: TimeGrid, modes, stepper: _CauchyStepper,
+                        n_iter: int = 10) -> list[GridFunction]:
+    """The forcings of :func:`_adversarial_search`, mapped back to the
+    given coordinates."""
+    return [GridFunction(grid, stepper.from_basis(v))
+            for v in _adversarial_search(grid, modes, stepper, n_iter)]
 
 
 def maxreg_constant(
@@ -619,34 +678,38 @@ def maxreg_constant(
     if not probes:
         raise ValueError("probe set must be nonempty")
     stepper = _CauchyStepper(A.matrix, grid.dt, A.normal_basis())
+    forcings = [(label, stepper.to_basis(g.values)) for label, g in probes]
     if adversarial and abs(grid.p - 2.0) < 1e-12:
         modes = ("fprime", "Af")
-        probes = probes + [(f"adversarial-{mode}", g) for mode, g in
-                           zip(modes, _adversarial_probes(grid, modes, stepper))]
-    return _probe_report(grid, _probe_sweeps(grid, probes, stepper), grid.p)
+        forcings += [(f"adversarial-{mode}", v) for mode, v in
+                     zip(modes, _adversarial_search(grid, modes, stepper))]
+    return _probe_report(grid, _probe_sweeps(grid, forcings, stepper), grid.p)
 
 
-def _probe_sweeps(grid: TimeGrid, probes, stepper: _CauchyStepper):
-    """(label, g, f', A f) for every probe, with f from one sweep in the
-    stepper's coordinates: none of them depends on p."""
+def _probe_sweeps(grid: TimeGrid, forcings, stepper: _CauchyStepper):
+    """(label, |g|, |f'|, |A f|) for every forcing (label, g) in the
+    stepper's coordinates, each a pointwise norm over the nodes, with f
+    from one sweep: none of them depends on p."""
     swept = []
-    for label, g in probes:
-        f = GridFunction(grid, stepper.sweep(stepper.to_basis(g.values)))
-        swept.append((label, g, time_derivative(f), f.map_values(stepper.apply)))
+    for label, g in forcings:
+        f = stepper.sweep(g)
+        swept.append((label, _pointwise_norms(g), _pointwise_norms(_time_derivative(f, grid.dt)),
+                      _pointwise_norms(stepper.apply(f))))
     return swept
 
 
 def _probe_report(grid: TimeGrid, swept, p: float) -> MaxRegReport:
     """||f'||_p / ||g||_p and ||A f||_p / ||g||_p for every probe that
     :func:`_probe_sweeps` swept on grid."""
+    w = grid.weights()
     labels, r_fp, r_af = [], [], []
-    for label, g, fp, af in swept:
-        ng = g.lp_norm(p)
+    for label, ng, nfp, naf in swept:
+        ng = _weighted_lp_norm(ng, w, p)
         if ng == 0.0:
             raise ValueError(f"probe {label!r} is zero")
         labels.append(label)
-        r_fp.append(fp.lp_norm(p) / ng)
-        r_af.append(af.lp_norm(p) / ng)
+        r_fp.append(_weighted_lp_norm(nfp, w, p) / ng)
+        r_af.append(_weighted_lp_norm(naf, w, p) / ng)
     return MaxRegReport(
         constant_fprime=float(max(r_fp)),
         constant_Af=float(max(r_af)),
@@ -666,8 +729,11 @@ def p_independence_probe(
     p_values=(1.5, 2.0, 3.0, 4.0),
 ) -> dict:
     """maxreg_constant across several p on a shared probe set; reports
-    all constants and their spread.  Each probe is swept once: only the
-    norms depend on p."""
+    all constants and their spread.  Each probe is swept once and its
+    pointwise norms taken once: only the weighted p-sums depend on p.
+    The adversarial forcing is mapped to the given coordinates and back,
+    so that each report is that of :func:`maxreg_constant` on the shared
+    probes, bit for bit."""
     for p in p_values:
         if not (1.0 < p < np.inf):
             raise ValueError(f"p must lie in (1, inf), got {p}")
@@ -677,7 +743,8 @@ def p_independence_probe(
     shared = shared + [
         ("adversarial-fprime", _adversarial_probes(base_grid, ("fprime",), stepper)[0]),
     ]
-    swept = _probe_sweeps(base_grid, shared, stepper)
+    swept = _probe_sweeps(base_grid, [(label, stepper.to_basis(g.values)) for label, g in shared],
+                          stepper)
     results = {p: _probe_report(base_grid, swept, p) for p in p_values}
     consts = [results[p].constant_fprime for p in p_values]
     return {

@@ -46,6 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linops
+from .linops import _sorted_distinct
 from .errors import ExtensionViolated, NotSectorialAtAngle, SingularShift, UnboundedSuspected
 
 
@@ -106,12 +107,12 @@ class SectorSampling:
                 angles = 0.5 * (angles - angles[::-1])
             inner = np.multiply.outer(ri, np.exp(1j * angles)).reshape(-1)
             pts.append(inner)
-        return np.unique(np.concatenate(pts))
+        return _sorted_distinct(np.concatenate(pts))
 
 
 @lru_cache(maxsize=64)
 def _radii(n: int, r_min: float, r_max: float) -> np.ndarray:
-    r = np.unique(np.concatenate([np.geomspace(r_min, r_max, n), [1.0]]))
+    r = _sorted_distinct(np.concatenate([np.geomspace(r_min, r_max, n), [1.0]]))
     r.flags.writeable = False  # shared by every caller with these arguments
     return r
 

@@ -33,6 +33,7 @@ from . import linops
 from .calculus import BipFit, ImaginaryPowerFamily, cached_bip_fit
 from .contour import gauss_panels, pv_integral
 from .errors import AngleOutOfRange, DenominatorDegenerate, TruncationNotConverged
+from .linops import _sorted_distinct
 from .maxreg import GridFunction, TimeGrid
 from .sector import MatrixOperator, certify_sector
 
@@ -376,7 +377,7 @@ def bip_tsector_bound_assembly(
     # pi (e^{theta s} - 1)/sinh(pi s).  Both on one mesh split at +-pi,
     # whose even panel order puts no node at s = 0.
     n_outer = max(3, int((S - np.pi) / 0.7)) + 1
-    seg_edges = np.unique(np.concatenate([
+    seg_edges = _sorted_distinct(np.concatenate([
         np.linspace(-S, -np.pi, n_outer),
         np.linspace(-np.pi, np.pi, 10),
         np.linspace(np.pi, S, n_outer),

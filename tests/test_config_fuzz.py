@@ -1,6 +1,7 @@
-"""Property over the `maxreg` and `sweep` configs run through the CLI:
-every run exits 0, 1 or 2 with no uncaught exception and no warning, and
-a passing report holds only finite numbers."""
+"""Properties over the `maxreg`, `sweep`, `certify` and `rep-check`
+configs run through the CLI: every run exits 0, 1 or 2 with no uncaught
+exception and no warning, and a passing report holds only finite
+numbers."""
 
 import io
 import json
@@ -36,6 +37,32 @@ SWEEP = st.fixed_dictionaries(
     optional={**GRID, "sizes": st.lists(st.integers(1, 6), min_size=1, max_size=2)})
 
 
+# every recipe kind, with parameters inside and outside their ranges
+RECIPE = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("diag-positive")}, optional={
+        "entries": st.lists(st.floats(-1.0, 1e300), max_size=4),
+        "n": st.integers(-1, 6), "spread": st.floats(-5.0, 1e300)}),
+    st.fixed_dictionaries({"kind": st.just("diag-rotated")}, optional={
+        "psi": st.floats(-4.0, 4.0), "entries": st.lists(st.floats(-1.0, 1e300), max_size=4),
+        "n": st.integers(-1, 6)}),
+    st.fixed_dictionaries({"kind": st.just("jordan")}, optional={
+        "a": st.floats(-1e300, 1e300), "size": st.integers(-1, 6)}),
+    st.fixed_dictionaries({"kind": st.just("laplacian-1d")}, optional={"m": st.integers(-1, 12)}),
+    st.fixed_dictionaries({"kind": st.just("commuting-pair")}, optional={
+        "role": st.sampled_from(["a", "b", "c"]), "n": st.integers(-1, 6),
+        "spread": st.floats(-5.0, 1e300)}),
+)
+CERTIFY = st.fixed_dictionaries(
+    {"pipeline": st.just("certify"), "recipe": RECIPE, "theta": st.floats(-0.5, 3.5)},
+    optional={"seed": st.integers(0, 2 ** 32), "sampling": st.fixed_dictionaries({}, optional={
+        "n_boundary": st.integers(-1, 12), "n_angles": st.integers(-1, 12),
+        "interior_density": st.integers(-1, 12),
+        "r_min": st.floats(-1.0, 1e3), "r_max": st.floats(-1.0, 1e12)})})
+REP_CHECK = st.fixed_dictionaries(
+    {"pipeline": st.just("rep-check"), "recipe": RECIPE, "rho": st.floats(-1.0, 1e300)},
+    optional={"seed": st.integers(0, 2 ** 32), "theta": st.floats(-10.0, 10.0)})
+
+
 def _numbers(doc):
     if isinstance(doc, dict):
         doc = list(doc.values())
@@ -50,8 +77,34 @@ def _numbers(doc):
 # Re d = -3090: the modes grow by e^3090 over the grid
 @example({"pipeline": "maxreg", "nt": 64,
           "recipe": {"kind": "diag-rotated", "psi": 1.885, "entries": [1e4, 1.0]}})
+# certified at 2.5e-6, far below the pi/2 the constants need
+@example({"pipeline": "maxreg", "nt": 64, "tau": 0.00088,
+          "recipe": {"kind": "diag-rotated", "psi": 3.14159, "entries": [1e5]}})
 @given(MAXREG | SWEEP)
 def test_maxreg_and_sweep_configs_exit_cleanly(cfg):
+    _exits_cleanly(cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@example({"pipeline": "certify", "theta": 0.0,
+          "recipe": {"kind": "commuting-pair", "spread": 0.0}})
+@example({"pipeline": "certify", "theta": 1.0, "recipe": {"kind": "diag-positive", "entries": []}})
+@example({"pipeline": "certify", "theta": 1.0, "recipe": {"kind": "diag-rotated", "n": 0}})
+# the commutator of the normality test squares entries of 1e85
+@example({"pipeline": "certify", "theta": 0.0,
+          "recipe": {"kind": "commuting-pair", "spread": 9.875427310270641e84}})
+@example({"pipeline": "certify", "theta": 0.0, "recipe": {"kind": "jordan", "a": 9.48e153}})
+@example({"pipeline": "rep-check", "rho": 5.93e291,
+          "recipe": {"kind": "jordan", "a": 3.03e16}})
+# a spectrum at 1e-154 sets a contour cut past the double range
+@example({"pipeline": "rep-check", "rho": 1.0,
+          "recipe": {"kind": "jordan", "a": 1.56e-154, "size": 1}})
+@given(CERTIFY | REP_CHECK)
+def test_certify_and_rep_check_configs_exit_cleanly(cfg):
+    _exits_cleanly(cfg)
+
+
+def _exits_cleanly(cfg):
     with tempfile.TemporaryDirectory() as out:
         path = os.path.join(out, "cfg.json")
         with open(path, "w") as fh:

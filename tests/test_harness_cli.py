@@ -668,15 +668,18 @@ def test_sectorsum_threads_caps_blas_on_import():
 
 
 def test_numpy_only_pipelines_never_load_scipy(tmp_path):
-    # the children of one process run in turn; the list printed last says
-    # whether scipy was loaded at import and after each child
+    # the children of one process run in turn; the lists printed last say
+    # whether scipy, and numpy.ma (which a plain np.unique imports), were
+    # loaded at import and after each child
     probe = (
         "import json, sys\n"
         "import sectorsum, sectorsum.cli\n"
-        "loaded = ['scipy' in sys.modules]\n"
+        "names = ('scipy', 'numpy.ma')\n"
+        "loaded = {name: [name in sys.modules] for name in names}\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert sectorsum.cli.main(['--out', 'out', *argv]) == 0, argv\n"
-        "    loaded.append('scipy' in sys.modules)\n"
+        "    for name in names:\n"
+        "        loaded[name].append(name in sys.modules)\n"
         "print(json.dumps(loaded))\n"
     )
 
@@ -700,10 +703,10 @@ def test_numpy_only_pipelines_never_load_scipy(tmp_path):
         ["rep-check", *lap, "--rho", "1.0", "--theta", "0.5"],
         ["sum-inverse", "--matrix-a", "L.csv", "--matrix-b", "B.csv", "--theta-a", "2.7",
          "--theta-b", "2.0"],
-    ) == [False] * 7
+    ) == {"scipy": [False] * 7, "numpy.ma": [False] * 7}
     # a non-normal operator takes a Schur form, and maxreg an exponential
-    assert loaded(["power", "--matrix", "cd.csv", "--re", "-0.5"]) == [False, True]
-    assert loaded(["maxreg", *lap, "--nt", "64"]) == [False, True]
+    assert loaded(["power", "--matrix", "cd.csv", "--re", "-0.5"])["scipy"] == [False, True]
+    assert loaded(["maxreg", *lap, "--nt", "64"])["scipy"] == [False, True]
 
 
 def _readme() -> str:
@@ -740,7 +743,8 @@ RANGE_BASE = {
     "maxreg": {"matrix": "m.csv", "nt": 16},
     "sweep": {"sizes": [2], "nt": 16},
 }
-RANGE_CONTEXT = {"theta": 2.0, "n": 1}
+# m is the largest entry modulus of m.csv
+RANGE_CONTEXT = {"theta": 2.0, "n": 1, "m": 2.0}
 
 
 def _readme_value(text: str) -> float:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -391,3 +393,78 @@ def test_basis_solve_names_the_first_singular_shift(kind):
     with pytest.raises(SingularShift) as got:
         linops.basis_solve(basis, shifts, np.ones(M.shape[0]))
     assert got.value.shift == want.value.shift == -d[-1]
+
+
+def _bytes_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-9, 0.3, np.pi / 2, 2.0, 0.9 * np.pi,
+                                   np.nextafter(np.pi, 0.0)])
+@pytest.mark.parametrize("sampling", [SectorSampling(), SectorSampling(n_angles=1),
+                                      SectorSampling(n_boundary=4, n_angles=2, interior_density=2),
+                                      SectorSampling(n_boundary=1, n_angles=3, interior_density=1,
+                                                     r_min=0.5, r_max=2.0)],
+                         ids=["default", "one-angle", "coarse", "narrow"])
+def test_sorted_distinct_is_np_unique_on_the_sampling_grids(theta, sampling, monkeypatch):
+    from sectorsum import sector
+
+    got = sampling.points(theta)
+    monkeypatch.setattr(sector, "_sorted_distinct", np.unique)
+    sector._radii.cache_clear()
+    try:
+        want = sampling.points(theta)
+    finally:
+        sector._radii.cache_clear()
+    assert _bytes_equal(got, want)
+
+
+def test_sorted_distinct_is_np_unique():
+    rng = np.random.default_rng(3)
+    x = np.round(rng.standard_normal(400), 1)
+    z = x[:200] + 1j * x[200:]
+    for v in (x, z, np.concatenate([np.geomspace(1e-8, 1e8, 60), [1.0]]), np.array([2.0])):
+        assert _bytes_equal(linops._sorted_distinct(v), np.unique(v))
+
+
+@pytest.mark.parametrize("kind", ["rotated", "laplacian"])
+def test_normal_certification_never_reads_the_matrix(kind, monkeypatch):
+    # on a cached normal basis the norms are 1/min_i |d_i + z| in closed
+    # form: certify_sector and the extension check take them bit for bit,
+    # and never scan M for finite entries
+    from sectorsum import MatrixOperator, certify_sector, extended_sector_check
+    from sectorsum.harness import _recipe_matrix
+
+    M, theta = (_recipe_matrix("diag-rotated", psi=0.7, entries=[0.5, 3.0, 40.0])
+                if kind == "rotated" else _recipe_matrix("laplacian-1d", m=32))
+    A = MatrixOperator(M)
+    d, _ = A.normal_basis()
+    validated = []
+    as_matrix = linops.as_matrix
+    monkeypatch.setattr(linops, "as_matrix", lambda m: validated.append(1) or as_matrix(m))
+    sampling = SectorSampling()
+    k_hat = certify_sector(A, theta, sampling)
+    check = extended_sector_check(A, A.certified)
+    assert validated == []
+
+    def closed_form(z):
+        return (1.0 + np.abs(z)) * (1.0 / np.abs(z[:, None] + d).min(axis=1))
+
+    assert k_hat == max(float(np.max(closed_form(sampling.points(theta)))), 1.0)
+    assert linops.resolvent_norms(None, [2.0, 1j], (d, None)).shape == (2,)
+    assert check.worst_value == float(np.max(closed_form(np.array([check.worst_z]))))
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150])
+def test_normal_basis_of_a_normal_matrix_at_any_scale(scale):
+    # the commutator test runs on M scaled by a power of two: at 1e150 the
+    # squares of ||MM^* - M^*M|| overflowed and turned a normal M away
+    rng = np.random.default_rng(9)
+    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    d = np.geomspace(1.0, 20.0, 6) * np.exp(1j * np.linspace(-1.0, 1.0, 6))
+    M = (Q * (scale * d)) @ Q.conj().T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        basis = linops.normal_basis(M)
+    assert basis is not None
+    assert np.allclose(np.sort_complex(basis[0] / scale), np.sort_complex(d), rtol=1e-12)

@@ -592,6 +592,141 @@ def test_laplacian_constant_desk_scale():
     assert abs(vals[0] - vals[1]) <= 0.1 * max(vals)
 
 
+# ------------------------------------- reference: the probe search, plainly
+# The adversarial search and the probe norms as they were first written:
+# GridFunctions, the stencil and its adjoint as separate passes, A then
+# A^* as two products, and the iterates mapped back to the given
+# coordinates before their probe sweeps.
+
+
+def _ref_derivative(v, h):
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return out
+
+
+def _ref_derivative_adjoint(v, h):
+    out = np.zeros_like(v)
+    out[:-2] -= v[1:-1]
+    out[2:] += v[1:-1]
+    out[:3] += np.multiply.outer((-3.0, 4.0, -1.0), v[0])
+    out[-3:] += np.multiply.outer((1.0, -4.0, 3.0), v[-1])
+    return out / (2.0 * h)
+
+
+def _ref_apply(A, adjoint=False):
+    """A (or A^*) on node values in the coordinates of A's stepper."""
+    basis = A.normal_basis()
+    if basis is None:
+        M = A.matrix.conj() if adjoint else A.matrix.T
+        return lambda v: v @ M
+    d = basis[0].conj() if adjoint else basis[0]
+    return lambda v: v * d
+
+
+def _ref_adversarial_probes(A, grid, modes, stepper, n_iter=10):
+    rng = np.random.default_rng(maxreg.ADVERSARIAL_SEED)
+    start = rng.standard_normal((grid.n_nodes, stepper.dim)) + 1j * rng.standard_normal(
+        (grid.n_nodes, stepper.dim))
+    start = stepper.to_basis(start)
+    first = stepper.sweep(start)
+    w = grid.weights()[:, None]
+    apply, apply_adjoint = _ref_apply(A), _ref_apply(A, adjoint=True)
+    found = []
+    for mode in modes:
+        v = start
+        for k in range(n_iter):
+            f = first if k == 0 else stepper.sweep(v)
+            if mode == "fprime":
+                z = _ref_derivative_adjoint(w * _ref_derivative(f, grid.dt), grid.dt)
+            else:
+                z = apply_adjoint(w * apply(f))
+            z = stepper.sweep_adjoint(z) / w
+            nrm = GridFunction(grid, z).lp_norm(2.0)
+            if nrm == 0.0:
+                break
+            v = z / nrm
+        found.append(GridFunction(grid, stepper.from_basis(v)))
+    return found
+
+
+def _ref_probe_sweeps(A, grid, probes, stepper):
+    swept = []
+    for label, g in probes:
+        f = stepper.sweep(stepper.to_basis(g.values))
+        swept.append((label, g, GridFunction(grid, _ref_derivative(f, grid.dt)),
+                      GridFunction(grid, _ref_apply(A)(f))))
+    return swept
+
+
+def _ref_probe_report(swept, p):
+    r_fp, r_af = [], []
+    for label, g, fp, af in swept:
+        ng = g.lp_norm(p)
+        r_fp.append(fp.lp_norm(p) / ng)
+        r_af.append(af.lp_norm(p) / ng)
+    return np.array(r_fp), np.array(r_af)
+
+
+def _ref_maxreg_constant(A, grid):
+    probes = default_probes(A, grid)
+    stepper = _CauchyStepper(A.matrix, grid.dt, A.normal_basis())
+    if grid.p == 2.0:
+        modes = ("fprime", "Af")
+        probes += [(f"adversarial-{mode}", g) for mode, g in
+                   zip(modes, _ref_adversarial_probes(A, grid, modes, stepper))]
+    return _ref_probe_report(_ref_probe_sweeps(A, grid, probes, stepper), grid.p)
+
+
+def _ref_p_independence(A, tau, N_t, p_values):
+    grid = TimeGrid(tau, N_t)
+    stepper = _CauchyStepper(A.matrix, grid.dt, A.normal_basis())
+    shared = default_probes(A, grid) + [
+        ("adversarial-fprime", _ref_adversarial_probes(A, grid, ("fprime",), stepper)[0])]
+    swept = _ref_probe_sweeps(A, grid, shared, stepper)
+    return [_ref_probe_report(swept, p) for p in p_values]
+
+
+def _complex_normal(n=12, seed=7):
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    d = np.geomspace(1.0, 50.0, n) * np.exp(1j * np.linspace(-0.6, 0.6, n))
+    return (Q * d) @ Q.conj().T
+
+
+REFERENCE_OPERATORS = {
+    "laplacian-1": lambda: generate("laplacian-1d", m=1),
+    "laplacian-8": lambda: generate("laplacian-1d", m=8),
+    "laplacian-48": lambda: generate("laplacian-1d", m=48),
+    "complex-normal-12": lambda: certified(_complex_normal(), 0.75 * np.pi),
+    "conv-diff-8": lambda: certified(convection_diffusion(m=8), 0.5 * np.pi),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_OPERATORS))
+def test_probe_search_matches_the_plain_reference(name):
+    A = REFERENCE_OPERATORS[name]()
+    assert (A.normal_basis() is None) == (name == "conv-diff-8")
+    tau, N_t = 0.9, 256
+
+    def close(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        return np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+    for p in (2.0, 3.0):
+        rep = maxreg_constant(A, TimeGrid(tau, N_t, p=p))
+        r_fp, r_af = _ref_maxreg_constant(A, TimeGrid(tau, N_t, p=p))
+        assert close(rep.per_probe_fprime, r_fp) and close(rep.per_probe_Af, r_af), p
+        assert close([rep.constant_fprime, rep.constant_Af], [r_fp.max(), r_af.max()])
+    p_values = (1.5, 2.0, 3.0, 4.0)
+    out = p_independence_probe(A, tau, N_t, p_values)
+    for p, (r_fp, r_af) in zip(p_values, _ref_p_independence(A, tau, N_t, p_values)):
+        rep = out["reports"][p]
+        assert close(rep.per_probe_fprime, r_fp) and close(rep.per_probe_Af, r_af), p
+
+
 # ------------------------------------------------------- pointwise extension
 
 
@@ -670,6 +805,39 @@ def test_maxreg_config_with_growing_modes_fails(tmp_path, capsys):
         "recipe": {"kind": "diag-rotated", "psi": 1.885, "entries": [1e4, 1.0]}})
     assert rc == 1
     assert err.startswith("check failed:") and "growth rate 3.091e+03" in err
+
+
+def test_maxreg_config_at_an_angle_below_the_derivative_fails(tmp_path, capsys):
+    # certified at 0.95 (pi - 3.14159) = 2.5e-6 < pi/2: the modes grow by
+    # e^88, just inside the sweeps' limit, and the constants reach 1e38
+    rc, err = _run_config(tmp_path, capsys, {
+        "pipeline": "maxreg", "nt": 64, "tau": 0.00088,
+        "recipe": {"kind": "diag-rotated", "psi": 3.14159, "entries": [1e5]}})
+    assert rc == 1 and err.startswith("check failed:")
+    report = json.loads((tmp_path / "x.json").read_text())
+    assert not report["passed"]
+    assert report["inputs"]["theta"] == pytest.approx(0.95 * (np.pi - 3.14159))
+    assert report["outputs"]["constant_Af"] > 1e37
+
+
+@pytest.mark.parametrize("cfg", [{"pipeline": "maxreg", "nt": 64},
+                                 {"pipeline": "maxreg", "nt": 64, "sweep_p": True, "refine": True},
+                                 {"pipeline": "sweep", "sizes": [1, 4], "nt": 64}],
+                         ids=["maxreg", "maxreg-sweep-p-refine", "sweep"])
+def test_maxreg_and_sweep_configs_above_the_derivative_angle_pass(tmp_path, capsys, cfg):
+    # Laplacians, certified at 0.9 pi
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, "out_prefix": "x", **cfg}
+                               | ({"recipe": {"kind": "laplacian-1d", "m": 4}}
+                                  if cfg["pipeline"] == "maxreg" else {})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli_main(["--out", str(tmp_path), "run", "--config", str(path)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "x.json").read_text())
+    assert report["passed"]
+    thetas = report["inputs"]["theta" if cfg["pipeline"] == "maxreg" else "thetas"]
+    assert np.all(np.asarray(thetas) == 0.9 * np.pi)
 
 
 def test_maxreg_config_with_a_growing_non_normal_operator_fails(tmp_path, capsys):
