@@ -23,6 +23,9 @@ rays lambda = r e^{+-i theta}, (-lambda)^{it} = r^{it} e^{-+t (pi - theta)}
 separates from the resolvents, so ImaginaryPowerFamily stores them at
 the nodes once and sums the table for many t in a few matrix products;
 the quadrature's error is amplified by at most e^{|t| (pi - theta)}.
+The family depends only on A, its certificate and t_max, so every
+caller in the library takes it from the two most recently used ones
+that A keeps (`_cached_family`).
 """
 
 from __future__ import annotations
@@ -278,10 +281,41 @@ class ImaginaryPowerFamily:
         return res
 
 
+#: families kept on an operator, and the most bytes of node tables a kept
+#: family may hold (a Schur table at n = 128 holds about 150 MB)
+_FAMILIES_KEPT = 2
+_FAMILY_BYTES = 16 << 20
+
+
+def _cached_family(A: MatrixOperator, t_max: float) -> ImaginaryPowerFamily:
+    """A's ImaginaryPowerFamily for t_max under its current certificate.
+
+    The family depends on A, its certificate and t_max only, so the
+    _FAMILIES_KEPT most recently used ones are kept on A, keyed by
+    (t_max, certificate), least recently used first out, with read-only
+    arrays.  A family whose node tables exceed _FAMILY_BYTES (16 MiB) is
+    returned but not kept.  ``ImaginaryPowerFamily(A, t_max)`` itself
+    always builds a fresh one.
+    """
+    key = (float(t_max), A.certified)
+    fam = A._families.pop(key, None)
+    if fam is None:
+        fam = ImaginaryPowerFamily(A, t_max)
+        if fam._arc_t.nbytes + fam._dn_t.nbytes + fam._up_t.nbytes > _FAMILY_BYTES:
+            return fam
+        for value in vars(fam).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+    A._families[key] = fam
+    while len(A._families) > _FAMILIES_KEPT:
+        del A._families[next(iter(A._families))]
+    return fam
+
+
 def imaginary_power(A: MatrixOperator, t: float) -> np.ndarray:
-    """A^{it} on the contour of complex_power, sized for max(|t|, 1)
-    (one-shot; build an ImaginaryPowerFamily for many t)."""
-    return ImaginaryPowerFamily(A, t_max=max(abs(t), 1.0)).at(t)
+    """A^{it} on the contour of complex_power, sized for max(|t|, 1),
+    from A's kept family for that size (:func:`_cached_family`)."""
+    return _cached_family(A, max(abs(t), 1.0)).at(t)
 
 
 @dataclass
@@ -297,8 +331,9 @@ class BipFit:
 def bip_fit(A: MatrixOperator, t_max: float = 4.0, n_t: int = 17) -> BipFit:
     """Least-squares fit of log ||A^{it}|| against |t|, one branch per
     sign of t (growth can be one-sided), then a one-sided shift so
-    M e^{phi |t|} dominates every sample."""
-    fam = ImaginaryPowerFamily(A, t_max=t_max)
+    M e^{phi |t|} dominates every sample.  The family is A's kept one
+    for t_max (:func:`_cached_family`)."""
+    fam = _cached_family(A, t_max)
     t_grid = np.linspace(-t_max, t_max, n_t)
     norms = np.linalg.norm(fam.at_many(t_grid), 2, axis=(1, 2))
     x = np.abs(t_grid)
@@ -318,7 +353,8 @@ def cached_bip_fit(A: MatrixOperator) -> BipFit:
     """bip_fit(A) at its defaults, taken once per certificate of A and
     cached on A with read-only arrays.  The fit depends on A and its
     certificate only, so a certification to another sector or constant
-    refits."""
+    refits.  Its family (t_max 4) is taken from A's kept families
+    (:func:`_cached_family`)."""
     if A._bip is None or A._bip[0] != A.certified:
         fit = bip_fit(A)
         fit.t_grid.flags.writeable = False

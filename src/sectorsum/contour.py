@@ -65,6 +65,8 @@ _TWO_PI_I = 2.0j * np.pi
 _SHARE = 1.0 / 16.0
 #: the largest |log r| of a ray node: r, 1/r and their squares stay finite
 _S_MAX = 0.5 * math.log(np.finfo(float).max)
+#: the largest real part at which expm1 stays finite
+_EXPM1_MAX = 2.0 * _S_MAX
 
 
 @dataclass(frozen=True)
@@ -111,8 +113,16 @@ def _log_rho(spec: ContourSpec) -> float:
 
 
 def _to_x(s, a: float):
-    """The inverse of the ray map from log radius a, real or complex."""
-    return s if math.isinf(a) else np.log(np.expm1(s - a))
+    """The inverse of the ray map from log radius a, real or complex:
+    log(expm1(y)) at y = s - a, which is y itself to double precision
+    where expm1(y) would overflow (a cut or pole past e^709 rho)."""
+    if math.isinf(a):
+        return s
+    y = s - a
+    big = np.real(y) > _EXPM1_MAX
+    if not np.any(big):
+        return np.log(np.expm1(y))
+    return np.where(big, y, np.log(np.expm1(np.where(big, 1.0, y))))
 
 
 def _ray_rule(spec: ContourSpec):
@@ -339,7 +349,14 @@ def _resolvent_sum(spec: ContourSpec, g, resolve, back=None, real: bool = False,
     lam, w = _nodes(spec, rule)
     n_arc = len(lam) - 2 * len(rule[0])
     gv = g(lam)
-    c = w * gv
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = w * gv
+    if not np.isfinite(c).all():
+        # a slow decay cuts the rays where |w_k g(lambda_k)| passes the double range
+        raise TruncationNotConverged(
+            f"node weights overflow on rays out to |lambda| = {np.abs(lam).max():.3e} "
+            f"(u_hi = {spec.u_hi:.3f}): decay exponent {decay_exponent} is too slow "
+            f"for a finite ray rule")
     # nodes resolved: all of them, or for a real R the arc and the upper ray
     keep = np.ones(len(lam), dtype=bool)
     cols = c[:, None]

@@ -126,9 +126,11 @@ class MatrixOperator:
     nothing cached from it can go stale.  The norms, the normal basis,
     the Schur form and, for a non-normal operator, the singular values
     of A are computed on first use and cached, and none of them is a
-    constructor argument; so is the default bounded-imaginary-power fit
+    constructor argument; so are the default bounded-imaginary-power fit
     of the representation formulas, for the certificate it was taken
-    under (:func:`calculus.cached_bip_fit`).  One SVD of A thus serves
+    under (:func:`calculus.cached_bip_fit`), and the two most recently
+    used imaginary-power families (:func:`calculus._cached_family`).
+    One SVD of A thus serves
     ``norm()``, ``inverse_norm()`` and, as the decomposition at the
     shift 0, the Weyl bounds of every certification and extension check
     of A (see :func:`linops.weighted_resolvent_norms`).
@@ -147,6 +149,9 @@ class MatrixOperator:
     _sv: np.ndarray | None = field(default=None, init=False, repr=False)
     # (certificate, calculus.bip_fit(A) at its defaults), see calculus.cached_bip_fit
     _bip: tuple | None = field(default=None, init=False, repr=False)
+    # (t_max, certificate) -> calculus.ImaginaryPowerFamily, least recently
+    # used first, see calculus._cached_family
+    _families: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         matrix = linops.as_matrix(self.matrix)

@@ -48,7 +48,11 @@ test and resolves each member in its own basis
 else selects that path.
 Every node's resolvents are checked as they are built, by the pivot
 test of `linops` on the diagonals: a node on either spectrum raises
-SingularShift naming that node.  Radial splits at
+SingularShift naming that node.  K depends only on the pair, whose
+members are fixed, and on its contour and tol, so the pair keeps each K
+that passed the residual gate with its residual
+(`CommutingPair._inverses`): the weighted identities share one, and
+`closedness_certificate` reads the one `sum_inverse` took.  Radial splits at
 |lambda| = 1 and e^n, and the e-adic rearrangement of the middle
 annulus, are provided for the split diagnostics; both were
 cross-checked against scalar residue oracles.
@@ -82,17 +86,36 @@ JOINT_SLACK = 8.0
 #: ||[(A + 1)^{-1}, (B + 1)^{-1}]|| a CommutingPair admits
 COMMUTE_TOLERANCE = 1e-10
 
+#: inverses K kept on a pair (see CommutingPair)
+_INVERSES_KEPT = 4
+
 
 @dataclass
 class CommutingPair:
     """Certified operators A, B with theta_A + theta_B > pi whose
-    resolvents at the shift 1 commute up to COMMUTE_TOLERANCE."""
+    resolvents at the shift 1 commute up to COMMUTE_TOLERANCE.
+
+    The members are fixed: assigning A or B after construction raises
+    AttributeError, so nothing cached from them can go stale.  The pair
+    keeps its joint basis, and the inverses K that passed
+    :func:`sum_inverse`'s residual gate with their two-sided residuals,
+    per (contour spec, tol), the _INVERSES_KEPT most recently used, with
+    read-only arrays: the weighted identities and
+    :func:`closedness_certificate` reuse them.
+    """
 
     A: MatrixOperator
     B: MatrixOperator
     # joint_basis verdict, None included, once _joint_known is set
     _joint: tuple | None = field(default=None, init=False, repr=False)
     _joint_known: bool = field(default=False, init=False, repr=False)
+    # (spec, tol) -> (K, residual), least recently used first, see _inverse
+    _inverses: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __setattr__(self, name, value):
+        if name in ("A", "B") and name in vars(self):
+            raise AttributeError("a CommutingPair's members are fixed; build a new pair")
+        super().__setattr__(name, value)
 
     def __post_init__(self):
         if self.A.certified is None or self.B.certified is None:
@@ -304,27 +327,58 @@ def sum_inverse(
     spec: ContourSpec | None = None,
     tol: float = 1e-6,
 ) -> np.ndarray:
-    """The bounded inverse K of A + B by separating-contour quadrature.
+    """The bounded inverse K of A + B by separating-contour quadrature
+    over spec (default :func:`inverse_contour` at tol).
 
     Raises TruncationNotConverged when the two-sided residual
-    ||K(A+B) - I||, ||(A+B)K - I|| exceeds tol.
+    ||K(A+B) - I||, ||(A+B)K - I|| exceeds tol.  A K that passes is
+    kept on the pair per (spec, tol), and a later call returns a copy
+    of it.
+    """
+    return _inverse(pair, spec, tol)[0].copy()
+
+
+def _inverse(pair: CommutingPair, spec: ContourSpec | None, tol: float):
+    """(K, its two-sided residual) of :func:`sum_inverse`, K read-only
+    and kept on the pair (see :class:`CommutingPair`); nothing is kept
+    when an error is raised.
+
+    A residual that the tail estimate accounts for (within a factor 100,
+    after scaling by ||A|| + ||B||) asks for a finer ray rule; one far
+    above it points at spectrum inside the separating sector, which a
+    certificate that overstates an angle lets in.
     """
     spec = spec or inverse_contour(pair, tol)
-    try:
-        info = _pair_integral(pair, spec, -1.0)
-    except SingularShift as exc:
-        raise SingularShift(
-            f"contour node z={exc.shift} hits a spectrum; pass a spec whose "
-            f"rays avoid both spectra (theta={spec.theta:.4f})",
-            shift=exc.shift,
-        ) from exc
-    resid = _inverse_residual(pair, info.value)
-    if resid > tol:
-        raise TruncationNotConverged(
-            f"sum-inverse residual {resid:.3e} exceeds {tol:.3e}; "
-            f"pass a finer ray rule (tail estimate {info.tail_estimate:.3e})"
-        )
-    return info.value
+    key = (spec, float(tol))
+    kept = pair._inverses.pop(key, None)
+    if kept is None:
+        try:
+            info = _pair_integral(pair, spec, -1.0)
+        except SingularShift as exc:
+            raise SingularShift(
+                f"contour node z={exc.shift} hits a spectrum; pass a spec whose "
+                f"rays avoid both spectra (theta={spec.theta:.4f})",
+                shift=exc.shift,
+            ) from exc
+        resid = _inverse_residual(pair, info.value)
+        if resid > tol:
+            tail = info.tail_estimate
+            if 100.0 * tail * max(1.0, pair.A.norm() + pair.B.norm()) >= resid:
+                cause = f"pass a finer ray rule (tail estimate {tail:.3e})"
+            else:
+                cause = (
+                    f"the tail estimate {tail:.3e} is far below it, so the separating "
+                    f"sector may contain spectrum: a certificate that overstates an angle "
+                    f"(theta_A = {pair.A.angle():.4f}, theta_B = {pair.B.angle():.4f}), "
+                    f"or a ray step too coarse for a spectrum near the rays")
+            raise TruncationNotConverged(
+                f"sum-inverse residual {resid:.3e} exceeds {tol:.3e}; {cause}")
+        info.value.flags.writeable = False
+        kept = (info.value, resid)
+    pair._inverses[key] = kept
+    while len(pair._inverses) > _INVERSES_KEPT:
+        del pair._inverses[next(iter(pair._inverses))]
+    return kept
 
 
 def _weighted_identity(pair, w, spec, tol, s):
@@ -493,11 +547,12 @@ def closedness_certificate(
     """C_AB = sup ||A K v|| / ||v|| over the probe set, the two-sided
     inverse residual of K (within 1e-6, as sum_inverse checks), and the
     uniformity record of ||A K B^{-theta} u|| / ||u|| over a theta grid
-    descending to 0."""
+    descending to 0.  K and its residual are the ones sum_inverse keeps
+    on the pair for its default contour at 1e-6."""
     if probes is not None and len(probes) == 0:
         raise ValueError("probe set must be nonempty")
     spec = inverse_contour(pair)
-    K = sum_inverse(pair, spec=spec)
+    K, residual = _inverse(pair, spec, 1e-6)
     if probes is None:
         probes = certificate_probes(pair.dim)
     probes = [linops.as_vector(p, pair.dim) for p in probes]
@@ -509,7 +564,6 @@ def closedness_certificate(
 
     AK = pair.A.matrix @ K
     C_AB = gain(AK)
-    residual = _inverse_residual(pair, K)
     theta_values = [gain(AK @ complex_power(pair.B, -th)) for th in theta_grid]
     return ClosednessCertificate(
         C_AB=C_AB,

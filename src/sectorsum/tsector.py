@@ -20,7 +20,8 @@ powers of power angle phi < pi and any rho > 0,
 hold for |theta| < pi - phi (theta = 0 is the real shift); the
 integrand decays like e^{(phi + |theta| - pi)|s|}, which fixes the
 cutoff.  Every s-integral here, these and the bound assembly's, is one
-batched ImaginaryPowerFamily.at_many stack and one reduction.
+batched ImaginaryPowerFamily.at_many stack and one reduction, on a
+family the operator keeps across calls (`calculus._cached_family`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linops
-from .calculus import BipFit, ImaginaryPowerFamily, cached_bip_fit
+from .calculus import BipFit, _cached_family, cached_bip_fit
 from .contour import gauss_panels, pv_integral
 from .errors import AngleOutOfRange, DenominatorDegenerate, TruncationNotConverged
 from .linops import _sorted_distinct
@@ -282,7 +283,9 @@ def resolvent_rep_rotated(
     ``bip`` sets the cutoff; without it the fit is A's default
     ``bip_fit``, taken once per certificate and cached on A
     (:func:`calculus.cached_bip_fit`), so repeated calls on one
-    certified operator fit once."""
+    certified operator fit once.  The family for the cutoff is A's kept
+    one (:func:`calculus._cached_family`): calls with one cutoff, as
+    those of one theta and tol_tail are, build it once."""
     if rho <= 0:
         raise ValueError("rho must be positive")
     x = linops.as_vector(x, A.dim)
@@ -292,7 +295,7 @@ def resolvent_rep_rotated(
             f"need |theta| < pi - phi-hat = {np.pi - bip.phi:.4f}, got {theta}"
         )
     S = _rep_cutoff(bip, theta, tol_tail)
-    fam = ImaginaryPowerFamily(A, t_max=S)
+    fam = _cached_family(A, S)
 
     def kernel(s):
         coef = np.pi * np.exp(theta * s) / np.sinh(np.pi * s) * rho ** (-1j * s)
@@ -341,8 +344,8 @@ def bip_tsector_bound_assembly(
     smoothed kernel term, the principal-value term, the half term, and
     the rotation term) and verify their L^p norms dominate lhs_norm.
 
-    Without ``bip``, A's cached default fit is used, as in
-    :func:`resolvent_rep_rotated`.
+    Without ``bip``, A's cached default fit is used, and the family is
+    A's kept one, as in :func:`resolvent_rep_rotated`.
 
     The underlying pointwise identity is exact, so the sum of norms
     dominates the left side by the triangle inequality up to quadrature
@@ -358,7 +361,7 @@ def bip_tsector_bound_assembly(
         raise ValueError(f"p must lie in [1, inf), got {p}")
     lhs = lhs_norm(A, theta, r, xs, p, N_t)  # also checks r, theta and p
     S = _rep_cutoff(bip, theta, 1e-8)
-    fam = ImaginaryPowerFamily(A, t_max=max(S, np.pi))
+    fam = _cached_family(A, max(S, np.pi))
     grid = periodic_grid(N_t)
     t = grid.times()
     n_terms = len(xs)

@@ -1,5 +1,5 @@
-"""Properties over the `maxreg`, `sweep`, `certify` and `rep-check`
-configs run through the CLI: every run exits 0, 1 or 2 with no uncaught
+"""Properties over the `maxreg`, `sweep`, `certify`, `rep-check`, `sum`
+and `power` configs run through the CLI: every run exits 0, 1 or 2 with no uncaught
 exception and no warning, and a passing report holds only finite
 numbers."""
 
@@ -62,6 +62,31 @@ REP_CHECK = st.fixed_dictionaries(
     {"pipeline": st.just("rep-check"), "recipe": RECIPE, "rho": st.floats(-1.0, 1e300)},
     optional={"seed": st.integers(0, 2 ** 32), "theta": st.floats(-10.0, 10.0)})
 
+ANGLE = st.floats(-0.5, 3.5)
+# diagonal, Jordan and Laplacian recipes of one size commute, and so do
+# the two roles of commuting-pair recipes on one seed
+SUM = st.fixed_dictionaries(
+    {"pipeline": st.just("sum"), "recipe_a": RECIPE, "recipe_b": RECIPE},
+    optional={"seed": st.integers(0, 2 ** 32), "theta_a": ANGLE, "theta_b": ANGLE,
+              "check_identities": st.lists(st.floats(-3.0, 0.5), min_size=2, max_size=2),
+              "certify": st.booleans()})
+# and pairs that commute and certify, so that most runs reach the contour sums
+DIAG_PAIR = st.integers(1, 3).flatmap(lambda n: st.tuples(*(
+    st.fixed_dictionaries({"kind": st.just("diag-positive"),
+                           "entries": st.lists(st.floats(1e-3, 1e6), min_size=n, max_size=n)})
+    for _ in "ab")))
+ROLE_PAIR = st.tuples(st.integers(1, 5), st.floats(1.0, 1e4)).map(lambda ns: tuple(
+    {"kind": "commuting-pair", "role": role, "n": ns[0], "spread": ns[1]} for role in "ab"))
+SUM_PAIR = st.tuples(DIAG_PAIR | ROLE_PAIR, st.fixed_dictionaries({}, optional={
+    "seed": st.integers(0, 2 ** 32), "theta_a": st.floats(1.0, 3.1),
+    "theta_b": st.floats(1.0, 3.1), "certify": st.booleans(),
+    "check_identities": st.tuples(st.floats(-3.0, -1e-3), st.floats(-5.0, 5.0)).map(list)})
+).map(lambda pc: {"pipeline": "sum", "recipe_a": pc[0][0], "recipe_b": pc[0][1], **pc[1]})
+POWER = st.fixed_dictionaries(
+    {"pipeline": st.just("power"), "recipe": RECIPE},
+    optional={"seed": st.integers(0, 2 ** 32), "re": st.floats(-3.0, 0.5),
+              "im": st.floats(-20.0, 20.0), "theta": ANGLE})
+
 
 def _numbers(doc):
     if isinstance(doc, dict):
@@ -101,6 +126,19 @@ def test_maxreg_and_sweep_configs_exit_cleanly(cfg):
           "recipe": {"kind": "jordan", "a": 1.56e-154, "size": 1}})
 @given(CERTIFY | REP_CHECK)
 def test_certify_and_rep_check_configs_exit_cleanly(cfg):
+    _exits_cleanly(cfg)
+
+
+@settings(max_examples=40, deadline=None)
+# Re w = -1e-3: the identities' node weights pass the double range
+@example({"pipeline": "sum", "check_identities": [-1e-3, 0.0],
+          "recipe_a": {"kind": "diag-positive", "entries": [1, 2]},
+          "recipe_b": {"kind": "diag-positive", "entries": [3, 4]}})
+# a spectrum at 3.9e-103 puts the ray cut past e^709 times the arc radius
+@example({"pipeline": "power", "recipe": {"kind": "jordan", "a": 3.8896847413439454e-103,
+                                          "size": 1}})
+@given(SUM | SUM_PAIR | POWER)
+def test_sum_and_power_configs_exit_cleanly(cfg):
     _exits_cleanly(cfg)
 
 

@@ -290,7 +290,7 @@ def test_assembly_term_norms_pinned(monkeypatch):
     for A, theta, r, vecs in cases:
         rec = bip_tsector_bound_assembly(A, theta, r, vecs, N_t=128)
         with monkeypatch.context() as patch:
-            patch.setattr(tsector, "ImaginaryPowerFamily", _ExactFamily)
+            patch.setattr(tsector, "_cached_family", _ExactFamily)
             exact = bip_tsector_bound_assembly(A, theta, r, vecs, N_t=128)
         assert exact["cutoff"] == rec["cutoff"]
         assert rec["term_norms"] == pytest.approx(exact["term_norms"], rel=1e-11)
