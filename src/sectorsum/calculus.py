@@ -41,7 +41,7 @@ from .contour import (ContourSpec, DunfordResult, _resolvent_sum, build_nodes, f
                       gauss_panels)
 from .errors import ClassViolated
 from .linops import _sorted_distinct
-from .sector import MatrixOperator
+from .sector import MatrixOperator, kept
 
 _EYE = lambda n: np.eye(n, dtype=complex)  # noqa: E731
 
@@ -230,16 +230,6 @@ class ImaginaryPowerFamily:
             dn_t, up_t = dn_t.reshape(n_panel, -1), up_t.reshape(n_panel, -1)
         self._dn_t, self._up_t = dn_t, up_t
 
-    @property
-    def table(self) -> np.ndarray:
-        """The resolvents at the nodes ``lam`` in A's unitary basis, as an
-        (N, n) or (N, n, n) stack (rebuilt when entries were left out)."""
-        used = np.concatenate([self._arc_t, self._dn_t.reshape(-1, len(self._used)),
-                               self._up_t.reshape(-1, len(self._used))])
-        full = np.zeros((len(self.lam), int(np.prod(self._shape))), dtype=complex)
-        full[:, self._used] = used
-        return full.reshape((len(self.lam),) + self._shape)
-
     def at(self, t: float) -> np.ndarray:
         """A^{it} as a dense matrix."""
         return self.at_many([t])[0]
@@ -290,26 +280,17 @@ _FAMILY_BYTES = 16 << 20
 def _cached_family(A: MatrixOperator, t_max: float) -> ImaginaryPowerFamily:
     """A's ImaginaryPowerFamily for t_max under its current certificate.
 
-    The family depends on A, its certificate and t_max only, so the
-    _FAMILIES_KEPT most recently used ones are kept on A, keyed by
-    (t_max, certificate), least recently used first out, with read-only
-    arrays.  A family whose node tables exceed _FAMILY_BYTES (16 MiB) is
-    returned but not kept.  ``ImaginaryPowerFamily(A, t_max)`` itself
-    always builds a fresh one.
+    The family depends on A, its certificate and t_max only, so A keeps
+    the _FAMILIES_KEPT most recently used ones, keyed by
+    ("family", t_max, certificate), with read-only arrays
+    (:func:`sector.kept`).  A family whose node tables exceed
+    _FAMILY_BYTES (16 MiB) is returned but not kept.
+    ``ImaginaryPowerFamily(A, t_max)`` itself always builds a fresh one.
     """
-    key = (float(t_max), A.certified)
-    fam = A._families.pop(key, None)
-    if fam is None:
-        fam = ImaginaryPowerFamily(A, t_max)
-        if fam._arc_t.nbytes + fam._dn_t.nbytes + fam._up_t.nbytes > _FAMILY_BYTES:
-            return fam
-        for value in vars(fam).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-    A._families[key] = fam
-    while len(A._families) > _FAMILIES_KEPT:
-        del A._families[next(iter(A._families))]
-    return fam
+    return kept(A, ("family", float(t_max), A.certified),
+                lambda: ImaginaryPowerFamily(A, t_max), recent=_FAMILIES_KEPT,
+                keep=lambda fam: fam._arc_t.nbytes + fam._dn_t.nbytes + fam._up_t.nbytes
+                <= _FAMILY_BYTES)
 
 
 def imaginary_power(A: MatrixOperator, t: float) -> np.ndarray:
@@ -351,16 +332,11 @@ def bip_fit(A: MatrixOperator, t_max: float = 4.0, n_t: int = 17) -> BipFit:
 
 def cached_bip_fit(A: MatrixOperator) -> BipFit:
     """bip_fit(A) at its defaults, taken once per certificate of A and
-    cached on A with read-only arrays.  The fit depends on A and its
-    certificate only, so a certification to another sector or constant
-    refits.  Its family (t_max 4) is taken from A's kept families
-    (:func:`_cached_family`)."""
-    if A._bip is None or A._bip[0] != A.certified:
-        fit = bip_fit(A)
-        fit.t_grid.flags.writeable = False
-        fit.norms.flags.writeable = False
-        A._bip = (A.certified, fit)
-    return A._bip[1]
+    kept on A, one at a time, with read-only arrays (:func:`sector.kept`).
+    The fit depends on A and its certificate only, so a certification to
+    another sector or constant refits.  Its family (t_max 4) is taken
+    from A's kept families (:func:`_cached_family`)."""
+    return kept(A, ("bip", A.certified), lambda: bip_fit(A), recent=1)
 
 
 # ------------------------------------------------------------------- symbols
@@ -459,7 +435,8 @@ def builtin_symbols(theta: float) -> dict[str, HolomorphicSymbol]:
 
     The decay constants c are measured on the standard off-sector grid
     and padded by 5 percent, so every builtin passes its own class check
-    by construction.
+    by construction; a theta so small that c overflows (every builtin
+    has its pole at 1, at a distance of about theta) raises ClassViolated.
     """
 
     def sqrt_over_1minus(lam):
@@ -479,7 +456,12 @@ def builtin_symbols(theta: float) -> dict[str, HolomorphicSymbol]:
         ("rational-eta", rational_eta, "h0", 0.5),
     ):
         f = HolomorphicSymbol(name, evaluator, theta, decay, c=1.0, eta=eta)
-        reg[name] = replace(f, c=1.05 * float(np.max(_envelope_ratio(f, lam))))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            c = 1.05 * float(np.max(_envelope_ratio(f, lam)))
+        if not np.isfinite(c):
+            raise ClassViolated(f"symbol {name!r} has no finite decay constant at "
+                                f"theta={theta:.3g}: its pole at 1 is within rounding of the rays")
+        reg[name] = replace(f, c=c)
     return reg
 
 

@@ -28,6 +28,11 @@ DEFAULT_SEED = 0xC0FFEE
 # _ENTRY_LIMIT] (or is zero): the squares in its norms, and the contour
 # radii that its spectrum sets, stay within the double range
 _ENTRY_LIMIT = 1e150
+# the largest dimension (a dense complex matrix of 64 MiB), sampling count
+# and time-step count a config may set: no array they size outgrows memory
+_DIM_LIMIT = 2048
+_SAMPLES_LIMIT = 1024
+_STEPS_LIMIT = 65536
 
 
 def generate(kind: str, certify_angle: float | None = None, seed: int = DEFAULT_SEED,
@@ -50,7 +55,7 @@ def _recipe_matrix(kind: str, seed: int = DEFAULT_SEED, **params) -> tuple[np.nd
     rng = np.random.default_rng(seed)
     if kind == "diag-positive":
         entries = _field(params, "entries", _entries, None)
-        n = _field(params, "n", _integer, 4, lo=1)
+        n = _field(params, "n", _integer, 4, lo=1, hi=_DIM_LIMIT)
         spread = _field(params, "spread", float, 10.0, lo=0.0, ends="()")
         _no_extra(kind, params, "entries", "n", "spread")
         d = entries if entries is not None else np.geomspace(1.0, spread, n)
@@ -60,7 +65,7 @@ def _recipe_matrix(kind: str, seed: int = DEFAULT_SEED, **params) -> tuple[np.nd
     if kind == "diag-rotated":
         psi = _field(params, "psi", float, np.pi / 4)
         entries = _field(params, "entries", _entries, None)
-        n = _field(params, "n", _integer, 3, lo=1)
+        n = _field(params, "n", _integer, 3, lo=1, hi=_DIM_LIMIT)
         _no_extra(kind, params, "psi", "entries", "n")
         if not (abs(psi) < np.pi):
             raise InvalidRecipe("rotation psi must satisfy |psi| < pi")
@@ -68,23 +73,21 @@ def _recipe_matrix(kind: str, seed: int = DEFAULT_SEED, **params) -> tuple[np.nd
         return np.diag(np.exp(1j * psi) * d), 0.95 * (np.pi - abs(psi))
     if kind == "jordan":
         a = _field(params, "a", complex, 2.0)
-        size = _field(params, "size", _integer, 2)
+        size = _field(params, "size", _integer, 2, lo=1, hi=_DIM_LIMIT)
         _no_extra(kind, params, "a", "size")
-        if size < 1 or a == 0:
-            raise InvalidRecipe("jordan needs size >= 1 and a != 0")
+        if a == 0:
+            raise InvalidRecipe("jordan needs a != 0")
         return a * np.eye(size, dtype=complex) + np.diag(np.ones(size - 1), 1), 0.75 * np.pi
     if kind == "laplacian-1d":
-        m = _field(params, "m", _integer, 8)
+        m = _field(params, "m", _integer, 8, lo=1, hi=_DIM_LIMIT)
         _no_extra(kind, params, "m")
-        if m < 1:
-            raise InvalidRecipe("laplacian-1d needs m >= 1")
         M = (m + 1) ** 2 * (
             2 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
         ).astype(complex)
         return M, 0.9 * np.pi
     if kind == "commuting-pair":
         role = params.get("role", "a")
-        n = _field(params, "n", _integer, 4, lo=1)
+        n = _field(params, "n", _integer, 4, lo=1, hi=_DIM_LIMIT)
         spread = _field(params, "spread", float, 4.0, lo=0.0, ends="()")
         _no_extra(kind, params, "role", "n", "spread")
         if role not in ("a", "b"):
@@ -257,8 +260,13 @@ def _write_csv(cfg: dict, out_dir: str, header: str, rows) -> str:
 
 def _certify(cfg, seed, out_dir):
     theta = _angle(cfg, "theta")
-    try:  # SectorSampling rejects a non-object, an unknown field and a bad value
-        sampling = SectorSampling(**cfg.get("sampling", {}))
+    sampling = cfg.get("sampling", {})
+    if not isinstance(sampling, dict):
+        raise ConfigInvalid(f"invalid sampling: {sampling!r} is not an object")
+    counts = {key: _field(sampling, key, _integer, None, lo=1, hi=_SAMPLES_LIMIT)
+              for key in ("n_boundary", "n_angles", "interior_density") if key in sampling}
+    try:  # SectorSampling rejects an unknown field and a bad value
+        sampling = SectorSampling(**{**sampling, **counts})
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"invalid sampling: {exc}") from exc
     op = _load_operator(cfg, theta=theta, seed=seed, sampling=sampling)
@@ -351,8 +359,10 @@ def _tsector(cfg, seed, out_dir):
     phi = _field(cfg, "phi", float, 0.0, lo=-op.angle(), hi=op.angle())
     r = _field(cfg, "r", float, 1.0, lo=np.exp(-1.0), hi=1.0)
     p = _field(cfg, "p", float, 2.0, lo=1.0)
-    n = _field(cfg, "n", _integer, 1, lo=0)
-    N_t = _field(cfg, "N_t", _integer, 256, lo=4 * (n + 1))
+    n = _field(cfg, "n", _integer, 1, lo=0, hi=_STEPS_LIMIT // 4 - 1)
+    # a grid of 16 steps or more (maxreg.TimeGrid) that resolves n + 1 harmonics
+    resolves = 4 * (n + 1)
+    N_t = _field(cfg, "N_t", _integer, max(256, resolves), lo=max(16, resolves), hi=_STEPS_LIMIT)
     rng = np.random.default_rng(seed)
     xs = [rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
           for _ in range(n + 1)]
@@ -392,7 +402,8 @@ def _time_grid(cfg, nt_default):
     step tau / nt that underflows is a config error too."""
     try:
         return maxreg.TimeGrid(_field(cfg, "tau", float, 1.0, lo=0.0, ends="()"),
-                               _field(cfg, "nt", _integer, nt_default, lo=16),
+                               _field(cfg, "nt", _integer, nt_default, lo=16,
+                                      hi=_STEPS_LIMIT),
                                p=_field(cfg, "p", float, 2.0, lo=1.0, ends="()"))
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
@@ -409,6 +420,8 @@ def _maxreg_holds(op: MatrixOperator, constants) -> bool:
 def _maxreg(cfg, seed, out_dir):
     grid = _time_grid(cfg, 512)
     tau, p, nt = grid.tau, grid.p, grid.N_t
+    # the refined grid is checked before any constant is computed
+    fine_grid = _time_grid({**cfg, "nt": 2 * nt}, nt) if cfg.get("refine") else None
     op = _load_operator(cfg, seed=seed)
     rep = maxreg.maxreg_constant(op, grid)
     outputs = dataclasses.asdict(rep)
@@ -418,8 +431,8 @@ def _maxreg(cfg, seed, out_dir):
         sweep = maxreg.p_independence_probe(op, tau, nt)
         outputs["p_sweep"] = {k: sweep[k] for k in ("p_values", "constants_fprime", "spread")}
         constants += sweep["constants_fprime"]
-    if cfg.get("refine"):
-        fine = maxreg.maxreg_constant(op, _time_grid({**cfg, "nt": 2 * nt}, nt))
+    if fine_grid is not None:
+        fine = maxreg.maxreg_constant(op, fine_grid)
         outputs["refined_constant_fprime"] = fine.constant_fprime
         constants += [fine.constant_fprime, fine.constant_Af]
         paths.append(_write_csv(cfg, out_dir, "N_t,constant_fprime,constant_Af", [
@@ -437,7 +450,7 @@ def _sweep(cfg, seed, out_dir):
     kind = cfg.get("kind", "maxreg-laplacian")
     if kind != "maxreg-laplacian":
         raise ConfigInvalid(f"unknown sweep kind {kind!r}")
-    sizes = _field(cfg, "sizes", _sizes, [8, 16, 32])
+    sizes = _field(cfg, "sizes", _sizes, [8, 16, 32], lo=1, hi=_DIM_LIMIT)
     grid = _time_grid(cfg, 256)
     tau, p, nt = grid.tau, grid.p, grid.N_t
     rows, thetas, passed = [], [], True

@@ -40,7 +40,7 @@ per (n, r_min, r_max), the singular values per operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -117,41 +117,55 @@ def _radii(n: int, r_min: float, r_max: float) -> np.ndarray:
     return r
 
 
+def kept(owner, key, build, recent=0, keep=None):
+    """The value ``owner``, a MatrixOperator or a CommutingPair, keeps
+    under ``key``: ``build()`` on first use, with its arrays (the value, a
+    tuple's members or an object's attributes) made read-only.
+
+    Everything an operator or a pair reuses across calls is kept here, in
+    one private store per owner.  ``key[0]`` names the kind of value: with
+    ``recent``, only that many of the most recently used keys of that kind
+    are kept, and a hit on a kind without a limit changes nothing.  A
+    value that ``keep`` rejects is returned but not kept, and nothing is
+    when ``build`` raises.
+    """
+    store = vars(owner).setdefault("_kept", {})
+    if key in store:
+        if recent:
+            store[key] = store.pop(key)
+        return store[key]
+    value = build()
+    if keep is not None and not keep(value):
+        return value
+    attrs = getattr(value, "__dict__", {}).values()
+    for part in value if isinstance(value, tuple) else (value, *attrs):
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
+    store[key] = value
+    if recent:
+        for old in [k for k in store if k[0] == key[0]][:-recent]:
+            del store[old]
+    return value
+
+
 @dataclass
 class MatrixOperator:
     """Dense operator with cached sector metadata.
 
     `certified` records the last successful certification.  The matrix
     is held as a private read-only copy and cannot be reassigned, so
-    nothing cached from it can go stale.  The norms, the normal basis,
-    the Schur form and, for a non-normal operator, the singular values
-    of A are computed on first use and cached, and none of them is a
-    constructor argument; so are the default bounded-imaginary-power fit
-    of the representation formulas, for the certificate it was taken
-    under (:func:`calculus.cached_bip_fit`), and the two most recently
-    used imaginary-power families (:func:`calculus._cached_family`).
-    One SVD of A thus serves
-    ``norm()``, ``inverse_norm()`` and, as the decomposition at the
-    shift 0, the Weyl bounds of every certification and extension check
-    of A (see :func:`linops.weighted_resolvent_norms`).
+    nothing kept from it can go stale.  What is derived from it is
+    computed on first use and kept (:func:`kept`): the norms, the normal
+    basis, the Schur form, the singular values of a non-normal A, the
+    default bounded-imaginary-power fit (:func:`calculus.cached_bip_fit`)
+    and the imaginary-power families (:func:`calculus._cached_family`).
+    One SVD of A thus serves ``norm()``, ``inverse_norm()`` and, as the
+    decomposition at the shift 0, the Weyl bounds of every certification
+    and extension check of A (see :func:`linops.weighted_resolvent_norms`).
     """
 
     matrix: np.ndarray
     certified: SectorSpec | None = None
-    _norm: float | None = field(default=None, init=False, repr=False)
-    _inv_norm: float | None = field(default=None, init=False, repr=False)
-    # linops.normal_basis verdict, None included, once _basis_known is set
-    _basis: tuple | None = field(default=None, init=False, repr=False)
-    _basis_known: bool = field(default=False, init=False, repr=False)
-    # linops.schur_form, taken only when a non-normal operator is resolved
-    _schur: tuple | None = field(default=None, init=False, repr=False)
-    # singular values of A, descending, taken only when A is not normal
-    _sv: np.ndarray | None = field(default=None, init=False, repr=False)
-    # (certificate, calculus.bip_fit(A) at its defaults), see calculus.cached_bip_fit
-    _bip: tuple | None = field(default=None, init=False, repr=False)
-    # (t_max, certificate) -> calculus.ImaginaryPowerFamily, least recently
-    # used first, see calculus._cached_family
-    _families: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         matrix = linops.as_matrix(self.matrix)
@@ -171,18 +185,14 @@ class MatrixOperator:
 
     def normal_basis(self):
         """(d, Q) with A = Q diag(d) Q^* when A is normal to working
-        precision, else None (see :func:`linops.normal_basis`)."""
-        if not self._basis_known:
-            self._basis = linops.normal_basis(self.matrix)
-            self._basis_known = True
-        return self._basis
+        precision, else None (see :func:`linops.normal_basis`); kept,
+        read-only."""
+        return kept(self, ("basis",), lambda: linops.normal_basis(self.matrix))
 
     def schur_form(self):
         """Complex Schur form (T, Q) with A = Q T Q^* (see
-        :func:`linops.schur_form`)."""
-        if self._schur is None:
-            self._schur = linops.schur_form(self.matrix)
-        return self._schur
+        :func:`linops.schur_form`); kept, read-only."""
+        return kept(self, ("schur",), lambda: linops.schur_form(self.matrix))
 
     def resolvent_basis(self):
         """The unitary basis A's resolvents are taken in:
@@ -191,30 +201,29 @@ class MatrixOperator:
 
     def _singular_values(self) -> np.ndarray:
         """:func:`linops.singular_values` of A, descending."""
-        if self._sv is None:
-            self._sv = linops.singular_values(self.matrix)
-        return self._sv
+        return kept(self, ("sv",), lambda: linops.singular_values(self.matrix))
 
     def norm(self) -> float:
-        if self._norm is None:
+        def build():
             basis = self.normal_basis()
             if basis is None:
-                self._norm = float(self._singular_values()[0])
-            else:
-                self._norm = float(np.max(np.abs(basis[0])))
-        return self._norm
+                return float(self._singular_values()[0])
+            return float(np.max(np.abs(basis[0])))
+
+        return kept(self, ("norm",), build)
 
     def inverse_norm(self) -> float:
         """||A^{-1}||; 1/inverse_norm lower-bounds the distance of the
         spectrum to the origin."""
-        if self._inv_norm is None:
+        def build():
             # the weight 1 + |z| is 1 at z = 0
             inv_norm = float(_weighted_norms(self, np.zeros(1))[0])
             if inv_norm == np.inf:
                 raise SingularShift("A is numerically singular (0 is on the spectrum)",
                                     shift=0.0)
-            self._inv_norm = inv_norm
-        return self._inv_norm
+            return inv_norm
+
+        return kept(self, ("inv_norm",), build)
 
     def angle(self) -> float:
         if self.certified is None:

@@ -51,7 +51,7 @@ test of `linops` on the diagonals: a node on either spectrum raises
 SingularShift naming that node.  K depends only on the pair, whose
 members are fixed, and on its contour and tol, so the pair keeps each K
 that passed the residual gate with its residual
-(`CommutingPair._inverses`): the weighted identities share one, and
+(`sector.kept`): the weighted identities share one, and
 `closedness_certificate` reads the one `sum_inverse` took.  Radial splits at
 |lambda| = 1 and e^n, and the e-adic rearrangement of the middle
 annulus, are provided for the split diagnostics; both were
@@ -60,7 +60,7 @@ cross-checked against scalar residue oracles.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -68,7 +68,7 @@ from . import linops
 from .calculus import complex_power, fractional_power
 from .contour import ContourSpec, DunfordResult, _resolvent_sum, fit_contour, gauss_panels
 from .errors import SingularShift, TruncationNotConverged
-from .sector import MatrixOperator
+from .sector import MatrixOperator, kept
 
 PROBE_SEED = 0x5EC705  # recorded seed for certificate probe vectors
 
@@ -100,17 +100,12 @@ class CommutingPair:
     keeps its joint basis, and the inverses K that passed
     :func:`sum_inverse`'s residual gate with their two-sided residuals,
     per (contour spec, tol), the _INVERSES_KEPT most recently used, with
-    read-only arrays: the weighted identities and
+    read-only arrays (:func:`sector.kept`): the weighted identities and
     :func:`closedness_certificate` reuse them.
     """
 
     A: MatrixOperator
     B: MatrixOperator
-    # joint_basis verdict, None included, once _joint_known is set
-    _joint: tuple | None = field(default=None, init=False, repr=False)
-    _joint_known: bool = field(default=False, init=False, repr=False)
-    # (spec, tol) -> (K, residual), least recently used first, see _inverse
-    _inverses: dict = field(default_factory=dict, init=False, repr=False)
 
     def __setattr__(self, name, value):
         if name in ("A", "B") and name in vars(self):
@@ -163,10 +158,7 @@ class CommutingPair:
         needs more, or that commutes only to a looser tolerance, fails the
         test and is resolved member by member.
         """
-        if not self._joint_known:
-            self._joint = _joint_basis(self.A, self.B)
-            self._joint_known = True
-        return self._joint
+        return kept(self, ("joint",), lambda: _joint_basis(self.A, self.B))
 
 
 def _joint_basis(A: MatrixOperator, B: MatrixOperator):
@@ -340,45 +332,45 @@ def sum_inverse(
 
 def _inverse(pair: CommutingPair, spec: ContourSpec | None, tol: float):
     """(K, its two-sided residual) of :func:`sum_inverse`, K read-only
-    and kept on the pair (see :class:`CommutingPair`); nothing is kept
-    when an error is raised.
+    and kept on the pair per ("K", spec, tol), the _INVERSES_KEPT most
+    recently used (:func:`sector.kept`); nothing is kept when an error
+    is raised."""
+    spec = spec or inverse_contour(pair, tol)
+    return kept(pair, ("K", spec, float(tol)), lambda: _gated_inverse(pair, spec, tol),
+                recent=_INVERSES_KEPT)
+
+
+def _gated_inverse(pair: CommutingPair, spec: ContourSpec, tol: float):
+    """(K, its two-sided residual) over spec, or TruncationNotConverged
+    when the residual exceeds tol.
 
     A residual that the tail estimate accounts for (within a factor 100,
     after scaling by ||A|| + ||B||) asks for a finer ray rule; one far
     above it points at spectrum inside the separating sector, which a
     certificate that overstates an angle lets in.
     """
-    spec = spec or inverse_contour(pair, tol)
-    key = (spec, float(tol))
-    kept = pair._inverses.pop(key, None)
-    if kept is None:
-        try:
-            info = _pair_integral(pair, spec, -1.0)
-        except SingularShift as exc:
-            raise SingularShift(
-                f"contour node z={exc.shift} hits a spectrum; pass a spec whose "
-                f"rays avoid both spectra (theta={spec.theta:.4f})",
-                shift=exc.shift,
-            ) from exc
-        resid = _inverse_residual(pair, info.value)
-        if resid > tol:
-            tail = info.tail_estimate
-            if 100.0 * tail * max(1.0, pair.A.norm() + pair.B.norm()) >= resid:
-                cause = f"pass a finer ray rule (tail estimate {tail:.3e})"
-            else:
-                cause = (
-                    f"the tail estimate {tail:.3e} is far below it, so the separating "
-                    f"sector may contain spectrum: a certificate that overstates an angle "
-                    f"(theta_A = {pair.A.angle():.4f}, theta_B = {pair.B.angle():.4f}), "
-                    f"or a ray step too coarse for a spectrum near the rays")
-            raise TruncationNotConverged(
-                f"sum-inverse residual {resid:.3e} exceeds {tol:.3e}; {cause}")
-        info.value.flags.writeable = False
-        kept = (info.value, resid)
-    pair._inverses[key] = kept
-    while len(pair._inverses) > _INVERSES_KEPT:
-        del pair._inverses[next(iter(pair._inverses))]
-    return kept
+    try:
+        info = _pair_integral(pair, spec, -1.0)
+    except SingularShift as exc:
+        raise SingularShift(
+            f"contour node z={exc.shift} hits a spectrum; pass a spec whose "
+            f"rays avoid both spectra (theta={spec.theta:.4f})",
+            shift=exc.shift,
+        ) from exc
+    resid = _inverse_residual(pair, info.value)
+    if resid > tol:
+        tail = info.tail_estimate
+        if 100.0 * tail * max(1.0, pair.A.norm() + pair.B.norm()) >= resid:
+            cause = f"pass a finer ray rule (tail estimate {tail:.3e})"
+        else:
+            cause = (
+                f"the tail estimate {tail:.3e} is far below it, so the separating "
+                f"sector may contain spectrum: a certificate that overstates an angle "
+                f"(theta_A = {pair.A.angle():.4f}, theta_B = {pair.B.angle():.4f}), "
+                f"or a ray step too coarse for a spectrum near the rays")
+        raise TruncationNotConverged(
+            f"sum-inverse residual {resid:.3e} exceeds {tol:.3e}; {cause}")
+    return info.value, resid
 
 
 def _weighted_identity(pair, w, spec, tol, s):

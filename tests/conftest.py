@@ -17,6 +17,15 @@ def certified(matrix, angle) -> MatrixOperator:
     return op
 
 
+@pytest.fixture
+def schur_calls(monkeypatch):
+    """One entry per linops.schur_form call, from here on."""
+    calls = []
+    schur_form = linops.schur_form
+    monkeypatch.setattr(linops, "schur_form", lambda M: calls.append(1) or schur_form(M))
+    return calls
+
+
 @pytest.fixture(scope="session")
 def diag14():
     return certified(np.diag([1.0, 4.0]), 0.9 * np.pi)

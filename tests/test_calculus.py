@@ -360,9 +360,11 @@ def test_imaginary_powers_match_expm_of_logm(name):
 def test_family_at_many_matches_per_t_sums(matrix, panel_first):
     A = certified(matrix, 0.75 * np.pi)
     fam = ImaginaryPowerFamily(A, t_max=4.0)
+    basis = A.resolvent_basis()
+    table = linops.basis_resolvents(basis, fam.lam)
     # both summation orders of at_many are held to the same bound: panel
     # first on a normal table, the outer product of the phases on a Schur one
-    assert (fam.table.ndim == 2) == panel_first
+    assert (table.ndim == 2) == panel_first
     ts = np.concatenate([np.linspace(-4.0, 4.0, 33), [0.0, 0.37]])
     many = fam.at_many(ts)
     assert many.shape == (len(ts), A.dim, A.dim)
@@ -371,12 +373,11 @@ def test_family_at_many_matches_per_t_sums(matrix, panel_first):
     # over the stored table, each weight a principal power of its own; the
     # terms cancel up to ~500-fold at |t| = 4, so rounding is measured against the
     # sum of their magnitudes
-    basis = A.resolvent_basis()
     norm_a = np.linalg.norm(A.matrix, 2)
     direct, size = [], []
     for t in ts:
         terms = (fam.w * (-fam.lam) ** (-1.0 + 1j * t)).reshape(
-            (-1,) + (1,) * (fam.table.ndim - 1)) * fam.table
+            (-1,) + (1,) * (table.ndim - 1)) * table
         direct.append(np.eye(A.dim) if t == 0.0
                       else A.matrix @ linops.from_basis(basis, terms.sum(axis=0)))
         size.append(norm_a * np.sum(np.linalg.norm(terms.reshape(len(terms), -1), axis=1)))
@@ -426,19 +427,19 @@ def test_family_panel_phases_match_its_midpoints():
 
 
 def test_family_table_keeps_every_stored_entry():
-    # a Schur table's all-zero entries are left out once, at build; the
-    # table put back has them zero and every other entry as resolved
+    # a Schur table's all-zero entries are left out once, at build, and
+    # every other entry is stored as resolved
     M = _laplacian(8) + 90.0 * (np.eye(8, k=1) - np.eye(8, k=-1))
     A = certified(M, 0.9 * np.pi)
     fam = ImaginaryPowerFamily(A, t_max=4.0)
-    basis = A.resolvent_basis()
-    direct = linops.basis_resolvents(basis, fam.lam)
-    table = fam.table
-    assert table.shape == direct.shape == (len(fam.lam), 8, 8)
+    direct = linops.basis_resolvents(A.resolvent_basis(), fam.lam)
+    assert direct.shape == (len(fam.lam), 8, 8)
     assert len(fam._used) == 8 * 9 // 2
     left_out = np.ones(64, dtype=bool)
     left_out[fam._used] = False
-    assert not table.reshape(len(table), -1)[:, left_out].any()
     assert not direct.reshape(len(direct), -1)[:, left_out].any()
-    # resolved in stack-budget chunks here and in one batch above
-    assert np.allclose(table, direct, rtol=1e-13, atol=0.0)
+    stored = np.concatenate([part.reshape(-1, len(fam._used))
+                             for part in (fam._arc_t, fam._dn_t, fam._up_t)])
+    # resolved in stack-budget chunks there and in one batch here
+    assert np.allclose(stored, direct.reshape(len(direct), -1)[:, fam._used],
+                       rtol=1e-13, atol=0.0)

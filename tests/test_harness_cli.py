@@ -745,6 +745,24 @@ RANGE_BASE = {
 }
 # m is the largest entry modulus of m.csv
 RANGE_CONTEXT = {"theta": 2.0, "n": 1, "m": 2.0}
+# the objects inside a config that the README's table names in place of a
+# pipeline: each field of a recipe, with a kind that takes it, and of a
+# certification's sampling
+NESTED = {"recipe": {"m": "laplacian-1d", "n": "diag-positive", "size": "jordan"},
+          "sampling": {"n_boundary": None, "n_angles": None, "interior_density": None}}
+INTEGER_FIELDS = {"n", "N_t", "nt", "sizes", "m", "size", "n_boundary", "n_angles",
+                  "interior_density"}
+
+
+def _range_config(where: str, field: str, value) -> dict:
+    """RANGE_BASE's config of a pipeline with field set to value, or a
+    certify config with it inside a recipe or its sampling."""
+    if where == "recipe":
+        return {"pipeline": "certify", "theta": 2.0,
+                "recipe": {"kind": NESTED["recipe"][field], field: value}}
+    if where == "sampling":
+        return {"pipeline": "certify", **RANGE_BASE["certify"], "sampling": {field: value}}
+    return {"pipeline": where, **RANGE_BASE[where], field: value}
 
 
 def _readme_value(text: str) -> float:
@@ -756,7 +774,7 @@ def _readme_value(text: str) -> float:
 
 def _readme_range(cell: str):
     """(lo, hi, ends) of a numeric range cell, or the cell's kind."""
-    for kind in ("one of", "with Re w < 0", "nonempty list"):
+    for kind in ("one of", "with Re w < 0"):
         if kind in cell:
             return kind
     if match := re.match(r"([\[(])(.+?), (.+?)([\])])", cell):
@@ -793,8 +811,6 @@ def _out_of_range(rng, integer: bool) -> list:
         return ["none-of-these"]
     if rng == "with Re w < 0":
         return [[0.0, 0.0]]
-    if rng == "nonempty list":
-        return [[]]
     lo, hi, ends = rng
     step = (lambda v: 1) if integer else (lambda v: 1e-9 * max(1.0, abs(v)))
     values = []
@@ -806,16 +822,17 @@ def _out_of_range(rng, integer: bool) -> list:
 
 
 def test_readme_ranges_are_the_ones_the_harness_checks(tmp_path, monkeypatch):
-    # every range check of a pipeline goes through harness._field, with
-    # bounds or a kind that validates; record them on runs that pass
+    # every range check of a pipeline, a recipe or a sampling goes through
+    # harness._field, with bounds or a kind that validates; record them on
+    # runs that pass
     from sectorsum import harness
     checked, field = {}, harness._field
     plain = (float, harness._integer)
 
     def recording(cfg, key, kind, default, lo=None, hi=None, ends="[]"):
-        if "pipeline" in cfg and (lo is not None or hi is not None or kind not in plain):
-            checked[cfg["pipeline"], key] = (
-                (lo, hi, ends) if lo is not None or hi is not None else kind)
+        where = cfg.get("pipeline") or next((w for w in NESTED if key in NESTED[w]), None)
+        if where and (lo is not None or hi is not None or kind not in plain):
+            checked[where, key] = (lo, hi, ends) if lo is not None or hi is not None else kind
         return field(cfg, key, kind, default, lo, hi, ends)
 
     monkeypatch.setattr(harness, "_field", recording)
@@ -823,6 +840,9 @@ def test_readme_ranges_are_the_ones_the_harness_checks(tmp_path, monkeypatch):
     write_matrix("m.csv", np.diag([1.0, 2.0]).astype(complex))
     for pipeline, cfg in RANGE_BASE.items():
         run_config({"schema_version": 1, "pipeline": pipeline, **cfg}, str(tmp_path))
+    for where, fields in NESTED.items():
+        for key in fields:
+            run_config({"schema_version": 1, **_range_config(where, key, 2)}, str(tmp_path))
     assert set(checked) == set(README_RANGES)
     for key, rng in README_RANGES.items():
         if isinstance(rng, tuple):
@@ -838,12 +858,12 @@ def test_readme_ranges_are_the_ones_the_harness_checks(tmp_path, monkeypatch):
 def test_readme_range_edges_exit_2(tmp_path, capsys, monkeypatch, pipeline, field):
     monkeypatch.chdir(tmp_path)
     write_matrix("m.csv", np.diag([1.0, 2.0]).astype(complex))
-    integer = field in ("n", "N_t", "nt")
-    values = _out_of_range(README_RANGES[pipeline, field], integer)
+    values = _out_of_range(README_RANGES[pipeline, field], field in INTEGER_FIELDS)
     assert values
+    if field == "sizes":  # each value as the one size, and no size at all
+        values = [[v] for v in values] + [[]]
     for value in values:
-        cfg = _write_config(tmp_path / "cfg.json",
-                            {"pipeline": pipeline, **RANGE_BASE[pipeline], field: value})
+        cfg = _write_config(tmp_path / "cfg.json", _range_config(pipeline, field, value))
         assert cli_main(["--out", str(tmp_path), "run", "--config", cfg]) == 2, value
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err, value

@@ -105,7 +105,7 @@ def _eigen_and_dense(M):
     A = MatrixOperator(M)
     certify_sector(A, 0.7 * np.pi)
     dense = MatrixOperator(M, A.certified)
-    dense._basis_known = True
+    dense.normal_basis = lambda: None
     return A, dense
 
 
