@@ -240,8 +240,19 @@ def _pivot_distances(d, z: np.ndarray, off: float = 0.0):
     when min_i |d_i + z_k| <= SINGULAR_RTOL * ||T + z_k I||_F.  The
     d_i + z_k are the pivots of T + z_k I, and T is unitarily similar to
     M, so this is ShiftedFactorization's pivot test on a matrix with the
-    Frobenius norm of M + z_k I.
+    Frobenius norm of M + z_k I.  The (shifts x n) distance table is
+    taken a stack of shifts at a time, so memory stays within the stack
+    budget whatever the number of shifts.
     """
+    step = stack_step(16 * d.shape[0])
+    if z.shape[0] <= step:
+        return _pivot_chunk(d, z, off)
+    chunks = [_pivot_chunk(d, z[lo:lo + step], off) for lo in range(0, z.shape[0], step)]
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
+
+
+def _pivot_chunk(d, z: np.ndarray, off: float):
+    """:func:`_pivot_distances` of one stack of shifts."""
     dist = np.abs(z[:, None] + d)
     nearest = dist.min(axis=1)
     with np.errstate(over="ignore"):

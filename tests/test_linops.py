@@ -343,6 +343,47 @@ def test_pivot_test_scale_does_not_overflow():
     assert linops.spectral_resolvents(basis, [1e154 - 1e143]).shape == (1, 4)
 
 
+@pytest.mark.parametrize("off", [0.0, 2.5])
+def test_pivot_distances_in_chunks_match_one_table(monkeypatch, off):
+    # 3 shifts a chunk against every shift at once, with singular shifts
+    # and shifts whose sum of squares overflows in several chunks
+    rng = np.random.default_rng(5)
+    d = rng.standard_normal(4) * 10.0 ** rng.uniform(-3, 6, 4) + 1j * rng.standard_normal(4)
+    z = (rng.standard_normal(40) + 1j * rng.standard_normal(40)) * 10.0 ** rng.uniform(-3, 6, 40)
+    z[::7] = -d[np.arange(6) % 4]
+    z[3::11] = 1e300 * np.exp(1j * np.arange(4))
+    monkeypatch.setattr(linops, "_SHIFT_STACK_BYTES", 1 << 40)
+    whole = linops._pivot_distances(d, z, off)
+    monkeypatch.setattr(linops, "_SHIFT_STACK_BYTES", 3 * 16 * 4)
+    assert linops.stack_step(16 * 4) == 3
+    chunked = linops._pivot_distances(d, z, off)
+    assert whole[1].any() and not whole[1].all()
+    for a, b in zip(whole, chunked, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_normal_certification_peak_memory_is_one_stack():
+    # 16701 shifts x 64 eigenvalues: the distance table alone would take
+    # 17 MB as complex sums; in chunks the peak is the stack budget's
+    # tables plus a few arrays of one entry per shift
+    import tracemalloc
+
+    from sectorsum import certify_sector, generate
+
+    L = generate("laplacian-1d", m=64)
+    sampling = SectorSampling(n_angles=128, interior_density=128)
+    shifts = sampling.points(0.9 * np.pi).size
+    certify_sector(L, 0.9 * np.pi, sampling)  # basis and radii built
+    tracemalloc.start()
+    try:
+        certify_sector(L, 0.9 * np.pi, sampling)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shifts * 64 * 16 > 16 * linops._SHIFT_STACK_BYTES
+    assert peak <= 2 * linops._SHIFT_STACK_BYTES + 64 * shifts
+
+
 # ------------------------------------------ resolvents applied to vectors
 
 SOLVE_OPERATORS = {

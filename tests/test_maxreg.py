@@ -427,23 +427,34 @@ def expm_calls(monkeypatch):
     expm = scipy.linalg.expm
 
     def counted(M):
-        calls.append(M.shape)
+        calls.append(np.array(M))
         return expm(M)
 
     monkeypatch.setattr(scipy.linalg, "expm", counted)
     return calls
 
 
+def assert_small_steps_only(calls, A, h):
+    # a normal stepper's one batched exponential holds the 1 x 1 blocks
+    # -h d of exactly its steps with |h d| < 1, in order; the stiff ones
+    # take closed forms
+    d = A.normal_basis()[0]
+    small = d[np.abs(h * d) < 1.0]
+    assert 0 < small.size < d.size
+    assert [M.shape for M in calls] == [(small.size, 3, 3)]
+    assert np.array_equal(calls[0][:, 0, 0], -h * small)
+
+
 def test_one_expm_per_maxreg_constant(expm_calls):
     L = generate("laplacian-1d", m=8)
     maxreg_constant(L, TimeGrid(1.0, 64))
-    assert len(expm_calls) == 1
+    assert_small_steps_only(expm_calls, L, 1.0 / 64)
 
 
 def test_one_expm_per_p_independence_probe(expm_calls):
     L = generate("laplacian-1d", m=8)
     p_independence_probe(L, 1.0, 64)
-    assert len(expm_calls) == 1
+    assert_small_steps_only(expm_calls, L, 1.0 / 64)
 
 
 @pytest.mark.parametrize("entry", [lambda A: maxreg_constant(A, TimeGrid(1.0, 64)),
@@ -451,13 +462,35 @@ def test_one_expm_per_p_independence_probe(expm_calls):
                          ids=["maxreg_constant", "p_independence_probe"])
 @pytest.mark.parametrize("normal", [True, False], ids=["laplacian", "conv-diff"])
 def test_block_exponentials_by_shape(expm_calls, entry, normal):
-    # a normal operator steps on its eigenvalues: one batched 3 x 3
-    # exponential and never the 3n x 3n block; any other takes that block
-    # exactly once per (A, dt)
+    # a normal operator steps on its eigenvalues: at most one batched 3 x 3
+    # exponential, over its steps with |h d| < 1 (2 of 8 here), and never
+    # the 3n x 3n block; any other takes that block exactly once per (A, dt)
     m = 8
     A = generate("laplacian-1d", m=m) if normal else MatrixOperator(convection_diffusion(m=m))
     entry(A)
-    assert expm_calls == [(m, 3, 3) if normal else (3 * m, 3 * m)]
+    if normal:
+        assert_small_steps_only(expm_calls, A, 1.0 / 64)
+    else:
+        assert [M.shape for M in expm_calls] == [(3 * m, 3 * m)]
+
+
+@pytest.mark.parametrize("entry", [lambda A: maxreg_constant(A, TimeGrid(1.0, 64)),
+                                   lambda A: p_independence_probe(A, 1.0, 64),
+                                   lambda A: solve_cauchy(A, ones(TimeGrid(1.0, 64), dim=2))],
+                         ids=["maxreg_constant", "p_independence_probe", "solve_cauchy"])
+def test_stiff_normal_operator_takes_no_exponential(expm_calls, entry):
+    # h d = 156 and 312: every step takes the closed forms
+    entry(MatrixOperator(np.diag([1e4, 2e4]).astype(complex)))
+    assert expm_calls == []
+
+
+def test_derivative_resolvent_exponential_only_below_one(expm_calls):
+    grid = TimeGrid(1.0, 64)
+    for lam in (64.0, 1e3 - 1e3j, 64.0j):
+        deriv_resolvent(lam, ones(grid))
+    assert expm_calls == []
+    deriv_resolvent(32.0, ones(grid))
+    assert [M.shape for M in expm_calls] == [(1, 3, 3)]
 
 
 @pytest.mark.parametrize("m", [16, 48])
