@@ -8,10 +8,11 @@ failed, 2 configuration or usage error.
 
 import argparse
 import json
+import math
 import sys
 
-from .errors import ConfigInvalid, IncompatibleReports, InvalidRecipe, SectorsumError
-from .harness import run_config, run_experiment
+from .errors import (ConfigInvalid, IncompatibleReports, InvalidRecipe, ReportInvalid,
+                     SectorsumError)
 from .reports import CertificateReport, report_diff
 
 # the other direct subcommands run the pipeline of their own name
@@ -89,10 +90,15 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "report-diff":
+            if not 0.0 <= args.tol < math.inf:
+                raise ConfigInvalid(f"--tol must be finite and not negative, got {args.tol}")
             doc = report_diff(CertificateReport.load(args.report_a),
                               CertificateReport.load(args.report_b), tol=args.tol)
             print(json.dumps(doc, indent=2))
             return 0 if doc["all_within_tol"] else 1
+        # only the subcommands that run a pipeline load the harness
+        from .harness import run_config, run_experiment
+
         if args.command == "run":
             paths, ok = run_experiment(args.config, args.out)
             print(json.dumps({"written": paths, "passed": ok}, indent=2))
@@ -105,7 +111,7 @@ def main(argv=None) -> int:
         cfg = {"schema_version": 1, "pipeline": PIPELINE_OF.get(args.command, args.command),
                "seed": 0, "out_prefix": args.command, **flags}
         _, report = run_config(cfg, args.out)
-    except (ConfigInvalid, InvalidRecipe, IncompatibleReports) as exc:
+    except (ConfigInvalid, InvalidRecipe, IncompatibleReports, ReportInvalid) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SectorsumError as exc:

@@ -54,7 +54,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import AsymmetryDetected, InvalidContour, TruncationNotConverged
 from .linops import stack_step
@@ -222,6 +221,10 @@ def fit_contour(theta: float, poles, decay, magnitude: float, tol: float,
 def _legendre_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
     """The q-point Gauss-Legendre rule on [-1, 1], read-only, computed
     once per q."""
+    # numpy.polynomial takes 2-7 ms to import, which a process that needs
+    # no Gauss-Legendre rule (a certification) does not pay
+    from numpy.polynomial.legendre import leggauss
+
     x, w = leggauss(q)
     x.flags.writeable = w.flags.writeable = False
     return x, w

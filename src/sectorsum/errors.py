@@ -94,3 +94,7 @@ class ConfigInvalid(SectorsumError):
 
 class IncompatibleReports(SectorsumError):
     """Reports describe different operations and cannot be diffed."""
+
+
+class ReportInvalid(SectorsumError):
+    """A report file is missing, unreadable, or not a report's JSON."""

@@ -5,7 +5,8 @@ parameters (and a seed where randomness is involved).  Experiments are
 JSON configs with a versioned schema and strict key checking: unknown
 keys are rejected so archived runs stay auditable.  Every pipeline is
 one function in :data:`PIPELINES`; ``run --config`` and the direct CLI
-subcommands both go through :func:`run_config`.
+subcommands both go through :func:`run_config`.  A pipeline imports the
+modules it runs when it is called, so a process loads only those.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
+import time
 
 import numpy as np
 
-from . import calculus, linops, maxreg, sums, tsector
-from .contour import build_nodes
+from . import linops
 from .errors import ConfigInvalid, InvalidRecipe
 from .reports import CertificateReport
 from .sector import MatrixOperator, SectorSampling, certify_sector
@@ -222,7 +224,7 @@ def _load_operator(cfg: dict, key_matrix="matrix", key_recipe="recipe", theta=No
     if key_matrix in cfg:
         path = cfg[key_matrix]
         try:
-            op = MatrixOperator(linops.read_matrix(path))
+            op = MatrixOperator(linops.read_matrix(path, max_dim=_DIM_LIMIT))
         except (OSError, ValueError) as exc:
             raise ConfigInvalid(f"cannot read matrix {path}: {exc}") from exc
         default_angle, default_sampling = 0.75 * np.pi, None
@@ -281,6 +283,8 @@ def _certify(cfg, seed, out_dir):
 
 
 def _power(cfg, seed, out_dir):
+    from . import calculus
+
     op = _load_operator(cfg, theta=_angle(cfg, "theta"), seed=seed)
     z = complex(_field(cfg, "re", float, -0.5, hi=0.0, ends="()"), _field(cfg, "im", float, 0.0))
     value, info = calculus.complex_power(op, z, with_info=True)
@@ -298,6 +302,8 @@ def _power(cfg, seed, out_dir):
 
 
 def _hinf(cfg, seed, out_dir):
+    from . import calculus
+
     # certified at min(0.95 pi, theta + 0.3), strictly above the symbol angle
     theta = _field(cfg, "theta", float, np.pi / 2, lo=0.0, hi=0.95 * np.pi, ends="()")
     op = _load_operator(cfg, theta=min(0.95 * np.pi, theta + 0.3), seed=seed)
@@ -316,6 +322,9 @@ def _hinf(cfg, seed, out_dir):
 
 
 def _sum(cfg, seed, out_dir):
+    from . import sums
+    from .contour import build_nodes
+
     # both sides share the seed: commuting-pair recipes build A and B on
     # one seeded basis
     theta_a, theta_b = (_angle(cfg, key) for key in ("theta_a", "theta_b"))
@@ -355,6 +364,8 @@ def _sum(cfg, seed, out_dir):
 
 
 def _tsector(cfg, seed, out_dir):
+    from . import tsector
+
     op = _load_operator(cfg, theta=_angle(cfg, "theta"), seed=seed)
     phi = _field(cfg, "phi", float, 0.0, lo=-op.angle(), hi=op.angle())
     r = _field(cfg, "r", float, 1.0, lo=np.exp(-1.0), hi=1.0)
@@ -379,6 +390,8 @@ def _tsector(cfg, seed, out_dir):
 
 
 def _rep_check(cfg, seed, out_dir):
+    from . import tsector
+
     op = _load_operator(cfg, seed=seed)
     # rho A, in the direct solve, within the entry limit of an operator
     rho = _field(cfg, "rho", float, None, lo=0.0, hi=_ENTRY_LIMIT / np.max(np.abs(op.matrix)),
@@ -400,6 +413,8 @@ def _rep_check(cfg, seed, out_dir):
 def _time_grid(cfg, nt_default):
     """The config's (tau, nt, p) grid, in the ranges TimeGrid takes; a
     step tau / nt that underflows is a config error too."""
+    from . import maxreg
+
     try:
         return maxreg.TimeGrid(_field(cfg, "tau", float, 1.0, lo=0.0, ends="()"),
                                _field(cfg, "nt", _integer, nt_default, lo=16,
@@ -418,6 +433,8 @@ def _maxreg_holds(op: MatrixOperator, constants) -> bool:
 
 
 def _maxreg(cfg, seed, out_dir):
+    from . import maxreg
+
     grid = _time_grid(cfg, 512)
     tau, p, nt = grid.tau, grid.p, grid.N_t
     # the refined grid is checked before any constant is computed
@@ -447,6 +464,8 @@ def _maxreg(cfg, seed, out_dir):
 
 
 def _sweep(cfg, seed, out_dir):
+    from . import maxreg
+
     kind = cfg.get("kind", "maxreg-laplacian")
     if kind != "maxreg-laplacian":
         raise ConfigInvalid(f"unknown sweep kind {kind!r}")
@@ -471,6 +490,26 @@ def _sweep(cfg, seed, out_dir):
     ), [csv_path]
 
 
+_THREAD_VARS = ("SECTORSUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS")
+
+
+def _provenance(wall_s: float) -> dict:
+    """What produced a report, for its volatile envelope: the pipeline's
+    wall time, the thread variables as set, the versions of Python, numpy
+    and (only when already loaded) scipy, and the sectorsum modules
+    loaded.  It imports nothing."""
+    versions = {"python": sys.version.split()[0], "numpy": np.__version__}
+    if "scipy" in sys.modules:
+        versions["scipy"] = sys.modules["scipy"].__version__
+    return {
+        "wall_s": wall_s,
+        "threads": {var: os.environ[var] for var in _THREAD_VARS if var in os.environ},
+        "versions": versions,
+        "modules": sorted(m for m in sys.modules if m.startswith("sectorsum.")),
+    }
+
+
 PIPELINES = {"certify": _certify, "power": _power, "hinf": _hinf, "sum": _sum,
              "t-sector": _tsector, "rep-check": _rep_check, "maxreg": _maxreg,
              "sweep": _sweep}
@@ -485,7 +524,9 @@ def run_config(cfg: dict, out_dir: str = ".") -> tuple[list[str], CertificateRep
     cfg = validate_config(cfg)
     seed = _field(cfg, "seed", _integer, DEFAULT_SEED)
     os.makedirs(out_dir, exist_ok=True)
+    start = time.perf_counter()
     report, extra = PIPELINES[cfg["pipeline"]](cfg, seed, out_dir)
+    report.envelope.update(_provenance(time.perf_counter() - start))
     json_path = os.path.join(out_dir, f"{cfg.get('out_prefix', cfg['pipeline'])}.json")
     report.save(json_path)
     return [json_path, *extra], report

@@ -604,19 +604,26 @@ def write_matrix(path, M) -> None:
             fh.write(",".join(_format_entry(v) for v in row) + "\n")
 
 
-def read_matrix(path) -> np.ndarray:
-    """Read a matrix written by :func:`write_matrix`."""
+def read_matrix(path, max_dim: int | None = None) -> np.ndarray:
+    """Read a matrix written by :func:`write_matrix`.
+
+    A dimension (the first line) above ``max_dim`` raises ValueError
+    before any row is read."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty matrix file")
-    n = int(lines[0])
-    if n < 1:
-        raise ValueError(f"{path}: matrix size {n} is not positive")
-    if len(lines) != n + 1:
-        raise ValueError(f"{path}: expected {n} rows, found {len(lines) - 1}")
+        lines = filter(None, (ln.strip() for ln in fh))
+        header = next(lines, None)
+        if header is None:
+            raise ValueError(f"{path}: empty matrix file")
+        n = int(header)
+        if n < 1:
+            raise ValueError(f"{path}: matrix size {n} is not positive")
+        if max_dim is not None and n > max_dim:
+            raise ValueError(f"{path}: matrix size {n} is past the cap of {max_dim}")
+        lines = list(lines)
+    if len(lines) != n:
+        raise ValueError(f"{path}: expected {n} rows, found {len(lines)}")
     rows = []
-    for ln in lines[1:]:
+    for ln in lines:
         entries = [_parse_entry(tok) for tok in ln.split(",")]
         if len(entries) != n:
             raise ValueError(f"{path}: row with {len(entries)} entries, expected {n}")

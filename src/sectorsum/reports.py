@@ -16,7 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IncompatibleReports
+from .errors import IncompatibleReports, ReportInvalid
+
+# the payload fields a report's JSON must hold, and which of them are objects
+_FIELDS = ("operation", "inputs", "tolerances", "node_counts", "outputs", "passed")
+_OBJECTS = ("inputs", "tolerances", "node_counts", "outputs", "grids", "envelope")
 
 
 def _canonical(obj):
@@ -94,17 +98,22 @@ class CertificateReport:
 
     @classmethod
     def from_json(cls, text: str) -> "CertificateReport":
-        doc = json.loads(text)
-        return cls(
-            operation=doc["operation"],
-            inputs=doc["inputs"],
-            tolerances=doc["tolerances"],
-            node_counts=doc["node_counts"],
-            outputs=doc["outputs"],
-            passed=doc["passed"],
-            grids=doc.get("grids", {}),
-            envelope=doc.get("envelope", {}),
-        )
+        """The report that :meth:`to_json` wrote; text that is not such a
+        report raises :class:`ReportInvalid`."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ReportInvalid(f"not JSON ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise ReportInvalid(f"a report is a JSON object, not a {type(doc).__name__}")
+        missing = [key for key in _FIELDS if key not in doc]
+        if missing:
+            raise ReportInvalid(f"report lacks the fields {missing}")
+        wrong = [key for key in _OBJECTS if not isinstance(doc.get(key, {}), dict)]
+        if wrong:
+            raise ReportInvalid(f"report fields {wrong} are not JSON objects")
+        return cls(**{key: doc[key] for key in _FIELDS},
+                   grids=doc.get("grids", {}), envelope=doc.get("envelope", {}))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -112,8 +121,13 @@ class CertificateReport:
 
     @classmethod
     def load(cls, path) -> "CertificateReport":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        """The report saved at path; a file that is missing, unreadable or
+        not a report raises :class:`ReportInvalid`."""
+        try:
+            with open(path) as fh:
+                return cls.from_json(fh.read())
+        except (OSError, UnicodeDecodeError, ReportInvalid) as exc:
+            raise ReportInvalid(f"cannot read report {path}: {exc}") from exc
 
     def equivalent(self, other: "CertificateReport") -> bool:
         return self.payload() == other.payload()

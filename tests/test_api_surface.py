@@ -8,6 +8,8 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import sectorsum
 
 # sectorsum.<name>: its parameters (a class: its __init__'s, without self)
@@ -59,7 +61,7 @@ EXPORTED = {
     "p_independence_probe": ("A", "tau", "N_t", "p_values"),
     "parseval_tsector_check": ("A", "phi", "r", "xs", "N_t"),
     "pv_integral": ("kernel", "cutoff", "n_nodes"),
-    "read_matrix": ("path",),
+    "read_matrix": ("path", "max_dim"),
     "report_diff": ("a", "b", "tol"),
     "resolvent_apply": ("A", "z", "x"),
     "resolvent_commute_check": ("A", "B", "lam", "mu"),
@@ -109,9 +111,26 @@ def _params(obj) -> tuple[str, ...]:
 
 
 def test_exported_callables_take_the_pinned_parameters():
-    exported = {name: _params(obj) for name, obj in vars(sectorsum).items()
-                if not name.startswith("_") and not inspect.ismodule(obj) and callable(obj)}
+    # the names resolve on first access, so the module dict need not hold them
+    exported = {name: _params(getattr(sectorsum, name)) for name in sectorsum.__all__}
     assert exported == EXPORTED
+
+
+def test_every_exported_name_resolves_to_its_module_object():
+    assert sectorsum.__all__ == sorted(EXPORTED)
+    listed = dir(sectorsum)
+    star: dict = {}
+    exec("from sectorsum import *", star)
+    for name in sectorsum.__all__:
+        obj = getattr(sectorsum, name)
+        assert obj.__module__.startswith("sectorsum.")
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+        assert name in listed
+        assert star[name] is obj
+    assert not set(star) - set(sectorsum.__all__) - {"__builtins__"}
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sectorsum.no_such_name  # noqa: B018
+    assert not hasattr(sectorsum, "_no_such_private")
 
 
 def test_dataclasses_take_the_pinned_fields():

@@ -179,8 +179,65 @@ def test_hinf_and_t_sector_configs_exit_cleanly(cfg):
     _exits_cleanly(cfg)
 
 
-def _exits_cleanly(cfg):
+# matrix files with one defect each: a malformed or non-finite entry, a
+# ragged row or a missing one, no content, every modulus outside
+# [1e-150, 1e150], or a dimension past its cap
+ENTRY = st.builds(lambda re, im: f"{re!r}{im:+.17g}i", st.floats(-10.0, 10.0),
+                  st.floats(-10.0, 10.0))
+MALFORMED = st.sampled_from(["two+0i", "1+2", "1+2j", "i", "", "1e+i", "--1+0i", "1+0i+0i",
+                             "0x1+0i", "1+ 0i"])
+NON_FINITE = st.sampled_from(["nan+0i", "0+nani", "inf+0i", "1-infi", "-inf+0i", "1e999+0i"])
+MODULUS = st.floats(1e-320, 1e-151) | st.floats(1.01e150, 1e308)
+
+
+@st.composite
+def bad_matrix_files(draw):
+    n = draw(st.integers(1, 4))
+    rows = [[draw(ENTRY) for _ in range(n)] for _ in range(n)]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    header = str(n)
+    defect = draw(st.sampled_from(["malformed", "non-finite", "ragged", "missing-row", "empty",
+                                   "modulus", "past-cap"]))
+    if defect == "malformed":
+        rows[i][j] = draw(MALFORMED)
+    elif defect == "non-finite":
+        rows[i][j] = draw(NON_FINITE)
+    elif defect == "ragged":
+        rows[i] = rows[i][:-1] if n > 1 else rows[i] * 2
+    elif defect == "missing-row":
+        del rows[i]
+    elif defect == "empty":
+        return draw(st.sampled_from(["", "\n", "  \n\n"]))
+    elif defect == "modulus":
+        rows = [[f"{draw(MODULUS) * draw(st.sampled_from([1, -1]))!r}+0i" for _ in row]
+                for row in rows]
+    else:
+        header = str(draw(PAST_CAP.map(int)))
+    return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+MATRIX_PIPELINES = st.sampled_from([
+    {"pipeline": "certify", "theta": 1.0}, {"pipeline": "power"},
+    {"pipeline": "rep-check", "rho": 1.0}, {"pipeline": "maxreg", "nt": 16}])
+
+
+@settings(max_examples=60, deadline=None)
+@example("2\n1+0i,0+0i\n0+0i\n", {"pipeline": "certify", "theta": 1.0})
+@example("1\n1e-200+0i\n", {"pipeline": "certify", "theta": 1.0})
+@example("2049\n1+0i\n", {"pipeline": "power"})
+@given(bad_matrix_files(), MATRIX_PIPELINES)
+def test_bad_matrix_files_exit_2(text, cfg):
+    assert _exits_cleanly(cfg, matrix=text) == 2
+
+
+def _exits_cleanly(cfg, matrix=None):
+    """The exit code of a run of cfg through the CLI, after checking that it
+    ran cleanly; with ``matrix``, the config reads a matrix file of that text."""
     with tempfile.TemporaryDirectory() as out:
+        if matrix is not None:
+            with open(os.path.join(out, "m.csv"), "w") as fh:
+                fh.write(matrix)
+            cfg = {**cfg, "matrix": os.path.join(out, "m.csv")}
         path = os.path.join(out, "cfg.json")
         with open(path, "w") as fh:
             json.dump({"schema_version": 1, **cfg}, fh)
@@ -193,9 +250,10 @@ def _exits_cleanly(cfg):
         assert rc in (0, 1, 2)
         if rc:
             assert stderr.getvalue().startswith(("check failed:", "config error:"))
-            return
+            return rc
         (report,) = [p for p in json.loads(stdout.getvalue())["written"] if p.endswith(".json")]
         with open(report) as fh:
             doc = json.load(fh)
     assert doc["passed"]
     assert all(math.isfinite(x) for x in _numbers(doc["outputs"]))
+    return rc

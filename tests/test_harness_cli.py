@@ -13,7 +13,7 @@ import pytest
 import sectorsum
 from sectorsum import CertificateReport, generate, report_diff, run_experiment
 from sectorsum.cli import _parser, main as cli_main
-from sectorsum.errors import ConfigInvalid, IncompatibleReports, InvalidRecipe
+from sectorsum.errors import ConfigInvalid, IncompatibleReports, InvalidRecipe, ReportInvalid
 from sectorsum.harness import PIPELINES, laplacian_eigenvalues, run_config, validate_config
 from sectorsum.linops import write_matrix
 
@@ -236,6 +236,65 @@ def test_cli_report_diff(tmp_path, capsys):
     capsys.readouterr()
 
 
+# report files that are not reports: each side of the diff in turn
+BAD_REPORTS = {
+    "missing": None,
+    "not-json": '{"operation": "op", ',
+    "no-operation": {"inputs": {}, "tolerances": {}, "node_counts": {}, "outputs": {},
+                     "passed": True},
+    "list": [1, 2],
+    "outputs-not-object": {"operation": "op", "inputs": {}, "tolerances": {}, "node_counts": {},
+                           "outputs": [2.0], "passed": True},
+}
+
+
+@pytest.mark.parametrize("case", BAD_REPORTS)
+def test_cli_report_diff_bad_report_exits_2(tmp_path, capsys, case):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    CertificateReport("op", {"x": 1}, {}, {}, {"v": 2.0}, True).save(good)
+    content = BAD_REPORTS[case]
+    if content is not None:
+        bad.write_text(content if isinstance(content, str) else json.dumps(content))
+    with pytest.raises(ReportInvalid, match="cannot read report"):
+        CertificateReport.load(bad)
+    for pair in ((good, bad), (bad, good)):
+        assert cli_main(["report-diff", str(pair[0]), str(pair[1])]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"config error: cannot read report {bad}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_cli_report_diff_bad_tol_exits_2(tmp_path, capsys, tol):
+    path = tmp_path / "r.json"
+    CertificateReport("op", {}, {}, {}, {"v": 2.0}, True).save(path)
+    assert cli_main(["report-diff", str(path), str(path), "--tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --tol") and err.count("\n") == 1
+    assert cli_main(["report-diff", str(path), str(path), "--tol", "-0.0"]) == 0
+    capsys.readouterr()
+
+
+def test_report_envelope_records_what_produced_it(tmp_path, monkeypatch):
+    from sectorsum import harness
+
+    monkeypatch.setenv("SECTORSUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = {"schema_version": 1, "pipeline": "certify", "theta": 1.0,
+           "recipe": {"kind": "diag-positive", "n": 2}}
+    paths, rep = run_config(cfg, str(tmp_path))
+    env = CertificateReport.load(paths[0]).envelope
+    assert env == rep.envelope
+    assert set(env) == {"timestamp", "wall_s", "threads", "versions", "modules"}
+    assert 0.0 < env["wall_s"] < 60.0
+    assert env["threads"] == {v: os.environ[v] for v in harness._THREAD_VARS if v in os.environ}
+    assert env["threads"]["SECTORSUM_THREADS"] == "1" and "MKL_NUM_THREADS" not in env["threads"]
+    assert env["versions"]["python"] == "%d.%d.%d" % sys.version_info[:3]
+    assert env["versions"]["numpy"] == np.__version__
+    assert ("scipy" in env["versions"]) == ("scipy" in sys.modules)
+    assert env["modules"] == sorted(m for m in sys.modules if m.startswith("sectorsum."))
+
+
 def test_cli_hilbert_symbol_unknown(tmp_path, capsys):
     mpath = tmp_path / "m.csv"
     write_matrix(mpath, np.diag([1.0]).astype(complex))
@@ -377,6 +436,30 @@ def test_cli_bad_matrix_file_exits_2(tmp_path, capsys, content):
                    "--theta", "1.0"])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_readme_matrix_file_cap_is_checked_before_any_entry(tmp_path, capsys, monkeypatch):
+    from sectorsum import linops
+
+    row = re.search(r"^\| a matrix file \| .+ \| \[1, (\d+)\] \|$", _readme(), re.MULTILINE)
+    assert row is not None
+    cap = int(row.group(1))
+    parsed = []
+    parse = linops._parse_entry
+    monkeypatch.setattr(linops, "_parse_entry", lambda s: parsed.append(s) or parse(s))
+    mpath = tmp_path / "m.csv"
+    # one past the cap, over as many one-entry rows: the row count holds,
+    # so only the cap keeps the entries from being parsed
+    mpath.write_text(f"{cap + 1}\n" + "1+0i\n" * (cap + 1))
+    args = ["--out", str(tmp_path), "certify-sector", "--matrix", str(mpath), "--theta", "1.0"]
+    assert cli_main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"size {cap + 1} is past the cap of {cap}" in err
+    assert parsed == []
+    # the cap itself is admitted: the file is refused for its row count
+    mpath.write_text(f"{cap}\n1+0i\n")
+    assert cli_main(args) == 2
+    assert f"expected {cap} rows, found 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -707,6 +790,82 @@ def test_numpy_only_pipelines_never_load_scipy(tmp_path):
     # a non-normal operator takes a Schur form, and maxreg an exponential
     assert loaded(["power", "--matrix", "cd.csv", "--re", "-0.5"])["scipy"] == [False, True]
     assert loaded(["maxreg", *lap, "--nt", "64"])["scipy"] == [False, True]
+
+
+def test_import_sectorsum_loads_no_module_until_a_name_is_used(tmp_path):
+    probe = (
+        "import json, sys\n"
+        "import sectorsum\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('sectorsum.') or m == 'numpy')\n"
+        "before = loaded()\n"
+        "sectorsum.maxreg.default_probes\n"
+        "print(json.dumps([before, loaded()]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=_src_env(), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120, check=True)
+    before, after = json.loads(proc.stdout)
+    assert before == []
+    assert after == ["numpy", "sectorsum.errors", "sectorsum.linops", "sectorsum.maxreg",
+                     "sectorsum.sector"]
+
+
+# the sectorsum modules each subcommand loads, on a Laplacian
+CERTIFY_MODULES = ["cli", "errors", "harness", "linops", "reports", "sector"]
+CONTOUR_MODULES = sorted([*CERTIFY_MODULES, "calculus", "contour"])
+MAXREG_MODULES = sorted([*CERTIFY_MODULES, "maxreg"])
+SUM_MODULES = sorted([*CONTOUR_MODULES, "sums"])
+TSECTOR_MODULES = sorted([*CONTOUR_MODULES, "maxreg", "tsector"])
+RUN_CONFIGS = {
+    "certify": {"matrix": "L.csv", "theta": 2.0},
+    "sweep": {"sizes": [4], "nt": 16},
+    "sum": {"matrix_a": "L.csv", "matrix_b": "B.csv", "theta_a": 2.7, "theta_b": 2.0},
+}
+MODULE_SETS = {
+    "certify-sector": (["certify-sector", "--matrix", "L.csv", "--theta", "2.0"],
+                       CERTIFY_MODULES),
+    "run-certify": (["run", "--config", "certify.json"], CERTIFY_MODULES),
+    "power": (["power", "--matrix", "L.csv", "--re", "-0.5"], CONTOUR_MODULES),
+    "hinf": (["hinf", "--matrix", "L.csv", "--symbol", "rational-eta"], CONTOUR_MODULES),
+    "maxreg": (["maxreg", "--matrix", "L.csv", "--nt", "16"], MAXREG_MODULES),
+    "run-sweep": (["run", "--config", "sweep.json"], MAXREG_MODULES),
+    "sum-inverse": (["sum-inverse", "--matrix-a", "L.csv", "--matrix-b", "B.csv",
+                     "--theta-a", "2.7", "--theta-b", "2.0"], SUM_MODULES),
+    "run-sum": (["run", "--config", "sum.json"], SUM_MODULES),
+    "t-sector": (["t-sector", "--matrix", "L.csv", "--n", "1"], TSECTOR_MODULES),
+    "rep-check": (["rep-check", "--matrix", "L.csv", "--rho", "1.0"], TSECTOR_MODULES),
+    "report-diff": (["report-diff", "r.json", "r.json"], ["cli", "errors", "reports"]),
+}
+
+
+@pytest.mark.parametrize("case", MODULE_SETS)
+def test_each_subcommand_loads_only_its_modules(tmp_path, case):
+    m = 4
+    write_matrix(tmp_path / "L.csv", generate("laplacian-1d", m=m).matrix)
+    write_matrix(tmp_path / "B.csv", 2.0 * np.exp(1j * np.pi / 3) * np.eye(m))
+    for pipeline, cfg in RUN_CONFIGS.items():
+        _write_config(tmp_path / f"{pipeline}.json", {"pipeline": pipeline, **cfg})
+    CertificateReport("op", {}, {}, {}, {"v": 1.0}, True).save(tmp_path / "r.json")
+    # one CLI run in a fresh process: its exit code, the sectorsum modules
+    # it loaded and whether scipy loaded
+    probe = (
+        "import json, sys\n"
+        "import sectorsum.cli\n"
+        "rc = sectorsum.cli.main(['--out', 'out', *json.loads(sys.argv[1])])\n"
+        "mods = sorted(m[len('sectorsum.'):] for m in sys.modules if m.startswith('sectorsum.'))\n"
+        "print(json.dumps([rc, mods, 'scipy' in sys.modules]))\n"
+    )
+    argv, expected = MODULE_SETS[case]
+    proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)], env=_src_env(),
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120, check=True)
+    rc, modules, scipy_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0
+    assert modules == expected
+    # the report's envelope names the same modules, and scipy only if it loaded
+    for path in (tmp_path / "out").glob("*.json"):
+        envelope = json.loads(path.read_text())["envelope"]
+        assert envelope["modules"] == [f"sectorsum.{m}" for m in expected]
+        assert ("scipy" in envelope["versions"]) == scipy_loaded
 
 
 def _readme() -> str:
