@@ -370,7 +370,7 @@ def _tsector(cfg, seed, out_dir):
     phi = _field(cfg, "phi", float, 0.0, lo=-op.angle(), hi=op.angle())
     r = _field(cfg, "r", float, 1.0, lo=np.exp(-1.0), hi=1.0)
     p = _field(cfg, "p", float, 2.0, lo=1.0)
-    n = _field(cfg, "n", _integer, 1, lo=0, hi=_STEPS_LIMIT // 4 - 1)
+    n = _field(cfg, "n", _integer, 1, lo=0, hi=tsector.MAX_TERMS - 1)
     # a grid of 16 steps or more (maxreg.TimeGrid) that resolves n + 1 harmonics
     resolves = 4 * (n + 1)
     N_t = _field(cfg, "N_t", _integer, max(256, resolves), lo=max(16, resolves), hi=_STEPS_LIMIT)

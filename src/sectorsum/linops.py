@@ -263,12 +263,12 @@ def _pivot_chunk(d, z: np.ndarray, off: float):
     singular = nearest <= SINGULAR_RTOL * scale
     if singular.any():
         # a sum of squares that overflowed (|z| near the ray rule's clamp at
-        # e^354) is taken again over the entries divided by the row's largest
+        # e^354, or a shift past 1e154) is taken again over the entries divided
+        # by the row's largest, and the test made in that unit
         big = np.flatnonzero(np.isinf(scale))
         top = np.maximum(dist[big].max(axis=1), off)
-        scale[big] = top * np.sqrt(((dist[big] / top[:, None]) ** 2).sum(axis=1)
-                                   + (off / top) ** 2)
-        singular[big] = nearest[big] <= SINGULAR_RTOL * scale[big]
+        unit = np.sqrt(((dist[big] / top[:, None]) ** 2).sum(axis=1) + (off / top) ** 2)
+        singular[big] = nearest[big] / top <= SINGULAR_RTOL * unit
     return nearest, singular
 
 

@@ -44,6 +44,10 @@ FAMILY_SEED = 0xA11CE
 #: principal value (each is mirrored to -s)
 REP_NODES = 320
 
+#: the most harmonics whose scales r e^{-k} (r >= 1/e) and their
+#: inverses all stay within the double range: e^{k + 1} must be finite
+MAX_TERMS = int(np.log(np.finfo(float).max))
+
 
 def periodic_grid(N_t: int, p: float = 2.0) -> TimeGrid:
     """Uniform grid of N_t points on the circle (0, 2 pi)."""
@@ -92,6 +96,9 @@ def _lhs(A: MatrixOperator, phi: float, r: float, xs, p: float, N_t: int):
         raise ValueError(f"p must lie in [1, inf), got {p}")
     xs = [linops.as_vector(x, A.dim) for x in xs]
     _check_grid_resolves(len(xs), N_t)
+    if len(xs) > MAX_TERMS:
+        raise ValueError(f"at most {MAX_TERMS} harmonics have a scale e^-k within the "
+                         f"double range, got {len(xs)}")
     scale = r * np.exp(-np.arange(len(xs)) + 1j * phi)
     # (I + s A)^{-1} = (1/s) (A + 1/s)^{-1}
     resolved = linops.basis_solve(A.resolvent_basis(), 1.0 / scale, np.array(xs))

@@ -171,6 +171,11 @@ def test_sum_and_power_configs_exit_cleanly(cfg):
 # steps of every TimeGrid
 @example({"pipeline": "t-sector", "recipe": {"kind": "diag-positive"}, "n": 100})
 @example({"pipeline": "t-sector", "recipe": {"kind": "diag-positive"}, "N_t": 8})
+# more harmonics than have a scale e^-k in the double range, and the most
+# that do, whose shifts e^k / r put each pivot's sum of squares past it
+@example({"pipeline": "t-sector", "recipe": {"kind": "diag-positive"}, "n": 2049})
+@example({"pipeline": "t-sector", "recipe": {"kind": "laplacian-1d"}, "n": 708,
+          "r": 0.36787944117144233})
 # the symbols' pole at 1 within rounding of the rays: their constant overflows
 @example({"pipeline": "hinf", "symbol": "cayley-squared", "theta": 5.3e-238,
           "recipe": {"kind": "diag-positive"}})

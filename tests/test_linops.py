@@ -341,6 +341,13 @@ def test_pivot_test_scale_does_not_overflow():
     with pytest.raises(SingularShift):
         linops.spectral_resolvents(basis, [1e154 - 1e143, 1e154 - 1e140])
     assert linops.spectral_resolvents(basis, [1e154 - 1e143]).shape == (1, 4)
+    # a shift so large that even the rescaled norm ||T + zI||_F overflows
+    d = np.arange(1.0, 9.0, dtype=complex)
+    z = np.exp(709.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R = linops.spectral_resolvents((d, np.eye(8, dtype=complex)), [z])
+    assert np.allclose(R[0] * (d + z), 1.0, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("off", [0.0, 2.5])

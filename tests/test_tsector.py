@@ -51,6 +51,20 @@ def test_lhs_norm_r_contract(scalar1):
         lhs_norm(scalar1, 0.0, 0.3, [[1.0]], p=2.0, N_t=64)
 
 
+def test_lhs_norm_term_limit(scalar1):
+    # the last scale r e^{-k} and its inverse stay finite at the limit;
+    # the far terms are x_k to rounding, the k = 0 term 1/(1 + r)
+    n = tsector.MAX_TERMS
+    xs = [[1.0]] * n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, resolved = tsector._lhs(scalar1, 0.0, np.exp(-1.0), xs, 2.0, 4 * n)
+    assert resolved[0, 0] == pytest.approx(1.0 / (1.0 + np.exp(-1.0)), rel=1e-15)
+    assert np.allclose(resolved[40:], 1.0, rtol=1e-15, atol=0.0)
+    with pytest.raises(ValueError, match="harmonics"):
+        lhs_norm(scalar1, 0.0, 1.0, xs + [[1.0]], p=2.0, N_t=4 * (n + 1))
+
+
 # ------------------------------------------------------------ witness search
 
 
