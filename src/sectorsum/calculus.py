@@ -30,6 +30,7 @@ that A keeps (`_cached_family`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -248,9 +249,11 @@ class ImaginaryPowerFamily:
         dn_t, up_t = self._dn_t, self._up_t
         out = np.zeros((len(ts), int(np.prod(self._shape))), dtype=complex)
         # per t: the arc, panel and offset phases and both rays' panel
-        # products, or the outer product of the phases
+        # products; or the outer product of the phases, the two ray sums
+        # and the arc's
+        used = len(self._used)
         step = linops.stack_step(16 * (n_arc + n_panel + n_q + 2 * dn_t.shape[1]
-                                       if self._panel_first else n_panel * n_q))
+                                       if self._panel_first else n_panel * n_q + 3 * used))
         for lo in range(0, len(ts), step):
             t = ts[lo:lo + step]
             arc = np.exp(np.multiply.outer(-1.0 + 1j * t, self._log_arc)) * self.w[:n_arc]
@@ -263,8 +266,14 @@ class ImaginaryPowerFamily:
                               for w, tab in ((phase / grow, dn_t), (-grow * phase, up_t)))
             else:
                 ray = (panel[:, :, None] * phase[:, None, :]).reshape(len(t), -1)
-                ray_sum = (ray @ dn_t) / grow - grow * (ray @ up_t)
-            out[lo:lo + step, self._used] = arc @ self._arc_t + ray_sum
+                # (ray @ dn_t) / grow - grow * (ray @ up_t), in place
+                ray_sum = ray @ dn_t
+                ray_sum /= grow
+                up_sum = ray @ up_t
+                up_sum *= grow
+                ray_sum -= up_sum
+            ray_sum += arc @ self._arc_t
+            out[lo:lo + step, self._used] = ray_sum
         X = out.reshape((len(ts),) + self._shape)
         res = self.A.matrix @ linops.from_basis(self._basis, X)
         res[ts == 0.0] = _EYE(self.A.dim)
@@ -389,6 +398,13 @@ class HolomorphicSymbol:
     def decay_at_zero(self) -> float:
         return self.eta
 
+    @functools.cached_property
+    def _class_record(self) -> dict:
+        """:func:`symbol_class_check` of this symbol, taken on first use
+        and kept on it: its fields are fixed, so the check's record is
+        too.  A check that raises keeps nothing, so every use raises."""
+        return symbol_class_check(self)
+
 
 def _offsector_samples(theta: float) -> np.ndarray:
     """The standard off-sector grid: 60 log-spaced radii in [1e-8, 1e8]
@@ -489,7 +505,10 @@ def hinf_apply(
 
     The operator must be certified strictly above the symbol angle, so
     the spectrum of -A stays inside the region the path encloses.  With
-    ``with_info``, returns (value, DunfordResult).
+    ``with_info``, returns (value, DunfordResult).  f's decay class is
+    checked (:func:`symbol_class_check`) on f's first use and the passing
+    record kept on f, so a symbol that breaks its envelope raises
+    ClassViolated on every call.
 
     Without ``spec``, :func:`hinf_contour` fits the ray rule to -sigma(A)
     and to lambda = 1 as f's only singular point; for a symbol singular
@@ -500,7 +519,7 @@ def hinf_apply(
         raise ValueError(
             "operator must be certified at an angle strictly above the symbol angle"
         )
-    symbol_class_check(f)
+    f._class_record  # noqa: B018 -- ClassViolated unless f keeps a passing check
     spec = spec or hinf_contour(f, A, tol)
 
     info = _symbol_integral(A, spec, f, f.decay_at_infinity(), tol)

@@ -42,15 +42,19 @@ reduced against c_k = w_k g(lambda_k) by one matrix product on the
 stack's own memory layout.  The ray rule puts each lower-ray node at the
 exact conjugate of an upper-ray node, so for a real operator the lower
 ray's resolvents are the conjugates of the upper ray's and only the arc
-and the upper ray are resolved.  calculus and sums call it; dunford is
-its g = 1 case for any vectorised integrand.
+and the upper ray are resolved.  The tail estimate takes norms at the
+end nodes it reads (each ray's inner end, the next node on rays from the
+origin, the outer end) and nowhere else.  calculus and sums call it;
+dunford is its g = 1 case for any vectorised integrand.  The nodes'
+angular tables (the ray directions, the arc's unit nodes and weights)
+depend on theta and n_arc alone and are computed once per value of those.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -59,6 +63,8 @@ from .errors import AsymmetryDetected, InvalidContour, TruncationNotConverged
 from .linops import stack_step
 
 _TWO_PI_I = 2.0j * np.pi
+#: the orientation of the rays' nodes: the upper ray out, the lower ray in
+_SIGNS = np.array([1.0, -1.0])
 
 #: share of fit_contour's tol given to the step and to each ray end's cut
 _SHARE = 1.0 / 16.0
@@ -118,8 +124,8 @@ def _to_x(s, a: float):
     if math.isinf(a):
         return s
     y = s - a
-    big = np.real(y) > _EXPM1_MAX
-    if not np.any(big):
+    big = np.asarray(np.real(y) > _EXPM1_MAX)
+    if not big.any():
         return np.log(np.expm1(y))
     return np.where(big, y, np.log(np.expm1(np.where(big, 1.0, y))))
 
@@ -136,13 +142,18 @@ def _ray_rule(spec: ContourSpec):
     if not (u_lo < u_hi and a < _S_MAX):
         raise InvalidContour(f"the ray rule of {spec} lies beyond radius e^(+-{_S_MAX:.0f})")
     n = max(2, math.ceil((u_hi - u_lo) / spec.h - 1e-9))
-    u = np.linspace(u_lo, u_hi, n + 1)
+    # np.linspace(u_lo, u_hi, n + 1), bit for bit, without its dispatch
+    u = np.arange(n + 1.0)
+    u *= (u_hi - u_lo) / n
+    u += u_lo
+    u[-1] = u_hi
     x = spec.c + np.sinh(u)
     if math.isinf(a):
         s, ds, rest_in = x, 1.0, math.inf
     else:
-        s, ds, rest_in = a + np.logaddexp(0.0, x), _expit(x), float(np.logaddexp(0.0, x[0]))
-    return s, ds * np.cosh(u), u[1] - u[0], rest_in
+        log1p_ex = np.logaddexp(0.0, x)
+        s, ds, rest_in = a + log1p_ex, _expit(x), float(log1p_ex[0])
+    return s, ds * np.cosh(u), float(u[1]) - float(u[0]), rest_in
 
 
 @functools.lru_cache(maxsize=256)
@@ -213,8 +224,8 @@ def fit_contour(theta: float, poles, decay, magnitude: float, tol: float,
         return math.log(math.expm1(min(end_tol / bound, 1.0)))
 
     h = 2.0 * np.pi * d / max(math.log(M / (_SHARE * tol)), 4.0)
-    return replace(base, c=c, h=h, u_lo=math.asinh(min(cut(-1.0), c - 1.0) - c),
-                   u_hi=math.asinh(max(cut(1.0), c + 1.0) - c))
+    return ContourSpec(rho, theta, n_arc, c, h, math.asinh(min(cut(-1.0), c - 1.0) - c),
+                       math.asinh(max(cut(1.0), c + 1.0) - c))
 
 
 @functools.lru_cache(maxsize=64)
@@ -251,23 +262,36 @@ def build_nodes(spec: ContourSpec) -> tuple[np.ndarray, np.ndarray]:
     return _nodes(spec, _ray_rule(spec))
 
 
+@functools.lru_cache(maxsize=64)
+def _angle_tables(theta: float, n_arc: int):
+    """What a path's nodes take from theta and n_arc alone, read-only and
+    computed once per value of those: the ray directions e^{+-i theta},
+    and at the arc's n_arc Gauss-Legendre angles x the unit nodes
+    e^{i (pi + x)} and -i times the angle weights."""
+    d = np.exp([1j * theta, -1j * theta])
+    half = np.pi - theta
+    x, w = gauss_panels([-half, half], n_arc) if n_arc else (np.zeros(0), np.zeros(0))
+    unit, dw = np.exp(1j * (np.pi + x)), -w * 1j
+    for table in (d, unit, dw):
+        table.flags.writeable = False
+    return d, unit, dw
+
+
 def _nodes(spec: ContourSpec, rule) -> tuple[np.ndarray, np.ndarray]:
     """build_nodes(spec) on the spec's ray rule, already taken."""
-    lam_parts, w_parts = [], []
-    if spec.rho > 0 and spec.n_arc > 0:
-        half = np.pi - spec.theta
-        x, w = gauss_panels([-half, half], spec.n_arc)
-        lam = spec.rho * np.exp(1j * (np.pi + x))
-        lam_parts.append(lam)
-        # d lambda = i rho e^{i phi} d phi, traversed with phi decreasing
-        w_parts.append(-w * 1j * lam / _TWO_PI_I)
+    d, unit, dw = _angle_tables(spec.theta, spec.n_arc if spec.rho > 0 else 0)
     s, ds, step, _ = rule
+    n_arc = len(unit)
+    lam = np.empty(n_arc + 2 * len(s), dtype=complex)
+    w = np.empty_like(lam)
+    # d lambda = i rho e^{i phi} d phi, traversed with phi decreasing
+    np.multiply(spec.rho, unit, out=lam[:n_arc])
+    np.divide(dw * lam[:n_arc], _TWO_PI_I, out=w[:n_arc])
     # d lambda = lambda (ds/du) du; per node the upper ray (out), then the lower (in)
     r = np.exp(s)[:, None]
-    d = np.exp([1j * spec.theta, -1j * spec.theta])
-    lam_parts.append((r * d).reshape(-1))
-    w_parts.append(((step * ds)[:, None] * r * d * [1.0, -1.0] / _TWO_PI_I).reshape(-1))
-    return np.concatenate(lam_parts), np.concatenate(w_parts)
+    np.multiply(r, d, out=lam[n_arc:].reshape(-1, 2))
+    np.divide((step * ds)[:, None] * r * d * _SIGNS, _TWO_PI_I, out=w[n_arc:].reshape(-1, 2))
+    return lam, w
 
 
 @dataclass
@@ -310,10 +334,13 @@ def dunford(
     shows between the two innermost nodes.  g = ||F(lambda)|| |lambda| at
     the end node, in the spectral norm: |v| of a scalar, max_i |v_i| of a
     1-D value (a matrix held on its eigenvalues), the largest singular
-    value of a matrix.  It covers the truncation of the rays only: the
-    arc's fixed ``n_arc``-point Gauss-Legendre rule carries no error
-    estimate, and loses digits when a pole of the integrand comes near
-    the arc, so the caller keeps the poles well off it
+    value of a matrix.  Norms are taken at the nodes the estimate reads
+    and nowhere else: each ray's inner end node, the next node only on
+    rays from the origin, and the outer end node.  It covers the
+    truncation of the rays only: the arc's fixed ``n_arc``-point
+    Gauss-Legendre rule carries no error estimate, and loses digits when
+    a pole of the integrand comes near the arc, so the caller keeps the
+    poles well off it
     (``calculus.power_contour``'s radius 0.4/||A^{-1}|| leaves every
     eigenvalue at |lambda| >= 2.5 rho).
 
@@ -337,7 +364,7 @@ def _resolvent_sum(spec: ContourSpec, g, resolve, back=None, real: bool = False,
     ``item_bytes``-byte values up to :func:`linops.stack_step`; without
     ``item_bytes`` the first chunk is one node, which sets it.  The tail
     estimate is :func:`dunford`'s, with ||g R|| = |g| ||R|| at the end
-    nodes.
+    nodes it reads, whose few indices are all the bookkeeping it keeps.
 
     ``real`` declares back(R(conj(lambda))) = conj(back(R(lambda))):
     true of the resolvents of a real matrix, and of products of those of
@@ -350,7 +377,8 @@ def _resolvent_sum(spec: ContourSpec, g, resolve, back=None, real: bool = False,
     """
     rule = _ray_rule(spec)
     lam, w = _nodes(spec, rule)
-    n_arc = len(lam) - 2 * len(rule[0])
+    s, _, _, rest_in = rule
+    n_arc = len(lam) - 2 * len(s)
     gv = g(lam)
     with np.errstate(over="ignore", invalid="ignore"):
         c = w * gv
@@ -360,50 +388,52 @@ def _resolvent_sum(spec: ContourSpec, g, resolve, back=None, real: bool = False,
             f"node weights overflow on rays out to |lambda| = {np.abs(lam).max():.3e} "
             f"(u_hi = {spec.u_hi:.3f}): decay exponent {decay_exponent} is too slow "
             f"for a finite ray rule")
+    # the ray-rule nodes the tail estimate reads: the inner end, the next
+    # node for rays from the origin (the decay toward 0), the outer end
+    ends = [0, 1, len(s) - 1] if math.isinf(rest_in) else [0, len(s) - 1]
     # nodes resolved: all of them, or for a real R the arc and the upper ray
-    keep = np.ones(len(lam), dtype=bool)
-    cols = c[:, None]
     if real and np.array_equal(lam[n_arc + 1::2], lam[n_arc::2].conj()):
-        keep[n_arc + 1::2] = False
-        cols = np.zeros((n_arc + len(rule[0]), 2), dtype=complex)
-        cols[:, 0] = c[keep]
+        nodes = np.concatenate([lam[:n_arc], lam[n_arc::2]])
+        cols = np.zeros((len(nodes), 2), dtype=complex)
+        cols[:n_arc, 0] = c[:n_arc]
+        cols[n_arc:, 0] = c[n_arc::2]
         cols[n_arc:, 1] = c[n_arc + 1::2].conj()
-    # the resolved node each node's R is read from (a lower-ray node's
-    # upper twin precedes it)
-    src = np.cumsum(keep) - 1
-    probe = np.zeros(len(lam), dtype=bool)  # the two last nodes of each ray end
-    probe[n_arc:n_arc + 4] = probe[len(lam) - 4:] = True
-    nodes = lam[keep]
-    need = np.zeros(len(nodes), dtype=bool)
-    need[src[probe]] = True
-    r_norms = np.zeros(len(nodes))
+        # both rays' j-th nodes read the upper one's R
+        read = {n_arc + j: [(i, 0), (i, 1)] for i, j in enumerate(ends)}
+    else:
+        nodes, cols = lam, c[:, None]
+        read = {n_arc + 2 * j + ray: [(i, ray)] for i, j in enumerate(ends) for ray in (0, 1)}
+    r_norms = np.zeros((len(ends), 2))   # ||R|| at the end nodes, per ray
     acc, lo = 0.0, 0
     step = 1 if item_bytes is None else stack_step(item_bytes)
     while lo < len(nodes):
-        chunk = slice(lo, lo + step)
-        R = np.asarray(resolve(nodes[chunk]), dtype=complex)
-        acc = acc + _weigh(cols[chunk], R)
-        at = np.flatnonzero(need[chunk])
-        if len(at):
-            ends = R[at]
-            r_norms[lo + at] = (np.abs(ends.reshape(len(ends), -1)).max(axis=1)
-                                if ends.ndim <= 2 else np.linalg.norm(ends, 2, axis=(-2, -1)))
-        lo += step
+        R = np.asarray(resolve(nodes[lo:lo + step]), dtype=complex)
+        acc = acc + _weigh(cols[lo:lo + step], R)
+        at = [k for k in read if lo <= k < lo + len(R)]
+        if at:
+            for k, norm in zip(at, _node_norms(R[[k - lo for k in at]])):
+                for slot in read[k]:
+                    r_norms[slot] = norm
+        lo += len(R)
         step = stack_step(R[0].nbytes)
     value = acc if back is None else back(acc)
     value = value[0] + value[1].conj() if cols.shape[1] == 2 else value[0]
-    norms = np.zeros(len(lam))
-    norms[probe] = np.abs(gv[probe]) * r_norms[src[probe]]
-    s, _, _, rest_in = rule
-    gn = norms[n_arc:].reshape(-1, 2) * np.exp(s)[:, None]
-    if math.isinf(rest_in):
-        with np.errstate(all="ignore"):
-            eta_0 = np.log(gn[1] / gn[0]) / (s[1] - s[0])
-        inner = np.where(gn[0] == 0, 0.0, np.where(eta_0 > 0, gn[0] / eta_0, np.inf))
-    else:
-        inner = gn[0] * rest_in
-    outer = gn[-1] * (1.0 / max(decay_exponent, 1e-3))
-    tail = float(np.sum(inner + outer)) / (2.0 * np.pi)
+    # |g| ||R|| |lambda| at the end nodes read, a row (upper, lower) per node
+    gn = (np.abs(gv[n_arc:].reshape(-1, 2)[ends]) * r_norms * np.exp(s[ends])[:, None]).tolist()
+    tail = 0.0
+    for ray in (0, 1):
+        g_in = gn[0][ray]
+        if not math.isinf(rest_in):
+            inner = g_in * rest_in
+        elif g_in == 0:
+            inner = 0.0
+        else:
+            # toward the origin, the decay g shows between the two innermost nodes
+            ratio = gn[1][ray] / g_in
+            eta_0 = float(np.log(ratio)) / float(s[1] - s[0]) if ratio > 0 else -math.inf
+            inner = g_in / eta_0 if eta_0 > 0 else math.inf
+        tail += inner + gn[-1][ray] * (1.0 / max(decay_exponent, 1e-3))
+    tail /= 2.0 * np.pi
     if tol_tail is not None and tail > tol_tail:
         raise TruncationNotConverged(
             f"tail estimate {tail:.3e} exceeds tol_tail {tol_tail:.3e} (rays over u "
@@ -412,13 +442,22 @@ def _resolvent_sum(spec: ContourSpec, g, resolve, back=None, real: bool = False,
     return DunfordResult(value, tail, len(lam))
 
 
+def _node_norms(R: np.ndarray) -> np.ndarray:
+    """The spectral norm of each value of a stack: |v| of a scalar,
+    max_i |v_i| of a 1-D value (a matrix held on its eigenvalues), the
+    largest singular value of a matrix."""
+    if R.ndim <= 2:
+        return np.abs(R.reshape(len(R), -1)).max(axis=1)
+    return np.linalg.norm(R, 2, axis=(-2, -1))
+
+
 def _weigh(c: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """sum_k c[k, j] stack[k] for every column j of c, as a (columns,
     ...) array: one matrix product on the stack's own memory layout,
     nodes last (triangular_resolvents' (n, n, k)) or first (the (k, n)
     of spectral_resolvents)."""
     k = stack.shape[0]
-    last = np.moveaxis(stack, 0, -1)
+    last = stack.transpose(tuple(range(1, stack.ndim)) + (0,))
     if last.flags.c_contiguous:
         out = (last.reshape(-1, k) @ c).T
     else:

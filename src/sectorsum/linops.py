@@ -39,15 +39,19 @@ Schur form (its departure from normality must be within
 basis the resolvents are the (N, n) array ``1/(d_i + z_k)``
 (:func:`spectral_resolvents`), :func:`from_basis` forms
 ``Q diag(.) Q^*`` and :func:`resolvent_norms` returns
-``1/min_i |d_i + z_k|``, with no factorization; the singular-shift test
-is the one above with T diagonal.
+``1/min_i |d_i + z_k|``, with no factorization.  The singular-shift
+test there reads each eigenvalue on its own scale: z is singular when
+some ``|d_i + z| <= SINGULAR_RTOL * (|d_i| + |z|)``, a pivot within
+rounding of its own terms, which a wide spectrum does not loosen (the
+test against ``||M + zI||_F`` calls a shift at distance 929 from the
+eigenvalue 1 of diag(1, 1e16) singular).  The pivot table d_i + z_k is
+formed once per stack and serves the test and the inverse.
 
 Resolvent norms need no inverse: ``||(M + z)^{-1}||_2 = 1/sigma_min(M + z)``.
 Without a normal basis, :func:`resolvent_norms` stacks ``M + z_k I`` in
 bounded-memory chunks and takes the singular values of each chunk in
 one call; a shift is singular when the smallest singular value falls
-below ``SINGULAR_RTOL * ||M + zI||_F``, which for a normal M is the
-closed form's test.
+below ``SINGULAR_RTOL * ||M + zI||_F``, the pivot test above.
 
 A sup of ``(1 + |z|) ||(M + z)^{-1}||`` over sampled shifts (a sector
 constant) needs the norm only where it can set the sup.
@@ -75,8 +79,9 @@ import numpy as np
 from .errors import DimensionMismatch, OverflowRisk, SingularShift
 
 #: a shift is singular when the smallest pivot (ShiftedFactorization's LU,
-#: the t_ii + z of the Schur or normal form of basis_resolvents) or singular
-#: value (resolvent_norms) of M + zI is below SINGULAR_RTOL * ||M + zI||_F
+#: the t_ii + z of a Schur form) or singular value (resolvent_norms without
+#: a basis) of M + zI is below SINGULAR_RTOL * ||M + zI||_F, and on a normal
+#: basis when some |d_i + z| is below SINGULAR_RTOL * (|d_i| + |z|)
 SINGULAR_RTOL = 1e-13
 
 #: normal_basis accepts M when the Henrici departure from normality of its
@@ -102,7 +107,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise DimensionMismatch(f"expected a non-empty square matrix, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -110,7 +115,7 @@ def as_matrix(m) -> np.ndarray:
 def as_vector(v, dim=None) -> np.ndarray:
     """Validate and return a complex vector, optionally of fixed dimension."""
     x = np.asarray(v, dtype=complex).reshape(-1)
-    if not (np.all(np.isfinite(x.real)) and np.all(np.isfinite(x.imag))):
+    if not np.isfinite(x).all():
         raise ValueError("vector entries must be finite")
     if dim is not None and x.shape[0] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {x.shape[0]}")
@@ -232,29 +237,46 @@ def _commutator_too_large(M: np.ndarray) -> bool:
     return bool(np.linalg.norm(commutator) > 8.0 * departure_tolerance(S) * np.linalg.norm(S))
 
 
-def _pivot_distances(d, z: np.ndarray, off: float = 0.0):
+def _pivot_distances(d, z: np.ndarray, off: float | None = None, pivots=None):
     """min_i |d_i + z_k| for every shift, and a mask of the singular ones.
 
-    d is the diagonal of a triangular T whose strictly upper part has
-    Frobenius norm ``off`` (0 for a normal basis); shift k is singular
-    when min_i |d_i + z_k| <= SINGULAR_RTOL * ||T + z_k I||_F.  The
-    d_i + z_k are the pivots of T + z_k I, and T is unitarily similar to
-    M, so this is ShiftedFactorization's pivot test on a matrix with the
-    Frobenius norm of M + z_k I.  The (shifts x n) distance table is
-    taken a stack of shifts at a time, so memory stays within the stack
-    budget whatever the number of shifts.
+    The d_i + z_k are the pivots of T + z_k I for a triangular T with
+    diagonal d, unitarily similar to M.  On a normal basis (``off``
+    None, T = diag(d)) shift k is singular when some pivot is within
+    rounding of its terms, |d_i + z_k| <= SINGULAR_RTOL * (|d_i| +
+    |z_k|): a test of each eigenvalue on its own scale, which a wide
+    spectrum does not loosen.  On a Schur basis, whose strictly upper
+    part has Frobenius norm ``off``, it is ShiftedFactorization's pivot
+    test on a matrix with the Frobenius norm of M + z_k I:
+    min_i |d_i + z_k| <= SINGULAR_RTOL * ||T + z_k I||_F.  ``pivots``,
+    the (shifts x n) table d + z_k when the caller holds it, is read in
+    place of a new one; either way the distances are taken a stack of
+    shifts at a time, so memory stays within the stack budget whatever
+    the number of shifts.
     """
     step = stack_step(16 * d.shape[0])
-    if z.shape[0] <= step:
-        return _pivot_chunk(d, z, off)
-    chunks = [_pivot_chunk(d, z[lo:lo + step], off) for lo in range(0, z.shape[0], step)]
+    chunks = []
+    for lo in range(0, max(z.shape[0], 1), step):   # no shift: one empty chunk
+        table = d + z[lo:lo + step, None] if pivots is None else pivots[lo:lo + step]
+        chunks.append(_pivot_chunk(np.abs(table), d, z[lo:lo + step], off))
+    if len(chunks) == 1:
+        return chunks[0]
     return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
-def _pivot_chunk(d, z: np.ndarray, off: float):
-    """:func:`_pivot_distances` of one stack of shifts."""
-    dist = np.abs(z[:, None] + d)
+def _pivot_chunk(dist, d, z: np.ndarray, off: float | None):
+    """:func:`_pivot_distances` of one stack of shifts, from its table
+    of distances |d_i + z_k|."""
     nearest = dist.min(axis=1)
+    if off is None:
+        # |d_i| + |z| <= max_i |d_i| + |z|, rounded alike: only the shifts
+        # this screen flags can have a pivot within rounding of its terms
+        singular = nearest <= SINGULAR_RTOL * (np.abs(d).max() + np.abs(z))
+        if singular.any():
+            rows = np.flatnonzero(singular)
+            singular[rows] = (dist[rows] <= SINGULAR_RTOL * (np.abs(d) + np.abs(z[rows, None]))
+                              ).any(axis=1)
+        return nearest, singular
     with np.errstate(over="ignore"):
         sq = (dist * dist).sum(axis=1)
     if off:
@@ -272,10 +294,13 @@ def _pivot_chunk(d, z: np.ndarray, off: float):
     return nearest, singular
 
 
-def _inverse_pivots(d, z: np.ndarray, off: float = 0.0) -> np.ndarray:
+def _inverse_pivots(d, z: np.ndarray, off: float | None = None) -> np.ndarray:
     """1/(d_i + z_k) as an (N, n) array; raises SingularShift for the
-    first singular shift (see :func:`_pivot_distances`) in the order given."""
-    nearest, singular = _pivot_distances(d, z, off)
+    first singular shift (see :func:`_pivot_distances`, ``off`` None on
+    a normal basis) in the order given.  The table d + z_k is formed
+    once: the pivot test reads it, and it is inverted in place."""
+    pivots = d + z[:, None]
+    nearest, singular = _pivot_distances(d, z, off, pivots)
     if singular.any():
         k = int(np.argmax(singular))
         raise SingularShift(
@@ -283,7 +308,7 @@ def _inverse_pivots(d, z: np.ndarray, off: float = 0.0) -> np.ndarray:
             f"(distance {nearest[k]:.3e} to the nearest eigenvalue)",
             shift=complex(z[k]),
         )
-    return 1.0 / (d + z[:, None])
+    return np.divide(1.0, pivots, out=pivots)
 
 
 def spectral_resolvents(basis, shifts) -> np.ndarray:
@@ -372,11 +397,12 @@ def resolvent_norms(M, shifts, basis=None) -> np.ndarray:
     ``inf`` where sigma_min(M + z) <= ``SINGULAR_RTOL * ||M + zI||_F``
     (the Frobenius norm taken from the same singular values), i.e. the
     shift is numerically on the spectrum.  With ``basis`` = (d, Q) from
-    :func:`normal_basis`, sigma_min(M + z) = min_i |d_i + z| and no
-    matrix is formed.  Without one, a real M has M + conj(z) =
-    conj(M + z) and the same singular values, so each distinct
-    (Re z, |Im z|) is decomposed once.  Only that path reads (and
-    validates) M.
+    :func:`normal_basis`, sigma_min(M + z) = min_i |d_i + z|, no matrix
+    is formed, and an entry is ``inf`` where some |d_i + z| <=
+    ``SINGULAR_RTOL * (|d_i| + |z|)`` (:func:`_pivot_distances`).
+    Without one, a real M has M + conj(z) = conj(M + z) and the same
+    singular values, so each distinct (Re z, |Im z|) is decomposed once.
+    Only that path reads (and validates) M.
     """
     z = as_vector(shifts)
     if basis is not None:

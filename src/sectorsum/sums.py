@@ -66,7 +66,8 @@ import numpy as np
 
 from . import linops
 from .calculus import complex_power, fractional_power
-from .contour import ContourSpec, DunfordResult, _resolvent_sum, fit_contour, gauss_panels
+from .contour import (ContourSpec, DunfordResult, _resolvent_sum, build_nodes, fit_contour,
+                      gauss_panels)
 from .errors import SingularShift, TruncationNotConverged
 from .sector import MatrixOperator, kept
 
@@ -238,7 +239,12 @@ def inverse_contour(pair: CommutingPair, tol: float = 1e-6) -> ContourSpec:
     The residual ||(A + B) K - I|| grows like ||A + B|| ||K - (A + B)^{-1}||,
     so the quadrature runs at 0.01 tol / max(1, ||A|| + ||B||).
     """
-    return sum_contour(pair, tol=0.01 * tol / max(1.0, pair.A.norm() + pair.B.norm()))
+    return sum_contour(pair, tol=_inverse_tol(pair, tol))
+
+
+def _inverse_tol(pair: CommutingPair, tol: float) -> float:
+    """The tolerance of K's quadrature for a residual within tol."""
+    return 0.01 * tol / max(1.0, pair.A.norm() + pair.B.norm())
 
 
 def _resolvent_products(pair: CommutingPair, mu, nu, sa: float = 1.0, sb: float = 1.0):
@@ -280,6 +286,7 @@ def _from_joint(pair: CommutingPair, X: np.ndarray) -> np.ndarray:
 
 def _pair_integral(
     pair: CommutingPair, spec: ContourSpec, s: float, w: complex | None = None,
+    tol: float | None = None,
 ) -> DunfordResult:
     """I_s(w) over spec; w = None leaves the weight out (K, decaying like
     |lam|^{-2}).
@@ -293,18 +300,57 @@ def _pair_integral(
     and with it the tail estimate, is the one of the dense stack.  When
     both members are real the lower ray is read off the upper one's
     resolvents.
+
+    ``tol``, the tolerance the caller fitted spec to, gates the tail
+    (:func:`_gate_tail`): TruncationNotConverged when the rays cut off
+    more than that.
     """
     if w is None:
         g, decay = lambda lam: np.full(lam.shape, -1.0 + 0j), 1.0
     else:
         g, decay = lambda lam: -((-lam) ** (1.0 + w)), abs(np.real(w))
     basis = pair.joint_basis()
-    return _resolvent_sum(
-        spec, g, lambda lam: _resolvent_products(pair, lam, lam, s, -s),
-        back=lambda X: _from_joint(pair, X),
+
+    def resolve(lam):
+        return _resolvent_products(pair, lam, lam, s, -s)
+
+    info = _resolvent_sum(
+        spec, g, resolve, back=lambda X: _from_joint(pair, X),
         real=not (pair.A.matrix.imag.any() or pair.B.matrix.imag.any()),
         item_bytes=16 * (pair.dim ** 2 if basis is None else basis[0].size),
         decay_exponent=decay)
+    if tol is not None and info.tail_estimate > tol:
+        _gate_tail(pair, spec, g, resolve, decay, info.tail_estimate, tol)
+    return info
+
+
+def _gate_tail(pair, spec, g, resolve, decay, tail, tol) -> None:
+    """TruncationNotConverged unless the two rays' outer ends, summed
+    before their norm is taken, bring a pair integral's tail estimate
+    within tol.
+
+    The estimate adds the norms of F = g(lam) R(lam) lam at the outer
+    end nodes of the two rays, r e^{+-i theta}.  Past that radius the
+    tails of both rays run over the same r, and F of a pair decays like
+    r^w with the two rays' leading terms equal up to the phase
+    e^{+-i (pi - theta) w}, so the tail of the rays' sum, which the
+    quadrature leaves out, is smaller by about sin((pi - theta) |w|): 50
+    times at w = -0.05, where the ray rule stops at radius e^354.  The
+    gate therefore reads the outer end as ||F_up - F_down|| (the lower
+    ray runs inward) in place of ||F_up|| + ||F_down||; the inner end's
+    part of the estimate is kept.
+    """
+    lam = build_nodes(spec)[0][-2:]   # the outer end node of the upper, then the lower ray
+    F = g(lam)[:, None, None] * _from_joint(pair, resolve(lam)) * lam[:, None, None]
+    apart = float(np.sum(np.linalg.norm(F, 2, axis=(1, 2))))
+    summed = linops.operator_norm(F[0] - F[1])
+    gated = tail - (apart - summed) / (2.0 * np.pi * max(decay, 1e-3))
+    if gated > tol:
+        raise TruncationNotConverged(
+            f"pair integral tail estimate {tail:.3e} ({gated:.3e} with the rays' outer ends "
+            f"summed) exceeds {tol:.3e}: decay exponent {decay:.4g} at infinity is too slow "
+            f"for rays cut at |lambda| = {abs(lam[0]):.3e}; pass a finer ray rule or a "
+            f"faster-decaying weight")
 
 
 def _inverse_residual(pair: CommutingPair, K: np.ndarray) -> float:
@@ -350,7 +396,7 @@ def _gated_inverse(pair: CommutingPair, spec: ContourSpec, tol: float):
     certificate that overstates an angle lets in.
     """
     try:
-        info = _pair_integral(pair, spec, -1.0)
+        info = _pair_integral(pair, spec, -1.0, tol=_inverse_tol(pair, tol))
     except SingularShift as exc:
         raise SingularShift(
             f"contour node z={exc.shift} hits a spectrum; pass a spec whose "
@@ -383,7 +429,7 @@ def _weighted_identity(pair, w, spec, tol, s):
     Xw = complex_power(pair.A if s > 0 else pair.B, w, tol=tol)
     lhs = pair.A.matrix @ K @ Xw
     spec = spec or sum_contour(pair, tol=tol, w=w, s=s)
-    integral = _pair_integral(pair, spec, s, w).value
+    integral = _pair_integral(pair, spec, s, w, tol).value
     rhs = integral if s > 0 else Xw - integral
     return lhs, rhs, linops.operator_norm(lhs - rhs)
 
@@ -453,7 +499,7 @@ def split_integral_eval(
     factor = fractional_power(pair.B if s < 0 else pair.A, phi, tol=tol)
 
     def ray_integral(rho):
-        X = _pair_integral(pair, _rays_from(pair, tol, w, s, rho), s, w).value
+        X = _pair_integral(pair, _rays_from(pair, tol, w, s, rho), s, w, tol).value
         return -(X @ factor) if s < 0 else factor @ X
 
     e_n = float(np.exp(n))

@@ -127,10 +127,10 @@ def _count_inverse_integrals(monkeypatch):
     calls = []
     pair_integral = sums._pair_integral
 
-    def counted(pair, spec, s, w=None):
+    def counted(pair, spec, s, w=None, tol=None):
         if w is None:
             calls.append(spec)
-        return pair_integral(pair, spec, s, w)
+        return pair_integral(pair, spec, s, w, tol)
 
     monkeypatch.setattr(sums, "_pair_integral", counted)
     return calls

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -205,6 +206,23 @@ def test_constant_symbol_violates_class():
     with pytest.raises(ClassViolated) as exc:
         symbol_class_check(sym)
     assert exc.value.point is not None
+
+
+def test_hinf_apply_checks_each_symbol_class_once(monkeypatch, diag14):
+    calls = []
+    check = calculus.symbol_class_check
+    monkeypatch.setattr(calculus, "symbol_class_check", lambda f: calls.append(f) or check(f))
+    f = builtin_symbols(np.pi / 2)["cayley-squared"]
+    first = hinf_apply(f, diag14)
+    for _ in range(3):
+        assert np.array_equal(hinf_apply(f, diag14), first)
+    assert calls == [f]
+    # a symbol that breaks its envelope keeps nothing and raises every time
+    bad = HolomorphicSymbol("one", lambda lam: np.ones_like(lam), np.pi / 2, "h0", c=100.0, eta=0.5)
+    for expected in (2, 3):
+        with pytest.raises(ClassViolated):
+            hinf_apply(bad, diag14)
+        assert len(calls) == expected
 
 
 def test_sqrt_symbol_extended_class():
@@ -443,3 +461,34 @@ def test_family_table_keeps_every_stored_entry():
     # resolved in stack-budget chunks there and in one batch here
     assert np.allclose(stored, direct.reshape(len(direct), -1)[:, fam._used],
                        rtol=1e-13, atol=0.0)
+
+
+def test_family_at_many_chunks_hold_one_stack(monkeypatch):
+    # L + 20 D1 at m = 32: a Schur table of 528 used columns against 450
+    # ray nodes at t_max 4, so each t's two ray sums and arc product
+    # outweigh its phase product; the chunk loop, up to the map back, holds
+    # at most 2 stack budgets beyond the (n_t, n^2) output
+    m = 32
+    A = certified(_laplacian(m) + 20.0 * (m + 1) / 2.0 * (np.eye(m, k=1) - np.eye(m, k=-1)),
+                  0.9 * np.pi)
+    fam = ImaginaryPowerFamily(A, t_max=4.0)
+    assert not fam._panel_first
+    ts = np.linspace(-4.0, 4.0, 1000)
+    peak = []
+
+    class Stop(Exception):
+        pass
+
+    def stop(basis, X):
+        peak.append(tracemalloc.get_traced_memory()[1] - start - X.nbytes)
+        raise Stop
+
+    monkeypatch.setattr(linops, "from_basis", stop)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(Stop):
+            fam.at_many(ts)
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak[0] <= 2 * linops._SHIFT_STACK_BYTES

@@ -333,9 +333,9 @@ def test_pivot_test_scale_does_not_overflow():
     assert np.allclose(R[0] * (d + z), 1.0, rtol=1e-15, atol=0.0)
     norm = linops.resolvent_norms(np.diag(d), [z], basis)[0]
     assert norm == pytest.approx(1.0 / np.min(np.abs(d + z)), rel=1e-15)
-    # where the sum overflows the singular test still holds its scale:
-    # ||T + zI||_F = sqrt(3) 2e154, so a distance of 1e140 is singular and
-    # 1e143 is not
+    # where the sum would overflow the per-eigenvalue test still holds its
+    # scale: 1e-13 (|d_0| + |z|) = 2e141, so a distance of 1e140 is
+    # singular and 1e143 is not
     d = np.array([-1e154, 1e154, 1e154, 1e154], dtype=complex)
     basis = (d, np.eye(4, dtype=complex))
     with pytest.raises(SingularShift):
@@ -350,7 +350,7 @@ def test_pivot_test_scale_does_not_overflow():
     assert np.allclose(R[0] * (d + z), 1.0, rtol=1e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("off", [0.0, 2.5])
+@pytest.mark.parametrize("off", [None, 0.0, 2.5])
 def test_pivot_distances_in_chunks_match_one_table(monkeypatch, off):
     # 3 shifts a chunk against every shift at once, with singular shifts
     # and shifts whose sum of squares overflows in several chunks
@@ -367,6 +367,33 @@ def test_pivot_distances_in_chunks_match_one_table(monkeypatch, off):
     assert whole[1].any() and not whole[1].all()
     for a, b in zip(whole, chunked, strict=True):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_normal_pivot_test_reads_each_eigenvalue_on_its_own_scale():
+    # on a normal basis a pivot is singular when it is within rounding of
+    # its own terms, |d_i + z| <= 1e-13 (|d_i| + |z|): 1 + z = 1 at z = 0
+    # is not, though 1e-13 ||diag(1, 1e16) + zI||_F = 1e3 exceeds it
+    d = np.array([1.0, 1e16], dtype=complex)
+    basis = (d, np.eye(2, dtype=complex))
+    R = linops.spectral_resolvents(basis, [0.0, -884.0 - 287.0j])
+    assert np.array_equal(R, 1.0 / (d + np.array([0.0, -884.0 - 287.0j])[:, None]))
+    norms = linops.resolvent_norms(np.diag(d), [0.0], basis)
+    assert norms[0] == 1.0
+    # a shift exactly on an eigenvalue is singular, and named
+    for k in (0, 1):
+        with pytest.raises(SingularShift) as exc:
+            linops.spectral_resolvents(basis, [2.0, -d[k], 3.0])
+        assert exc.value.shift == -d[k]
+        with pytest.raises(SingularShift):
+            linops.basis_solve(basis, [-d[k]], np.ones(2))
+    assert np.isinf(linops.resolvent_norms(np.diag(d), [-1.0], basis)[0])
+    # a Schur basis keeps the pivot test of ShiftedFactorization: the
+    # same pivot 1 against 1e-13 ||T + zI||_F is singular there
+    T = np.array([[1.0, 1e-3], [0.0, 1e16]], dtype=complex)
+    with pytest.raises(SingularShift):
+        linops.triangular_resolvents(T, [0.0])
+    with pytest.raises(SingularShift):
+        linops.ShiftedFactorization(T, 0.0)
 
 
 def test_normal_certification_peak_memory_is_one_stack():

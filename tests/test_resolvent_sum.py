@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sectorsum import (CommutingPair, build_nodes, builtin_symbols, calculus, complex_power, linops,
-                       sum_inverse, sums)
+from sectorsum import (CommutingPair, build_nodes, builtin_symbols, calculus, complex_power, contour,
+                       linops, sum_inverse, sums)
 from sectorsum.calculus import hinf_contour, power_contour
 from sectorsum.sums import inverse_contour, sum_contour
 from conftest import certified
@@ -165,3 +165,90 @@ def test_complex_power_resolves_one_shift_per_conjugate_pair(monkeypatch, M, rea
     _, info = complex_power(A, -0.8 + 0.3j, spec=spec, with_info=True)
     assert info.n_nodes == spec.n_arc + 2 * n_rule
     assert sum(shifts) == spec.n_arc + n_rule * (1 if real else 2)
+
+
+def _counted_norms(monkeypatch):
+    """One entry per end node whose norm a contour sum takes."""
+    taken = []
+    node_norms = contour._node_norms
+
+    def counting(R):
+        taken.append(len(R))
+        return node_norms(R)
+
+    monkeypatch.setattr(contour, "_node_norms", counting)
+    return taken
+
+
+@pytest.mark.parametrize("M,power,hinf", [
+    (_convection_diffusion(16), 2, 3),
+    (_convection_diffusion(16) + 1j * np.diag(np.linspace(0.0, 1.0, 16)), 4, 6),
+], ids=["real", "complex"])
+def test_norms_are_taken_only_at_the_end_nodes_the_estimate_reads(monkeypatch, M, power, hinf):
+    # the tail estimate reads the inner end node of each ray, the next one
+    # only on rays from the origin (hinf_apply's rho = 0), and the outer
+    # end node; a real A reads both rays' norms off the upper ray's
+    # resolvent, so complex_power's arc path takes 2 SVDs and hinf_apply's
+    # 3, where a complex A takes one per node of each ray
+    A = certified(M, 0.9 * np.pi)
+    assert A.normal_basis() is None
+    taken = _counted_norms(monkeypatch)
+    complex_power(A, -0.8 + 0.3j)
+    assert sum(taken) == power
+    taken.clear()
+    calculus.hinf_apply(builtin_symbols(np.pi / 2)["rational-eta"], A)
+    assert sum(taken) == hinf
+
+
+def _recorded_cases():
+    def op(M, angle):
+        return certified(np.asarray(M, dtype=complex), angle)
+
+    N = np.array([[1.0, 0.3], [0.0, 2.0]])
+    triangular = CommutingPair(op(N, 0.85 * np.pi), op(N @ N + np.eye(2), 0.85 * np.pi))
+    diagonal = CommutingPair(op(np.diag([1.0, 2.0]), 0.9 * np.pi),
+                             op(np.diag([3.0, 4.0]), 0.9 * np.pi))
+    normal = op([[2.0, 1.0], [1.0, 3.0]], 0.9 * np.pi)
+    schur = op([[1.0, 1.0], [0.0, 2.0]], 0.9 * np.pi)
+    w = -0.4 + 0.3j
+    return {
+        "normal-power": (normal, lambda: complex_power(normal, -0.6 + 0.4j, with_info=True)[1]),
+        "schur-hinf": (schur, lambda: calculus.hinf_apply(
+            builtin_symbols(np.pi / 2)["rational-eta"], schur, with_info=True)[1]),
+        "diagonal-pair": (diagonal, lambda: sums._pair_integral(
+            diagonal, sum_contour(diagonal, 1e-8, w, 1.0), 1.0, w)),
+        "triangular-pair": (triangular, lambda: sums._pair_integral(
+            triangular, inverse_contour(triangular), -1.0)),
+    }
+
+
+# value (real and imaginary parts, row by row), tail estimate and node
+# count of each case, as float.hex, from the contour sums before they took
+# norms only at the end nodes read (x86-64, OpenBLAS, numpy 2.4)
+RECORDED = {
+    "normal-power": (['0x1.6786cc5eda43ap-1', '0x1.1e3d2c48b79dfp-3', '-0x1.7b603a1287c8ap-3',
+                      '0x1.bbe774e350e20p-5', '-0x1.7b603a1287c89p-3', '0x1.bbe774e350e20p-5',
+                      '0x1.08aebdda38517p-1', '0x1.8d3709818bd67p-3'],
+                     '0x1.7a954a9e7c799p-38', 102),
+    "schur-hinf": (['0x1.ffffffffffcd8p-2', '0x0.0p+0', '-0x1.d482220104c99p-6', '0x0.0p+0',
+                    '0x0.0p+0', '0x0.0p+0', '0x1.e2b7dddfef80ep-2', '0x0.0p+0'],
+                   '0x1.cc773027009bfp-38', 74),
+    "diagonal-pair": (['0x1.000000000663fp-2', '-0x1.3e50000000000p-40', '0x0.0p+0', '0x0.0p+0',
+                       '0x0.0p+0', '0x0.0p+0', '0x1.fa381e6e11660p-3', '0x1.ab3cb5fdaef1cp-5'],
+                      '0x1.ff1517bf2950cp-37', 230),
+    "triangular-pair": (['0x1.5555555552fd8p-2', '0x0.0p+0', '-0x1.d41d41d41ec79p-5', '0x0.0p+0',
+                         '0x0.0p+0', '0x0.0p+0', '0x1.249249248c546p-3', '0x0.0p+0'],
+                        '0x1.3a7542ae6a181p-38', 172),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED))
+def test_contour_sums_keep_their_recorded_bits(case):
+    # a normal and a Schur basis, a diagonal and a triangular joint basis
+    owner, run = _recorded_cases()[case]
+    basis = owner.joint_basis() if isinstance(owner, CommutingPair) else owner.resolvent_basis()
+    assert basis[0].ndim == (1 if case.split("-")[0] in ("normal", "diagonal") else 2)
+    info = run()
+    parts, tail, n_nodes = RECORDED[case]
+    assert [x.hex() for x in info.value.reshape(-1).view(float).tolist()] == parts
+    assert info.tail_estimate.hex() == tail and info.n_nodes == n_nodes

@@ -47,6 +47,15 @@ def test_certify_spectrum_on_ray():
     assert exc.value.shift is not None
 
 
+def test_certify_a_wide_spectrum():
+    # the per-eigenvalue pivot test of a normal basis: diag(1, 1e16) is as
+    # sectorial at 0.9 pi as diag(1, 1e12); a test against ||A + zI||_F
+    # would call z = -884 - 287i (|1 + z| ~ 929) singular
+    wide = certify_sector(MatrixOperator(np.diag([1.0, 1e16])), 0.9 * np.pi)
+    assert wide == certify_sector(MatrixOperator(np.diag([1.0, 1e12])), 0.9 * np.pi)
+    assert wide == pytest.approx(6.39, abs=5e-3)
+
+
 def test_certify_monotonic_in_angle(scalar1):
     ks = [certify_sector(scalar1, th, attach=False) for th in (0.2, 0.6, 1.2, 1.5)]
     assert all(a <= b + 1e-12 for a, b in zip(ks, ks[1:]))

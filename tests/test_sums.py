@@ -20,7 +20,7 @@ from sectorsum import (
     weighted_identity_left,
     weighted_identity_right,
 )
-from sectorsum.errors import SingularShift
+from sectorsum.errors import SingularShift, TruncationNotConverged
 from sectorsum.linops import ShiftedFactorization, operator_norm
 from sectorsum.sums import sum_contour
 from sectorsum.contour import build_nodes, fit_contour, gauss_panels
@@ -117,6 +117,23 @@ def test_weighted_identity_right_examples(pair_1234):
     pair_ii = make_pair([1.0], [1.0])
     lhs, rhs, diff = weighted_identity_right(pair_ii, -1.0)
     assert abs(lhs[0, 0] - 0.5) < 1e-8 and abs(rhs[0, 0] - 0.5) < 1e-8
+
+
+def test_pair_integrals_gate_their_tails(pair_1234):
+    # a decay of |Re w| at infinity cuts the identities' rays at e^354
+    # (the ray rule's last finite radius) once |Re w| < 0.07 at tol 1e-8:
+    # at w = -0.01 the rays leave out a tail of 3e-3, so the identity
+    # raises, naming the decay
+    for identity in (weighted_identity_left, weighted_identity_right):
+        with pytest.raises(TruncationNotConverged, match="decay exponent 0.01 at infinity"):
+            identity(pair_1234, -0.01)
+        assert identity(pair_1234, -0.5)[2] <= 1e-11
+        # at w = -0.05 the two rays' tails cancel to 2e-9 (about
+        # sin((pi - theta) |w|) of their norms), within tol: the identity
+        # holds to 1.1e-9
+        assert identity(pair_1234, -0.05)[2] <= 2e-9
+    with pytest.raises(TruncationNotConverged, match="decay exponent 0.02 at infinity"):
+        split_integral_eval(pair_1234, 0.01, 0.01, 0.0, 2)
 
 
 def test_identity_coherence_over_w(pair_1234):
