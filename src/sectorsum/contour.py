@@ -44,7 +44,8 @@ exact conjugate of an upper-ray node, so for a real operator the lower
 ray's resolvents are the conjugates of the upper ray's and only the arc
 and the upper ray are resolved.  The tail estimate takes norms at the
 end nodes it reads (each ray's inner end, the next node on rays from the
-origin, the outer end) and nowhere else.  calculus and sums call it;
+origin, the outer end) and nowhere else, and is the one truncation gate
+of every contour sum (see dunford).  calculus and sums call it;
 dunford is its g = 1 case for any vectorised integrand.  The nodes'
 angular tables (the ray directions, the arc's unit nodes and weights)
 depend on theta and n_arc alone and are computed once per value of those.
@@ -324,8 +325,13 @@ def dunford(
     decay_exponent : float
         eta such that the integrand decays like |lambda|^(-1-eta) at infinity.
     tol_tail : float, optional
-        If given, raise TruncationNotConverged when the tail estimate
-        exceeds it.
+        If given, an estimate above it is read again with the rays' outer
+        ends summed: F = integrand x lambda at the two outer end nodes
+        (the integrand is called once more on them), and ||F_up - F_down||
+        (the lower ray runs inward) in place of ||F_up|| + ||F_down||,
+        which sees the rays' tails cancel past the cut.  Raise
+        TruncationNotConverged when that reading exceeds it too, else
+        return it as the estimate.
 
     The tail estimate sums over the four ray ends g / (2 pi) times the
     log-radius length the rule leaves out there: the length down to rho
@@ -363,8 +369,9 @@ def _resolvent_sum(spec: ContourSpec, g, resolve, back=None, real: bool = False,
     stack by one matrix product (:func:`_weigh`).  Chunks hold
     ``item_bytes``-byte values up to :func:`linops.stack_step`; without
     ``item_bytes`` the first chunk is one node, which sets it.  The tail
-    estimate is :func:`dunford`'s, with ||g R|| = |g| ||R|| at the end
-    nodes it reads, whose few indices are all the bookkeeping it keeps.
+    estimate and its gate are :func:`dunford`'s, with ||g R|| = |g| ||R||
+    at the end nodes it reads, whose few indices are all the bookkeeping
+    it keeps, and norms taken in the basis R is held in (a unitary one).
 
     ``real`` declares back(R(conj(lambda))) = conj(back(R(lambda))):
     true of the resolvents of a real matrix, and of products of those of
@@ -435,10 +442,20 @@ def _resolvent_sum(spec: ContourSpec, g, resolve, back=None, real: bool = False,
         tail += inner + gn[-1][ray] * (1.0 / max(decay_exponent, 1e-3))
     tail /= 2.0 * np.pi
     if tol_tail is not None and tail > tol_tail:
-        raise TruncationNotConverged(
-            f"tail estimate {tail:.3e} exceeds tol_tail {tol_tail:.3e} (rays over u "
-            f"in [{spec.u_lo:.3f}, {spec.u_hi:.3f}], decay exponent {decay_exponent})"
-        )
+        # re-read the outer end as ||F_up - F_down||, F = g R lambda (the
+        # lower ray runs inward), in place of ||F_up|| + ||F_down||
+        R = np.asarray(resolve(lam[-2:]), dtype=complex)
+        F = R * (gv[-2:] * lam[-2:]).reshape((2,) + (1,) * (R.ndim - 1))
+        cancelled = gn[-1][0] + gn[-1][1] - float(_node_norms(F[:1] - F[1:])[0])
+        summed = tail - cancelled / (2.0 * np.pi * max(decay_exponent, 1e-3))
+        if summed > tol_tail:
+            raise TruncationNotConverged(
+                f"tail estimate {tail:.3e} ({summed:.3e} with the rays' outer ends summed) "
+                f"exceeds tol_tail {tol_tail:.3e}: rays over u in [{spec.u_lo:.3f}, "
+                f"{spec.u_hi:.3f}] cut at |lambda| = {abs(lam[-1]):.3e}, decay exponent "
+                f"{decay_exponent:.4g} at infinity; pass a finer ray rule or a "
+                f"faster-decaying weight")
+        tail = summed
     return DunfordResult(value, tail, len(lam))
 
 

@@ -291,10 +291,10 @@ def _power(cfg, seed, out_dir):
     return CertificateReport(
         operation="complex-power",
         inputs={"z": z, "theta": op.angle(), "dim": op.dim, "seed": seed},
-        tolerances={"tail": 1e-9}, node_counts={"contour": info.n_nodes if info else 0},
+        tolerances={"tail": 1e-9}, node_counts={"contour": info.n_nodes},
         outputs={
             "norm": linops.operator_norm(value),
-            "tail_estimate": info.tail_estimate if info else 0.0,
+            "tail_estimate": info.tail_estimate,
             "matrix": [[repr(complex(v)) for v in row] for row in value],
         },
         passed=True,

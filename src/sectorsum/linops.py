@@ -408,7 +408,8 @@ def resolvent_norms(M, shifts, basis=None) -> np.ndarray:
     if basis is not None:
         nearest, singular = _pivot_distances(basis[0], z)
         out = np.full(z.shape[0], np.inf)
-        out[~singular] = 1.0 / nearest[~singular]
+        with np.errstate(over="ignore"):   # a subnormal distance: inf, as on the spectrum
+            out[~singular] = 1.0 / nearest[~singular]
         return out
     M = as_matrix(M)
     return _per_conjugate_pair(M, z, lambda u: _singular_value_norms(M, u))

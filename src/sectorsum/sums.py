@@ -40,8 +40,9 @@ triangular stacks.  contour's weighted reduction reduces the stack
 against the weight -(-lam)^{1+w} and each integral ends in one
 `linops.from_basis`; when A and B are both real, only the arc and the
 upper ray are resolved and the lower ray is read off their conjugates.
-A factor that does not depend on the node (A^phi, B^phi of the splits
-and the e-adic sum) multiplies the reduced value once.  A pair that
+contour gates each integral's tail at the tol its contour was fitted
+to.  A factor that does not depend on the node (A^phi, B^phi of the
+splits and the e-adic sum) multiplies the reduced value once.  A pair that
 commutes only to COMMUTE_TOLERANCE, not to working precision, fails the
 test and resolves each member in its own basis
 (`MatrixOperator.resolvent_basis`) with dense (N, n, n) stacks; nothing
@@ -52,7 +53,8 @@ SingularShift naming that node.  K depends only on the pair, whose
 members are fixed, and on its contour and tol, so the pair keeps each K
 that passed the residual gate with its residual
 (`sector.kept`): the weighted identities share one, and
-`closedness_certificate` reads the one `sum_inverse` took.  Radial splits at
+`closedness_certificate` reads the one `sum_inverse` took, found by
+the contour the pair keeps (`sum_contour`), not a refit.  Radial splits at
 |lambda| = 1 and e^n, and the e-adic rearrangement of the middle
 annulus, are provided for the split diagnostics; both were
 cross-checked against scalar residue oracles.
@@ -65,9 +67,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linops
-from .calculus import complex_power, fractional_power
-from .contour import (ContourSpec, DunfordResult, _resolvent_sum, build_nodes, fit_contour,
-                      gauss_panels)
+from .calculus import _CONTOURS_KEPT, complex_power, fractional_power
+from .contour import ContourSpec, DunfordResult, _resolvent_sum, fit_contour, gauss_panels
 from .errors import SingularShift, TruncationNotConverged
 from .sector import MatrixOperator, kept
 
@@ -98,11 +99,11 @@ class CommutingPair:
 
     The members are fixed: assigning A or B after construction raises
     AttributeError, so nothing cached from them can go stale.  The pair
-    keeps its joint basis, and the inverses K that passed
-    :func:`sum_inverse`'s residual gate with their two-sided residuals,
-    per (contour spec, tol), the _INVERSES_KEPT most recently used, with
-    read-only arrays (:func:`sector.kept`): the weighted identities and
-    :func:`closedness_certificate` reuse them.
+    keeps its joint basis, its contours (:func:`sum_contour`), and the
+    inverses K that passed :func:`sum_inverse`'s residual gate with their
+    two-sided residuals, per (contour spec, tol), the _INVERSES_KEPT most
+    recently used, with read-only arrays (:func:`sector.kept`): the
+    weighted identities and :func:`closedness_certificate` reuse them.
     """
 
     A: MatrixOperator
@@ -212,9 +213,12 @@ def sum_contour(
     integrand's poles, -s sigma(A) and s sigma(B) (from the joint basis,
     else each member's), and to its decay: like |lam|^{Re w} at infinity,
     with the constant K_A K_B grown by e^{|Im w| (pi - theta)}, and like
-    |lam|^{2 + Re w} at the origin.
+    |lam|^{2 + Re w} at the origin.  The pair keeps the _CONTOURS_KEPT
+    most recently used, per (tol, w, s) and its members' certificates
+    (:func:`sector.kept`).
     """
-    return _rays_from(pair, tol, w, s, 0.0)
+    key = ("contour", float(tol), complex(w), float(s), pair.A.certified, pair.B.certified)
+    return kept(pair, key, lambda: _rays_from(pair, tol, w, s, 0.0), recent=_CONTOURS_KEPT)
 
 
 def _rays_from(pair, tol, w, s, rho) -> ContourSpec:
@@ -284,10 +288,8 @@ def _from_joint(pair: CommutingPair, X: np.ndarray) -> np.ndarray:
     return linops.from_basis((Da, Q), X)
 
 
-def _pair_integral(
-    pair: CommutingPair, spec: ContourSpec, s: float, w: complex | None = None,
-    tol: float | None = None,
-) -> DunfordResult:
+def _pair_integral(pair: CommutingPair, spec: ContourSpec, s: float, w: complex | None,
+                   tol: float) -> DunfordResult:
     """I_s(w) over spec; w = None leaves the weight out (K, decaying like
     |lam|^{-2}).
 
@@ -301,56 +303,22 @@ def _pair_integral(
     both members are real the lower ray is read off the upper one's
     resolvents.
 
-    ``tol``, the tolerance the caller fitted spec to, gates the tail
-    (:func:`_gate_tail`): TruncationNotConverged when the rays cut off
-    more than that.
+    ``tol``, the tolerance the caller fitted spec to, is contour's
+    ``tol_tail``: TruncationNotConverged when the rays cut off more than
+    that, the two rays' outer ends summed before their norm is taken
+    (:func:`contour.dunford`).
     """
     if w is None:
         g, decay = lambda lam: np.full(lam.shape, -1.0 + 0j), 1.0
     else:
         g, decay = lambda lam: -((-lam) ** (1.0 + w)), abs(np.real(w))
     basis = pair.joint_basis()
-
-    def resolve(lam):
-        return _resolvent_products(pair, lam, lam, s, -s)
-
-    info = _resolvent_sum(
-        spec, g, resolve, back=lambda X: _from_joint(pair, X),
+    return _resolvent_sum(
+        spec, g, lambda lam: _resolvent_products(pair, lam, lam, s, -s),
+        back=lambda X: _from_joint(pair, X),
         real=not (pair.A.matrix.imag.any() or pair.B.matrix.imag.any()),
         item_bytes=16 * (pair.dim ** 2 if basis is None else basis[0].size),
-        decay_exponent=decay)
-    if tol is not None and info.tail_estimate > tol:
-        _gate_tail(pair, spec, g, resolve, decay, info.tail_estimate, tol)
-    return info
-
-
-def _gate_tail(pair, spec, g, resolve, decay, tail, tol) -> None:
-    """TruncationNotConverged unless the two rays' outer ends, summed
-    before their norm is taken, bring a pair integral's tail estimate
-    within tol.
-
-    The estimate adds the norms of F = g(lam) R(lam) lam at the outer
-    end nodes of the two rays, r e^{+-i theta}.  Past that radius the
-    tails of both rays run over the same r, and F of a pair decays like
-    r^w with the two rays' leading terms equal up to the phase
-    e^{+-i (pi - theta) w}, so the tail of the rays' sum, which the
-    quadrature leaves out, is smaller by about sin((pi - theta) |w|): 50
-    times at w = -0.05, where the ray rule stops at radius e^354.  The
-    gate therefore reads the outer end as ||F_up - F_down|| (the lower
-    ray runs inward) in place of ||F_up|| + ||F_down||; the inner end's
-    part of the estimate is kept.
-    """
-    lam = build_nodes(spec)[0][-2:]   # the outer end node of the upper, then the lower ray
-    F = g(lam)[:, None, None] * _from_joint(pair, resolve(lam)) * lam[:, None, None]
-    apart = float(np.sum(np.linalg.norm(F, 2, axis=(1, 2))))
-    summed = linops.operator_norm(F[0] - F[1])
-    gated = tail - (apart - summed) / (2.0 * np.pi * max(decay, 1e-3))
-    if gated > tol:
-        raise TruncationNotConverged(
-            f"pair integral tail estimate {tail:.3e} ({gated:.3e} with the rays' outer ends "
-            f"summed) exceeds {tol:.3e}: decay exponent {decay:.4g} at infinity is too slow "
-            f"for rays cut at |lambda| = {abs(lam[0]):.3e}; pass a finer ray rule or a "
-            f"faster-decaying weight")
+        decay_exponent=decay, tol_tail=tol)
 
 
 def _inverse_residual(pair: CommutingPair, K: np.ndarray) -> float:
@@ -396,7 +364,7 @@ def _gated_inverse(pair: CommutingPair, spec: ContourSpec, tol: float):
     certificate that overstates an angle lets in.
     """
     try:
-        info = _pair_integral(pair, spec, -1.0, tol=_inverse_tol(pair, tol))
+        info = _pair_integral(pair, spec, -1.0, None, _inverse_tol(pair, tol))
     except SingularShift as exc:
         raise SingularShift(
             f"contour node z={exc.shift} hits a spectrum; pass a spec whose "

@@ -1,3 +1,4 @@
+import ast
 import cmath
 import importlib
 import importlib.util
@@ -463,6 +464,22 @@ def test_legendre_rule_and_dense_solves_stay_in_their_modules():
     # they call linops.basis_solve, never the stacks or their map back
     for name in ("sector.py", "tsector.py"):
         assert not re.search(r"(from_basis|basis_resolvents)\(", (src / name).read_text()), name
+
+
+def test_every_contour_sum_is_gated_in_contour_alone():
+    # contour judges a sum's tail: every caller of the weighted reduction
+    # passes its tol_tail, and no other module reads a contour's end nodes
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "sectorsum"
+    calls = 0
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_resolvent_sum":
+                calls += 1
+                assert "tol_tail" in {k.arg for k in node.keywords}, (path.name, node.lineno)
+    assert calls >= 3
+    imported = {alias.name for node in ast.walk(ast.parse((src / "sums.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "_resolvent_sum" in imported and "build_nodes" not in imported
 
 
 def test_tracer_methods_exist():

@@ -175,6 +175,15 @@ def test_resolvent_norms_inf_on_spectrum():
     assert linops.resolvent_norms(J, []).shape == (0,)
 
 
+def test_resolvent_norms_inf_at_a_subnormal_distance():
+    # 1 / 2.2e-311 overflows: the norm is inf, as on the spectrum, with no warning
+    M = np.diag([1.0, 2.225073858507e-311])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = linops.resolvent_norms(M, [0.0, 1.0], linops.normal_basis(M))
+    assert np.isinf(got[0]) and got[1] == 1.0
+
+
 @pytest.mark.parametrize("kind", OPERATORS)
 def test_resolvents_match_per_shift_inverse(kind):
     M = OPERATORS[kind](8).astype(complex)

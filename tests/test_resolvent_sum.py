@@ -2,6 +2,7 @@
 against a per-node loop over dense inverses, and the nodes it resolves."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from sectorsum import (CommutingPair, build_nodes, builtin_symbols, calculus, complex_power, contour,
                        linops, sum_inverse, sums)
 from sectorsum.calculus import hinf_contour, power_contour
+from sectorsum.errors import TruncationNotConverged
 from sectorsum.sums import inverse_contour, sum_contour
 from conftest import certified
 
@@ -127,13 +129,13 @@ def test_pair_integrals_match_a_per_node_dense_loop(kind, n, seed, re, im, s):
     pair = _pair(kind, n, seed)
     spec = inverse_contour(pair)
     ref = _reference(spec, np.ones_like, _products(pair, -1.0), 1.0)
-    _assert_agrees(sums._pair_integral(pair, spec, -1.0), ref)
+    _assert_agrees(sums._pair_integral(pair, spec, -1.0, None, math.inf), ref)
     K = sum_inverse(pair, spec)
     assert np.linalg.norm(K - ref[0], 2) <= 1e-13 * np.linalg.norm(ref[0], 2)
     w = complex(re, im)
     spec = sum_contour(pair, 1e-8, w, s)
     weight = lambda lam: (-lam) ** (1.0 + w)  # noqa: E731
-    _assert_agrees(sums._pair_integral(pair, spec, s, w),
+    _assert_agrees(sums._pair_integral(pair, spec, s, w, math.inf),
                    _reference(spec, weight, _products(pair, s), -re))
 
 
@@ -216,9 +218,9 @@ def _recorded_cases():
         "schur-hinf": (schur, lambda: calculus.hinf_apply(
             builtin_symbols(np.pi / 2)["rational-eta"], schur, with_info=True)[1]),
         "diagonal-pair": (diagonal, lambda: sums._pair_integral(
-            diagonal, sum_contour(diagonal, 1e-8, w, 1.0), 1.0, w)),
+            diagonal, sum_contour(diagonal, 1e-8, w, 1.0), 1.0, w, math.inf)),
         "triangular-pair": (triangular, lambda: sums._pair_integral(
-            triangular, inverse_contour(triangular), -1.0)),
+            triangular, inverse_contour(triangular), -1.0, None, math.inf)),
     }
 
 
@@ -252,3 +254,57 @@ def test_contour_sums_keep_their_recorded_bits(case):
     parts, tail, n_nodes = RECORDED[case]
     assert [x.hex() for x in info.value.reshape(-1).view(float).tolist()] == parts
     assert info.tail_estimate.hex() == tail and info.n_nodes == n_nodes
+
+
+# ------------------------------------------------------ the one tail gate
+
+
+def _slow_power(z):
+    """(A, A^z's default contour, the oracle A^z) at A = diag(1, 2): a
+    decay of |Re z| at infinity cuts the rays at the ray rule's last
+    finite radius, e^354, once |Re z| is small."""
+    A = certified(np.diag([1.0, 2.0]), 0.9 * np.pi)
+    return A, power_contour(A, z), np.diag([1.0, 2.0 ** z])
+
+
+def test_a_tail_the_two_rays_cancel_passes_the_gate():
+    # at z = -0.05 the rays' outer ends read 1.3e-7 apart; past the cut
+    # their leading terms (-lambda)^z differ by the phases e^{-+i (pi -
+    # theta) z}, and read summed they leave 1e-8, within tol_tail
+    A, spec, oracle = _slow_power(-0.05)
+    tol = 2e-8
+    assert complex_power(A, -0.05, spec=spec, tol=math.inf, with_info=True)[1].tail_estimate > tol
+    value, info = complex_power(A, -0.05, spec=spec, tol=tol, with_info=True)
+    assert info.tail_estimate <= tol
+    assert np.linalg.norm(value - oracle, 2) <= tol
+
+
+def test_a_tail_past_both_readings_raises_naming_the_decay():
+    # at z = -0.01 the rays leave out 0.9 apart and 0.014 summed
+    A, spec, _ = _slow_power(-0.01)
+    with pytest.raises(TruncationNotConverged,
+                       match=r"^tail estimate .* with the rays' outer ends summed.* "
+                             r"decay exponent 0.01 at infinity; pass a finer ray rule"):
+        complex_power(A, -0.01, spec=spec, tol=1e-3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(1, 6), seed=st.integers(0, 2 ** 16),
+       re=st.floats(-1.2, -0.01), im=st.floats(-1.0, 1.0),
+       cut=st.just(1.0) | st.floats(0.5, 1.0), share=st.floats(-3.0, 0.3))
+def test_every_gated_result_carries_a_tail_within_its_tol(kind, n, seed, re, im, cut, share):
+    # a slow decay, or the rays cut short, gated at a tol_tail around the
+    # first reading: what the gate lets through, on either reading, never
+    # carries a tail estimate above tol_tail
+    M, angle = _operator(kind, n, seed)
+    A = certified(M, angle)
+    z = complex(re, im)
+    spec = power_contour(A, z)
+    spec = replace(spec, u_hi=spec.u_lo + cut * (spec.u_hi - spec.u_lo))
+    first = complex_power(A, z, spec=spec, tol=math.inf, with_info=True)[1].tail_estimate
+    tol = first * 10.0 ** share
+    try:
+        _, info = complex_power(A, z, spec=spec, tol=tol, with_info=True)
+    except TruncationNotConverged:
+        return
+    assert info.tail_estimate <= tol
