@@ -81,14 +81,14 @@ def power_contour(A: MatrixOperator, z: complex, tol: float = 1e-9) -> ContourSp
     """Default contour for A^z: angle capped at pi/2 (widest analyticity
     strip in log-radius), arc radius inside the resolvent disk at 0, and
     the ray rule fitted to -sigma(A) and the |lambda|^(Re z) decay of
-    lambda (-lambda)^z (A + lambda)^{-1}; A keeps the _CONTOURS_KEPT most
-    recently used per (z, tol, certificate) (:func:`sector.kept`)."""
-    theta = min(0.5 * np.pi, 0.95 * A.angle())   # raises for an uncertified A
+    lambda (-lambda)^z (A + lambda)^{-1}."""
+    theta = min(0.5 * np.pi, 0.95 * A.angle())
     growth = np.exp(abs(np.imag(z)) * (np.pi - theta))
-    return kept(A, ("contour", complex(z), float(tol), A.certified), lambda: fit_contour(
-        theta, -linops.basis_eigenvalues(A.resolvent_basis()), (1.0 + z, -z),
-        growth * max(A.constant() + 1.0, 2.0 * A.inverse_norm()), 0.25 * tol,
-        rho=0.4 / A.inverse_norm(), n_arc=24), recent=_CONTOURS_KEPT)
+    K = A.constant() if A.certified else 2.0
+    return fit_contour(theta, -linops.basis_eigenvalues(A.resolvent_basis()),
+                       (1.0 + z, -z),
+                       growth * max(K + 1.0, 2.0 * A.inverse_norm()), 0.25 * tol,
+                       rho=0.4 / A.inverse_norm(), n_arc=24)
 
 
 def complex_power(
@@ -284,8 +284,6 @@ class ImaginaryPowerFamily:
 #: family may hold (a Schur table at n = 128 holds about 150 MB)
 _FAMILIES_KEPT = 2
 _FAMILY_BYTES = 16 << 20
-#: power contours an operator keeps, and sum contours a pair keeps
-_CONTOURS_KEPT = 8
 
 
 def _cached_family(A: MatrixOperator, t_max: float) -> ImaginaryPowerFamily:

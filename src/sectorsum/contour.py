@@ -45,7 +45,9 @@ ray's resolvents are the conjugates of the upper ray's and only the arc
 and the upper ray are resolved.  The tail estimate takes norms at the
 end nodes it reads (each ray's inner end, the next node on rays from the
 origin, the outer end) and nowhere else, and is the one truncation gate
-of every contour sum (see dunford).  calculus and sums call it;
+of every contour sum (see dunford): an estimate above the gate is read
+again with the two rays summed at their last two nodes, which sees
+their tails cancel past the cut.  calculus and sums call it;
 dunford is its g = 1 case for any vectorised integrand.  The nodes'
 angular tables (the ray directions, the arc's unit nodes and weights)
 depend on theta and n_arc alone and are computed once per value of those.
@@ -325,13 +327,14 @@ def dunford(
     decay_exponent : float
         eta such that the integrand decays like |lambda|^(-1-eta) at infinity.
     tol_tail : float, optional
-        If given, an estimate above it is read again with the rays' outer
-        ends summed: F = integrand x lambda at the two outer end nodes
-        (the integrand is called once more on them), and ||F_up - F_down||
-        (the lower ray runs inward) in place of ||F_up|| + ||F_down||,
-        which sees the rays' tails cancel past the cut.  Raise
-        TruncationNotConverged when that reading exceeds it too, else
-        return it as the estimate.
+        If given, an estimate above it is read again with the rays
+        summed, D = lambda F(lambda) on the upper ray less the lower (F
+        called again on each ray's last two nodes): ||D|| at the cut,
+        plus how far it moved from the node before at the stated decay,
+        in place of the two rays' norms.  That sees the tails cancel past
+        the cut, and not a D that changes sign at it.  Raise
+        TruncationNotConverged when it exceeds tol_tail too, else return
+        it as the estimate.  Both take F to decay so from the cut on.
 
     The tail estimate sums over the four ray ends g / (2 pi) times the
     log-radius length the rule leaves out there: the length down to rho
@@ -370,8 +373,8 @@ def _resolvent_sum(spec: ContourSpec, g, resolve, back=None, real: bool = False,
     ``item_bytes``-byte values up to :func:`linops.stack_step`; without
     ``item_bytes`` the first chunk is one node, which sets it.  The tail
     estimate and its gate are :func:`dunford`'s, with ||g R|| = |g| ||R||
-    at the end nodes it reads, whose few indices are all the bookkeeping
-    it keeps, and norms taken in the basis R is held in (a unitary one).
+    (norms in R's unitary basis) at the end nodes it reads, whose few
+    indices are all the bookkeeping it keeps.
 
     ``real`` declares back(R(conj(lambda))) = conj(back(R(lambda))):
     true of the resolvents of a real matrix, and of products of those of
@@ -442,12 +445,15 @@ def _resolvent_sum(spec: ContourSpec, g, resolve, back=None, real: bool = False,
         tail += inner + gn[-1][ray] * (1.0 / max(decay_exponent, 1e-3))
     tail /= 2.0 * np.pi
     if tol_tail is not None and tail > tol_tail:
-        # re-read the outer end as ||F_up - F_down||, F = g R lambda (the
-        # lower ray runs inward), in place of ||F_up|| + ||F_down||
-        R = np.asarray(resolve(lam[-2:]), dtype=complex)
-        F = R * (gv[-2:] * lam[-2:]).reshape((2,) + (1,) * (R.ndim - 1))
-        cancelled = gn[-1][0] + gn[-1][1] - float(_node_norms(F[:1] - F[1:])[0])
-        summed = tail - cancelled / (2.0 * np.pi * max(decay_exponent, 1e-3))
+        eta = max(decay_exponent, 1e-3)
+        # the outer end read again with the rays summed (see dunford):
+        # D = F_up - F_down at the rays' last two nodes, which resolve
+        # once more, the inner one's carried to the cut at the decay eta
+        R = np.asarray(resolve(lam[-4:]), dtype=complex)
+        F = R * (gv[-4:] * lam[-4:]).reshape((4,) + (1,) * (R.ndim - 1))
+        d_in, d_out = _node_norms(F[0::2] - F[1::2]).tolist()
+        d_in *= math.exp(-eta * float(s[-1] - s[-2]))
+        summed = tail - (gn[-1][0] + gn[-1][1] - d_out - abs(d_out - d_in)) / (2.0 * np.pi * eta)
         if summed > tol_tail:
             raise TruncationNotConverged(
                 f"tail estimate {tail:.3e} ({summed:.3e} with the rays' outer ends summed) "

@@ -157,9 +157,8 @@ class MatrixOperator:
     nothing kept from it can go stale.  What is derived from it is
     computed on first use and kept (:func:`kept`): the norms, the normal
     basis, the Schur form, the singular values of a non-normal A, the
-    default bounded-imaginary-power fit (:func:`calculus.cached_bip_fit`),
-    the imaginary-power families (:func:`calculus._cached_family`) and
-    the power contours (:func:`calculus.power_contour`).
+    default bounded-imaginary-power fit (:func:`calculus.cached_bip_fit`)
+    and the imaginary-power families (:func:`calculus._cached_family`).
     One SVD of A thus serves ``norm()``, ``inverse_norm()`` and, as the
     decomposition at the shift 0, the Weyl bounds of every certification
     and extension check of A (see :func:`linops.weighted_resolvent_norms`).

@@ -39,10 +39,10 @@ members' `linops.basis_resolvents`; otherwise it is the product of their
 triangular stacks.  contour's weighted reduction reduces the stack
 against the weight -(-lam)^{1+w} and each integral ends in one
 `linops.from_basis`; when A and B are both real, only the arc and the
-upper ray are resolved and the lower ray is read off their conjugates.
-contour gates each integral's tail at the tol its contour was fitted
-to.  A factor that does not depend on the node (A^phi, B^phi of the
-splits and the e-adic sum) multiplies the reduced value once.  A pair that
+upper ray are resolved and the lower ray is read off their conjugates;
+contour gates the tail.  A factor that does not depend on the node
+(A^phi, B^phi of the splits and the e-adic sum) multiplies the reduced
+value once.  A pair that
 commutes only to COMMUTE_TOLERANCE, not to working precision, fails the
 test and resolves each member in its own basis
 (`MatrixOperator.resolvent_basis`) with dense (N, n, n) stacks; nothing
@@ -53,8 +53,7 @@ SingularShift naming that node.  K depends only on the pair, whose
 members are fixed, and on its contour and tol, so the pair keeps each K
 that passed the residual gate with its residual
 (`sector.kept`): the weighted identities share one, and
-`closedness_certificate` reads the one `sum_inverse` took, found by
-the contour the pair keeps (`sum_contour`), not a refit.  Radial splits at
+`closedness_certificate` reads the one `sum_inverse` took.  Radial splits at
 |lambda| = 1 and e^n, and the e-adic rearrangement of the middle
 annulus, are provided for the split diagnostics; both were
 cross-checked against scalar residue oracles.
@@ -67,7 +66,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linops
-from .calculus import _CONTOURS_KEPT, complex_power, fractional_power
+from .calculus import complex_power, fractional_power
 from .contour import ContourSpec, DunfordResult, _resolvent_sum, fit_contour, gauss_panels
 from .errors import SingularShift, TruncationNotConverged
 from .sector import MatrixOperator, kept
@@ -99,10 +98,10 @@ class CommutingPair:
 
     The members are fixed: assigning A or B after construction raises
     AttributeError, so nothing cached from them can go stale.  The pair
-    keeps its joint basis, its contours (:func:`sum_contour`), and the
-    inverses K that passed :func:`sum_inverse`'s residual gate with their
-    two-sided residuals, per (contour spec, tol), the _INVERSES_KEPT most
-    recently used, with read-only arrays (:func:`sector.kept`): the
+    keeps its joint basis, K's contours (:func:`inverse_contour`) and
+    the inverses K that passed :func:`sum_inverse`'s residual gate with
+    their two-sided residuals, per (contour spec, tol), the _INVERSES_KEPT
+    most recently used, with read-only arrays (:func:`sector.kept`): the
     weighted identities and :func:`closedness_certificate` reuse them.
     """
 
@@ -213,12 +212,9 @@ def sum_contour(
     integrand's poles, -s sigma(A) and s sigma(B) (from the joint basis,
     else each member's), and to its decay: like |lam|^{Re w} at infinity,
     with the constant K_A K_B grown by e^{|Im w| (pi - theta)}, and like
-    |lam|^{2 + Re w} at the origin.  The pair keeps the _CONTOURS_KEPT
-    most recently used, per (tol, w, s) and its members' certificates
-    (:func:`sector.kept`).
+    |lam|^{2 + Re w} at the origin.
     """
-    key = ("contour", float(tol), complex(w), float(s), pair.A.certified, pair.B.certified)
-    return kept(pair, key, lambda: _rays_from(pair, tol, w, s, 0.0), recent=_CONTOURS_KEPT)
+    return _rays_from(pair, tol, w, s, 0.0)
 
 
 def _rays_from(pair, tol, w, s, rho) -> ContourSpec:
@@ -241,9 +237,12 @@ def inverse_contour(pair: CommutingPair, tol: float = 1e-6) -> ContourSpec:
     """K's contour for a two-sided residual within tol.
 
     The residual ||(A + B) K - I|| grows like ||A + B|| ||K - (A + B)^{-1}||,
-    so the quadrature runs at 0.01 tol / max(1, ||A|| + ||B||).
+    so the quadrature runs at 0.01 tol / max(1, ||A|| + ||B||).  The pair
+    keeps it per tol and certificates, so a kept K is found with no refit.
     """
-    return sum_contour(pair, tol=_inverse_tol(pair, tol))
+    key = ("K contour", float(tol), pair.A.certified, pair.B.certified)
+    return kept(pair, key, lambda: sum_contour(pair, tol=_inverse_tol(pair, tol)),
+                recent=_INVERSES_KEPT)
 
 
 def _inverse_tol(pair: CommutingPair, tol: float) -> float:
@@ -305,8 +304,7 @@ def _pair_integral(pair: CommutingPair, spec: ContourSpec, s: float, w: complex 
 
     ``tol``, the tolerance the caller fitted spec to, is contour's
     ``tol_tail``: TruncationNotConverged when the rays cut off more than
-    that, the two rays' outer ends summed before their norm is taken
-    (:func:`contour.dunford`).
+    that, read with the two rays summed (:func:`contour.dunford`).
     """
     if w is None:
         g, decay = lambda lam: np.full(lam.shape, -1.0 + 0j), 1.0

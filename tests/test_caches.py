@@ -157,26 +157,20 @@ def test_closedness_reads_the_kept_inverse_and_residual(monkeypatch):
     assert len(calls) == 1 and cert.residual_K == residual
 
 
-def test_a_repeated_identity_fits_no_contour(monkeypatch):
-    # K's contour, the identity's and the power's are kept on their owners
-    fits = []
-    for module in (sums, calculus):
-        fit = module.fit_contour
-        monkeypatch.setattr(module, "fit_contour",
-                            lambda *args, fit=fit, **kwargs: fits.append(1) or fit(*args, **kwargs))
+def test_a_repeated_identity_refits_no_k_contour(monkeypatch):
+    # the pair keeps K's contour (w = -1, sum_contour's default), so a
+    # repeated identity finds its kept K without a refit; the identity's
+    # own contour is fitted again
+    fitted = []
+    fit = sums.sum_contour
+    monkeypatch.setattr(sums, "sum_contour", lambda pair, tol=1e-8, w=-1.0, s=-1.0: (
+        fitted.append(w) or fit(pair, tol, w, s)))
     pair = _recipe_pair()
     first = weighted_identity_left(pair, -0.4 + 0.3j)
-    assert fits
-    fits.clear()
+    assert fitted == [-1.0, -0.4 + 0.3j]
+    fitted.clear()
     again = weighted_identity_left(pair, -0.4 + 0.3j)
-    assert fits == [] and _same(again, first)
-
-
-def test_a_kept_power_contour_follows_the_certificate():
-    A = certified(np.diag([1.0, 2.0]), 0.9 * np.pi)
-    assert calculus.power_contour(A, -0.5).theta == 0.5 * np.pi
-    certify_sector(A, 0.4 * np.pi)
-    assert calculus.power_contour(A, -0.5).theta == 0.95 * A.angle()
+    assert fitted == [-0.4 + 0.3j] and _same(again, first)
 
 
 def test_a_kept_inverse_is_gated_again_at_another_tol():
