@@ -27,21 +27,24 @@ p sweep share one stepper.
   its scalars come from closed forms in expm1 for the stiff steps,
   |h d| >= 1, and from one batched exponential of 3 x 3 blocks for the
   others (Kassam & Trefethen, SIAM J. Sci. Comput. 26, 2005), and
-  a sweep is n scalar recurrences, run as a log-depth elementwise scan
+  a sweep is n scalar recurrences, run as a two-level elementwise scan
   over the time nodes (Hochbruck & Ostermann, Exponential integrators,
   Acta Numer. 2010; Blelloch, Prefix sums and their applications,
-  1990).  The probe search of a constant stays in these coordinates,
-  and so do the forcings it finds until their probe sweeps: Q is
-  unitary and acts on the components only, so pointwise norms and the
-  time-derivative stencil do not see it, A f is d f, and A^* W A is one
-  product with the table w |d|^2.
-  A stepper's first sweep builds the scan's step tables (about 4.3 MB
-  at n = 48, N = 513), and every sweep of the stepper, forward or
-  adjoint, runs on them; a constant takes 44.
+  1990): log2(b) window passes, then one recurrence over groups of b
+  rows, b = 8 for n >= 40 and 16 for 16 <= n < 40.  For n < 16, and
+  when N - 1 < b, the window passes alone are the plain log-depth scan,
+  bit for bit.  The probe search of a constant stays in these
+  coordinates, and so do the forcings it finds until their probe
+  sweeps: Q is unitary and acts on the components only, so pointwise
+  norms and the time-derivative stencil do not see it, A f is d f, and
+  A^* W A is one product with the table w |d|^2.
+  A stepper's first sweep builds the scan's step tables (2.4 MB at
+  n = 48, N = 513), and every sweep of the stepper, forward or adjoint,
+  runs on them; a constant takes 44.
 - Any other operator takes one 3n x 3n exponential and sweeps the
   nodes one n x n product at a time.
 
-The scalar resolvent of the derivative operator is the same scan with
+The scalar resolvent of the derivative operator is the plain scan with
 one scalar step, whose factors stay 0-d.  A sweep whose modes would grow
 past e^{_GROWTH_LIMIT} over the grid raises OverflowRisk.
 """
@@ -333,28 +336,47 @@ class _StepTables:
     scalar step shared by every column (the derivative resolvent).
 
     After the forcing terms, a sweep is the inclusive scan
-    x_i <- sum_{k <= i} e^{-(i-k) z} x_k down the nodes, run as
-    ceil(log2 N) elementwise passes x[s:] += e^{-sz} x[:-s],
-    s = 1, 2, 4, ... (Hillis & Steele; Blelloch, Prefix sums and their
-    applications, 1990).  Each pass takes e^{-sz} from exp rather than
-    by squaring, so the factors carry no error that grows with s.
+    x_i <- sum_{k <= i} e^{-(i-k) z} x_k down the nodes, run in two
+    levels for a group length b, a power of two (Blelloch, Prefix sums
+    and their applications, 1990):
+
+    - log2(b) elementwise window passes x[s:] += e^{-sz} x[:-s],
+      s = 1, 2, 4, ... < b (Hillis & Steele), leave each row holding
+      the sum over its last b inputs;
+    - one forward recurrence x_i += e^{-bz} x_{i-b} over the rows after
+      the first, viewed as contiguous groups of b rows, each a flat
+      product with the b-fold tiled row e^{-bz}, finishes every row,
+      the leftover rows of a last partial group too.
+
+    That is O(N k) work in log2(b) + (N - 1) / b elementwise steps, where
+    the plain scan, ceil(log2 N) passes, takes O(N k log N).  b comes from
+    the shape: 8 for k >= 40 per-column steps, 16 for 16 <= k < 40.  For
+    fewer columns, a scalar step, or N - 1 below that length, b is the
+    smallest power of two above N - 1: no group follows the window
+    passes, which are then the plain scan, bit for bit.  Each factor
+    e^{-sz} comes from exp rather than by squaring, so it carries no
+    error that grows with s; the recurrence adds one rounding per group.
 
     Per-column factors are stored broadcast to the rows they meet,
-    e^{-sz} for every pass s as an (N - s, k) table and c_cur, c_next as
-    (N - 1, k) ones, so that every product has contiguous operands of
-    one shape (numpy runs a product with a broadcast row at about half
-    that speed: 33 against 16 us at 512 x 48, one thread).  A scalar
-    step keeps its 0-d factors, read as tables with nothing allocated.
-    One (N - 1, k) scratch buffer takes the products.
+    e^{-sz} for every pass s as an (N - s, k) table, e^{-bz} as a (b, k)
+    one and c_cur, c_next as (N - 1, k) ones, so that every product has
+    contiguous operands of one shape (numpy runs a product with a
+    broadcast row at about half that speed: 33 against 16 us at
+    512 x 48, one thread).  A scalar step keeps its 0-d factors, read as
+    tables with nothing allocated.  One (N - 1, k) scratch buffer takes
+    the products.
 
     One set of tables serves both directions.  The adjoint's anticausal
-    scan runs in place, without a reversed copy.  It needs the conjugate
-    factors.  When every step scalar is real they are the factors
-    themselves, up to the sign of a zero imaginary part.  Otherwise the
-    adjoint runs on conjugated node values and is conjugated back:
-    conj(a) conj(b) = conj(ab) holds exactly in floating point, and so
-    does exp(conj w) = conj(exp w) for numpy's exp (the property tests
-    compare both directions bit for bit with scans on broadcast rows)."""
+    scan runs in place, without a reversed copy: its windows look ahead
+    and its groups are counted from the last row, so the leftover rows
+    are the first.  It needs the conjugate factors.  When every step
+    scalar is real they are the factors themselves, up to the sign of a
+    zero imaginary part.  Otherwise the adjoint runs on conjugated node
+    values and is conjugated back: conj(a) conj(b) = conj(ab) holds
+    exactly in floating point, and so does exp(conj w) = conj(exp w) for
+    numpy's exp (the property tests compare both directions bit for bit
+    with scans on broadcast rows, and the grouped scans with a sequential
+    recurrence in extended precision)."""
 
     def __init__(self, steps, shape, h: float):
         z, c_cur, c_next = steps
@@ -362,9 +384,18 @@ class _StepTables:
         _check_growth(max(0.0, -float(np.min(np.real(z)))) / h, N, h)
         self.shape = shape
         self.real = not (np.any(z.imag) or np.any(c_cur.imag) or np.any(c_next.imag))
-        shifts = [2 ** j for j in range((N - 1).bit_length())]  # s = 1, 2, 4, ... < N
-        factors = [np.exp(-s * z) for s in shifts] + [c_cur, c_next]
-        rows = [N - s for s in shifts] + [N - 1, N - 1]
+        plain = 1 << (N - 1).bit_length()
+        b = plain if not np.ndim(z) or k < 16 else min(8 if k >= 40 else 16, plain)
+        self.group = b
+        shifts = [2 ** j for j in range(b.bit_length() - 1)]  # s = 1, 2, 4, ... < b
+        factors = [np.exp(-s * z) for s in shifts]
+        rows = [N - s for s in shifts]
+        grouped = b <= N - 1
+        if grouped:
+            factors.append(np.exp(-b * z))
+            rows.append(b)
+        factors += [c_cur, c_next]
+        rows += [N - 1, N - 1]
         if np.ndim(z):
             # one allocation, tables and scratch buffer: its pages fault in
             # once, where a dozen arrays of their own cost several builds
@@ -376,7 +407,28 @@ class _StepTables:
             tables = [np.broadcast_to(f, (r, k)) for f, r in zip(factors, rows)]
             self.scratch = np.empty((N - 1, k), dtype=complex)
         *F, self.c_cur, self.c_next = tables
+        self.tiled = F.pop() if grouped else None
         self.passes = list(zip(shifts, F))
+
+    def _recur(self, x: np.ndarray, anticausal: bool) -> None:
+        """x_i += e^{-bz} x_{i-b} (x_{i+b} when anticausal) down the rows
+        of x in place, b rows at a time: after the window passes, the
+        inclusive scan of every row."""
+        if self.tiled is None:
+            return
+        b = self.group
+        full, rest = divmod(len(x), b)
+        if anticausal:
+            groups = list(x[rest:].reshape(full, -1))[::-1]
+            lead, lag = x[:rest], x[b:b + rest]
+        else:
+            groups = list(x[:full * b].reshape(full, -1))
+            lead, lag = x[full * b:], x[(full - 1) * b:(full - 1) * b + rest]
+        tiled = self.tiled.reshape(-1)
+        buf = self.scratch.reshape(-1)[:len(tiled)]
+        for prev, cur in zip(groups, groups[1:]):
+            cur += np.multiply(tiled, prev, out=buf)
+        lead += np.multiply(self.tiled[:rest], lag, out=self.scratch[:rest])
 
     def sweep(self, g: np.ndarray) -> np.ndarray:
         """The causal sweep of g."""
@@ -387,6 +439,7 @@ class _StepTables:
         out[1:] += np.multiply(self.c_cur, g[:-1], out=buf)
         for s, F in self.passes:
             out[s:] += np.multiply(F, out[:-s], out=buf[:len(F)])
+        self._recur(out[1:], anticausal=False)
         return out
 
     def sweep_adjoint(self, u: np.ndarray) -> np.ndarray:
@@ -405,6 +458,7 @@ class _StepTables:
             if rows <= 0:
                 break
             tail[:-s] += np.multiply(F[:rows], tail[s:], out=buf[:rows])
+        self._recur(tail, anticausal=True)
         np.multiply(self.c_next, tail, out=buf)
         np.multiply(self.c_cur, tail, out=tail)
         y[-1] = 0.0

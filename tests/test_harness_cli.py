@@ -750,6 +750,60 @@ def test_sectorsum_threads_caps_blas_on_import():
     assert scipy_pool == 1
 
 
+# payloads at different BLAS thread counts agree under report-diff at this
+# tolerance relative to the largest numeric output (README, Reports)
+CROSS_THREAD_RTOL = 1e-12
+
+
+def _magnitudes(value):
+    """|v| of every number in a report's outputs, "(a+bj)" literals too."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for v in value:
+            yield from _magnitudes(v)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield abs(value)
+    elif isinstance(value, str):
+        try:
+            yield abs(complex(value))
+        except ValueError:
+            pass
+
+
+def test_payloads_agree_across_blas_thread_counts(tmp_path, capsys):
+    # complex_power of the non-normal L + 20 D1 at m = 96 (Schur path),
+    # whose matrix entries moved in their last digits between 1 and 2
+    # threads; each run in a fresh process, as the cap holds from import
+    m = 96
+    L = generate("laplacian-1d", m=m).matrix
+    write_matrix(tmp_path / "cd.csv", L + 10.0 * (m + 1) * (np.eye(m, k=1) - np.eye(m, k=-1)))
+    cfg = _write_config(tmp_path / "cfg.json", {"pipeline": "power", "matrix": "cd.csv",
+                                                "re": -0.3, "im": 0.5})
+    paths = []
+    for run, threads in enumerate((1, 1, 2)):
+        out = f"out{run}"
+        subprocess.run([sys.executable, "-m", "sectorsum.cli", "--out", out, "run", "--config", cfg],
+                       env=_src_env(SECTORSUM_THREADS=str(threads)), cwd=tmp_path,
+                       capture_output=True, text=True, timeout=120, check=True)
+        paths.append(str(tmp_path / out / "power.json"))
+    one, again, two = map(CertificateReport.load, paths)
+    assert one.envelope["threads"]["SECTORSUM_THREADS"] == "1"
+    assert two.envelope["threads"]["SECTORSUM_THREADS"] == "2"
+    assert one.payload_json() == again.payload_json()  # one thread count: the same bytes
+    tol = CROSS_THREAD_RTOL * max(_magnitudes(one.outputs))
+    assert cli_main(["report-diff", paths[0], paths[2], "--tol", repr(tol)]) == 0
+    capsys.readouterr()
+    # a matrix entry moved past the tolerance fails the same diff
+    doc = json.loads(Path(paths[2]).read_text())
+    doc["outputs"]["matrix"][3][5] = repr(complex(doc["outputs"]["matrix"][3][5]) + 2.0 * tol)
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    assert cli_main(["report-diff", paths[0], str(edited), "--tol", repr(tol)]) == 1
+    fields = json.loads(capsys.readouterr().out)["fields"]
+    assert [k for k, rec in fields.items() if not rec["within_tol"]] == ["outputs.matrix[3][5]"]
+
+
 def test_numpy_only_pipelines_never_load_scipy(tmp_path):
     # the children of one process run in turn; the lists printed last say
     # whether scipy, and numpy.ma (which a plain np.unique imports), were

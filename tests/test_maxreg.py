@@ -599,7 +599,7 @@ def test_a_stepper_builds_its_step_tables_on_its_first_sweep(table_builds):
     assert len(table_builds) == 4
 
 
-@pytest.mark.parametrize("m, N_t", [(8, 256), (48, 512), (5, 16)])
+@pytest.mark.parametrize("m, N_t", [(8, 256), (48, 512), (5, 16), (24, 100)])
 def test_step_tables_bytes(table_builds, m, N_t):
     L = generate("laplacian-1d", m=m)
     grid = TimeGrid(1.0, N_t)
@@ -609,11 +609,21 @@ def test_step_tables_bytes(table_builds, m, N_t):
     stepper.sweep_adjoint(v)
     (tables,) = table_builds
     N, row = grid.n_nodes, m * 16
-    # e^{-s z} for every pass s = 1, 2, 4, ... < N, each on the N - s rows it multiplies
-    passes = sum(N - 2 ** k for k in range((N - 1).bit_length()))
+    # groups of 8 rows from 40 columns, of 16 from 16; below that the
+    # smallest power of two above N - 1, which leaves no group (the plain scan)
+    plain = 1 << (N - 1).bit_length()
+    b = plain if m < 16 else min(8 if m >= 40 else 16, plain)
+    assert tables.group == b
+    # e^{-s z} for every window pass s = 1, 2, 4, ... < b, each on the N - s rows it multiplies
+    passes = sum(N - 2 ** k for k in range(b.bit_length() - 1))
     assert sum(F.nbytes for _, F in tables.passes) == passes * row
+    # e^{-b z} tiled over the b rows of one group, if a group follows the passes
+    group = b if b <= N - 1 else 0
+    assert (0 if tables.tiled is None else tables.tiled.nbytes) == group * row
     # then c_cur, c_next and the scratch buffer, N - 1 rows each
-    assert tables._store.nbytes == (passes + 3 * (N - 1)) * row
+    assert tables._store.nbytes == (passes + group + 3 * (N - 1)) * row
+    if (m, N_t) == (48, 512):
+        assert tables._store.nbytes < 2.5e6  # the plain scan's tables took 4.33 MB
 
 
 def test_laplacian_constant_desk_scale():

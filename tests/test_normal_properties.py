@@ -5,7 +5,9 @@ contour sums reduced on the eigenvalues or in the Schur basis
 (``complex_power``, ``hinf_apply``) against the same sums over other
 resolvent stacks, and of the Cauchy stepper's eigenbasis scans against
 its dense sweeps and of its step tables, and those of a scalar step,
-against scans on broadcast rows kept here as the reference."""
+against scans on broadcast rows kept here as the reference (shapes on
+the plain scan) or against a sequential recurrence in extended
+precision (shapes on the grouped scan)."""
 
 import numpy as np
 import pytest
@@ -281,3 +283,70 @@ def test_step_tables_match_broadcast_scans_bit_for_bit(seed, n, N, stiff, real):
     want += _broadcast_sweep(steps, w), _broadcast_sweep_adjoint(steps, w)
     for a, b in zip(got, want, strict=True):
         assert np.array_equal(a, b)
+
+
+def _extended_sweeps(steps, g, u):
+    """The causal sweep of g and the adjoint sweep of u as sequential
+    recurrences node by node in extended precision (np.clongdouble),
+    from the same double step scalars."""
+    z, c_cur, c_next = (np.asarray(f, dtype=np.clongdouble) for f in steps)
+    a = np.exp(-z)
+    g, u = g.astype(np.clongdouble), u.astype(np.clongdouble)
+    f = np.zeros_like(g)
+    for i in range(1, len(g)):
+        f[i] = a * f[i - 1] + c_cur * g[i - 1] + c_next * g[i]
+    w = np.zeros_like(u)  # w_j = u_j + conj(a) w_{j+1} for j = N, ..., 1, w_{N+1} = 0
+    w[-1] = u[-1]
+    for j in range(len(u) - 2, 0, -1):
+        w[j] = u[j] + np.conj(a) * w[j + 1]
+    y = np.zeros_like(u)
+    y[:-1] = np.conj(c_cur) * w[1:]
+    y[1:] += np.conj(c_next) * w[1:]
+    return f, y
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(16, 64), N=st.integers(17, 1100),
+       stiff=st.floats(1e-3, 40.0), real=st.booleans())
+# N - 1 < b = 16: no group, the plain scan
+@example(seed=1, n=20, N=12, stiff=0.5, real=False)
+# b <= N - 1 < 2b: one group and 3 rows left over, at b = 8 and b = 16
+@example(seed=2, n=48, N=12, stiff=0.5, real=False)
+@example(seed=3, n=20, N=20, stiff=0.02, real=True)
+# N - 1 not a multiple of b: 124 groups of 8 and 7 rows; 32 of 16 and 2 rows
+@example(seed=4, n=40, N=1000, stiff=0.003, real=False)
+@example(seed=5, n=16, N=515, stiff=2.0, real=True)
+# 128 groups of 8, none left over
+@example(seed=6, n=64, N=1025, stiff=30.0, real=False)
+def test_grouped_scans_match_an_extended_precision_recurrence(seed, n, N, stiff, real):
+    # a spectrum on the positive axis (real steps) or in the sector, with a
+    # repeated eigenvalue and one of 1e-12, whose factor e^{-z} is 1 to
+    # rounding and so carries every row to the end; scaled so that the
+    # stiffest step h |d| is ``stiff``
+    rng = np.random.default_rng(seed)
+    angles = 0.0 if real else rng.uniform(-SPECTRUM_ANGLE, SPECTRUM_ANGLE, n)
+    d = np.exp(rng.uniform(-3.0, 3.0, n) + 1j * angles)
+    d[1], d[-1] = d[0], 1e-12
+    dt = 1.0 / (N - 1)
+    d = d * (stiff / (dt * np.abs(d).max()))
+    steps = _cauchy_step_scalars(d, dt)
+    tables = _StepTables(steps, (N, n), dt)
+    assert tables.real == real
+    b = tables.group
+    assert b == (8 if n >= 40 else 16) or b > N - 1 > 0
+    assert (tables.tiled is None) == (b > N - 1)
+    g, u = (rng.standard_normal((N, n)) + 1j * rng.standard_normal((N, n)) for _ in range(2))
+    got = tables.sweep(g), tables.sweep_adjoint(u)
+    want = _extended_sweeps(steps, g, u)
+    # one rounding of at most 2 eps (a complex product, then a sum) per
+    # elementwise step on a row's chain, log2(b) window passes and one
+    # group step per b rows, each on a partial sum of at most 2 max |ref|
+    # for these decaying modes
+    tol = 4.0 * ((b.bit_length() - 1) + -(-(N - 1) // b)) * np.finfo(float).eps
+    for fast, ref in zip(got, want, strict=True):
+        assert np.abs(fast - ref).max() <= tol * float(np.abs(ref).max())
+    # <S g, u> = <g, S^H u>
+    Sg, SHu = got
+    gap = abs(np.vdot(u, Sg) - np.vdot(SHu, g))
+    norm = np.linalg.norm
+    assert gap <= tol * (norm(Sg) * norm(u) + norm(g) * norm(SHu))
