@@ -22,7 +22,7 @@ import numpy as np
 from . import linops
 from .errors import ConfigInvalid, InvalidRecipe
 from .reports import CertificateReport
-from .sector import MatrixOperator, SectorSampling, certify_sector
+from .sector import MatrixOperator, SectorSampling, _sampled_sup, certify_sector
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 0xC0FFEE
@@ -221,6 +221,15 @@ def _load_operator(cfg: dict, key_matrix="matrix", key_recipe="recipe", theta=No
     """The operator a config names, from a matrix file (certified by
     default at 0.75 pi on the standard sampling) or a recipe (at its own
     angle on a coarser one), certified once."""
+    op, default_angle, default_sampling = _read_operator(cfg, key_matrix, key_recipe, seed)
+    certify_sector(op, default_angle if theta is None else float(theta),
+                   sampling or default_sampling)
+    return op
+
+
+def _read_operator(cfg: dict, key_matrix="matrix", key_recipe="recipe", seed=DEFAULT_SEED):
+    """The operator of :func:`_load_operator`, not yet certified, with its
+    default certification angle and sampling."""
     if key_matrix in cfg:
         path = cfg[key_matrix]
         try:
@@ -242,9 +251,7 @@ def _load_operator(cfg: dict, key_matrix="matrix", key_recipe="recipe", theta=No
     if not (top == 0.0 or 1.0 / _ENTRY_LIMIT <= top <= _ENTRY_LIMIT):
         raise ConfigInvalid(f"largest matrix entry modulus {top:.3e} outside "
                             f"[{1.0 / _ENTRY_LIMIT:g}, {_ENTRY_LIMIT:g}]")
-    certify_sector(op, default_angle if theta is None else float(theta),
-                   sampling or default_sampling)
-    return op
+    return op, default_angle, default_sampling
 
 
 def _write_csv(cfg: dict, out_dir: str, header: str, rows) -> str:
@@ -271,13 +278,14 @@ def _certify(cfg, seed, out_dir):
         sampling = SectorSampling(**{**sampling, **counts})
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"invalid sampling: {exc}") from exc
-    op = _load_operator(cfg, theta=theta, seed=seed, sampling=sampling)
+    op = _read_operator(cfg, seed=seed)[0]
+    k_hat, resolved = _sampled_sup(op, theta, sampling)
     return CertificateReport(
         operation="certify-sector",
         inputs={"theta": theta, "sampling": dataclasses.asdict(sampling), "seed": seed,
                 "dim": op.dim},
-        tolerances={}, node_counts={"samples": len(sampling.points(theta))},
-        outputs={"K_hat": op.constant()},
+        tolerances={}, node_counts={"samples": len(sampling.points(theta)), "sigma_min": resolved},
+        outputs={"K_hat": k_hat},
         passed=True,
     ), []
 

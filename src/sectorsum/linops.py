@@ -47,20 +47,31 @@ test against ``||M + zI||_F`` calls a shift at distance 929 from the
 eigenvalue 1 of diag(1, 1e16) singular).  The pivot table d_i + z_k is
 formed once per stack and serves the test and the inverse.
 
-Resolvent norms need no inverse: ``||(M + z)^{-1}||_2 = 1/sigma_min(M + z)``.
-Without a normal basis, :func:`resolvent_norms` stacks ``M + z_k I`` in
-bounded-memory chunks and takes the singular values of each chunk in
-one call; a shift is singular when the smallest singular value falls
-below ``SINGULAR_RTOL * ||M + zI||_F``, the pivot test above.
+Resolvent norms need no inverse: ``||(M + z)^{-1}||_2 = 1/sigma_min(M + z)``,
+and sigma_min takes one of three paths, chosen by the basis handed in.
+On a normal basis (d, Q) it is min_i |d_i + z| in closed form.  On a
+Schur form (T, Q), :func:`schur_sigma_min` runs Golub-Kahan-Lanczos on
+(T + zI)^{-1}, two O(n^2) triangular solves a step, and a shift where
+that stalls or meets a singular pivot takes the SVD of T + zI.  With no
+basis, :func:`resolvent_norms` stacks ``M + z_k I`` in bounded-memory
+chunks and takes the singular values of each chunk in one call, O(n^3)
+a shift.  A shift is singular when sigma_min falls below
+``SINGULAR_RTOL * ||M + zI||_F``, the pivot test above.  Which of the
+last two a non-normal operator takes is the caller's choice:
+``sector`` hands over the Schur form from dimension
+``sector.SCHUR_NORMS_DIM`` (96) on, where the iteration's typical 5-10
+steps cost less than one SVD.
 
 A sup of ``(1 + |z|) ||(M + z)^{-1}||`` over sampled shifts (a sector
 constant) needs the norm only where it can set the sup.
-:func:`weighted_resolvent_norms` decomposes the shifts one stacked chunk
-at a time and bounds sigma_min at every shift not yet decomposed from
-the singular values already taken: sigma_min(M + z) is 1-Lipschitz in
-z (Weyl's inequality), so s of M + z' gives
+:func:`weighted_resolvent_norms` decomposes the shifts one chunk at a
+time, by the stacked SVD or on the Schur form, and bounds sigma_min at
+every shift not yet decomposed from the values already taken:
+sigma_min(M + z) is 1-Lipschitz in z (Weyl's inequality), so bounds
+s_min <= sigma_min(M + z') and s_max >= ||M + z'||_2 give
 ``sigma_min(M + z) >= max(s_min - |z - z'|, |z - z'| - s_max)``, less
-``8 n eps (s_max + |z - z'|)`` for rounding.  A shift is skipped when
+``8 n eps (s_max + |z - z'|)`` for rounding (and LANCZOS_RTOL times as
+much on a Schur form, the iteration's tolerance).  A shift is skipped when
 that bound keeps its value below the running sup (or a caller's cap)
 and also keeps it clear of the singular-shift test, so the sup, its
 first argmax and the first singular shift are those of every shift.
@@ -73,6 +84,9 @@ prime every shift, and a sampled 0 takes its value from it.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,6 +105,18 @@ SINGULAR_RTOL = 1e-13
 #: draws); the non-normal test operators (convection-diffusion, Jordan
 #: blocks, [[1, 1e-12], [0, 2]]) sit at 1e3 and above
 NORMAL_DEPARTURE = 8.0
+
+#: schur_sigma_min stops when the residual of its top Ritz pair in
+#: (T + z)^{-*} (T + z)^{-1} is at most LANCZOS_RTOL times the Ritz value
+LANCZOS_RTOL = 1e-10
+
+# the most Golub-Kahan-Lanczos steps per shift before the dense SVD, and the
+# seed of the start vector
+_LANCZOS_STEPS = 40
+_LANCZOS_SEED = 0x51A7
+# from step 2 * _LANCZOS_STALL on, a residual that fell less than tenfold over
+# the last _LANCZOS_STALL steps is taken as stalled: the SVD is cheaper
+_LANCZOS_STALL = 4
 
 # bytes of a stack per chunk, read only through stack_step; a 1 MiB stack
 # keeps peak memory where a per-shift loop would
@@ -400,18 +426,24 @@ def resolvent_norms(M, shifts, basis=None) -> np.ndarray:
     :func:`normal_basis`, sigma_min(M + z) = min_i |d_i + z|, no matrix
     is formed, and an entry is ``inf`` where some |d_i + z| <=
     ``SINGULAR_RTOL * (|d_i| + |z|)`` (:func:`_pivot_distances`).
-    Without one, a real M has M + conj(z) = conj(M + z) and the same
-    singular values, so each distinct (Re z, |Im z|) is decomposed once.
-    Only that path reads (and validates) M.
+    With a Schur form (T, Q), sigma_min comes from
+    :func:`schur_sigma_min` of T; with no basis, from the singular
+    values of stacked M + z_k I.  On those two paths a real M has
+    M + conj(z) = conj(M + z) and the same singular values, so each
+    distinct (Re z, |Im z|) is taken once; only they read (and
+    validate) M.
     """
     z = as_vector(shifts)
-    if basis is not None:
+    if basis is not None and basis[0].ndim == 1:
         nearest, singular = _pivot_distances(basis[0], z)
         out = np.full(z.shape[0], np.inf)
         with np.errstate(over="ignore"):   # a subnormal distance: inf, as on the spectrum
             out[~singular] = 1.0 / nearest[~singular]
         return out
     M = as_matrix(M)
+    if basis is not None:
+        T = basis[0]
+        return _per_conjugate_pair(M, z, lambda u: _norms_from_sigma(*schur_sigma_min(T, u)))
     return _per_conjugate_pair(M, z, lambda u: _singular_value_norms(M, u))
 
 
@@ -421,21 +453,28 @@ def weighted_resolvent_norms(M, shifts, basis=None, floor=0.0, cap=np.inf,
     min(max(sup, floor), cap), the sup taken over these values; ``-inf``
     at the others.
 
-    With ``basis`` this is ``(1 + |z|) * resolvent_norms(M, z, basis)``
-    at every shift.  Without one, sigma_min(M + z) is 1-Lipschitz in z
-    (Weyl's inequality), so the singular values s of M + z' bound it at
+    With a normal ``basis`` (d, Q) this is ``(1 + |z|) *
+    resolvent_norms(M, z, basis)`` at every shift.  Otherwise
+    sigma_min(M + z) is 1-Lipschitz in z (Weyl's inequality), so
+    s_min <= sigma_min(M + z') and s_max >= ||M + z'||_2 bound it at
     every other shift:
 
         sigma_min(M + z) >= max(s_min - |z - z'|, |z - z'| - s_max)
-                            - 8 n eps (s_max + |z - z'|),
+                            - margin (s_max + |z - z'|),
 
-    the last term a margin for the rounding of both decompositions.
+    the margin 8 n eps for the rounding of both decompositions.  Without
+    a basis, s_min and s_max are the extreme singular values of stacked
+    M + z' I.  With a Schur form (T, Q), s_min is :func:`schur_sigma_min`
+    of T, which is never below sigma_min and within LANCZOS_RTOL of it,
+    relative, so LANCZOS_RTOL joins the margin; s_max is
+    min(||M||_2 + |z'|, ||M + z' I||_F).
     The first decomposition is z' = 0: ``s0``, :func:`singular_values`
     of M, taken here unless the caller holds it.  Its bounds prime every
-    shift, and a sampled 0 takes its value from it.  Then, best first in
-    stacked chunks that double from one shift, every shift whose bound
-    leaves it near singular or whose value bound (1 + |z|)/bound still
-    reaches the target min(max(running max, floor), cap) is decomposed.
+    shift, and a sampled 0 takes its value from it on either path.
+    Then, best first in chunks that double from one shift, every shift
+    whose bound leaves it near singular or whose value bound
+    (1 + |z|)/bound still reaches the target
+    min(max(running max, floor), cap) is decomposed.
     A shift is left out only when its bound also exceeds
     ``SINGULAR_RTOL * (||M||_F + sqrt(n)|z|)``, so it is provably
     resolvable: the ``inf`` entries (singular shifts),
@@ -443,14 +482,15 @@ def weighted_resolvent_norms(M, shifts, basis=None, floor=0.0, cap=np.inf,
     are those of the exhaustive computation.  A real M decomposes each
     distinct (Re z, |Im z|) once, as in :func:`resolvent_norms`.
     """
-    if basis is not None:
+    T = None if basis is None else basis[0]
+    if T is not None and T.ndim == 1:
         return (1.0 + np.abs(shifts)) * resolvent_norms(M, shifts, basis)
     M = as_matrix(M)
     z = as_vector(shifts)
     if s0 is None:
         s0 = singular_values(M)
     return (1.0 + np.abs(z)) * _per_conjugate_pair(
-        M, z, lambda u: _pruned_norms(M, u, floor, cap, s0))
+        M, z, lambda u: _pruned_norms(M, u, floor, cap, s0, T))
 
 
 def _per_conjugate_pair(M: np.ndarray, z: np.ndarray, norms) -> np.ndarray:
@@ -464,10 +504,12 @@ def _per_conjugate_pair(M: np.ndarray, z: np.ndarray, norms) -> np.ndarray:
 
 
 def _pruned_norms(M: np.ndarray, z: np.ndarray, floor: float, cap: float,
-                  s0: np.ndarray) -> np.ndarray:
+                  s0: np.ndarray, T: np.ndarray | None = None) -> np.ndarray:
     """1/sigma_min(M + z_k) where (1 + |z_k|)/sigma_min can reach the
     target of :func:`weighted_resolvent_norms`, ``-inf`` elsewhere;
-    ``s0`` is :func:`singular_values` of M."""
+    ``s0`` is :func:`singular_values` of M, and ``T``, when given, the
+    triangular factor of a Schur form of M that sigma_min is taken on
+    (:func:`schur_sigma_min`)."""
     n, N = M.shape[0], z.shape[0]
     norms = np.full(N, -np.inf)
     if not N:
@@ -475,23 +517,26 @@ def _pruned_norms(M: np.ndarray, z: np.ndarray, floor: float, cap: float,
     weight = 1.0 + np.abs(z)
     resolvable = SINGULAR_RTOL * (np.linalg.norm(M) + np.sqrt(n) * np.abs(z))
     margin = 8.0 * n * np.finfo(float).eps
+    if T is not None:
+        margin += LANCZOS_RTOL
     lower = np.zeros(N)  # lower bounds on sigma_min(M + z_k)
     top = -np.inf
     step = stack_step(16 * n * n)
-    # s holds the singular values at the points at; they give the norms at
-    # take.  First M itself, at 0, which fills every sampled 0.
-    take, at, s = np.flatnonzero(z == 0), np.zeros(1, dtype=complex), s0[None]
+    # s_min and s_max bound the singular values at the points at; they give
+    # the norms at take.  First M itself, at 0, which fills every sampled 0.
+    take, at = np.flatnonzero(z == 0), np.zeros(1, dtype=complex)
+    s_min, s_max, computed = s0[-1:], s0[:1], _norms_from_singular_values(s0[None])
     live = np.delete(np.arange(N), take)
     chunk = 1
     while True:
-        norms[take] = _norms_from_singular_values(s)
+        norms[take] = computed
         top = max(top, float(np.max(weight[take] * norms[take], initial=-np.inf)))
         # the live x block distance table stays within one stack's bytes
         block = stack_step(16 * max(live.size, 1))
         for lo in range(0, at.size, block):
             dist = np.abs(z[live, None] - at[None, lo:lo + block])
-            s_min, s_max = s[lo:lo + block, -1], s[lo:lo + block, 0]
-            bound = np.maximum(s_min - dist, dist - s_max) - margin * (s_max + dist)
+            lo_s, hi_s = s_min[lo:lo + block], s_max[lo:lo + block]
+            bound = np.maximum(lo_s - dist, dist - hi_s) - margin * (hi_s + dist)
             lower[live] = np.maximum(lower[live], np.max(bound, axis=1))
         # a shift dropped here cannot come back: the target only rises
         target = min(max(top, floor), cap)
@@ -506,8 +551,126 @@ def _pruned_norms(M: np.ndarray, z: np.ndarray, floor: float, cap: float,
         if not take.size:
             return norms
         at = z[take]
-        s = _shifted_singular_values(M, at)
+        if T is None:
+            s = _shifted_singular_values(M, at)
+            s_min, s_max, computed = s[:, -1], s[:, 0], _norms_from_singular_values(s)
+        else:
+            # ||M + z||_2 <= min(||M||_2 + |z|, ||M + z||_F)
+            s_min, fro = schur_sigma_min(T, at)
+            s_max, computed = np.minimum(s0[0] + np.abs(at), fro), _norms_from_sigma(s_min, fro)
         chunk = min(2 * chunk, step)
+
+
+def schur_sigma_min(T, shifts):
+    """sigma_min(T + z_k I) and ||T + z_k I||_F for an upper-triangular T
+    at every shift, as two float arrays: for a Schur form (T, Q) of M,
+    those of M + z_k I.
+
+    sigma_min(T + z I) is 1/sigma_max((T + z I)^{-1}), the singular value
+    Golub-Kahan-Lanczos bidiagonalization of the inverse finds first
+    (Golub & Kahan, 1965; the route of EigTool, Wright & Trefethen,
+    2001).  Each step applies (T + z I)^{-1} and its conjugate transpose
+    by one triangular solve each (BLAS trsv, O(n^2)), reorthogonalizes
+    both new vectors against all before them, and takes the top
+    eigenpair (theta^2, y) of B_k^T B_k, B_k the k x k bidiagonal of the
+    steps so far.  The start vector comes from the fixed seed
+    ``_LANCZOS_SEED``, so each shift's value is reproducible.  A shift
+    is converged when the residual of that Ritz pair in
+    (T + z I)^{-*} (T + z I)^{-1}, alpha_k beta_k |y_k|, is at most
+    ``LANCZOS_RTOL * theta^2``, and its sigma_min is 1/theta.  Ritz
+    values rise to the largest singular value, so 1/theta is not below
+    sigma_min, and it is within LANCZOS_RTOL / 2 of it, relative, when
+    the Ritz pair has converged to the top one.
+
+    A shift takes the dense SVD of T + z I instead when some pivot
+    |t_ii + z| is within the singular-shift test (at most
+    ``SINGULAR_RTOL * ||T + z I||_F``, see :func:`_pivot_distances`),
+    when a solve is not finite, and when the iteration has not converged
+    within ``_LANCZOS_STEPS`` steps or stalls (a residual that fell less
+    than tenfold over the last ``_LANCZOS_STALL`` steps): clustered
+    singular values of the inverse, as at a shift far out from the
+    spectrum, slow it to where the SVD is cheaper.
+    """
+    T = as_matrix(T)
+    z = as_vector(shifts)
+    n = T.shape[0]
+    offdiag = T.copy()
+    offdiag.reshape(-1)[::n + 1] = 0.0
+    off = float(np.linalg.norm(offdiag))
+    singular = _pivot_distances(np.diagonal(T), z, off)[1]
+    start = _lanczos_start(n)
+    s_min, fro = np.empty(z.shape[0]), np.empty(z.shape[0])
+    for k, zk in enumerate(z):
+        S = np.array(T, order="F")  # trsv reads a Fortran array in place
+        pivots = S.reshape(-1, order="F")[::n + 1]  # a view of the diagonal
+        pivots += zk
+        fro[k] = math.hypot(*np.abs(pivots), off)
+        s = None if singular[k] else _lanczos_sigma_min(S, start)
+        s_min[k] = np.linalg.svd(S, compute_uv=False)[-1] if s is None else s
+    return s_min, fro
+
+
+@lru_cache(maxsize=16)
+def _lanczos_start(n: int) -> np.ndarray:
+    """The unit start vector of :func:`schur_sigma_min` at dimension n,
+    complex normal from ``_LANCZOS_SEED``; read-only."""
+    start = np.random.default_rng(_LANCZOS_SEED).standard_normal((n, 2)) @ [1.0, 1.0j]
+    start /= np.linalg.norm(start)
+    start.flags.writeable = False
+    return start
+
+
+def _lanczos_sigma_min(S: np.ndarray, start: np.ndarray):
+    """sigma_min of the upper-triangular Fortran array S by
+    Golub-Kahan-Lanczos on S^{-1} from ``start`` (see
+    :func:`schur_sigma_min`), or None when a solve is not finite or the
+    iteration has not converged within ``_LANCZOS_STEPS`` steps or
+    stalls."""
+    from scipy.linalg.blas import ztrsv as trsv
+    from scipy.linalg.lapack import dstemr
+
+    cap = _LANCZOS_STEPS
+    U = np.empty((cap, S.shape[0]), dtype=complex)
+    V = np.empty((cap + 1, S.shape[0]), dtype=complex)
+    alpha, beta = np.empty(cap), np.empty(cap)
+    # B_k^T B_k for the upper bidiagonal B_k = bidiag(alpha, beta): its
+    # diagonal and off-diagonal, with a last entry dstemr takes as workspace
+    diag, offd = np.empty(cap), np.zeros(cap)
+    resid = np.empty(cap)
+    V[0] = start
+    with np.errstate(all="ignore"):  # a solve that overflows is caught below
+        for j in range(cap):
+            u = trsv(S, V[j])
+            if j:
+                u -= beta[j - 1] * U[j - 1]
+                u -= (U[:j] @ u.conj()).conj() @ U[:j]
+            alpha[j] = np.sqrt(np.vdot(u, u).real)
+            if not 0.0 < alpha[j] < np.inf:
+                return None
+            np.divide(u, alpha[j], out=U[j])
+            w = trsv(S, U[j], trans=2)
+            w -= alpha[j] * V[j]
+            w -= (V[:j + 1] @ w.conj()).conj() @ V[:j + 1]
+            beta[j] = np.sqrt(np.vdot(w, w).real)
+            if not beta[j] < np.inf:
+                return None
+            diag[j] = alpha[j] * alpha[j]
+            if j:
+                diag[j] += beta[j - 1] * beta[j - 1]
+                offd[j - 1] = alpha[j - 1] * beta[j - 1]
+            # the top eigenpair of B_k^T B_k, by index (range 2, il = iu = k)
+            _, ritz, vecs, info = dstemr(diag[:j + 1], offd[:j + 1].copy(),
+                                         2, 0.0, 0.0, j + 1, j + 1)
+            theta2 = ritz[0]
+            if info or not theta2 > 0.0:
+                return None
+            resid[j] = alpha[j] * beta[j] * abs(vecs[j, 0]) / theta2
+            if resid[j] <= LANCZOS_RTOL:
+                return 1.0 / np.sqrt(theta2)
+            if j >= 2 * _LANCZOS_STALL and resid[j] > 0.1 * resid[j - _LANCZOS_STALL]:
+                return None
+            np.divide(w, beta[j], out=V[j + 1])
+    return None
 
 
 def _sorted_distinct(x) -> np.ndarray:
@@ -551,9 +714,14 @@ def _shifted_singular_values(M: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _norms_from_singular_values(s: np.ndarray) -> np.ndarray:
     """1/sigma_min for each row of singular values, ``inf`` where
     sigma_min <= SINGULAR_RTOL * (the row's Frobenius norm)."""
-    s_min = s[:, -1]
-    out = np.full(s.shape[0], np.inf)
-    resolvable = s_min > SINGULAR_RTOL * np.sqrt(np.sum(s * s, axis=1))
+    return _norms_from_sigma(s[:, -1], np.sqrt(np.sum(s * s, axis=1)))
+
+
+def _norms_from_sigma(s_min: np.ndarray, fro: np.ndarray) -> np.ndarray:
+    """1/s_min, ``inf`` where s_min <= SINGULAR_RTOL * fro (the
+    Frobenius norm of the matrix s_min belongs to)."""
+    out = np.full(s_min.shape[0], np.inf)
+    resolvable = s_min > SINGULAR_RTOL * fro
     out[resolvable] = 1.0 / s_min[resolvable]
     return out
 

@@ -155,8 +155,24 @@ def deriv_resolvent(lam: complex, g: GridFunction) -> GridFunction:
 
 def deriv_resolvent_matrix(lam: complex, grid: TimeGrid) -> np.ndarray:
     """Dense matrix of the scalar discrete resolvent (acts on node values):
-    the scalar sweep applied to the identity."""
-    return deriv_resolvent(lam, GridFunction(grid, np.eye(grid.n_nodes))).values
+    the scalar sweep applied to the identity, from two sweeps.
+
+    The sweep is linear with one step for every node, so the sweep of
+    e_j, j >= 1, is that of e_1 moved down j - 1 rows: past its first
+    column the matrix is lower-triangular Toeplitz, read off the sweep
+    of e_1.  Only the sweeps of e_0 and e_1 are taken.  Above its first
+    entry a column of the identity holds zeros, which the scan only adds
+    to the rest, so every entry is that of the swept identity, bit for
+    bit."""
+    N = grid.n_nodes
+    swept = deriv_resolvent(lam, GridFunction(grid, np.eye(N, 2))).values
+    out = np.empty((N, N), dtype=complex)
+    out[:, 0] = swept[:, 0]
+    # entry (i, j) is the sweep of e_1 at row i - j + 1, 0 above that
+    # column's first row: row i of the windows of [0 ... 0, sweep of e_1]
+    padded = np.concatenate([np.zeros(N - 2, dtype=complex), swept[:, 1]])
+    out[:, 1:] = np.lib.stride_tricks.sliding_window_view(padded, N - 1)[:, ::-1]
+    return out
 
 
 def young_bound(lam: complex, tau: float) -> float:

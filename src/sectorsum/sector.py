@@ -17,14 +17,19 @@ Every resolvent norm is taken as 1/sigma_min(A + z); no inverse is
 formed.  A normal operator caches its unitary eigenbasis (d, Q)
 (:meth:`MatrixOperator.normal_basis`), and then sigma_min(A + z) is
 min_i |d_i + z| in closed form at every sampled shift.  Any other
-operator takes the singular values of stacked shifted matrices, only at
-the shifts that can still set the sup (:func:`linops.weighted_resolvent_norms`):
-from the singular values s at a decomposed shift z', Weyl's inequality
-bounds sigma_min(A + z) >= max(s_min - |z - z'|, |z - z'| - s_max) at
-every other, less a rounding margin of 8 n eps (s_max + |z - z'|), and a
-shift whose bounded value cannot reach the running sup is skipped.  The
-first decomposed shift is z' = 0, that is A itself: a MatrixOperator
-takes its singular values once and caches them, so ``norm()``,
+operator takes sigma_min only at the shifts that can still set the sup
+(:func:`linops.weighted_resolvent_norms`).  Below dimension
+``SCHUR_NORMS_DIM`` (96) that is one SVD of A + z per shift; from 96 on
+it is inverse Lanczos on A's kept Schur form (T + z)^{-1}
+(:func:`linops.schur_sigma_min`), which falls back to the SVD of
+T + z at a shift where it stalls or meets a singular pivot.  From s_min
+and s_max bounding the singular values at a decomposed shift z',
+Weyl's inequality bounds sigma_min(A + z) >= max(s_min - |z - z'|,
+|z - z'| - s_max) at every other, less a rounding margin of
+8 n eps (s_max + |z - z'|) (plus the Lanczos tolerance on the Schur
+form), and a shift whose bounded value cannot reach the running sup is
+skipped.  The first decomposed shift is z' = 0, that is A itself: a
+MatrixOperator takes its singular values once and caches them, so ``norm()``,
 ``inverse_norm()`` and every certification and extension check of it
 share one SVD of A, and the sampled origin is never decomposed again.
 Certification takes the sup against max(sup, 1), since K-hat >= 1; the
@@ -35,7 +40,8 @@ order are those of the exhaustive computation, and ``n_samples`` still
 counts every sampled point.  The extension check's disk rings hold
 exact conjugate pairs of points, so a real A decomposes each pair once.
 What does not depend on the angle is computed once: the sampling radii
-per (n, r_min, r_max), the singular values per operator.
+per (n, r_min, r_max), the singular values and the Schur form per
+operator.
 """
 
 from __future__ import annotations
@@ -48,6 +54,15 @@ import numpy as np
 from . import linops
 from .linops import _sorted_distinct
 from .errors import ExtensionViolated, NotSectorialAtAngle, SingularShift, UnboundedSuspected
+
+#: a non-normal operator of at least this dimension takes sigma_min(A + z)
+#: by inverse Lanczos on its kept Schur form (linops.schur_sigma_min), a
+#: smaller one by the stacked SVD of A + z.  Per shift at one BLAS thread
+#: on L + 20 D1, the iteration already wins at n = 64 on the shifts a
+#: coarse certification decomposes, but loses by half on those of the
+#: default sampling, where a third of them stall into the SVD; at 96 it
+#: is no slower on either
+SCHUR_NORMS_DIM = 96
 
 
 @dataclass(frozen=True)
@@ -244,9 +259,15 @@ def resolvent_apply(A: MatrixOperator, z: complex, x) -> np.ndarray:
 
 def _weighted_norms(A: MatrixOperator, pts: np.ndarray, floor=0.0, cap=np.inf) -> np.ndarray:
     """:func:`linops.weighted_resolvent_norms` of A at pts: in closed form
-    on a normal basis, else seeded with A's cached singular values."""
-    basis = A.normal_basis()
-    s0 = A._singular_values() if basis is None else None
+    on a normal basis, else seeded with A's cached singular values, and
+    from dimension SCHUR_NORMS_DIM on with sigma_min taken on A's kept
+    Schur form.  Shifts that are all 0 take their value from the singular
+    values alone, so they build no Schur form."""
+    basis, s0 = A.normal_basis(), None
+    if basis is None:
+        s0 = A._singular_values()
+        if A.dim >= SCHUR_NORMS_DIM and pts.any():
+            basis = A.schur_form()
     return linops.weighted_resolvent_norms(A.matrix, pts, basis, floor, cap, s0)
 
 
@@ -268,6 +289,18 @@ def certify_sector(
         If any sampled shift is not resolvable; carries the first such z
         in the order of ``sampling.points(theta)``.
     """
+    k_hat = _sampled_sup(A, theta, sampling)[0]
+    if attach:
+        A.certified = SectorSpec(theta=theta, K=k_hat)
+    return k_hat
+
+
+def _sampled_sup(A: MatrixOperator, theta: float,
+                 sampling: SectorSampling | None) -> tuple[float, int]:
+    """K-hat of :func:`certify_sector`, not attached, and the number of
+    sampled shifts whose sigma_min was taken (every one on a normal
+    basis; elsewhere those the Weyl bounds did not skip, a conjugate
+    partner of a real A's shift and a sampled 0 counted too)."""
     if not (0.0 <= theta < np.pi):
         raise ValueError(f"theta must lie in [0, pi), got {theta}")
     sampling = sampling or SectorSampling()
@@ -278,10 +311,7 @@ def certify_sector(
     if singular.size:
         z = complex(pts[singular[0]])
         raise NotSectorialAtAngle(f"shift z={z} not resolvable at theta={theta}", shift=z)
-    k_hat = max(float(np.max(values)), 1.0)
-    if attach:
-        A.certified = SectorSpec(theta=theta, K=k_hat)
-    return k_hat
+    return max(float(np.max(values)), 1.0), int(np.count_nonzero(values > -np.inf))
 
 
 @dataclass

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import sectorsum
-from sectorsum import CertificateReport, generate, report_diff, run_experiment
+from sectorsum import (CertificateReport, MatrixOperator, SectorSampling, certify_sector, generate,
+                       report_diff, run_experiment, sector)
 from sectorsum.cli import _parser, main as cli_main
 from sectorsum.errors import ConfigInvalid, IncompatibleReports, InvalidRecipe, ReportInvalid
 from sectorsum.harness import PIPELINES, laplacian_eigenvalues, run_config, validate_config
@@ -81,6 +82,35 @@ def test_run_experiment_certify_and_determinism(tmp_path):
     r2 = CertificateReport.load(paths2[0])
     assert r1.payload_json() == r2.payload_json()  # byte identical sans envelope
     assert r1.equivalent(CertificateReport.from_json(r1.to_json()))
+
+
+@pytest.mark.parametrize("kind", ["normal", "non-normal", "non-normal-schur"])
+def test_certify_counts_the_shifts_whose_sigma_min_was_taken(kind, tmp_path):
+    # every sampled shift on a normal operator; on a non-normal one only
+    # those the Weyl bounds kept, below and above the Schur crossover
+    m = {"normal": 8, "non-normal": 8, "non-normal-schur": sector.SCHUR_NORMS_DIM}[kind]
+    L = generate("laplacian-1d", m=m).matrix
+    M = L if kind == "normal" else L + 10.0 * (m + 1) * (np.eye(m, k=1) - np.eye(m, k=-1))
+    write_matrix(tmp_path / "m.csv", M)
+    cpath = _write_config(tmp_path / "cfg.json", {"pipeline": "certify", "theta": 2.0,
+                                                  "matrix": str(tmp_path / "m.csv")})
+    reports = []
+    for out in ("a", "b"):
+        paths, ok = run_experiment(cpath, str(tmp_path / out))
+        assert ok
+        reports.append(CertificateReport.load(paths[0]))
+    first, again = reports
+    assert first.payload_json() == again.payload_json()
+    counts = first.node_counts
+    sampling = SectorSampling()
+    assert counts["samples"] == len(sampling.points(2.0))
+    A = MatrixOperator(M)
+    assert first.outputs["K_hat"] == certify_sector(A, 2.0, sampling)
+    if kind == "normal":
+        assert counts["sigma_min"] == counts["samples"]
+    else:
+        values = sector._weighted_norms(A, sampling.points(2.0), floor=1.0)
+        assert 1 <= counts["sigma_min"] == np.count_nonzero(values > -np.inf) < counts["samples"]
 
 
 def test_run_experiment_sweep_csv(tmp_path):
@@ -771,37 +801,74 @@ def _magnitudes(value):
             pass
 
 
-def test_payloads_agree_across_blas_thread_counts(tmp_path, capsys):
-    # complex_power of the non-normal L + 20 D1 at m = 96 (Schur path),
-    # whose matrix entries moved in their last digits between 1 and 2
-    # threads; each run in a fresh process, as the cap holds from import
-    m = 96
+def _write_convection_diffusion(path, m):
+    """L + 20 D1 at m, non-normal, as a matrix file."""
     L = generate("laplacian-1d", m=m).matrix
-    write_matrix(tmp_path / "cd.csv", L + 10.0 * (m + 1) * (np.eye(m, k=1) - np.eye(m, k=-1)))
-    cfg = _write_config(tmp_path / "cfg.json", {"pipeline": "power", "matrix": "cd.csv",
-                                                "re": -0.3, "im": 0.5})
+    write_matrix(path, L + 10.0 * (m + 1) * (np.eye(m, k=1) - np.eye(m, k=-1)))
+
+
+def _payloads_at_thread_counts(tmp_path, cfg, report):
+    """The reports of ``run --config cfg`` at SECTORSUM_THREADS 1, 1 and 2,
+    each in a fresh process, as the cap holds from import; checks that
+    the envelopes record the counts and that one count gives one payload."""
     paths = []
     for run, threads in enumerate((1, 1, 2)):
         out = f"out{run}"
         subprocess.run([sys.executable, "-m", "sectorsum.cli", "--out", out, "run", "--config", cfg],
                        env=_src_env(SECTORSUM_THREADS=str(threads)), cwd=tmp_path,
                        capture_output=True, text=True, timeout=120, check=True)
-        paths.append(str(tmp_path / out / "power.json"))
+        paths.append(str(tmp_path / out / report))
     one, again, two = map(CertificateReport.load, paths)
     assert one.envelope["threads"]["SECTORSUM_THREADS"] == "1"
     assert two.envelope["threads"]["SECTORSUM_THREADS"] == "2"
     assert one.payload_json() == again.payload_json()  # one thread count: the same bytes
-    tol = CROSS_THREAD_RTOL * max(_magnitudes(one.outputs))
-    assert cli_main(["report-diff", paths[0], paths[2], "--tol", repr(tol)]) == 0
-    capsys.readouterr()
-    # a matrix entry moved past the tolerance fails the same diff
+    return paths, CROSS_THREAD_RTOL * max(_magnitudes(one.outputs))
+
+
+def _diff_fails_past_tol(tmp_path, paths, tol, edit, capsys):
+    """report-diff of the first payload against the last with ``edit``
+    applied to its document fails at tol; returns the failing fields."""
     doc = json.loads(Path(paths[2]).read_text())
-    doc["outputs"]["matrix"][3][5] = repr(complex(doc["outputs"]["matrix"][3][5]) + 2.0 * tol)
+    edit(doc)
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps(doc))
     assert cli_main(["report-diff", paths[0], str(edited), "--tol", repr(tol)]) == 1
     fields = json.loads(capsys.readouterr().out)["fields"]
-    assert [k for k, rec in fields.items() if not rec["within_tol"]] == ["outputs.matrix[3][5]"]
+    return [k for k, rec in fields.items() if not rec["within_tol"]]
+
+
+def test_payloads_agree_across_blas_thread_counts(tmp_path, capsys):
+    # complex_power of the non-normal L + 20 D1 at m = 96 (Schur path),
+    # whose matrix entries moved in their last digits between 1 and 2
+    # threads
+    _write_convection_diffusion(tmp_path / "cd.csv", 96)
+    cfg = _write_config(tmp_path / "cfg.json", {"pipeline": "power", "matrix": "cd.csv",
+                                                "re": -0.3, "im": 0.5})
+    paths, tol = _payloads_at_thread_counts(tmp_path, cfg, "power.json")
+    assert cli_main(["report-diff", paths[0], paths[2], "--tol", repr(tol)]) == 0
+    capsys.readouterr()
+
+    def edit(doc):  # a matrix entry moved past the tolerance
+        entry = doc["outputs"]["matrix"][3][5]
+        doc["outputs"]["matrix"][3][5] = repr(complex(entry) + 2.0 * tol)
+
+    assert _diff_fails_past_tol(tmp_path, paths, tol, edit, capsys) == ["outputs.matrix[3][5]"]
+
+
+def test_hinf_payloads_agree_across_blas_thread_counts(tmp_path, capsys):
+    # hinf_apply of cayley-squared on L + 20 D1 at m = 96, certified first:
+    # at that dimension the certification takes sigma_min on the Schur form
+    _write_convection_diffusion(tmp_path / "cd.csv", 96)
+    cfg = _write_config(tmp_path / "cfg.json", {"pipeline": "hinf", "matrix": "cd.csv",
+                                                "symbol": "cayley-squared"})
+    paths, tol = _payloads_at_thread_counts(tmp_path, cfg, "hinf.json")
+    assert cli_main(["report-diff", paths[0], paths[2], "--tol", repr(tol)]) == 0
+    capsys.readouterr()
+
+    def edit(doc):
+        doc["outputs"]["norm"] += 2.0 * tol
+
+    assert _diff_fails_past_tol(tmp_path, paths, tol, edit, capsys) == ["outputs.norm"]
 
 
 def test_numpy_only_pipelines_never_load_scipy(tmp_path):

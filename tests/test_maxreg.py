@@ -89,6 +89,17 @@ def test_deriv_resolvent_every_lambda_resolvable():
         assert nrm <= cap
 
 
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("N_t", [16, 17, 64, 257])  # 16: the fewest intervals a grid takes
+@pytest.mark.parametrize("lam", [3.0, 1e5, 3.0 + 2.0j, 1e-3 + 5.0j, 1j, 0.0, -4.0 + 2.0j])
+def test_deriv_resolvent_matrix_is_the_swept_identity(lam, N_t, periodic):
+    # two sweeps and a Toeplitz fill against the sweep of every column,
+    # to the byte: signed zeros included
+    grid = TimeGrid(1.0, N_t, periodic=periodic)
+    swept = deriv_resolvent(lam, GridFunction(grid, np.eye(grid.n_nodes))).values
+    assert deriv_resolvent_matrix(lam, grid).tobytes() == swept.tobytes()
+
+
 def test_deriv_resolvent_coefficients_near_small_step():
     # at small lam dt the closed form (h - m0) / (lam h) of the weighted
     # moment cancels; the step taken from the phi-functions does not
